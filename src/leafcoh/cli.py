@@ -3,7 +3,8 @@
 Subcommands: ``check`` (property suites), ``cohomology`` (dimension grids),
 ``sequence`` (relative / Mayer-Vietoris long exact sequences), ``solve``
 (certified primitives).  Exit codes: 0 success, 1 a property violation or
-failed finding, 2 input error, 3 precondition failure.
+failed finding, 2 input error, 3 precondition failure, 4 an internal
+invariant of the engine failed (a bug, never a finding about the input).
 
 Scenes are JSON files; identical scene plus seed gives byte-identical
 reports (all randomness flows through random.Random(seed)).
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 _TWIST_PARSE_BUDGET = 64  # generous cap for parsing twist polynomials
 
@@ -385,6 +387,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

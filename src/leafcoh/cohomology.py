@@ -1,8 +1,9 @@
 """Cohomology dimensions by exact rank computations.
 
 Forms at a fixed budget are vectorised over the deterministic basis of
-``forms.enumerate_basis``; operators become sparse matrices and every
-cohomology group is a kernel-modulo-image quotient of exact subspaces.
+``space_basis``; operator matrices are written down column by column from
+the closed-form monomial rule in ``operator_matrix``, and every cohomology
+group is a kernel-modulo-image quotient of exact subspaces.
 
 Budget semantics ("truncation cohomology"): the group at budget D uses the
 kernel on budget-D forms and the image of sources at budget D - gap (gap =
@@ -20,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import GaussianRational, Series, monomials_upto
-from .forms import FoliatedForm, FoliationModel, basis_form
+from .algebra import ONE, GaussianRational, Series, monomials_upto
+from .forms import FoliatedForm, FoliationModel, basis_form, insert_index
 from .operators import (
     FoliatedMorphism,
     dbar,
@@ -179,28 +180,60 @@ def operator_matrix(
     j, over the target-bidegree basis at out_budget.  Requires
     out_budget >= in_budget + gap so no term ever falls outside the target
     basis.
+
+    Columns are written down in closed form.  For a basis element
+    z^e dz^A ^ dzb^B and the twist f = sum_t f_t z^t (e and t exponent
+    triples over z, zb and x),
+
+        dbar_f(z^e dz^A dzb^B) = sum_{a not in B} sum_t (-1)^p sgn(a, B) f_t
+                                 (e_{beta,a} - w t_{beta,a})
+                                 z^(e + t - eps_a) dz^A ^ dzb^(B + a)
+
+    where e_{beta,a} is the zb_a exponent, eps_a lowers it by one and
+    sgn(a, B) is the sign of merging a into B.  partial_f mirrors this with
+    sgn(a, A), the z_a exponents and dz^(A + a), without (-1)^p.  The weight
+    w is p+q for dbar_f/partial_f and p+q-k for dbar_f_k; dbar/partial take
+    f = 1.  Distinct (a, t) land on distinct output entries, so every entry
+    is a single product.
     """
     if tag not in _OPS:
         raise ValueError(f"unknown operator tag {tag!r}")
-    dp, dq, _ = _OPS[tag]
+    if tag == "dbar_f_k" and k is None:
+        raise ValueError("dbar_f_k needs the integer k")
+    dp, dq, twisted = _OPS[tag]
     gap = operator_gap(tag, model)
     if out_budget < in_budget + gap:
         raise BudgetContractError(
             f"budget contract violated: out {out_budget} < in {in_budget} + gap {gap}"
         )
-    in_basis = _basis_cached(model.m, model.n, p, q, in_budget)
-    out_idx = _basis_index(model.m, model.n, p + dp, q + dq, out_budget)
+    m, n = model.m, model.n
+    if twisted:
+        f_terms = list(model.f.terms.items())
+        weight = p + q - (k if tag == "dbar_f_k" else 0)
+    else:
+        f_terms = [(((0,) * m, (0,) * m, (0,) * n), ONE)]
+        weight = 0
+    slot = 1 if dq else 0  # the exponent block the derivative lowers
+    front = -1 if dq and p % 2 else 1
+    in_basis = _basis_cached(m, n, p, q, in_budget)
+    out_idx = _basis_index(m, n, p + dp, q + dq, out_budget)
     entries = {}
-    for j, elem in enumerate(in_basis):
-        image = apply_operator(tag, basis_form(model, elem, in_budget), k)
-        for (A, B), series in image.coeffs.items():
-            for expo, coeff in series.terms.items():
-                pos = out_idx.get((A, B, expo))
-                if pos is None:
-                    raise BudgetContractError(
-                        f"operator output term {(A, B, expo)} exceeds out budget {out_budget}"
-                    )
-                entries[(pos, j)] = coeff
+    for j, (A, B, e) in enumerate(in_basis):
+        for i in range(m):
+            s, merged = insert_index(i + 1, B if dq else A)
+            if not s:
+                continue
+            ei = e[slot][i]
+            for t, ft in f_terms:
+                c = ei - weight * t[slot][i]
+                if not c:
+                    continue
+                expo = [tuple(x + y for x, y in zip(u, v)) for u, v in zip(e, t)]
+                lowered = list(expo[slot])
+                lowered[i] -= 1
+                expo[slot] = tuple(lowered)
+                key = (A, merged, tuple(expo)) if dq else (merged, B, tuple(expo))
+                entries[(out_idx[key], j)] = ft * (front * s * c)
     return Matrix(len(out_idx), len(in_basis), entries)
 
 
@@ -335,10 +368,10 @@ def aeppli_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
     ambient = space_dim(model, p, q, D)
     if p >= 1 and D - gap >= 0:
         Mp = operator_matrix("partial_f", model, p - 1, q, D - gap, D)
-        columns.extend(Mp.column(j) for j in range(Mp.cols))
+        columns.extend(Mp.columns())
     if q >= 1 and D - gap >= 0:
         Md = operator_matrix("dbar_f", model, p, q - 1, D - gap, D)
-        columns.extend(Md.column(j) for j in range(Md.cols))
+        columns.extend(Md.columns())
     I = Subspace.from_span(columns, ambient)
     dim = quotient_dim(K, I)
     return {

@@ -51,7 +51,7 @@ class Matrix:
         entries = {}
         for j, col in enumerate(columns):
             for i, v in enumerate(col):
-                if v:
+                if v is not ZERO and v:
                     entries[(i, j)] = v
         return cls(rows, len(columns), entries)
 
@@ -72,11 +72,23 @@ class Matrix:
         return rows
 
     def column(self, j) -> tuple:
-        col = [ZERO] * self.rows
+        return self.columns([j])[0]
+
+    def columns(self, js=None) -> list:
+        """Dense tuples of the columns js (default: all), in one pass over the entries."""
+        js = range(self.cols) if js is None else js
+        sparse = {j: [] for j in js}
         for (r, c), v in self.entries.items():
-            if c == j:
+            hit = sparse.get(c)
+            if hit is not None:
+                hit.append((r, v))
+        out = []
+        for j in js:
+            col = [ZERO] * self.rows
+            for r, v in sparse[j]:
                 col[r] = v
-        return tuple(col)
+            out.append(tuple(col))
+        return out
 
     def matvec(self, vec) -> tuple:
         if len(vec) != self.cols:
@@ -308,7 +320,7 @@ def solve(M: Matrix, b) -> tuple | None:
 def column_space(M: Matrix) -> Subspace:
     """Basis of the column space: the original pivot columns."""
     keep = _pivot_columns(M)
-    return Subspace(M.rows, [M.column(j) for j in keep])
+    return Subspace(M.rows, M.columns(keep))
 
 
 def quotient_dim(kernel: Subspace, image: Subspace) -> int:

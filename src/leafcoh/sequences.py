@@ -520,8 +520,7 @@ def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
         hr = data.right[q]
         hl_next = data.left[q + 1]
         verdicts = []
-        for j, rep in enumerate(hr.reps):
-            delta_coords = tuple(data.connecting[q].column(j))
+        for rep, delta_coords in zip(hr.reps, data.connecting[q].columns()):
             form = form_from_vector(rc.target_model, rc.p, q, rc.target_budgets[q], rep)
             pulled = pullback(rc.mu, form).with_budget(rc.source_budgets[q + 1])
             vec = vectorize(pulled, rc.source_budgets[q + 1])

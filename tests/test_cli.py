@@ -3,7 +3,9 @@ import pathlib
 
 import pytest
 
-from leafcoh.cli import main
+from leafcoh import cohomology
+from leafcoh.cli import EXIT_INTERNAL, main
+from leafcoh.linalg import Matrix
 
 SCENES = pathlib.Path(__file__).resolve().parents[1] / "scenes"
 
@@ -357,3 +359,44 @@ def test_seed_flag_overrides_scene(tmp_path, capsys):
     assert run(["check", "--scene", scene, "--suite", "leibniz", "--seed", "42"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 42
+
+
+def _patch_operator_matrix(monkeypatch, corrupt):
+    """Make cohomology build every operator matrix as corrupt(tag, matrix)."""
+    real = cohomology.operator_matrix
+    monkeypatch.setattr(
+        cohomology, "operator_matrix", lambda tag, *args, **kw: corrupt(tag, real(tag, *args, **kw))
+    )
+
+
+def _bump_first_partial_f_entry(tag, M):
+    if tag != "partial_f" or not M.entries:
+        return M
+    entries = dict(M.entries)
+    key = min(entries)
+    entries[key] = entries[key] + 1
+    return Matrix(M.rows, M.cols, entries)
+
+
+def test_failed_composition_check_exits_internal(tmp_path, capsys, monkeypatch):
+    _patch_operator_matrix(monkeypatch, _bump_first_partial_f_entry)
+    scene = write_scene(
+        tmp_path,
+        "s.json",
+        {"model": {"m": 1, "n": 0, "budget": 1, "f": "1 + z1"}, "grid": {"p": 0, "q": 0, "D": 1}},
+    )
+    assert run(["cohomology", "--scene", scene, "--variant", "aeppli"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: composed operator disagrees with matrix product\n"
+
+
+def test_failed_primitive_certification_exits_internal(capsys, monkeypatch):
+    # doubling every entry keeps the system solvable but halves the primitive
+    _patch_operator_matrix(
+        monkeypatch, lambda tag, M: Matrix(M.rows, M.cols, {k: v * 2 for k, v in M.entries.items()})
+    )
+    assert run(["solve", "--scene", str(SCENES / "solve_untwisted.json")]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: primitive certification failed\n"

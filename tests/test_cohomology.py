@@ -3,13 +3,15 @@ import pathlib
 import random
 
 import pytest
+import sympy
 
 from leafcoh.algebra import Series, parse_series
-from leafcoh.forms import FoliatedForm, FoliationModel
+from leafcoh.forms import FoliatedForm, FoliationModel, basis_form
 from leafcoh.operators import dbar, dbar_f, tilde_dbar, FoliatedMorphism
 from leafcoh.cohomology import (
     BudgetContractError,
     NotClosedError,
+    apply_operator,
     aeppli_row,
     bott_chern_row,
     canonical_map_row,
@@ -25,14 +27,18 @@ from leafcoh.cohomology import (
     space_dim,
     vectorize,
 )
-from leafcoh.linalg import kernel_basis
+from leafcoh.linalg import Matrix, kernel_basis
 from leafcoh.sampling import random_bidegree, random_form, random_series
 
 from oracle import (
     oracle_aeppli,
+    oracle_basis,
     oracle_bott_chern,
     oracle_canonical,
     oracle_dolbeault,
+    oracle_operator_matrix,
+    series_to_expr,
+    symbols_for,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -90,6 +96,132 @@ def test_matrix_is_linear_operator(seed):
     lhs = M.matvec(vectorize(phi, 2))
     rhs = vectorize(dbar_f(phi), 2 + gap)
     assert lhs == rhs
+
+
+# Differential tests: the closed-form assembly against the reference form
+# arithmetic, applied to one basis form at a time, and against the sympy
+# oracle.
+
+TAGS = ("dbar", "partial", "dbar_f", "partial_f", "dbar_f_k")
+
+
+def reference_operator_matrix(tag, model, p, q, in_budget, out_budget, k=None):
+    """Column j = the form-level operator applied to basis element j."""
+    dp, dq = (0, 1) if tag in ("dbar", "dbar_f", "dbar_f_k") else (1, 0)
+    out_index = {e: i for i, e in enumerate(space_basis(model, p + dp, q + dq, out_budget))}
+    entries = {}
+    for j, elem in enumerate(space_basis(model, p, q, in_budget)):
+        image = apply_operator(tag, basis_form(model, elem, in_budget), k)
+        for (A, B), series in image.coeffs.items():
+            for expo, coeff in series.terms.items():
+                entries[(out_index[(A, B, expo)], j)] = coeff
+    rows = space_dim(model, p + dp, q + dq, out_budget)
+    return Matrix(rows, space_dim(model, p, q, in_budget), entries)
+
+
+def assert_matches_reference(model, budgets=(0, 1, 2), ks=(0, 1, 3)):
+    for tag in TAGS:
+        for k in ks if tag == "dbar_f_k" else (None,):
+            gap = 0 if tag in ("dbar", "partial") else model.twist_gap
+            for p in range(model.m + 1):
+                for q in range(model.m + 1):
+                    for in_budget in budgets:
+                        for out_budget in (in_budget + gap, in_budget + gap + 1):
+                            got = operator_matrix(tag, model, p, q, in_budget, out_budget, k)
+                            want = reference_operator_matrix(
+                                tag, model, p, q, in_budget, out_budget, k
+                            )
+                            assert got == want, (tag, k, p, q, in_budget, out_budget)
+
+
+DIFFERENTIAL_TWISTS = [
+    (1, 0, "0"),
+    (1, 0, "1"),
+    (1, 0, "-3/2"),
+    (1, 0, "(2-i)"),
+    (1, 0, "1 + z1"),
+    (1, 0, "z1^2 - 1/2*zb1"),
+    (1, 1, "x1"),
+    (1, 1, "1 + x1*zb1 - 2i*x1^2"),
+    (2, 0, "1 + z1*zb2"),
+    (2, 0, "(1+i)*zb1^2 + 1/3*z2 - 5"),
+    (2, 1, "1 + x1 + i*z2*zb1"),
+]
+
+
+@pytest.mark.parametrize("m,n,f_text", DIFFERENTIAL_TWISTS)
+def test_operator_matrix_matches_form_arithmetic(m, n, f_text):
+    model = FoliationModel(m, n, 2, parse_series(f_text, m, n, 4))
+    budgets = (0, 1, 2) if m + n < 3 else (1,)
+    assert_matches_reference(model, budgets)
+
+
+def test_operator_matrix_matches_form_arithmetic_m3():
+    model = FoliationModel(3, 0, 1, parse_series("1 + z1*zb2 + z3^2", 3, 0, 2))
+    assert_matches_reference(model, budgets=(1,), ks=(2,))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_operator_matrix_matches_form_arithmetic_random(seed):
+    rng = random.Random(2600 + seed)
+    m, n = rng.choice([(1, 0), (1, 1), (2, 0), (2, 1)])
+    model = FoliationModel(m, n, 2, random_series(rng, m, n, rng.randint(0, 3)))
+    assert_matches_reference(model, budgets=(rng.randint(0, 2),), ks=(rng.randint(-1, 4),))
+
+
+def _sympy_scalar(c):
+    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+        c.im.numerator, c.im.denominator
+    )
+
+
+ORACLE_MATRIX_CASES = [
+    (1, 0, "1", "dbar", None, 1, 1, 2),
+    (1, 0, "1", "partial", None, 0, 0, 2),
+    (1, 0, "1 + zb1^2", "dbar_f", None, 0, 0, 2),
+    (1, 1, "(1+2i)*x1 + z1", "partial_f", None, 0, 1, 2),
+    (1, 1, "1/2 - x1*zb1", "dbar_f_k", 3, 1, 0, 1),
+    (2, 0, "1 + z1*zb2", "dbar_f", None, 1, 0, 1),
+    (2, 0, "1 + z1*zb2", "partial_f", None, 0, 1, 1),
+    (2, 0, "i + z2^2", "dbar_f_k", 1, 1, 1, 1),
+    (2, 0, "0", "dbar_f", None, 0, 1, 1),
+]
+
+
+@pytest.mark.parametrize("m,n,f_text,tag,k,p,q,budget", ORACLE_MATRIX_CASES)
+def test_operator_matrix_matches_oracle(m, n, f_text, tag, k, p, q, budget):
+    f = parse_series(f_text, m, n, 4)
+    model = FoliationModel(m, n, budget, f)
+    gap = 0 if tag in ("dbar", "partial") else model.twist_gap
+    out_budget = budget + gap
+    anti = tag in ("dbar", "dbar_f", "dbar_f_k")
+    dp, dq = (0, 1) if anti else (1, 0)
+    zs, zbs, xs = symbols_for(m, n)
+    f_expr = sympy.Integer(1) if tag in ("dbar", "partial") else series_to_expr(f, zs, zbs, xs)
+    O = oracle_operator_matrix(
+        m, n, f_expr, p, q, budget, out_budget, weight_shift=k or 0, anti=anti
+    )
+    o_in = oracle_basis(m, n, p, q, budget)
+    o_out = oracle_basis(m, n, p + dp, q + dq, out_budget)
+    want = {
+        (o_out[i], o_in[j]): O[i, j]
+        for i in range(O.rows)
+        for j in range(O.cols)
+        if O[i, j] != 0
+    }
+    M = operator_matrix(tag, model, p, q, budget, out_budget, k)
+    e_in = space_basis(model, p, q, budget)
+    e_out = space_basis(model, p + dp, q + dq, out_budget)
+    got = {(e_out[i], e_in[j]): _sympy_scalar(v) for (i, j), v in M.entries.items()}
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        assert sympy.expand(value - want[key]) == 0, key
+
+
+def test_operator_matrix_k_variant_needs_k():
+    model = FoliationModel(1, 0, 1, parse_series("1 + z1", 1, 0, 1))
+    with pytest.raises(ValueError, match="needs the integer k"):
+        operator_matrix("dbar_f_k", model, 0, 0, 1, 1)
 
 
 def test_inclusion_positions_are_increasing_injection():
