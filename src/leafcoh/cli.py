@@ -4,7 +4,8 @@ Subcommands: ``check`` (property suites), ``cohomology`` (dimension grids),
 ``sequence`` (relative / Mayer-Vietoris long exact sequences), ``solve``
 (certified primitives).  Exit codes: 0 success, 1 a property violation or
 failed finding, 2 input error, 3 precondition failure, 4 an internal
-invariant of the engine failed (a bug, never a finding about the input).
+invariant of the engine failed, such as a failed certification or a broken
+complex (a bug, never a finding about the input).
 
 Scenes are JSON files; identical scene plus seed gives byte-identical
 reports (all randomness flows through random.Random(seed)).
@@ -18,6 +19,7 @@ import sys
 
 from .algebra import Series, SeriesError
 from .forms import FoliatedForm, FoliationModel, FormError
+from .linalg import LinearAlgebraError
 from .operators import FoliatedMorphism, MorphismError
 from .checks import SUITES, run_suite
 from .cohomology import (
@@ -381,15 +383,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SceneError, SeriesError, FormError, MorphismError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except AssertionError as exc:
+    except (AssertionError, LinearAlgebraError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
+    except (SceneError, SeriesError, FormError, MorphismError, ValueError, FileNotFoundError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

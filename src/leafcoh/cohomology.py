@@ -19,10 +19,17 @@ never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .algebra import ONE, GaussianRational, Series, monomials_upto
-from .forms import FoliatedForm, FoliationModel, basis_form, insert_index
+from .algebra import ONE, GaussianRational, Series
+from .forms import (
+    FoliatedForm,
+    FoliationModel,
+    FormError,
+    _basis_cached,
+    _basis_index,
+    basis_form,
+    insert_index,
+)
 from .operators import (
     FoliatedMorphism,
     dbar,
@@ -36,11 +43,11 @@ from .operators import (
 )
 from .linalg import (
     Matrix,
+    Quotient,
     Subspace,
     column_space,
     hstack,
     kernel_basis,
-    quotient_dim,
     rank,
     solve,
     span_restricted_to,
@@ -61,26 +68,6 @@ class NotClosedError(ValueError):
 # ---------------------------------------------------------------------------
 # Vectorisation
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _basis_cached(m: int, n: int, p: int, q: int, budget: int):
-    from itertools import combinations
-
-    if p < 0 or q < 0 or p > m or q > m or budget < 0:
-        return ()
-    monos = monomials_upto(m, n, budget)
-    out = []
-    for A in combinations(range(1, m + 1), p):
-        for B in combinations(range(1, m + 1), q):
-            for e in monos:
-                out.append((A, B, e))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _basis_index(m: int, n: int, p: int, q: int, budget: int):
-    return {elem: i for i, elem in enumerate(_basis_cached(m, n, p, q, budget))}
 
 
 def space_basis(model: FoliationModel, p: int, q: int, budget: int):
@@ -278,17 +265,13 @@ def _composed_matrix(model, p, q, in_budget, mid_budget, out_budget):
 # ---------------------------------------------------------------------------
 
 
-def _trivial(model, p, q, budget) -> Subspace:
-    return Subspace(space_dim(model, p, q, budget), [])
-
-
 def _image_subspace(tag, model, p, q, src_budget, target_budget, slack, k=None):
     """Image of the operator from (p,q) sources at src_budget + slack,
-    expressed in the target-bidegree basis at target_budget."""
-    dp, dq, _ = _OPS[tag]
-    tp, tq = p + dp, q + dq
+    expressed in the target-bidegree basis at target_budget; None when there
+    are no sources."""
     if p < 0 or q < 0 or src_budget + slack < 0:
-        return _trivial(model, tp, tq, target_budget)
+        return None
+    dp, dq, _ = _OPS[tag]
     src = src_budget + slack
     gap = operator_gap(tag, model)
     out = max(target_budget, src + gap)
@@ -296,8 +279,34 @@ def _image_subspace(tag, model, p, q, src_budget, target_budget, slack, k=None):
     img = column_space(M)
     if out == target_budget:
         return img
-    keep = inclusion_positions(model, tp, tq, target_budget, out)
+    keep = inclusion_positions(model, p + dp, q + dq, target_budget, out)
     return span_restricted_to(img.basis, keep, img.ambient_dim)
+
+
+def _bott_chern(model: FoliationModel, p: int, q: int, D: int, Md: Matrix) -> Quotient:
+    """ker partial_f & ker dbar_f modulo im partial_f dbar_f at (p,q,D).
+
+    Md is the dbar_f matrix at (p,q,D); the canonical map shares it with its
+    Dolbeault side.
+    """
+    gap = twist_gap(model.f)
+    Mp = operator_matrix("partial_f", model, p, q, D, D + gap)
+    image = None
+    if p and q and D >= 2 * gap:
+        image = column_space(_composed_matrix(model, p - 1, q - 1, D - 2 * gap, D - gap, D))
+    return Quotient(vstack(Mp, Md), image)
+
+
+def _row(p, q, D, H: Quotient, image_source: int) -> dict:
+    return {
+        "p": p,
+        "q": q,
+        "D": D,
+        "ker": H.kernel.dim,
+        "im": H.image.dim,
+        "dim": H.dim,
+        "budgets": {"kernel": D, "image_source": image_source},
+    }
 
 
 def dolbeault_row(
@@ -315,22 +324,11 @@ def dolbeault_row(
     """
     tag = "dbar_f" if k is None else "dbar_f_k"
     gap = twist_gap(model.f)
-    M = operator_matrix(tag, model, p, q, D, D + gap, k)
-    K = kernel_basis(M)
-    if q == 0:
-        I = _trivial(model, p, q, D)
-    else:
-        I = _image_subspace(tag, model, p, q - 1, D - gap, D, slack, k)
-    dim = quotient_dim(K, I)
-    row = {
-        "p": p,
-        "q": q,
-        "D": D,
-        "ker": K.dim,
-        "im": I.dim,
-        "dim": dim,
-        "budgets": {"kernel": D, "image_source": max(D - gap + slack, -1)},
-    }
+    H = Quotient(
+        operator_matrix(tag, model, p, q, D, D + gap, k),
+        _image_subspace(tag, model, p, q - 1, D - gap, D, slack, k),
+    )
+    row = _row(p, q, D, H, max(D - gap + slack, -1))
     if k is not None:
         row["k"] = k
     return row
@@ -339,50 +337,23 @@ def dolbeault_row(
 def bott_chern_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
     """Bott-Chern dimensions: both-kernels modulo the composed image."""
     gap = twist_gap(model.f)
-    M1 = operator_matrix("partial_f", model, p, q, D, D + gap)
-    M2 = operator_matrix("dbar_f", model, p, q, D, D + gap)
-    K = kernel_basis(vstack(M1, M2))
-    if p == 0 or q == 0 or D - 2 * gap < 0:
-        I = _trivial(model, p, q, D)
-    else:
-        C = _composed_matrix(model, p - 1, q - 1, D - 2 * gap, D - gap, D)
-        I = column_space(C)
-    dim = quotient_dim(K, I)
-    return {
-        "p": p,
-        "q": q,
-        "D": D,
-        "ker": K.dim,
-        "im": I.dim,
-        "dim": dim,
-        "budgets": {"kernel": D, "image_source": D - 2 * gap},
-    }
+    H = _bott_chern(model, p, q, D, operator_matrix("dbar_f", model, p, q, D, D + gap))
+    return _row(p, q, D, H, D - 2 * gap)
 
 
 def aeppli_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
     """Aeppli dimensions: kernel of the composition modulo the two images."""
     gap = twist_gap(model.f)
-    C = _composed_matrix(model, p, q, D, D + gap, D + 2 * gap)
-    K = kernel_basis(C)
     columns = []
-    ambient = space_dim(model, p, q, D)
     if p >= 1 and D - gap >= 0:
-        Mp = operator_matrix("partial_f", model, p - 1, q, D - gap, D)
-        columns.extend(Mp.columns())
+        columns.extend(operator_matrix("partial_f", model, p - 1, q, D - gap, D).columns())
     if q >= 1 and D - gap >= 0:
-        Md = operator_matrix("dbar_f", model, p, q - 1, D - gap, D)
-        columns.extend(Md.columns())
-    I = Subspace.from_span(columns, ambient)
-    dim = quotient_dim(K, I)
-    return {
-        "p": p,
-        "q": q,
-        "D": D,
-        "ker": K.dim,
-        "im": I.dim,
-        "dim": dim,
-        "budgets": {"kernel": D, "image_source": D - gap},
-    }
+        columns.extend(operator_matrix("dbar_f", model, p, q - 1, D - gap, D).columns())
+    H = Quotient(
+        _composed_matrix(model, p, q, D, D + gap, D + 2 * gap),
+        Subspace.from_span(columns, space_dim(model, p, q, D)),
+    )
+    return _row(p, q, D, H, D - gap)
 
 
 def canonical_map_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
@@ -393,27 +364,18 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
     image is contained in the Dolbeault image) is asserted.
     """
     gap = twist_gap(model.f)
-    M1 = operator_matrix("partial_f", model, p, q, D, D + gap)
-    M2 = operator_matrix("dbar_f", model, p, q, D, D + gap)
-    K_bc = kernel_basis(vstack(M1, M2))
-    if p == 0 or q == 0 or D - 2 * gap < 0:
-        I_bc = _trivial(model, p, q, D)
-    else:
-        I_bc = column_space(_composed_matrix(model, p - 1, q - 1, D - 2 * gap, D - gap, D))
-    K_d = kernel_basis(M2)
-    if q == 0:
-        I_d = _trivial(model, p, q, D)
-    else:
-        I_d = _image_subspace("dbar_f", model, p, q - 1, D - gap, D, 0)
-    ambient = space_dim(model, p, q, D)
-    if I_bc.dim:
-        both = Matrix.from_columns(list(I_d.basis) + list(I_bc.basis), ambient)
+    Md = operator_matrix("dbar_f", model, p, q, D, D + gap)
+    bc = _bott_chern(model, p, q, D, Md)
+    dolb = Quotient(Md, _image_subspace("dbar_f", model, p, q - 1, D - gap, D, 0))
+    I_d = dolb.image
+    if bc.image.dim:
+        both = Matrix.from_columns(I_d.basis + bc.image.basis, Md.cols)
         if rank(both) != I_d.dim:
             raise AssertionError(
                 "canonical map ill-defined: Bott-Chern image escapes the Dolbeault image"
             )
-    if K_bc.dim:
-        mixed = Matrix.from_columns(list(I_d.basis) + list(K_bc.basis), ambient)
+    if bc.kernel.dim:
+        mixed = Matrix.from_columns(I_d.basis + bc.kernel.basis, Md.cols)
         image_rank = rank(mixed) - I_d.dim
     else:
         image_rank = 0
@@ -422,8 +384,8 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
         "q": q,
         "D": D,
         "rank": image_rank,
-        "domain": quotient_dim(K_bc, I_bc),
-        "codomain": quotient_dim(K_d, I_d),
+        "domain": bc.dim,
+        "codomain": dolb.dim,
     }
 
 
@@ -458,16 +420,20 @@ def cohomology_grid(
     """Grid of rows in deterministic (p, q, D) order with stabilisation flags.
 
     A row is flagged stable when its value does not change from budget D to
-    D + 1; instability is a diagnostic, not an error.
+    D + 1; instability is a diagnostic, not an error.  Each (p, q, D) is
+    computed once: the D + 1 probe of one row is the next row.
     """
+    key = "rank" if variant == "canonical" else "dim"
     rows = []
     for p in p_range:
         for q in q_range:
+            by_budget = {}
             for D in d_range:
-                row = variant_row(model, variant, p, q, D, slack, k)
-                nxt = variant_row(model, variant, p, q, D + 1, slack, k)
-                key = "rank" if variant == "canonical" else "dim"
-                row["stable"] = row[key] == nxt[key]
+                for b in (D, D + 1):
+                    if b not in by_budget:
+                        by_budget[b] = variant_row(model, variant, p, q, b, slack, k)
+                row = by_budget[D]
+                row["stable"] = row[key] == by_budget[D + 1][key]
                 rows.append(row)
     return rows
 
@@ -634,6 +600,14 @@ def solve_primitive_tilde(
     if not (c1.is_zero and c2.is_zero):
         raise NotClosedError("cone pair is not tilde-closed", (c1, c2))
     p, q = phi.p, phi.q
+    # the pair's bidegrees fix the matrix shapes; a zero psi has none of its own
+    if psi.is_zero:
+        psi = FoliatedForm.zero(mu.source, p, q - 1, psi.budget)
+    elif (psi.p, psi.q) != (p, q - 1):
+        raise FormError(
+            f"cone pair bidegrees must be (p,q) and (p,q-1); "
+            f"got ({p},{q}) and ({psi.p},{psi.q})"
+        )
     f_pulled = mu.pull_series(f_prime)
     gap_t = twist_gap(f_prime)
     gap_s = twist_gap(f_pulled)

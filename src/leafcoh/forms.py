@@ -14,11 +14,17 @@ normalised at the boundary with the sign of the sorting permutation.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 from .algebra import GaussianRational, Series, SeriesError, monomials_upto
 
 MultiIndex = tuple  # strictly increasing tuple of 1-based variable indices
+
+
+def twist_gap(f: Series) -> int:
+    """Budget growth of one application of an operator twisted by f: max(deg f - 1, 0)."""
+    return max(f.degree - 1, 0)
 
 
 class FormError(ValueError):
@@ -51,8 +57,8 @@ class FoliationModel:
 
     @property
     def twist_gap(self) -> int:
-        """Budget growth per twisted-operator application: max(deg f - 1, 0)."""
-        return max(self.f.degree - 1, 0)
+        """Budget growth per twisted-operator application."""
+        return twist_gap(self.f)
 
     def series(self, text: str, budget: int | None = None) -> Series:
         return Series.parse(text, self.m, self.n, self.budget if budget is None else budget)
@@ -360,6 +366,24 @@ def basis_dimension(model: FoliationModel, p: int, q: int, budget: int) -> int:
     )
 
 
+@lru_cache(maxsize=None)
+def _basis_cached(m: int, n: int, p: int, q: int, budget: int):
+    if p < 0 or q < 0 or p > m or q > m or budget < 0:
+        return ()
+    monos = monomials_upto(m, n, budget)
+    out = []
+    for A in combinations(range(1, m + 1), p):
+        for B in combinations(range(1, m + 1), q):
+            for e in monos:
+                out.append((A, B, e))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _basis_index(m: int, n: int, p: int, q: int, budget: int):
+    return {elem: i for i, elem in enumerate(_basis_cached(m, n, p, q, budget))}
+
+
 def enumerate_basis(model: FoliationModel, p: int, q: int, budget: int | None = None):
     """Ordered basis of the (p,q) space at the given budget.
 
@@ -367,17 +391,7 @@ def enumerate_basis(model: FoliationModel, p: int, q: int, budget: int | None = 
     graded-lexicographically on the monomial; the ordering is the contract all
     matrix assembly relies on.
     """
-    if budget is None:
-        budget = model.budget
-    if p < 0 or q < 0 or p > model.m or q > model.m or budget < 0:
-        return []
-    monos = monomials_upto(model.m, model.n, budget)
-    out = []
-    for A in combinations(range(1, model.m + 1), p):
-        for B in combinations(range(1, model.m + 1), q):
-            for e in monos:
-                out.append((A, B, e))
-    return out
+    return _basis_cached(model.m, model.n, p, q, model.budget if budget is None else budget)
 
 
 def basis_form(model: FoliationModel, element, budget: int) -> FoliatedForm:

@@ -11,6 +11,8 @@ Matrices are sparse maps (row, col) -> scalar; vectors are dense tuples.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import GaussianRational, ONE, ZERO
 
 
@@ -244,14 +246,21 @@ class Subspace:
         self.basis = basis
 
     @classmethod
+    def _independent(cls, ambient_dim: int, basis: list) -> "Subspace":
+        """A subspace on a basis that is independent by construction (not re-ranked)."""
+        sub = cls.__new__(cls)
+        sub.ambient_dim = ambient_dim
+        sub.basis = basis
+        return sub
+
+    @classmethod
     def from_span(cls, vectors, ambient_dim: int) -> "Subspace":
         """Deterministic independent basis of a span (pivot columns kept)."""
         vectors = [tuple(v) for v in vectors]
         if not vectors:
-            return cls(ambient_dim, [])
-        M = Matrix.from_columns(vectors, ambient_dim)
-        keep = _pivot_columns(M)
-        return cls(ambient_dim, [vectors[j] for j in keep])
+            return cls._independent(ambient_dim, [])
+        keep = _pivot_columns(Matrix.from_columns(vectors, ambient_dim))
+        return cls._independent(ambient_dim, [vectors[j] for j in keep])
 
     @property
     def dim(self) -> int:
@@ -291,7 +300,7 @@ def kernel_basis(M: Matrix) -> Subspace:
             if v:
                 vec[pc] = -v
         basis.append(tuple(vec))
-    return Subspace(M.cols, basis)
+    return Subspace._independent(M.cols, basis)
 
 
 def solve(M: Matrix, b) -> tuple | None:
@@ -320,24 +329,56 @@ def solve(M: Matrix, b) -> tuple | None:
 def column_space(M: Matrix) -> Subspace:
     """Basis of the column space: the original pivot columns."""
     keep = _pivot_columns(M)
-    return Subspace(M.rows, M.columns(keep))
+    return Subspace._independent(M.rows, M.columns(keep))
 
 
-def quotient_dim(kernel: Subspace, image: Subspace) -> int:
-    """dim(kernel / image); verifies image really sits inside the kernel.
+class Quotient:
+    """ker(d) / image: a cohomology group with class representatives.
 
-    An inclusion failure means the complex is broken (d*d != 0 or budgets
-    misconfigured) and raises LinearAlgebraError.
+    ``image`` is a Subspace of the source of d, or None for zero.  The
+    inclusion image <= ker(d) is proved by the exact product d * image == 0;
+    kernel_basis spans ker(d), so this is as strong as a rank test on the
+    combined basis.  A failure means the complex is broken (d*d != 0 or
+    budgets misconfigured) and raises LinearAlgebraError.
+
+    Representatives are chosen only when asked for: the kernel pivot columns
+    of [image | kernel], in order.
     """
-    if kernel.ambient_dim != image.ambient_dim:
-        raise LinearAlgebraError("quotient of subspaces of different ambient spaces")
-    if image.dim:
-        combined = Matrix.from_columns(list(kernel.basis) + list(image.basis), kernel.ambient_dim)
-        if rank(combined) != kernel.dim:
-            raise LinearAlgebraError(
-                "image is not contained in the kernel: broken complex"
-            )
-    return kernel.dim - image.dim
+
+    def __init__(self, d: Matrix, image: Subspace | None = None):
+        if image is None:
+            image = Subspace._independent(d.cols, [])
+        if image.dim and not d.mul(Matrix.from_columns(image.basis, d.cols)).is_zero:
+            raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+        self.kernel = kernel_basis(d)
+        self.image = image
+        self.dim = self.kernel.dim - image.dim
+
+    @cached_property
+    def reps(self) -> list:
+        cols = self.image.basis + self.kernel.basis
+        if not cols:
+            return []
+        keep = _pivot_columns(Matrix.from_columns(cols, self.kernel.ambient_dim))
+        return [cols[j] for j in keep if j >= self.image.dim]
+
+    @cached_property
+    def _coord_matrix(self) -> Matrix:
+        return Matrix.from_columns(self.image.basis + self.reps, self.kernel.ambient_dim)
+
+    def class_coords(self, vec) -> tuple:
+        """Coordinates of [vec] over the chosen representatives.
+
+        vec must be a cycle; a failed solve signals a non-cycle input.
+        """
+        if self.dim == 0 and self.image.dim == 0:
+            if any(v for v in vec):
+                raise ValueError("vector is not a cycle of the complex")
+            return ()
+        x = solve(self._coord_matrix, vec)
+        if x is None:
+            raise ValueError("vector is not a cycle of the complex")
+        return tuple(x[self.image.dim :])
 
 
 def span_restricted_to(vectors, keep: list, ambient_dim: int) -> Subspace:

@@ -17,12 +17,7 @@ transverse components for x, and map generators through the leafwise Jacobian
 from __future__ import annotations
 
 from .algebra import Series
-from .forms import FoliatedForm, FoliationModel, FormError, insert_index
-
-
-def twist_gap(f: Series) -> int:
-    """Budget growth of one application of an operator twisted by f."""
-    return max(f.degree - 1, 0)
+from .forms import FoliatedForm, FoliationModel, FormError, insert_index, twist_gap
 
 
 def dbar(phi: FoliatedForm) -> FoliatedForm:

@@ -23,11 +23,9 @@ from .forms import FoliationModel
 from .operators import FoliatedMorphism, pullback, twist_gap
 from .linalg import (
     Matrix,
-    Subspace,
-    _pivot_columns,
+    Quotient,
     column_space,
     hstack,
-    kernel_basis,
     rank,
     solve,
     vstack,
@@ -195,69 +193,12 @@ class ShortExactSequence:
 # ---------------------------------------------------------------------------
 
 
-class _GradeCohomology:
-    """Kernel, image and a chosen set of class representatives at one grade."""
-
-    __slots__ = ("dim_space", "kernel", "image", "reps", "_coord_matrix")
-
-    def __init__(self, dim_space, kernel: Subspace, image: Subspace):
-        self.dim_space = dim_space
-        self.kernel = kernel
-        self.image = image
-        reps = []
-        cols = list(image.basis) + list(kernel.basis)
-        if cols:
-            keep = _pivot_columns(Matrix.from_columns(cols, dim_space))
-            for j in keep:
-                if j >= image.dim:
-                    reps.append(kernel.basis[j - image.dim])
-        self.reps = reps
-        basis = list(image.basis) + reps
-        self._coord_matrix = (
-            Matrix.from_columns(basis, dim_space) if basis else Matrix.zero(dim_space, 0)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-    def class_coords(self, vec) -> tuple:
-        """Coordinates of [vec] over the chosen representatives.
-
-        vec must be a cycle; a failed solve signals a non-cycle input.
-        """
-        if self.dim == 0 and self.image.dim == 0:
-            if any(v for v in vec):
-                raise ValueError("vector is not a cycle of the complex")
-            return ()
-        x = solve(self._coord_matrix, vec)
-        if x is None:
-            raise ValueError("vector is not a cycle of the complex")
-        return tuple(x[self.image.dim :])
-
-
 def complex_cohomology(cx: CochainComplex) -> list:
-    out = []
-    for q in range(len(cx.dims)):
-        if q < len(cx.diffs):
-            kernel = kernel_basis(cx.diffs[q])
-        else:
-            kernel = Subspace(cx.dims[q], _standard_basis(cx.dims[q]))
-        if q == 0:
-            image = Subspace(cx.dims[q], [])
-        else:
-            image = column_space(cx.diffs[q - 1])
-        out.append(_GradeCohomology(cx.dims[q], kernel, image))
-    return out
-
-
-def _standard_basis(n: int):
-    vecs = []
-    for i in range(n):
-        v = [GaussianRational(0)] * n
-        v[i] = GaussianRational(1)
-        vecs.append(tuple(v))
-    return vecs
+    """H^q = ker d_q / im d_{q-1} at every grade (d_top is the zero map)."""
+    return [
+        Quotient(cx.differential(q), column_space(cx.diffs[q - 1]) if q else None)
+        for q in range(len(cx.dims))
+    ]
 
 
 @dataclass
@@ -273,7 +214,7 @@ class SnakeResult:
     connecting: list  # H_q(R) -> H_{q+1}(L); zero map at the top grade
 
 
-def _induced_matrix(comp: Matrix, src: _GradeCohomology, dst: _GradeCohomology) -> Matrix:
+def _induced_matrix(comp: Matrix, src: Quotient, dst: Quotient) -> Matrix:
     cols = []
     for rep in src.reps:
         cols.append(dst.class_coords(comp.matvec(rep)))
@@ -300,7 +241,7 @@ def _snake(ses: ShortExactSequence, lift_check_seed: int | None = 0) -> SnakeRes
     return SnakeResult(grades, hl, hm, hr, ind_i, ind_p, connecting)
 
 
-def _connect_class(ses, q, rep, hl_next: _GradeCohomology, rng) -> tuple:
+def _connect_class(ses, q, rep, hl_next: Quotient, rng) -> tuple:
     """Zig-zag: lift through project, push by d, pull back through inject."""
     prj = ses.project.components[q]
     inj_next = ses.inject.components[q + 1]

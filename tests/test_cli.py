@@ -369,17 +369,22 @@ def _patch_operator_matrix(monkeypatch, corrupt):
     )
 
 
-def _bump_first_partial_f_entry(tag, M):
-    if tag != "partial_f" or not M.entries:
-        return M
-    entries = dict(M.entries)
-    key = min(entries)
-    entries[key] = entries[key] + 1
-    return Matrix(M.rows, M.cols, entries)
+def _bump_first_entry(wanted):
+    """A corrupt(tag, matrix) that adds 1 to the first entry of each `wanted` matrix."""
+
+    def corrupt(tag, M):
+        if tag != wanted or not M.entries:
+            return M
+        entries = dict(M.entries)
+        key = min(entries)
+        entries[key] = entries[key] + 1
+        return Matrix(M.rows, M.cols, entries)
+
+    return corrupt
 
 
 def test_failed_composition_check_exits_internal(tmp_path, capsys, monkeypatch):
-    _patch_operator_matrix(monkeypatch, _bump_first_partial_f_entry)
+    _patch_operator_matrix(monkeypatch, _bump_first_entry("partial_f"))
     scene = write_scene(
         tmp_path,
         "s.json",
@@ -400,3 +405,17 @@ def test_failed_primitive_certification_exits_internal(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: primitive certification failed\n"
+
+
+def test_broken_complex_exits_internal(tmp_path, capsys, monkeypatch):
+    # a corrupted dbar_f no longer squares to zero: the image escapes the kernel
+    _patch_operator_matrix(monkeypatch, _bump_first_entry("dbar_f"))
+    scene = write_scene(
+        tmp_path,
+        "s.json",
+        {"model": {"m": 2, "n": 0, "budget": 1, "f": "1 + z1"}, "grid": {"p": 0, "q": 1, "D": 1}},
+    )
+    assert run(["cohomology", "--scene", scene, "--variant", "dolbeault"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from leafcoh.algebra import Series, parse_series
-from leafcoh.forms import FoliatedForm, FoliationModel, basis_form
+from leafcoh.forms import FoliatedForm, FoliationModel, FormError, basis_form
 from leafcoh.operators import dbar, dbar_f, tilde_dbar, FoliatedMorphism
 from leafcoh.cohomology import (
     BudgetContractError,
@@ -598,3 +598,17 @@ def test_solve_primitive_tilde_not_closed():
     phi = FoliatedForm.from_series(src, Series.variable(1, 0, "zb", 1))
     with pytest.raises(NotClosedError):
         solve_primitive_tilde(mu, Series.one(1, 0), phi, FoliatedForm.zero(src, 0, 0), slack=0)
+
+
+def test_solve_primitive_tilde_pair_bidegrees():
+    # phi fixes the shapes: a zero psi counts as zero at (p, q-1), and a
+    # nonzero psi anywhere else is an input error, not a linear-algebra one
+    src = FoliationModel.untwisted(1, 0, 1)
+    mu = FoliatedMorphism.identity(src)
+    one = Series.one(1, 0)
+    phi = FoliatedForm.zero(src, 0, 1)
+    expected = solve_primitive_tilde(mu, one, phi, FoliatedForm.zero(src, 0, 0))
+    assert solve_primitive_tilde(mu, one, phi, FoliatedForm.zero(src, 1, 1)) == expected
+    constant = FoliatedForm.from_series(src, one)
+    with pytest.raises(FormError, match="cone pair bidegrees"):
+        solve_primitive_tilde(mu, one, FoliatedForm.zero(src, 1, 1), constant)

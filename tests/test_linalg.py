@@ -7,11 +7,11 @@ from leafcoh.algebra import GaussianRational
 from leafcoh.linalg import (
     LinearAlgebraError,
     Matrix,
+    Quotient,
     Subspace,
     column_space,
     hstack,
     kernel_basis,
-    quotient_dim,
     rank,
     solve,
     span_restricted_to,
@@ -106,19 +106,51 @@ def test_solve_dimension_mismatch():
         Matrix.identity(2).matvec((G(1),))
 
 
-def test_quotient_dim_examples():
+def test_quotient_examples():
+    # d = (0 0 1) has the kernel plane span(e1, e2)
+    d = Matrix.from_rows_list([[0, 0, 1]])
     plane = Subspace(3, [(G(1), G(0), G(0)), (G(0), G(1), G(0))])
     line = Subspace(3, [(G(1), G(1), G(0))])
-    assert quotient_dim(plane, line) == 1
-    assert quotient_dim(plane, plane) == 0
-    assert quotient_dim(plane, Subspace(3, [])) == 2
+    assert Quotient(d, line).dim == 1
+    assert Quotient(d, plane).dim == 0
+    assert Quotient(d, Subspace(3, [])).dim == 2
+    assert Quotient(d).dim == 2
+    H = Quotient(d, line)
+    assert (H.kernel.dim, H.image.dim) == (2, 1)
+    # kernel pivot columns of [(1,1,0) | e1, e2]: e1 is kept, e2 is dependent
+    assert H.reps == [(G(1), G(0), G(0))]
+    assert H.class_coords((G(1), G(0), G(0))) == (G(1),)
+    assert H.class_coords((G(0), G(1), G(0))) == (G(-1),)  # e2 = (1,1,0) - e1
+    with pytest.raises(ValueError, match="not a cycle"):
+        H.class_coords((G(0), G(0), G(1)))
 
 
-def test_quotient_dim_inclusion_violation():
-    plane = Subspace(3, [(G(1), G(0), G(0)), (G(0), G(1), G(0))])
+def test_quotient_inclusion_violation():
+    d = Matrix.from_rows_list([[0, 0, 1]])
     out = Subspace(3, [(G(0), G(0), G(1))])
-    with pytest.raises(LinearAlgebraError, match="not contained"):
-        quotient_dim(plane, out)
+    with pytest.raises(LinearAlgebraError, match="not contained in the kernel: broken complex"):
+        Quotient(d, out)
+
+
+def test_quotient_top_grade_uses_standard_basis():
+    # a 0 x n map: the kernel is the standard basis, in order
+    H = Quotient(Matrix.zero(0, 3))
+    assert H.dim == 3
+    assert H.reps == [tuple(G(int(i == j)) for i in range(3)) for j in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_internal_bases_are_independent(seed):
+    # kernel_basis, column_space and from_span skip the constructor's re-rank,
+    # so their independence is checked here instead
+    rng = random.Random(700 + seed)
+    M = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), density=rng.random())
+    vectors = M.columns() + M.columns(range(min(2, M.cols)))
+    for sub in (kernel_basis(M), column_space(M), Subspace.from_span(vectors, M.rows)):
+        if sub.basis:
+            assert rank(Matrix.from_columns(sub.basis, sub.ambient_dim)) == sub.dim
+        assert all(len(v) == sub.ambient_dim for v in sub.basis)
+    assert column_space(M).dim == rank(M) == Subspace.from_span(vectors, M.rows).dim
 
 
 def test_subspace_independence_check():

@@ -67,6 +67,20 @@ def test_complex_cohomology_of_window():
     assert [g.dim for g in h] == [1, 1]
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_complex_cohomology_on_random_ses(seed):
+    rng = random.Random(32000 + seed)
+    ses, _ = random_ses(rng, grades=rng.choice([2, 3, 4]))
+    for cx in (ses.left, ses.middle, ses.right):
+        for q, H in enumerate(complex_cohomology(cx)):
+            below = rank(cx.diffs[q - 1]) if q else 0
+            assert H.dim == cx.dims[q] - rank(cx.differential(q)) - below
+            assert len(H.reps) == H.dim
+            for j, rep in enumerate(H.reps):
+                unit = tuple(GaussianRational(int(i == j)) for i in range(H.dim))
+                assert H.class_coords(rep) == unit
+
+
 def test_snake_refuses_invalid_ses():
     left = CochainComplex((1,), ())
     middle = CochainComplex((1,), ())
