@@ -54,10 +54,25 @@ class SceneError(ValueError):
     pass
 
 
+# The top-level keys Scene reads; any other key is most likely a typo.
+SCENE_KEYS = frozenset(
+    ("model", "seed", "trials", "slack", "k", "expect_failure", "h", "g", "grid")
+    + ("morphism", "f_prime", "pair", "cover", "target", "basic_twist_only")
+)
+
+
 class Scene:
     """Parsed scene file: the model plus optional fixtures and knobs."""
 
     def __init__(self, data: dict):
+        if not isinstance(data, dict):
+            raise SceneError("a scene must be a JSON object")
+        unknown = sorted(set(data) - SCENE_KEYS)
+        if unknown:
+            raise SceneError(
+                f"unknown scene key(s) {', '.join(map(repr, unknown))}; "
+                f"allowed: {', '.join(sorted(SCENE_KEYS))}"
+            )
         if "model" not in data:
             raise SceneError("scene is missing the 'model' key")
         md = data["model"]
@@ -92,15 +107,22 @@ class Scene:
         return s.with_budget(s.degree)
 
     def grid_axis(self, name: str, default):
+        """Values of a grid axis: an integer, an inclusive [lo, hi], or a list of another length."""
         grid = self.data.get("grid", {})
+        if not isinstance(grid, dict):
+            raise SceneError("'grid' must be an object of axes")
         axis = grid.get(name, default)
-        if isinstance(axis, int):
-            return [axis]
-        if isinstance(axis, list) and len(axis) == 2:
-            return list(range(axis[0], axis[1] + 1))
-        if isinstance(axis, list):
-            return [int(v) for v in axis]
-        raise SceneError(f"grid axis {name!r} must be an int or [lo, hi]")
+        values = axis if isinstance(axis, list) else [axis]
+        if not values or any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+            raise SceneError(
+                f"grid axis {name!r} must be an integer or a list [lo, hi] of integers, got {axis!r}"
+            )
+        if len(values) == 2:
+            lo, hi = values
+            if lo > hi:
+                raise SceneError(f"grid axis {name!r} range [{lo}, {hi}] is empty: lo > hi")
+            return list(range(lo, hi + 1))
+        return values
 
     def morphism(self) -> FoliatedMorphism:
         if "morphism" not in self.data:

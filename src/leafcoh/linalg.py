@@ -6,6 +6,10 @@ row index supplies the pivot.  Fractions are normalised at every step (the
 Fraction type reduces by gcd), so results are exact and reproducible across
 platforms; there is no floating point anywhere.
 
+Linear systems go through a Factorization: the elimination of M is recorded
+once and replayed on each right-hand side.  The pivot choice depends only on
+M, so a replay gives exactly the values an elimination of [M | b] would.
+
 Matrices are sparse maps (row, col) -> scalar; vectors are dense tuples.
 """
 
@@ -178,12 +182,14 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jordan(rows: list, ncols: int) -> list:
+def _gauss_jordan(rows: list, ncols: int, steps: list | None = None) -> list:
     """In-place reduced echelon form on sparse row dicts.
 
     Returns the pivot columns in order; after the call row i holds pivot i
     with a leading 1 and zeros above and below it.  Pivot choice: ascending
-    column, then the lowest remaining row.
+    column, then the lowest remaining row.  With ``steps`` given, one
+    (swapped-in row, pivot inverse, [(row, multiplier), ...]) entry per pivot
+    is appended to it, enough to replay the elimination on a vector.
     """
     pivots = []
     r = 0
@@ -202,6 +208,7 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
         if inv != ONE:
             for k in list(piv):
                 piv[k] = piv[k] * inv
+        eliminated = [] if steps is not None else None
         for i in range(nrows):
             if i == r:
                 continue
@@ -209,12 +216,16 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
             a = row.get(c)
             if a is None:
                 continue
+            if eliminated is not None:
+                eliminated.append((i, a))
             for k, v in piv.items():
                 s = row.get(k, ZERO) - a * v
                 if s:
                     row[k] = s
                 else:
                     row.pop(k, None)
+        if steps is not None:
+            steps.append((sel, inv, eliminated))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -222,8 +233,66 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     return pivots
 
 
+def _echelon(M: Matrix, steps: list | None = None) -> tuple:
+    """M's rows in reduced echelon form and its pivot columns (_gauss_jordan).
+
+    A matrix without entries is reduced already and is not scanned.
+    """
+    rows = M.row_dicts()
+    if not M.entries:
+        return rows, []
+    return rows, _gauss_jordan(rows, M.cols, steps)
+
+
+class Factorization:
+    """The elimination of M, recorded once and replayed on right-hand sides.
+
+    solve(b) applies the recorded row swaps, pivot scalings and eliminations
+    to b, which is what eliminating [M | b] does to its last column.
+    """
+
+    __slots__ = ("rows", "cols", "pivots", "steps")
+
+    def __init__(self, M: Matrix):
+        self.rows = M.rows
+        self.cols = M.cols
+        self.steps = []
+        self.pivots = _echelon(M, self.steps)[1]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def solve(self, b) -> tuple | None:
+        """One exact solution of M x = b, or None when none exists.
+
+        Deterministic: free variables are set to zero.  None means a zero
+        row of M's echelon form meets a nonzero entry of the replayed b.
+        """
+        if len(b) != self.rows:
+            raise LinearAlgebraError("right-hand side length does not match rows")
+        y = [v if v else ZERO for v in b]
+        for r, (sel, inv, eliminated) in enumerate(self.steps):
+            y[r], y[sel] = y[sel], y[r]
+            v = y[r]
+            if not v:
+                continue
+            if inv != ONE:
+                v = y[r] = v * inv
+            for i, a in eliminated:
+                y[i] = y[i] - a * v
+        nz = len(self.pivots)
+        if any(y[nz:]):
+            return None
+        x = [ZERO] * self.cols
+        for i, pc in enumerate(self.pivots):
+            if y[i]:
+                x[pc] = y[i]
+        return tuple(x)
+
+
 def rank(M: Matrix) -> int:
-    return len(_gauss_jordan(M.row_dicts(), M.cols))
+    return len(_echelon(M)[1])
 
 
 class Subspace:
@@ -259,7 +328,7 @@ class Subspace:
         vectors = [tuple(v) for v in vectors]
         if not vectors:
             return cls._independent(ambient_dim, [])
-        keep = _pivot_columns(Matrix.from_columns(vectors, ambient_dim))
+        keep = _echelon(Matrix.from_columns(vectors, ambient_dim))[1]
         return cls._independent(ambient_dim, [vectors[j] for j in keep])
 
     @property
@@ -276,18 +345,12 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def _pivot_columns(M: Matrix) -> list:
-    rows = M.row_dicts()
-    return _gauss_jordan(rows, M.cols)
-
-
 def kernel_basis(M: Matrix) -> Subspace:
     """Null space basis; each vector satisfies M v = 0 exactly.
 
     Deterministic: one kernel vector per free column, in ascending order.
     """
-    rows = M.row_dicts()
-    pivots = _gauss_jordan(rows, M.cols)
+    rows, pivots = _echelon(M)
     pivot_set = set(pivots)
     basis = []
     for j in range(M.cols):
@@ -304,31 +367,13 @@ def kernel_basis(M: Matrix) -> Subspace:
 
 
 def solve(M: Matrix, b) -> tuple | None:
-    """One exact solution of M x = b, or None when none exists.
-
-    Deterministic: free variables are set to zero.  A None answer is
-    certified by the augmented matrix gaining rank.
-    """
-    if len(b) != M.rows:
-        raise LinearAlgebraError("right-hand side length does not match rows")
-    rows = M.row_dicts()
-    for i, v in enumerate(b):
-        if v:
-            rows[i][M.cols] = v
-    pivots = _gauss_jordan(rows, M.cols)
-    nz = len(pivots)
-    for row in rows[nz:]:
-        if row:
-            return None
-    x = [ZERO] * M.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i].get(M.cols, ZERO)
-    return tuple(x)
+    """One exact solution of M x = b, or None when none exists (Factorization.solve)."""
+    return Factorization(M).solve(b)
 
 
 def column_space(M: Matrix) -> Subspace:
     """Basis of the column space: the original pivot columns."""
-    keep = _pivot_columns(M)
+    keep = _echelon(M)[1]
     return Subspace._independent(M.rows, M.columns(keep))
 
 
@@ -342,7 +387,8 @@ class Quotient:
     budgets misconfigured) and raises LinearAlgebraError.
 
     Representatives are chosen only when asked for: the kernel pivot columns
-    of [image | kernel], in order.
+    of [image | kernel], in order.  That one elimination also serves every
+    class_coords call.
     """
 
     def __init__(self, d: Matrix, image: Subspace | None = None):
@@ -350,35 +396,54 @@ class Quotient:
             image = Subspace._independent(d.cols, [])
         if image.dim and not d.mul(Matrix.from_columns(image.basis, d.cols)).is_zero:
             raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+        self.d = d
         self.kernel = kernel_basis(d)
         self.image = image
         self.dim = self.kernel.dim - image.dim
 
     @cached_property
-    def reps(self) -> list:
-        cols = self.image.basis + self.kernel.basis
-        if not cols:
-            return []
-        keep = _pivot_columns(Matrix.from_columns(cols, self.kernel.ambient_dim))
-        return [cols[j] for j in keep if j >= self.image.dim]
+    def d_image(self) -> Subspace:
+        """im(d), read off the elimination that found the kernel.
+
+        kernel_basis gives one vector per free column of d, with its last
+        nonzero entry there; the other columns are the pivots, whose columns
+        of d are the basis column_space(d) would give.
+        """
+        free = set()
+        for vec in self.kernel.basis:
+            j = len(vec) - 1
+            while not vec[j]:
+                j -= 1
+            free.add(j)
+        pivots = [j for j in range(self.d.cols) if j not in free]
+        return Subspace._independent(self.d.rows, self.d.columns(pivots))
 
     @cached_property
-    def _coord_matrix(self) -> Matrix:
-        return Matrix.from_columns(self.image.basis + self.reps, self.kernel.ambient_dim)
+    def _span(self) -> Factorization:
+        """[image | kernel], eliminated once: its pivots pick the reps.
+
+        Columns that are not pivots never steer an elimination, so replaying
+        it solves over [image | reps], which has full column rank; the
+        solution is read off at the pivots.
+        """
+        return Factorization(
+            Matrix.from_columns(self.image.basis + self.kernel.basis, self.kernel.ambient_dim)
+        )
+
+    @cached_property
+    def reps(self) -> list:
+        skip = self.image.dim
+        return [self.kernel.basis[j - skip] for j in self._span.pivots[skip:]]
 
     def class_coords(self, vec) -> tuple:
         """Coordinates of [vec] over the chosen representatives.
 
         vec must be a cycle; a failed solve signals a non-cycle input.
         """
-        if self.dim == 0 and self.image.dim == 0:
-            if any(v for v in vec):
-                raise ValueError("vector is not a cycle of the complex")
-            return ()
-        x = solve(self._coord_matrix, vec)
+        x = self._span.solve(vec)
         if x is None:
             raise ValueError("vector is not a cycle of the complex")
-        return tuple(x[self.image.dim :])
+        return tuple(x[j] for j in self._span.pivots[self.image.dim :])
 
 
 def span_restricted_to(vectors, keep: list, ambient_dim: int) -> Subspace:

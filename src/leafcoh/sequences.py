@@ -4,9 +4,11 @@ The snake engine works on bare matrix data: a CochainComplex is a graded
 family of exact matrices with d.d = 0, a ChainMap commutes with the
 differentials, and a ShortExactSequence is verified grade by grade
 (injectivity, surjectivity, kernel = image).  The connecting homomorphism is
-computed by the usual zig-zag, every step an exact linear solve, and the
-emitted long exact sequence is re-verified at every node before the report
-is released.
+computed by the usual zig-zag, every step an exact linear solve against a
+matrix eliminated once per grade, and the emitted long exact sequence is
+re-verified at every node before the report is released.  Once the sequence
+is known to be exact, a failed solve is a fault of the engine and raises
+LinearAlgebraError, never an input error.
 
 On top of the abstract engine sit the two paper-shaped constructions: the
 relative (mapping-cone) complex of a morphism of twisted models, and the
@@ -22,12 +24,12 @@ from .algebra import GaussianRational, Series
 from .forms import FoliationModel
 from .operators import FoliatedMorphism, pullback, twist_gap
 from .linalg import (
+    Factorization,
+    LinearAlgebraError,
     Matrix,
     Quotient,
-    column_space,
     hstack,
     rank,
-    solve,
     vstack,
 )
 from .cohomology import (
@@ -129,7 +131,7 @@ class ChainMap:
 class ShortExactSequence:
     """left -> middle -> right with inject and project chain maps."""
 
-    __slots__ = ("left", "middle", "right", "inject", "project")
+    __slots__ = ("left", "middle", "right", "inject", "project", "_factors")
 
     def __init__(self, left, middle, right, inject: ChainMap, project: ChainMap):
         if inject.source is not left or inject.target is not middle:
@@ -141,6 +143,17 @@ class ShortExactSequence:
         self.right = right
         self.inject = inject
         self.project = project
+        self._factors = {}
+
+    def factor(self, which: str, q: int) -> Factorization:
+        """The "inject" or "project" component at grade q, eliminated once.
+
+        validate reads its rank and the zig-zag solves with it.
+        """
+        key = (which, q)
+        if key not in self._factors:
+            self._factors[key] = Factorization(getattr(self, which).components[q])
+        return self._factors[key]
 
     def validate(self) -> list:
         """Per-grade findings; empty means the sequence is exact."""
@@ -148,7 +161,7 @@ class ShortExactSequence:
         for q in range(len(self.middle.dims)):
             inj = self.inject.components[q]
             prj = self.project.components[q]
-            r_inj = rank(inj)
+            r_inj = self.factor("inject", q).rank
             if r_inj != self.left.dims[q]:
                 findings.append(
                     {
@@ -157,7 +170,7 @@ class ShortExactSequence:
                         "detail": f"rank {r_inj} < dim {self.left.dims[q]}",
                     }
                 )
-            r_prj = rank(prj)
+            r_prj = self.factor("project", q).rank
             if r_prj != self.right.dims[q]:
                 findings.append(
                     {
@@ -194,11 +207,16 @@ class ShortExactSequence:
 
 
 def complex_cohomology(cx: CochainComplex) -> list:
-    """H^q = ker d_q / im d_{q-1} at every grade (d_top is the zero map)."""
-    return [
-        Quotient(cx.differential(q), column_space(cx.diffs[q - 1]) if q else None)
-        for q in range(len(cx.dims))
-    ]
+    """H^q = ker d_q / im d_{q-1} at every grade (d_top is the zero map).
+
+    im d_{q-1} comes from the elimination that found ker d_{q-1}, so each
+    differential is eliminated once.
+    """
+    groups = []
+    for q in range(len(cx.dims)):
+        image = groups[-1].d_image if q else None
+        groups.append(Quotient(cx.differential(q), image))
+    return groups
 
 
 @dataclass
@@ -214,10 +232,18 @@ class SnakeResult:
     connecting: list  # H_q(R) -> H_{q+1}(L); zero map at the top grade
 
 
+def _class_of(H: Quotient, vec) -> tuple:
+    """class_coords of a vector the engine built as a cycle."""
+    try:
+        return H.class_coords(vec)
+    except ValueError as exc:
+        raise LinearAlgebraError(f"snake engine: {exc}") from None
+
+
 def _induced_matrix(comp: Matrix, src: Quotient, dst: Quotient) -> Matrix:
     cols = []
     for rep in src.reps:
-        cols.append(dst.class_coords(comp.matvec(rep)))
+        cols.append(_class_of(dst, comp.matvec(rep)))
     return Matrix.from_columns(cols, dst.dim)
 
 
@@ -243,16 +269,15 @@ def _snake(ses: ShortExactSequence, lift_check_seed: int | None = 0) -> SnakeRes
 
 def _connect_class(ses, q, rep, hl_next: Quotient, rng) -> tuple:
     """Zig-zag: lift through project, push by d, pull back through inject."""
-    prj = ses.project.components[q]
-    inj_next = ses.inject.components[q + 1]
-    x = solve(prj, rep)
+    pull = ses.factor("inject", q + 1)
+    x = ses.factor("project", q).solve(rep)
     if x is None:
-        raise ValueError("zig-zag lift failed: project is not surjective on a cycle")
+        raise LinearAlgebraError("zig-zag lift failed: project is not surjective on a cycle")
     w = ses.middle.differential(q).matvec(x)
-    y = solve(inj_next, w)
+    y = pull.solve(w)
     if y is None:
-        raise ValueError("zig-zag pull-back failed: d(lift) escapes the image of inject")
-    coords = hl_next.class_coords(y)
+        raise LinearAlgebraError("zig-zag pull-back failed: d(lift) escapes the image of inject")
+    coords = _class_of(hl_next, y)
     if rng is not None and ses.left.dims[q] > 0:
         # any lift gives the same class; spot-check with an alternate one
         shift = tuple(
@@ -262,8 +287,8 @@ def _connect_class(ses, q, rep, hl_next: Quotient, rng) -> tuple:
             a + b for a, b in zip(x, ses.inject.components[q].matvec(shift))
         )
         w2 = ses.middle.differential(q).matvec(x2)
-        y2 = solve(inj_next, w2)
-        if y2 is None or hl_next.class_coords(y2) != coords:
+        y2 = pull.solve(w2)
+        if y2 is None or _class_of(hl_next, y2) != coords:
             raise AssertionError("connecting class depends on the chosen lift")
     return coords
 
@@ -297,10 +322,10 @@ def snake_les(
     report_nodes = []
     exact_all = True
     prev_map: Matrix | None = None
+    in_rank = 0
     for k, (label, dim) in enumerate(nodes):
         out_label, out_matrix = maps[k]
         out_rank = rank(out_matrix)
-        in_rank = rank(prev_map) if prev_map is not None else 0
         composes = True
         if prev_map is not None and not out_matrix.mul(prev_map).is_zero:
             composes = False
@@ -315,7 +340,7 @@ def snake_les(
                 "exact": exact,
             }
         )
-        prev_map = out_matrix
+        prev_map, in_rank = out_matrix, out_rank
     alternating = 0
     for k, node in enumerate(report_nodes):
         alternating += node["dim"] if k % 2 == 0 else -node["dim"]

@@ -1,9 +1,10 @@
+import importlib.util
 import json
 import pathlib
 
 import pytest
 
-from leafcoh import cohomology
+from leafcoh import cli, cohomology, sequences
 from leafcoh.cli import EXIT_INTERNAL, main
 from leafcoh.linalg import Matrix
 
@@ -419,3 +420,77 @@ def test_broken_complex_exits_internal(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+
+
+def test_snake_fault_exits_internal(capsys, monkeypatch):
+    # a zero project component, with validation skipped, makes the zig-zag
+    # lift fail after the sequence was accepted: an engine fault, not an input
+    real = cli.make_relative_complex
+
+    def corrupted(*args):
+        rc = real(*args)
+        prj = rc.ses.project
+        prj.components = tuple(Matrix.zero(c.rows, c.cols) for c in prj.components)
+        return rc
+
+    monkeypatch.setattr(cli, "make_relative_complex", corrupted)
+    monkeypatch.setattr(sequences.ShortExactSequence, "validate", lambda self: [])
+    assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", "relative"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: zig-zag lift failed: project is not surjective on a cycle\n"
+
+
+@pytest.mark.parametrize(
+    "command, grid, message",
+    [
+        (["cohomology"], {"p": ["a", "b"]}, "grid axis 'p' must be an integer or a list [lo, hi] of integers, got ['a', 'b']"),
+        (["cohomology"], {"D": [3, 2]}, "grid axis 'D' range [3, 2] is empty: lo > hi"),
+        (["sequence", "--kind", "relative"], {"p": [2, 1]}, "grid axis 'p' range [2, 1] is empty: lo > hi"),
+        (["cohomology"], {"q": 1.5}, "grid axis 'q' must be an integer or a list [lo, hi] of integers, got 1.5"),
+        (["cohomology"], {"p": []}, "grid axis 'p' must be an integer or a list [lo, hi] of integers, got []"),
+        (["cohomology"], [0, 1], "'grid' must be an object of axes"),
+    ],
+    ids=["strings", "reversed_D", "reversed_p_sequence", "float", "empty", "grid_not_object"],
+)
+def test_bad_grid_axis_exits_two(tmp_path, capsys, command, grid, message):
+    scene = write_scene(
+        tmp_path,
+        "s.json",
+        {
+            "model": {"m": 1, "n": 0, "budget": 2, "f": "1"},
+            "morphism": {"z_components": ["z1^2"], "x_components": []},
+            "grid": grid,
+        },
+    )
+    assert run(command + ["--scene", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unknown_scene_key_exits_two(tmp_path, capsys):
+    scene = write_scene(
+        tmp_path,
+        "s.json",
+        {"model": {"m": 1, "n": 0, "budget": 2, "f": "1"}, "grid": {"p": 0, "q": 0}, "slak": 3},
+    )
+    assert run(["cohomology", "--scene", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown scene key(s) 'slak'; allowed: basic_twist_only, cover,")
+    assert run(["cohomology", "--scene", write_scene(tmp_path, "list.json", [3])]) == 2
+    assert capsys.readouterr().err == "error: a scene must be a JSON object\n"
+
+
+def test_shipped_and_benchmark_scenes_load(monkeypatch):
+    perfbench = SCENES.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    scenes = [json.loads(path.read_text()) for path in sorted(SCENES.glob("*.json"))]
+    scenes += [dict(scene, seed=1) for scene in bench.SCENES.values()]
+    assert len(scenes) == 11
+    for data in scenes:
+        cli.Scene(data)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from leafcoh.algebra import GaussianRational
+from leafcoh import linalg
+from leafcoh.algebra import ZERO, GaussianRational
 from leafcoh.linalg import (
+    Factorization,
     LinearAlgebraError,
     Matrix,
     Quotient,
@@ -99,6 +101,93 @@ def test_solve_verifies_or_certifies(seed):
         assert M.matvec(x) == b
 
 
+def _augmented_solve(M, b):
+    """Reference solve: eliminate the augmented matrix [M | b] from scratch."""
+    rows = M.row_dicts()
+    for i, v in enumerate(b):
+        if v:
+            rows[i][M.cols] = v
+    pivots = linalg._gauss_jordan(rows, M.cols)
+    if any(rows[len(pivots) :]):
+        return None
+    x = [ZERO] * M.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = rows[i].get(M.cols, ZERO)
+    return tuple(x)
+
+
+def _gaussian_rational(rng):
+    return G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+SHAPES = ("tall", "wide", "rank_deficient", "zero", "no_rows")
+
+
+def _rational_matrix(rng, rows, cols, density=0.6):
+    entries = {
+        (i, j): _gaussian_rational(rng)
+        for i in range(rows)
+        for j in range(cols)
+        if rng.random() < density
+    }
+    return Matrix(rows, cols, entries)
+
+
+def _shaped_matrix(rng, shape):
+    if shape == "tall":
+        return _rational_matrix(rng, rng.randint(4, 8), rng.randint(1, 3))
+    if shape == "wide":
+        return _rational_matrix(rng, rng.randint(1, 3), rng.randint(4, 8))
+    if shape == "zero":
+        return Matrix.zero(rng.randint(1, 5), rng.randint(1, 5))
+    if shape == "no_rows":
+        return Matrix.zero(0, rng.randint(0, 5))
+    # a product through a narrower middle has rank below both sides
+    rows, cols = rng.randint(3, 7), rng.randint(3, 7)
+    inner = rng.randint(1, min(rows, cols) - 1)
+    return _rational_matrix(rng, rows, inner, 1.0).mul(_rational_matrix(rng, inner, cols, 1.0))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_factorization_matches_augmented_solve(seed):
+    rng = random.Random(900 + seed)
+    M = _shaped_matrix(rng, SHAPES[seed % len(SHAPES)])
+    F = Factorization(M)
+    assert F.rank == rank(M)
+    consistent = M.matvec(tuple(_gaussian_rational(rng) for _ in range(M.cols)))
+    arbitrary = tuple(_gaussian_rational(rng) for _ in range(M.rows))
+    for b in (consistent, arbitrary, tuple(G(0) for _ in range(M.rows))):
+        want = _augmented_solve(M, b)
+        # one factorization serves every right-hand side, and solve agrees
+        assert F.solve(b) == want
+        assert solve(M, b) == want
+    assert F.solve(consistent) is not None
+    if M.rows > rank(M):
+        # a vector off the column space: the first zero row of the echelon form
+        # is reached by some unit vector
+        units = [tuple(G(int(i == j)) for i in range(M.rows)) for j in range(M.rows)]
+        assert any(F.solve(e) is None for e in units)
+        assert all(F.solve(e) == _augmented_solve(M, e) for e in units)
+
+
+def test_class_coords_eliminate_once(monkeypatch):
+    rng = random.Random(31)
+    d = Matrix(2, 6, {(0, j): _gaussian_rational(rng) for j in range(6)})
+    boundary = kernel_basis(d).basis[2]
+    H = Quotient(d, Subspace(6, [boundary]))
+    calls = []
+    real = linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert len(H.reps) == H.dim == 4
+    for coeffs in ([1, 0, 2, 0], [0, 1, 1, -1], [2, 2, 2, 2], [0, 0, 0, 3], [0, 0, 0, 0]):
+        # a cycle in the class sum(coeffs * reps), shifted by a boundary
+        terms = [(G(3), boundary)] + [(G(c), rep) for c, rep in zip(coeffs, H.reps)]
+        vec = tuple(sum((c * v[i] for c, v in terms), G(0)) for i in range(6))
+        assert H.class_coords(vec) == tuple(G(c) for c in coeffs)
+    # the reps and every class_coords call share one elimination
+    assert len(calls) == 1
+
+
 def test_solve_dimension_mismatch():
     with pytest.raises(LinearAlgebraError, match="length"):
         solve(Matrix.identity(2), (G(1),))
@@ -151,6 +240,8 @@ def test_internal_bases_are_independent(seed):
             assert rank(Matrix.from_columns(sub.basis, sub.ambient_dim)) == sub.dim
         assert all(len(v) == sub.ambient_dim for v in sub.basis)
     assert column_space(M).dim == rank(M) == Subspace.from_span(vectors, M.rows).dim
+    # the image a Quotient reads off its kernel elimination is column_space's
+    assert Quotient(M).d_image.basis == column_space(M).basis
 
 
 def test_subspace_independence_check():
