@@ -1,8 +1,9 @@
 """Exact coefficient arithmetic: Gaussian rationals and truncated power series.
 
-Every number in this package is a Gaussian rational (a + b*i with exact
-rational a, b); no floating point is used anywhere, so algebraic identities
-such as d**2 = 0 hold on the nose and ranks are meaningful.
+Every number in this package is a Gaussian rational, stored as a canonical
+integer triple (a + b*i) / d; no floating point is used anywhere, so
+algebraic identities such as d**2 = 0 hold on the nose and ranks are
+meaningful.
 
 Smooth functions are modelled by sparse multivariate polynomials in the
 leafwise variables z_1..z_m, their formal conjugates zb_1..zb_m and the
@@ -15,59 +16,91 @@ only ever happens where an operation takes an explicit ``out_budget``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator
 
 
 class GaussianRational:
-    """An exact complex number a + b*i with rational a, b.
+    """An exact complex number (a + b*i) / d with integers a, b, d.
+
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples and zero is (0, 0, 1).  Both parts share the one
+    denominator, so a product is four integer multiplications and one gcd;
+    with d == 1 on both sides (integer matrices, the common case) there is no
+    gcd at all.  ``re`` and ``im`` read the parts as Fractions.  Only int and
+    Fraction inputs are accepted; a float raises TypeError.
 
     Immutable by convention; all operations return new values.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = _fraction(re), _fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # with both parts reduced and d their lcm, gcd(a, b, d) is already 1
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- ring structure -----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _raw(self.a + other.a, self.b + other.b, 1)
+            return _normal(self.a + other.a, self.b + other.b, d)
+        return _normal(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        d = self.d * other.d
+        if d == 1:
+            return _raw(a * c - b * e, a * e + b * c, 1)
+        return _normal(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
+        a, b = self.a, self.b
+        norm = a * a + b * b
+        if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / d, -self.im / d)
+        return _normal(self.d * a, -self.d * b, norm)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -79,20 +112,23 @@ class GaussianRational:
         return self.inverse() * other
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self.a, -self.b, self.d)
 
     # -- comparisons and hashing -------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
+        if self.d == 1:
+            return hash((self.a, self.b))  # an int hashes like its Fraction
         return hash((self.re, self.im))
 
     def __repr__(self):
@@ -102,7 +138,37 @@ class GaussianRational:
         return format_scalar(self)
 
 
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple that is canonical already."""
+    x = _new(GaussianRational)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
+
+
+def _normal(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from any triple with d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _raw(a // g, b // g, d // g)
+    return _raw(a, b, d)
+
+
+def _fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(int(x))
+    raise TypeError(f"a Gaussian rational takes int or Fraction parts, not {type(x).__name__}")
+
+
 def _coerce(x):
+    if type(x) is int:
+        return _raw(x, 0, 1)
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):

@@ -61,6 +61,20 @@ SCENE_KEYS = frozenset(
 )
 
 
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def _typed(value, kind: str, name: str):
+    """value, if it is of the JSON kind named ("an integer", ...); else a SceneError."""
+    if not _KINDS[kind](value):
+        raise SceneError(f"{name!r} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 class Scene:
     """Parsed scene file: the model plus optional fixtures and knobs."""
 
@@ -75,12 +89,22 @@ class Scene:
             )
         if "model" not in data:
             raise SceneError("scene is missing the 'model' key")
-        md = data["model"]
+        md = _typed(data["model"], "an object", "model")
         try:
-            m, n, budget = int(md["m"]), int(md["n"]), int(md["budget"])
+            m, n, budget = (
+                _typed(md[key], "an integer", f"model.{key}") for key in ("m", "n", "budget")
+            )
         except KeyError as exc:
             raise SceneError(f"model is missing {exc}") from None
-        f = self._twist(md.get("f", "1"), m, n)
+        for key in ("slack", "k", "seed", "trials"):
+            if key in data:
+                _typed(data[key], "an integer", key)
+        for key in ("h", "g", "f_prime"):
+            if key in data:
+                _typed(data[key], "a string", key)
+        if "cover" in data:
+            _typed(data["cover"], "an object", "cover")
+        f = self._twist(_typed(md.get("f", "1"), "a string", "model.f"), m, n)
         if data.get("basic_twist_only") and any(
             sum(alpha) + sum(beta) for (alpha, beta, _) in f.terms
         ):
@@ -91,7 +115,7 @@ class Scene:
         self.data = data
         self.seed = data.get("seed")
         self.trials = data.get("trials")
-        self.slack = int(data.get("slack", 0))
+        self.slack = data.get("slack", 0)
         self.k = data.get("k")
         self.expect_failure = bool(data.get("expect_failure", False))
         self.h = None
@@ -159,7 +183,7 @@ class Scene:
             raise SceneError("scene needs a 'cover' for the mv command")
         entry = self.data["cover"]
         kind = entry.get("kind")
-        D = int(entry.get("D", self.model.budget))
+        D = _typed(entry.get("D", self.model.budget), "an integer", "cover.D")
         if kind == "laurent":
             return kind, laurent_cover(D)
         if kind == "degenerate":
@@ -194,7 +218,7 @@ def _need_seed(scene: Scene, args) -> int:
     seed = args.seed if args.seed is not None else scene.seed
     if seed is None:
         raise SceneError("randomized runs need a seed (scene 'seed' or --seed)")
-    return int(seed)
+    return seed
 
 
 def cmd_check(args) -> int:
@@ -214,7 +238,7 @@ def cmd_check(args) -> int:
         args.suite,
         scene.model,
         seed,
-        int(trials),
+        trials,
         h=scene.h,
         g=scene.g,
         morphism=morphism,
@@ -243,9 +267,7 @@ def cmd_cohomology(args) -> int:
             if not 0 <= v <= model.m:
                 raise SceneError(f"grid axis {name} value {v} outside [0, {model.m}]")
     k = args.k if args.k is not None else scene.k
-    rows = cohomology_grid(
-        model, args.variant, ps, qs, ds, slack=scene.slack, k=None if k is None else int(k)
-    )
+    rows = cohomology_grid(model, args.variant, ps, qs, ds, slack=scene.slack, k=k)
     if args.format == "csv":
         cols = (
             ["p", "q", "D", "domain", "codomain", "rank"]
@@ -335,10 +357,8 @@ def cmd_solve(args) -> int:
             )
             return EXIT_OK
         target = FoliatedForm.from_dict(scene.model, entry["form"])
-        k = entry.get("k", scene.k)
-        primitive = solve_primitive(
-            op, scene.model, target, slack=slack, k=None if k is None else int(k)
-        )
+        k = _typed(entry["k"], "an integer", "target.k") if "k" in entry else scene.k
+        primitive = solve_primitive(op, scene.model, target, slack=slack, k=k)
         if primitive is None:
             emit({"op": op, "found": False, "slack": slack}, args.out)
             return EXIT_VIOLATION

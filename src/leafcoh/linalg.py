@@ -2,9 +2,11 @@
 
 Everything reduces to one deterministic Gauss-Jordan elimination: columns are
 scanned in ascending order and, among the not-yet-pivoted rows, the lowest
-row index supplies the pivot.  Fractions are normalised at every step (the
-Fraction type reduces by gcd), so results are exact and reproducible across
-platforms; there is no floating point anywhere.
+row index supplies the pivot.  A column index keeps, for each column, the
+rows holding an entry in it, so a pivot step touches only those rows.
+Scalars are Gaussian rationals in canonical form (algebra.GaussianRational:
+integers over one gcd-reduced denominator), so results are exact and
+reproducible across platforms; there is no floating point anywhere.
 
 Linear systems go through a Factorization: the elimination of M is recorded
 once and replayed on each right-hand side.  The pivot choice depends only on
@@ -190,40 +192,61 @@ def _gauss_jordan(rows: list, ncols: int, steps: list | None = None) -> list:
     column, then the lowest remaining row.  With ``steps`` given, one
     (swapped-in row, pivot inverse, [(row, multiplier), ...]) entry per pivot
     is appended to it, enough to replay the elimination on a vector.
+
+    ``where`` maps each column to the positions of the rows holding an entry
+    in it, kept up to date through swaps, fill-in and cancellation in the
+    columns still ahead, so a pivot step visits only those rows, in ascending
+    order, as a scan of every row would.  Rows may hold keys at or beyond
+    ``ncols``; they are carried along but never pivoted on.
     """
+    where: dict = {}
+    for i, row in enumerate(rows):
+        for k in row:
+            where.setdefault(k, set()).add(i)
     pivots = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if c in rows[i]:
-                sel = i
-                break
+        # a column nobody holds never gains an entry: fill-in copies the
+        # pivot row's columns, which are held already
+        at = where.get(c)
+        if not at:
+            continue
+        sel = min((i for i in at if i >= r), default=None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
+        if sel != r:
+            # a column held by only one of the two rows moves with that row
+            for k in rows[r].keys() ^ rows[sel].keys():
+                where[k].symmetric_difference_update((r, sel))
+            rows[r], rows[sel] = rows[sel], rows[r]
         piv = rows[r]
         inv = piv[c].inverse()
         if inv != ONE:
             for k in list(piv):
                 piv[k] = piv[k] * inv
+        pairs = [(k, v) for k, v in piv.items() if k != c]
         eliminated = [] if steps is not None else None
-        for i in range(nrows):
+        for i in sorted(at):
             if i == r:
                 continue
             row = rows[i]
-            a = row.get(c)
-            if a is None:
-                continue
+            a = row.pop(c)
             if eliminated is not None:
                 eliminated.append((i, a))
-            for k, v in piv.items():
-                s = row.get(k, ZERO) - a * v
-                if s:
-                    row[k] = s
+            minus_a = -a
+            for k, v in pairs:
+                s = row.get(k)
+                if s is None:
+                    row[k] = minus_a * v
+                    where[k].add(i)
                 else:
-                    row.pop(k, None)
+                    s = s + minus_a * v
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                        where[k].discard(i)
         if steps is not None:
             steps.append((sel, inv, eliminated))
         pivots.append(c)
@@ -351,6 +374,12 @@ def kernel_basis(M: Matrix) -> Subspace:
     Deterministic: one kernel vector per free column, in ascending order.
     """
     rows, pivots = _echelon(M)
+    # a reduced pivot row holds its pivot and entries in free columns only
+    held = {}
+    for pc, row in zip(pivots, rows):
+        for j, v in row.items():
+            if j != pc:
+                held.setdefault(j, []).append((pc, v))
     pivot_set = set(pivots)
     basis = []
     for j in range(M.cols):
@@ -358,10 +387,8 @@ def kernel_basis(M: Matrix) -> Subspace:
             continue
         vec = [ZERO] * M.cols
         vec[j] = ONE
-        for i, pc in enumerate(pivots):
-            v = rows[i].get(j)
-            if v:
-                vec[pc] = -v
+        for pc, v in held.get(j, ()):
+            vec[pc] = -v
         basis.append(tuple(vec))
     return Subspace._independent(M.cols, basis)
 

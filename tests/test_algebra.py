@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from leafcoh.algebra import (
     GaussianRational,
+    format_scalar,
     Series,
     SeriesError,
     SeriesParseError,
@@ -198,3 +200,161 @@ def test_budget_invariant_enforced():
     s = parse_series("z1^2", 1, 0, 2)
     with pytest.raises(SeriesError):
         s.with_budget(1)
+
+
+class _FractionPair:
+    """Reference scalar: the former representation, a pair of Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
+
+    def __add__(self, other):
+        other = _ref_coerce(other)
+        return _FractionPair(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionPair(-self.re, -self.im)
+
+    def __sub__(self, other):
+        other = _ref_coerce(other)
+        return _FractionPair(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = _ref_coerce(other)
+        return _FractionPair(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        d = self.re * self.re + self.im * self.im
+        if d == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return _FractionPair(self.re / d, -self.im / d)
+
+    def __truediv__(self, other):
+        return self * _ref_coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def conjugate(self):
+        return _FractionPair(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        other = _ref_coerce(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return format_scalar(self)
+
+
+def _ref_coerce(x):
+    return x if isinstance(x, _FractionPair) else _FractionPair(x)
+
+
+def _random_parts(rng):
+    def part():
+        if rng.random() < 0.1:
+            return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+        return Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 9, 12]))
+
+    kind = rng.choice(["zero", "real", "imaginary", "mixed", "mixed"])
+    re = Fraction(0) if kind in ("zero", "imaginary") else part()
+    im = Fraction(0) if kind in ("zero", "real") else part()
+    return re, im
+
+
+def _assert_canonical(x):
+    assert type(x) is GaussianRational
+    assert all(type(v) is int for v in (x.a, x.b, x.d))
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+def _assert_agree(got, want):
+    _assert_canonical(got)
+    assert (got.re, got.im) == (want.re, want.im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert bool(got) == bool(want)
+    assert hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scalar_matches_fraction_pair_reference(seed):
+    rng = random.Random(7000 + seed)
+    for _ in range(40):
+        (p, q), (r, s) = _random_parts(rng), _random_parts(rng)
+        x, y = GaussianRational(p, q), GaussianRational(r, s)
+        X, Y = _FractionPair(p, q), _FractionPair(r, s)
+        _assert_agree(x, X)
+        _assert_agree(x + y, X + Y)
+        _assert_agree(x - y, X - Y)
+        _assert_agree(x * y, X * Y)
+        _assert_agree(-x, -X)
+        _assert_agree(x.conjugate(), X.conjugate())
+        assert (x == y) == (X == Y)
+        assert x == GaussianRational(p, q) and not x != GaussianRational(p, q)
+        if y:
+            _assert_agree(x / y, X / Y)
+            _assert_agree(y.inverse(), Y.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+        # int and Fraction operands on either side
+        for c in (rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4)), True):
+            _assert_agree(x + c, X + c)
+            _assert_agree(c + x, c + X)
+            _assert_agree(x - c, X - c)
+            _assert_agree(c - x, c - X)
+            _assert_agree(x * c, X * c)
+            _assert_agree(c * x, c * X)
+            assert (x == c) == (X == c) and (c == x) == (c == X)
+            if c:
+                _assert_agree(x / c, X / c)
+            if x:
+                _assert_agree(c / x, c / X)
+
+
+def test_scalar_equal_values_have_equal_triples():
+    half = Fraction(1, 2)
+    for x in (GaussianRational(half, half), GaussianRational(Fraction(2, 4), Fraction(3, 6))):
+        assert (x.a, x.b, x.d) == (1, 1, 2)
+    assert (GaussianRational(Fraction(1, 3)) * 3).d == 1
+    zero = GaussianRational(Fraction(5, 7), 1) - GaussianRational(Fraction(5, 7), 1)
+    assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+    assert GaussianRational(3) == 3 and GaussianRational(half) == half
+
+
+def test_scalar_rejects_float():
+    with pytest.raises(TypeError, match="not float"):
+        GaussianRational(0.1)
+    with pytest.raises(TypeError, match="not float"):
+        GaussianRational(1, 0.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1) + 0.5
+    with pytest.raises(TypeError):
+        Series.constant(1, 0, 0.25)
+    assert GaussianRational(True) == GaussianRational(1)

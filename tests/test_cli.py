@@ -494,3 +494,62 @@ def test_shipped_and_benchmark_scenes_load(monkeypatch):
     assert len(scenes) == 11
     for data in scenes:
         cli.Scene(data)
+
+
+BASE_MODEL = {"m": 1, "n": 0, "budget": 2, "f": "1"}
+
+
+@pytest.mark.parametrize(
+    "model, knobs, message",
+    [
+        ([2, 0, 2], {}, "'model' must be an object, got [2, 0, 2]"),
+        ({"m": None}, {}, "'model.m' must be an integer, got null"),
+        ({"m": 2.5}, {}, "'model.m' must be an integer, got 2.5"),
+        ({"m": True}, {}, "'model.m' must be an integer, got true"),
+        ({"n": "0"}, {}, "'model.n' must be an integer, got \"0\""),
+        ({"budget": 2.0}, {}, "'model.budget' must be an integer, got 2.0"),
+        ({"f": 1}, {}, "'model.f' must be a string, got 1"),
+        ({}, {"slack": None}, "'slack' must be an integer, got null"),
+        ({}, {"slack": 1.5}, "'slack' must be an integer, got 1.5"),
+        ({}, {"k": 1.5}, "'k' must be an integer, got 1.5"),
+        ({}, {"seed": 1.9}, "'seed' must be an integer, got 1.9"),
+        ({}, {"trials": 2.7}, "'trials' must be an integer, got 2.7"),
+        ({}, {"trials": False}, "'trials' must be an integer, got false"),
+        ({}, {"h": 2}, "'h' must be a string, got 2"),
+        ({}, {"g": ["z1"]}, "'g' must be a string, got [\"z1\"]"),
+        ({}, {"f_prime": None}, "'f_prime' must be a string, got null"),
+        ({}, {"cover": "laurent"}, "'cover' must be an object, got \"laurent\""),
+    ],
+    ids=[
+        "model_list", "m_null", "m_float", "m_bool", "n_string", "budget_float", "f_int",
+        "slack_null", "slack_float", "k_float", "seed_float", "trials_float", "trials_bool",
+        "h_int", "g_list", "f_prime_null", "cover_string",
+    ],
+)
+def test_mistyped_scene_knob_exits_two(tmp_path, capsys, model, knobs, message):
+    data = {"model": model if isinstance(model, list) else dict(BASE_MODEL, **model)}
+    data.update(knobs, grid={"p": 0, "q": 0})
+    assert run(["cohomology", "--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, entry, message",
+    [
+        (["sequence", "--kind", "mv"], {"cover": {"kind": "laurent", "D": 1.5}}, "'cover.D' must be an integer, got 1.5"),
+        (
+            ["solve"],
+            {"target": {"op": "dbar", "k": True, "form": {"p": 0, "q": 1, "budget": 1, "terms": []}}},
+            "'target.k' must be an integer, got true",
+        ),
+    ],
+    ids=["cover_D", "target_k"],
+)
+def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, message):
+    scene = write_scene(tmp_path, "s.json", dict(entry, model=BASE_MODEL))
+    assert run(command + ["--scene", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

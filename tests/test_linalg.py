@@ -170,6 +170,101 @@ def test_factorization_matches_augmented_solve(seed):
         assert all(F.solve(e) == _augmented_solve(M, e) for e in units)
 
 
+def _scanning_gauss_jordan(rows, ncols, steps=None):
+    """Reference elimination: the former row-scanning Gauss-Jordan.
+
+    For each column it scans every row for the pivot and for the rows to
+    eliminate; _gauss_jordan must agree with it on pivots, rows and steps.
+    """
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if c in rows[i]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        piv = rows[r]
+        inv = piv[c].inverse()
+        if inv != G(1):
+            for k in list(piv):
+                piv[k] = piv[k] * inv
+        eliminated = [] if steps is not None else None
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            a = row.get(c)
+            if a is None:
+                continue
+            if eliminated is not None:
+                eliminated.append((i, a))
+            for k, v in piv.items():
+                s = row.get(k, ZERO) - a * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+        if steps is not None:
+            steps.append((sel, inv, eliminated))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+ELIMINATION_SHAPES = (
+    "sparse", "dense", "tall", "wide", "rank_deficient", "zero_rows", "entryless", "beyond_ncols"
+)
+
+
+def _elimination_input(rng, shape):
+    """Sparse row dicts and a column count of the given shape."""
+    if shape == "sparse":
+        M = _rational_matrix(rng, rng.randint(8, 14), rng.randint(8, 14), 0.15)
+    elif shape == "dense":
+        M = _rational_matrix(rng, rng.randint(3, 7), rng.randint(3, 7), 1.0)
+    elif shape in ("tall", "wide", "rank_deficient"):
+        M = _shaped_matrix(rng, shape)
+    elif shape == "zero_rows":
+        M = _rational_matrix(rng, rng.randint(4, 9), rng.randint(3, 8), 0.5)
+        dropped = set(rng.sample(range(M.rows), M.rows // 2))
+        M = Matrix(M.rows, M.cols, {k: v for k, v in M.entries.items() if k[0] not in dropped})
+    elif shape == "entryless":
+        M = Matrix.zero(rng.randint(0, 4), rng.randint(0, 4))
+    else:
+        # an augmented system: keys at ncols and beyond ride along unpivoted
+        M = _rational_matrix(rng, rng.randint(3, 8), rng.randint(2, 7), 0.5)
+        rows = M.row_dicts()
+        for row in rows:
+            for extra in (M.cols, M.cols + 1):
+                if rng.random() < 0.6:
+                    row[extra] = _gaussian_rational(rng) or G(1)
+        return rows, M.cols
+    return M.row_dicts(), M.cols
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_gauss_jordan_matches_row_scanning_reference(seed):
+    rng = random.Random(4200 + seed)
+    rows, ncols = _elimination_input(rng, ELIMINATION_SHAPES[seed % len(ELIMINATION_SHAPES)])
+    want_rows = [dict(row) for row in rows]
+    unstepped = [dict(row) for row in rows]
+    want_steps, got_steps = [], []
+    want = _scanning_gauss_jordan(want_rows, ncols, want_steps)
+    assert linalg._gauss_jordan(rows, ncols, got_steps) == want
+    assert rows == want_rows
+    assert got_steps == want_steps
+    # without steps the elimination is the same
+    assert linalg._gauss_jordan(unstepped, ncols) == want
+    assert unstepped == want_rows
+
+
 def test_class_coords_eliminate_once(monkeypatch):
     rng = random.Random(31)
     d = Matrix(2, 6, {(0, j): _gaussian_rational(rng) for j in range(6)})
