@@ -63,6 +63,7 @@ SCENE_KEYS = frozenset(
 
 _KINDS = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a nonnegative integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
     "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
 }
@@ -99,6 +100,7 @@ class Scene:
         for key in ("slack", "k", "seed", "trials"):
             if key in data:
                 _typed(data[key], "an integer", key)
+        _typed(data.get("slack", 0), "a nonnegative integer", "slack")
         for key in ("h", "g", "f_prime"):
             if key in data:
                 _typed(data[key], "a string", key)
@@ -141,6 +143,8 @@ class Scene:
             raise SceneError(
                 f"grid axis {name!r} must be an integer or a list [lo, hi] of integers, got {axis!r}"
             )
+        if name == "D" and min(values) < 0:
+            raise SceneError(f"grid axis 'D' must be nonnegative, got {axis!r}")
         if len(values) == 2:
             lo, hi = values
             if lo > hi:
@@ -166,9 +170,6 @@ class Scene:
     def _parse_source_series(self, text: str) -> Series:
         s = Series.parse(text, self.model.m, self.model.n, _TWIST_PARSE_BUDGET)
         return s.with_budget(s.degree)
-
-    def f_prime(self, target_m: int, target_n: int) -> Series:
-        return self._twist(self.data.get("f_prime", "1"), target_m, target_n)
 
     def pair(self, mu: FoliatedMorphism):
         if "pair" not in self.data:
@@ -331,7 +332,7 @@ def cmd_sequence(args) -> int:
 def cmd_solve(args) -> int:
     scene = load_scene(args.scene)
     entry = scene.target()
-    slack = args.slack if args.slack is not None else scene.slack
+    slack = scene.slack if args.slack is None else _typed(args.slack, "a nonnegative integer", "--slack")
     op = entry.get("op", "dbar_f")
     try:
         if op == "tilde":

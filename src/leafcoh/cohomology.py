@@ -2,18 +2,18 @@
 
 Forms at a fixed budget are vectorised over the deterministic basis of
 ``space_basis``; operator matrices are written down column by column from
-the closed-form monomial rule in ``operator_matrix``, and every cohomology
-group is a kernel-modulo-image quotient of exact subspaces.
+the closed-form monomial rule in ``operator_matrix``, and every dimension is
+counted from exact ranks of sparse matrices, building no basis (ker = cols -
+rk d, im = rk of the image matrix; image <= kernel by an exact product).
 
 Budget semantics ("truncation cohomology"): the group at budget D uses the
 kernel on budget-D forms and the image of sources at budget D - gap (gap =
 max(deg f - 1, 0)), so the image lands inside budget D with no truncation and
 the inclusion image <= kernel is exact.  An optional nonnegative ``slack``
-lets the image come from deeper sources (budget D - gap + slack), after which
-it is intersected with the budget-D block; this matters for untwisted
-exactness, where antiderivatives need one extra degree.  All of this
-approximates the smooth theory: stabilisation across budgets is reported,
-never assumed.
+lets the Dolbeault image (variants dolbeault and k only) come from deeper
+sources (budget D - gap + slack), then intersected with the budget-D block;
+untwisted exactness needs it, as antiderivatives gain a degree.  All of this
+approximates the smooth theory: stabilisation is reported, never assumed.
 """
 
 from __future__ import annotations
@@ -42,15 +42,13 @@ from .operators import (
     twist_gap,
 )
 from .linalg import (
+    LinearAlgebraError,
     Matrix,
-    Quotient,
     Subspace,
-    column_space,
     hstack,
     kernel_basis,
     rank,
     solve,
-    span_restricted_to,
     vstack,
 )
 
@@ -113,12 +111,6 @@ def inclusion_positions(model: FoliationModel, p: int, q: int, small: int, big: 
     return [idx[e] for e in _basis_cached(model.m, model.n, p, q, small)]
 
 
-def inclusion_matrix(model: FoliationModel, p: int, q: int, small: int, big: int) -> Matrix:
-    pos = inclusion_positions(model, p, q, small, big)
-    rows = space_dim(model, p, q, big)
-    return Matrix(rows, len(pos), {(r, j): 1 for j, r in enumerate(pos)})
-
-
 # ---------------------------------------------------------------------------
 # Operator matrices
 # ---------------------------------------------------------------------------
@@ -133,19 +125,14 @@ _OPS = {
 
 
 def apply_operator(tag: str, phi: FoliatedForm, k: int | None = None) -> FoliatedForm:
-    if tag == "dbar":
-        return dbar(phi)
-    if tag == "partial":
-        return partial(phi)
-    if tag == "dbar_f":
-        return dbar_f(phi)
-    if tag == "partial_f":
-        return partial_f(phi)
     if tag == "dbar_f_k":
         if k is None:
             raise ValueError("dbar_f_k needs the integer k")
         return dbar_f_k(phi, k)
-    raise ValueError(f"unknown operator tag {tag!r}")
+    ops = {"dbar": dbar, "partial": partial, "dbar_f": dbar_f, "partial_f": partial_f}
+    if tag not in ops:
+        raise ValueError(f"unknown operator tag {tag!r}")
+    return ops[tag](phi)
 
 
 def operator_gap(tag: str, model: FoliationModel) -> int:
@@ -224,6 +211,17 @@ def operator_matrix(
     return Matrix(len(out_idx), len(in_basis), entries)
 
 
+def _applied_matrix(apply, model: FoliationModel, p, q, in_budget, out_idx: dict) -> Matrix:
+    """Column j: apply(basis element j of (p,q,in_budget)) over the basis index out_idx."""
+    in_basis = _basis_cached(model.m, model.n, p, q, in_budget)
+    entries = {}
+    for j, elem in enumerate(in_basis):
+        for (A, B), series in apply(basis_form(model, elem, in_budget)).coeffs.items():
+            for expo, coeff in series.terms.items():
+                entries[(out_idx[(A, B, expo)], j)] = coeff
+    return Matrix(len(out_idx), len(in_basis), entries)
+
+
 def pullback_matrix(
     mu: FoliatedMorphism, p: int, q: int, in_budget: int, out_budget: int
 ) -> Matrix:
@@ -232,30 +230,19 @@ def pullback_matrix(
         raise BudgetContractError(
             "pullback out budget too small for exact substitution"
         )
-    in_basis = _basis_cached(mu.target.m, mu.target.n, p, q, in_budget)
     out_idx = _basis_index(mu.source.m, mu.source.n, p, q, out_budget)
-    entries = {}
-    for j, elem in enumerate(in_basis):
-        image = pullback(mu, basis_form(mu.target, elem, in_budget))
-        for (A, B), series in image.coeffs.items():
-            for expo, coeff in series.terms.items():
-                entries[(out_idx[(A, B, expo)], j)] = coeff
-    return Matrix(len(out_idx), len(in_basis), entries)
+    return _applied_matrix(lambda phi: pullback(mu, phi), mu.target, p, q, in_budget, out_idx)
 
 
-def _composed_matrix(model, p, q, in_budget, mid_budget, out_budget):
-    """partial_f after dbar_f from (p,q); checked against direct assembly."""
-    B = operator_matrix("dbar_f", model, p, q, in_budget, mid_budget)
-    A = operator_matrix("partial_f", model, p, q + 1, mid_budget, out_budget)
+def _composed_matrix(grid: "_Grid", p, q, in_budget):
+    """partial_f after dbar_f from (p,q) at in_budget, the product of grid's factor
+    matrices; checked against the operators applied to each basis form."""
+    model, gap = grid.model, grid.gap
+    B = grid.matrix("dbar_f", p, q, in_budget, in_budget + gap)
+    A = grid.matrix("partial_f", p, q + 1, in_budget + gap, in_budget + 2 * gap)
     C = A.mul(B)
-    direct = {}
-    out_idx = _basis_index(model.m, model.n, p + 1, q + 1, out_budget)
-    for j, elem in enumerate(_basis_cached(model.m, model.n, p, q, in_budget)):
-        image = partial_f(dbar_f(basis_form(model, elem, in_budget)))
-        for (A_, B_), series in image.coeffs.items():
-            for expo, coeff in series.terms.items():
-                direct[(out_idx[(A_, B_, expo)], j)] = coeff
-    if Matrix(len(out_idx), C.cols, direct) != C:
+    out_idx = _basis_index(model.m, model.n, p + 1, q + 1, in_budget + 2 * gap)
+    if _applied_matrix(lambda phi: partial_f(dbar_f(phi)), model, p, q, in_budget, out_idx) != C:
         raise AssertionError("composed operator disagrees with matrix product")
     return C
 
@@ -265,147 +252,198 @@ def _composed_matrix(model, p, q, in_budget, mid_budget, out_budget):
 # ---------------------------------------------------------------------------
 
 
-def _image_subspace(tag, model, p, q, src_budget, target_budget, slack, k=None):
-    """Image of the operator from (p,q) sources at src_budget + slack,
-    expressed in the target-bidegree basis at target_budget; None when there
-    are no sources."""
-    if p < 0 or q < 0 or src_budget + slack < 0:
-        return None
-    dp, dq, _ = _OPS[tag]
-    src = src_budget + slack
-    gap = operator_gap(tag, model)
-    out = max(target_budget, src + gap)
-    M = operator_matrix(tag, model, p, q, src, out, k)
-    img = column_space(M)
-    if out == target_budget:
-        return img
-    keep = inclusion_positions(model, p + dp, q + dq, target_budget, out)
-    return span_restricted_to(img.basis, keep, img.ambient_dim)
+class _Grid:
+    """Operator matrices of one model and their ranks, each computed once.
 
-
-def _bott_chern(model: FoliationModel, p: int, q: int, D: int, Md: Matrix) -> Quotient:
-    """ker partial_f & ker dbar_f modulo im partial_f dbar_f at (p,q,D).
-
-    Md is the dbar_f matrix at (p,q,D); the canonical map shares it with its
-    Dolbeault side.
+    Matrices are keyed (tag, p, q, in_budget, out_budget, k) as in
+    operator_matrix, with the tag "composed" for partial_f after dbar_f; a
+    rank sits under its matrix's key or, for a matrix derived from memoized
+    ones, under a key of its own.  cohomology_grid shares one instance
+    between its rows and drops it when it returns.
     """
-    gap = twist_gap(model.f)
-    Mp = operator_matrix("partial_f", model, p, q, D, D + gap)
-    image = None
+
+    def __init__(self, model: FoliationModel):
+        self.model = model
+        self.gap = twist_gap(model.f)
+        self._matrices: dict = {}
+        self._ranks: dict = {}
+
+    def matrix(self, tag, p, q, in_budget, out_budget, k=None) -> Matrix:
+        key = (tag, p, q, in_budget, out_budget, k)
+        if key not in self._matrices:
+            if tag == "composed":
+                M = _composed_matrix(self, p, q, in_budget)
+            else:
+                M = operator_matrix(tag, self.model, p, q, in_budget, out_budget, k)
+            self._matrices[key] = M
+        return self._matrices[key]
+
+    def rank(self, key, build=None) -> int:
+        """Rank of the matrix under ``key``: memoized, else build(), else matrix(*key)."""
+        if key not in self._ranks:
+            M = self._matrices.get(key)
+            if M is None:
+                M = build() if build else self.matrix(*key)
+            self._ranks[key] = rank(M)
+        return self._ranks[key]
+
+    def nullity(self, key) -> int:
+        return self.matrix(*key).cols - self.rank(key)
+
+
+def _check_inclusion(d: Matrix, image: Matrix):
+    """im(image) <= ker(d), proved by the exact product d * image == 0."""
+    if not d.mul(image).is_zero:
+        raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+
+
+def _restricted_image_dim(d: Matrix, M: Matrix, keep: list) -> int:
+    """dim of the part of im(M) on the rows ``keep`` (d's columns), checked to lie in ker(d).
+
+    That part is M[keep] applied to K = ker M[outside]: its dimension is
+    rk M - rk M[outside], and d * M[keep] * K == 0 is the inclusion.
+    """
+    pos = {r: i for i, r in enumerate(keep)}
+    out = {r: i for i, r in enumerate(r for r in range(M.rows) if r not in pos)}
+    block = Matrix(len(pos), M.cols, {(pos[r], c): v for (r, c), v in M.entries.items() if r in pos})
+    rest = Matrix(len(out), M.cols, {(out[r], c): v for (r, c), v in M.entries.items() if r in out})
+    K = kernel_basis(rest).basis
+    if K:
+        _check_inclusion(d.mul(block), Matrix.from_columns(K, M.cols))
+    return rank(M) - rank(rest)
+
+
+def _bott_chern(grid: _Grid, p: int, q: int, D: int) -> tuple:
+    """(dim ker, dim im) of ker partial_f & ker dbar_f modulo im partial_f dbar_f at (p,q,D)."""
+    gap = grid.gap
+    d_key = ("dbar_f", p, q, D, D + gap, None)
+    Mp, Md = grid.matrix("partial_f", *d_key[1:]), grid.matrix(*d_key)
+    # with no partial_f entries the stack eliminates as dbar_f alone
+    stacked = ("stacked",) + d_key[1:] if Mp.entries else d_key
+    kernel = Md.cols - grid.rank(stacked, lambda: vstack(Mp, Md))
+    image = 0
     if p and q and D >= 2 * gap:
-        image = column_space(_composed_matrix(model, p - 1, q - 1, D - 2 * gap, D - gap, D))
-    return Quotient(vstack(Mp, Md), image)
+        key = ("composed", p - 1, q - 1, D - 2 * gap, D, None)
+        _check_inclusion(vstack(Mp, Md), grid.matrix(*key))
+        image = grid.rank(key)
+    return kernel, image
 
 
-def _row(p, q, D, H: Quotient, image_source: int) -> dict:
-    return {
-        "p": p,
-        "q": q,
-        "D": D,
-        "ker": H.kernel.dim,
-        "im": H.image.dim,
-        "dim": H.dim,
-        "budgets": {"kernel": D, "image_source": image_source},
-    }
+def _row(p, q, D, kernel: int, image: int, image_source: int) -> dict:
+    row = {"p": p, "q": q, "D": D, "ker": kernel, "im": image, "dim": kernel - image}
+    row["budgets"] = {"kernel": D, "image_source": image_source}
+    return row
 
 
 def dolbeault_row(
-    model: FoliationModel,
-    p: int,
-    q: int,
-    D: int,
-    slack: int = 0,
-    k: int | None = None,
+    model: FoliationModel, p: int, q: int, D: int, slack: int = 0, k: int | None = None, *, grid=None
 ) -> dict:
     """One table row of twisted Dolbeault dimensions at budget D.
 
     Kernel at budget D, image from budget D - gap (+ slack); the value is a
-    truncation approximation of the smooth-theory group.
+    truncation approximation of the smooth-theory group.  ker = cols - rk d
+    and im = rk M for the image matrix M, cut down to the budget-D block
+    when there is slack.  ``grid``, in every row function, is the memo
+    cohomology_grid shares between its rows.
     """
+    grid = grid or _Grid(model)
     tag = "dbar_f" if k is None else "dbar_f_k"
-    gap = twist_gap(model.f)
-    H = Quotient(
-        operator_matrix(tag, model, p, q, D, D + gap, k),
-        _image_subspace(tag, model, p, q - 1, D - gap, D, slack, k),
-    )
-    row = _row(p, q, D, H, max(D - gap + slack, -1))
+    d_key = (tag, p, q, D, D + grid.gap, k)
+    image = 0
+    src = D - grid.gap + slack
+    if q >= 1 and src >= 0:
+        out = max(D, src + grid.gap)
+        M_key = (tag, p, q - 1, src, out, k)
+        if out == D:
+            _check_inclusion(grid.matrix(*d_key), grid.matrix(*M_key))
+            image = grid.rank(M_key)
+        else:
+            keep = inclusion_positions(model, p, q, D, out)
+            image = _restricted_image_dim(grid.matrix(*d_key), grid.matrix(*M_key), keep)
+    row = _row(p, q, D, grid.nullity(d_key), image, max(src, -1))
     if k is not None:
         row["k"] = k
     return row
 
 
-def bott_chern_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
-    """Bott-Chern dimensions: both-kernels modulo the composed image."""
-    gap = twist_gap(model.f)
-    H = _bott_chern(model, p, q, D, operator_matrix("dbar_f", model, p, q, D, D + gap))
-    return _row(p, q, D, H, D - 2 * gap)
+def bott_chern_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> dict:
+    """Bott-Chern dimensions: ker = nullity (partial_f; dbar_f), im = rk partial_f dbar_f."""
+    grid = grid or _Grid(model)
+    return _row(p, q, D, *_bott_chern(grid, p, q, D), D - 2 * grid.gap)
 
 
-def aeppli_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
-    """Aeppli dimensions: kernel of the composition modulo the two images."""
-    gap = twist_gap(model.f)
-    columns = []
-    if p >= 1 and D - gap >= 0:
-        columns.extend(operator_matrix("partial_f", model, p - 1, q, D - gap, D).columns())
-    if q >= 1 and D - gap >= 0:
-        columns.extend(operator_matrix("dbar_f", model, p, q - 1, D - gap, D).columns())
-    H = Quotient(
-        _composed_matrix(model, p, q, D, D + gap, D + 2 * gap),
-        Subspace.from_span(columns, space_dim(model, p, q, D)),
-    )
-    return _row(p, q, D, H, D - gap)
+def aeppli_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> dict:
+    """Aeppli dimensions: kernel of the composition modulo the two images.
+
+    ker = nullity partial_f dbar_f; im = rk [partial_f from (p-1,q) | dbar_f from (p,q-1)].
+    """
+    grid = grid or _Grid(model)
+    gap = grid.gap
+    key = ("composed", p, q, D, D + 2 * gap, None)
+    parts = []
+    if p >= 1 and D >= gap:
+        parts.append(("partial_f", p - 1, q, D - gap, D, None))
+    if q >= 1 and D >= gap:
+        parts.append(("dbar_f", p, q - 1, D - gap, D, None))
+    for part in parts:
+        _check_inclusion(grid.matrix(*key), grid.matrix(*part))
+    if len(parts) == 2:
+        image = rank(hstack(*(grid.matrix(*part) for part in parts)))
+    else:
+        image = grid.rank(parts[0]) if parts else 0
+    return _row(p, q, D, grid.nullity(key), image, D - gap)
 
 
-def canonical_map_row(model: FoliationModel, p: int, q: int, D: int) -> dict:
+def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> dict:
     """Rank of the canonical homomorphism Bott-Chern -> Dolbeault at (p,q,D).
 
     Representatives of a Bott-Chern class are already dbar_f-closed; the map
-    sends the class to its Dolbeault class.  Well-definedness (the Bott-Chern
-    image is contained in the Dolbeault image) is asserted.
+    sends the class to its Dolbeault class.  With M the Dolbeault image
+    matrix, the classes that die span ker partial_f on im M, so rank =
+    nullity(partial_f; dbar_f) - (rk M - rk partial_f M).  Well-definedness
+    (the Bott-Chern image lies in the Dolbeault image) is asserted as
+    rk [M | partial_f dbar_f] = rk M.
     """
-    gap = twist_gap(model.f)
-    Md = operator_matrix("dbar_f", model, p, q, D, D + gap)
-    bc = _bott_chern(model, p, q, D, Md)
-    dolb = Quotient(Md, _image_subspace("dbar_f", model, p, q - 1, D - gap, D, 0))
-    I_d = dolb.image
-    if bc.image.dim:
-        both = Matrix.from_columns(I_d.basis + bc.image.basis, Md.cols)
-        if rank(both) != I_d.dim:
-            raise AssertionError(
-                "canonical map ill-defined: Bott-Chern image escapes the Dolbeault image"
-            )
-    if bc.kernel.dim:
-        mixed = Matrix.from_columns(I_d.basis + bc.kernel.basis, Md.cols)
-        image_rank = rank(mixed) - I_d.dim
-    else:
-        image_rank = 0
-    return {
-        "p": p,
-        "q": q,
-        "D": D,
-        "rank": image_rank,
-        "domain": bc.dim,
-        "codomain": dolb.dim,
-    }
+    grid = grid or _Grid(model)
+    gap = grid.gap
+    bc_kernel, bc_image = _bott_chern(grid, p, q, D)
+    d_key = ("dbar_f", p, q, D, D + gap, None)
+    image_rank, dolb_image = bc_kernel, 0
+    if q >= 1 and D >= gap:
+        M_key = ("dbar_f", p, q - 1, D - gap, D, None)
+        M = grid.matrix(*M_key)
+        _check_inclusion(grid.matrix(*d_key), M)
+        dolb_image = grid.rank(M_key)
+        if bc_image:
+            both = hstack(M, grid.matrix("composed", p - 1, q - 1, D - 2 * gap, D))
+            if rank(both) != dolb_image:
+                raise AssertionError(
+                    "canonical map ill-defined: Bott-Chern image escapes the Dolbeault image"
+                )
+        if bc_kernel:
+            # partial_f M is the composition from (p, q-1)
+            Mp = grid.matrix("partial_f", *d_key[1:])
+            composed = ("composed", p, q - 1, D - gap, D + gap, None)
+            image_rank -= dolb_image - grid.rank(composed, lambda: Mp.mul(M))
+    row = {"p": p, "q": q, "D": D, "rank": image_rank, "domain": bc_kernel - bc_image}
+    row["codomain"] = grid.nullity(d_key) - dolb_image
+    return row
 
 
 VARIANTS = ("dolbeault", "k", "bc", "aeppli", "canonical")
 
 
-def variant_row(model, variant, p, q, D, slack=0, k=None) -> dict:
+def variant_row(model, variant, p, q, D, slack=0, k=None, *, grid=None) -> dict:
     if variant == "dolbeault":
-        return dolbeault_row(model, p, q, D, slack)
+        return dolbeault_row(model, p, q, D, slack, grid=grid)
     if variant == "k":
         if k is None:
             raise ValueError("variant 'k' needs the integer k")
-        return dolbeault_row(model, p, q, D, slack, k)
-    if variant == "bc":
-        return bott_chern_row(model, p, q, D)
-    if variant == "aeppli":
-        return aeppli_row(model, p, q, D)
-    if variant == "canonical":
-        return canonical_map_row(model, p, q, D)
-    raise ValueError(f"unknown variant {variant!r}")
+        return dolbeault_row(model, p, q, D, slack, k, grid=grid)
+    row = {"bc": bott_chern_row, "aeppli": aeppli_row, "canonical": canonical_map_row}.get(variant)
+    if row is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    return row(model, p, q, D, grid=grid)
 
 
 def cohomology_grid(
@@ -421,9 +459,12 @@ def cohomology_grid(
 
     A row is flagged stable when its value does not change from budget D to
     D + 1; instability is a diagnostic, not an error.  Each (p, q, D) is
-    computed once: the D + 1 probe of one row is the next row.
+    computed once: the D + 1 probe of one row is the next row.  The rows
+    share one _Grid: the image matrix of row (p, q, D) is the differential
+    of row (p, q - 1, D - gap), and no matrix is assembled or ranked twice.
     """
     key = "rank" if variant == "canonical" else "dim"
+    grid = _Grid(model)
     rows = []
     for p in p_range:
         for q in q_range:
@@ -431,7 +472,7 @@ def cohomology_grid(
             for D in d_range:
                 for b in (D, D + 1):
                     if b not in by_budget:
-                        by_budget[b] = variant_row(model, variant, p, q, b, slack, k)
+                        by_budget[b] = variant_row(model, variant, p, q, b, slack, k, grid=grid)
                 row = by_budget[D]
                 row["stable"] = row[key] == by_budget[D + 1][key]
                 rows.append(row)
@@ -484,13 +525,10 @@ def pairing_check(
 
     rng = random.Random(seed)
     D = model.budget
-    gap = twist_gap(model.f)
-    stacked = vstack(
-        operator_matrix("partial_f", model, p, q, D, D + gap),
-        operator_matrix("dbar_f", model, p, q, D, D + gap),
-    )
+    grid = _Grid(model)
+    stacked = vstack(*(grid.matrix(tag, p, q, D, D + grid.gap) for tag in ("partial_f", "dbar_f")))
     closed_kernel = kernel_basis(stacked)
-    dd_kernel = kernel_basis(_composed_matrix(model, r, s, D, D + gap, D + 2 * gap))
+    dd_kernel = kernel_basis(grid.matrix("composed", r, s, D, D + 2 * grid.gap))
     results = {
         name: {"cases": 0, "violations": 0, "first_counterexample": None}
         for name in ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")

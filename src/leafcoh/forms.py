@@ -178,9 +178,6 @@ class FoliatedForm:
     def with_budget(self, budget: int) -> "FoliatedForm":
         return FoliatedForm(self.model, self.p, self.q, self.coeffs, budget)
 
-    def bumped(self, extra: int) -> "FoliatedForm":
-        return self.with_budget(self.budget + extra)
-
     def truncated(self, out_budget: int) -> "FoliatedForm":
         coeffs = {k: s.truncated(out_budget) for k, s in self.coeffs.items()}
         return FoliatedForm(self.model, self.p, self.q, coeffs, out_budget)

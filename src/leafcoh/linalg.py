@@ -3,7 +3,9 @@
 Everything reduces to one deterministic Gauss-Jordan elimination: columns are
 scanned in ascending order and, among the not-yet-pivoted rows, the lowest
 row index supplies the pivot.  A column index keeps, for each column, the
-rows holding an entry in it, so a pivot step touches only those rows.
+rows holding an entry in it, so a pivot step touches only those rows.  Its
+forward mode, which ``rank`` uses, stops at echelon form: it eliminates only
+the rows below each pivot and records nothing.
 Scalars are Gaussian rationals in canonical form (algebra.GaussianRational:
 integers over one gcd-reduced denominator), so results are exact and
 reproducible across platforms; there is no floating point anywhere.
@@ -184,7 +186,9 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jordan(rows: list, ncols: int, steps: list | None = None) -> list:
+def _gauss_jordan(
+    rows: list, ncols: int, steps: list | None = None, forward: bool = False
+) -> list:
     """In-place reduced echelon form on sparse row dicts.
 
     Returns the pivot columns in order; after the call row i holds pivot i
@@ -192,6 +196,11 @@ def _gauss_jordan(rows: list, ncols: int, steps: list | None = None) -> list:
     column, then the lowest remaining row.  With ``steps`` given, one
     (swapped-in row, pivot inverse, [(row, multiplier), ...]) entry per pivot
     is appended to it, enough to replay the elimination on a vector.
+
+    With ``forward`` set the elimination stops at echelon form: a pivot row
+    leaves the column index once its step is done, so each step eliminates
+    only the rows below it and the entries above the pivots stay.  The
+    pivots are the same, since clearing above a pivot moves no later pivot.
 
     ``where`` maps each column to the positions of the rows holding an entry
     in it, kept up to date through swaps, fill-in and cancellation in the
@@ -249,6 +258,9 @@ def _gauss_jordan(rows: list, ncols: int, steps: list | None = None) -> list:
                         where[k].discard(i)
         if steps is not None:
             steps.append((sel, inv, eliminated))
+        if forward:
+            for k in piv:
+                where[k].discard(r)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -256,15 +268,15 @@ def _gauss_jordan(rows: list, ncols: int, steps: list | None = None) -> list:
     return pivots
 
 
-def _echelon(M: Matrix, steps: list | None = None) -> tuple:
-    """M's rows in reduced echelon form and its pivot columns (_gauss_jordan).
+def _echelon(M: Matrix, steps: list | None = None, forward: bool = False) -> tuple:
+    """M's rows in (reduced, unless ``forward``) echelon form and its pivot columns.
 
     A matrix without entries is reduced already and is not scanned.
     """
     rows = M.row_dicts()
     if not M.entries:
         return rows, []
-    return rows, _gauss_jordan(rows, M.cols, steps)
+    return rows, _gauss_jordan(rows, M.cols, steps, forward)
 
 
 class Factorization:
@@ -315,7 +327,8 @@ class Factorization:
 
 
 def rank(M: Matrix) -> int:
-    return len(_echelon(M)[1])
+    """The pivot count of M's forward elimination to echelon form."""
+    return len(_echelon(M, forward=True)[1])
 
 
 class Subspace:
@@ -344,15 +357,6 @@ class Subspace:
         sub.ambient_dim = ambient_dim
         sub.basis = basis
         return sub
-
-    @classmethod
-    def from_span(cls, vectors, ambient_dim: int) -> "Subspace":
-        """Deterministic independent basis of a span (pivot columns kept)."""
-        vectors = [tuple(v) for v in vectors]
-        if not vectors:
-            return cls._independent(ambient_dim, [])
-        keep = _echelon(Matrix.from_columns(vectors, ambient_dim))[1]
-        return cls._independent(ambient_dim, [vectors[j] for j in keep])
 
     @property
     def dim(self) -> int:
@@ -398,20 +402,17 @@ def solve(M: Matrix, b) -> tuple | None:
     return Factorization(M).solve(b)
 
 
-def column_space(M: Matrix) -> Subspace:
-    """Basis of the column space: the original pivot columns."""
-    keep = _echelon(M)[1]
-    return Subspace._independent(M.rows, M.columns(keep))
-
-
 class Quotient:
     """ker(d) / image: a cohomology group with class representatives.
 
-    ``image`` is a Subspace of the source of d, or None for zero.  The
-    inclusion image <= ker(d) is proved by the exact product d * image == 0;
-    kernel_basis spans ker(d), so this is as strong as a rank test on the
-    combined basis.  A failure means the complex is broken (d*d != 0 or
-    budgets misconfigured) and raises LinearAlgebraError.
+    It serves the long exact sequences (leafcoh.sequences), which need
+    representatives and class coordinates; the cohomology grids count
+    dimensions from ranks instead.  ``image`` is a Subspace of the source of
+    d, or None for zero.  The inclusion image <= ker(d) is proved by the
+    exact product d * image == 0; kernel_basis spans ker(d), so this is as
+    strong as a rank test on the combined basis.  A failure means the complex
+    is broken (d*d != 0 or budgets misconfigured) and raises
+    LinearAlgebraError.
 
     Representatives are chosen only when asked for: the kernel pivot columns
     of [image | kernel], in order.  That one elimination also serves every
@@ -433,8 +434,8 @@ class Quotient:
         """im(d), read off the elimination that found the kernel.
 
         kernel_basis gives one vector per free column of d, with its last
-        nonzero entry there; the other columns are the pivots, whose columns
-        of d are the basis column_space(d) would give.
+        nonzero entry there; the other columns are the pivots, and d's
+        pivot columns are a basis of its column space.
         """
         free = set()
         for vec in self.kernel.basis:
@@ -471,34 +472,3 @@ class Quotient:
         if x is None:
             raise ValueError("vector is not a cycle of the complex")
         return tuple(x[j] for j in self._span.pivots[self.image.dim :])
-
-
-def span_restricted_to(vectors, keep: list, ambient_dim: int) -> Subspace:
-    """Vectors of span(vectors) supported on the coordinates in ``keep``.
-
-    Returns the subspace in the restricted coordinate order keep[0], keep[1],
-    ...; used to intersect an image with a smaller budget block.
-    """
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return Subspace(len(keep), [])
-    keep_set = set(keep)
-    outside = [i for i in range(ambient_dim) if i not in keep_set]
-    M = Matrix.from_columns(vectors, ambient_dim)
-    restricted_rows = Matrix(
-        len(outside),
-        len(vectors),
-        {
-            (ri, j): M.entries[(i, j)]
-            for ri, i in enumerate(outside)
-            for j in range(len(vectors))
-            if (i, j) in M.entries
-        },
-    )
-    combos = kernel_basis(restricted_rows)
-    candidates = []
-    for c in combos.basis:
-        full = M.matvec(c)
-        candidates.append(tuple(full[i] for i in keep))
-    # input vectors may be dependent, so reduce the candidates to a basis
-    return Subspace.from_span(candidates, len(keep))

@@ -77,19 +77,11 @@ class CochainComplex:
         self.dims = dims
         self.diffs = diffs
 
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
     def differential(self, q: int) -> Matrix:
         """d_q, with the zero map past the top grade."""
         if q < len(self.diffs):
             return self.diffs[q]
         return Matrix.zero(0, self.dims[q] if q < len(self.dims) else 0)
-
-    @classmethod
-    def zero(cls, grades: int):
-        return cls((0,) * grades, tuple(Matrix.zero(0, 0) for _ in range(grades - 1)))
 
 
 def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -422,6 +423,18 @@ def test_broken_complex_exits_internal(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
 
 
+@pytest.mark.parametrize("variant, knobs", [("dolbeault", {"slack": 1}), ("k", {"slack": 2, "k": 1})])
+def test_broken_complex_with_slack_exits_internal(tmp_path, capsys, monkeypatch, variant, knobs):
+    # with slack the image is cut down to the budget-D block before the check
+    _patch_operator_matrix(monkeypatch, _bump_first_entry("dbar_f" if variant == "dolbeault" else "dbar_f_k"))
+    data = {"model": {"m": 2, "n": 0, "budget": 1, "f": "1 + z1"}, "grid": {"p": 0, "q": 1, "D": 1}}
+    scene = write_scene(tmp_path, "s.json", dict(data, **knobs))
+    assert run(["cohomology", "--scene", scene, "--variant", variant]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+
+
 def test_snake_fault_exits_internal(capsys, monkeypatch):
     # a zero project component, with validation skipped, makes the zig-zag
     # lift fail after the sequence was accepted: an engine fault, not an input
@@ -484,11 +497,7 @@ def test_unknown_scene_key_exits_two(tmp_path, capsys):
 
 
 def test_shipped_and_benchmark_scenes_load(monkeypatch):
-    perfbench = SCENES.parent / "perfbench"
-    monkeypatch.syspath_prepend(str(perfbench))
-    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench_module(monkeypatch)
     scenes = [json.loads(path.read_text()) for path in sorted(SCENES.glob("*.json"))]
     scenes += [dict(scene, seed=1) for scene in bench.SCENES.values()]
     assert len(scenes) == 11
@@ -553,3 +562,86 @@ def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, entry, message",
+    [
+        (["cohomology"], {"slack": -1}, "'slack' must be a nonnegative integer, got -1"),
+        (["cohomology"], {"grid": {"D": -1}}, "grid axis 'D' must be nonnegative, got -1"),
+        (["cohomology"], {"grid": {"D": [-1, 2]}}, "grid axis 'D' must be nonnegative, got [-1, 2]"),
+        (["sequence", "--kind", "relative"], {"grid": {"p": 0, "D": -1}}, "grid axis 'D' must be nonnegative, got -1"),
+        (["solve", "--slack", "-5"], {}, "'--slack' must be a nonnegative integer, got -5"),
+        (["solve"], {"slack": -2}, "'slack' must be a nonnegative integer, got -2"),
+    ],
+    ids=["scene_slack", "grid_D", "grid_D_range", "sequence_D", "solve_flag_slack", "solve_scene_slack"],
+)
+def test_negative_budget_input_exits_two(tmp_path, capsys, command, entry, message):
+    # a negative slack or budget is an input error, never an empty finding
+    data = {
+        "model": {"m": 1, "n": 0, "budget": 2, "f": "1"},
+        "morphism": {"z_components": ["z1^2"], "x_components": []},
+        "target": {"op": "dbar", "form": {"p": 0, "q": 1, "budget": 1, "terms": [{"A": [], "B": [1], "coeff": "z1"}]}},
+    }
+    data.update(entry)
+    assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_grid_memo_does_not_outlive_a_call(tmp_path, capsys, monkeypatch):
+    # a corrupted matrix memoized by one grid must not reach the next grid
+    import quotient_rows
+
+    data = {"model": {"m": 2, "n": 0, "budget": 2, "f": "1 + z1*zb2"}, "grid": {"p": [0, 2], "q": [0, 2], "D": [1, 2]}}
+    scene = write_scene(tmp_path, "s.json", data)
+    _patch_operator_matrix(monkeypatch, _bump_first_entry("dbar_f"))
+    assert run(["cohomology", "--scene", scene]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: image is not contained in the kernel: broken complex\n"
+    monkeypatch.undo()
+    assert run(["cohomology", "--scene", scene]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    model = cli.Scene(data).model
+    for row in rows:
+        want = quotient_rows.dolbeault_row(model, row["p"], row["q"], row["D"])
+        assert {key: row[key] for key in want} == want
+
+
+def _bench_module(monkeypatch):
+    perfbench = SCENES.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_benchmark_cohomology_reports_match_recorded_digests(tmp_path, monkeypatch):
+    # the benchmark's grid jobs, run in process on the benchmark's own scenes,
+    # write the reports whose SHA-256 perfbench/expected.json records
+    bench = _bench_module(monkeypatch)
+    expected = json.loads((SCENES.parent / "perfbench" / "expected.json").read_text())
+    scenes = bench.write_scenes(tmp_path, expected["seed"])
+    jobs = [
+        (f"{workload}/{name}", scene, args)
+        for workload, entries in bench.WORKLOADS.items()
+        for name, scene, args in entries
+        if args[0] == "cohomology"
+    ]
+    assert len(jobs) == 4
+    for job, scene, args in jobs:
+        out = tmp_path / "report.out"
+        code = run(args + ["--scene", str(scenes[scene]), "--out", str(out)])
+        want = expected["jobs"][job]
+        assert code == want["exit"], job
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"], job
+
+
+@pytest.mark.parametrize("name", ["dolbeault_m3_D5", "dolbeault_dense_m2_D5"])
+def test_large_grid_reports_match_golden(tmp_path, capsys, name):
+    # rows at the m=3 and dense-twist scale, recorded from the quotient-basis engine
+    golden = json.loads((SCENES.parent / "tests" / "golden" / f"{name}.json").read_text())
+    scene = write_scene(tmp_path, "s.json", golden["scene"])
+    assert run(golden["argv"] + ["--scene", scene]) == golden["exit"]
+    assert capsys.readouterr().out == json.dumps(golden["report"], sort_keys=True, indent=2) + "\n"

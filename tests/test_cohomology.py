@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -25,11 +26,16 @@ from leafcoh.cohomology import (
     solve_primitive_tilde,
     space_basis,
     space_dim,
+    variant_row,
     vectorize,
 )
+from leafcoh import cohomology, linalg
+from leafcoh.algebra import GaussianRational
 from leafcoh.linalg import Matrix, kernel_basis
+from leafcoh.operators import twist_gap
 from leafcoh.sampling import random_bidegree, random_form, random_series
 
+import quotient_rows
 from oracle import (
     oracle_aeppli,
     oracle_basis,
@@ -492,6 +498,141 @@ def test_grid_is_deterministic():
     a = cohomology_grid(model, "bc", [0, 1], [0, 1], [1, 2])
     b = cohomology_grid(model, "bc", [0, 1], [0, 1], [1, 2])
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Rank-only rows against the quotient-basis reference
+# ---------------------------------------------------------------------------
+
+VARIANT_NAMES = ("dolbeault", "k", "bc", "aeppli", "canonical")
+TWIST_KINDS = ("untwisted", "sparse", "dense")
+
+
+def _twist_text(rng, kind, m, n):
+    variables = [f"z{i}" for i in range(1, m + 1)] + [f"zb{i}" for i in range(1, m + 1)]
+    variables += [f"x{j}" for j in range(1, n + 1)]
+    coeff = lambda: rng.choice(["1", "2", "1/2", "i", "(1+2i)", "3"])
+    if kind == "untwisted":
+        return "1"
+    if kind == "sparse":
+        # a unit plus one or two monomials, some of degree two (gap 1)
+        terms = ["1"]
+        for _ in range(rng.randint(1, 2)):
+            mono = "*".join(rng.sample(variables, rng.randint(1, min(2, len(variables)))))
+            terms.append(f"{coeff()}*{mono}")
+        return " - ".join(terms) if rng.random() < 0.5 else " + ".join(terms)
+    # dense: every variable, so dbar_f does not split into blocks
+    terms = ["1"] + [f"{coeff()}*{v}" for v in variables]
+    if rng.random() < 0.5:
+        terms.append(f"{coeff()}*{variables[0]}*{variables[-1]}")
+    return " + ".join(terms)
+
+
+def _reference_grid(model, variant, ps, qs, ds, slack, k):
+    key = "rank" if variant == "canonical" else "dim"
+    rows = []
+    for p in ps:
+        for q in qs:
+            for D in ds:
+                row = quotient_rows.variant_row(model, variant, p, q, D, slack, k)
+                probe = quotient_rows.variant_row(model, variant, p, q, D + 1, slack, k)
+                row["stable"] = row[key] == probe[key]
+                rows.append(row)
+    return rows
+
+
+def _differential_case(seed):
+    """A seeded scene: twist kind, variant, slack and m, n cycle through every combination."""
+    rng = random.Random(9100 + seed)
+    kind = TWIST_KINDS[seed % 3]
+    variant = VARIANT_NAMES[seed % 5]
+    if seed >= 30:  # a few small m=3 grids
+        m, n, top = 3, 0, 1
+    else:
+        m, n = 1 + (seed // 3) % 2, (seed // 6) % 2
+        top = 3 if m + n == 1 else 2
+    slack = (seed // 5) % 3 if variant in ("dolbeault", "k") else 0
+    k = rng.randint(-1, 2) if variant == "k" else None
+    f = parse_series(_twist_text(rng, kind, m, n), m, n, 2)
+    return FoliationModel(m, n, top, f.with_budget(f.degree)), variant, slack, k, top
+
+
+@pytest.mark.parametrize("seed", range(33))
+def test_rank_only_rows_match_quotient_reference(seed):
+    model, variant, slack, k, top = _differential_case(seed)
+    ps = qs = list(range(model.m + 1))
+    ds = list(range(top + 1))
+    want = _reference_grid(model, variant, ps, qs, ds, slack, k)
+    assert cohomology_grid(model, variant, ps, qs, ds, slack, k) == want
+    # a row on its own (a grid of one) is the same row
+    p, q, D = model.m // 2, (model.m + 1) // 2, top
+    one = variant_row(model, variant, p, q, D, slack, k)
+    assert one == quotient_rows.variant_row(model, variant, p, q, D, slack, k)
+
+
+def test_differential_cases_cover_every_combination():
+    cases = [_differential_case(seed) for seed in range(33)]
+    assert {variant for _, variant, *_ in cases} == set(VARIANT_NAMES)
+    assert {slack for _, variant, slack, *_ in cases if variant == "dolbeault"} == {0, 1, 2}
+    assert {slack for _, variant, slack, *_ in cases if variant == "k"} == {0, 1, 2}
+    assert {(model.m, model.n) for model, *_ in cases} == {(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)}
+    assert {twist_gap(model.f) for model, *_ in cases} == {0, 1}
+
+
+def test_span_restricted_to():
+    # span of (1,0,1) and (0,1,0); vectors supported on coords {0,1}
+    G = GaussianRational
+    vectors = [(G(1), G(0), G(1)), (G(0), G(1), G(0))]
+    restricted = quotient_rows.span_restricted_to(vectors, [0, 1], 3)
+    assert restricted.dim == 1
+    assert restricted.basis[0] == (G(0), G(1))
+    # dependent inputs are tolerated
+    restricted2 = quotient_rows.span_restricted_to(vectors + [(G(0), G(2), G(0))], [0, 1], 3)
+    assert restricted2.dim == 1
+
+
+def test_grid_eliminates_no_matrix_twice(monkeypatch):
+    # the sparse_twist benchmark's canonical grid: the row at D and its D+1
+    # probe, and neighbouring rows, share matrices and ranks through one memo
+    seen = Counter()
+    real = linalg._gauss_jordan
+
+    def counting(rows, ncols, *args, **kwargs):
+        seen[(ncols, tuple(tuple(sorted(row.items())) for row in rows))] += 1
+        return real(rows, ncols, *args, **kwargs)
+
+    assembled = Counter()
+    real_matrix = cohomology.operator_matrix
+
+    def counting_matrix(*args):
+        assembled[args[:1] + args[2:]] += 1
+        return real_matrix(*args)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    monkeypatch.setattr(cohomology, "operator_matrix", counting_matrix)
+    model = FoliationModel(2, 0, 3, parse_series("1+z1*zb2", 2, 0, 2))
+    for variant in ("canonical", "dolbeault"):
+        seen.clear()
+        assembled.clear()
+        cohomology_grid(model, variant, [0, 1, 2], [0, 1, 2], [2, 3])
+        assert seen and max(seen.values()) == 1, variant
+        assert max(assembled.values()) == 1, variant
+
+
+def test_canonical_map_checks_well_definedness(monkeypatch):
+    # a Bott-Chern image that is closed but leaves the Dolbeault image: at
+    # top degree (1,1) of m=1 every form is closed, and the budget-2
+    # monomials are not dbar-exact from budget 2
+    model = untwisted(1, 0, 2)
+    basis = space_basis(model, 1, 1, 2)
+    top = next(j for j, (_, _, e) in enumerate(basis) if sum(map(sum, e)) == 2)
+
+    def escaping(grid, p, q, in_budget):
+        return Matrix(len(basis), space_dim(model, p, q, in_budget), {(top, 0): 1})
+
+    monkeypatch.setattr(cohomology, "_composed_matrix", escaping)
+    with pytest.raises(AssertionError, match="canonical map ill-defined"):
+        canonical_map_row(model, 1, 1, 2)
 
 
 # ---------------------------------------------------------------------------

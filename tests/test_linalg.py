@@ -11,14 +11,14 @@ from leafcoh.linalg import (
     Matrix,
     Quotient,
     Subspace,
-    column_space,
     hstack,
     kernel_basis,
     rank,
     solve,
-    span_restricted_to,
     vstack,
 )
+
+from quotient_rows import column_space, from_span
 
 
 def G(x, y=0):
@@ -265,6 +265,46 @@ def test_gauss_jordan_matches_row_scanning_reference(seed):
     assert unstepped == want_rows
 
 
+def test_forward_elimination_stops_at_echelon_form():
+    # [[1, 1], [1, 2]]: the second pivot is found, but nothing is cleared above it
+    rows = Matrix.from_rows_list([[1, 1], [1, 2]]).row_dicts()
+    assert linalg._gauss_jordan(rows, 2, forward=True) == [0, 1]
+    assert rows == [{0: G(1), 1: G(1)}, {1: G(1)}]
+    reduced = Matrix.from_rows_list([[1, 1], [1, 2]]).row_dicts()
+    assert linalg._gauss_jordan(reduced, 2) == [0, 1]
+    assert reduced == [{0: G(1)}, {1: G(1)}]
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_forward_rank_matches_row_scanning_reference(seed, monkeypatch):
+    # the same inputs: forward mode finds the reference's pivots and leaves
+    # an echelon form, and rank is the pivot count, through _gauss_jordan
+    rng = random.Random(4200 + seed)
+    rows, ncols = _elimination_input(rng, ELIMINATION_SHAPES[seed % len(ELIMINATION_SHAPES)])
+    want = _scanning_gauss_jordan([dict(row) for row in rows], ncols)
+    echelon = [dict(row) for row in rows]
+    assert linalg._gauss_jordan(echelon, ncols, forward=True) == want
+    for i, row in enumerate(echelon):
+        lead = min((c for c in row if c < ncols), default=None)
+        assert lead == (want[i] if i < len(want) else None)
+        if lead is not None:
+            assert row[lead] == G(1)
+    M = Matrix(
+        len(rows), ncols, {(i, c): v for i, row in enumerate(rows) for c, v in row.items() if c < ncols}
+    )
+    calls = []
+    real = linalg._gauss_jordan
+
+    def counting(rows, ncols, steps=None, forward=False):
+        calls.append((steps, forward))
+        return real(rows, ncols, steps, forward)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    assert rank(M) == len(want)
+    # one forward elimination that records no steps; an entry-less matrix needs none
+    assert calls == ([(None, True)] if M.entries else [])
+
+
 def test_class_coords_eliminate_once(monkeypatch):
     rng = random.Random(31)
     d = Matrix(2, 6, {(0, j): _gaussian_rational(rng) for j in range(6)})
@@ -325,16 +365,16 @@ def test_quotient_top_grade_uses_standard_basis():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_internal_bases_are_independent(seed):
-    # kernel_basis, column_space and from_span skip the constructor's re-rank,
-    # so their independence is checked here instead
+    # kernel_basis and the reference column_space and from_span skip the
+    # constructor's re-rank, so their independence is checked here instead
     rng = random.Random(700 + seed)
     M = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), density=rng.random())
     vectors = M.columns() + M.columns(range(min(2, M.cols)))
-    for sub in (kernel_basis(M), column_space(M), Subspace.from_span(vectors, M.rows)):
+    for sub in (kernel_basis(M), column_space(M), from_span(vectors, M.rows)):
         if sub.basis:
             assert rank(Matrix.from_columns(sub.basis, sub.ambient_dim)) == sub.dim
         assert all(len(v) == sub.ambient_dim for v in sub.basis)
-    assert column_space(M).dim == rank(M) == Subspace.from_span(vectors, M.rows).dim
+    assert column_space(M).dim == rank(M) == from_span(vectors, M.rows).dim
     # the image a Quotient reads off its kernel elimination is column_space's
     assert Quotient(M).d_image.basis == column_space(M).basis
 
@@ -342,7 +382,7 @@ def test_internal_bases_are_independent(seed):
 def test_subspace_independence_check():
     with pytest.raises(LinearAlgebraError, match="independent"):
         Subspace(2, [(G(1), G(2)), (G(2), G(4))])
-    sp = Subspace.from_span([(G(1), G(2)), (G(2), G(4)), (G(0), G(1))], 2)
+    sp = from_span([(G(1), G(2)), (G(2), G(4)), (G(0), G(1))], 2)
     assert sp.dim == 2
 
 
@@ -376,17 +416,6 @@ def test_deterministic_outputs():
     assert kernel_basis(M).basis == kernel_basis(M).basis
     b = tuple(G(1) for _ in range(5))
     assert solve(M, b) == solve(M, b)
-
-
-def test_span_restricted_to():
-    # span of (1,0,1) and (0,1,0); vectors supported on coords {0,1}
-    vectors = [(G(1), G(0), G(1)), (G(0), G(1), G(0))]
-    restricted = span_restricted_to(vectors, [0, 1], 3)
-    assert restricted.dim == 1
-    assert restricted.basis[0] == (G(0), G(1))
-    # dependent inputs are tolerated
-    restricted2 = span_restricted_to(vectors + [(G(0), G(2), G(0))], [0, 1], 3)
-    assert restricted2.dim == 1
 
 
 def test_gaussian_entries():
