@@ -11,12 +11,22 @@ transverse variables x_1..x_n, together with a total-degree *budget*: the
 maximal degree a Series is allowed to store.  The budget is bookkeeping, not
 part of equality; two Series are equal iff their term maps agree.  Truncation
 only ever happens where an operation takes an explicit ``out_budget``.
+
+Validation happens at the boundary: the public ``Series`` constructor, the
+parser and the classmethod constructors check every term (exponent shape,
+coefficient type, nonzero, degree within the budget).  Arithmetic results
+are built by ``_raw_series`` without that check, because each operation
+produces clean terms from clean operands.  Values are immutable by
+convention, and that convention is load-bearing: a term map mutated after
+construction would carry its unchecked state into every result built from
+it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterator
 
 
@@ -250,11 +260,16 @@ class SeriesError(ValueError):
     pass
 
 
+_SLOTS = {"z": 0, "zb": 1, "x": 2}  # the exponent block of each variable kind
+
+
 class Series:
     """A sparse polynomial over the Gaussian rationals with a degree budget.
 
     ``terms`` maps exponent triples (alpha, beta, gamma) to nonzero
     coefficients; alpha/beta index z/zb powers, gamma indexes x powers.
+    The constructor validates every term; operation results skip that check
+    (see ``_raw_series``).
     """
 
     __slots__ = ("m", "n", "budget", "terms")
@@ -338,9 +353,14 @@ class Series:
         return bool(self.constant_term)
 
     def with_budget(self, budget: int) -> "Series":
-        """Same series under a new budget cap; terms must already fit."""
+        """Same series under a new budget cap; terms must already fit.
+
+        Only a lower cap can be broken, so only a lower cap re-checks the terms.
+        """
         if budget == self.budget:
             return self
+        if budget > self.budget:
+            return _raw_series(self.m, self.n, budget, self.terms)
         return Series(self.m, self.n, budget, self.terms)
 
     def _same_space(self, other: "Series"):
@@ -360,12 +380,10 @@ class Series:
                 terms[key] = acc
             else:
                 terms.pop(key, None)
-        return Series(self.m, self.n, max(self.budget, other.budget), terms)
+        return _raw_series(self.m, self.n, max(self.budget, other.budget), terms)
 
     def __neg__(self):
-        return Series(
-            self.m, self.n, self.budget, {k: -c for k, c in self.terms.items()}
-        )
+        return _raw_series(self.m, self.n, self.budget, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -375,10 +393,8 @@ class Series:
         if c is None:
             raise SeriesError("scale expects a scalar")
         if not c:
-            return Series(self.m, self.n, self.budget)
-        return Series(
-            self.m, self.n, self.budget, {k: v * c for k, v in self.terms.items()}
-        )
+            return _raw_series(self.m, self.n, self.budget, {})
+        return _raw_series(self.m, self.n, self.budget, {k: v * c for k, v in self.terms.items()})
 
     def mul(self, other: "Series", out_budget: int | None = None) -> "Series":
         """Product, discarding terms of total degree > out_budget.
@@ -389,23 +405,22 @@ class Series:
         self._same_space(other)
         if out_budget is None:
             out_budget = self.budget + other.budget
+        elif out_budget < 0:
+            raise SeriesError("m, n and budget must be nonnegative")
+        right = [(key, expo_degree(key), c) for key, c in other.terms.items()]
         acc: dict = {}
         for (a1, b1, g1), c1 in self.terms.items():
-            d1 = sum(a1) + sum(b1) + sum(g1)
-            for (a2, b2, g2), c2 in other.terms.items():
-                if d1 + sum(a2) + sum(b2) + sum(g2) > out_budget:
+            room = out_budget - sum(a1) - sum(b1) - sum(g1)
+            for (a2, b2, g2), d2, c2 in right:
+                if d2 > room:
                     continue
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                    tuple(x + y for x, y in zip(g1, g2)),
-                )
+                key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), tuple(map(add, g1, g2)))
                 v = acc.get(key, ZERO) + c1 * c2
                 if v:
                     acc[key] = v
                 else:
                     acc.pop(key, None)
-        return Series(self.m, self.n, out_budget, acc)
+        return _raw_series(self.m, self.n, out_budget, acc)
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -431,12 +446,12 @@ class Series:
 
     def deriv(self, kind: str, index: int) -> "Series":
         """Formal partial derivative; keeps the input budget."""
-        limit = {"z": self.m, "zb": self.m, "x": self.n}.get(kind)
-        if limit is None:
+        slot = _SLOTS.get(kind)
+        if slot is None:
             raise SeriesError(f"unknown variable kind {kind!r}")
+        limit = self.n if slot == 2 else self.m
         if not 1 <= index <= limit:
             raise SeriesError(f"variable {kind}{index} out of range (max {limit})")
-        slot = {"z": 0, "zb": 1, "x": 2}[kind]
         i = index - 1
         terms = {}
         for key, coeff in self.terms.items():
@@ -448,11 +463,11 @@ class Series:
             new = list(key)
             new[slot] = tuple(vec)
             terms[tuple(new)] = coeff * e
-        return Series(self.m, self.n, self.budget, terms)
+        return _raw_series(self.m, self.n, self.budget, terms)
 
     def conj(self) -> "Series":
         """Formal conjugation: swap z/zb exponents, conjugate coefficients."""
-        return Series(
+        return _raw_series(
             self.m,
             self.n,
             self.budget,
@@ -484,7 +499,9 @@ class Series:
 
     def truncated(self, out_budget: int) -> "Series":
         """Drop all terms of total degree > out_budget."""
-        return Series(
+        if out_budget < 0:
+            raise SeriesError("m, n and budget must be nonnegative")
+        return _raw_series(
             self.m,
             self.n,
             out_budget,
@@ -513,6 +530,22 @@ class Series:
     @classmethod
     def parse(cls, text: str, m: int, n: int, budget: int) -> "Series":
         return parse_series(text, m, n, budget)
+
+
+def _raw_series(m: int, n: int, budget: int, terms: dict) -> Series:
+    """A Series over terms that are clean already, taken without a copy.
+
+    The caller guarantees what the constructor would check: keys are exponent
+    triples of tuples matching (m, n) of degree <= budget, values are nonzero
+    GaussianRationals, and budget >= 0.  Operation results qualify, since each
+    builds its terms from validated operands.
+    """
+    s = _new(Series)
+    s.m = m
+    s.n = n
+    s.budget = budget
+    s.terms = terms
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,20 @@ class _Tally:
         }
         self.order = list(names)
 
-    def record(self, name, ok, case, detail=""):
+    def record(self, name, ok, case, detail="", *args):
+        """Count one case of identity ``name``; ``ok`` says whether it held.
+
+        The counterexample detail is ``detail.format(*args)``, built only for
+        the first violation: formatting the forms and twists of every passing
+        case would cost more than many identities do.  "{}" formats an
+        argument exactly as str() and an f-string do.
+        """
         e = self.entries[name]
         e["cases"] += 1
         if not ok:
             e["violations"] += 1
             if e["first_counterexample"] is None:
-                e["first_counterexample"] = {"case": case, "detail": detail}
+                e["first_counterexample"] = {"case": case, "detail": detail.format(*args)}
 
     def skip(self, name, reason):
         self.entries[name]["skipped"] = reason
@@ -110,45 +117,36 @@ def suite_operators(model: FoliationModel, seed: int, trials: int, g: Series | N
         f, g = _case_twists(rng, model, case, g_fixed)
         k = rng.randint(-2, 2)
 
-        t.record("dbar_square", dbar(dbar(phi)).is_zero, case, str(phi))
-        t.record("partial_square", partial(partial(phi)).is_zero, case, str(phi))
-        t.record(
-            "anticommute",
-            (partial(dbar(phi)) + dbar(partial(phi))).is_zero,
-            case,
-            str(phi),
-        )
-        t.record("dbar_f_square", dbar_f(dbar_f(phi, f), f).is_zero, case, f"f={f}")
-        t.record(
-            "partial_f_square", partial_f(partial_f(phi, f), f).is_zero, case, f"f={f}"
-        )
+        t.record("dbar_square", dbar(dbar(phi)).is_zero, case, "{}", phi)
+        t.record("partial_square", partial(partial(phi)).is_zero, case, "{}", phi)
+        t.record("anticommute", (partial(dbar(phi)) + dbar(partial(phi))).is_zero, case, "{}", phi)
+        t.record("dbar_f_square", dbar_f(dbar_f(phi, f), f).is_zero, case, "f={}", f)
+        t.record("partial_f_square", partial_f(partial_f(phi, f), f).is_zero, case, "f={}", f)
         t.record(
             "anticommute_twisted",
             (partial_f(dbar_f(phi, f), f) + dbar_f(partial_f(phi, f), f)).is_zero,
             case,
-            f"f={f}",
+            "f={}",
+            f,
         )
-        t.record(
-            "dbar_f_k_square",
-            dbar_f_k(dbar_f_k(phi, k, f), k, f).is_zero,
-            case,
-            f"f={f}, k={k}",
-        )
+        t.record("dbar_f_k_square", dbar_f_k(dbar_f_k(phi, k, f), k, f).is_zero, case, "f={}, k={}", f, k)
         t.record(
             "twist_additive",
             dbar_f(phi, f + g) == dbar_f(phi, f) + dbar_f(phi, g),
             case,
-            f"f={f}, g={g}",
+            "f={}, g={}",
+            f,
+            g,
         )
-        t.record("twist_zero", dbar_f(phi, zero).is_zero, case, str(phi))
-        t.record("twist_negate", dbar_f(phi, -f) == -dbar_f(phi, f), case, f"f={f}")
+        t.record("twist_zero", dbar_f(phi, zero).is_zero, case, "{}", phi)
+        t.record("twist_negate", dbar_f(phi, -f) == -dbar_f(phi, f), case, "f={}", f)
         product_lhs = dbar_f(phi, f.mul(g))
         product_rhs = (
             dbar_f(phi, g).mul_series(f)
             + dbar_f(phi, f).mul_series(g)
             - dbar(phi).mul_series(f.mul(g))
         )
-        t.record("twist_product", product_lhs == product_rhs, case, f"f={f}, g={g}")
+        t.record("twist_product", product_lhs == product_rhs, case, "f={}, g={}", f, g)
         # the split through 1/f needs f invertible; make the sample a unit
         fu = f if f.is_unit else f + Series.one(model.m, model.n)
         w = phi.budget
@@ -156,12 +154,7 @@ def suite_operators(model: FoliationModel, seed: int, trials: int, g: Series | N
         split = (
             dbar_f(phi, ghat).mul_series(fu) + dbar_f(phi, fu).mul_series(ghat)
         ).scale(_HALF)
-        t.record(
-            "twist_unit_split",
-            split.truncated(w) == dbar(phi).truncated(w),
-            case,
-            f"f={fu}",
-        )
+        t.record("twist_unit_split", split.truncated(w) == dbar(phi).truncated(w), case, "f={}", fu)
         r, s = random_bidegree(rng, model.m)
         psi = random_form(rng, model, r, s)
         sign = -1 if phi.deg % 2 else 1
@@ -170,7 +163,8 @@ def suite_operators(model: FoliationModel, seed: int, trials: int, g: Series | N
             dbar_f(phi.wedge(psi), f)
             == dbar_f(phi, f).wedge(psi) + phi.wedge(dbar_f(psi, f)).scale(sign),
             case,
-            f"f={f}",
+            "f={}",
+            f,
         )
     return t.report("operators", seed, trials)
 
@@ -206,7 +200,8 @@ def suite_leibniz(model: FoliationModel, seed: int, trials: int) -> dict:
             dbar_f(a.wedge(b), f)
             == dbar_f(a, f).wedge(b) + a.wedge(dbar_f(b, f)).scale(sgn),
             case,
-            f"f={f}",
+            "f={}",
+            f,
         )
     return t.report("leibniz", seed, trials)
 
@@ -227,7 +222,7 @@ def suite_rescale(model: FoliationModel, seed: int, trials: int, h: Series | Non
         w = phi.budget
         lhs = rescale_power(dbar_f(phi, f.mul(hh)), hh, out_budget=w)
         rhs = dbar_f(rescale_power(phi, hh, out_budget=w + 1), f).truncated(w)
-        t.record("rescale_conjugates", lhs == rhs, case, f"f={f}, h={hh}")
+        t.record("rescale_conjugates", lhs == rhs, case, "f={}, h={}", f, hh)
     return t.report("rescale", seed, trials)
 
 
@@ -265,12 +260,12 @@ def suite_intertwine(
         pulled_twist = mu.pull_series(fp)
         lhs = dbar_f(pullback(mu, phi), pulled_twist)
         rhs = pullback(mu, dbar_f(phi, fp))
-        t.record("intertwine", lhs == rhs, case, f"mu={mu}, f'={fp}")
+        t.record("intertwine", lhs == rhs, case, "mu={}, f'={}", mu, fp)
 
         psi = random_form(rng, mu.source, p, q - 1)
         c1, c2 = tilde_dbar(phi, psi, mu, fp)
         d1, d2 = tilde_dbar(c1, c2, mu, fp)
-        t.record("tilde_square", d1.is_zero and d2.is_zero, case, f"mu={mu}")
+        t.record("tilde_square", d1.is_zero and d2.is_zero, case, "mu={}", mu)
 
         if pair is not None:
             case_pair = pair
@@ -291,7 +286,7 @@ def suite_intertwine(
         w = pm.substitution_budget(pphi.budget + twist_gap(pfp), pp, pq + 1) + 1
         lhs = pair_pullback(case_pair, dbar_f(pphi, pfp), out_budget=w)
         rhs = dbar_f(pair_pullback(case_pair, pphi, out_budget=w + 1), pm.source.f).truncated(w)
-        t.record("pair_cochain_map", lhs == rhs, case, f"alpha={case_pair.alpha}")
+        t.record("pair_cochain_map", lhs == rhs, case, "alpha={}", case_pair.alpha)
     return t.report("intertwine", seed, trials)
 
 

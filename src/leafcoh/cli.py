@@ -64,6 +64,7 @@ SCENE_KEYS = frozenset(
 _KINDS = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a nonnegative integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+    "a positive integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
     "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
 }
@@ -101,6 +102,8 @@ class Scene:
             if key in data:
                 _typed(data[key], "an integer", key)
         _typed(data.get("slack", 0), "a nonnegative integer", "slack")
+        if "trials" in data:
+            _typed(data["trials"], "a positive integer", "trials")
         for key in ("h", "g", "f_prime"):
             if key in data:
                 _typed(data[key], "a string", key)
@@ -227,7 +230,10 @@ def cmd_check(args) -> int:
     if args.suite not in SUITES:
         raise SceneError(f"unknown suite {args.suite!r} (choose from {SUITES})")
     seed = _need_seed(scene, args)
-    trials = args.trials if args.trials is not None else (scene.trials or 100)
+    if args.trials is not None:
+        trials = _typed(args.trials, "a positive integer", "--trials")
+    else:
+        trials = scene.trials if scene.trials is not None else 100
     morphism = None
     f_prime = None
     pair = None

@@ -19,6 +19,7 @@ approximates the smooth theory: stabilisation is reported, never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .algebra import ONE, GaussianRational, Series
 from .forms import (
@@ -45,6 +46,7 @@ from .linalg import (
     LinearAlgebraError,
     Matrix,
     Subspace,
+    _raw_matrix,
     hstack,
     kernel_basis,
     rank,
@@ -168,7 +170,7 @@ def operator_matrix(
     sgn(a, A), the z_a exponents and dz^(A + a), without (-1)^p.  The weight
     w is p+q for dbar_f/partial_f and p+q-k for dbar_f_k; dbar/partial take
     f = 1.  Distinct (a, t) land on distinct output entries, so every entry
-    is a single product.
+    is a single product, and every entry is nonzero and indexed by the bases.
     """
     if tag not in _OPS:
         raise ValueError(f"unknown operator tag {tag!r}")
@@ -192,23 +194,30 @@ def operator_matrix(
     in_basis = _basis_cached(m, n, p, q, in_budget)
     out_idx = _basis_index(m, n, p + dp, q + dq, out_budget)
     entries = {}
+    pair, merges = None, []
     for j, (A, B, e) in enumerate(in_basis):
-        for i in range(m):
-            s, merged = insert_index(i + 1, B if dq else A)
-            if not s:
-                continue
+        if (A, B) != pair:  # the basis runs through each (A, B) in one stretch
+            pair, merges = (A, B), []
+            for i in range(m):
+                s, merged = insert_index(i + 1, B if dq else A)
+                if s:
+                    merges.append((i, s, merged))
+        if not merges:
+            continue
+        shifted = [([tuple(map(add, u, v)) for u, v in zip(e, t)], t[slot], ft) for t, ft in f_terms]
+        for i, s, merged in merges:
             ei = e[slot][i]
-            for t, ft in f_terms:
-                c = ei - weight * t[slot][i]
+            for expo, t_slot, ft in shifted:
+                c = ei - weight * t_slot[i]
                 if not c:
                     continue
-                expo = [tuple(x + y for x, y in zip(u, v)) for u, v in zip(e, t)]
                 lowered = list(expo[slot])
                 lowered[i] -= 1
-                expo[slot] = tuple(lowered)
-                key = (A, merged, tuple(expo)) if dq else (merged, B, tuple(expo))
+                key_expo = list(expo)
+                key_expo[slot] = tuple(lowered)
+                key = (A, merged, tuple(key_expo)) if dq else (merged, B, tuple(key_expo))
                 entries[(out_idx[key], j)] = ft * (front * s * c)
-    return Matrix(len(out_idx), len(in_basis), entries)
+    return _raw_matrix(len(out_idx), len(in_basis), entries)
 
 
 def _applied_matrix(apply, model: FoliationModel, p, q, in_budget, out_idx: dict) -> Matrix:
@@ -219,7 +228,7 @@ def _applied_matrix(apply, model: FoliationModel, p, q, in_budget, out_idx: dict
         for (A, B), series in apply(basis_form(model, elem, in_budget)).coeffs.items():
             for expo, coeff in series.terms.items():
                 entries[(out_idx[(A, B, expo)], j)] = coeff
-    return Matrix(len(out_idx), len(in_basis), entries)
+    return _raw_matrix(len(out_idx), len(in_basis), entries)
 
 
 def pullback_matrix(
@@ -301,16 +310,18 @@ def _restricted_image_dim(d: Matrix, M: Matrix, keep: list) -> int:
     """dim of the part of im(M) on the rows ``keep`` (d's columns), checked to lie in ker(d).
 
     That part is M[keep] applied to K = ker M[outside]: its dimension is
-    rk M - rk M[outside], and d * M[keep] * K == 0 is the inclusion.
+    rk M - rk M[outside].  It lies in ker(d) iff d * M[keep] vanishes on K,
+    that is iff the rows of d * M[keep] lie in the row space of M[outside]:
+    rk [M[outside]; d * M[keep]] == rk M[outside], with no basis built.
     """
     pos = {r: i for i, r in enumerate(keep)}
     out = {r: i for i, r in enumerate(r for r in range(M.rows) if r not in pos)}
-    block = Matrix(len(pos), M.cols, {(pos[r], c): v for (r, c), v in M.entries.items() if r in pos})
-    rest = Matrix(len(out), M.cols, {(out[r], c): v for (r, c), v in M.entries.items() if r in out})
-    K = kernel_basis(rest).basis
-    if K:
-        _check_inclusion(d.mul(block), Matrix.from_columns(K, M.cols))
-    return rank(M) - rank(rest)
+    block = _raw_matrix(len(pos), M.cols, {(pos[r], c): v for (r, c), v in M.entries.items() if r in pos})
+    rest = _raw_matrix(len(out), M.cols, {(out[r], c): v for (r, c), v in M.entries.items() if r in out})
+    outside = rank(rest)
+    if rank(vstack(rest, d.mul(block))) != outside:
+        raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+    return rank(M) - outside
 
 
 def _bott_chern(grid: _Grid, p: int, q: int, D: int) -> tuple:

@@ -9,6 +9,10 @@ bidegree (p,q) stores, for each pair of strictly increasing index tuples
 
 Only increasing tuples are stored; any other arrangement of generators is
 normalised at the boundary with the sign of the sorting permutation.
+
+The public FoliatedForm constructor validates every (A, B) key and every
+coefficient; results of form arithmetic and of the operators are built by
+``_raw_form``, which trusts both (see the algebra module on immutability).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import GaussianRational, Series, SeriesError, monomials_upto
+from .algebra import ONE, Series, SeriesError, _raw_series, monomials_upto
 
 MultiIndex = tuple  # strictly increasing tuple of 1-based variable indices
 
@@ -112,7 +116,8 @@ class FoliatedForm:
     """A (p,q)-form with Series coefficients on increasing (A, B) pairs.
 
     The form carries an explicit coefficient budget; twisted operators enlarge
-    it, and truncation only happens where an out_budget is requested.
+    it, and truncation only happens where an out_budget is requested.  Every
+    stored coefficient is nonzero and carries the form's budget.
     """
 
     __slots__ = ("model", "p", "q", "budget", "coeffs")
@@ -176,11 +181,11 @@ class FoliatedForm:
         )
 
     def with_budget(self, budget: int) -> "FoliatedForm":
-        return FoliatedForm(self.model, self.p, self.q, self.coeffs, budget)
+        return _raw_form(self.model, self.p, self.q, self.coeffs, budget)
 
     def truncated(self, out_budget: int) -> "FoliatedForm":
         coeffs = {k: s.truncated(out_budget) for k, s in self.coeffs.items()}
-        return FoliatedForm(self.model, self.p, self.q, coeffs, out_budget)
+        return _raw_form(self.model, self.p, self.q, coeffs, out_budget)
 
     # -- linear structure ----------------------------------------------------
 
@@ -204,10 +209,10 @@ class FoliatedForm:
                 coeffs.pop(key, None)
             else:
                 coeffs[key] = acc
-        return FoliatedForm(self.model, self.p, self.q, coeffs, max(self.budget, other.budget))
+        return _raw_form(self.model, self.p, self.q, coeffs, max(self.budget, other.budget))
 
     def __neg__(self):
-        return FoliatedForm(
+        return _raw_form(
             self.model, self.p, self.q, {k: -s for k, s in self.coeffs.items()}, self.budget
         )
 
@@ -215,7 +220,7 @@ class FoliatedForm:
         return self + (-other)
 
     def scale(self, c) -> "FoliatedForm":
-        return FoliatedForm(
+        return _raw_form(
             self.model,
             self.p,
             self.q,
@@ -227,7 +232,7 @@ class FoliatedForm:
         """Multiply every coefficient by s (exact unless out_budget is given)."""
         b = self.budget + s.degree if out_budget is None else out_budget
         coeffs = {k: c.mul(s, out_budget=b) for k, c in self.coeffs.items()}
-        return FoliatedForm(self.model, self.p, self.q, coeffs, b)
+        return _raw_form(self.model, self.p, self.q, coeffs, b)
 
     # -- wedge product ---------------------------------------------------------
 
@@ -262,7 +267,7 @@ class FoliatedForm:
                     acc.pop((A, B), None)
                 else:
                     acc[(A, B)] = c
-        return FoliatedForm(self.model, p, q, acc, budget)
+        return _raw_form(self.model, p, q, acc, budget)
 
     # -- comparison / io -------------------------------------------------------
 
@@ -313,6 +318,29 @@ class FoliatedForm:
         return cls(model, data["p"], data["q"], coeffs, budget)
 
 
+def _raw_form(model: FoliationModel, p: int, q: int, coeffs: dict, budget: int) -> FoliatedForm:
+    """A FoliatedForm over coefficients that are valid already.
+
+    The caller guarantees what the constructor would check: keys are pairs of
+    strictly increasing tuples of lengths p and q within 1..m (none at all
+    beyond top degree) and every series lives on the model.  Zero
+    coefficients are still dropped, and a coefficient is re-budgeted only
+    when its budget differs from the form's; a lower budget re-checks its
+    terms.
+    """
+    phi = object.__new__(FoliatedForm)
+    phi.model = model
+    phi.p = p
+    phi.q = q
+    phi.budget = budget
+    phi.coeffs = {
+        key: s if s.budget == budget else s.with_budget(budget)
+        for key, s in coeffs.items()
+        if s.terms
+    }
+    return phi
+
+
 def _check_multi_index(t: MultiIndex, length: int, m: int):
     if len(t) != length:
         raise FormError(f"multi-index {t} has length {len(t)}, expected {length}")
@@ -342,7 +370,7 @@ def rescale_power(phi: FoliatedForm, h: Series, out_budget: int | None = None) -
     b = phi.budget if out_budget is None else out_budget
     g = h.invert(out_budget=b).power(w, out_budget=b)
     coeffs = {k: c.mul(g, out_budget=b) for k, c in phi.coeffs.items()}
-    return FoliatedForm(phi.model, phi.p, phi.q, coeffs, b)
+    return _raw_form(phi.model, phi.p, phi.q, coeffs, b)
 
 
 def count_monomials(m: int, n: int, budget: int) -> int:
@@ -392,7 +420,7 @@ def enumerate_basis(model: FoliationModel, p: int, q: int, budget: int | None = 
 
 
 def basis_form(model: FoliationModel, element, budget: int) -> FoliatedForm:
-    """The FoliatedForm corresponding to one basis element."""
+    """The FoliatedForm of one element of the budget-``budget`` basis."""
     A, B, expo = element
-    series = Series(model.m, model.n, budget, {expo: GaussianRational(1)})
-    return FoliatedForm(model, len(A), len(B), {(A, B): series}, budget)
+    series = _raw_series(model.m, model.n, budget, {expo: ONE})
+    return _raw_form(model, len(A), len(B), {(A, B): series}, budget)

@@ -29,7 +29,11 @@ class LinearAlgebraError(ValueError):
 
 
 class Matrix:
-    """A rows x cols matrix with a sparse entry map; no zero entries stored."""
+    """A rows x cols matrix with a sparse entry map; no zero entries stored.
+
+    The constructor checks bounds and drops zeros; products, stacks and the
+    operator assembly build their clean results with ``_raw_matrix``.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -123,7 +127,7 @@ class Matrix:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        return Matrix(self.rows, other.cols, acc)
+        return _raw_matrix(self.rows, other.cols, acc)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
@@ -169,7 +173,7 @@ def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     entries = dict(top.entries)
     for (r, c), v in bottom.entries.items():
         entries[(top.rows + r, c)] = v
-    return Matrix(top.rows + bottom.rows, top.cols, entries)
+    return _raw_matrix(top.rows + bottom.rows, top.cols, entries)
 
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:
@@ -178,7 +182,16 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
     entries = dict(left.entries)
     for (r, c), v in right.entries.items():
         entries[(r, left.cols + c)] = v
-    return Matrix(left.rows, left.cols + right.cols, entries)
+    return _raw_matrix(left.rows, left.cols + right.cols, entries)
+
+
+def _raw_matrix(rows: int, cols: int, entries: dict) -> Matrix:
+    """A Matrix over entries that are in bounds and nonzero GaussianRationals, taken without a copy."""
+    M = object.__new__(Matrix)
+    M.rows = rows
+    M.cols = cols
+    M.entries = entries
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ transverse components for x, and map generators through the leafwise Jacobian
 from __future__ import annotations
 
 from .algebra import Series
-from .forms import FoliatedForm, FoliationModel, FormError, insert_index, twist_gap
+from .forms import FoliatedForm, FoliationModel, FormError, _raw_form, insert_index, twist_gap
 
 
 def dbar(phi: FoliatedForm) -> FoliatedForm:
@@ -38,7 +38,7 @@ def dbar(phi: FoliatedForm) -> FoliatedForm:
             if s == 0:
                 continue
             _accumulate(acc, (A, B2), dc if front * s > 0 else -dc)
-    return FoliatedForm(model, phi.p, phi.q + 1, acc, phi.budget)
+    return _raw_form(model, phi.p, phi.q + 1, acc, phi.budget)
 
 
 def partial(phi: FoliatedForm) -> FoliatedForm:
@@ -54,7 +54,7 @@ def partial(phi: FoliatedForm) -> FoliatedForm:
             if s == 0:
                 continue
             _accumulate(acc, (A2, B), dc if s > 0 else -dc)
-    return FoliatedForm(model, phi.p + 1, phi.q, acc, phi.budget)
+    return _raw_form(model, phi.p + 1, phi.q, acc, phi.budget)
 
 
 def _accumulate(acc: dict, key, series: Series):

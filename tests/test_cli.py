@@ -565,6 +565,35 @@ def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, messa
 
 
 @pytest.mark.parametrize(
+    "flags, knobs, message",
+    [
+        (["--trials", "-1"], {}, "'--trials' must be a positive integer, got -1"),
+        (["--trials", "0"], {}, "'--trials' must be a positive integer, got 0"),
+        ([], {"trials": -4}, "'trials' must be a positive integer, got -4"),
+        ([], {"trials": 0}, "'trials' must be a positive integer, got 0"),
+        (["--trials", "3"], {"trials": 0}, "'trials' must be a positive integer, got 0"),
+    ],
+    ids=["flag_negative", "flag_zero", "scene_negative", "scene_zero", "scene_zero_under_flag"],
+)
+def test_non_positive_trials_exit_two(tmp_path, capsys, flags, knobs, message):
+    # zero or negative trials would print a passing report of no cases
+    data = dict({"model": {"m": 1, "n": 0, "budget": 2, "f": "1"}, "seed": 1}, **knobs)
+    scene = write_scene(tmp_path, "s.json", data)
+    assert run(["check", "--suite", "operators", "--scene", scene] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_scene_trials_are_honoured(tmp_path, capsys):
+    scene = write_scene(tmp_path, "s.json", {"model": {"m": 1, "n": 0, "budget": 1, "f": "1"}, "seed": 1, "trials": 3})
+    assert run(["check", "--suite", "leibniz", "--scene", scene]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+    assert run(["check", "--suite", "leibniz", "--scene", scene, "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["identities"][0]["cases"] == 1
+
+
+@pytest.mark.parametrize(
     "command, entry, message",
     [
         (["cohomology"], {"slack": -1}, "'slack' must be a nonnegative integer, got -1"),
@@ -630,6 +659,33 @@ def test_benchmark_cohomology_reports_match_recorded_digests(tmp_path, monkeypat
         if args[0] == "cohomology"
     ]
     assert len(jobs) == 4
+    for job, scene, args in jobs:
+        out = tmp_path / "report.out"
+        code = run(args + ["--scene", str(scenes[scene]), "--out", str(out)])
+        want = expected["jobs"][job]
+        assert code == want["exit"], job
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"], job
+
+
+def test_benchmark_check_and_sequence_reports_match_recorded_digests(tmp_path, monkeypatch):
+    # the benchmark's check-suite and sequence jobs, run in process on the
+    # benchmark's own scenes at its recorded seed, write the recorded reports
+    bench = _bench_module(monkeypatch)
+    expected = json.loads((SCENES.parent / "perfbench" / "expected.json").read_text())
+    scenes = bench.write_scenes(tmp_path, expected["seed"])
+    jobs = [
+        (f"{workload}/{name}", scene, args)
+        for workload, entries in bench.WORKLOADS.items()
+        for name, scene, args in entries
+        if args[0] in ("check", "sequence")
+    ]
+    assert sorted(job for job, _, _ in jobs) == [
+        "identity_suites/check_intertwine",
+        "identity_suites/check_leibniz",
+        "identity_suites/check_operators",
+        "identity_suites/check_rescale",
+        "relative_les/relative",
+    ]
     for job, scene, args in jobs:
         out = tmp_path / "report.out"
         code = run(args + ["--scene", str(scenes[scene]), "--out", str(out)])
