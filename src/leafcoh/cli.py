@@ -66,6 +66,7 @@ _KINDS = {
     "a nonnegative integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
     "a positive integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
     "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "an object": lambda v: isinstance(v, dict),
 }
 
@@ -75,6 +76,13 @@ def _typed(value, kind: str, name: str):
     if not _KINDS[kind](value):
         raise SceneError(f"{name!r} must be {kind}, got {json.dumps(value)}")
     return value
+
+
+def _field(entry: dict, key: str, kind: str, name: str):
+    """entry[key], which must be present and of the JSON kind named; else a SceneError."""
+    if key not in entry:
+        raise SceneError(f"{name} is missing {key!r}")
+    return _typed(entry[key], kind, f"{name}.{key}")
 
 
 class Scene:
@@ -155,12 +163,21 @@ class Scene:
             return list(range(lo, hi + 1))
         return values
 
+    def grid_value(self, name: str, default) -> int:
+        """The value of a grid axis that takes exactly one value."""
+        values = self.grid_axis(name, default)
+        if len(values) != 1:
+            raise SceneError(
+                f"grid axis {name!r} must be a single value, got {self.data['grid'][name]!r}"
+            )
+        return values[0]
+
     def morphism(self) -> FoliatedMorphism:
         if "morphism" not in self.data:
             raise SceneError("scene needs a 'morphism' for this command")
-        entry = self.data["morphism"]
-        zc_texts = entry.get("z_components", [])
-        xc_texts = entry.get("x_components", [])
+        entry = _typed(self.data["morphism"], "an object", "morphism")
+        zc_texts = _typed(entry.get("z_components", []), "a list of strings", "morphism.z_components")
+        xc_texts = _typed(entry.get("x_components", []), "a list of strings", "morphism.x_components")
         m2, n2 = len(zc_texts), len(xc_texts)
         if m2 < 1:
             raise SceneError("morphism needs at least one z-component")
@@ -177,7 +194,8 @@ class Scene:
     def pair(self, mu: FoliatedMorphism):
         if "pair" not in self.data:
             return None
-        alpha = self._parse_source_series(self.data["pair"]["alpha"])
+        entry = _typed(self.data["pair"], "an object", "pair")
+        alpha = self._parse_source_series(_field(entry, "alpha", "a string", "pair"))
         from .operators import MorphismPair
 
         return MorphismPair(mu, alpha)
@@ -197,7 +215,7 @@ class Scene:
     def target(self):
         if "target" not in self.data:
             raise SceneError("scene needs a 'target' for the solve command")
-        return self.data["target"]
+        return _typed(self.data["target"], "an object", "target")
 
 
 def load_scene(path: str) -> Scene:
@@ -317,8 +335,11 @@ def cmd_sequence(args) -> int:
 
     mu = scene.morphism()
     f_prime = mu.target.f
-    p = scene.grid_axis("p", 0)[0]
-    D = scene.grid_axis("D", scene.model.budget)[0]
+    p = scene.grid_value("p", 0)
+    D = scene.grid_value("D", scene.model.budget)
+    top = max(mu.source.m, mu.target.m)
+    if not 0 <= p <= top:
+        raise SceneError(f"grid axis p value {p} outside [0, {top}]")
     rc = make_relative_complex(mu, f_prime, p, D)
     if args.kind == "relative":
         les = relative_les(rc)
@@ -344,8 +365,8 @@ def cmd_solve(args) -> int:
         if op == "tilde":
             mu = scene.morphism()
             f_prime = mu.target.f
-            phi = FoliatedForm.from_dict(mu.target, entry["phi"])
-            psi = FoliatedForm.from_dict(mu.source, entry["psi"])
+            phi = FoliatedForm.from_dict(mu.target, _field(entry, "phi", "an object", "target"))
+            psi = FoliatedForm.from_dict(mu.source, _field(entry, "psi", "an object", "target"))
             result = solve_primitive_tilde(mu, f_prime, phi, psi, slack=slack)
             if result is None:
                 emit({"op": op, "found": False, "slack": slack}, args.out)
@@ -363,7 +384,7 @@ def cmd_solve(args) -> int:
                 args.out,
             )
             return EXIT_OK
-        target = FoliatedForm.from_dict(scene.model, entry["form"])
+        target = FoliatedForm.from_dict(scene.model, _field(entry, "form", "an object", "target"))
         k = _typed(entry["k"], "an integer", "target.k") if "k" in entry else scene.k
         primitive = solve_primitive(op, scene.model, target, slack=slack, k=k)
         if primitive is None:

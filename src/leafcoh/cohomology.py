@@ -47,10 +47,12 @@ from .linalg import (
     Matrix,
     Subspace,
     _raw_matrix,
+    dense_vector,
     hstack,
     kernel_basis,
     rank,
     solve,
+    sparse_vector,
     vstack,
 )
 
@@ -503,7 +505,8 @@ def _sample_kernel_form(rng, model, p, q, D, kernel: Subspace):
     for c, b in zip(coeffs, kernel.basis):
         if not c:
             continue
-        vec = [acc + c * x for acc, x in zip(vec, b)]
+        for i, x in b.items():
+            vec[i] = vec[i] + c * x
     return form_from_vector(model, p, q, D, vec)
 
 
@@ -623,10 +626,10 @@ def solve_primitive(
     out = max(target.budget, src + gap)
     M = operator_matrix(tag, model, sp, sq, src, out, k)
     b = vectorize(target.with_budget(out), out)
-    x = solve(M, b)
+    x = solve(M, sparse_vector(b))
     if x is None:
         return None
-    primitive = form_from_vector(model, sp, sq, src, x)
+    primitive = form_from_vector(model, sp, sq, src, dense_vector(x, M.cols))
     if apply_operator(tag, primitive, k) != target:
         raise AssertionError("primitive certification failed")
     return primitive
@@ -679,9 +682,10 @@ def solve_primitive_tilde(
     b = vectorize(phi.with_budget(out_phi), out_phi) + vectorize(
         psi.with_budget(out_psi), out_psi
     )
-    x = solve(M, b)
+    x = solve(M, sparse_vector(b))
     if x is None:
         return None
+    x = dense_vector(x, M.cols)
     phi1 = form_from_vector(target_model, p, q - 1, s_phi, x[: M11.cols])
     psi1 = form_from_vector(source_model, p, max(q - 2, 0), s_psi if q >= 2 else 0, x[M11.cols :])
     r1, r2 = tilde_dbar(phi1, psi1, mu, f_prime)

@@ -14,12 +14,17 @@ Linear systems go through a Factorization: the elimination of M is recorded
 once and replayed on each right-hand side.  The pivot choice depends only on
 M, so a replay gives exactly the values an elimination of [M | b] would.
 
-Matrices are sparse maps (row, col) -> scalar; vectors are dense tuples.
+Matrices are sparse maps (row, col) -> scalar.  Vectors are sparse maps
+index -> nonzero scalar, a plain dict with no length of its own: the matrix
+or subspace a vector goes with fixes its dimension.  ``sparse_vector`` and
+``dense_vector`` convert at the boundary to the dense coordinate tuples of
+forms (cohomology.vectorize / form_from_vector).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .algebra import GaussianRational, ONE, ZERO
 
@@ -35,13 +40,14 @@ class Matrix:
     operator assembly build their clean results with ``_raw_matrix``.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_by_col")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise LinearAlgebraError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
+        self._by_col = None
         clean = {}
         for (r, c), v in (entries or {}).items():
             if not 0 <= r < rows or not 0 <= c < cols:
@@ -62,11 +68,11 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int):
+        """The matrix whose column j is the sparse vector columns[j]."""
         entries = {}
         for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                if v is not ZERO and v:
-                    entries[(i, j)] = v
+            for i, v in col.items():
+                entries[(i, j)] = v
         return cls(rows, len(columns), entries)
 
     @classmethod
@@ -85,34 +91,39 @@ class Matrix:
             rows[r][c] = v
         return rows
 
-    def column(self, j) -> tuple:
-        return self.columns([j])[0]
+    def _column_index(self) -> dict:
+        """col -> {row: value}, built on first use; a Matrix is not mutated once made."""
+        by_col = self._by_col
+        if by_col is None:
+            by_col = self._by_col = {}
+            for (r, c), v in self.entries.items():
+                col = by_col.get(c)
+                if col is None:
+                    by_col[c] = {r: v}
+                else:
+                    col[r] = v
+        return by_col
 
     def columns(self, js=None) -> list:
-        """Dense tuples of the columns js (default: all), in one pass over the entries."""
+        """The columns js (default: all) as sparse vectors."""
+        by_col = self._column_index()
         js = range(self.cols) if js is None else js
-        sparse = {j: [] for j in js}
-        for (r, c), v in self.entries.items():
-            hit = sparse.get(c)
-            if hit is not None:
-                hit.append((r, v))
-        out = []
-        for j in js:
-            col = [ZERO] * self.rows
-            for r, v in sparse[j]:
-                col[r] = v
-            out.append(tuple(col))
-        return out
+        return [dict(by_col.get(j, ())) for j in js]
 
-    def matvec(self, vec) -> tuple:
-        if len(vec) != self.cols:
-            raise LinearAlgebraError("vector length does not match column count")
-        out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
-            x = vec[c]
-            if x:
-                out[r] = out[r] + v * x
-        return tuple(out)
+    def matvec(self, vec: dict) -> dict:
+        """M vec for a sparse vec; visits only the columns vec holds."""
+        by_col = self._column_index()
+        out: dict = {}
+        for c, x in vec.items():
+            col = by_col.get(c)
+            if col is None:
+                if not 0 <= c < self.cols:
+                    raise LinearAlgebraError(f"vector index {c} out of range for {self.cols} columns")
+                continue
+            for r, v in col.items():
+                s = out.get(r)
+                out[r] = v * x if s is None else s + v * x
+        return {r: v for r, v in out.items() if v}
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -191,7 +202,21 @@ def _raw_matrix(rows: int, cols: int, entries: dict) -> Matrix:
     M.rows = rows
     M.cols = cols
     M.entries = entries
+    M._by_col = None
     return M
+
+
+def sparse_vector(values) -> dict:
+    """The sparse vector of a dense coordinate sequence."""
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def dense_vector(vec: dict, n: int) -> tuple:
+    """The length-n coordinate tuple of a sparse vector."""
+    out = [ZERO] * n
+    for i, v in vec.items():
+        out[i] = v
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,48 +320,74 @@ def _echelon(M: Matrix, steps: list | None = None, forward: bool = False) -> tup
 class Factorization:
     """The elimination of M, recorded once and replayed on right-hand sides.
 
-    solve(b) applies the recorded row swaps, pivot scalings and eliminations
-    to b, which is what eliminating [M | b] does to its last column.
+    The steps are recorded on row identities (the rows of M), with the row
+    swaps folded in once here: one (pivot row, pivot inverse or None for 1,
+    [(row, negated multiplier), ...]) entry per pivot, in step order.
+    solve(b) replays them on a sparse b, which is what eliminating [M | b]
+    does to its last column.
     """
 
-    __slots__ = ("rows", "cols", "pivots", "steps")
+    __slots__ = ("rows", "cols", "pivots", "steps", "_step_of")
 
     def __init__(self, M: Matrix):
         self.rows = M.rows
         self.cols = M.cols
-        self.steps = []
-        self.pivots = _echelon(M, self.steps)[1]
+        positional = []
+        self.pivots = _echelon(M, positional)[1]
+        # at[k]: the row of M that the swaps so far have moved to position k
+        at = list(range(M.rows))
+        steps = []
+        for r, (sel, inv, eliminated) in enumerate(positional):
+            at[r], at[sel] = at[sel], at[r]
+            steps.append((at[r], None if inv == ONE else inv, [(at[i], -a) for i, a in eliminated]))
+        self.steps = steps
+        self._step_of = {row: r for r, (row, _, _) in enumerate(steps)}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def solve(self, b) -> tuple | None:
-        """One exact solution of M x = b, or None when none exists.
+    def solve(self, b: dict) -> dict | None:
+        """One exact solution of M x = b for a sparse b, or None when none exists.
 
-        Deterministic: free variables are set to zero.  None means a zero
-        row of M's echelon form meets a nonzero entry of the replayed b.
+        Deterministic: free variables are set to zero.  Only the steps whose
+        pivot row holds a nonzero when their turn comes are replayed, in step
+        order; the others change nothing.  None means a row of M that is no
+        pivot row ends up holding a nonzero.
         """
-        if len(b) != self.rows:
-            raise LinearAlgebraError("right-hand side length does not match rows")
-        y = [v if v else ZERO for v in b]
-        for r, (sel, inv, eliminated) in enumerate(self.steps):
-            y[r], y[sel] = y[sel], y[r]
-            v = y[r]
+        step_of = self._step_of
+        for i in b:
+            if not 0 <= i < self.rows:
+                raise LinearAlgebraError(f"right-hand side index {i} out of range for {self.rows} rows")
+        y = dict(b)
+        due = [step_of[i] for i in y if i in step_of]
+        heapify(due)
+        queued = set(due)
+        steps = self.steps
+        while due:
+            r = heappop(due)
+            row, inv, eliminated = steps[r]
+            v = y[row]
             if not v:
                 continue
-            if inv != ONE:
-                v = y[r] = v * inv
-            for i, a in eliminated:
-                y[i] = y[i] - a * v
-        nz = len(self.pivots)
-        if any(y[nz:]):
-            return None
-        x = [ZERO] * self.cols
-        for i, pc in enumerate(self.pivots):
-            if y[i]:
-                x[pc] = y[i]
-        return tuple(x)
+            if inv is not None:
+                v = y[row] = v * inv
+            for i, minus_a in eliminated:
+                s = y.get(i)
+                y[i] = minus_a * v if s is None else s + minus_a * v
+                k = step_of.get(i)
+                if k is not None and k > r and k not in queued:
+                    queued.add(k)
+                    heappush(due, k)
+        x = {}
+        pivots = self.pivots
+        for i, v in y.items():
+            if v:
+                k = step_of.get(i)
+                if k is None:
+                    return None
+                x[pivots[k]] = v
+        return x
 
 
 def rank(M: Matrix) -> int:
@@ -345,16 +396,17 @@ def rank(M: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of coordinate space given by a linearly independent basis."""
+    """A subspace of coordinate space given by a linearly independent basis.
+
+    The basis vectors are sparse; ``ambient_dim`` is their dimension.
+    """
 
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis):
-        basis = [tuple(v) for v in basis]
-        for v in basis:
-            if len(v) != ambient_dim:
-                raise LinearAlgebraError("basis vector length does not match ambient")
+        basis = [dict(v) for v in basis]
         if basis:
+            # the Matrix constructor rejects an index beyond the ambient dimension
             got = rank(Matrix.from_columns(basis, ambient_dim))
             if got != len(basis):
                 raise LinearAlgebraError(
@@ -375,9 +427,9 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: dict) -> bool:
         if not self.basis:
-            return all(not v for v in vec)
+            return not any(vec.values())
         M = Matrix.from_columns(self.basis, self.ambient_dim)
         return solve(M, vec) is not None
 
@@ -388,7 +440,9 @@ class Subspace:
 def kernel_basis(M: Matrix) -> Subspace:
     """Null space basis; each vector satisfies M v = 0 exactly.
 
-    Deterministic: one kernel vector per free column, in ascending order.
+    Deterministic: one kernel vector per free column j, in ascending order,
+    with a 1 at j and the negated reduced-row entries at the pivot columns
+    before j.
     """
     rows, pivots = _echelon(M)
     # a reduced pivot row holds its pivot and entries in free columns only
@@ -402,15 +456,13 @@ def kernel_basis(M: Matrix) -> Subspace:
     for j in range(M.cols):
         if j in pivot_set:
             continue
-        vec = [ZERO] * M.cols
+        vec = {pc: -v for pc, v in held.get(j, ())}
         vec[j] = ONE
-        for pc, v in held.get(j, ()):
-            vec[pc] = -v
-        basis.append(tuple(vec))
+        basis.append(vec)
     return Subspace._independent(M.cols, basis)
 
 
-def solve(M: Matrix, b) -> tuple | None:
+def solve(M: Matrix, b: dict) -> dict | None:
     """One exact solution of M x = b, or None when none exists (Factorization.solve)."""
     return Factorization(M).solve(b)
 
@@ -429,7 +481,8 @@ class Quotient:
 
     Representatives are chosen only when asked for: the kernel pivot columns
     of [image | kernel], in order.  That one elimination also serves every
-    class_coords call.
+    class_coords call.  Representatives, the image basis and class
+    coordinates are sparse vectors.
     """
 
     def __init__(self, d: Matrix, image: Subspace | None = None):
@@ -446,16 +499,11 @@ class Quotient:
     def d_image(self) -> Subspace:
         """im(d), read off the elimination that found the kernel.
 
-        kernel_basis gives one vector per free column of d, with its last
-        nonzero entry there; the other columns are the pivots, and d's
-        pivot columns are a basis of its column space.
+        kernel_basis gives one vector per free column of d, with its largest
+        index there; the other columns are the pivots, and d's pivot columns
+        are a basis of its column space.
         """
-        free = set()
-        for vec in self.kernel.basis:
-            j = len(vec) - 1
-            while not vec[j]:
-                j -= 1
-            free.add(j)
+        free = {max(vec) for vec in self.kernel.basis}
         pivots = [j for j in range(self.d.cols) if j not in free]
         return Subspace._independent(self.d.rows, self.d.columns(pivots))
 
@@ -472,16 +520,22 @@ class Quotient:
         )
 
     @cached_property
+    def _rep_of(self) -> dict:
+        """Pivot column of [image | kernel] -> index of the rep it picks."""
+        return {j: k for k, j in enumerate(self._span.pivots[self.image.dim :])}
+
+    @cached_property
     def reps(self) -> list:
         skip = self.image.dim
-        return [self.kernel.basis[j - skip] for j in self._span.pivots[skip:]]
+        return [self.kernel.basis[j - skip] for j in self._rep_of]
 
-    def class_coords(self, vec) -> tuple:
-        """Coordinates of [vec] over the chosen representatives.
+    def class_coords(self, vec: dict) -> dict:
+        """Coordinates of [vec] over the chosen representatives, as a sparse vector.
 
         vec must be a cycle; a failed solve signals a non-cycle input.
         """
         x = self._span.solve(vec)
         if x is None:
             raise ValueError("vector is not a cycle of the complex")
-        return tuple(x[j] for j in self._span.pivots[self.image.dim :])
+        rep_of = self._rep_of
+        return {rep_of[j]: v for j, v in x.items() if j in rep_of}

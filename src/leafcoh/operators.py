@@ -71,7 +71,10 @@ def _twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
     first = raw(phi).mul_series(f, out_budget=out_budget)
     if weight == 0:
         return first.with_budget(out_budget)
-    df = raw(FoliatedForm.from_series(phi.model, f))
+    model = phi.model
+    if f.m != model.m or f.n != model.n:
+        raise FormError("coefficient series does not match the model")
+    df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
     second = df.wedge(phi).scale(weight)
     return (first - second).with_budget(out_budget)
 

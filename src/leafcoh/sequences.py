@@ -18,7 +18,6 @@ algebraic Mayer-Vietoris cover with its Laurent-window flagship fixture.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .algebra import GaussianRational, Series
 from .forms import FoliationModel
@@ -28,8 +27,10 @@ from .linalg import (
     LinearAlgebraError,
     Matrix,
     Quotient,
+    dense_vector,
     hstack,
     rank,
+    sparse_vector,
     vstack,
 )
 from .cohomology import (
@@ -211,20 +212,20 @@ def complex_cohomology(cx: CochainComplex) -> list:
     return groups
 
 
-@dataclass
 class SnakeResult:
     """Cohomology of all three complexes plus the induced and connecting maps."""
 
-    grades: int
-    left: list
-    middle: list
-    right: list
-    induced_inject: list  # H_q(L) -> H_q(M)
-    induced_project: list  # H_q(M) -> H_q(R)
-    connecting: list  # H_q(R) -> H_{q+1}(L); zero map at the top grade
+    def __init__(self, grades, left, middle, right, induced_inject, induced_project, connecting):
+        self.grades = grades
+        self.left = left
+        self.middle = middle
+        self.right = right
+        self.induced_inject = induced_inject  # H_q(L) -> H_q(M)
+        self.induced_project = induced_project  # H_q(M) -> H_q(R)
+        self.connecting = connecting  # H_q(R) -> H_{q+1}(L); zero map at the top grade
 
 
-def _class_of(H: Quotient, vec) -> tuple:
+def _class_of(H: Quotient, vec: dict) -> dict:
     """class_coords of a vector the engine built as a cycle."""
     try:
         return H.class_coords(vec)
@@ -259,7 +260,7 @@ def _snake(ses: ShortExactSequence, lift_check_seed: int | None = 0) -> SnakeRes
     return SnakeResult(grades, hl, hm, hr, ind_i, ind_p, connecting)
 
 
-def _connect_class(ses, q, rep, hl_next: Quotient, rng) -> tuple:
+def _connect_class(ses, q, rep: dict, hl_next: Quotient, rng) -> dict:
     """Zig-zag: lift through project, push by d, pull back through inject."""
     pull = ses.factor("inject", q + 1)
     x = ses.factor("project", q).solve(rep)
@@ -272,12 +273,12 @@ def _connect_class(ses, q, rep, hl_next: Quotient, rng) -> tuple:
     coords = _class_of(hl_next, y)
     if rng is not None and ses.left.dims[q] > 0:
         # any lift gives the same class; spot-check with an alternate one
-        shift = tuple(
-            GaussianRational(rng.randint(-2, 2)) for _ in range(ses.left.dims[q])
-        )
-        x2 = tuple(
-            a + b for a, b in zip(x, ses.inject.components[q].matvec(shift))
-        )
+        draws = [rng.randint(-2, 2) for _ in range(ses.left.dims[q])]
+        shift = {i: GaussianRational(c) for i, c in enumerate(draws) if c}
+        x2 = dict(x)
+        for i, v in ses.inject.components[q].matvec(shift).items():
+            s = x2.get(i)
+            x2[i] = v if s is None else s + v
         w2 = ses.middle.differential(q).matvec(x2)
         y2 = pull.solve(w2)
         if y2 is None or _class_of(hl_next, y2) != coords:
@@ -348,7 +349,6 @@ def snake_les(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RelativeComplex:
     """Mapping cone of mu with the embedded short exact sequence.
 
@@ -358,16 +358,29 @@ class RelativeComplex:
     cohomology), the right complex is the target.
     """
 
-    mu: FoliatedMorphism
-    f_prime: Series
-    p: int
-    D: int
-    grades: int
-    target_model: FoliationModel
-    source_model: FoliationModel
-    target_budgets: list
-    source_budgets: list
-    ses: ShortExactSequence = field(repr=False)
+    def __init__(
+        self,
+        mu: FoliatedMorphism,
+        f_prime: Series,
+        p: int,
+        D: int,
+        grades: int,
+        target_model: FoliationModel,
+        source_model: FoliationModel,
+        target_budgets: list,
+        source_budgets: list,
+        ses: ShortExactSequence,
+    ):
+        self.mu = mu
+        self.f_prime = f_prime
+        self.p = p
+        self.D = D
+        self.grades = grades
+        self.target_model = target_model
+        self.source_model = source_model
+        self.target_budgets = target_budgets
+        self.source_budgets = source_budgets
+        self.ses = ses
 
     @property
     def m_source(self) -> int:
@@ -479,9 +492,10 @@ def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
         hl_next = data.left[q + 1]
         verdicts = []
         for rep, delta_coords in zip(hr.reps, data.connecting[q].columns()):
-            form = form_from_vector(rc.target_model, rc.p, q, rc.target_budgets[q], rep)
+            dense = dense_vector(rep, hr.kernel.ambient_dim)
+            form = form_from_vector(rc.target_model, rc.p, q, rc.target_budgets[q], dense)
             pulled = pullback(rc.mu, form).with_budget(rc.source_budgets[q + 1])
-            vec = vectorize(pulled, rc.source_budgets[q + 1])
+            vec = sparse_vector(vectorize(pulled, rc.source_budgets[q + 1]))
             mu_coords = hl_next.class_coords(vec)
             same = delta_coords == mu_coords
             all_equal = all_equal and same
@@ -574,7 +588,6 @@ def corollary_boundary_report(rc: RelativeComplex) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MayerVietorisCover:
     """Algebraic two-set cover: four complexes and four restriction maps.
 
@@ -583,14 +596,25 @@ class MayerVietorisCover:
     partition of unity and must be supplied by the cover model itself.
     """
 
-    complex_m: CochainComplex
-    complex_u: CochainComplex
-    complex_v: CochainComplex
-    complex_uv: CochainComplex
-    r_u: ChainMap
-    r_v: ChainMap
-    r_u_uv: ChainMap
-    r_v_uv: ChainMap
+    def __init__(
+        self,
+        complex_m: CochainComplex,
+        complex_u: CochainComplex,
+        complex_v: CochainComplex,
+        complex_uv: CochainComplex,
+        r_u: ChainMap,
+        r_v: ChainMap,
+        r_u_uv: ChainMap,
+        r_v_uv: ChainMap,
+    ):
+        self.complex_m = complex_m
+        self.complex_u = complex_u
+        self.complex_v = complex_v
+        self.complex_uv = complex_uv
+        self.r_u = r_u
+        self.r_v = r_v
+        self.r_u_uv = r_u_uv
+        self.r_v_uv = r_v_uv
 
 
 def make_mv_ses(cover: MayerVietorisCover) -> ShortExactSequence:

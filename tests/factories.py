@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from leafcoh.algebra import GaussianRational
-from leafcoh.linalg import Matrix, solve
+from leafcoh.linalg import Matrix, solve, sparse_vector
 from leafcoh.sequences import ChainMap, CochainComplex, ShortExactSequence
 
 
@@ -39,7 +39,7 @@ def _inverse(M: Matrix) -> Matrix:
     for j in range(M.cols):
         e = [GaussianRational(0)] * M.rows
         e[j] = GaussianRational(1)
-        cols.append(solve(M, tuple(e)))
+        cols.append(solve(M, sparse_vector(e)))
     return Matrix.from_columns(cols, M.rows)
 
 

@@ -1,7 +1,7 @@
 """Reference cohomology rows: the former quotient-basis engine.
 
-Every group was a linalg.Quotient: dense kernel vectors, a dense image basis
-and the inclusion checked by a product with that basis.  The rank-only rows
+Every group was a linalg.Quotient: kernel vectors, an image basis and the
+inclusion checked by a product with that basis.  The rank-only rows
 in leafcoh.cohomology must agree with these on every count; the helpers that
 only these rows used (column spaces, spans, the restriction of an image to a
 smaller budget block) live here with them.  Ranks are taken from the full
@@ -30,7 +30,7 @@ def column_space(M: Matrix) -> Subspace:
 
 def from_span(vectors, ambient_dim: int) -> Subspace:
     """Deterministic independent basis of a span (pivot columns kept)."""
-    vectors = [tuple(v) for v in vectors]
+    vectors = [dict(v) for v in vectors]
     if not vectors:
         return Subspace._independent(ambient_dim, [])
     keep = linalg._echelon(Matrix.from_columns(vectors, ambient_dim))[1]
@@ -43,7 +43,7 @@ def span_restricted_to(vectors, keep: list, ambient_dim: int) -> Subspace:
     Returns the subspace in the restricted coordinate order keep[0], keep[1],
     ...; used to intersect an image with a smaller budget block.
     """
-    vectors = [tuple(v) for v in vectors]
+    vectors = [dict(v) for v in vectors]
     if not vectors:
         return Subspace(len(keep), [])
     keep_set = set(keep)
@@ -63,7 +63,7 @@ def span_restricted_to(vectors, keep: list, ambient_dim: int) -> Subspace:
     candidates = []
     for c in combos.basis:
         full = M.matvec(c)
-        candidates.append(tuple(full[i] for i in keep))
+        candidates.append({k: full[i] for k, i in enumerate(keep) if i in full})
     # input vectors may be dependent, so reduce the candidates to a basis
     return from_span(candidates, len(keep))
 

@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -480,6 +483,99 @@ def test_bad_grid_axis_exits_two(tmp_path, capsys, command, grid, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+SEQUENCE_SCENE = {
+    "model": {"m": 2, "n": 0, "budget": 2, "f": "1"},
+    "morphism": {"z_components": ["z1*z2", "z2"], "x_components": []},
+    "f_prime": "1+z1",
+}
+
+
+@pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"p": [0, 1], "D": 2}, "grid axis 'p' must be a single value, got [0, 1]"),
+        ({"p": 0, "D": [2, 3]}, "grid axis 'D' must be a single value, got [2, 3]"),
+        ({"p": -1, "D": 2}, "grid axis p value -1 outside [0, 2]"),
+        ({"p": 5, "D": 2}, "grid axis p value 5 outside [0, 2]"),
+    ],
+    ids=["p_range", "D_range", "p_negative", "p_above_leaf_dims"],
+)
+def test_sequence_grid_axis_takes_one_valid_value(tmp_path, capsys, kind, grid, message):
+    # a range used to run its first value only, and a p outside every leaf
+    # dimension printed an all-zero long exact sequence
+    scene = write_scene(tmp_path, "s.json", dict(SEQUENCE_SCENE, grid=grid))
+    assert run(["sequence", "--kind", kind, "--scene", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sequence_grid_axis_single_value_forms_agree(tmp_path, capsys):
+    reports = []
+    for p in (0, [0], [0, 0]):
+        data = json.loads((SCENES / "relative_square.json").read_text())
+        data["grid"]["p"] = p
+        assert run(["sequence", "--kind", "relative", "--scene", write_scene(tmp_path, "s.json", data)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize(
+    "command, entry, message",
+    [
+        (["sequence", "--kind", "relative"], {"morphism": ["z1"]}, "'morphism' must be an object, got [\"z1\"]"),
+        (
+            ["sequence", "--kind", "relative"],
+            {"morphism": {"z_components": [3]}},
+            "'morphism.z_components' must be a list of strings, got [3]",
+        ),
+        (
+            ["sequence", "--kind", "relative"],
+            {"morphism": {"z_components": ["z1"], "x_components": "x1"}},
+            "'morphism.x_components' must be a list of strings, got \"x1\"",
+        ),
+        (["solve"], {"target": {"op": "dbar"}}, "target is missing 'form'"),
+        (["solve"], {"target": 3}, "'target' must be an object, got 3"),
+        (["solve"], {"target": {"op": "dbar", "form": [1]}}, "'target.form' must be an object, got [1]"),
+        (
+            ["solve"],
+            {"target": {"op": "tilde", "phi": {"p": 0, "q": 1, "terms": []}}, "morphism": {"z_components": ["z1^2"]}},
+            "target is missing 'psi'",
+        ),
+        (
+            ["check", "--suite", "intertwine"],
+            {"pair": {}, "morphism": {"z_components": ["z1^2"]}, "seed": 1},
+            "pair is missing 'alpha'",
+        ),
+        (
+            ["check", "--suite", "intertwine"],
+            {"pair": {"alpha": 2}, "morphism": {"z_components": ["z1^2"]}, "seed": 1},
+            "'pair.alpha' must be a string, got 2",
+        ),
+    ],
+    ids=[
+        "morphism_list", "z_components_int", "x_components_string", "target_no_form",
+        "target_int", "target_form_list", "tilde_no_psi", "pair_no_alpha", "pair_alpha_int",
+    ],
+)
+def test_mistyped_nested_fixture_exits_two(tmp_path, capsys, command, entry, message):
+    scene = write_scene(tmp_path, "s.json", dict(entry, model=BASE_MODEL, grid={"p": 0, "D": 1}))
+    assert run(command + ["--scene", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_import_does_not_load_inspect():
+    # dataclasses would pull in inspect (and ast, dis, tokenize) at every start-up
+    src = str(SCENES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, leafcoh.cli; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_unknown_scene_key_exits_two(tmp_path, capsys):

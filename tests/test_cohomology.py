@@ -31,7 +31,7 @@ from leafcoh.cohomology import (
 )
 from leafcoh import cohomology, linalg
 from leafcoh.algebra import GaussianRational
-from leafcoh.linalg import Matrix, kernel_basis
+from leafcoh.linalg import Matrix, dense_vector, kernel_basis, sparse_vector
 from leafcoh.operators import twist_gap
 from leafcoh.sampling import random_bidegree, random_form, random_series
 
@@ -65,7 +65,7 @@ def test_operator_matrix_kernel_spans_holomorphic_monomials():
     K = kernel_basis(M)
     assert K.dim == 3
     for vec in K.basis:
-        phi = form_from_vector(model, 0, 0, 2, vec)
+        phi = form_from_vector(model, 0, 0, 2, dense_vector(vec, K.ambient_dim))
         for (_, _), series in phi.coeffs.items():
             assert all(sum(beta) == 0 for (_, beta, _) in series.terms)
 
@@ -99,7 +99,7 @@ def test_matrix_is_linear_operator(seed):
     gap = model.twist_gap
     M = operator_matrix("dbar_f", model, p, q, 2, 2 + gap)
     phi = random_form(rng, model, p, q, 2)
-    lhs = M.matvec(vectorize(phi, 2))
+    lhs = dense_vector(M.matvec(sparse_vector(vectorize(phi, 2))), M.rows)
     rhs = vectorize(dbar_f(phi), 2 + gap)
     assert lhs == rhs
 
@@ -460,7 +460,7 @@ def test_rescale_conjugation_as_matrix_identity():
         cols = []
         for elem in space_basis(mdl, pp, qq, in_b):
             phi = basis_form(mdl, elem, in_b)
-            cols.append(vectorize(rescale_power(phi, h, out_budget=out_b), out_b))
+            cols.append(sparse_vector(vectorize(rescale_power(phi, h, out_budget=out_b), out_b)))
         return Matrix.from_columns(cols, space_dim(mdl, pp, qq, out_b))
 
     R_out = rescale_matrix(model_f, p, q + 1, D + gap_fh, W)
@@ -582,12 +582,12 @@ def test_differential_cases_cover_every_combination():
 def test_span_restricted_to():
     # span of (1,0,1) and (0,1,0); vectors supported on coords {0,1}
     G = GaussianRational
-    vectors = [(G(1), G(0), G(1)), (G(0), G(1), G(0))]
+    vectors = [sparse_vector(v) for v in [(G(1), G(0), G(1)), (G(0), G(1), G(0))]]
     restricted = quotient_rows.span_restricted_to(vectors, [0, 1], 3)
     assert restricted.dim == 1
-    assert restricted.basis[0] == (G(0), G(1))
+    assert dense_vector(restricted.basis[0], 2) == (G(0), G(1))
     # dependent inputs are tolerated
-    restricted2 = quotient_rows.span_restricted_to(vectors + [(G(0), G(2), G(0))], [0, 1], 3)
+    restricted2 = quotient_rows.span_restricted_to(vectors + [sparse_vector((G(0), G(2), G(0)))], [0, 1], 3)
     assert restricted2.dim == 1
 
 

@@ -11,18 +11,26 @@ from leafcoh.linalg import (
     Matrix,
     Quotient,
     Subspace,
+    dense_vector,
     hstack,
     kernel_basis,
     rank,
     solve,
+    sparse_vector as sp,
     vstack,
 )
 
+from dense_reference import DenseFactorization, DenseQuotient, dense_kernel_basis
 from quotient_rows import column_space, from_span
 
 
 def G(x, y=0):
     return GaussianRational(Fraction(x), Fraction(y))
+
+
+def dense(x, n):
+    """A sparse result as the dense tuple the assertions compare; None stays None."""
+    return None if x is None else dense_vector(x, n)
 
 
 def _random_matrix(rng, rows, cols, density=0.5):
@@ -65,8 +73,8 @@ def test_kernel_examples():
     K = kernel_basis(M)
     assert K.dim == 1
     # spans (1, -1): the stored representative is its negative
-    assert K.basis[0] in ((G(1), G(-1)), (G(-1), G(1)))
-    assert K.contains((G(1), G(-1)))
+    assert dense(K.basis[0], 2) in ((G(1), G(-1)), (G(-1), G(1)))
+    assert K.contains(sp((G(1), G(-1))))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -76,15 +84,15 @@ def test_rank_nullity_and_kernel_exactness(seed):
     K = kernel_basis(M)
     assert rank(M) + K.dim == M.cols
     for v in K.basis:
-        assert all(not x for x in M.matvec(v))
+        assert all(not x for x in dense(M.matvec(v), M.rows))
 
 
 def test_solve_examples():
     b = (G(3), G(-1, 2))
-    assert solve(Matrix.identity(2), b) == b
-    assert solve(Matrix.zero(2, 2), b) is None
+    assert dense(solve(Matrix.identity(2), sp(b)), 2) == b
+    assert solve(Matrix.zero(2, 2), sp(b)) is None
     M = Matrix.from_rows_list([[2]])
-    assert solve(M, (G(3),)) == (G(Fraction(3, 2)),)
+    assert dense(solve(M, sp((G(3),))), 1) == (G(Fraction(3, 2)),)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -92,13 +100,13 @@ def test_solve_verifies_or_certifies(seed):
     rng = random.Random(200 + seed)
     M = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
     b = tuple(G(rng.randint(-3, 3)) for _ in range(M.rows))
-    x = solve(M, b)
+    x = solve(M, sp(b))
     if x is None:
         # certified: the augmented matrix gains rank
-        aug = hstack(M, Matrix.from_columns([b], M.rows))
+        aug = hstack(M, Matrix.from_columns([sp(b)], M.rows))
         assert rank(aug) == rank(M) + 1
     else:
-        assert M.matvec(x) == b
+        assert dense(M.matvec(x), M.rows) == b
 
 
 def _augmented_solve(M, b):
@@ -154,20 +162,54 @@ def test_factorization_matches_augmented_solve(seed):
     M = _shaped_matrix(rng, SHAPES[seed % len(SHAPES)])
     F = Factorization(M)
     assert F.rank == rank(M)
-    consistent = M.matvec(tuple(_gaussian_rational(rng) for _ in range(M.cols)))
+    consistent = dense(M.matvec(sp(tuple(_gaussian_rational(rng) for _ in range(M.cols)))), M.rows)
     arbitrary = tuple(_gaussian_rational(rng) for _ in range(M.rows))
     for b in (consistent, arbitrary, tuple(G(0) for _ in range(M.rows))):
         want = _augmented_solve(M, b)
         # one factorization serves every right-hand side, and solve agrees
-        assert F.solve(b) == want
-        assert solve(M, b) == want
-    assert F.solve(consistent) is not None
+        assert dense(F.solve(sp(b)), M.cols) == want
+        assert dense(solve(M, sp(b)), M.cols) == want
+    assert F.solve(sp(consistent)) is not None
     if M.rows > rank(M):
         # a vector off the column space: the first zero row of the echelon form
         # is reached by some unit vector
         units = [tuple(G(int(i == j)) for i in range(M.rows)) for j in range(M.rows)]
-        assert any(F.solve(e) is None for e in units)
-        assert all(F.solve(e) == _augmented_solve(M, e) for e in units)
+        assert any(F.solve(sp(e)) is None for e in units)
+        assert all(dense(F.solve(sp(e)), M.cols) == _augmented_solve(M, e) for e in units)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_sparse_path_matches_dense_reference(seed):
+    # the inputs of test_factorization_matches_augmented_solve, drawn alike,
+    # through the sparse path and the former dense one
+    rng = random.Random(900 + seed)
+    M = _shaped_matrix(rng, SHAPES[seed % len(SHAPES)])
+    consistent = dense(M.matvec(sp(tuple(_gaussian_rational(rng) for _ in range(M.cols)))), M.rows)
+    arbitrary = tuple(_gaussian_rational(rng) for _ in range(M.rows))
+    units = [tuple(G(int(i == j)) for i in range(M.rows)) for j in range(M.rows)]
+    F, ref = Factorization(M), DenseFactorization(M)
+    assert F.pivots == ref.pivots
+    outcomes = []
+    for b in [consistent, arbitrary, tuple(G(0) for _ in range(M.rows))] + units:
+        want = ref.solve(b)
+        assert dense(F.solve(sp(b)), M.cols) == want
+        outcomes.append(want is None)
+    # inconsistent right-hand sides are among the inputs whenever M is rank-deficient in rows
+    assert any(outcomes) == (M.rows > F.rank)
+    K = kernel_basis(M)
+    assert [dense(v, M.cols) for v in K.basis] == dense_kernel_basis(M)
+    # ker M modulo the span of its first kernel vectors: reps and coordinates
+    cut = K.dim // 2
+    H = Quotient(M, Subspace(M.cols, K.basis[:cut]))
+    want = DenseQuotient(M, dense_kernel_basis(M)[:cut])
+    assert [dense(v, M.cols) for v in H.reps] == want.reps
+    assert [dense(v, M.rows) for v in H.d_image.basis] == want.d_image()
+    for _ in range(3):
+        coeffs = [_gaussian_rational(rng) for _ in want.kernel]
+        cycle = tuple(
+            sum((c * v[i] for c, v in zip(coeffs, want.kernel)), G(0)) for i in range(M.cols)
+        )
+        assert dense(H.class_coords(sp(cycle)), H.dim) == want.class_coords(cycle)
 
 
 def _scanning_gauss_jordan(rows, ncols, steps=None):
@@ -310,31 +352,35 @@ def test_class_coords_eliminate_once(monkeypatch):
     d = Matrix(2, 6, {(0, j): _gaussian_rational(rng) for j in range(6)})
     boundary = kernel_basis(d).basis[2]
     H = Quotient(d, Subspace(6, [boundary]))
+    boundary = dense(boundary, 6)
     calls = []
     real = linalg._gauss_jordan
     monkeypatch.setattr(linalg, "_gauss_jordan", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     assert len(H.reps) == H.dim == 4
     for coeffs in ([1, 0, 2, 0], [0, 1, 1, -1], [2, 2, 2, 2], [0, 0, 0, 3], [0, 0, 0, 0]):
         # a cycle in the class sum(coeffs * reps), shifted by a boundary
-        terms = [(G(3), boundary)] + [(G(c), rep) for c, rep in zip(coeffs, H.reps)]
+        terms = [(G(3), boundary)] + [(G(c), dense(rep, 6)) for c, rep in zip(coeffs, H.reps)]
         vec = tuple(sum((c * v[i] for c, v in terms), G(0)) for i in range(6))
-        assert H.class_coords(vec) == tuple(G(c) for c in coeffs)
+        assert dense(H.class_coords(sp(vec)), 4) == tuple(G(c) for c in coeffs)
     # the reps and every class_coords call share one elimination
     assert len(calls) == 1
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(LinearAlgebraError, match="length"):
-        solve(Matrix.identity(2), (G(1),))
-    with pytest.raises(LinearAlgebraError, match="length"):
-        Matrix.identity(2).matvec((G(1),))
+    # a sparse vector has no length: an index beyond the matrix is the mismatch
+    with pytest.raises(LinearAlgebraError, match="index 2 out of range for 2 rows"):
+        solve(Matrix.identity(2), {2: G(1)})
+    with pytest.raises(LinearAlgebraError, match="index -1 out of range for 2 rows"):
+        solve(Matrix.identity(2), {-1: G(1)})
+    with pytest.raises(LinearAlgebraError, match="index 2 out of range for 2 columns"):
+        Matrix.identity(2).matvec({2: G(1)})
 
 
 def test_quotient_examples():
     # d = (0 0 1) has the kernel plane span(e1, e2)
     d = Matrix.from_rows_list([[0, 0, 1]])
-    plane = Subspace(3, [(G(1), G(0), G(0)), (G(0), G(1), G(0))])
-    line = Subspace(3, [(G(1), G(1), G(0))])
+    plane = Subspace(3, [sp((G(1), G(0), G(0))), sp((G(0), G(1), G(0)))])
+    line = Subspace(3, [sp((G(1), G(1), G(0)))])
     assert Quotient(d, line).dim == 1
     assert Quotient(d, plane).dim == 0
     assert Quotient(d, Subspace(3, [])).dim == 2
@@ -342,16 +388,16 @@ def test_quotient_examples():
     H = Quotient(d, line)
     assert (H.kernel.dim, H.image.dim) == (2, 1)
     # kernel pivot columns of [(1,1,0) | e1, e2]: e1 is kept, e2 is dependent
-    assert H.reps == [(G(1), G(0), G(0))]
-    assert H.class_coords((G(1), G(0), G(0))) == (G(1),)
-    assert H.class_coords((G(0), G(1), G(0))) == (G(-1),)  # e2 = (1,1,0) - e1
+    assert [dense(rep, 3) for rep in H.reps] == [(G(1), G(0), G(0))]
+    assert dense(H.class_coords(sp((G(1), G(0), G(0)))), 1) == (G(1),)
+    assert dense(H.class_coords(sp((G(0), G(1), G(0)))), 1) == (G(-1),)  # e2 = (1,1,0) - e1
     with pytest.raises(ValueError, match="not a cycle"):
-        H.class_coords((G(0), G(0), G(1)))
+        H.class_coords(sp((G(0), G(0), G(1))))
 
 
 def test_quotient_inclusion_violation():
     d = Matrix.from_rows_list([[0, 0, 1]])
-    out = Subspace(3, [(G(0), G(0), G(1))])
+    out = Subspace(3, [sp((G(0), G(0), G(1)))])
     with pytest.raises(LinearAlgebraError, match="not contained in the kernel: broken complex"):
         Quotient(d, out)
 
@@ -360,7 +406,7 @@ def test_quotient_top_grade_uses_standard_basis():
     # a 0 x n map: the kernel is the standard basis, in order
     H = Quotient(Matrix.zero(0, 3))
     assert H.dim == 3
-    assert H.reps == [tuple(G(int(i == j)) for i in range(3)) for j in range(3)]
+    assert [dense(rep, 3) for rep in H.reps] == [tuple(G(int(i == j)) for i in range(3)) for j in range(3)]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -373,7 +419,7 @@ def test_internal_bases_are_independent(seed):
     for sub in (kernel_basis(M), column_space(M), from_span(vectors, M.rows)):
         if sub.basis:
             assert rank(Matrix.from_columns(sub.basis, sub.ambient_dim)) == sub.dim
-        assert all(len(v) == sub.ambient_dim for v in sub.basis)
+        assert all(0 <= i < sub.ambient_dim for v in sub.basis for i in v)
     assert column_space(M).dim == rank(M) == from_span(vectors, M.rows).dim
     # the image a Quotient reads off its kernel elimination is column_space's
     assert Quotient(M).d_image.basis == column_space(M).basis
@@ -381,9 +427,11 @@ def test_internal_bases_are_independent(seed):
 
 def test_subspace_independence_check():
     with pytest.raises(LinearAlgebraError, match="independent"):
-        Subspace(2, [(G(1), G(2)), (G(2), G(4))])
-    sp = from_span([(G(1), G(2)), (G(2), G(4)), (G(0), G(1))], 2)
-    assert sp.dim == 2
+        Subspace(2, [sp((G(1), G(2))), sp((G(2), G(4)))])
+    with pytest.raises(LinearAlgebraError, match=r"entry \(2,0\) out of bounds 2x1"):
+        Subspace(2, [{2: G(1)}])
+    span = from_span([sp((G(1), G(2))), sp((G(2), G(4))), sp((G(0), G(1)))], 2)
+    assert span.dim == 2
 
 
 def test_column_space():
@@ -391,8 +439,8 @@ def test_column_space():
     cs = column_space(M)
     assert cs.dim == 2
     # pivot columns are the original first and third columns
-    assert cs.basis[0] == (G(1), G(2))
-    assert cs.basis[1] == (G(0), G(1))
+    assert dense(cs.basis[0], 2) == (G(1), G(2))
+    assert dense(cs.basis[1], 2) == (G(0), G(1))
 
 
 def test_stacking():
@@ -407,14 +455,14 @@ def test_matmul_matvec():
     A = Matrix.from_rows_list([[1, 2], [0, 1]])
     B = Matrix.from_rows_list([[1, 0], [3, 1]])
     assert A.mul(B) == Matrix.from_rows_list([[7, 2], [3, 1]])
-    assert A.matvec((G(1), G(1))) == (G(3), G(1))
+    assert dense(A.matvec(sp((G(1), G(1)))), 2) == (G(3), G(1))
 
 
 def test_deterministic_outputs():
     rng = random.Random(5)
     M = _random_matrix(rng, 5, 5)
     assert kernel_basis(M).basis == kernel_basis(M).basis
-    b = tuple(G(1) for _ in range(5))
+    b = sp(tuple(G(1) for _ in range(5)))
     assert solve(M, b) == solve(M, b)
 
 

@@ -351,3 +351,13 @@ def test_pair_pullback_is_cochain_map(seed):
     lhs = pair_pullback(pair, dbar_f(phi, fp), out_budget=w)
     rhs = dbar_f(pair_pullback(pair, phi, out_budget=w + 1), f_src).truncated(w)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (1, 1)])
+@pytest.mark.parametrize("apply", [lambda phi, f: dbar_f(phi, f), lambda phi, f: dbar_f_k(phi, 0, f)])
+def test_twist_from_another_model_is_rejected(shape, apply):
+    # the twist series is checked against the form's model before dbar(f) ^ phi
+    model = FoliationModel(1, 0, 2, parse_series("1+z1", 1, 0, 2))
+    phi = FoliatedForm.generator(model, [], [1], parse_series("z1", 1, 0, 2))
+    with pytest.raises(FormError, match="^coefficient series does not match the model$"):
+        apply(phi, parse_series("1+z1", *shape, 2))

@@ -1,18 +1,23 @@
+import json
+import pathlib
 import random
 
 import pytest
 
+from leafcoh import cli
 from leafcoh.algebra import GaussianRational, Series, parse_series
 from leafcoh.forms import FoliationModel
 from leafcoh.operators import FoliatedMorphism
-from leafcoh.linalg import Matrix, rank
+from leafcoh.linalg import Matrix, dense_vector, rank, sparse_vector
 from leafcoh.sequences import (
     ChainMap,
     CochainComplex,
     CoverValidationError,
     MayerVietorisCover,
+    RelativeComplex,
     SESValidationError,
     ShortExactSequence,
+    SnakeResult,
     _snake,
     _window_complex,
     _window_inclusion,
@@ -28,7 +33,10 @@ from leafcoh.sequences import (
     snake_les,
 )
 
+from dense_reference import DenseFactorization, DenseQuotient
 from factories import random_ses
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "relative_m2_snake.json"
 
 
 def G(x):
@@ -78,7 +86,93 @@ def test_complex_cohomology_on_random_ses(seed):
             assert len(H.reps) == H.dim
             for j, rep in enumerate(H.reps):
                 unit = tuple(GaussianRational(int(i == j)) for i in range(H.dim))
-                assert H.class_coords(rep) == unit
+                assert dense_vector(H.class_coords(rep), H.dim) == unit
+
+
+RANDOM_SES_SWEEPS = [31000 + seed for seed in range(40)] + [32000 + seed for seed in range(30)]
+
+
+@pytest.mark.parametrize("seed", RANDOM_SES_SWEEPS)
+def test_sparse_snake_path_matches_dense_reference(seed):
+    # the complexes of the two random_ses sweeps above, through the sparse
+    # Quotient and Factorization and through the former dense ones
+    rng = random.Random(seed)
+    ses, _ = random_ses(rng, grades=rng.choice([2, 3, 4]))
+    for cx in (ses.left, ses.middle, ses.right):
+        groups = complex_cohomology(cx)
+        refs = []
+        for q in range(len(cx.dims)):
+            refs.append(DenseQuotient(cx.differential(q), refs[-1].d_image() if q else ()))
+        for H, ref in zip(groups, refs):
+            n = H.kernel.ambient_dim
+            assert [dense_vector(v, n) for v in H.kernel.basis] == ref.kernel
+            assert [dense_vector(v, n) for v in H.image.basis] == ref.image
+            assert [dense_vector(v, n) for v in H.reps] == ref.reps
+            for _ in range(3):
+                coeffs = [GaussianRational(rng.randint(-3, 3)) for _ in ref.kernel]
+                cycle = tuple(
+                    sum((c * v[i] for c, v in zip(coeffs, ref.kernel)), G(0)) for i in range(n)
+                )
+                assert dense_vector(H.class_coords(sparse_vector(cycle)), H.dim) == ref.class_coords(cycle)
+    # the solves of the zig-zag, consistent or not
+    for q in range(len(ses.middle.dims)):
+        for which in ("inject", "project"):
+            comp = getattr(ses, which).components[q]
+            F, ref = ses.factor(which, q), DenseFactorization(comp)
+            draws = [tuple(G(rng.randint(-2, 2)) for _ in range(comp.cols)) for _ in range(2)]
+            rhs = [dense_vector(comp.matvec(sparse_vector(x)), comp.rows) for x in draws]
+            rhs += [tuple(G(rng.randint(-2, 2)) for _ in range(comp.rows)) for _ in range(2)]
+            for b in rhs:
+                got = F.solve(sparse_vector(b))
+                want = ref.solve(b)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert dense_vector(got, comp.cols) == want
+
+
+def _golden_dump_vector(vec: dict, n: int) -> list:
+    """A sparse vector as the golden records it: the nonzeros of its dense tuple, as exact triples."""
+    return [[i, [v.a, v.b, v.d]] for i, v in enumerate(dense_vector(vec, n)) if v]
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_relative_snake_matches_golden(D):
+    # every group's reps and the induced and connecting matrices of the
+    # benchmark's relative scene, recorded from the dense engine
+    golden = json.loads(GOLDEN.read_text())
+    scene = cli.Scene(dict(golden["scene"], model=dict(golden["scene"]["model"], budget=D)))
+    mu = scene.morphism()
+    data = _snake(make_relative_complex(mu, mu.target.f, 0, D).ses)
+    want = golden["snake"][str(D)]
+    for side in ("left", "middle", "right"):
+        got = [
+            {
+                "ambient": H.kernel.ambient_dim,
+                "dim": H.dim,
+                "reps": [_golden_dump_vector(rep, H.kernel.ambient_dim) for rep in H.reps],
+            }
+            for H in getattr(data, side)
+        ]
+        assert got == want[side], side
+    for name in ("induced_inject", "induced_project", "connecting"):
+        got = [
+            {
+                "rows": M.rows,
+                "cols": M.cols,
+                "columns": [_golden_dump_vector(col, M.rows) for col in M.columns()],
+            }
+            for M in getattr(data, name)
+        ]
+        assert got == want[name], name
+
+
+@pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
+def test_relative_reports_match_golden(tmp_path, capsys, kind):
+    golden = json.loads(GOLDEN.read_text())
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(golden["scene"]))
+    assert cli.main(["sequence", "--kind", kind, "--scene", str(scene)]) == golden["reports"][kind]["exit"]
+    assert capsys.readouterr().out == golden["reports"][kind]["text"]
 
 
 def test_snake_refuses_invalid_ses():
@@ -321,6 +415,29 @@ def test_trivial_overlap_splits():
     data = _snake(ses)
     for q in range(2):
         assert data.left[q].dim == data.middle[q].dim
+
+
+def test_result_classes_take_positional_and_keyword_arguments():
+    fields = ("grades", "left", "middle", "right", "induced_inject", "induced_project", "connecting")
+    for result in (SnakeResult(*fields), SnakeResult(**{name: name for name in fields})):
+        assert [getattr(result, name) for name in fields] == list(fields)
+    cover = laurent_cover(1)
+    names = ("complex_m", "complex_u", "complex_v", "complex_uv", "r_u", "r_v", "r_u_uv", "r_v_uv")
+    parts = [getattr(cover, name) for name in names]
+    for again in (MayerVietorisCover(*parts), MayerVietorisCover(**dict(zip(names, parts)))):
+        assert [getattr(again, name) for name in names] == parts
+    src = FoliationModel.untwisted(2, 0, 1)
+    tgt = FoliationModel.untwisted(1, 0, 1)
+    mu = FoliatedMorphism(src, tgt, [parse_series("z1*z2", 2, 0, 2)], [])
+    rc = make_relative_complex(mu, Series.one(1, 0), 0, 1)
+    names = (
+        "mu", "f_prime", "p", "D", "grades", "target_model", "source_model",
+        "target_budgets", "source_budgets", "ses",
+    )
+    parts = [getattr(rc, name) for name in names]
+    for again in (RelativeComplex(*parts), RelativeComplex(**dict(zip(names, parts)))):
+        assert [getattr(again, name) for name in names] == parts
+        assert (again.m_source, again.m_target) == (2, 1)
 
 
 def test_window_inclusion_is_chain_map():
