@@ -400,27 +400,18 @@ class Series:
         """Product, discarding terms of total degree > out_budget.
 
         With the default ``out_budget=None`` the product is exact and the
-        result budget is the sum of the factor budgets.
+        result budget is the sum of the factor budgets.  Each output term is
+        accumulated as a plain integer triple and normalised once (see
+        ``_mul_into``).
         """
         self._same_space(other)
         if out_budget is None:
             out_budget = self.budget + other.budget
         elif out_budget < 0:
             raise SeriesError("m, n and budget must be nonnegative")
-        right = [(key, expo_degree(key), c) for key, c in other.terms.items()]
         acc: dict = {}
-        for (a1, b1, g1), c1 in self.terms.items():
-            room = out_budget - sum(a1) - sum(b1) - sum(g1)
-            for (a2, b2, g2), d2, c2 in right:
-                if d2 > room:
-                    continue
-                key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), tuple(map(add, g1, g2)))
-                v = acc.get(key, ZERO) + c1 * c2
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-        return _raw_series(self.m, self.n, out_budget, acc)
+        _mul_into(acc, self, other, out_budget)
+        return _raw_series(self.m, self.n, out_budget, _accumulated_terms(acc))
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -462,7 +453,8 @@ class Series:
             vec[i] = e - 1
             new = list(key)
             new[slot] = tuple(vec)
-            terms[tuple(new)] = coeff * e
+            a, b, d = coeff.a * e, coeff.b * e, coeff.d
+            terms[tuple(new)] = _raw(a, b, 1) if d == 1 else _normal(a, b, d)
         return _raw_series(self.m, self.n, self.budget, terms)
 
     def conj(self) -> "Series":
@@ -546,6 +538,56 @@ def _raw_series(m: int, n: int, budget: int, terms: dict) -> Series:
     s.budget = budget
     s.terms = terms
     return s
+
+
+def _mul_into(acc: dict, s: Series, t: Series, out_budget: int, k: int = 1):
+    """Add k * s * t into ``acc``, skipping pairs of total degree > out_budget.
+
+    ``acc`` maps exponent triples to lists [re, im, den] of plain integers
+    holding (re + im*i) / den with den > 0, not reduced; no scalar object is
+    made per pair.  Each coefficient's triple is read once, and k is folded
+    into t's coefficients once.  ``_accumulated_terms`` turns ``acc`` into
+    terms.  Returns a bound on the degree of every term added:
+    min(out_budget, deg s + deg t).
+    """
+    right = [
+        (a2, b2, g2, sum(a2) + sum(b2) + sum(g2), c.a * k, c.b * k, c.d)
+        for (a2, b2, g2), c in t.terms.items()
+    ]
+    top = max([r[3] for r in right], default=0)
+    left = 0
+    for (a1, b1, g1), c in s.terms.items():
+        x, y, e = c.a, c.b, c.d
+        d1 = sum(a1) + sum(b1) + sum(g1)
+        if d1 > left:
+            left = d1
+        room = out_budget - d1
+        for a2, b2, g2, d2, u, v, w in right:
+            if d2 > room:
+                continue
+            key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), tuple(map(add, g1, g2)))
+            re, im, den = x * u - y * v, x * v + y * u, e * w
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [re, im, den]
+            elif slot[2] == den:
+                slot[0] += re
+                slot[1] += im
+            else:
+                d0 = slot[2]
+                slot[0] = slot[0] * den + re * d0
+                slot[1] = slot[1] * den + im * d0
+                slot[2] = d0 * den
+    return min(out_budget, left + top)
+
+
+def _accumulated_terms(acc: dict) -> dict:
+    """The nonzero terms of a ``_mul_into`` accumulator, one canonical scalar each."""
+    terms = {}
+    for key, (re, im, den) in acc.items():
+        if re or im:
+            terms[key] = _raw(re, im, 1) if den == 1 else _normal(re, im, den)
+    return terms
 
 
 # ---------------------------------------------------------------------------

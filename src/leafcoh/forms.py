@@ -21,7 +21,15 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import ONE, Series, SeriesError, _raw_series, monomials_upto
+from .algebra import (
+    ONE,
+    Series,
+    SeriesError,
+    _accumulated_terms,
+    _mul_into,
+    _raw_series,
+    monomials_upto,
+)
 
 MultiIndex = tuple  # strictly increasing tuple of 1-based variable indices
 
@@ -87,6 +95,8 @@ def merge_indices(u: MultiIndex, v: MultiIndex):
     The sign is the parity of the permutation sorting the concatenation u+v;
     a shared index yields (0, None).
     """
+    if not u or not v:
+        return 1, u or v
     sign = 1
     merged = []
     i = j = 0
@@ -108,8 +118,18 @@ def merge_indices(u: MultiIndex, v: MultiIndex):
 
 
 def insert_index(a: int, v: MultiIndex):
-    """Merge the single index a into v; (sign, merged) or (0, None)."""
-    return merge_indices((a,), v)
+    """Merge the single index a into v; (sign, merged) or (0, None).
+
+    a moves past the k entries of v below it, so the sign is (-1)^k.
+    """
+    k = 0
+    for b in v:
+        if b >= a:
+            if b == a:
+                return 0, None
+            break
+        k += 1
+    return -1 if k % 2 else 1, v[:k] + (a,) + v[k:]
 
 
 class FoliatedForm:
@@ -244,7 +264,8 @@ class FoliatedForm:
         if p > self.model.m or q > self.model.m:
             return FoliatedForm.zero(self.model, p, q, budget)
         # sign: move other's dz block (p2 generators) left past our dzb block
-        # (q1 generators), then merge the A and B tuples.
+        # (q1 generators), then merge the A and B tuples; the products go into
+        # one integer accumulator per (A, B).
         block = -1 if (other.p * self.q) % 2 else 1
         acc: dict = {}
         for (A1, B1), c1 in self.coeffs.items():
@@ -255,19 +276,10 @@ class FoliatedForm:
                 sb, B = merge_indices(B1, B2)
                 if sb == 0:
                     continue
-                c = c1.mul(c2, out_budget=budget)
-                if c.is_zero:
-                    continue
-                sign = block * sa * sb
-                if sign < 0:
-                    c = -c
-                prev = acc.get((A, B))
-                c = c if prev is None else prev + c
-                if c.is_zero:
-                    acc.pop((A, B), None)
-                else:
-                    acc[(A, B)] = c
-        return _raw_form(self.model, p, q, acc, budget)
+                _mul_into(acc.setdefault((A, B), {}), c1, c2, budget, block * sa * sb)
+        m, n = self.model.m, self.model.n
+        coeffs = {key: _raw_series(m, n, budget, _accumulated_terms(t)) for key, t in acc.items()}
+        return _raw_form(self.model, p, q, coeffs, budget)
 
     # -- comparison / io -------------------------------------------------------
 

@@ -16,8 +16,16 @@ transverse components for x, and map generators through the leafwise Jacobian
 
 from __future__ import annotations
 
-from .algebra import Series
-from .forms import FoliatedForm, FoliationModel, FormError, _raw_form, insert_index, twist_gap
+from .algebra import Series, SeriesError, _accumulated_terms, _mul_into, _raw_series
+from .forms import (
+    FoliatedForm,
+    FoliationModel,
+    FormError,
+    _raw_form,
+    insert_index,
+    merge_indices,
+    twist_gap,
+)
 
 
 def dbar(phi: FoliatedForm) -> FoliatedForm:
@@ -31,11 +39,11 @@ def dbar(phi: FoliatedForm) -> FoliatedForm:
     for (A, B), c in phi.coeffs.items():
         front = -1 if phi.p % 2 else 1
         for a in range(1, model.m + 1):
-            dc = c.deriv("zb", a)
-            if dc.is_zero:
-                continue
             s, B2 = insert_index(a, B)
             if s == 0:
+                continue
+            dc = c.deriv("zb", a)
+            if dc.is_zero:
                 continue
             _accumulate(acc, (A, B2), dc if front * s > 0 else -dc)
     return _raw_form(model, phi.p, phi.q + 1, acc, phi.budget)
@@ -47,11 +55,11 @@ def partial(phi: FoliatedForm) -> FoliatedForm:
     acc: dict = {}
     for (A, B), c in phi.coeffs.items():
         for a in range(1, model.m + 1):
-            dc = c.deriv("z", a)
-            if dc.is_zero:
-                continue
             s, A2 = insert_index(a, A)
             if s == 0:
+                continue
+            dc = c.deriv("z", a)
+            if dc.is_zero:
                 continue
             _accumulate(acc, (A2, B), dc if s > 0 else -dc)
     return _raw_form(model, phi.p + 1, phi.q, acc, phi.budget)
@@ -67,16 +75,45 @@ def _accumulate(acc: dict, key, series: Series):
 
 
 def _twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
-    out_budget = phi.budget + twist_gap(f)
-    first = raw(phi).mul_series(f, out_budget=out_budget)
-    if weight == 0:
-        return first.with_budget(out_budget)
+    """f * raw(phi) - weight * raw(f) ^ phi, in one pass; raw is dbar or partial.
+
+    Both products are formed exactly into one integer accumulator per (A, B)
+    (``algebra._mul_into``), with the wedge sign (-1)^p sgn(a, B) for dbar
+    and sgn(a, A) for partial, and the result is wrapped once.  f is checked
+    against phi's model at every weight.  Every output term must fit the
+    budget phi.budget + twist_gap(f); a term above it means the gap is
+    wrong, and raises SeriesError.
+    """
     model = phi.model
     if f.m != model.m or f.n != model.n:
         raise FormError("coefficient series does not match the model")
-    df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
-    second = df.wedge(phi).scale(weight)
-    return (first - second).with_budget(out_budget)
+    budget = phi.budget + twist_gap(f)
+    dphi = raw(phi)
+    acc: dict = {}
+    top = 0  # a bound on the degree of every term formed
+    for key, c in dphi.coeffs.items():
+        top = max(top, _mul_into(acc.setdefault(key, {}), c, f, c.budget + f.budget))
+    if weight:
+        df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
+        front = -weight if phi.p * df.q % 2 else weight
+        for (A1, B1), g in df.coeffs.items():
+            for (A, B), c in phi.coeffs.items():
+                sa, A2 = merge_indices(A1, A)
+                if sa == 0:
+                    continue
+                sb, B2 = merge_indices(B1, B)
+                if sb == 0:
+                    continue
+                k = -front * sa * sb
+                bound = _mul_into(acc.setdefault((A2, B2), {}), g, c, g.budget + c.budget, k)
+                top = max(top, bound)
+    m, n = model.m, model.n
+    coeffs = {key: _raw_series(m, n, budget, _accumulated_terms(t)) for key, t in acc.items()}
+    if top > budget:
+        for s in coeffs.values():
+            if s.degree > budget:
+                raise SeriesError(f"term of degree {s.degree} exceeds budget {budget}")
+    return _raw_form(model, dphi.p, dphi.q, coeffs, budget)
 
 
 def dbar_f(phi: FoliatedForm, f: Series | None = None) -> FoliatedForm:
@@ -113,7 +150,7 @@ class FoliatedMorphism:
     depend on x); x-components depend on x only.
     """
 
-    __slots__ = ("source", "target", "z_components", "x_components")
+    __slots__ = ("source", "target", "z_components", "x_components", "degree")
 
     def __init__(self, source: FoliationModel, target: FoliationModel, z_components, x_components):
         if len(z_components) != target.m:
@@ -134,6 +171,8 @@ class FoliatedMorphism:
         self.target = target
         self.z_components = tuple(z_components)
         self.x_components = tuple(x_components)
+        # the largest component degree (0 without components)
+        self.degree = max((c.degree for c in self.z_components + self.x_components), default=0)
 
     @classmethod
     def identity(cls, model: FoliationModel):
@@ -141,55 +180,66 @@ class FoliatedMorphism:
         xc = [Series.variable(model.m, model.n, "x", j) for j in range(1, model.n + 1)]
         return cls(model, model, zc, xc)
 
-    @property
-    def degree(self) -> int:
-        degs = [c.degree for c in self.z_components + self.x_components]
-        return max(degs, default=0)
-
     def substitution_budget(self, coeff_budget: int, p: int, q: int) -> int:
         """Degree bound for the pullback of a (p,q)-form with given budget."""
         d = self.degree
         return coeff_budget * d + (p + q) * max(d - 1, 0)
 
     def pull_series(self, s: Series, out_budget: int | None = None) -> Series:
-        """Compose a target-side function with the morphism (exact by default)."""
+        """Compose a target-side function with the morphism (exact by default).
+
+        Each power of a component (zb-components are the conjugated
+        z-components) is computed at most once per call, truncated at
+        out_budget; all degrees are >= 0, so truncating the factors equals
+        truncating the product.
+        """
         if s.m != self.target.m or s.n != self.target.n:
             raise MorphismError("series does not live on the target model")
         m, n = self.source.m, self.source.n
         if out_budget is None:
             out_budget = s.budget * max(self.degree, 1) if self.degree else 0
-        zbar_components = [c.conj() for c in self.z_components]
+        powers: dict = {}  # (slot, index) -> [1, c, c^2, ...] truncated at out_budget
+
+        def power(slot: int, i: int, e: int) -> Series:
+            pw = powers.get((slot, i))
+            if pw is None:
+                comp = self.x_components[i] if slot == 2 else self.z_components[i]
+                comp = comp.conj() if slot == 1 else comp
+                pw = powers[(slot, i)] = [None, comp.truncated(out_budget)]
+            while len(pw) <= e:
+                pw.append(pw[-1].mul(pw[1], out_budget=out_budget))
+            return pw[e]
+
         acc = Series.zero(m, n, out_budget)
-        for (alpha, beta, gamma), coeff in s.terms.items():
-            term = Series.constant(m, n, coeff)
-            for base, exps in (
-                (self.z_components, alpha),
-                (zbar_components, beta),
-                (self.x_components, gamma),
-            ):
-                for comp, e in zip(base, exps):
-                    for _ in range(e):
-                        term = term.mul(comp, out_budget=out_budget)
-            acc = acc + term
+        for key, coeff in s.terms.items():
+            term = None
+            for slot, exps in enumerate(key):
+                for i, e in enumerate(exps):
+                    if e:
+                        pw = power(slot, i, e)
+                        term = pw if term is None else term.mul(pw, out_budget=out_budget)
+            acc = acc + (Series.constant(m, n, coeff) if term is None else term.scale(coeff))
         return acc.with_budget(out_budget)
 
     def generator_image(self, a: int, anti: bool) -> FoliatedForm:
         """Leafwise image of dz'^a (anti=False) or dzb'^a (anti=True)."""
-        m, n = self.source.m, self.source.n
+        m = self.source.m
         comp = self.z_components[a - 1]
         coeffs = {}
+        # every component has degree <= self.degree, so each derivative fits the budget
+        budget = max(self.degree - 1, 0)
         for b in range(1, m + 1):
             dz = comp.deriv("z", b)
             if dz.is_zero:
                 continue
+            dz = _raw_series(m, self.source.n, budget, dz.terms)
             if anti:
                 coeffs[((), (b,))] = dz.conj()
             else:
                 coeffs[((b,), ())] = dz
-        budget = max(self.degree - 1, 0)
         if anti:
-            return FoliatedForm(self.source, 0, 1, coeffs, budget)
-        return FoliatedForm(self.source, 1, 0, coeffs, budget)
+            return _raw_form(self.source, 0, 1, coeffs, budget)
+        return _raw_form(self.source, 1, 0, coeffs, budget)
 
     def __repr__(self):
         zs = ", ".join(str(c) for c in self.z_components)
@@ -212,17 +262,20 @@ def pullback(mu: FoliatedMorphism, phi: FoliatedForm, out_budget: int | None = N
     result = FoliatedForm.zero(mu.source, phi.p, phi.q, budget)
     if phi.p > mu.source.m or phi.q > mu.source.m:
         return result
+    images: dict = {}  # (index, anti) -> generator_image, built once per call
     for (A, B), c in phi.coeffs.items():
-        piece = FoliatedForm.from_series(mu.source, mu.pull_series(c, out_budget=budget))
-        for a in A:
-            piece = piece.wedge(mu.generator_image(a, anti=False), out_budget=budget)
-            if piece.is_zero:
-                break
-        else:
-            for b in B:
-                piece = piece.wedge(mu.generator_image(b, anti=True), out_budget=budget)
+        pulled = mu.pull_series(c, out_budget=budget)
+        piece = _raw_form(mu.source, 0, 0, {((), ()): pulled}, budget)
+        for gens, anti in ((A, False), (B, True)):
+            for a in gens:
+                image = images.get((a, anti))
+                if image is None:
+                    image = images[(a, anti)] = mu.generator_image(a, anti)
+                piece = piece.wedge(image, out_budget=budget)
                 if piece.is_zero:
                     break
+            if piece.is_zero:
+                break
         if not piece.is_zero:
             result = result + piece
     return result.with_budget(budget)
