@@ -277,9 +277,7 @@ class FoliatedForm:
                 if sb == 0:
                     continue
                 _mul_into(acc.setdefault((A, B), {}), c1, c2, budget, block * sa * sb)
-        m, n = self.model.m, self.model.n
-        coeffs = {key: _raw_series(m, n, budget, _accumulated_terms(t)) for key, t in acc.items()}
-        return _raw_form(self.model, p, q, coeffs, budget)
+        return _accumulated_form(self.model, p, q, acc, budget)
 
     # -- comparison / io -------------------------------------------------------
 
@@ -351,6 +349,14 @@ def _raw_form(model: FoliationModel, p: int, q: int, coeffs: dict, budget: int) 
         if s.terms
     }
     return phi
+
+
+def _accumulated_form(model: FoliationModel, p: int, q: int, acc: dict, budget: int) -> FoliatedForm:
+    """The form of a map (A, B) -> ``algebra._mul_into`` accumulator whose
+    terms all fit ``budget``."""
+    m, n = model.m, model.n
+    coeffs = {key: _raw_series(m, n, budget, _accumulated_terms(t)) for key, t in acc.items()}
+    return _raw_form(model, p, q, coeffs, budget)
 
 
 def _check_multi_index(t: MultiIndex, length: int, m: int):

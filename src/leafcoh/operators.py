@@ -16,11 +16,12 @@ transverse components for x, and map generators through the leafwise Jacobian
 
 from __future__ import annotations
 
-from .algebra import Series, SeriesError, _accumulated_terms, _mul_into, _raw_series
+from .algebra import ONE, Series, SeriesError, _accumulated_terms, _mul_into, _raw_series
 from .forms import (
     FoliatedForm,
     FoliationModel,
     FormError,
+    _accumulated_form,
     _raw_form,
     insert_index,
     merge_indices,
@@ -107,13 +108,12 @@ def _twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
                 k = -front * sa * sb
                 bound = _mul_into(acc.setdefault((A2, B2), {}), g, c, g.budget + c.budget, k)
                 top = max(top, bound)
-    m, n = model.m, model.n
-    coeffs = {key: _raw_series(m, n, budget, _accumulated_terms(t)) for key, t in acc.items()}
+    out = _accumulated_form(model, dphi.p, dphi.q, acc, budget)
     if top > budget:
-        for s in coeffs.values():
+        for s in out.coeffs.values():
             if s.degree > budget:
                 raise SeriesError(f"term of degree {s.degree} exceeds budget {budget}")
-    return _raw_form(model, dphi.p, dphi.q, coeffs, budget)
+    return out
 
 
 def dbar_f(phi: FoliatedForm, f: Series | None = None) -> FoliatedForm:
@@ -191,7 +191,8 @@ class FoliatedMorphism:
         Each power of a component (zb-components are the conjugated
         z-components) is computed at most once per call, truncated at
         out_budget; all degrees are >= 0, so truncating the factors equals
-        truncating the product.
+        truncating the product.  The substituted terms go into one integer
+        accumulator.
         """
         if s.m != self.target.m or s.n != self.target.n:
             raise MorphismError("series does not live on the target model")
@@ -210,16 +211,18 @@ class FoliatedMorphism:
                 pw.append(pw[-1].mul(pw[1], out_budget=out_budget))
             return pw[e]
 
-        acc = Series.zero(m, n, out_budget)
+        origin = ((0,) * m, (0,) * m, (0,) * n)
+        one = _raw_series(m, n, 0, {origin: ONE})
+        acc: dict = {}
         for key, coeff in s.terms.items():
-            term = None
+            term = one
             for slot, exps in enumerate(key):
                 for i, e in enumerate(exps):
                     if e:
                         pw = power(slot, i, e)
-                        term = pw if term is None else term.mul(pw, out_budget=out_budget)
-            acc = acc + (Series.constant(m, n, coeff) if term is None else term.scale(coeff))
-        return acc.with_budget(out_budget)
+                        term = pw if term is one else term.mul(pw, out_budget=out_budget)
+            _mul_into(acc, term, _raw_series(m, n, 0, {origin: coeff}), out_budget)
+        return _raw_series(m, n, out_budget, _accumulated_terms(acc))
 
     def generator_image(self, a: int, anti: bool) -> FoliatedForm:
         """Leafwise image of dz'^a (anti=False) or dzb'^a (anti=True)."""
@@ -254,31 +257,34 @@ def pullback(mu: FoliatedMorphism, phi: FoliatedForm, out_budget: int | None = N
     Jacobian, dz'^a -> sum_b d(z'_a)/dz^b dz^b and its conjugate for dzb'^a.
     Substitution beyond out_budget is truncated silently (identities are
     stated up to budget).
+
+    Each generator image is built once per call.  A coefficient c on dz'^A ^
+    dzb'^B contributes mu*(c) times the wedge of the images of A and B, added
+    into one integer accumulator per (A, B) of the result; all degrees are
+    >= 0, so truncating the factors equals truncating the product.
     """
     if phi.model.m != mu.target.m or phi.model.n != mu.target.n:
         raise MorphismError("form does not live on the target model")
     exact = mu.substitution_budget(phi.budget, phi.p, phi.q)
     budget = exact if out_budget is None else out_budget
-    result = FoliatedForm.zero(mu.source, phi.p, phi.q, budget)
-    if phi.p > mu.source.m or phi.q > mu.source.m:
-        return result
-    images: dict = {}  # (index, anti) -> generator_image, built once per call
+    source = mu.source
+    if phi.p > source.m or phi.q > source.m:
+        return FoliatedForm.zero(source, phi.p, phi.q, budget)
+    unit = _raw_form(source, 0, 0, {((), ()): Series.one(source.m, source.n)}, 0)
+    images: dict = {}  # (index, anti) -> generator_image
+    acc: dict = {}
     for (A, B), c in phi.coeffs.items():
         pulled = mu.pull_series(c, out_budget=budget)
-        piece = _raw_form(mu.source, 0, 0, {((), ()): pulled}, budget)
+        image = unit
         for gens, anti in ((A, False), (B, True)):
             for a in gens:
-                image = images.get((a, anti))
-                if image is None:
-                    image = images[(a, anti)] = mu.generator_image(a, anti)
-                piece = piece.wedge(image, out_budget=budget)
-                if piece.is_zero:
-                    break
-            if piece.is_zero:
-                break
-        if not piece.is_zero:
-            result = result + piece
-    return result.with_budget(budget)
+                g = images.get((a, anti))
+                if g is None:
+                    g = images[(a, anti)] = mu.generator_image(a, anti)
+                image = g if image is unit else image.wedge(g, out_budget=budget)
+        for key, s in image.coeffs.items():
+            _mul_into(acc.setdefault(key, {}), pulled, s, budget)
+    return _accumulated_form(source, phi.p, phi.q, acc, budget)
 
 
 class MorphismPair:

@@ -1,0 +1,130 @@
+"""Reference kernels for the twisted operators, the series product and the pullback.
+
+These are the form-level composition of the twisted operators, the product
+of GaussianRational pairs and the term-by-term substitution and generator
+wedging of the pullback that ``operators._twisted``, ``Series.mul``,
+``FoliatedMorphism.pull_series`` and ``operators.pullback`` replaced.  The
+differential tests compare the kernels with them on seeded sweeps: same
+values, same budgets.
+"""
+
+from __future__ import annotations
+
+from operator import add
+
+from leafcoh import operators
+from leafcoh.algebra import ZERO, Series, SeriesError, _raw_series, expo_degree
+from leafcoh.forms import FoliatedForm, FormError, _raw_form, twist_gap
+from leafcoh.operators import FoliatedMorphism
+
+
+def series_mul(s: Series, t: Series, out_budget: int | None = None) -> Series:
+    """s * t, discarding terms of total degree > out_budget, one scalar product per pair."""
+    s._same_space(t)
+    if out_budget is None:
+        out_budget = s.budget + t.budget
+    elif out_budget < 0:
+        raise SeriesError("m, n and budget must be nonnegative")
+    right = [(key, expo_degree(key), c) for key, c in t.terms.items()]
+    acc: dict = {}
+    for (a1, b1, g1), c1 in s.terms.items():
+        room = out_budget - sum(a1) - sum(b1) - sum(g1)
+        for (a2, b2, g2), d2, c2 in right:
+            if d2 > room:
+                continue
+            key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), tuple(map(add, g1, g2)))
+            v = acc.get(key, ZERO) + c1 * c2
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+    return _raw_series(s.m, s.n, out_budget, acc)
+
+
+def twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
+    """f * raw(phi) - weight * raw(f) ^ phi through the form arithmetic.
+
+    f * raw(phi) is truncated at phi.budget + twist_gap(f), and lowering the
+    sum to that budget re-checks the terms; f is checked against phi's model
+    only when the weight is nonzero.
+    """
+    out_budget = phi.budget + twist_gap(f)
+    first = raw(phi).mul_series(f, out_budget=out_budget)
+    if weight == 0:
+        return first.with_budget(out_budget)
+    model = phi.model
+    if f.m != model.m or f.n != model.n:
+        raise FormError("coefficient series does not match the model")
+    df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
+    second = df.wedge(phi).scale(weight)
+    return (first - second).with_budget(out_budget)
+
+
+def dbar_f(phi, f=None):
+    f = phi.model.f if f is None else f
+    return twisted(phi, f, phi.deg, operators.dbar)
+
+
+def partial_f(phi, f=None):
+    f = phi.model.f if f is None else f
+    return twisted(phi, f, phi.deg, operators.partial)
+
+
+def dbar_f_k(phi, k, f=None):
+    f = phi.model.f if f is None else f
+    return twisted(phi, f, phi.deg - k, operators.dbar)
+
+
+def pull_series(mu: FoliatedMorphism, s: Series, out_budget: int | None = None) -> Series:
+    """Each term of s substituted factor by factor, truncating after every product."""
+    m, n = mu.source.m, mu.source.n
+    if out_budget is None:
+        out_budget = s.budget * max(mu.degree, 1) if mu.degree else 0
+    zbar_components = [c.conj() for c in mu.z_components]
+    acc = Series.zero(m, n, out_budget)
+    for (alpha, beta, gamma), coeff in s.terms.items():
+        term = Series.constant(m, n, coeff)
+        for base, exps in ((mu.z_components, alpha), (zbar_components, beta), (mu.x_components, gamma)):
+            for comp, e in zip(base, exps):
+                for _ in range(e):
+                    term = series_mul(term, comp, out_budget)
+        acc = acc + term
+    return acc.with_budget(out_budget)
+
+
+def generator_image(mu: FoliatedMorphism, a: int, anti: bool) -> FoliatedForm:
+    m = mu.source.m
+    coeffs = {}
+    for b in range(1, m + 1):
+        dz = mu.z_components[a - 1].deriv("z", b)
+        if dz.is_zero:
+            continue
+        if anti:
+            coeffs[((), (b,))] = dz.conj()
+        else:
+            coeffs[((b,), ())] = dz
+    budget = max(mu.degree - 1, 0)
+    return FoliatedForm(mu.source, 0 if anti else 1, 1 if anti else 0, coeffs, budget)
+
+
+def pullback(mu: FoliatedMorphism, phi: FoliatedForm, out_budget: int | None = None) -> FoliatedForm:
+    """Each coefficient pulled back, then wedged with one generator image at a time."""
+    exact = mu.substitution_budget(phi.budget, phi.p, phi.q)
+    budget = exact if out_budget is None else out_budget
+    result = FoliatedForm.zero(mu.source, phi.p, phi.q, budget)
+    if phi.p > mu.source.m or phi.q > mu.source.m:
+        return result
+    for (A, B), c in phi.coeffs.items():
+        piece = FoliatedForm.from_series(mu.source, pull_series(mu, c, out_budget=budget))
+        for a in A:
+            piece = piece.wedge(generator_image(mu, a, anti=False), out_budget=budget)
+            if piece.is_zero:
+                break
+        else:
+            for b in B:
+                piece = piece.wedge(generator_image(mu, b, anti=True), out_budget=budget)
+                if piece.is_zero:
+                    break
+        if not piece.is_zero:
+            result = result + piece
+    return result.with_budget(budget)

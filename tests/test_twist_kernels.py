@@ -1,9 +1,10 @@
 """Differential tests of the twisted-operator and series-product kernels.
 
-``operators._twisted`` and ``Series.mul`` are compared with the reference
-kernels in ``twist_reference`` on seeded sweeps: equal values and equal
-budgets, for the form and for every coefficient.  The reference twisted
-operators run on the reference series product.  Also here: the twist is
+``operators._twisted``, ``Series.mul``, ``FoliatedMorphism.pull_series`` and
+``operators.pullback`` are compared with the reference kernels in
+``kernel_reference`` on seeded sweeps: equal values and equal budgets, for
+the form and for every coefficient.  The reference twisted operators and
+the reference pullback run on the reference series product.  Also here: the twist is
 checked against the form's model at every weight, and every output term of
 a twisted operator is checked against the budget phi.budget + twist_gap(f).
 """
@@ -13,12 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-import twist_reference as ref
+import kernel_reference as ref
 from leafcoh import operators
 from leafcoh.algebra import GaussianRational, Series, SeriesError, parse_series
 from leafcoh.forms import FoliatedForm, FoliationModel, FormError
-from leafcoh.operators import dbar_f, dbar_f_k, partial_f
-from leafcoh.sampling import random_form, random_series, random_unit_series
+from leafcoh.operators import dbar_f, dbar_f_k, partial_f, pullback
+from leafcoh.sampling import random_form, random_morphism, random_series, random_unit_series
 
 SHAPES = [(m, n) for m in (1, 2, 3) for n in (0, 1)]
 
@@ -137,6 +138,26 @@ def test_series_mul_cancels_to_zero():
     assert square == parse_series("z1^2 - zb1^2", 1, 0, 2)
     one = parse_series("1/2*z1", 1, 0, 1).mul(parse_series("2*zb1", 1, 0, 1))
     assert one.terms == {((1,), (1,), ()): GaussianRational(1)}
+
+
+@pytest.mark.parametrize("m, n", SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_pullback_matches_reference(monkeypatch, m, n, seed):
+    rng = random.Random(500 * seed + 10 * m + n)
+    source = FoliationModel.untwisted(m, n, 2)
+    for m2 in range(1, m + 1):
+        target = FoliationModel.untwisted(m2, rng.choice([0, n]), 2)
+        mu = random_morphism(rng, source, target, degree=rng.choice([1, 2, 3]))
+        f = random_series(rng, m2, target.n, 3, max_terms=4)
+        for out_budget in (None, 0, 1, 3):
+            want = _with_reference_mul(monkeypatch, lambda: ref.pull_series(mu, f, out_budget))
+            assert_same_series(mu.pull_series(f, out_budget), want)
+        for p in range(m2 + 1):
+            for q in range(m2 + 1):
+                phi = random_form(rng, target, p, q, budget=rng.randint(0, 3), max_components=3)
+                for out_budget in (None, 0, 2, 4):
+                    want = _with_reference_mul(monkeypatch, lambda: ref.pullback(mu, phi, out_budget))
+                    assert_same_form(pullback(mu, phi, out_budget), want)
 
 
 # ---------------------------------------------------------------------------
