@@ -352,8 +352,10 @@ def _raw_form(model: FoliationModel, p: int, q: int, coeffs: dict, budget: int) 
 
 
 def _accumulated_form(model: FoliationModel, p: int, q: int, acc: dict, budget: int) -> FoliatedForm:
-    """The form of a map (A, B) -> ``algebra._mul_into`` accumulator whose
-    terms all fit ``budget``."""
+    """The form at ``budget`` of a map (A, B) -> ``algebra._mul_into`` accumulator.
+
+    The caller guarantees, or checks right after, that every term fits the budget.
+    """
     m, n = model.m, model.n
     coeffs = {key: _raw_series(m, n, budget, _accumulated_terms(t)) for key, t in acc.items()}
     return _raw_form(model, p, q, coeffs, budget)
