@@ -226,17 +226,15 @@ def suite_rescale(model: FoliationModel, seed: int, trials: int, h: Series | Non
     return t.report("rescale", seed, trials)
 
 
-def _case_morphism(rng, model, morphism=None, f_prime=None):
+def _case_morphism(rng, model, morphism=None):
     if morphism is not None:
-        mu = morphism
-        fp = f_prime if f_prime is not None else mu.target.f
-        return mu, fp
+        return morphism
     m2 = rng.choice([1, model.m])
     n2 = rng.choice([0, model.n]) if model.n else 0
     target = FoliationModel.untwisted(m2, n2, model.budget)
     mu = random_morphism(rng, model, target, degree=2)
     fp = random_series(rng, m2, n2, model.budget, max_terms=2)
-    return mu, fp
+    return FoliatedMorphism(model, target.with_twist(fp), mu.z_components, mu.x_components)
 
 
 def suite_intertwine(
@@ -244,15 +242,15 @@ def suite_intertwine(
     seed: int,
     trials: int,
     morphism: FoliatedMorphism | None = None,
-    f_prime: Series | None = None,
     pair: MorphismPair | None = None,
 ) -> dict:
     """Pullback intertwining, the cone differential squaring to zero, and the
-    pair pullback being a cochain map."""
+    pair pullback being a cochain map; f' is the twist of each morphism's target."""
     rng = random.Random(seed)
     t = _Tally(["intertwine", "tilde_square", "pair_cochain_map"])
     for case in range(trials):
-        mu, fp = _case_morphism(rng, model, morphism, f_prime)
+        mu = _case_morphism(rng, model, morphism)
+        fp = mu.target.f
         m2 = mu.target.m
         p = rng.randint(0, m2)
         q = rng.randint(0, m2)
@@ -263,8 +261,8 @@ def suite_intertwine(
         t.record("intertwine", lhs == rhs, case, "mu={}, f'={}", mu, fp)
 
         psi = random_form(rng, mu.source, p, q - 1)
-        c1, c2 = tilde_dbar(phi, psi, mu, fp)
-        d1, d2 = tilde_dbar(c1, c2, mu, fp)
+        c1, c2 = tilde_dbar(phi, psi, mu)
+        d1, d2 = tilde_dbar(c1, c2, mu)
         t.record("tilde_square", d1.is_zero and d2.is_zero, case, "mu={}", mu)
 
         if pair is not None:
@@ -273,10 +271,8 @@ def suite_intertwine(
             # build a valid pair: constant alpha, source twist mu*(f')/alpha
             c = GaussianRational(rng.randint(1, 3))
             alpha = Series.constant(mu.source.m, mu.source.n, c)
-            f_src = pulled_twist.scale(c.inverse())
-            src_model = mu.source.with_twist(f_src)
-            tgt_model = mu.target.with_twist(fp)
-            mu_pair = FoliatedMorphism(src_model, tgt_model, mu.z_components, mu.x_components)
+            src_model = mu.source.with_twist(pulled_twist.scale(c.inverse()))
+            mu_pair = FoliatedMorphism(src_model, mu.target, mu.z_components, mu.x_components)
             case_pair = MorphismPair(mu_pair, alpha)
         pm = case_pair.phi
         pp = rng.randint(0, pm.target.m)
@@ -338,7 +334,6 @@ def run_suite(
     h: Series | None = None,
     g: Series | None = None,
     morphism: FoliatedMorphism | None = None,
-    f_prime: Series | None = None,
     pair: MorphismPair | None = None,
 ) -> dict:
     if name == "operators":
@@ -348,7 +343,7 @@ def run_suite(
     if name == "rescale":
         return suite_rescale(model, seed, trials, h)
     if name == "intertwine":
-        return suite_intertwine(model, seed, trials, morphism, f_prime, pair)
+        return suite_intertwine(model, seed, trials, morphism, pair)
     if name == "pairing":
         return suite_pairing(model, seed, trials)
     raise ValueError(f"unknown suite {name!r}")

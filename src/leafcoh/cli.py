@@ -64,9 +64,13 @@ SCENE_KEYS = frozenset(
 _KINDS = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a nonnegative integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+    "a boolean": lambda v: isinstance(v, bool),
     "a positive integer": lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
     "a string": lambda v: isinstance(v, str),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of integers": lambda v: isinstance(v, list)
+    and all(isinstance(x, int) and not isinstance(x, bool) for x in v),
+    "a list": lambda v: isinstance(v, list),
     "an object": lambda v: isinstance(v, dict),
 }
 
@@ -117,6 +121,9 @@ class Scene:
                 _typed(data[key], "a string", key)
         if "cover" in data:
             _typed(data["cover"], "an object", "cover")
+        for key in ("expect_failure", "basic_twist_only"):
+            if key in data:
+                _typed(data[key], "a boolean", key)
         f = self._twist(_typed(md.get("f", "1"), "a string", "model.f"), m, n)
         if data.get("basic_twist_only") and any(
             sum(alpha) + sum(beta) for (alpha, beta, _) in f.terms
@@ -130,7 +137,7 @@ class Scene:
         self.trials = data.get("trials")
         self.slack = data.get("slack", 0)
         self.k = data.get("k")
-        self.expect_failure = bool(data.get("expect_failure", False))
+        self.expect_failure = data.get("expect_failure", False)
         self.h = None
         if "h" in data:
             self.h = self._twist(data["h"], m, n)
@@ -181,21 +188,18 @@ class Scene:
         m2, n2 = len(zc_texts), len(xc_texts)
         if m2 < 1:
             raise SceneError("morphism needs at least one z-component")
-        f_prime = self._twist(self.data.get("f_prime", "1"), m2, n2)
-        target = FoliationModel(m2, n2, self.model.budget, f_prime)
-        zc = [self._parse_source_series(t) for t in zc_texts]
-        xc = [self._parse_source_series(t) for t in xc_texts]
+        target_twist = self._twist(self.data.get("f_prime", "1"), m2, n2)
+        target = FoliationModel(m2, n2, self.model.budget, target_twist)
+        m, n = self.model.m, self.model.n
+        zc = [self._twist(t, m, n) for t in zc_texts]
+        xc = [self._twist(t, m, n) for t in xc_texts]
         return FoliatedMorphism(self.model, target, zc, xc)
-
-    def _parse_source_series(self, text: str) -> Series:
-        s = Series.parse(text, self.model.m, self.model.n, _TWIST_PARSE_BUDGET)
-        return s.with_budget(s.degree)
 
     def pair(self, mu: FoliatedMorphism):
         if "pair" not in self.data:
             return None
         entry = _typed(self.data["pair"], "an object", "pair")
-        alpha = self._parse_source_series(_field(entry, "alpha", "a string", "pair"))
+        alpha = self._twist(_field(entry, "alpha", "a string", "pair"), self.model.m, self.model.n)
         from .operators import MorphismPair
 
         return MorphismPair(mu, alpha)
@@ -206,6 +210,7 @@ class Scene:
         entry = self.data["cover"]
         kind = entry.get("kind")
         D = _typed(entry.get("D", self.model.budget), "an integer", "cover.D")
+        _typed(D, "a nonnegative integer", "cover.D")
         if kind == "laurent":
             return kind, laurent_cover(D)
         if kind == "degenerate":
@@ -253,11 +258,9 @@ def cmd_check(args) -> int:
     else:
         trials = scene.trials if scene.trials is not None else 100
     morphism = None
-    f_prime = None
     pair = None
     if args.suite == "intertwine" and "morphism" in scene.data:
         morphism = scene.morphism()
-        f_prime = morphism.target.f
         pair = scene.pair(morphism)
     report = run_suite(
         args.suite,
@@ -267,7 +270,6 @@ def cmd_check(args) -> int:
         h=scene.h,
         g=scene.g,
         morphism=morphism,
-        f_prime=f_prime,
         pair=pair,
     )
     emit(report, args.out)
@@ -334,13 +336,12 @@ def cmd_sequence(args) -> int:
         return EXIT_OK if ok else EXIT_VIOLATION
 
     mu = scene.morphism()
-    f_prime = mu.target.f
     p = scene.grid_value("p", 0)
     D = scene.grid_value("D", scene.model.budget)
     top = max(mu.source.m, mu.target.m)
     if not 0 <= p <= top:
         raise SceneError(f"grid axis p value {p} outside [0, {top}]")
-    rc = make_relative_complex(mu, f_prime, p, D)
+    rc = make_relative_complex(mu, p, D)
     if args.kind == "relative":
         les = relative_les(rc)
         emit({"kind": "relative", "p": p, "D": D, "les": les}, args.out)
@@ -356,18 +357,34 @@ def cmd_sequence(args) -> int:
     raise SceneError(f"unknown sequence kind {args.kind!r}")
 
 
+def _form(model: FoliationModel, entry: dict, key: str) -> FoliatedForm:
+    """The form under target[key], its fields type-checked before FoliatedForm.from_dict."""
+    name = f"target.{key}"
+    data = _field(entry, key, "an object", "target")
+    for degree in ("p", "q"):
+        _field(data, degree, "a nonnegative integer", name)
+    if "budget" in data:
+        _typed(data["budget"], "a nonnegative integer", f"{name}.budget")
+    for i, term in enumerate(_typed(data.get("terms", []), "a list", f"{name}.terms")):
+        where = f"{name}.terms[{i}]"
+        _typed(term, "an object", where)
+        _field(term, "A", "a list of integers", where)
+        _field(term, "B", "a list of integers", where)
+        _field(term, "coeff", "a string", where)
+    return FoliatedForm.from_dict(model, data)
+
+
 def cmd_solve(args) -> int:
     scene = load_scene(args.scene)
     entry = scene.target()
     slack = scene.slack if args.slack is None else _typed(args.slack, "a nonnegative integer", "--slack")
-    op = entry.get("op", "dbar_f")
+    op = _typed(entry.get("op", "dbar_f"), "a string", "target.op")
     try:
         if op == "tilde":
             mu = scene.morphism()
-            f_prime = mu.target.f
-            phi = FoliatedForm.from_dict(mu.target, _field(entry, "phi", "an object", "target"))
-            psi = FoliatedForm.from_dict(mu.source, _field(entry, "psi", "an object", "target"))
-            result = solve_primitive_tilde(mu, f_prime, phi, psi, slack=slack)
+            phi = _form(mu.target, entry, "phi")
+            psi = _form(mu.source, entry, "psi")
+            result = solve_primitive_tilde(mu, phi, psi, slack=slack)
             if result is None:
                 emit({"op": op, "found": False, "slack": slack}, args.out)
                 return EXIT_VIOLATION
@@ -384,7 +401,7 @@ def cmd_solve(args) -> int:
                 args.out,
             )
             return EXIT_OK
-        target = FoliatedForm.from_dict(scene.model, _field(entry, "form", "an object", "target"))
+        target = _form(scene.model, entry, "form")
         k = _typed(entry["k"], "an integer", "target.k") if "k" in entry else scene.k
         primitive = solve_primitive(op, scene.model, target, slack=slack, k=k)
         if primitive is None:
@@ -421,19 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scene", required=True, help="path to the JSON scene")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=None, help="override the scene seed")
-        p.add_argument("--trials", type=int, default=None, help="override scene trials")
 
     p_check = sub.add_parser("check", help="run a property suite")
     common(p_check)
     p_check.add_argument("--suite", required=True, choices=SUITES)
+    p_check.add_argument("--seed", type=int, default=None, help="override the scene seed")
+    p_check.add_argument("--trials", type=int, default=None, help="override scene trials")
     p_check.set_defaults(func=cmd_check)
 
     p_coh = sub.add_parser("cohomology", help="dimension tables over a (p,q,D) grid")
     common(p_coh)
     p_coh.add_argument("--variant", choices=VARIANTS, default="dolbeault")
     p_coh.add_argument("--k", type=int, default=None, help="weight shift for variant 'k'")
+    p_coh.add_argument("--format", choices=("json", "csv"), default="json")
     p_coh.set_defaults(func=cmd_cohomology)
 
     p_seq = sub.add_parser("sequence", help="long exact sequence reports")

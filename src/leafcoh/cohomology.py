@@ -635,9 +635,28 @@ def solve_primitive(
     return primitive
 
 
+def cone_blocks(
+    mu: FoliatedMorphism, p: int, q: int, in_budgets: tuple, out_budgets: tuple
+) -> tuple[Matrix, Matrix, Matrix]:
+    """The mapping-cone differential of mu from grade q and its diagonal blocks.
+
+    Grade q is target-(p,q) + source-(p,q-1) at in_budgets (target, source);
+    its image is target-(p,q+1) + source-(p,q) at out_budgets.  The cone
+    matrix is [[dbar_{f'}, 0], [mu*, -dbar_{mu* f'}]] with f' the twist of
+    mu's target; returned as (dbar_{f'}, -dbar_{mu* f'}, cone).  At q = 0
+    the source block has no columns.
+    """
+    (in_t, in_s), (out_t, out_s) = in_budgets, out_budgets
+    source_model = mu.source.with_twist(mu.pull_series(mu.target.f))
+    m11 = operator_matrix("dbar_f", mu.target, p, q, in_t, out_t)
+    m21 = pullback_matrix(mu, p, q, in_t, out_s)
+    m22 = -operator_matrix("dbar_f", source_model, p, q - 1, in_s, out_s)
+    cone = vstack(hstack(m11, Matrix.zero(m11.rows, m22.cols)), hstack(m21, m22))
+    return m11, m22, cone
+
+
 def solve_primitive_tilde(
     mu: FoliatedMorphism,
-    f_prime: Series,
     phi: FoliatedForm,
     psi: FoliatedForm,
     slack: int = 0,
@@ -648,7 +667,7 @@ def solve_primitive_tilde(
     (p, q-1) and psi1 on the source at (p, q-2), searching budgets enlarged
     by ``slack``.
     """
-    c1, c2 = tilde_dbar(phi, psi, mu, f_prime)
+    c1, c2 = tilde_dbar(phi, psi, mu)
     if not (c1.is_zero and c2.is_zero):
         raise NotClosedError("cone pair is not tilde-closed", (c1, c2))
     p, q = phi.p, phi.q
@@ -660,25 +679,15 @@ def solve_primitive_tilde(
             f"cone pair bidegrees must be (p,q) and (p,q-1); "
             f"got ({p},{q}) and ({psi.p},{psi.q})"
         )
-    f_pulled = mu.pull_series(f_prime)
-    gap_t = twist_gap(f_prime)
+    f_pulled = mu.pull_series(mu.target.f)
+    gap_t = twist_gap(mu.target.f)
     gap_s = twist_gap(f_pulled)
     s_phi = max(phi.budget - gap_t, 0) + slack
     s_psi = max(psi.budget - gap_s, 0) + slack
     out_phi = max(phi.budget, s_phi + gap_t)
     out_psi = max(psi.budget, mu.substitution_budget(s_phi, p, q - 1), s_psi + gap_s)
 
-    target_model = mu.target.with_twist(f_prime)
-    source_model = mu.source.with_twist(f_pulled)
-    M11 = operator_matrix("dbar_f", target_model, p, q - 1, s_phi, out_phi)
-    M21 = pullback_matrix(mu, p, q - 1, s_phi, out_psi)
-    if q >= 2:
-        M22 = -operator_matrix("dbar_f", source_model, p, q - 2, s_psi, out_psi)
-    else:
-        M22 = Matrix.zero(space_dim(source_model, p, q - 1, out_psi), 0)
-    top = hstack(M11, Matrix.zero(M11.rows, M22.cols))
-    bottom = hstack(M21, M22)
-    M = vstack(top, bottom)
+    m11, _, M = cone_blocks(mu, p, q - 1, (s_phi, s_psi), (out_phi, out_psi))
     b = vectorize(phi.with_budget(out_phi), out_phi) + vectorize(
         psi.with_budget(out_psi), out_psi
     )
@@ -686,9 +695,10 @@ def solve_primitive_tilde(
     if x is None:
         return None
     x = dense_vector(x, M.cols)
-    phi1 = form_from_vector(target_model, p, q - 1, s_phi, x[: M11.cols])
-    psi1 = form_from_vector(source_model, p, max(q - 2, 0), s_psi if q >= 2 else 0, x[M11.cols :])
-    r1, r2 = tilde_dbar(phi1, psi1, mu, f_prime)
+    source_model = mu.source.with_twist(f_pulled)
+    phi1 = form_from_vector(mu.target, p, q - 1, s_phi, x[: m11.cols])
+    psi1 = form_from_vector(source_model, p, max(q - 2, 0), s_psi if q >= 2 else 0, x[m11.cols :])
+    r1, r2 = tilde_dbar(phi1, psi1, mu)
     if r1 != phi or r2 != psi:
         raise AssertionError("tilde primitive certification failed")
     return phi1, psi1

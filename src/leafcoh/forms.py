@@ -389,8 +389,7 @@ def rescale_power(phi: FoliatedForm, h: Series, out_budget: int | None = None) -
         return phi
     b = phi.budget if out_budget is None else out_budget
     g = h.invert(out_budget=b).power(w, out_budget=b)
-    coeffs = {k: c.mul(g, out_budget=b) for k, c in phi.coeffs.items()}
-    return _raw_form(phi.model, phi.p, phi.q, coeffs, b)
+    return phi.mul_series(g, out_budget=b)
 
 
 def count_monomials(m: int, n: int, budget: int) -> int:

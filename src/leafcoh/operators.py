@@ -25,6 +25,7 @@ from .forms import (
     _raw_form,
     insert_index,
     merge_indices,
+    rescale_power,
     twist_gap,
 )
 
@@ -317,26 +318,17 @@ def pair_pullback(pair: MorphismPair, phi: FoliatedForm, out_budget: int | None 
 
     This is a cochain map from (target, dbar_{f'}) to (source, dbar_f).
     """
-    mu = pair.phi
-    pulled = pullback(mu, phi, out_budget=out_budget)
-    w = phi.deg
-    if w == 0:
-        return pulled
-    b = pulled.budget if out_budget is None else out_budget
-    g = pair.alpha.invert(out_budget=b).power(w, out_budget=b)
-    return pulled.mul_series(g, out_budget=b)
+    return rescale_power(pullback(pair.phi, phi, out_budget=out_budget), pair.alpha, out_budget)
 
 
 def tilde_dbar(
-    phi: FoliatedForm,
-    psi: FoliatedForm,
-    mu: FoliatedMorphism,
-    f_prime: Series,
+    phi: FoliatedForm, psi: FoliatedForm, mu: FoliatedMorphism
 ) -> tuple[FoliatedForm, FoliatedForm]:
     """Mapping-cone differential: (phi, psi) -> (dbar_{f'} phi, mu* phi - dbar_{mu* f'} psi).
 
-    phi lives on the target at (p,q), psi on the source at (p,q-1); the result
-    pair sits at ((p,q+1), (p,q)).  Applying it twice gives (0,0) exactly.
+    f' is the twist of mu's target.  phi lives on the target at (p,q), psi on
+    the source at (p,q-1); the result pair sits at ((p,q+1), (p,q)).
+    Applying it twice gives (0,0) exactly.
     """
     if not phi.is_zero and not psi.is_zero:
         if (psi.p, psi.q) != (phi.p, phi.q - 1):
@@ -344,7 +336,7 @@ def tilde_dbar(
                 f"cone pair bidegrees must be (p,q) and (p,q-1); "
                 f"got ({phi.p},{phi.q}) and ({psi.p},{psi.q})"
             )
-    first = dbar_f(phi, f_prime)
-    f_pulled = mu.pull_series(f_prime)
-    second = pullback(mu, phi) - dbar_f(psi, f_pulled)
+    fp = mu.target.f
+    first = dbar_f(phi, fp)
+    second = pullback(mu, phi) - dbar_f(psi, mu.pull_series(fp))
     return first, second

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import GaussianRational, Series
-from .forms import FoliationModel
+from .algebra import GaussianRational
 from .operators import FoliatedMorphism, pullback, twist_gap
 from .linalg import (
     Factorization,
@@ -33,13 +32,7 @@ from .linalg import (
     sparse_vector,
     vstack,
 )
-from .cohomology import (
-    form_from_vector,
-    operator_matrix,
-    pullback_matrix,
-    space_dim,
-    vectorize,
-)
+from .cohomology import cone_blocks, form_from_vector, space_dim, vectorize
 
 
 class SESValidationError(ValueError):
@@ -240,14 +233,14 @@ def _induced_matrix(comp: Matrix, src: Quotient, dst: Quotient) -> Matrix:
     return Matrix.from_columns(cols, dst.dim)
 
 
-def _snake(ses: ShortExactSequence, lift_check_seed: int | None = 0) -> SnakeResult:
+def _snake(ses: ShortExactSequence) -> SnakeResult:
     grades = len(ses.middle.dims)
     hl = complex_cohomology(ses.left)
     hm = complex_cohomology(ses.middle)
     hr = complex_cohomology(ses.right)
     ind_i = [_induced_matrix(ses.inject.components[q], hl[q], hm[q]) for q in range(grades)]
     ind_p = [_induced_matrix(ses.project.components[q], hm[q], hr[q]) for q in range(grades)]
-    rng = random.Random(lift_check_seed) if lift_check_seed is not None else None
+    rng = random.Random(0)
     connecting = []
     for q in range(grades):
         if q + 1 >= grades:
@@ -271,7 +264,7 @@ def _connect_class(ses, q, rep: dict, hl_next: Quotient, rng) -> dict:
     if y is None:
         raise LinearAlgebraError("zig-zag pull-back failed: d(lift) escapes the image of inject")
     coords = _class_of(hl_next, y)
-    if rng is not None and ses.left.dims[q] > 0:
+    if ses.left.dims[q] > 0:
         # any lift gives the same class; spot-check with an alternate one
         draws = [rng.randint(-2, 2) for _ in range(ses.left.dims[q])]
         shift = {i: GaussianRational(c) for i, c in enumerate(draws) if c}
@@ -290,7 +283,6 @@ def snake_les(
     ses: ShortExactSequence,
     labels=("L", "M", "R"),
     map_labels=("i*", "p*", "delta"),
-    lift_check_seed: int | None = 0,
 ) -> dict:
     """Long exact sequence report for a validated short exact sequence.
 
@@ -302,7 +294,7 @@ def snake_les(
     findings = ses.validate()
     if findings:
         raise SESValidationError(findings)
-    data = _snake(ses, lift_check_seed)
+    data = _snake(ses)
     nodes = []
     maps = []
     for q in range(data.grades):
@@ -361,23 +353,13 @@ class RelativeComplex:
     def __init__(
         self,
         mu: FoliatedMorphism,
-        f_prime: Series,
         p: int,
-        D: int,
-        grades: int,
-        target_model: FoliationModel,
-        source_model: FoliationModel,
         target_budgets: list,
         source_budgets: list,
         ses: ShortExactSequence,
     ):
         self.mu = mu
-        self.f_prime = f_prime
         self.p = p
-        self.D = D
-        self.grades = grades
-        self.target_model = target_model
-        self.source_model = source_model
         self.target_budgets = target_budgets
         self.source_budgets = source_budgets
         self.ses = ses
@@ -391,22 +373,18 @@ class RelativeComplex:
         return self.mu.target.m
 
 
-def make_relative_complex(
-    mu: FoliatedMorphism, f_prime: Series, p: int, D: int
-) -> RelativeComplex:
-    """Assemble the cone complex with exact per-grade budgets.
+def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeComplex:
+    """Assemble the cone complex of mu with exact per-grade budgets.
 
-    Budgets grow so that no differential ever truncates: the target side
-    gains the twist gap of f' per grade, the source side accommodates both
-    the pullback of the target grade below and its own twisted gap.  The
-    grade range extends one step past max(m_target, m_source + 1) so the
-    boundary statements of the relative sequence are observable.
+    f' is the twist of mu's target.  Budgets grow so that no differential
+    ever truncates: the target side gains the twist gap of f' per grade, the
+    source side accommodates both the pullback of the target grade below and
+    its own twisted gap (of mu* f').  The grade range extends one step past
+    max(m_target, m_source + 1) so the boundary statements of the relative
+    sequence are observable.
     """
-    source_twist = mu.pull_series(f_prime)
-    target_model = mu.target.with_twist(f_prime)
-    source_model = mu.source.with_twist(source_twist)
-    gap_t = twist_gap(f_prime)
-    gap_s = twist_gap(source_twist)
+    gap_t = twist_gap(mu.target.f)
+    gap_s = twist_gap(mu.pull_series(mu.target.f))
     m_t, m_s = mu.target.m, mu.source.m
     top = max(m_t, m_s + 1) + 1
     grades = top + 1
@@ -419,21 +397,17 @@ def make_relative_complex(
             cand = max(cand, sb[q - 1] + gap_s)
         sb[q] = cand
 
-    t_dim = [space_dim(target_model, p, q, tb[q]) for q in range(grades)]
-    s_dim = [space_dim(source_model, p, q - 1, sb[q]) for q in range(grades)]
+    t_dim = [space_dim(mu.target, p, q, tb[q]) for q in range(grades)]
+    s_dim = [space_dim(mu.source, p, q - 1, sb[q]) for q in range(grades)]
 
     right_diffs = []
     left_diffs = []
     middle_diffs = []
     for q in range(grades - 1):
-        m11 = operator_matrix("dbar_f", target_model, p, q, tb[q], tb[q + 1])
-        m21 = pullback_matrix(mu, p, q, tb[q], sb[q + 1])
-        m22 = -operator_matrix("dbar_f", source_model, p, q - 1, sb[q], sb[q + 1])
+        m11, m22, cone = cone_blocks(mu, p, q, (tb[q], sb[q]), (tb[q + 1], sb[q + 1]))
         right_diffs.append(m11)
         left_diffs.append(m22)
-        top_block = hstack(m11, Matrix.zero(m11.rows, m22.cols))
-        bottom = hstack(m21, m22)
-        middle_diffs.append(vstack(top_block, bottom))
+        middle_diffs.append(cone)
 
     right = CochainComplex(t_dim, right_diffs)
     left = CochainComplex(s_dim, left_diffs)
@@ -456,24 +430,17 @@ def make_relative_complex(
         ],
     )
     ses = ShortExactSequence(left, middle, right, inject, project)
-    return RelativeComplex(
-        mu, f_prime, p, D, grades, target_model, source_model, tb, sb, ses
-    )
+    return RelativeComplex(mu, p, tb, sb, ses)
 
 
-def relative_les(rc: RelativeComplex, lift_check_seed: int | None = 0) -> dict:
+def relative_les(rc: RelativeComplex) -> dict:
     """The long exact sequence of the relative complex, paper-ordered.
 
     Nodes read H^{p,q-1}(source), H^{p,q}(cone), H^{p,q}(target) per grade,
     with maps alpha*, beta* and the connecting homomorphism (which agrees
     with the pullback).
     """
-    return snake_les(
-        rc.ses,
-        labels=("F", "mu", "F'"),
-        map_labels=("alpha*", "beta*", "delta*"),
-        lift_check_seed=lift_check_seed,
-    )
+    return snake_les(rc.ses, labels=("F", "mu", "F'"), map_labels=("alpha*", "beta*", "delta*"))
 
 
 def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
@@ -493,7 +460,7 @@ def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
         verdicts = []
         for rep, delta_coords in zip(hr.reps, data.connecting[q].columns()):
             dense = dense_vector(rep, hr.kernel.ambient_dim)
-            form = form_from_vector(rc.target_model, rc.p, q, rc.target_budgets[q], dense)
+            form = form_from_vector(rc.mu.target, rc.p, q, rc.target_budgets[q], dense)
             pulled = pullback(rc.mu, form).with_budget(rc.source_budgets[q + 1])
             vec = sparse_vector(vectorize(pulled, rc.source_budgets[q + 1]))
             mu_coords = hl_next.class_coords(vec)

@@ -121,26 +121,26 @@ def test_criterion_5_intertwining_and_tilde_square():
 def _relative_scenes():
     src = FoliationModel.untwisted(1, 0, 2)
     ident = FoliatedMorphism.identity(src)
-    yield "identity", ident, Series.one(1, 0), 0
+    yield "identity", ident, 0
 
     tgt0 = FoliationModel.untwisted(1, 0, 2)
     const = FoliatedMorphism(src, tgt0, [Series.constant(1, 0, 5)], [])
-    yield "zero-interaction", const, Series.one(1, 0), 1
+    yield "zero-interaction", const, 1
 
     sq_target_1 = FoliationModel.untwisted(1, 0, 2)
     sq1 = FoliatedMorphism(src, sq_target_1, [parse_series("z1^2", 1, 0, 2)], [])
-    yield "square f'=1", sq1, Series.one(1, 0), 0
+    yield "square f'=1", sq1, 0
 
     fp = parse_series("z1", 1, 0, 1)
     sq_target_z = FoliationModel(1, 0, 2, fp)
     sqz = FoliatedMorphism(src, sq_target_z, [parse_series("z1^2", 1, 0, 2)], [])
-    yield "square f'=z'", sqz, fp, 0
+    yield "square f'=z'", sqz, 0
 
 
 def test_criterion_6_relative_les_and_delta():
     results = []
-    for name, mu, fp, p in _relative_scenes():
-        rc = make_relative_complex(mu, fp, p, 2)
+    for name, mu, p in _relative_scenes():
+        rc = make_relative_complex(mu, p, 2)
         les = relative_les(rc)
         delta = delta_equals_pullback_check(rc)
         results.append((name, les["exact_everywhere"], delta["all_equal"]))
@@ -150,10 +150,10 @@ def test_criterion_6_relative_les_and_delta():
 
 def test_criterion_7_relative_boundary_report():
     checked = []
-    for name, mu, fp, p in _relative_scenes():
+    for name, mu, p in _relative_scenes():
         if name == "identity":
             continue
-        rc = make_relative_complex(mu, fp, p, 2)
+        rc = make_relative_complex(mu, p, 2)
         rep = corollary_boundary_report(rc)
         grades_v = rep["items"]["v"]["witness"]
         checked.append(
@@ -189,11 +189,11 @@ def test_criterion_9_tilde_roundtrip_hundred():
         q = rng.choice([1, 2])
         phi1 = random_form(rng, tgt, 0, q - 1, 1)
         psi1 = random_form(rng, src, 0, q - 2, 1)
-        t1, t2 = tilde_dbar(phi1, psi1, mu, fp)
-        res = solve_primitive_tilde(mu, fp, t1, t2, slack=slack)
+        t1, t2 = tilde_dbar(phi1, psi1, mu)
+        res = solve_primitive_tilde(mu, t1, t2, slack=slack)
         if res is None:
             continue
-        r1, r2 = tilde_dbar(res[0], res[1], mu, fp)
+        r1, r2 = tilde_dbar(res[0], res[1], mu)
         if r1 == t1 and r2 == t2:
             solved += 1
     ok = solved == 100
@@ -208,8 +208,8 @@ def test_criterion_10_determinism():
     grid2 = json.dumps(cohomology_grid(model, "bc", [0, 1], [0, 1], [2]), sort_keys=True)
     src = FoliationModel.untwisted(1, 0, 2)
     mu = FoliatedMorphism(src, FoliationModel.untwisted(1, 0, 2), [parse_series("z1^2", 1, 0, 2)], [])
-    rc1 = make_relative_complex(mu, Series.one(1, 0), 0, 2)
-    rc2 = make_relative_complex(mu, Series.one(1, 0), 0, 2)
+    rc1 = make_relative_complex(mu, 0, 2)
+    rc2 = make_relative_complex(mu, 0, 2)
     s1 = json.dumps(relative_les(rc1), sort_keys=True)
     s2 = json.dumps(relative_les(rc2), sort_keys=True)
     ok = a == b and grid1 == grid2 and s1 == s2

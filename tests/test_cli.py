@@ -660,6 +660,92 @@ def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, messa
     assert captured.err == f"error: {message}\n"
 
 
+SOLVE_FORM = {"p": 0, "q": 1, "budget": 1, "terms": [{"A": [], "B": [1], "coeff": "z1"}]}
+SOLVE_TERM = SOLVE_FORM["terms"][0]
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ({"op": ["dbar"], "form": SOLVE_FORM}, "'target.op' must be a string, got [\"dbar\"]"),
+        ({"form": {"q": 1, "terms": []}}, "target.form is missing 'p'"),
+        ({"form": dict(SOLVE_FORM, terms=[{"A": [], "coeff": "z1"}])}, "target.form.terms[0] is missing 'B'"),
+        ({"form": dict(SOLVE_FORM, terms=5)}, "'target.form.terms' must be a list, got 5"),
+        ({"form": dict(SOLVE_FORM, budget="x")}, "'target.form.budget' must be a nonnegative integer, got \"x\""),
+        ({"form": dict(SOLVE_FORM, p="0")}, "'target.form.p' must be a nonnegative integer, got \"0\""),
+        (
+            {"form": dict(SOLVE_FORM, terms=[dict(SOLVE_TERM, coeff=3)])},
+            "'target.form.terms[0].coeff' must be a string, got 3",
+        ),
+        (
+            {"form": dict(SOLVE_FORM, terms=[dict(SOLVE_TERM, A=1)])},
+            "'target.form.terms[0].A' must be a list of integers, got 1",
+        ),
+        (
+            {"op": "tilde", "phi": {"p": 0, "q": 1, "terms": []}, "psi": {"p": 0, "terms": []}},
+            "target.psi is missing 'q'",
+        ),
+    ],
+    ids=["op_list", "form_no_p", "term_no_B", "terms_int", "budget_string", "p_string", "coeff_int", "A_int", "psi_no_q"],
+)
+def test_mistyped_solve_target_exits_two(tmp_path, capsys, target, message):
+    # a mistyped solve target is an input error that names its key, never a traceback
+    data = {"model": BASE_MODEL, "morphism": {"z_components": ["z1^2"]}, "target": target}
+    assert run(["solve", "--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, entry, message",
+    [
+        (
+            ["sequence", "--kind", "mv"],
+            {"cover": {"kind": "degenerate", "D": 2}, "expect_failure": "false"},
+            "'expect_failure' must be a boolean, got \"false\"",
+        ),
+        (["cohomology"], {"basic_twist_only": "no"}, "'basic_twist_only' must be a boolean, got \"no\""),
+        (["cohomology"], {"basic_twist_only": 0}, "'basic_twist_only' must be a boolean, got 0"),
+        (
+            ["sequence", "--kind", "mv"],
+            {"cover": {"kind": "degenerate", "D": -2}},
+            "'cover.D' must be a nonnegative integer, got -2",
+        ),
+        (["sequence", "--kind", "mv"], {"cover": {"kind": "laurent", "D": 0}}, "the Laurent cover needs D >= 1"),
+    ],
+    ids=["expect_failure_string", "basic_twist_string", "basic_twist_int", "cover_D_negative", "laurent_D_zero"],
+)
+def test_flags_and_cover_size_are_checked(tmp_path, capsys, command, entry, message):
+    # a string is not a boolean, and a negative cover size is an input
+    # error, not a fault of the engine
+    data = dict(entry, model={"m": 1, "n": 1, "budget": 2, "f": "1 + z1"}, grid={"p": 0, "q": 0})
+    assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["cohomology", "--seed", "3"],
+        ["cohomology", "--trials", "3"],
+        ["sequence", "--kind", "mv", "--format", "csv"],
+        ["sequence", "--kind", "mv", "--seed", "3"],
+        ["solve", "--format", "json"],
+        ["check", "--suite", "leibniz", "--format", "csv"],
+    ],
+    ids=["cohomology_seed", "cohomology_trials", "sequence_format", "sequence_seed", "solve_format", "check_format"],
+)
+def test_flag_of_another_subcommand_is_rejected(command, capsys):
+    # each flag is registered only where it is read, so no flag is silently ignored
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--scene", str(SCENES / "mv_laurent.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, knobs, message",
     [

@@ -726,10 +726,10 @@ def test_solve_primitive_tilde_roundtrip(seed):
     q = rng.choice([1, 2])
     phi1 = random_form(rng, tgt, 0, q - 1, 1)
     psi1 = random_form(rng, src, 0, q - 2, 1)
-    t1, t2 = tilde_dbar(phi1, psi1, mu, tgt.f)
-    res = solve_primitive_tilde(mu, tgt.f, t1, t2, slack=2)
+    t1, t2 = tilde_dbar(phi1, psi1, mu)
+    res = solve_primitive_tilde(mu, t1, t2, slack=2)
     assert res is not None
-    r1, r2 = tilde_dbar(res[0], res[1], mu, tgt.f)
+    r1, r2 = tilde_dbar(res[0], res[1], mu)
     assert r1 == t1 and r2 == t2
 
 
@@ -738,7 +738,7 @@ def test_solve_primitive_tilde_not_closed():
     mu = FoliatedMorphism.identity(src)
     phi = FoliatedForm.from_series(src, Series.variable(1, 0, "zb", 1))
     with pytest.raises(NotClosedError):
-        solve_primitive_tilde(mu, Series.one(1, 0), phi, FoliatedForm.zero(src, 0, 0), slack=0)
+        solve_primitive_tilde(mu, phi, FoliatedForm.zero(src, 0, 0), slack=0)
 
 
 def test_solve_primitive_tilde_pair_bidegrees():
@@ -748,8 +748,8 @@ def test_solve_primitive_tilde_pair_bidegrees():
     mu = FoliatedMorphism.identity(src)
     one = Series.one(1, 0)
     phi = FoliatedForm.zero(src, 0, 1)
-    expected = solve_primitive_tilde(mu, one, phi, FoliatedForm.zero(src, 0, 0))
-    assert solve_primitive_tilde(mu, one, phi, FoliatedForm.zero(src, 1, 1)) == expected
+    expected = solve_primitive_tilde(mu, phi, FoliatedForm.zero(src, 0, 0))
+    assert solve_primitive_tilde(mu, phi, FoliatedForm.zero(src, 1, 1)) == expected
     constant = FoliatedForm.from_series(src, one)
     with pytest.raises(FormError, match="cone pair bidegrees"):
-        solve_primitive_tilde(mu, one, FoliatedForm.zero(src, 1, 1), constant)
+        solve_primitive_tilde(mu, FoliatedForm.zero(src, 1, 1), constant)

@@ -1,0 +1,56 @@
+"""Every name a leafcoh module imports is used in that module.
+
+No linter ships with the test dependencies, so the check walks the syntax
+tree with the standard library.  A name counts as used when it appears as
+an identifier anywhere in the module, or inside a quoted annotation; a
+string elsewhere (an operator tag such as "dbar_f") does not count.
+``__init__.py`` re-exports its imports and is left out.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "leafcoh"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        # quoted forward references such as "FoliatedForm" or "_Grid"
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def test_checker_finds_an_unused_import():
+    source = "import os\nfrom json import dumps, loads\nfrom pathlib import Path\nx: 'Path' = loads('dumps')\n"
+    assert unused_imports(source) == [(1, "os"), (2, "dumps")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

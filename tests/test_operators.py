@@ -245,11 +245,12 @@ def test_tilde_square_zero(seed):
     tgt = FoliationModel.untwisted(1, src.n, 2)
     mu = random_morphism(rng, src, tgt, 2)
     fp = random_series(rng, 1, tgt.n, 2)
+    mu = FoliatedMorphism(src, tgt.with_twist(fp), mu.z_components, mu.x_components)
     p, q = random_bidegree(rng, 1)
     phi = random_form(rng, tgt, p, q)
     psi = random_form(rng, src, p, q - 1)
-    c1, c2 = tilde_dbar(phi, psi, mu, fp)
-    d1, d2 = tilde_dbar(c1, c2, mu, fp)
+    c1, c2 = tilde_dbar(phi, psi, mu)
+    d1, d2 = tilde_dbar(c1, c2, mu)
     assert d1.is_zero and d2.is_zero
 
 
@@ -258,19 +259,20 @@ def test_tilde_components():
     tgt = FoliationModel.untwisted(1, 0, 2)
     mu = FoliatedMorphism.identity(src)
     fp = parse_series("1 + z1", 1, 0, 1)
+    mu = FoliatedMorphism(src, tgt.with_twist(fp), mu.z_components, mu.x_components)
     rng = random.Random(2)
     psi = random_form(rng, src, 0, 0)
     zero_phi = FoliatedForm.zero(tgt, 0, 1)
-    c1, c2 = tilde_dbar(zero_phi, psi, mu, fp)
+    c1, c2 = tilde_dbar(zero_phi, psi, mu)
     assert c1.is_zero
     assert c2 == -dbar_f(psi, mu.pull_series(fp))
     phi = random_form(rng, tgt, 0, 1)
     zero_psi = FoliatedForm.zero(src, 0, 0)
-    c1, c2 = tilde_dbar(phi, zero_psi, mu, fp)
+    c1, c2 = tilde_dbar(phi, zero_psi, mu)
     assert c1 == dbar_f(phi, fp)
     assert c2 == pullback(mu, phi)
     with pytest.raises(FormError, match="bidegree"):
-        tilde_dbar(phi, random_form(rng, src, 1, 1), mu, fp)
+        tilde_dbar(phi, random_form(rng, src, 1, 1), mu)
 
 
 def test_pullback_model_mismatch():

@@ -142,7 +142,7 @@ def test_relative_snake_matches_golden(D):
     golden = json.loads(GOLDEN.read_text())
     scene = cli.Scene(dict(golden["scene"], model=dict(golden["scene"]["model"], budget=D)))
     mu = scene.morphism()
-    data = _snake(make_relative_complex(mu, mu.target.f, 0, D).ses)
+    data = _snake(make_relative_complex(mu, 0, D).ses)
     want = golden["snake"][str(D)]
     for side in ("left", "middle", "right"):
         got = [
@@ -242,7 +242,7 @@ def test_snake_les_acyclic_middle_makes_delta_iso():
 def test_relative_identity_morphism_is_acyclic():
     model = FoliationModel.untwisted(1, 0, 2)
     mu = FoliatedMorphism.identity(model)
-    rc = make_relative_complex(mu, Series.one(1, 0), 0, 2)
+    rc = make_relative_complex(mu, 0, 2)
     les = relative_les(rc)
     assert les["exact_everywhere"]
     cone_dims = [n["dim"] for n in les["nodes"] if "(mu)" in n["group"]]
@@ -256,7 +256,7 @@ def test_relative_zero_interaction_splits():
     src = FoliationModel.untwisted(1, 0, 2)
     tgt = FoliationModel.untwisted(1, 0, 2)
     mu = FoliatedMorphism(src, tgt, [Series.constant(1, 0, 5)], [])
-    rc = make_relative_complex(mu, Series.one(1, 0), 1, 2)
+    rc = make_relative_complex(mu, 1, 2)
     les = relative_les(rc)
     assert les["exact_everywhere"]
     data = _snake(rc.ses)
@@ -271,7 +271,7 @@ def test_relative_square_morphism(f_prime_text):
     fp = parse_series(f_prime_text, 1, 0, 1)
     tgt = FoliationModel(1, 0, 2, fp)
     mu = FoliatedMorphism(src, tgt, [parse_series("z1^2", 1, 0, 2)], [])
-    rc = make_relative_complex(mu, fp, 0, 2)
+    rc = make_relative_complex(mu, 0, 2)
     les = relative_les(rc)
     assert les["exact_everywhere"]
     assert les["alternating_sum_zero"]
@@ -285,7 +285,7 @@ def test_relative_mixed_dimensions():
     src = FoliationModel.untwisted(2, 0, 1)
     tgt = FoliationModel.untwisted(1, 0, 1)
     mu = FoliatedMorphism(src, tgt, [parse_series("z1*z2", 2, 0, 2)], [])
-    rc = make_relative_complex(mu, Series.one(1, 0), 0, 1)
+    rc = make_relative_complex(mu, 0, 1)
     les = relative_les(rc)
     assert les["exact_everywhere"]
     rep = corollary_boundary_report(rc)
@@ -305,7 +305,7 @@ def test_relative_with_transverse_variables():
         [parse_series("z1 + z1*x1", 1, 1, 2)],
         [parse_series("x1^2", 1, 1, 2)],
     )
-    rc = make_relative_complex(mu, fp, 0, 1)
+    rc = make_relative_complex(mu, 0, 1)
     les = relative_les(rc)
     assert les["exact_everywhere"]
     assert les["alternating_sum_zero"]
@@ -318,7 +318,7 @@ def test_relative_cone_vanishes_beyond_modeled_range():
     src = FoliationModel.untwisted(1, 0, 2)
     tgt = FoliationModel(1, 0, 2, parse_series("z1", 1, 0, 1))
     mu = FoliatedMorphism(src, tgt, [parse_series("z1^2", 1, 0, 2)], [])
-    rc = make_relative_complex(mu, tgt.f, 0, 2)
+    rc = make_relative_complex(mu, 0, 2)
     data = _snake(rc.ses)
     top = max(rc.m_source + 1, rc.m_target) + 1
     for q in range(top, data.grades):
@@ -341,18 +341,104 @@ def test_relative_random_scene_sweep(seed):
     mu = random_morphism(rng, src, tgt, deg)
     fp = random_series(rng, m_t, n, 1, max_terms=2)
     p = rng.randint(0, m_t)
-    rc = make_relative_complex(mu, fp, p, 1)
+    mu = FoliatedMorphism(src, tgt.with_twist(fp), mu.z_components, mu.x_components)
+    rc = make_relative_complex(mu, p, 1)
     les = relative_les(rc)
     assert les["exact_everywhere"]
     assert les["alternating_sum_zero"]
     assert delta_equals_pullback_check(rc)["all_equal"]
 
 
+def _cone_sweep_scene(seed):
+    """The random morphism and p of test_relative_random_scene_sweep, drawn in
+    the same order, with f' moved into the morphism's target; the rng is
+    returned for further draws."""
+    from leafcoh.sampling import random_morphism, random_series
+
+    rng = random.Random(52000 + seed)
+    m_s = rng.choice([1, 1, 2])
+    m_t = rng.choice([1, 2]) if m_s == 1 else 1
+    n = rng.choice([0, 1]) if m_s == 1 else 0
+    deg = 2 if (m_s, m_t) == (1, 1) and n == 0 else 1
+    src = FoliationModel.untwisted(m_s, n, 1)
+    tgt = FoliationModel.untwisted(m_t, n, 1)
+    mu = random_morphism(rng, src, tgt, deg)
+    fp = random_series(rng, m_t, n, 1, max_terms=2)
+    p = rng.randint(0, m_t)
+    mu = FoliatedMorphism(src, tgt.with_twist(fp), mu.z_components, mu.x_components)
+    return mu, p, rng
+
+
+def _form_level_cone(mu, p, q, budgets) -> Matrix:
+    """The cone differential from grade q, column by column from tilde_dbar.
+
+    Grade q is target-(p,q) at budgets[0] + source-(p,q-1) at budgets[1];
+    the image is vectorized over target-(p,q+1) at budgets[2] + source-(p,q)
+    at budgets[3].
+    """
+    from leafcoh.cohomology import space_basis, vectorize
+    from leafcoh.forms import FoliatedForm, basis_form
+    from leafcoh.operators import tilde_dbar
+
+    tgt, src = mu.target, mu.source
+    in_t, in_s, out_t, out_s = budgets
+    zero_t = FoliatedForm.zero(tgt, p, q, in_t)
+    zero_s = FoliatedForm.zero(src, p, max(q - 1, 0), in_s)
+    pairs = [(basis_form(tgt, e, in_t), zero_s) for e in space_basis(tgt, p, q, in_t)]
+    if q >= 1:
+        pairs += [(zero_t, basis_form(src, e, in_s)) for e in space_basis(src, p, q - 1, in_s)]
+    cols = []
+    for phi, psi in pairs:
+        c1, c2 = tilde_dbar(phi, psi, mu)
+        cols.append(sparse_vector(vectorize(c1, out_t) + vectorize(c2, out_s)))
+    rows = len(space_basis(tgt, p, q + 1, out_t)) + len(space_basis(src, p, q, out_s))
+    return Matrix.from_columns(cols, rows)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_relative_cone_matrix_matches_tilde_dbar(seed):
+    mu, p, _ = _cone_sweep_scene(seed)
+    rc = make_relative_complex(mu, p, 1)
+    tb, sb = rc.target_budgets, rc.source_budgets
+    for q, d in enumerate(rc.ses.middle.diffs):
+        assert d == _form_level_cone(mu, p, q, (tb[q], sb[q], tb[q + 1], sb[q + 1]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_solve_primitive_tilde_matrix_matches_tilde_dbar(seed, monkeypatch):
+    from leafcoh import cohomology
+    from leafcoh.forms import FoliatedForm
+    from leafcoh.operators import tilde_dbar, twist_gap
+    from leafcoh.sampling import random_form
+
+    mu, p, rng = _cone_sweep_scene(seed)
+    fp = mu.target.f
+    q = rng.randint(1, mu.target.m)
+    phi1 = random_form(rng, mu.target, p, q - 1, 1)
+    if q >= 2:
+        psi1 = random_form(rng, mu.source, p, q - 2, 1)
+    else:
+        psi1 = FoliatedForm.zero(mu.source, p, 0, 1)
+    phi, psi = tilde_dbar(phi1, psi1, mu)
+    seen = []
+    real_solve = cohomology.solve
+    monkeypatch.setattr(cohomology, "solve", lambda M, b: seen.append(M) or real_solve(M, b))
+    cohomology.solve_primitive_tilde(mu, phi, psi, slack=1)
+    # the budgets solve_primitive_tilde documents: sources at budget - gap + slack,
+    # outputs wide enough that neither block truncates
+    gap_t, gap_s = twist_gap(fp), twist_gap(mu.pull_series(fp))
+    s_phi = max(phi.budget - gap_t, 0) + 1
+    s_psi = max(psi.budget - gap_s, 0) + 1
+    out_phi = max(phi.budget, s_phi + gap_t)
+    out_psi = max(psi.budget, mu.substitution_budget(s_phi, p, q - 1), s_psi + gap_s)
+    assert seen == [_form_level_cone(mu, p, q - 1, (s_phi, s_psi, out_phi, out_psi))]
+
+
 def test_relative_tilde_matrix_squares_to_zero():
     src = FoliationModel.untwisted(1, 0, 1)
     tgt = FoliationModel(1, 0, 1, parse_series("z1", 1, 0, 1))
     mu = FoliatedMorphism(src, tgt, [parse_series("z1^2", 1, 0, 2)], [])
-    rc = make_relative_complex(mu, tgt.f, 0, 1)
+    rc = make_relative_complex(mu, 0, 1)
     for q in range(len(rc.ses.middle.diffs) - 1):
         assert rc.ses.middle.diffs[q + 1].mul(rc.ses.middle.diffs[q]).is_zero
 
@@ -429,10 +515,9 @@ def test_result_classes_take_positional_and_keyword_arguments():
     src = FoliationModel.untwisted(2, 0, 1)
     tgt = FoliationModel.untwisted(1, 0, 1)
     mu = FoliatedMorphism(src, tgt, [parse_series("z1*z2", 2, 0, 2)], [])
-    rc = make_relative_complex(mu, Series.one(1, 0), 0, 1)
+    rc = make_relative_complex(mu, 0, 1)
     names = (
-        "mu", "f_prime", "p", "D", "grades", "target_model", "source_model",
-        "target_budgets", "source_budgets", "ses",
+        "mu", "p", "target_budgets", "source_budgets", "ses",
     )
     parts = [getattr(rc, name) for name in names]
     for again in (RelativeComplex(*parts), RelativeComplex(**dict(zip(names, parts)))):

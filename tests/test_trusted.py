@@ -128,7 +128,8 @@ def test_pullback_results_rebuild_through_the_constructor(seed):
         assert_rebuilds_form(pair_pullback(pair, pphi))
         assert_rebuilds_form(pair_pullback(pair, dbar_f(pphi), out_budget=3))
         psi = random_form(rng, source, phi.p, phi.q - 1)
-        for form in tilde_dbar(phi, psi, mu, fp):
+        mu = FoliatedMorphism(source, target.with_twist(fp), mu.z_components, mu.x_components)
+        for form in tilde_dbar(phi, psi, mu):
             assert_rebuilds_form(form)
 
 
@@ -202,7 +203,7 @@ def broken_dbar_reports(monkeypatch) -> dict:
     for name, scene in BROKEN_SCENES.items():
         m, n, budget, f = scene["model"]
         model = FoliationModel(m, n, budget, Series.parse(f, m, n, budget))
-        mu = fp = None
+        mu = None
         if scene["morphism"] is not None:
             zc, xc = scene["morphism"]
             fp = Series.parse(scene["f_prime"], len(zc), len(xc), budget)
@@ -210,7 +211,7 @@ def broken_dbar_reports(monkeypatch) -> dict:
             comps = [[Series.parse(t, m, n, 2) for t in texts] for texts in (zc, xc)]
             mu = FoliatedMorphism(model, target, *comps)
         for suite in BROKEN_SUITES:
-            report = checks.run_suite(suite, model, BROKEN_SEED, BROKEN_TRIALS, morphism=mu, f_prime=fp)
+            report = checks.run_suite(suite, model, BROKEN_SEED, BROKEN_TRIALS, morphism=mu)
             out[f"{name}/{suite}"] = report
     return out
 
