@@ -400,15 +400,9 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
     t_dim = [space_dim(mu.target, p, q, tb[q]) for q in range(grades)]
     s_dim = [space_dim(mu.source, p, q - 1, sb[q]) for q in range(grades)]
 
-    right_diffs = []
-    left_diffs = []
-    middle_diffs = []
-    for q in range(grades - 1):
-        m11, m22, cone = cone_blocks(mu, p, q, (tb[q], sb[q]), (tb[q + 1], sb[q + 1]))
-        right_diffs.append(m11)
-        left_diffs.append(m22)
-        middle_diffs.append(cone)
-
+    right_diffs, left_diffs, middle_diffs = zip(
+        *(cone_blocks(mu, p, q, (tb[q], sb[q]), (tb[q + 1], sb[q + 1])) for q in range(grades - 1))
+    )
     right = CochainComplex(t_dim, right_diffs)
     left = CochainComplex(s_dim, left_diffs)
     middle = CochainComplex([t + s for t, s in zip(t_dim, s_dim)], middle_diffs)
