@@ -255,8 +255,7 @@ def suite_intertwine(
         p = rng.randint(0, m2)
         q = rng.randint(0, m2)
         phi = random_form(rng, mu.target, p, q)
-        pulled_twist = mu.pull_series(fp)
-        lhs = dbar_f(pullback(mu, phi), pulled_twist)
+        lhs = dbar_f(pullback(mu, phi), mu.pulled_twist)
         rhs = pullback(mu, dbar_f(phi, fp))
         t.record("intertwine", lhs == rhs, case, "mu={}, f'={}", mu, fp)
 
@@ -271,7 +270,7 @@ def suite_intertwine(
             # build a valid pair: constant alpha, source twist mu*(f')/alpha
             c = GaussianRational(rng.randint(1, 3))
             alpha = Series.constant(mu.source.m, mu.source.n, c)
-            src_model = mu.source.with_twist(pulled_twist.scale(c.inverse()))
+            src_model = mu.source.with_twist(mu.pulled_twist.scale(c.inverse()))
             mu_pair = FoliatedMorphism(src_model, mu.target, mu.z_components, mu.x_components)
             case_pair = MorphismPair(mu_pair, alpha)
         pm = case_pair.phi

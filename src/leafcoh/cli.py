@@ -54,11 +54,20 @@ class SceneError(ValueError):
     pass
 
 
-# The top-level keys Scene reads; any other key is most likely a typo.
+# The keys each scene object may hold; any other key is most likely a typo.
 SCENE_KEYS = frozenset(
     ("model", "seed", "trials", "slack", "k", "expect_failure", "h", "g", "grid")
     + ("morphism", "f_prime", "pair", "cover", "target", "basic_twist_only")
 )
+MODEL_KEYS = ("m", "n", "budget", "f")
+GRID_KEYS = ("p", "q", "D")
+MORPHISM_KEYS = ("z_components", "x_components")
+COVER_KEYS = ("kind", "D")
+PAIR_KEYS = ("alpha",)
+FORM_KEYS = ("p", "q", "budget", "terms")
+TERM_KEYS = ("A", "B", "coeff")
+# a solve target by op (any other op takes ("op", "form")); only dbar_f_k reads k
+TARGET_KEYS = {"tilde": ("op", "phi", "psi"), "dbar_f_k": ("op", "form", "k")}
 
 
 _KINDS = {
@@ -82,6 +91,17 @@ def _typed(value, kind: str, name: str):
     return value
 
 
+def _known_keys(entry: dict, allowed, name: str) -> dict:
+    """entry, if it holds no key outside allowed; else a SceneError naming the others."""
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise SceneError(
+            f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+    return entry
+
+
 def _field(entry: dict, key: str, kind: str, name: str):
     """entry[key], which must be present and of the JSON kind named; else a SceneError."""
     if key not in entry:
@@ -95,15 +115,10 @@ class Scene:
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise SceneError("a scene must be a JSON object")
-        unknown = sorted(set(data) - SCENE_KEYS)
-        if unknown:
-            raise SceneError(
-                f"unknown scene key(s) {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(sorted(SCENE_KEYS))}"
-            )
+        _known_keys(data, SCENE_KEYS, "scene")
         if "model" not in data:
             raise SceneError("scene is missing the 'model' key")
-        md = _typed(data["model"], "an object", "model")
+        md = _known_keys(_typed(data["model"], "an object", "model"), MODEL_KEYS, "model")
         try:
             m, n, budget = (
                 _typed(md[key], "an integer", f"model.{key}") for key in ("m", "n", "budget")
@@ -155,6 +170,7 @@ class Scene:
         grid = self.data.get("grid", {})
         if not isinstance(grid, dict):
             raise SceneError("'grid' must be an object of axes")
+        _known_keys(grid, GRID_KEYS, "grid")
         axis = grid.get(name, default)
         values = axis if isinstance(axis, list) else [axis]
         if not values or any(isinstance(v, bool) or not isinstance(v, int) for v in values):
@@ -183,6 +199,7 @@ class Scene:
         if "morphism" not in self.data:
             raise SceneError("scene needs a 'morphism' for this command")
         entry = _typed(self.data["morphism"], "an object", "morphism")
+        _known_keys(entry, MORPHISM_KEYS, "morphism")
         zc_texts = _typed(entry.get("z_components", []), "a list of strings", "morphism.z_components")
         xc_texts = _typed(entry.get("x_components", []), "a list of strings", "morphism.x_components")
         m2, n2 = len(zc_texts), len(xc_texts)
@@ -198,7 +215,7 @@ class Scene:
     def pair(self, mu: FoliatedMorphism):
         if "pair" not in self.data:
             return None
-        entry = _typed(self.data["pair"], "an object", "pair")
+        entry = _known_keys(_typed(self.data["pair"], "an object", "pair"), PAIR_KEYS, "pair")
         alpha = self._twist(_field(entry, "alpha", "a string", "pair"), self.model.m, self.model.n)
         from .operators import MorphismPair
 
@@ -207,7 +224,7 @@ class Scene:
     def cover(self):
         if "cover" not in self.data:
             raise SceneError("scene needs a 'cover' for the mv command")
-        entry = self.data["cover"]
+        entry = _known_keys(self.data["cover"], COVER_KEYS, "cover")
         kind = entry.get("kind")
         D = _typed(entry.get("D", self.model.budget), "an integer", "cover.D")
         _typed(D, "a nonnegative integer", "cover.D")
@@ -311,6 +328,12 @@ def cmd_sequence(args) -> int:
     scene = load_scene(args.scene)
     if args.kind == "mv":
         kind, cover = scene.cover()
+        model = scene.model
+        if (model.m, model.n) != (1, 0) or model.f != Series.one(1, 0):
+            raise SceneError(
+                "'model' must be m=1, n=0, f=\"1\" for sequence --kind mv: "
+                "the covers compute the untwisted d on one leafwise variable"
+            )
         try:
             ses = make_mv_ses(cover)
         except CoverValidationError as exc:
@@ -360,14 +383,14 @@ def cmd_sequence(args) -> int:
 def _form(model: FoliationModel, entry: dict, key: str) -> FoliatedForm:
     """The form under target[key], its fields type-checked before FoliatedForm.from_dict."""
     name = f"target.{key}"
-    data = _field(entry, key, "an object", "target")
+    data = _known_keys(_field(entry, key, "an object", "target"), FORM_KEYS, name)
     for degree in ("p", "q"):
         _field(data, degree, "a nonnegative integer", name)
     if "budget" in data:
         _typed(data["budget"], "a nonnegative integer", f"{name}.budget")
     for i, term in enumerate(_typed(data.get("terms", []), "a list", f"{name}.terms")):
         where = f"{name}.terms[{i}]"
-        _typed(term, "an object", where)
+        _known_keys(_typed(term, "an object", where), TERM_KEYS, where)
         _field(term, "A", "a list of integers", where)
         _field(term, "B", "a list of integers", where)
         _field(term, "coeff", "a string", where)
@@ -379,6 +402,7 @@ def cmd_solve(args) -> int:
     entry = scene.target()
     slack = scene.slack if args.slack is None else _typed(args.slack, "a nonnegative integer", "--slack")
     op = _typed(entry.get("op", "dbar_f"), "a string", "target.op")
+    _known_keys(entry, TARGET_KEYS.get(op, ("op", "form")), "target")
     try:
         if op == "tilde":
             mu = scene.morphism()

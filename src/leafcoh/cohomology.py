@@ -647,7 +647,7 @@ def cone_blocks(
     the source block has no columns.
     """
     (in_t, in_s), (out_t, out_s) = in_budgets, out_budgets
-    source_model = mu.source.with_twist(mu.pull_series(mu.target.f))
+    source_model = mu.source.with_twist(mu.pulled_twist)
     m11 = operator_matrix("dbar_f", mu.target, p, q, in_t, out_t)
     m21 = pullback_matrix(mu, p, q, in_t, out_s)
     m22 = -operator_matrix("dbar_f", source_model, p, q - 1, in_s, out_s)
@@ -679,9 +679,8 @@ def solve_primitive_tilde(
             f"cone pair bidegrees must be (p,q) and (p,q-1); "
             f"got ({p},{q}) and ({psi.p},{psi.q})"
         )
-    f_pulled = mu.pull_series(mu.target.f)
     gap_t = twist_gap(mu.target.f)
-    gap_s = twist_gap(f_pulled)
+    gap_s = twist_gap(mu.pulled_twist)
     s_phi = max(phi.budget - gap_t, 0) + slack
     s_psi = max(psi.budget - gap_s, 0) + slack
     out_phi = max(phi.budget, s_phi + gap_t)
@@ -695,7 +694,7 @@ def solve_primitive_tilde(
     if x is None:
         return None
     x = dense_vector(x, M.cols)
-    source_model = mu.source.with_twist(f_pulled)
+    source_model = mu.source.with_twist(mu.pulled_twist)
     phi1 = form_from_vector(mu.target, p, q - 1, s_phi, x[: m11.cols])
     psi1 = form_from_vector(source_model, p, max(q - 2, 0), s_psi if q >= 2 else 0, x[m11.cols :])
     r1, r2 = tilde_dbar(phi1, psi1, mu)

@@ -148,10 +148,12 @@ class FoliatedMorphism:
     """A polynomial map of models, leafwise holomorphic, foliation preserving.
 
     z-components are Series over the source with no zb-dependence (they may
-    depend on x); x-components depend on x only.
+    depend on x); x-components depend on x only.  ``pulled_twist`` is
+    mu*(f'), the target twist pulled back exactly, computed once here for
+    the cone differential, the pair constraint and the suites.
     """
 
-    __slots__ = ("source", "target", "z_components", "x_components", "degree")
+    __slots__ = ("source", "target", "z_components", "x_components", "degree", "pulled_twist")
 
     def __init__(self, source: FoliationModel, target: FoliationModel, z_components, x_components):
         if len(z_components) != target.m:
@@ -174,6 +176,7 @@ class FoliatedMorphism:
         self.x_components = tuple(x_components)
         # the largest component degree (0 without components)
         self.degree = max((c.degree for c in self.z_components + self.x_components), default=0)
+        self.pulled_twist = self.pull_series(target.f)
 
     @classmethod
     def identity(cls, model: FoliationModel):
@@ -302,7 +305,7 @@ class MorphismPair:
             raise MorphismError("alpha must live on the source model")
         if not alpha.is_unit:
             raise MorphismError("alpha vanishes: not a valid pair")
-        pulled = phi.pull_series(phi.target.f)
+        pulled = phi.pulled_twist
         expected = alpha.mul(phi.source.f)
         if pulled != expected:
             raise MorphismError(
@@ -338,5 +341,5 @@ def tilde_dbar(
             )
     fp = mu.target.f
     first = dbar_f(phi, fp)
-    second = pullback(mu, phi) - dbar_f(psi, mu.pull_series(fp))
+    second = pullback(mu, phi) - dbar_f(psi, mu.pulled_twist)
     return first, second

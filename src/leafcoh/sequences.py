@@ -5,10 +5,11 @@ family of exact matrices with d.d = 0, a ChainMap commutes with the
 differentials, and a ShortExactSequence is verified grade by grade
 (injectivity, surjectivity, kernel = image).  The connecting homomorphism is
 computed by the usual zig-zag, every step an exact linear solve against a
-matrix eliminated once per grade, and the emitted long exact sequence is
-re-verified at every node before the report is released.  Once the sequence
-is known to be exact, a failed solve is a fault of the engine and raises
-LinearAlgebraError, never an input error.
+matrix eliminated once per grade.  The class does not depend on the lift
+(proved in _connect_class from the checks above), so each class is lifted
+once and nothing is drawn at random.  The report states exactness at every
+node.  Once the sequence is known to be exact, a failed solve is a fault of
+the engine and raises LinearAlgebraError, never an input error.
 
 On top of the abstract engine sit the two paper-shaped constructions: the
 relative (mapping-cone) complex of a morphism of twisted models, and the
@@ -16,8 +17,6 @@ algebraic Mayer-Vietoris cover with its Laurent-window flagship fixture.
 """
 
 from __future__ import annotations
-
-import random
 
 from .algebra import GaussianRational
 from .operators import FoliatedMorphism, pullback, twist_gap
@@ -240,7 +239,6 @@ def _snake(ses: ShortExactSequence) -> SnakeResult:
     hr = complex_cohomology(ses.right)
     ind_i = [_induced_matrix(ses.inject.components[q], hl[q], hm[q]) for q in range(grades)]
     ind_p = [_induced_matrix(ses.project.components[q], hm[q], hr[q]) for q in range(grades)]
-    rng = random.Random(0)
     connecting = []
     for q in range(grades):
         if q + 1 >= grades:
@@ -248,35 +246,31 @@ def _snake(ses: ShortExactSequence) -> SnakeResult:
             continue
         cols = []
         for rep in hr[q].reps:
-            cols.append(_connect_class(ses, q, rep, hl[q + 1], rng))
+            cols.append(_connect_class(ses, q, rep, hl[q + 1]))
         connecting.append(Matrix.from_columns(cols, hl[q + 1].dim))
     return SnakeResult(grades, hl, hm, hr, ind_i, ind_p, connecting)
 
 
-def _connect_class(ses, q, rep: dict, hl_next: Quotient, rng) -> dict:
-    """Zig-zag: lift through project, push by d, pull back through inject."""
-    pull = ses.factor("inject", q + 1)
+def _connect_class(ses, q, rep: dict, hl_next: Quotient) -> dict:
+    """Zig-zag: lift rep to x through project, push to w = d_M x, pull back y with i(y) = w.
+
+    The class of y does not depend on the lift (Weibel, Lemma 1.3.2), and
+    every hypothesis is proved exactly.  Another lift is x + i(s), s in grade
+    q of the left complex.  ChainMap proved d_M i = i d_L, so d_M(x + i(s)) =
+    w + i(d_L s).  inject is injective (validate proves it for snake_les and
+    make_mv_ses; a relative complex's component is [0; I] by construction),
+    so the exact replay of Factorization.solve returns the unique preimage
+    y + d_L s.  d_L s lies in hl_next.image, and class_coords solves over
+    [image | reps], of full column rank, keeping only the rep coordinates.
+    """
     x = ses.factor("project", q).solve(rep)
     if x is None:
         raise LinearAlgebraError("zig-zag lift failed: project is not surjective on a cycle")
     w = ses.middle.differential(q).matvec(x)
-    y = pull.solve(w)
+    y = ses.factor("inject", q + 1).solve(w)
     if y is None:
         raise LinearAlgebraError("zig-zag pull-back failed: d(lift) escapes the image of inject")
-    coords = _class_of(hl_next, y)
-    if ses.left.dims[q] > 0:
-        # any lift gives the same class; spot-check with an alternate one
-        draws = [rng.randint(-2, 2) for _ in range(ses.left.dims[q])]
-        shift = {i: GaussianRational(c) for i, c in enumerate(draws) if c}
-        x2 = dict(x)
-        for i, v in ses.inject.components[q].matvec(shift).items():
-            s = x2.get(i)
-            x2[i] = v if s is None else s + v
-        w2 = ses.middle.differential(q).matvec(x2)
-        y2 = pull.solve(w2)
-        if y2 is None or _class_of(hl_next, y2) != coords:
-            raise AssertionError("connecting class depends on the chosen lift")
-    return coords
+    return _class_of(hl_next, y)
 
 
 def snake_les(
@@ -384,7 +378,7 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
     sequence are observable.
     """
     gap_t = twist_gap(mu.target.f)
-    gap_s = twist_gap(mu.pull_series(mu.target.f))
+    gap_s = twist_gap(mu.pulled_twist)
     m_t, m_s = mu.target.m, mu.source.m
     top = max(m_t, m_s + 1) + 1
     grades = top + 1

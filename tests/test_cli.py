@@ -646,7 +646,7 @@ def test_mistyped_scene_knob_exits_two(tmp_path, capsys, model, knobs, message):
         (["sequence", "--kind", "mv"], {"cover": {"kind": "laurent", "D": 1.5}}, "'cover.D' must be an integer, got 1.5"),
         (
             ["solve"],
-            {"target": {"op": "dbar", "k": True, "form": {"p": 0, "q": 1, "budget": 1, "terms": []}}},
+            {"target": {"op": "dbar_f_k", "k": True, "form": {"p": 0, "q": 1, "budget": 1, "terms": []}}},
             "'target.k' must be an integer, got true",
         ),
     ],
@@ -662,6 +662,117 @@ def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, messa
 
 SOLVE_FORM = {"p": 0, "q": 1, "budget": 1, "terms": [{"A": [], "B": [1], "coeff": "z1"}]}
 SOLVE_TERM = SOLVE_FORM["terms"][0]
+
+
+@pytest.mark.parametrize(
+    "command, entry, message",
+    [
+        (
+            ["cohomology"],
+            {"model": dict(BASE_MODEL, D=5)},
+            "unknown model key(s) 'D'; allowed: budget, f, m, n",
+        ),
+        (
+            ["cohomology"],
+            {"grid": {"p": 0, "q": 0, "d": 5}},
+            "unknown grid key(s) 'd'; allowed: D, p, q",
+        ),
+        (
+            ["sequence", "--kind", "mv"],
+            {"cover": {"kind": "laurent", "d": 5}},
+            "unknown cover key(s) 'd'; allowed: D, kind",
+        ),
+        (
+            ["sequence", "--kind", "relative"],
+            {"morphism": {"z_components": ["z1^2"], "x_component": []}, "grid": {"p": 0, "D": 1}},
+            "unknown morphism key(s) 'x_component'; allowed: x_components, z_components",
+        ),
+        (
+            ["check", "--suite", "intertwine"],
+            {"morphism": {"z_components": ["z1^2"]}, "pair": {"alpha": "1", "beta": "1"}, "seed": 1},
+            "unknown pair key(s) 'beta'; allowed: alpha",
+        ),
+        (
+            ["solve"],
+            {"target": {"op": "dbar", "k": 1, "form": SOLVE_FORM}},
+            "unknown target key(s) 'k'; allowed: form, op",
+        ),
+        (
+            ["solve"],
+            {"target": {"form": SOLVE_FORM, "phi": SOLVE_FORM}},
+            "unknown target key(s) 'phi'; allowed: form, op",
+        ),
+        (
+            ["solve"],
+            {
+                "target": {"op": "tilde", "k": 1, "phi": SOLVE_FORM, "psi": dict(SOLVE_FORM, q=0)},
+                "morphism": {"z_components": ["z1^2"]},
+            },
+            "unknown target key(s) 'k'; allowed: op, phi, psi",
+        ),
+        (
+            ["solve"],
+            {"target": {"op": "dbar", "form": dict(SOLVE_FORM, budgte=1)}},
+            "unknown target.form key(s) 'budgte'; allowed: budget, p, q, terms",
+        ),
+        (
+            ["solve"],
+            {"target": {"op": "dbar", "form": dict(SOLVE_FORM, terms=[dict(SOLVE_TERM, sign=-1)])}},
+            "unknown target.form.terms[0] key(s) 'sign'; allowed: A, B, coeff",
+        ),
+        (
+            ["solve"],
+            {
+                "target": {"op": "tilde", "phi": SOLVE_FORM, "psi": {"p": 0, "q": 0, "terms": [], "Q": 1}},
+                "morphism": {"z_components": ["z1^2"]},
+            },
+            "unknown target.psi key(s) 'Q'; allowed: budget, p, q, terms",
+        ),
+    ],
+    ids=[
+        "model", "grid", "cover", "morphism", "pair", "target_k_dbar", "target_phi",
+        "target_k_tilde", "form", "term", "tilde_psi",
+    ],
+)
+def test_unknown_nested_scene_key_exits_two(tmp_path, capsys, command, entry, message):
+    # a misspelt budget, D or component list used to be ignored, and the run
+    # went on at the defaults
+    scene = write_scene(tmp_path, "s.json", dict({"model": BASE_MODEL}, **entry))
+    assert run(command + ["--scene", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_solve_target_k_is_read_by_dbar_f_k(tmp_path, capsys):
+    zero = {"p": 0, "q": 1, "budget": 1, "terms": []}
+    scene = write_scene(
+        tmp_path, "s.json", {"model": BASE_MODEL, "target": {"op": "dbar_f_k", "k": 1, "form": zero}}
+    )
+    assert run(["solve", "--scene", scene]) == 0
+    assert json.loads(capsys.readouterr().out)["found"]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"m": 2, "n": 0, "budget": 2, "f": "1+z1"},
+        {"m": 2, "n": 0, "budget": 2, "f": "1"},
+        {"m": 1, "n": 0, "budget": 2, "f": "1+z1"},
+        {"m": 1, "n": 0, "budget": 2, "f": "2"},
+        {"m": 1, "n": 1, "budget": 2, "f": "1"},
+    ],
+    ids=["twisted_m2", "untwisted_m2", "twisted_m1", "constant_twist", "transverse"],
+)
+def test_sequence_mv_rejects_a_model_the_cover_does_not_compute(tmp_path, capsys, model):
+    # the covers are the untwisted d on one leafwise variable; another model
+    # used to exit 0 with the m=1 report
+    for kind in ("laurent", "degenerate"):
+        scene = write_scene(tmp_path, "s.json", {"model": model, "cover": {"kind": kind, "D": 2}})
+        assert run(["sequence", "--kind", "mv", "--scene", scene]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'model' must be m=1, n=0, f=\"1\" for sequence --kind mv")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""Every name a leafcoh module imports is used in that module.
+"""Every name a leafcoh module imports is used in that module, and only
+the seeded generators import ``random``.
 
-No linter ships with the test dependencies, so the check walks the syntax
+No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
 an identifier anywhere in the module, or inside a quoted annotation; a
 string elsewhere (an operator tag such as "dbar_f") does not count.
@@ -54,3 +55,31 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# sampling and checks draw from random.Random(seed); cohomology's
+# pairing_check draws its seeded forms.  The snake engine, the kernels and
+# the linear algebra are exact and draw nothing.
+RANDOM_MODULES = {"sampling", "checks", "cohomology"}
+
+
+def absolute_imports(source: str) -> set:
+    """Top-level names of the modules a source imports absolutely, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_import_finder_sees_nested_and_from_imports():
+    source = "import os.path\ndef f():\n    from random import Random\nfrom .sampling import random_form\n"
+    assert absolute_imports(source) == {"os", "random"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_seeded_generators_import_random(path):
+    if path.stem not in RANDOM_MODULES:
+        assert "random" not in absolute_imports(path.read_text(encoding="utf-8"))

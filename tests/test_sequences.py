@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -432,6 +433,76 @@ def test_solve_primitive_tilde_matrix_matches_tilde_dbar(seed, monkeypatch):
     out_phi = max(phi.budget, s_phi + gap_t)
     out_psi = max(psi.budget, mu.substitution_budget(s_phi, p, q - 1), s_psi + gap_s)
     assert seen == [_form_level_cone(mu, p, q - 1, (s_phi, s_psi, out_phi, out_psi))]
+
+
+def _add(u: dict, v: dict) -> dict:
+    """u + v for sparse vectors, zeros dropped."""
+    out = dict(u)
+    for i, x in v.items():
+        y = out.get(i)
+        out[i] = x if y is None else y + x
+    return {i: x for i, x in out.items() if x}
+
+
+def _shifts(rng, n: int) -> list:
+    """Shifts s of one left grade: dense, sparse and Gaussian-rational."""
+    def gaussian():
+        d = rng.randint(1, 4)
+        return GaussianRational(Fraction(rng.randint(-3, 3), d), Fraction(rng.randint(-3, 3), d))
+
+    dense = {i: G(rng.randint(-2, 2)) for i in range(n)}
+    sparse = {i: G(rng.choice([-3, -1, 1, 2])) for i in rng.sample(range(n), min(n, 2))}
+    rational = [{i: gaussian() for i in range(n) if rng.random() < 0.5} for _ in range(2)]
+    return [{i: v for i, v in s.items() if v} for s in [dense, sparse] + rational]
+
+
+def _lift_case(case: str):
+    kind, _, seed = case.partition("-")
+    if kind == "ses":
+        rng = random.Random(int(seed))
+        return random_ses(rng, grades=rng.choice([2, 3, 4]))[0], rng
+    if kind == "relative":
+        mu, p, rng = _cone_sweep_scene(int(seed))
+        return make_relative_complex(mu, p, 1).ses, rng
+    return make_mv_ses(laurent_cover(2)), random.Random(2)
+
+
+LIFT_CASES = (
+    [f"ses-{seed}" for seed in RANDOM_SES_SWEEPS]
+    + [f"relative-{seed}" for seed in range(12)]
+    + ["laurent-2"]
+)
+
+
+@pytest.mark.parametrize("case", LIFT_CASES)
+def test_connecting_class_does_not_depend_on_the_lift(case):
+    # the proof in _connect_class, step by step, on other lifts x + i(s): the
+    # chain map gives d_M(x + i(s)) = w + i(d_L s), injectivity makes the
+    # pull-back y + d_L s, and class_coords drops d_L s, which is a boundary
+    ses, rng = _lift_case(case)
+    data = _snake(ses)
+    checked_dense = False
+    for q in range(data.grades - 1):
+        inj, inj_next = ses.inject.components[q], ses.inject.components[q + 1]
+        d_m, d_l = ses.middle.differential(q), ses.left.differential(q)
+        pull = ses.factor("inject", q + 1)
+        for rep, column in zip(data.right[q].reps, data.connecting[q].columns()):
+            x = ses.factor("project", q).solve(rep)
+            w = d_m.matvec(x)
+            y = pull.solve(w)
+            assert data.left[q + 1].class_coords(y) == column
+            for s in _shifts(rng, ses.left.dims[q]):
+                w2 = d_m.matvec(_add(x, inj.matvec(s)))
+                assert w2 == _add(w, inj_next.matvec(d_l.matvec(s)))
+                y2 = pull.solve(w2)
+                assert y2 == _add(y, d_l.matvec(s))
+                assert data.left[q + 1].class_coords(y2) == column
+                if not checked_dense:
+                    # one pull-back per case through the dense reference solve
+                    want = DenseFactorization(inj_next).solve(dense_vector(w2, inj_next.rows))
+                    assert dense_vector(y2, inj_next.cols) == want
+                    assert data.left[q + 1].class_coords(sparse_vector(want)) == column
+                    checked_dense = True
 
 
 def test_relative_tilde_matrix_squares_to_zero():
