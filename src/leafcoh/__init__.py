@@ -36,10 +36,10 @@ from .cohomology import (
     cohomology_grid,
     dolbeault_row,
     operator_matrix,
-    pairing_check,
     solve_primitive,
     solve_primitive_tilde,
 )
+from .checks import pairing_check
 from .sequences import (
     ChainMap,
     CochainComplex,

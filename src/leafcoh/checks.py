@@ -14,7 +14,9 @@ import random
 from fractions import Fraction
 
 from .algebra import GaussianRational, Series
-from .forms import FoliationModel, rescale_power
+from .cohomology import _Grid, form_from_vector
+from .forms import FoliatedForm, FoliationModel, rescale_power
+from .linalg import Subspace, kernel_basis, vstack
 from .operators import (
     FoliatedMorphism,
     MorphismPair,
@@ -48,21 +50,26 @@ class _Tally:
             for name in names
         }
         self.order = list(names)
+        self.where = {}
 
-    def record(self, name, ok, case, detail="", *args):
+    def record(self, name, ok, case, detail=None, *args):
         """Count one case of identity ``name``; ``ok`` says whether it held.
 
-        The counterexample detail is ``detail.format(*args)``, built only for
-        the first violation: formatting the forms and twists of every passing
-        case would cost more than many identities do.  "{}" formats an
-        argument exactly as str() and an f-string do.
+        The first counterexample holds ``where`` (the part of the suite that
+        is running, if any), the case and, unless ``detail`` is None,
+        ``detail.format(*args)``, built only for the first violation:
+        formatting the forms and twists of every passing case would cost
+        more than many identities do.  "{}" formats an argument exactly as
+        str() and an f-string do.
         """
         e = self.entries[name]
         e["cases"] += 1
         if not ok:
             e["violations"] += 1
             if e["first_counterexample"] is None:
-                e["first_counterexample"] = {"case": case, "detail": detail.format(*args)}
+                e["first_counterexample"] = {**self.where, "case": case}
+                if detail is not None:
+                    e["first_counterexample"]["detail"] = detail.format(*args)
 
     def skip(self, name, reason):
         self.entries[name]["skipped"] = reason
@@ -285,11 +292,94 @@ def suite_intertwine(
     return t.report("intertwine", seed, trials)
 
 
-def suite_pairing(model: FoliationModel, seed: int, trials: int) -> dict:
-    """The three wedge-closure statements behind the Bott-Chern/Aeppli
-    pairing, spread over all bidegree combinations."""
-    from .cohomology import pairing_check
+def _sample_kernel_form(rng, model, p, q, D, kernel: Subspace):
+    if kernel.dim == 0:
+        return FoliatedForm.zero(model, p, q, D)
+    coeffs = [GaussianRational(Fraction(rng.randint(-3, 3))) for _ in kernel.basis]
+    vec = [GaussianRational(0)] * kernel.ambient_dim
+    for c, b in zip(coeffs, kernel.basis):
+        if not c:
+            continue
+        for i, x in b.items():
+            vec[i] = vec[i] + c * x
+    return form_from_vector(model, p, q, D, vec)
 
+
+_PAIRING = ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")
+
+
+def _pairing_cases(t: _Tally, grid: _Grid, p, q, r, s, trials, seed):
+    """Record ``trials`` cases of the three wedge-closure statements behind
+    the Bott-Chern x Aeppli pairing, phi of bidegree (p,q), psi of (r,s):
+
+    (a) a both-closed form wedge a (partial_f dbar_f)-closed form is
+        (partial_f dbar_f)-closed;
+    (b) a both-closed form wedge an (im partial_f + im dbar_f) element stays
+        in im partial_f + im dbar_f, with the primitive exhibited;
+    (c) a (partial_f dbar_f)-exact form wedge a (partial_f dbar_f)-closed
+        form lies in im partial_f + im dbar_f, certified by the explicit
+        half-difference primitive; the displayed primitive is mixed-bidegree
+        and is applied componentwise.
+
+    The kernels come from grid's matrices, so the composed matrix is checked
+    against the operators before any case is drawn.
+    """
+    model = grid.model
+    rng = random.Random(seed)
+    D = model.budget
+    stacked = vstack(*(grid.matrix(tag, p, q, D, D + grid.gap) for tag in ("partial_f", "dbar_f")))
+    closed_kernel = kernel_basis(stacked)
+    dd_kernel = kernel_basis(grid.matrix("composed", r, s, D, D + 2 * grid.gap))
+    for case in range(trials):
+        phi = _sample_kernel_form(rng, model, p, q, D, closed_kernel)
+        psi = _sample_kernel_form(rng, model, r, s, D, dd_kernel)
+        # (a)
+        w = phi.wedge(psi)
+        ok = partial_f(dbar_f(w)).is_zero
+        t.record("closed_wedge_ddclosed", ok, case)
+        # (b)
+        a = random_form(rng, model, r - 1, s, D)
+        b = random_form(rng, model, r, s - 1, D)
+        psi_exact = partial_f(a) + dbar_f(b)
+        sign = -1 if phi.deg % 2 else 1
+        target = phi.wedge(psi_exact)
+        prim_a = phi.wedge(a).scale(sign)
+        prim_b = phi.wedge(b).scale(sign)
+        ok = (partial_f(prim_a) + dbar_f(prim_b)) == target
+        t.record("closed_wedge_exact", ok, case)
+        # (c)
+        theta = random_form(rng, model, p, q, D)
+        exact = partial_f(dbar_f(theta))
+        target = exact.wedge(psi)
+        tsign = -1 if theta.deg % 2 else 1
+        b1 = dbar_f(theta).wedge(psi) - theta.wedge(dbar_f(psi)).scale(tsign)
+        b2 = theta.wedge(partial_f(psi)).scale(tsign) - partial_f(theta).wedge(psi)
+        recon = partial_f(b1.scale(_HALF)) + dbar_f(b2.scale(_HALF))
+        t.record("ddexact_wedge_ddclosed", recon == target, case)
+
+
+def pairing_check(
+    model: FoliationModel,
+    p: int,
+    q: int,
+    r: int,
+    s: int,
+    trials: int,
+    seed: int,
+) -> dict:
+    """Randomised verification of the pairing statements (see _pairing_cases)
+    at one bidegree combination.  Failures are findings in the report, not
+    exceptions."""
+    t = _Tally(_PAIRING)
+    _pairing_cases(t, _Grid(model), p, q, r, s, trials, seed)
+    report = t.report("pairing", seed, trials)
+    report["bidegrees"] = {"p": p, "q": q, "r": r, "s": s}
+    return report
+
+
+def suite_pairing(model: FoliationModel, seed: int, trials: int) -> dict:
+    """The pairing statements spread over all bidegree combinations, one
+    seed per combination; a counterexample names its combination."""
     m = model.m
     combos = [
         (p, q, r, s)
@@ -300,29 +390,12 @@ def suite_pairing(model: FoliationModel, seed: int, trials: int) -> dict:
         if p + r <= m and q + s <= m
     ]
     per = max(1, trials // len(combos))
-    merged = {
-        name: {"name": name, "cases": 0, "violations": 0, "first_counterexample": None}
-        for name in ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")
-    }
+    t = _Tally(_PAIRING)
+    grid = _Grid(model)
     for i, (p, q, r, s) in enumerate(combos):
-        sub = pairing_check(model, p, q, r, s, per, seed + i)
-        for entry in sub["identities"]:
-            dst = merged[entry["name"]]
-            dst["cases"] += entry["cases"]
-            dst["violations"] += entry["violations"]
-            if dst["first_counterexample"] is None and entry["first_counterexample"]:
-                dst["first_counterexample"] = {
-                    "bidegrees": [p, q, r, s],
-                    **entry["first_counterexample"],
-                }
-    identities = [merged[n] for n in sorted(merged)]
-    return {
-        "suite": "pairing",
-        "seed": seed,
-        "trials": per * len(combos),
-        "identities": identities,
-        "violations_total": sum(e["violations"] for e in identities),
-    }
+        t.where = {"bidegrees": [p, q, r, s]}
+        _pairing_cases(t, grid, p, q, r, s, per, seed + i)
+    return t.report("pairing", seed, per * len(combos))
 
 
 def run_suite(

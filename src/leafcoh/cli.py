@@ -20,7 +20,7 @@ import sys
 from .algebra import Series, SeriesError
 from .forms import FoliatedForm, FoliationModel, FormError
 from .linalg import LinearAlgebraError
-from .operators import FoliatedMorphism, MorphismError
+from .operators import FoliatedMorphism, MorphismError, MorphismPair
 from .checks import SUITES, run_suite
 from .cohomology import (
     NotClosedError,
@@ -217,8 +217,6 @@ class Scene:
             return None
         entry = _known_keys(_typed(self.data["pair"], "an object", "pair"), PAIR_KEYS, "pair")
         alpha = self._twist(_field(entry, "alpha", "a string", "pair"), self.model.m, self.model.n)
-        from .operators import MorphismPair
-
         return MorphismPair(mu, alpha)
 
     def cover(self):
@@ -311,6 +309,9 @@ def cmd_cohomology(args) -> int:
             if not 0 <= v <= model.m:
                 raise SceneError(f"grid axis {name} value {v} outside [0, {model.m}]")
     k = args.k if args.k is not None else scene.k
+    if k is not None and args.variant != "k":
+        name = "--k" if args.k is not None else "'k'"
+        raise SceneError(f"{name} is read only by --variant k")
     rows = cohomology_grid(model, args.variant, ps, qs, ds, slack=scene.slack, k=k)
     if args.format == "csv":
         cols = (
@@ -361,6 +362,8 @@ def cmd_sequence(args) -> int:
     mu = scene.morphism()
     p = scene.grid_value("p", 0)
     D = scene.grid_value("D", scene.model.budget)
+    if "q" in scene.data.get("grid", {}):
+        raise SceneError(f"'grid.q' is not read by sequence --kind {args.kind}, which takes p and D")
     top = max(mu.source.m, mu.target.m)
     if not 0 <= p <= top:
         raise SceneError(f"grid axis p value {p} outside [0, {top}]")
@@ -403,6 +406,8 @@ def cmd_solve(args) -> int:
     slack = scene.slack if args.slack is None else _typed(args.slack, "a nonnegative integer", "--slack")
     op = _typed(entry.get("op", "dbar_f"), "a string", "target.op")
     _known_keys(entry, TARGET_KEYS.get(op, ("op", "form")), "target")
+    if scene.k is not None and op != "dbar_f_k":
+        raise SceneError("'k' is read only by target op dbar_f_k")
     try:
         if op == "tilde":
             mu = scene.morphism()

@@ -18,7 +18,6 @@ approximates the smooth theory: stabilisation is reported, never assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .algebra import ONE, GaussianRational, Series
@@ -45,11 +44,9 @@ from .operators import (
 from .linalg import (
     LinearAlgebraError,
     Matrix,
-    Subspace,
     _raw_matrix,
     dense_vector,
     hstack,
-    kernel_basis,
     rank,
     solve,
     sparse_vector,
@@ -414,8 +411,10 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
     sends the class to its Dolbeault class.  With M the Dolbeault image
     matrix, the classes that die span ker partial_f on im M, so rank =
     nullity(partial_f; dbar_f) - (rk M - rk partial_f M).  Well-definedness
-    (the Bott-Chern image lies in the Dolbeault image) is asserted as
-    rk [M | partial_f dbar_f] = rk M.
+    (the Bott-Chern image lies in the Dolbeault image) is asserted by the
+    exact product M P + partial_f dbar_f = 0, with P the partial_f matrix
+    from (p-1,q-1): it exhibits partial_f dbar_f = M (-P), so its image lies
+    in im M.
     """
     grid = grid or _Grid(model)
     gap = grid.gap
@@ -428,8 +427,8 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
         _check_inclusion(grid.matrix(*d_key), M)
         dolb_image = grid.rank(M_key)
         if bc_image:
-            both = hstack(M, grid.matrix("composed", p - 1, q - 1, D - 2 * gap, D))
-            if rank(both) != dolb_image:
+            P = grid.matrix("partial_f", p - 1, q - 1, D - 2 * gap, D - gap)
+            if not (M.mul(P) + grid.matrix("composed", p - 1, q - 1, D - 2 * gap, D)).is_zero:
                 raise AssertionError(
                     "canonical map ill-defined: Bott-Chern image escapes the Dolbeault image"
                 )
@@ -490,110 +489,6 @@ def cohomology_grid(
                 row["stable"] = row[key] == by_budget[D + 1][key]
                 rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# The Aeppli pairing statements
-# ---------------------------------------------------------------------------
-
-
-def _sample_kernel_form(rng, model, p, q, D, kernel: Subspace):
-    if kernel.dim == 0:
-        return FoliatedForm.zero(model, p, q, D)
-    coeffs = [GaussianRational(Fraction(rng.randint(-3, 3))) for _ in kernel.basis]
-    vec = [GaussianRational(0)] * kernel.ambient_dim
-    for c, b in zip(coeffs, kernel.basis):
-        if not c:
-            continue
-        for i, x in b.items():
-            vec[i] = vec[i] + c * x
-    return form_from_vector(model, p, q, D, vec)
-
-
-def pairing_check(
-    model: FoliationModel,
-    p: int,
-    q: int,
-    r: int,
-    s: int,
-    trials: int,
-    seed: int,
-) -> dict:
-    """Randomised verification of the three wedge-closure statements behind
-    the Bott-Chern x Aeppli pairing.
-
-    (a) a both-closed form wedge a (partial_f dbar_f)-closed form is
-        (partial_f dbar_f)-closed;
-    (b) a both-closed form wedge an (im partial_f + im dbar_f) element stays
-        in im partial_f + im dbar_f, with the primitive exhibited;
-    (c) a (partial_f dbar_f)-exact form wedge a (partial_f dbar_f)-closed
-        form lies in im partial_f + im dbar_f, certified by the explicit
-        half-difference primitive; the displayed primitive is mixed-bidegree
-        and is applied componentwise.
-
-    Failures are findings in the report, not exceptions.
-    """
-    import random
-
-    from .sampling import random_form
-
-    rng = random.Random(seed)
-    D = model.budget
-    grid = _Grid(model)
-    stacked = vstack(*(grid.matrix(tag, p, q, D, D + grid.gap) for tag in ("partial_f", "dbar_f")))
-    closed_kernel = kernel_basis(stacked)
-    dd_kernel = kernel_basis(grid.matrix("composed", r, s, D, D + 2 * grid.gap))
-    results = {
-        name: {"cases": 0, "violations": 0, "first_counterexample": None}
-        for name in ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")
-    }
-
-    def record(name, ok, detail):
-        entry = results[name]
-        entry["cases"] += 1
-        if not ok:
-            entry["violations"] += 1
-            if entry["first_counterexample"] is None:
-                entry["first_counterexample"] = detail
-
-    half = GaussianRational(Fraction(1, 2))
-    for case in range(trials):
-        phi = _sample_kernel_form(rng, model, p, q, D, closed_kernel)
-        psi = _sample_kernel_form(rng, model, r, s, D, dd_kernel)
-        # (a)
-        w = phi.wedge(psi)
-        ok = partial_f(dbar_f(w)).is_zero
-        record("closed_wedge_ddclosed", ok, {"case": case})
-        # (b)
-        a = random_form(rng, model, r - 1, s, D)
-        b = random_form(rng, model, r, s - 1, D)
-        psi_exact = partial_f(a) + dbar_f(b)
-        sign = -1 if phi.deg % 2 else 1
-        target = phi.wedge(psi_exact)
-        prim_a = phi.wedge(a).scale(sign)
-        prim_b = phi.wedge(b).scale(sign)
-        ok = (partial_f(prim_a) + dbar_f(prim_b)) == target
-        record("closed_wedge_exact", ok, {"case": case})
-        # (c)
-        theta = random_form(rng, model, p, q, D)
-        exact = partial_f(dbar_f(theta))
-        target = exact.wedge(psi)
-        tsign = -1 if theta.deg % 2 else 1
-        b1 = dbar_f(theta).wedge(psi) - theta.wedge(dbar_f(psi)).scale(tsign)
-        b2 = theta.wedge(partial_f(psi)).scale(tsign) - partial_f(theta).wedge(psi)
-        recon = partial_f(b1.scale(half)) + dbar_f(b2.scale(half))
-        record("ddexact_wedge_ddclosed", recon == target, {"case": case})
-    total = sum(v["violations"] for v in results.values())
-    return {
-        "suite": "pairing",
-        "bidegrees": {"p": p, "q": q, "r": r, "s": s},
-        "seed": seed,
-        "trials": trials,
-        "identities": [
-            {"name": name, **data} for name, data in sorted(results.items())
-        ],
-        "violations_total": total,
-    }
 
 
 # ---------------------------------------------------------------------------

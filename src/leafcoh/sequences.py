@@ -9,7 +9,9 @@ matrix eliminated once per grade.  The class does not depend on the lift
 (proved in _connect_class from the checks above), so each class is lifted
 once and nothing is drawn at random.  The report states exactness at every
 node.  Once the sequence is known to be exact, a failed solve is a fault of
-the engine and raises LinearAlgebraError, never an input error.
+the engine and raises LinearAlgebraError, never an input error; so does a
+complex with d.d != 0 or a chain map that does not commute, as the engine
+builds both from the scene.
 
 On top of the abstract engine sit the two paper-shaped constructions: the
 relative (mapping-cone) complex of a morphism of twisted models, and the
@@ -57,16 +59,16 @@ class CochainComplex:
         dims = tuple(dims)
         diffs = tuple(diffs)
         if len(diffs) != max(len(dims) - 1, 0):
-            raise ValueError("need exactly one differential per adjacent grade pair")
+            raise LinearAlgebraError("need exactly one differential per adjacent grade pair")
         for q, d in enumerate(diffs):
             if d.cols != dims[q] or d.rows != dims[q + 1]:
-                raise ValueError(
+                raise LinearAlgebraError(
                     f"differential {q} has shape {d.rows}x{d.cols}, expected "
                     f"{dims[q + 1]}x{dims[q]}"
                 )
         for q in range(len(diffs) - 1):
             if not diffs[q + 1].mul(diffs[q]).is_zero:
-                raise ValueError(f"d.d != 0 between grades {q} and {q + 2}")
+                raise LinearAlgebraError(f"d.d != 0 between grades {q} and {q + 2}")
         self.dims = dims
         self.diffs = diffs
 
@@ -79,7 +81,7 @@ class CochainComplex:
 
 def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     if len(a.dims) != len(b.dims):
-        raise ValueError("direct sum needs equal grade counts")
+        raise LinearAlgebraError("direct sum needs equal grade counts")
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
     diffs = []
     for q in range(len(a.dims) - 1):
@@ -99,15 +101,15 @@ class ChainMap:
     def __init__(self, source: CochainComplex, target: CochainComplex, components):
         components = tuple(components)
         if len(components) != len(source.dims) or len(source.dims) != len(target.dims):
-            raise ValueError("chain map needs one component per grade")
+            raise LinearAlgebraError("chain map needs one component per grade")
         for q, comp in enumerate(components):
             if comp.cols != source.dims[q] or comp.rows != target.dims[q]:
-                raise ValueError(f"component {q} shape mismatch")
+                raise LinearAlgebraError(f"component {q} shape mismatch")
         for q in range(len(source.dims) - 1):
             left = target.diffs[q].mul(components[q])
             right = components[q + 1].mul(source.diffs[q])
             if left != right:
-                raise ValueError(f"chain map does not commute with d at grade {q}")
+                raise LinearAlgebraError(f"chain map does not commute with d at grade {q}")
         self.source = source
         self.target = target
         self.components = components

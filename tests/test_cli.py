@@ -457,6 +457,17 @@ def test_snake_fault_exits_internal(capsys, monkeypatch):
     assert captured.err == "internal error: zig-zag lift failed: project is not surjective on a cycle\n"
 
 
+@pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
+def test_broken_sequence_complex_exits_internal(capsys, monkeypatch, kind):
+    # a corrupted dbar_f no longer squares to zero, so the relative complex
+    # the engine builds from the scene is broken: an engine fault, not an input
+    _patch_operator_matrix(monkeypatch, _bump_first_entry("dbar_f"))
+    assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", kind]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: d.d != 0 between grades 0 and 2\n"
+
+
 @pytest.mark.parametrize(
     "command, grid, message",
     [
@@ -662,6 +673,60 @@ def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, messa
 
 SOLVE_FORM = {"p": 0, "q": 1, "budget": 1, "terms": [{"A": [], "B": [1], "coeff": "z1"}]}
 SOLVE_TERM = SOLVE_FORM["terms"][0]
+
+
+@pytest.mark.parametrize(
+    "command, scene, knobs, message",
+    [
+        (
+            ["sequence", "--kind", kind],
+            "relative_square.json",
+            {"grid": {"p": 0, "q": 7, "D": 2}},
+            f"'grid.q' is not read by sequence --kind {kind}, which takes p and D",
+        )
+        for kind in ("relative", "delta", "boundary")
+    ]
+    + [
+        (["cohomology"], "twist_vanishing.json", {"k": 5}, "'k' is read only by --variant k"),
+        (["cohomology", "--variant", "bc"], "twist_vanishing.json", {"k": 5}, "'k' is read only by --variant k"),
+        (["cohomology", "--k", "3"], "twist_vanishing.json", {}, "--k is read only by --variant k"),
+        (["cohomology", "--variant", "canonical", "--k", "3"], "twist_vanishing.json", {"k": 5}, "--k is read only by --variant k"),
+        (["solve"], "solve_untwisted.json", {"k": 5}, "'k' is read only by target op dbar_f_k"),
+        (
+            ["solve"],
+            "relative_square.json",
+            {"k": 5, "target": {"op": "tilde", "phi": SOLVE_FORM, "psi": dict(SOLVE_FORM, q=0)}},
+            "'k' is read only by target op dbar_f_k",
+        ),
+    ],
+    ids=[
+        "sequence_q_relative", "sequence_q_delta", "sequence_q_boundary", "cohomology_k",
+        "cohomology_bc_k", "cohomology_flag_k", "cohomology_flag_and_scene_k", "solve_dbar_k",
+        "solve_tilde_k",
+    ],
+)
+def test_knob_the_command_does_not_read_exits_two(tmp_path, capsys, command, scene, knobs, message):
+    # each of these used to run at exit 0 with the knob silently ignored
+    data = dict(json.loads((SCENES / scene).read_text()), **knobs)
+    assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_k_knobs_are_read_where_they_apply(tmp_path, capsys):
+    scene = dict(json.loads((SCENES / "twist_vanishing.json").read_text()), k=1)
+    assert run(["cohomology", "--variant", "k", "--scene", write_scene(tmp_path, "k.json", scene)]) == 0
+    from_scene = json.loads(capsys.readouterr().out)
+    assert {row["k"] for row in from_scene["rows"]} == {1}
+    del scene["k"]
+    flagged = ["cohomology", "--variant", "k", "--k", "1", "--scene", write_scene(tmp_path, "f.json", scene)]
+    assert run(flagged) == 0
+    assert json.loads(capsys.readouterr().out) == from_scene
+    zero = {"p": 0, "q": 1, "budget": 1, "terms": []}
+    solve = {"model": BASE_MODEL, "k": 1, "target": {"op": "dbar_f_k", "form": zero}}
+    assert run(["solve", "--scene", write_scene(tmp_path, "s.json", solve)]) == 0
+    assert json.loads(capsys.readouterr().out)["found"]
 
 
 @pytest.mark.parametrize(
@@ -985,6 +1050,17 @@ def test_benchmark_check_and_sequence_reports_match_recorded_digests(tmp_path, m
         want = expected["jobs"][job]
         assert code == want["exit"], job
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"], job
+
+
+@pytest.mark.parametrize("name", ["check_pairing_basic", "check_pairing_m2"])
+def test_pairing_suite_reports_match_golden(tmp_path, capsys, name):
+    # check --suite pairing, recorded while the suite ran through the engine's pairing_check
+    golden = json.loads((SCENES.parent / "tests" / "golden" / f"{name}.json").read_text())
+    scene = write_scene(tmp_path, "s.json", golden["scene"])
+    assert run(golden["argv"] + ["--scene", scene]) == golden["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(golden["report"], sort_keys=True, indent=2) + "\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("name", ["dolbeault_m3_D5", "dolbeault_dense_m2_D5"])

@@ -21,7 +21,6 @@ from leafcoh.cohomology import (
     form_from_vector,
     inclusion_positions,
     operator_matrix,
-    pairing_check,
     solve_primitive,
     solve_primitive_tilde,
     space_basis,
@@ -29,7 +28,8 @@ from leafcoh.cohomology import (
     variant_row,
     vectorize,
 )
-from leafcoh import cohomology, linalg
+from leafcoh import checks, cohomology, linalg
+from leafcoh.checks import pairing_check
 from leafcoh.algebra import GaussianRational
 from leafcoh.linalg import Matrix, dense_vector, kernel_basis, sparse_vector
 from leafcoh.operators import twist_gap
@@ -652,6 +652,51 @@ def test_pairing_check_trivial_zero_psi():
     model = untwisted(1, 0, 2)
     rep = pairing_check(model, 1, 1, 1, 1, trials=3, seed=5)
     assert rep["violations_total"] == 0
+
+
+def _pairing_entries(counts, firsts):
+    names = ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")
+    return [
+        {"name": name, "cases": cases, "violations": violations, "first_counterexample": first}
+        for name, (cases, violations), first in zip(names, counts, firsts)
+    ]
+
+
+def test_pairing_reports_pin_counterexamples_of_a_broken_partial_f(monkeypatch):
+    # partial_f with the twist f + 1 in the suite's wedge statements only: the
+    # kernels still come from the grid's matrices of the real operators.
+    # Values recorded from the engine's pairing_check before the suite moved
+    # to checks; a suite counterexample names its bidegree combination.
+    real = checks.partial_f
+
+    def broken(phi, f=None):
+        f = phi.model.f if f is None else f
+        return real(phi, f + Series.one(f.m, f.n))
+
+    monkeypatch.setattr(checks, "partial_f", broken)
+    model = FoliationModel(2, 0, 2, parse_series("1+z1*zb2", 2, 0, 2))
+    assert checks.run_suite("pairing", model, 5, 40) == {
+        "suite": "pairing",
+        "seed": 5,
+        "trials": 36,
+        "identities": _pairing_entries(
+            [(36, 4), (36, 4), (36, 8)],
+            [
+                {"bidegrees": [0, 0, 0, 0], "case": 0},
+                {"bidegrees": [0, 1, 1, 1], "case": 0},
+                {"bidegrees": [0, 0, 0, 0], "case": 0},
+            ],
+        ),
+        "violations_total": 16,
+    }
+    assert pairing_check(model, 0, 1, 1, 0, trials=8, seed=5) == {
+        "suite": "pairing",
+        "bidegrees": {"p": 0, "q": 1, "r": 1, "s": 0},
+        "seed": 5,
+        "trials": 8,
+        "identities": _pairing_entries([(8, 0), (8, 4), (8, 3)], [None, {"case": 2}, {"case": 4}]),
+        "violations_total": 7,
+    }
 
 
 # ---------------------------------------------------------------------------

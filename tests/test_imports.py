@@ -1,5 +1,6 @@
-"""Every name a leafcoh module imports is used in that module, and only
-the seeded generators import ``random``.
+"""Every name a leafcoh module imports is used in that module, only the
+seeded generators import ``random``, and the exact engine imports neither
+``sampling`` nor ``checks``.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -57,10 +58,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# sampling and checks draw from random.Random(seed); cohomology's
-# pairing_check draws its seeded forms.  The snake engine, the kernels and
-# the linear algebra are exact and draw nothing.
-RANDOM_MODULES = {"sampling", "checks", "cohomology"}
+# sampling and checks draw from random.Random(seed).  The snake engine, the
+# cohomology engine, the kernels and the linear algebra are exact and draw
+# nothing.
+RANDOM_MODULES = {"sampling", "checks"}
+# the exact engine, which must never reach the seeded suites or their draws
+ENGINE_MODULES = ("algebra", "forms", "operators", "linalg", "cohomology", "sequences")
 
 
 def absolute_imports(source: str) -> set:
@@ -83,3 +86,22 @@ def test_import_finder_sees_nested_and_from_imports():
 def test_only_seeded_generators_import_random(path):
     if path.stem not in RANDOM_MODULES:
         assert "random" not in absolute_imports(path.read_text(encoding="utf-8"))
+
+
+def package_imports(source: str) -> set:
+    """Names of the leafcoh modules a source imports relatively, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+    return names
+
+
+def test_package_import_finder_sees_nested_and_bare_imports():
+    source = "from .linalg import rank\ndef f():\n    from .sampling import random_form\nfrom . import checks\n"
+    assert package_imports(source) == {"linalg", "sampling", "checks"}
+
+
+@pytest.mark.parametrize("name", ENGINE_MODULES)
+def test_engine_does_not_import_the_suites(name):
+    assert not package_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) & {"sampling", "checks"}
