@@ -6,6 +6,8 @@ the leafwise Cauchy-Riemann operators and their twisted variants on foliated
 the relative and Mayer-Vietoris long exact sequences.
 """
 
+from importlib import import_module as _import_module
+
 from .algebra import GaussianRational, Series, SeriesError, parse_series
 from .forms import (
     FoliatedForm,
@@ -39,22 +41,44 @@ from .cohomology import (
     solve_primitive,
     solve_primitive_tilde,
 )
-from .checks import pairing_check
-from .sequences import (
-    ChainMap,
-    CochainComplex,
-    CoverValidationError,
-    MayerVietorisCover,
-    SESValidationError,
-    ShortExactSequence,
-    corollary_boundary_report,
-    degenerate_cover,
-    delta_equals_pullback_check,
-    laurent_cover,
-    make_mv_ses,
-    make_relative_complex,
-    relative_les,
-    snake_les,
-)
+
+# The suites and the sequence engine are imported on first use of one of
+# their names (PEP 562), so a command that runs neither never compiles or
+# loads them.  The modules above load first, as every command needs them:
+# compiling cli.py before them raises a process's peak RSS (BENCH_14.json).
+_LAZY = {
+    "checks": ("pairing_check",),
+    "sequences": (
+        "ChainMap",
+        "CochainComplex",
+        "CoverValidationError",
+        "MayerVietorisCover",
+        "SESValidationError",
+        "ShortExactSequence",
+        "corollary_boundary_report",
+        "degenerate_cover",
+        "delta_equals_pullback_check",
+        "laurent_cover",
+        "make_mv_ses",
+        "make_relative_complex",
+        "relative_les",
+        "snake_les",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.1.0"
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_HOME))

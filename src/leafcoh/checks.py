@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import GaussianRational, Series
 from .cohomology import _Grid, form_from_vector
 from .forms import FoliatedForm, FoliationModel, rescale_power
-from .linalg import Subspace, kernel_basis, vstack
+from .linalg import Subspace, kernel_basis
 from .operators import (
     FoliatedMorphism,
     MorphismPair,
@@ -37,8 +37,6 @@ from .sampling import (
     random_series,
     random_unit_series,
 )
-
-SUITES = ("operators", "leibniz", "rescale", "intertwine", "pairing")
 
 _HALF = GaussianRational(Fraction(1, 2))
 
@@ -277,9 +275,7 @@ def suite_intertwine(
             # build a valid pair: constant alpha, source twist mu*(f')/alpha
             c = GaussianRational(rng.randint(1, 3))
             alpha = Series.constant(mu.source.m, mu.source.n, c)
-            src_model = mu.source.with_twist(mu.pulled_twist.scale(c.inverse()))
-            mu_pair = FoliatedMorphism(src_model, mu.target, mu.z_components, mu.x_components)
-            case_pair = MorphismPair(mu_pair, alpha)
+            case_pair = MorphismPair(mu.with_source_twist(mu.pulled_twist.scale(c.inverse())), alpha)
         pm = case_pair.phi
         pp = rng.randint(0, pm.target.m)
         pq = rng.randint(0, pm.target.m)
@@ -327,8 +323,7 @@ def _pairing_cases(t: _Tally, grid: _Grid, p, q, r, s, trials, seed):
     model = grid.model
     rng = random.Random(seed)
     D = model.budget
-    stacked = vstack(*(grid.matrix(tag, p, q, D, D + grid.gap) for tag in ("partial_f", "dbar_f")))
-    closed_kernel = kernel_basis(stacked)
+    closed_kernel = kernel_basis(grid.matrix("stacked", p, q, D, D + grid.gap))
     dd_kernel = kernel_basis(grid.matrix("composed", r, s, D, D + 2 * grid.gap))
     for case in range(trials):
         phi = _sample_kernel_form(rng, model, p, q, D, closed_kernel)

@@ -21,7 +21,6 @@ from .algebra import Series, SeriesError
 from .forms import FoliatedForm, FoliationModel, FormError
 from .linalg import LinearAlgebraError
 from .operators import FoliatedMorphism, MorphismError, MorphismPair
-from .checks import SUITES, run_suite
 from .cohomology import (
     NotClosedError,
     VARIANTS,
@@ -29,23 +28,17 @@ from .cohomology import (
     solve_primitive,
     solve_primitive_tilde,
 )
-from .sequences import (
-    CoverValidationError,
-    corollary_boundary_report,
-    degenerate_cover,
-    delta_equals_pullback_check,
-    laurent_cover,
-    make_mv_ses,
-    make_relative_complex,
-    relative_les,
-    snake_les,
-)
+
+# checks (with sampling) and sequences are imported only by the commands
+# that run them, so no process compiles or loads a module it never calls.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+
+SUITES = ("operators", "leibniz", "rescale", "intertwine", "pairing")
 
 _TWIST_PARSE_BUDGET = 64  # generous cap for parsing twist polynomials
 
@@ -220,6 +213,8 @@ class Scene:
         return MorphismPair(mu, alpha)
 
     def cover(self):
+        from .sequences import degenerate_cover, laurent_cover
+
         if "cover" not in self.data:
             raise SceneError("scene needs a 'cover' for the mv command")
         entry = _known_keys(self.data["cover"], COVER_KEYS, "cover")
@@ -264,6 +259,8 @@ def _need_seed(scene: Scene, args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_suite
+
     scene = load_scene(args.scene)
     if args.suite not in SUITES:
         raise SceneError(f"unknown suite {args.suite!r} (choose from {SUITES})")
@@ -312,6 +309,8 @@ def cmd_cohomology(args) -> int:
     if k is not None and args.variant != "k":
         name = "--k" if args.k is not None else "'k'"
         raise SceneError(f"{name} is read only by --variant k")
+    if "slack" in scene.data and args.variant not in ("dolbeault", "k"):
+        raise SceneError("'slack' is read only by --variant dolbeault and k")
     rows = cohomology_grid(model, args.variant, ps, qs, ds, slack=scene.slack, k=k)
     if args.format == "csv":
         cols = (
@@ -326,6 +325,16 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    from .sequences import (
+        CoverValidationError,
+        corollary_boundary_report,
+        delta_equals_pullback_check,
+        make_mv_ses,
+        make_relative_complex,
+        relative_les,
+        snake_les,
+    )
+
     scene = load_scene(args.scene)
     if args.kind == "mv":
         kind, cover = scene.cover()

@@ -18,9 +18,10 @@ approximates the smooth theory: stabilisation is reported, never assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from operator import add
 
-from .algebra import ONE, GaussianRational, Series
+from .algebra import ONE, GaussianRational, Series, expo_degree
 from .forms import (
     FoliatedForm,
     FoliationModel,
@@ -44,6 +45,7 @@ from .operators import (
 from .linalg import (
     LinearAlgebraError,
     Matrix,
+    _echelon,
     _raw_matrix,
     dense_vector,
     hstack,
@@ -244,13 +246,14 @@ def pullback_matrix(
 
 def _composed_matrix(grid: "_Grid", p, q, in_budget):
     """partial_f after dbar_f from (p,q) at in_budget, the product of grid's factor
-    matrices; checked against the operators applied to each basis form."""
+    matrices; checked against the operators applied to each basis form, unless
+    the target basis is empty and the product has no entry to compare."""
     model, gap = grid.model, grid.gap
     B = grid.matrix("dbar_f", p, q, in_budget, in_budget + gap)
     A = grid.matrix("partial_f", p, q + 1, in_budget + gap, in_budget + 2 * gap)
     C = A.mul(B)
     out_idx = _basis_index(model.m, model.n, p + 1, q + 1, in_budget + 2 * gap)
-    if _applied_matrix(lambda phi: partial_f(dbar_f(phi)), model, p, q, in_budget, out_idx) != C:
+    if out_idx and _applied_matrix(lambda phi: partial_f(dbar_f(phi)), model, p, q, in_budget, out_idx) != C:
         raise AssertionError("composed operator disagrees with matrix product")
     return C
 
@@ -260,40 +263,113 @@ def _composed_matrix(grid: "_Grid", p, q, in_budget):
 # ---------------------------------------------------------------------------
 
 
+def _blocks(tag, p, q) -> tuple:
+    """(column bidegrees, row bidegrees) of a grid matrix, in stacking order."""
+    if tag == "composed":
+        return ((p, q),), ((p + 1, q + 1),)
+    if tag == "stacked":
+        return ((p, q),), ((p + 1, q), (p, q + 1))
+    if tag == "image":
+        return ((p - 1, q), (p, q - 1)), ((p, q),)
+    dp, dq, _ = _OPS[tag]
+    return ((p, q),), ((p + dp, q + dq),)
+
+
+class _Family:
+    """One operator at every budget: its matrix at the largest one and the
+    monomial degrees of the pivot columns of that matrix's elimination."""
+
+    __slots__ = ("budget", "matrix", "pivot_degrees")
+
+    def __init__(self, budget: int, matrix: Matrix):
+        self.budget = budget
+        self.matrix = matrix
+        self.pivot_degrees = None
+
+
 class _Grid:
-    """Operator matrices of one model and their ranks, each computed once.
+    """Operator matrices of one model and their ranks, each family computed once.
 
     Matrices are keyed (tag, p, q, in_budget, out_budget, k) as in
-    operator_matrix, with the tag "composed" for partial_f after dbar_f; a
-    rank sits under its matrix's key or, for a matrix derived from memoized
-    ones, under a key of its own.  cohomology_grid shares one instance
-    between its rows and drops it when it returns.
+    operator_matrix, plus the derived tags "composed" (partial_f after
+    dbar_f), "stacked" (partial_f over dbar_f) and "image" ([partial_f from
+    (p-1,q) | dbar_f from (p,q-1)] into (p,q)).  Keys that differ only in
+    in_budget, at one out_budget - in_budget, form a family.  A family is
+    assembled (a composition re-checked) at the largest in_budget asked for
+    and rebuilt if a larger one is asked for later.  A column does not
+    depend on the budget, so a lower budget's matrix is the restriction to
+    the lower bases, on columns and rows.  Ranks come from one forward
+    elimination of the family's matrix, columns in stable ascending
+    monomial degree: the budget-b columns are a prefix, and a left-to-right
+    elimination's pivot count in a column prefix is that prefix's rank.
+    cohomology_grid shares one instance between its rows.
     """
 
     def __init__(self, model: FoliationModel):
         self.model = model
         self.gap = twist_gap(model.f)
+        self._families: dict = {}
         self._matrices: dict = {}
-        self._ranks: dict = {}
+
+    def _family(self, key) -> _Family:
+        tag, p, q, b, out, k = key
+        fkey = (tag, p, q, k, out - b)
+        family = self._families.get(fkey)
+        if family is None or family.budget < b:
+            family = self._families[fkey] = _Family(b, self._build(key))
+        return family
+
+    def _build(self, key) -> Matrix:
+        tag, p, q, b, out, k = key
+        if tag == "composed":
+            return _composed_matrix(self, p, q, b)
+        if tag == "stacked":
+            return vstack(self.matrix("partial_f", p, q, b, out), self.matrix("dbar_f", p, q, b, out))
+        if tag == "image":
+            return hstack(self.matrix("partial_f", p - 1, q, b, out), self.matrix("dbar_f", p, q - 1, b, out))
+        return operator_matrix(tag, self.model, p, q, b, out, k)
+
+    def _positions(self, blocks, small: int, big: int) -> list:
+        """Positions of the budget-small bases of blocks inside the budget-big ones, stacked."""
+        out, offset = [], 0
+        for p, q in blocks:
+            out += [offset + i for i in inclusion_positions(self.model, p, q, small, big)]
+            offset += space_dim(self.model, p, q, big)
+        return out
 
     def matrix(self, tag, p, q, in_budget, out_budget, k=None) -> Matrix:
         key = (tag, p, q, in_budget, out_budget, k)
-        if key not in self._matrices:
-            if tag == "composed":
-                M = _composed_matrix(self, p, q, in_budget)
-            else:
-                M = operator_matrix(tag, self.model, p, q, in_budget, out_budget, k)
+        M = self._matrices.get(key)
+        if M is None:
+            family = self._family(key)
+            top = family.budget
+            M = family.matrix
+            if top != in_budget:
+                col_blocks, row_blocks = _blocks(tag, p, q)
+                top_out = top + out_budget - in_budget
+                cols = {c: j for j, c in enumerate(self._positions(col_blocks, in_budget, top))}
+                rows = {r: i for i, r in enumerate(self._positions(row_blocks, out_budget, top_out))}
+                entries = {(rows[r], cols[c]): v for (r, c), v in M.entries.items() if c in cols}
+                M = _raw_matrix(len(rows), len(cols), entries)
             self._matrices[key] = M
-        return self._matrices[key]
+        return M
 
-    def rank(self, key, build=None) -> int:
-        """Rank of the matrix under ``key``: memoized, else build(), else matrix(*key)."""
-        if key not in self._ranks:
-            M = self._matrices.get(key)
-            if M is None:
-                M = build() if build else self.matrix(*key)
-            self._ranks[key] = rank(M)
-        return self._ranks[key]
+    def rank(self, key) -> int:
+        """Rank of the matrix under ``key``: the pivots of degree <= in_budget of its family."""
+        family = self._family(key)
+        if family.pivot_degrees is None:
+            tag, p, q = key[:3]
+            degrees = [
+                expo_degree(e)
+                for bp, bq in _blocks(tag, p, q)[0]
+                for _, _, e in _basis_cached(self.model.m, self.model.n, bp, bq, family.budget)
+            ]
+            order = sorted(range(len(degrees)), key=degrees.__getitem__)
+            at = {c: j for j, c in enumerate(order)}
+            M = family.matrix
+            by_degree = _raw_matrix(M.rows, M.cols, {(r, at[c]): v for (r, c), v in M.entries.items()})
+            family.pivot_degrees = [degrees[order[j]] for j in _echelon(by_degree, forward=True)[1]]
+        return bisect_right(family.pivot_degrees, key[3])
 
     def nullity(self, key) -> int:
         return self.matrix(*key).cols - self.rank(key)
@@ -305,8 +381,9 @@ def _check_inclusion(d: Matrix, image: Matrix):
         raise LinearAlgebraError("image is not contained in the kernel: broken complex")
 
 
-def _restricted_image_dim(d: Matrix, M: Matrix, keep: list) -> int:
-    """dim of the part of im(M) on the rows ``keep`` (d's columns), checked to lie in ker(d).
+def _outside_rank(d: Matrix, M: Matrix, keep: list) -> int:
+    """rk M[outside], the rows of M not in ``keep`` (d's columns), with the part
+    of im(M) on the rows ``keep`` checked to lie in ker(d).
 
     That part is M[keep] applied to K = ker M[outside]: its dimension is
     rk M - rk M[outside].  It lies in ker(d) iff d * M[keep] vanishes on K,
@@ -320,21 +397,20 @@ def _restricted_image_dim(d: Matrix, M: Matrix, keep: list) -> int:
     outside = rank(rest)
     if rank(vstack(rest, d.mul(block))) != outside:
         raise LinearAlgebraError("image is not contained in the kernel: broken complex")
-    return rank(M) - outside
+    return outside
 
 
 def _bott_chern(grid: _Grid, p: int, q: int, D: int) -> tuple:
     """(dim ker, dim im) of ker partial_f & ker dbar_f modulo im partial_f dbar_f at (p,q,D)."""
     gap = grid.gap
     d_key = ("dbar_f", p, q, D, D + gap, None)
-    Mp, Md = grid.matrix("partial_f", *d_key[1:]), grid.matrix(*d_key)
+    stacked = ("stacked",) + d_key[1:]
     # with no partial_f entries the stack eliminates as dbar_f alone
-    stacked = ("stacked",) + d_key[1:] if Mp.entries else d_key
-    kernel = Md.cols - grid.rank(stacked, lambda: vstack(Mp, Md))
+    kernel = grid.nullity(stacked if grid.matrix("partial_f", *d_key[1:]).entries else d_key)
     image = 0
     if p and q and D >= 2 * gap:
         key = ("composed", p - 1, q - 1, D - 2 * gap, D, None)
-        _check_inclusion(vstack(Mp, Md), grid.matrix(*key))
+        _check_inclusion(grid.matrix(*stacked), grid.matrix(*key))
         image = grid.rank(key)
     return kernel, image
 
@@ -369,7 +445,7 @@ def dolbeault_row(
             image = grid.rank(M_key)
         else:
             keep = inclusion_positions(model, p, q, D, out)
-            image = _restricted_image_dim(grid.matrix(*d_key), grid.matrix(*M_key), keep)
+            image = grid.rank(M_key) - _outside_rank(grid.matrix(*d_key), grid.matrix(*M_key), keep)
     row = _row(p, q, D, grid.nullity(d_key), image, max(src, -1))
     if k is not None:
         row["k"] = k
@@ -398,7 +474,7 @@ def aeppli_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> d
     for part in parts:
         _check_inclusion(grid.matrix(*key), grid.matrix(*part))
     if len(parts) == 2:
-        image = rank(hstack(*(grid.matrix(*part) for part in parts)))
+        image = grid.rank(("image", p, q, D - gap, D, None))
     else:
         image = grid.rank(parts[0]) if parts else 0
     return _row(p, q, D, grid.nullity(key), image, D - gap)
@@ -434,9 +510,8 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
                 )
         if bc_kernel:
             # partial_f M is the composition from (p, q-1)
-            Mp = grid.matrix("partial_f", *d_key[1:])
             composed = ("composed", p, q - 1, D - gap, D + gap, None)
-            image_rank -= dolb_image - grid.rank(composed, lambda: Mp.mul(M))
+            image_rank -= dolb_image - grid.rank(composed)
     row = {"p": p, "q": q, "D": D, "rank": image_rank, "domain": bc_kernel - bc_image}
     row["codomain"] = grid.nullity(d_key) - dolb_image
     return row
@@ -473,18 +548,18 @@ def cohomology_grid(
     D + 1; instability is a diagnostic, not an error.  Each (p, q, D) is
     computed once: the D + 1 probe of one row is the next row.  The rows
     share one _Grid: the image matrix of row (p, q, D) is the differential
-    of row (p, q - 1, D - gap), and no matrix is assembled or ranked twice.
+    of row (p, q - 1, D - gap), and no operator family is assembled or
+    eliminated twice.  Each (p, q) computes its budgets from the top down,
+    so the first request of a family is normally its largest budget.
     """
     key = "rank" if variant == "canonical" else "dim"
     grid = _Grid(model)
+    budgets = sorted({b for D in d_range for b in (D, D + 1)}, reverse=True)
     rows = []
     for p in p_range:
         for q in q_range:
-            by_budget = {}
+            by_budget = {b: variant_row(model, variant, p, q, b, slack, k, grid=grid) for b in budgets}
             for D in d_range:
-                for b in (D, D + 1):
-                    if b not in by_budget:
-                        by_budget[b] = variant_row(model, variant, p, q, b, slack, k, grid=grid)
                 row = by_budget[D]
                 row["stable"] = row[key] == by_budget[D + 1][key]
                 rows.append(row)

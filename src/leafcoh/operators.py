@@ -178,6 +178,21 @@ class FoliatedMorphism:
         self.degree = max((c.degree for c in self.z_components + self.x_components), default=0)
         self.pulled_twist = self.pull_series(target.f)
 
+    def with_source_twist(self, f: Series) -> "FoliatedMorphism":
+        """The same map from the source model twisted by f.
+
+        The components, their degree and mu*(f') do not depend on the source
+        twist, so they carry over without being checked or pulled back again.
+        """
+        mu = object.__new__(FoliatedMorphism)
+        mu.source = self.source.with_twist(f)
+        mu.target = self.target
+        mu.z_components = self.z_components
+        mu.x_components = self.x_components
+        mu.degree = self.degree
+        mu.pulled_twist = self.pulled_twist
+        return mu
+
     @classmethod
     def identity(cls, model: FoliationModel):
         zc = [Series.variable(model.m, model.n, "z", a) for a in range(1, model.m + 1)]

@@ -401,6 +401,35 @@ def test_failed_composition_check_exits_internal(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: composed operator disagrees with matrix product\n"
 
 
+def _bump_lowest_degree_entry(wanted):
+    """A corrupt(tag, matrix) that adds 1 to the first entry of the first nonzero
+    column of each `wanted` matrix: the basis lists degree 0 first, so the
+    entry stays in the matrix's restriction to every lower budget."""
+
+    def corrupt(tag, M):
+        if tag != wanted or not M.entries:
+            return M
+        entries = dict(M.entries)
+        key = min(entries, key=lambda rc: (rc[1], rc[0]))
+        entries[key] = entries[key] + 1
+        return Matrix(M.rows, M.cols, entries)
+
+    return corrupt
+
+
+@pytest.mark.parametrize("variant", ["dolbeault", "k", "bc", "aeppli", "canonical"])
+def test_corrupted_low_degree_entry_exits_internal_on_every_variant(tmp_path, capsys, monkeypatch, variant):
+    # a grid assembles each operator once, at its largest budget, and restricts
+    # it to the lower ones: the corrupted entry reaches every budget's checks
+    _patch_operator_matrix(monkeypatch, _bump_lowest_degree_entry("dbar_f_k" if variant == "k" else "dbar_f"))
+    data = {"model": {"m": 2, "n": 0, "budget": 2, "f": "1+z1*zb2"}, "grid": {"p": [0, 2], "q": [0, 2], "D": [1, 2]}}
+    scene = write_scene(tmp_path, "s.json", dict(data, k=1) if variant == "k" else data)
+    assert run(["cohomology", "--scene", scene, "--variant", variant]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+
+
 def test_failed_primitive_certification_exits_internal(capsys, monkeypatch):
     # doubling every entry keeps the system solvable but halves the primitive
     _patch_operator_matrix(
@@ -441,7 +470,7 @@ def test_broken_complex_with_slack_exits_internal(tmp_path, capsys, monkeypatch,
 def test_snake_fault_exits_internal(capsys, monkeypatch):
     # a zero project component, with validation skipped, makes the zig-zag
     # lift fail after the sequence was accepted: an engine fault, not an input
-    real = cli.make_relative_complex
+    real = sequences.make_relative_complex
 
     def corrupted(*args):
         rc = real(*args)
@@ -449,7 +478,7 @@ def test_snake_fault_exits_internal(capsys, monkeypatch):
         prj.components = tuple(Matrix.zero(c.rows, c.cols) for c in prj.components)
         return rc
 
-    monkeypatch.setattr(cli, "make_relative_complex", corrupted)
+    monkeypatch.setattr(sequences, "make_relative_complex", corrupted)
     monkeypatch.setattr(sequences.ShortExactSequence, "validate", lambda self: [])
     assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", "relative"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
@@ -580,13 +609,39 @@ def test_mistyped_nested_fixture_exits_two(tmp_path, capsys, command, entry, mes
     assert captured.err == f"error: {message}\n"
 
 
-def test_cli_import_does_not_load_inspect():
-    # dataclasses would pull in inspect (and ast, dis, tokenize) at every start-up
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of code run by a fresh interpreter that imports leafcoh from src."""
     src = str(SCENES.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_does_not_load_inspect():
+    # dataclasses would pull in inspect (and ast, dis, tokenize) at every start-up
     code = "import sys, leafcoh.cli; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _fresh_interpreter(code) == "[]\n"
+
+
+def test_cli_import_loads_no_suite_or_sequence_module():
+    # check and sequence import their modules when they run; a cohomology or
+    # solve process never loads or compiles them
+    names = "{'leafcoh.sequences', 'leafcoh.checks', 'leafcoh.sampling'}"
+    assert _fresh_interpreter(f"import sys, leafcoh.cli; print(sorted({names} & set(sys.modules)))") == "[]\n"
+
+
+def test_package_names_resolve_on_first_use():
+    # the suites and the sequence engine load when one of their names is read
+    code = (
+        "import sys, leafcoh; print(sorted({'leafcoh.sequences', 'leafcoh.checks'} & set(sys.modules))); "
+        "names = [n for n in leafcoh.__all__ if getattr(leafcoh, n) is None]; "
+        "print(names, 'snake_les' in dir(leafcoh), 'leafcoh.sequences' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "[]\n[] True True\n"
+    import leafcoh
+
+    assert leafcoh.snake_les is sequences.snake_les and leafcoh.Matrix is Matrix
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        leafcoh.nope
 
 
 def test_unknown_scene_key_exits_two(tmp_path, capsys):
@@ -691,6 +746,9 @@ SOLVE_TERM = SOLVE_FORM["terms"][0]
         (["cohomology", "--variant", "bc"], "twist_vanishing.json", {"k": 5}, "'k' is read only by --variant k"),
         (["cohomology", "--k", "3"], "twist_vanishing.json", {}, "--k is read only by --variant k"),
         (["cohomology", "--variant", "canonical", "--k", "3"], "twist_vanishing.json", {"k": 5}, "--k is read only by --variant k"),
+        (["cohomology", "--variant", "bc"], "twist_vanishing.json", {}, "'slack' is read only by --variant dolbeault and k"),
+        (["cohomology", "--variant", "aeppli"], "twist_vanishing.json", {"slack": 0}, "'slack' is read only by --variant dolbeault and k"),
+        (["cohomology", "--variant", "canonical"], "twist_vanishing.json", {"slack": 3}, "'slack' is read only by --variant dolbeault and k"),
         (["solve"], "solve_untwisted.json", {"k": 5}, "'k' is read only by target op dbar_f_k"),
         (
             ["solve"],
@@ -701,8 +759,8 @@ SOLVE_TERM = SOLVE_FORM["terms"][0]
     ],
     ids=[
         "sequence_q_relative", "sequence_q_delta", "sequence_q_boundary", "cohomology_k",
-        "cohomology_bc_k", "cohomology_flag_k", "cohomology_flag_and_scene_k", "solve_dbar_k",
-        "solve_tilde_k",
+        "cohomology_bc_k", "cohomology_flag_k", "cohomology_flag_and_scene_k", "cohomology_bc_slack",
+        "cohomology_aeppli_slack_zero", "cohomology_canonical_slack", "solve_dbar_k", "solve_tilde_k",
     ],
 )
 def test_knob_the_command_does_not_read_exits_two(tmp_path, capsys, command, scene, knobs, message):

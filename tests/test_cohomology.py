@@ -579,6 +579,97 @@ def test_differential_cases_cover_every_combination():
     assert {twist_gap(model.f) for model, *_ in cases} == {0, 1}
 
 
+def _assembled(model, key):
+    """The matrix under a _Grid key, assembled at its own budgets with no grid shared."""
+    tag, p, q, b, out, k = key
+    if tag == "composed":
+        return cohomology._composed_matrix(cohomology._Grid(model), p, q, b)
+    if tag == "stacked":
+        return linalg.vstack(operator_matrix("partial_f", model, p, q, b, out), operator_matrix("dbar_f", model, p, q, b, out))
+    if tag == "image":
+        return linalg.hstack(
+            operator_matrix("partial_f", model, p - 1, q, b, out), operator_matrix("dbar_f", model, p, q - 1, b, out)
+        )
+    return operator_matrix(tag, model, p, q, b, out, k)
+
+
+@pytest.mark.parametrize("seed", range(33))
+def test_grid_restrictions_and_profile_ranks_match_assembly(seed):
+    # every budget of every family the grid holds, below its top included:
+    # the restricted matrix is the one assembled at that budget, and the rank
+    # read off the family's one elimination is that matrix's rank
+    model, variant, slack, k, top = _differential_case(seed)
+    grid = cohomology._Grid(model)
+    for p in range(model.m + 1):
+        for q in range(model.m + 1):
+            for D in range(top + 1, -1, -1):
+                variant_row(model, variant, p, q, D, slack, k, grid=grid)
+    assert grid._families
+    for (tag, p, q, k_, diff), family in list(grid._families.items()):
+        for b in range(family.budget + 1):
+            key = (tag, p, q, b, b + diff, k_)
+            want = _assembled(model, key)
+            assert grid.matrix(*key) == want, key
+            assert grid.rank(key) == linalg.rank(want), key
+
+
+@pytest.mark.parametrize("seed", range(33))
+def test_grid_with_unsorted_and_repeated_axes_matches_fresh_rows(seed):
+    # families are first asked for below their top and then rebuilt higher;
+    # the rows still equal rows computed one by one, each with a grid of its own
+    model, variant, slack, k, top = _differential_case(seed)
+    key = "rank" if variant == "canonical" else "dim"
+    ps = [model.m, 0, model.m // 2, model.m]
+    qs = [model.m // 2, model.m, 0]
+    ds = [top - 1, top, 0, top]
+    fresh = {}
+
+    def row(p, q, D):
+        if (p, q, D) not in fresh:
+            fresh[(p, q, D)] = variant_row(model, variant, p, q, D, slack, k)
+        return dict(fresh[(p, q, D)])
+
+    want = []
+    for p in ps:
+        for q in qs:
+            for D in ds:
+                want.append(dict(row(p, q, D), stable=row(p, q, D)[key] == row(p, q, D + 1)[key]))
+    assert cohomology_grid(model, variant, ps, qs, ds, slack, k) == want
+
+
+# Call counts of the three jobs of the benchmark's sparse_twist workload
+# (perfbench/run.py scenes sparse_m2 and sparse_m3): operator_matrix
+# assemblies, reference re-applications of the composition and eliminations.
+# Each family is assembled, re-checked and eliminated once at its top
+# budget; a lower budget assembled or eliminated again raises a count.
+WORK_COUNTS = [
+    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 16)),
+    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 12)),
+    ("dolbeault", 3, "1+z1*zb2+z3^2", [1], [1], [3], (2, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("variant, m, f_text, ps, qs, ds, counts", WORK_COUNTS, ids=[c[0] for c in WORK_COUNTS])
+def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, counts):
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cohomology, "operator_matrix")
+    counted(cohomology, "_applied_matrix")
+    counted(linalg, "_gauss_jordan")
+    model = FoliationModel(m, 0, 3, parse_series(f_text, m, 0, 3))
+    cohomology_grid(model, variant, ps, qs, ds)
+    assert (calls["operator_matrix"], calls["_applied_matrix"], calls["_gauss_jordan"]) == counts
+
+
 def test_span_restricted_to():
     # span of (1,0,1) and (0,1,0); vectors supported on coords {0,1}
     G = GaussianRational

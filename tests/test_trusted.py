@@ -133,6 +133,27 @@ def test_pullback_results_rebuild_through_the_constructor(seed):
             assert_rebuilds_form(form)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_source_twist_change_rebuilds_through_the_constructor(seed, monkeypatch):
+    # with_source_twist reuses the checked components and mu*(f'): it equals
+    # the morphism the validating constructor builds, and pulls nothing back
+    rng = random.Random(seed)
+    for m, n in SHAPES:
+        source = FoliationModel.untwisted(m, n, 2)
+        target = FoliationModel.untwisted(rng.choice([1, m]), rng.choice([0, n]), 2)
+        drawn = random_morphism(rng, source, target, degree=2)
+        fp = random_series(rng, target.m, target.n, 2, max_terms=2)
+        mu = FoliatedMorphism(source, target.with_twist(fp), drawn.z_components, drawn.x_components)
+        g = random_series(rng, m, n, 2, max_terms=2)
+        want = FoliatedMorphism(source.with_twist(g), mu.target, mu.z_components, mu.x_components)
+        with monkeypatch.context() as patched:
+            patched.setattr(FoliatedMorphism, "pull_series", None)
+            got = mu.with_source_twist(g)
+        for name in FoliatedMorphism.__slots__:
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.source.f == g
+
+
 def test_lowering_the_budget_still_checks_every_term():
     s = Series.parse("1 + z1*zb1^2", 1, 0, 3)
     for trusted in (s, s.with_budget(5), s.mul(Series.one(1, 0)), s + Series.zero(1, 0)):
