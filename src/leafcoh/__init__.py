@@ -30,7 +30,7 @@ from .operators import (
     pullback,
     tilde_dbar,
 )
-from .linalg import Matrix, Quotient, Subspace, dense_vector, kernel_basis, rank, solve, sparse_vector
+from .linalg import Matrix, Quotient, Subspace, kernel_basis, rank, solve
 from .cohomology import (
     aeppli_row,
     bott_chern_row,

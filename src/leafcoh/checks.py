@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import GaussianRational, Series
 from .cohomology import _Grid, form_from_vector
 from .forms import FoliatedForm, FoliationModel, rescale_power
-from .linalg import Subspace, kernel_basis
+from .linalg import Matrix, Subspace, kernel_basis
 from .operators import (
     FoliatedMorphism,
     MorphismPair,
@@ -292,12 +292,8 @@ def _sample_kernel_form(rng, model, p, q, D, kernel: Subspace):
     if kernel.dim == 0:
         return FoliatedForm.zero(model, p, q, D)
     coeffs = [GaussianRational(Fraction(rng.randint(-3, 3))) for _ in kernel.basis]
-    vec = [GaussianRational(0)] * kernel.ambient_dim
-    for c, b in zip(coeffs, kernel.basis):
-        if not c:
-            continue
-        for i, x in b.items():
-            vec[i] = vec[i] + c * x
+    combination = {j: c for j, c in enumerate(coeffs) if c}
+    vec = Matrix.from_columns(kernel.basis, kernel.ambient_dim).matvec(combination)
     return form_from_vector(model, p, q, D, vec)
 
 

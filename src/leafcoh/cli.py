@@ -258,6 +258,13 @@ def _need_seed(scene: Scene, args) -> int:
     return seed
 
 
+def _unread_knobs(scene: Scene, keys, command: str):
+    """A SceneError naming the first of keys the scene sets, none of which the command reads."""
+    for key in keys:
+        if key in scene.data:
+            raise SceneError(f"{key!r} is not read by {command}")
+
+
 def cmd_check(args) -> int:
     from .checks import run_suite
 
@@ -274,6 +281,7 @@ def cmd_check(args) -> int:
     if args.suite == "intertwine" and "morphism" in scene.data:
         morphism = scene.morphism()
         pair = scene.pair(morphism)
+    _unread_knobs(scene, ("slack", "k", "grid"), "check")
     report = run_suite(
         args.suite,
         scene.model,
@@ -336,6 +344,7 @@ def cmd_sequence(args) -> int:
     )
 
     scene = load_scene(args.scene)
+    _unread_knobs(scene, ("slack", "k"), f"sequence --kind {args.kind}")
     if args.kind == "mv":
         kind, cover = scene.cover()
         model = scene.model

@@ -1,10 +1,11 @@
 """Cohomology dimensions by exact rank computations.
 
-Forms at a fixed budget are vectorised over the deterministic basis of
-``space_basis``; operator matrices are written down column by column from
-the closed-form monomial rule in ``operator_matrix``, and every dimension is
-counted from exact ranks of sparse matrices, building no basis (ker = cols -
-rk d, im = rk of the image matrix; image <= kernel by an exact product).
+Forms at a fixed budget are vectorised into sparse vectors over the
+deterministic basis of ``forms.enumerate_basis``; operator matrices are
+written down column by column from the closed-form monomial rule in
+``operator_matrix``, and every dimension is counted from exact ranks of
+sparse matrices, building no basis (ker = cols - rk d, im = rk of the image
+matrix; image <= kernel by an exact product).
 
 Budget semantics ("truncation cohomology"): the group at budget D uses the
 kernel on budget-D forms and the image of sources at budget D - gap (gap =
@@ -21,13 +22,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import add
 
-from .algebra import ONE, GaussianRational, Series, expo_degree
+from .algebra import ONE, Series, expo_degree
 from .forms import (
     FoliatedForm,
     FoliationModel,
     FormError,
     _basis_cached,
     _basis_index,
+    basis_dimension,
     basis_form,
     insert_index,
 )
@@ -47,11 +49,9 @@ from .linalg import (
     Matrix,
     _echelon,
     _raw_matrix,
-    dense_vector,
     hstack,
     rank,
     solve,
-    sparse_vector,
     vstack,
 )
 
@@ -71,19 +71,11 @@ class NotClosedError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def space_basis(model: FoliationModel, p: int, q: int, budget: int):
-    return _basis_cached(model.m, model.n, p, q, budget)
-
-
-def space_dim(model: FoliationModel, p: int, q: int, budget: int) -> int:
-    return len(_basis_cached(model.m, model.n, p, q, budget))
-
-
-def vectorize(phi: FoliatedForm, budget: int) -> tuple:
-    """Coordinates of phi over the (p,q) basis at the given budget."""
+def vectorize(phi: FoliatedForm, budget: int) -> dict:
+    """Coordinates of phi over the (p,q) basis at the given budget: {position: nonzero}."""
     model = phi.model
     idx = _basis_index(model.m, model.n, phi.p, phi.q, budget)
-    out = [GaussianRational(0)] * len(idx)
+    out = {}
     for (A, B), series in phi.coeffs.items():
         for expo, coeff in series.terms.items():
             pos = idx.get((A, B, expo))
@@ -92,19 +84,17 @@ def vectorize(phi: FoliatedForm, budget: int) -> tuple:
                     f"form term {(A, B, expo)} does not fit the budget-{budget} basis"
                 )
             out[pos] = coeff
-    return tuple(out)
+    return out
 
 
-def form_from_vector(model: FoliationModel, p: int, q: int, budget: int, vec) -> FoliatedForm:
+def form_from_vector(model: FoliationModel, p: int, q: int, budget: int, vec: dict) -> FoliatedForm:
+    """The form with the sparse coordinates vec over the (p,q) basis at the given budget."""
     basis = _basis_cached(model.m, model.n, p, q, budget)
-    coeffs: dict = {}
-    for pos, coeff in enumerate(vec):
-        if not coeff:
-            continue
+    terms: dict = {}
+    for pos, coeff in vec.items():
         A, B, expo = basis[pos]
-        series = coeffs.get((A, B))
-        term = Series(model.m, model.n, budget, {expo: coeff})
-        coeffs[(A, B)] = term if series is None else series + term
+        terms.setdefault((A, B), {})[expo] = coeff
+    coeffs = {key: Series(model.m, model.n, budget, t) for key, t in terms.items()}
     return FoliatedForm(model, p, q, coeffs, budget)
 
 
@@ -334,7 +324,7 @@ class _Grid:
         out, offset = [], 0
         for p, q in blocks:
             out += [offset + i for i in inclusion_positions(self.model, p, q, small, big)]
-            offset += space_dim(self.model, p, q, big)
+            offset += basis_dimension(self.model, p, q, big)
         return out
 
     def matrix(self, tag, p, q, in_budget, out_budget, k=None) -> Matrix:
@@ -595,11 +585,10 @@ def solve_primitive(
     src = max(target.budget - gap, 0) + slack
     out = max(target.budget, src + gap)
     M = operator_matrix(tag, model, sp, sq, src, out, k)
-    b = vectorize(target.with_budget(out), out)
-    x = solve(M, sparse_vector(b))
+    x = solve(M, vectorize(target, out))
     if x is None:
         return None
-    primitive = form_from_vector(model, sp, sq, src, dense_vector(x, M.cols))
+    primitive = form_from_vector(model, sp, sq, src, x)
     if apply_operator(tag, primitive, k) != target:
         raise AssertionError("primitive certification failed")
     return primitive
@@ -657,16 +646,15 @@ def solve_primitive_tilde(
     out_psi = max(psi.budget, mu.substitution_budget(s_phi, p, q - 1), s_psi + gap_s)
 
     m11, _, M = cone_blocks(mu, p, q - 1, (s_phi, s_psi), (out_phi, out_psi))
-    b = vectorize(phi.with_budget(out_phi), out_phi) + vectorize(
-        psi.with_budget(out_psi), out_psi
-    )
-    x = solve(M, sparse_vector(b))
+    b = vectorize(phi, out_phi)
+    b.update((m11.rows + i, v) for i, v in vectorize(psi, out_psi).items())
+    x = solve(M, b)
     if x is None:
         return None
-    x = dense_vector(x, M.cols)
     source_model = mu.source.with_twist(mu.pulled_twist)
-    phi1 = form_from_vector(mu.target, p, q - 1, s_phi, x[: m11.cols])
-    psi1 = form_from_vector(source_model, p, max(q - 2, 0), s_psi if q >= 2 else 0, x[m11.cols :])
+    phi1 = form_from_vector(mu.target, p, q - 1, s_phi, {j: v for j, v in x.items() if j < m11.cols})
+    psi_x = {j - m11.cols: v for j, v in x.items() if j >= m11.cols}
+    psi1 = form_from_vector(source_model, p, max(q - 2, 0), s_psi if q >= 2 else 0, psi_x)
     r1, r2 = tilde_dbar(phi1, psi1, mu)
     if r1 != phi or r2 != psi:
         raise AssertionError("tilde primitive certification failed")

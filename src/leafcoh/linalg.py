@@ -16,9 +16,8 @@ M, so a replay gives exactly the values an elimination of [M | b] would.
 
 Matrices are sparse maps (row, col) -> scalar.  Vectors are sparse maps
 index -> nonzero scalar, a plain dict with no length of its own: the matrix
-or subspace a vector goes with fixes its dimension.  ``sparse_vector`` and
-``dense_vector`` convert at the boundary to the dense coordinate tuples of
-forms (cohomology.vectorize / form_from_vector).
+or subspace a vector goes with fixes its dimension.  Forms are vectorised
+straight into this format (cohomology.vectorize / form_from_vector).
 """
 
 from __future__ import annotations
@@ -204,19 +203,6 @@ def _raw_matrix(rows: int, cols: int, entries: dict) -> Matrix:
     M.entries = entries
     M._by_col = None
     return M
-
-
-def sparse_vector(values) -> dict:
-    """The sparse vector of a dense coordinate sequence."""
-    return {i: v for i, v in enumerate(values) if v}
-
-
-def dense_vector(vec: dict, n: int) -> tuple:
-    """The length-n coordinate tuple of a sparse vector."""
-    out = [ZERO] * n
-    for i, v in vec.items():
-        out[i] = v
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,18 @@ algebraic Mayer-Vietoris cover with its Laurent-window flagship fixture.
 from __future__ import annotations
 
 from .algebra import GaussianRational
+from .forms import basis_dimension
 from .operators import FoliatedMorphism, pullback, twist_gap
 from .linalg import (
     Factorization,
     LinearAlgebraError,
     Matrix,
     Quotient,
-    dense_vector,
     hstack,
     rank,
-    sparse_vector,
     vstack,
 )
-from .cohomology import cone_blocks, form_from_vector, space_dim, vectorize
+from .cohomology import cone_blocks, form_from_vector, vectorize
 
 
 class SESValidationError(ValueError):
@@ -393,8 +392,8 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
             cand = max(cand, sb[q - 1] + gap_s)
         sb[q] = cand
 
-    t_dim = [space_dim(mu.target, p, q, tb[q]) for q in range(grades)]
-    s_dim = [space_dim(mu.source, p, q - 1, sb[q]) for q in range(grades)]
+    t_dim = [basis_dimension(mu.target, p, q, tb[q]) for q in range(grades)]
+    s_dim = [basis_dimension(mu.source, p, q - 1, sb[q]) for q in range(grades)]
 
     right_diffs, left_diffs, middle_diffs = zip(
         *(cone_blocks(mu, p, q, (tb[q], sb[q]), (tb[q + 1], sb[q + 1])) for q in range(grades - 1))
@@ -449,11 +448,8 @@ def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
         hl_next = data.left[q + 1]
         verdicts = []
         for rep, delta_coords in zip(hr.reps, data.connecting[q].columns()):
-            dense = dense_vector(rep, hr.kernel.ambient_dim)
-            form = form_from_vector(rc.mu.target, rc.p, q, rc.target_budgets[q], dense)
-            pulled = pullback(rc.mu, form).with_budget(rc.source_budgets[q + 1])
-            vec = sparse_vector(vectorize(pulled, rc.source_budgets[q + 1]))
-            mu_coords = hl_next.class_coords(vec)
+            form = form_from_vector(rc.mu.target, rc.p, q, rc.target_budgets[q], rep)
+            mu_coords = hl_next.class_coords(vectorize(pullback(rc.mu, form), rc.source_budgets[q + 1]))
             same = delta_coords == mu_coords
             all_equal = all_equal and same
             verdicts.append(bool(same))

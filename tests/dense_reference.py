@@ -1,11 +1,12 @@
 """Dense reference for the sparse solving path: the former dense-tuple
 Factorization.solve, kernel_basis and Quotient.
 
-Vectors here are dense tuples.  The elimination is linalg's own; its
-positional steps are replayed as they were before the solving path moved to
-sparse vectors and steps recorded on row identities.  The differential tests
-compare leafcoh.linalg against these on the same matrices and right-hand
-sides.
+Vectors here are dense tuples; ``to_sparse`` and ``to_dense`` convert them to
+and from the sparse vectors {index: nonzero} of leafcoh.linalg.  The
+elimination is linalg's own; its positional steps are replayed as they were
+before the solving path moved to sparse vectors and steps recorded on row
+identities.  The differential tests compare leafcoh.linalg against these on
+the same matrices and right-hand sides.
 """
 
 from __future__ import annotations
@@ -13,6 +14,19 @@ from __future__ import annotations
 from leafcoh import linalg
 from leafcoh.algebra import ONE, ZERO
 from leafcoh.linalg import LinearAlgebraError, Matrix
+
+
+def to_sparse(values) -> dict:
+    """The sparse vector of a dense tuple."""
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def to_dense(vec: dict, n: int) -> tuple:
+    """The length-n dense tuple of a sparse vector."""
+    out = [ZERO] * n
+    for i, v in vec.items():
+        out[i] = v
+    return tuple(out)
 
 
 def from_dense_columns(columns, rows: int) -> Matrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from leafcoh.algebra import GaussianRational
-from leafcoh.linalg import Matrix, solve, sparse_vector
+from leafcoh.linalg import Matrix, solve
 from leafcoh.sequences import ChainMap, CochainComplex, ShortExactSequence
 
 
@@ -35,12 +35,7 @@ def _random_invertible(rng: random.Random, n: int) -> Matrix:
 
 
 def _inverse(M: Matrix) -> Matrix:
-    cols = []
-    for j in range(M.cols):
-        e = [GaussianRational(0)] * M.rows
-        e[j] = GaussianRational(1)
-        cols.append(solve(M, sparse_vector(e)))
-    return Matrix.from_columns(cols, M.rows)
+    return Matrix.from_columns([solve(M, {j: GaussianRational(1)}) for j in range(M.cols)], M.rows)
 
 
 def random_ses(rng: random.Random, grades: int = 3):

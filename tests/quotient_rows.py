@@ -11,7 +11,8 @@ reduced echelon form, not from the forward elimination the engine uses.
 from __future__ import annotations
 
 from leafcoh import linalg
-from leafcoh.cohomology import inclusion_positions, operator_matrix, space_dim
+from leafcoh.cohomology import inclusion_positions, operator_matrix
+from leafcoh.forms import basis_dimension
 from leafcoh.linalg import Matrix, Quotient, Subspace, kernel_basis, vstack
 from leafcoh.operators import twist_gap
 
@@ -143,7 +144,7 @@ def aeppli_row(model, p, q, D) -> dict:
         columns.extend(operator_matrix("dbar_f", model, p, q - 1, D - gap, D).columns())
     H = Quotient(
         composed_matrix(model, p, q, D),
-        from_span(columns, space_dim(model, p, q, D)),
+        from_span(columns, basis_dimension(model, p, q, D)),
     )
     return _row(p, q, D, H, D - gap)
 

@@ -756,15 +756,37 @@ SOLVE_TERM = SOLVE_FORM["terms"][0]
             {"k": 5, "target": {"op": "tilde", "phi": SOLVE_FORM, "psi": dict(SOLVE_FORM, q=0)}},
             "'k' is read only by target op dbar_f_k",
         ),
+    ]
+    + [
+        (["check", "--suite", "leibniz"], "basic.json", knobs, f"{key!r} is not read by check")
+        for key, knobs in (
+            ("slack", {"slack": 0}),
+            ("k", {"k": 3}),
+            ("grid", {"grid": {"p": 1, "q": 1, "D": 9}}),
+            ("slack", {"slack": 4, "k": 3, "grid": {"p": 1}}),
+        )
+    ]
+    + [
+        (["sequence", "--kind", kind], scene, knobs, f"{key!r} is not read by sequence --kind {kind}")
+        for kind, scene in (
+            ("relative", "relative_square.json"),
+            ("delta", "relative_square.json"),
+            ("boundary", "relative_square.json"),
+            ("mv", "mv_laurent.json"),
+        )
+        for key, knobs in (("slack", {"slack": 3}), ("k", {"k": 1}))
     ],
     ids=[
         "sequence_q_relative", "sequence_q_delta", "sequence_q_boundary", "cohomology_k",
         "cohomology_bc_k", "cohomology_flag_k", "cohomology_flag_and_scene_k", "cohomology_bc_slack",
         "cohomology_aeppli_slack_zero", "cohomology_canonical_slack", "solve_dbar_k", "solve_tilde_k",
-    ],
+        "check_slack_zero", "check_k", "check_grid", "check_every_knob",
+    ]
+    + [f"sequence_{kind}_{key}" for kind in ("relative", "delta", "boundary", "mv") for key in ("slack", "k")],
 )
 def test_knob_the_command_does_not_read_exits_two(tmp_path, capsys, command, scene, knobs, message):
-    # each of these used to run at exit 0 with the knob silently ignored
+    # each of these used to run at exit 0 with the knob silently ignored;
+    # check and sequence name the first unread knob in the order slack, k, grid
     data = dict(json.loads((SCENES / scene).read_text()), **knobs)
     assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from leafcoh.algebra import Series, parse_series
-from leafcoh.forms import FoliatedForm, FoliationModel, FormError, basis_form
+from leafcoh.forms import FoliatedForm, FoliationModel, FormError, basis_dimension, basis_form, enumerate_basis
 from leafcoh.operators import dbar, dbar_f, tilde_dbar, FoliatedMorphism
 from leafcoh.cohomology import (
     BudgetContractError,
@@ -23,15 +23,13 @@ from leafcoh.cohomology import (
     operator_matrix,
     solve_primitive,
     solve_primitive_tilde,
-    space_basis,
-    space_dim,
     variant_row,
     vectorize,
 )
 from leafcoh import checks, cohomology, linalg
 from leafcoh.checks import pairing_check
 from leafcoh.algebra import GaussianRational
-from leafcoh.linalg import Matrix, dense_vector, kernel_basis, sparse_vector
+from leafcoh.linalg import Matrix, kernel_basis
 from leafcoh.operators import twist_gap
 from leafcoh.sampling import random_bidegree, random_form, random_series
 
@@ -55,6 +53,37 @@ def untwisted(m, n, budget):
 
 
 # ---------------------------------------------------------------------------
+# Vectorisation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2, 3) for n in (0, 1)])
+def test_vectorize_round_trips_random_forms(m, n):
+    # every bidegree: the sparse coordinates read back to the form, sit on
+    # the budget-b basis with nonzero values, and a budget below the form's
+    # top degree is refused
+    rng = random.Random(1500 + 10 * m + n)
+    refused = 0
+    for p in range(m + 1):
+        for q in range(m + 1):
+            for _ in range(3):
+                b = rng.randint(0, 3)
+                model = untwisted(m, n, b)
+                phi = random_form(rng, model, p, q, b)
+                vec = vectorize(phi, b)
+                assert form_from_vector(model, p, q, b, vec) == phi
+                dim = basis_dimension(model, p, q, b)
+                assert all(0 <= i < dim and v for i, v in vec.items())
+                assert len(vec) == sum(len(s.terms) for s in phi.coeffs.values())
+                if not phi.is_zero:
+                    top = max(s.degree for s in phi.coeffs.values())
+                    with pytest.raises(BudgetContractError, match="does not fit the budget"):
+                        vectorize(phi, top - 1)
+                    refused += 1
+    assert refused
+
+
+# ---------------------------------------------------------------------------
 # Operator matrices
 # ---------------------------------------------------------------------------
 
@@ -65,7 +94,7 @@ def test_operator_matrix_kernel_spans_holomorphic_monomials():
     K = kernel_basis(M)
     assert K.dim == 3
     for vec in K.basis:
-        phi = form_from_vector(model, 0, 0, 2, dense_vector(vec, K.ambient_dim))
+        phi = form_from_vector(model, 0, 0, 2, vec)
         for (_, _), series in phi.coeffs.items():
             assert all(sum(beta) == 0 for (_, beta, _) in series.terms)
 
@@ -73,7 +102,7 @@ def test_operator_matrix_kernel_spans_holomorphic_monomials():
 def test_operator_matrix_top_degree_target_is_empty():
     model = untwisted(1, 0, 2)
     M = operator_matrix("dbar", model, 0, 1, 2, 2)
-    assert M.rows == 0 and M.cols == space_dim(model, 0, 1, 2)
+    assert M.rows == 0 and M.cols == basis_dimension(model, 0, 1, 2)
 
 
 def test_operator_matrix_zero_twist():
@@ -99,7 +128,7 @@ def test_matrix_is_linear_operator(seed):
     gap = model.twist_gap
     M = operator_matrix("dbar_f", model, p, q, 2, 2 + gap)
     phi = random_form(rng, model, p, q, 2)
-    lhs = dense_vector(M.matvec(sparse_vector(vectorize(phi, 2))), M.rows)
+    lhs = M.matvec(vectorize(phi, 2))
     rhs = vectorize(dbar_f(phi), 2 + gap)
     assert lhs == rhs
 
@@ -114,15 +143,15 @@ TAGS = ("dbar", "partial", "dbar_f", "partial_f", "dbar_f_k")
 def reference_operator_matrix(tag, model, p, q, in_budget, out_budget, k=None):
     """Column j = the form-level operator applied to basis element j."""
     dp, dq = (0, 1) if tag in ("dbar", "dbar_f", "dbar_f_k") else (1, 0)
-    out_index = {e: i for i, e in enumerate(space_basis(model, p + dp, q + dq, out_budget))}
+    out_index = {e: i for i, e in enumerate(enumerate_basis(model, p + dp, q + dq, out_budget))}
     entries = {}
-    for j, elem in enumerate(space_basis(model, p, q, in_budget)):
+    for j, elem in enumerate(enumerate_basis(model, p, q, in_budget)):
         image = apply_operator(tag, basis_form(model, elem, in_budget), k)
         for (A, B), series in image.coeffs.items():
             for expo, coeff in series.terms.items():
                 entries[(out_index[(A, B, expo)], j)] = coeff
-    rows = space_dim(model, p + dp, q + dq, out_budget)
-    return Matrix(rows, space_dim(model, p, q, in_budget), entries)
+    rows = basis_dimension(model, p + dp, q + dq, out_budget)
+    return Matrix(rows, basis_dimension(model, p, q, in_budget), entries)
 
 
 def assert_matches_reference(model, budgets=(0, 1, 2), ks=(0, 1, 3)):
@@ -216,8 +245,8 @@ def test_operator_matrix_matches_oracle(m, n, f_text, tag, k, p, q, budget):
         if O[i, j] != 0
     }
     M = operator_matrix(tag, model, p, q, budget, out_budget, k)
-    e_in = space_basis(model, p, q, budget)
-    e_out = space_basis(model, p + dp, q + dq, out_budget)
+    e_in = enumerate_basis(model, p, q, budget)
+    e_out = enumerate_basis(model, p + dp, q + dq, out_budget)
     got = {(e_out[i], e_in[j]): _sympy_scalar(v) for (i, j), v in M.entries.items()}
     assert got.keys() == want.keys()
     for key, value in got.items():
@@ -233,7 +262,7 @@ def test_operator_matrix_k_variant_needs_k():
 def test_inclusion_positions_are_increasing_injection():
     model = untwisted(2, 1, 3)
     pos = inclusion_positions(model, 1, 0, 1, 3)
-    assert len(pos) == space_dim(model, 1, 0, 1)
+    assert len(pos) == basis_dimension(model, 1, 0, 1)
     assert len(set(pos)) == len(pos)
 
 
@@ -293,7 +322,7 @@ def test_bott_chern_hand_values():
     assert bott_chern_row(untwisted(1, 0, 2), 0, 0, 2)["dim"] == 1
     assert bott_chern_row(untwisted(1, 0, 3), 0, 0, 3)["dim"] == 1
     model0 = FoliationModel(1, 0, 2, Series.zero(1, 0))
-    assert bott_chern_row(model0, 1, 1, 2)["dim"] == space_dim(model0, 1, 1, 2)
+    assert bott_chern_row(model0, 1, 1, 2)["dim"] == basis_dimension(model0, 1, 1, 2)
     # (1,1) at budget 1: the whole 3-dim space survives (nothing is hit)
     top = bott_chern_row(untwisted(1, 0, 1), 1, 1, 1)
     assert top["dim"] == oracle_bott_chern(untwisted(1, 0, 1), 1, 1, 1)["dim"] == 3
@@ -304,7 +333,7 @@ def test_aeppli_hand_values():
     for D in (1, 2, 3):
         assert aeppli_row(untwisted(1, 0, D), 0, 0, D)["dim"] == 2 * D + 1
     model0 = FoliationModel(1, 0, 2, Series.zero(1, 0))
-    assert aeppli_row(model0, 1, 0, 2)["dim"] == space_dim(model0, 1, 0, 2)
+    assert aeppli_row(model0, 1, 0, 2)["dim"] == basis_dimension(model0, 1, 0, 2)
     assert aeppli_row(untwisted(1, 0, 2), 1, 0, 2)["dim"] == 3
 
 
@@ -352,7 +381,7 @@ def test_canonical_map_matches_oracle(m, n, f_text, D):
 def test_canonical_map_zero_twist_is_identity_like():
     model = FoliationModel(1, 0, 2, Series.zero(1, 0))
     row = canonical_map_row(model, 1, 1, 2)
-    full = space_dim(model, 1, 1, 2)
+    full = basis_dimension(model, 1, 1, 2)
     assert row["rank"] == row["domain"] == row["codomain"] == full
 
 
@@ -458,10 +487,10 @@ def test_rescale_conjugation_as_matrix_identity():
 
     def rescale_matrix(mdl, pp, qq, in_b, out_b):
         cols = []
-        for elem in space_basis(mdl, pp, qq, in_b):
+        for elem in enumerate_basis(mdl, pp, qq, in_b):
             phi = basis_form(mdl, elem, in_b)
-            cols.append(sparse_vector(vectorize(rescale_power(phi, h, out_budget=out_b), out_b)))
-        return Matrix.from_columns(cols, space_dim(mdl, pp, qq, out_b))
+            cols.append(vectorize(rescale_power(phi, h, out_budget=out_b), out_b))
+        return Matrix.from_columns(cols, basis_dimension(mdl, pp, qq, out_b))
 
     R_out = rescale_matrix(model_f, p, q + 1, D + gap_fh, W)
     lhs = R_out.mul(M_fh)
@@ -471,7 +500,7 @@ def test_rescale_conjugation_as_matrix_identity():
     prod = M_f.mul(R_in)
     keep = inclusion_positions(model_f, p, q + 1, W, W + 1 + gap_f)
     proj = Matrix(
-        len(keep), space_dim(model_f, p, q + 1, W + 1 + gap_f), {(i, r): 1 for i, r in enumerate(keep)}
+        len(keep), basis_dimension(model_f, p, q + 1, W + 1 + gap_f), {(i, r): 1 for i, r in enumerate(keep)}
     )
     rhs = proj.mul(prod)
     assert lhs == rhs
@@ -673,12 +702,12 @@ def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, c
 def test_span_restricted_to():
     # span of (1,0,1) and (0,1,0); vectors supported on coords {0,1}
     G = GaussianRational
-    vectors = [sparse_vector(v) for v in [(G(1), G(0), G(1)), (G(0), G(1), G(0))]]
+    vectors = [{0: G(1), 2: G(1)}, {1: G(1)}]
     restricted = quotient_rows.span_restricted_to(vectors, [0, 1], 3)
     assert restricted.dim == 1
-    assert dense_vector(restricted.basis[0], 2) == (G(0), G(1))
+    assert restricted.basis[0] == {1: G(1)}
     # dependent inputs are tolerated
-    restricted2 = quotient_rows.span_restricted_to(vectors + [sparse_vector((G(0), G(2), G(0)))], [0, 1], 3)
+    restricted2 = quotient_rows.span_restricted_to(vectors + [{1: G(2)}], [0, 1], 3)
     assert restricted2.dim == 1
 
 
@@ -715,11 +744,11 @@ def test_canonical_map_checks_well_definedness(monkeypatch):
     # top degree (1,1) of m=1 every form is closed, and the budget-2
     # monomials are not dbar-exact from budget 2
     model = untwisted(1, 0, 2)
-    basis = space_basis(model, 1, 1, 2)
+    basis = enumerate_basis(model, 1, 1, 2)
     top = next(j for j, (_, _, e) in enumerate(basis) if sum(map(sum, e)) == 2)
 
     def escaping(grid, p, q, in_budget):
-        return Matrix(len(basis), space_dim(model, p, q, in_budget), {(top, 0): 1})
+        return Matrix(len(basis), basis_dimension(model, p, q, in_budget), {(top, 0): 1})
 
     monkeypatch.setattr(cohomology, "_composed_matrix", escaping)
     with pytest.raises(AssertionError, match="canonical map ill-defined"):
@@ -867,6 +896,22 @@ def test_solve_primitive_tilde_roundtrip(seed):
     assert res is not None
     r1, r2 = tilde_dbar(res[0], res[1], mu)
     assert r1 == t1 and r2 == t2
+
+
+def test_solve_primitive_tilde_reads_every_source_coordinate():
+    # the cone pair of (0, psi1) for each source basis form psi1 of bidegree
+    # (1,0): with f' = 1 + zb1 none is closed, so each solve needs the source
+    # block of the cone solution, and its split from the target block is
+    # certified once per source coordinate, the first one included
+    src = FoliationModel.untwisted(2, 0, 1)
+    tgt = FoliationModel(2, 0, 1, parse_series("1+zb1", 2, 0, 1))
+    mu = FoliatedMorphism(src, tgt, [parse_series("z1*z2", 2, 0, 2), parse_series("z2", 2, 0, 1)], [])
+    zero = FoliatedForm.zero(tgt, 1, 1, 1)
+    for elem in enumerate_basis(src, 1, 0, 1):
+        t1, t2 = tilde_dbar(zero, basis_form(src, elem, 1), mu)
+        assert not t2.is_zero
+        res = solve_primitive_tilde(mu, t1, t2)
+        assert res is not None and tilde_dbar(*res, mu) == (t1, t2)
 
 
 def test_solve_primitive_tilde_not_closed():

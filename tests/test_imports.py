@@ -1,6 +1,7 @@
-"""Every name a leafcoh module imports is used in that module, only the
-seeded generators import ``random``, and the exact engine imports neither
-``sampling`` nor ``checks``.
+"""Every name a leafcoh module imports is used in that module, every
+top-level function or class is used or exported, only the seeded generators
+import ``random``, and the exact engine imports neither ``sampling`` nor
+``checks``.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -56,6 +57,47 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: dict, exported) -> list:
+    """(module, name) of the top-level functions and classes of ``sources``
+    (module name -> source) that no source names, as an identifier, an
+    attribute or an import, and that ``exported`` does not list.  Dunder hooks
+    such as a module's ``__getattr__`` are called by the interpreter and left out."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in referenced
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def test_reference_finder_sees_names_attributes_and_imports():
+    sources = {
+        "a": "def used(): pass\ndef called(): pass\ndef dead(): pass\nclass Shown: pass\ndef public(): pass\n"
+        "def __getattr__(name): pass\n",
+        "b": "from .a import used\nfrom . import a\na.called()\nx = Shown\n",
+    }
+    assert unreferenced_definitions(sources, ["public"]) == [("a", "dead")]
+
+
+def test_every_definition_is_referenced_or_exported():
+    import leafcoh
+
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_definitions(sources, leafcoh.__all__) == []
 
 
 # sampling and checks draw from random.Random(seed).  The snake engine, the

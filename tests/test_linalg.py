@@ -11,16 +11,14 @@ from leafcoh.linalg import (
     Matrix,
     Quotient,
     Subspace,
-    dense_vector,
     hstack,
     kernel_basis,
     rank,
     solve,
-    sparse_vector as sp,
     vstack,
 )
 
-from dense_reference import DenseFactorization, DenseQuotient, dense_kernel_basis
+from dense_reference import DenseFactorization, DenseQuotient, dense_kernel_basis, to_dense, to_sparse as sp
 from quotient_rows import column_space, from_span
 
 
@@ -30,7 +28,7 @@ def G(x, y=0):
 
 def dense(x, n):
     """A sparse result as the dense tuple the assertions compare; None stays None."""
-    return None if x is None else dense_vector(x, n)
+    return None if x is None else to_dense(x, n)
 
 
 def _random_matrix(rng, rows, cols, density=0.5):

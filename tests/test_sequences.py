@@ -9,7 +9,7 @@ from leafcoh import cli
 from leafcoh.algebra import GaussianRational, Series, parse_series
 from leafcoh.forms import FoliationModel
 from leafcoh.operators import FoliatedMorphism
-from leafcoh.linalg import Matrix, dense_vector, rank, sparse_vector
+from leafcoh.linalg import Matrix, rank
 from leafcoh.sequences import (
     ChainMap,
     CochainComplex,
@@ -34,7 +34,7 @@ from leafcoh.sequences import (
     snake_les,
 )
 
-from dense_reference import DenseFactorization, DenseQuotient
+from dense_reference import DenseFactorization, DenseQuotient, to_dense, to_sparse
 from factories import random_ses
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "relative_m2_snake.json"
@@ -87,7 +87,7 @@ def test_complex_cohomology_on_random_ses(seed):
             assert len(H.reps) == H.dim
             for j, rep in enumerate(H.reps):
                 unit = tuple(GaussianRational(int(i == j)) for i in range(H.dim))
-                assert dense_vector(H.class_coords(rep), H.dim) == unit
+                assert to_dense(H.class_coords(rep), H.dim) == unit
 
 
 RANDOM_SES_SWEEPS = [31000 + seed for seed in range(40)] + [32000 + seed for seed in range(30)]
@@ -106,34 +106,34 @@ def test_sparse_snake_path_matches_dense_reference(seed):
             refs.append(DenseQuotient(cx.differential(q), refs[-1].d_image() if q else ()))
         for H, ref in zip(groups, refs):
             n = H.kernel.ambient_dim
-            assert [dense_vector(v, n) for v in H.kernel.basis] == ref.kernel
-            assert [dense_vector(v, n) for v in H.image.basis] == ref.image
-            assert [dense_vector(v, n) for v in H.reps] == ref.reps
+            assert [to_dense(v, n) for v in H.kernel.basis] == ref.kernel
+            assert [to_dense(v, n) for v in H.image.basis] == ref.image
+            assert [to_dense(v, n) for v in H.reps] == ref.reps
             for _ in range(3):
                 coeffs = [GaussianRational(rng.randint(-3, 3)) for _ in ref.kernel]
                 cycle = tuple(
                     sum((c * v[i] for c, v in zip(coeffs, ref.kernel)), G(0)) for i in range(n)
                 )
-                assert dense_vector(H.class_coords(sparse_vector(cycle)), H.dim) == ref.class_coords(cycle)
+                assert to_dense(H.class_coords(to_sparse(cycle)), H.dim) == ref.class_coords(cycle)
     # the solves of the zig-zag, consistent or not
     for q in range(len(ses.middle.dims)):
         for which in ("inject", "project"):
             comp = getattr(ses, which).components[q]
             F, ref = ses.factor(which, q), DenseFactorization(comp)
             draws = [tuple(G(rng.randint(-2, 2)) for _ in range(comp.cols)) for _ in range(2)]
-            rhs = [dense_vector(comp.matvec(sparse_vector(x)), comp.rows) for x in draws]
+            rhs = [to_dense(comp.matvec(to_sparse(x)), comp.rows) for x in draws]
             rhs += [tuple(G(rng.randint(-2, 2)) for _ in range(comp.rows)) for _ in range(2)]
             for b in rhs:
-                got = F.solve(sparse_vector(b))
+                got = F.solve(to_sparse(b))
                 want = ref.solve(b)
                 assert (got is None) == (want is None)
                 if want is not None:
-                    assert dense_vector(got, comp.cols) == want
+                    assert to_dense(got, comp.cols) == want
 
 
 def _golden_dump_vector(vec: dict, n: int) -> list:
     """A sparse vector as the golden records it: the nonzeros of its dense tuple, as exact triples."""
-    return [[i, [v.a, v.b, v.d]] for i, v in enumerate(dense_vector(vec, n)) if v]
+    return [[i, [v.a, v.b, v.d]] for i, v in enumerate(to_dense(vec, n)) if v]
 
 
 @pytest.mark.parametrize("D", [2, 3])
@@ -377,23 +377,25 @@ def _form_level_cone(mu, p, q, budgets) -> Matrix:
     the image is vectorized over target-(p,q+1) at budgets[2] + source-(p,q)
     at budgets[3].
     """
-    from leafcoh.cohomology import space_basis, vectorize
-    from leafcoh.forms import FoliatedForm, basis_form
+    from leafcoh.cohomology import vectorize
+    from leafcoh.forms import FoliatedForm, basis_dimension, basis_form, enumerate_basis
     from leafcoh.operators import tilde_dbar
 
     tgt, src = mu.target, mu.source
     in_t, in_s, out_t, out_s = budgets
     zero_t = FoliatedForm.zero(tgt, p, q, in_t)
     zero_s = FoliatedForm.zero(src, p, max(q - 1, 0), in_s)
-    pairs = [(basis_form(tgt, e, in_t), zero_s) for e in space_basis(tgt, p, q, in_t)]
+    pairs = [(basis_form(tgt, e, in_t), zero_s) for e in enumerate_basis(tgt, p, q, in_t)]
     if q >= 1:
-        pairs += [(zero_t, basis_form(src, e, in_s)) for e in space_basis(src, p, q - 1, in_s)]
+        pairs += [(zero_t, basis_form(src, e, in_s)) for e in enumerate_basis(src, p, q - 1, in_s)]
+    shift = basis_dimension(tgt, p, q + 1, out_t)
     cols = []
     for phi, psi in pairs:
         c1, c2 = tilde_dbar(phi, psi, mu)
-        cols.append(sparse_vector(vectorize(c1, out_t) + vectorize(c2, out_s)))
-    rows = len(space_basis(tgt, p, q + 1, out_t)) + len(space_basis(src, p, q, out_s))
-    return Matrix.from_columns(cols, rows)
+        col = vectorize(c1, out_t)
+        col.update((shift + i, v) for i, v in vectorize(c2, out_s).items())
+        cols.append(col)
+    return Matrix.from_columns(cols, shift + basis_dimension(src, p, q, out_s))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -499,9 +501,9 @@ def test_connecting_class_does_not_depend_on_the_lift(case):
                 assert data.left[q + 1].class_coords(y2) == column
                 if not checked_dense:
                     # one pull-back per case through the dense reference solve
-                    want = DenseFactorization(inj_next).solve(dense_vector(w2, inj_next.rows))
-                    assert dense_vector(y2, inj_next.cols) == want
-                    assert data.left[q + 1].class_coords(sparse_vector(want)) == column
+                    want = DenseFactorization(inj_next).solve(to_dense(w2, inj_next.rows))
+                    assert to_dense(y2, inj_next.cols) == want
+                    assert data.left[q + 1].class_coords(to_sparse(want)) == column
                     checked_dense = True
 
 
