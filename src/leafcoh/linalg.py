@@ -448,6 +448,16 @@ def kernel_basis(M: Matrix) -> Subspace:
     return Subspace._independent(M.cols, basis)
 
 
+def check_inclusion(d: Matrix, image: Matrix):
+    """im(image) <= ker(d), proved by the exact product d * image == 0.
+
+    A failure means the complex is broken (d*d != 0 or budgets
+    misconfigured) and raises LinearAlgebraError.
+    """
+    if not d.mul(image).is_zero:
+        raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+
+
 def solve(M: Matrix, b: dict) -> dict | None:
     """One exact solution of M x = b, or None when none exists (Factorization.solve)."""
     return Factorization(M).solve(b)
@@ -459,11 +469,9 @@ class Quotient:
     It serves the long exact sequences (leafcoh.sequences), which need
     representatives and class coordinates; the cohomology grids count
     dimensions from ranks instead.  ``image`` is a Subspace of the source of
-    d, or None for zero.  The inclusion image <= ker(d) is proved by the
-    exact product d * image == 0; kernel_basis spans ker(d), so this is as
-    strong as a rank test on the combined basis.  A failure means the complex
-    is broken (d*d != 0 or budgets misconfigured) and raises
-    LinearAlgebraError.
+    d, or None for zero.  The inclusion image <= ker(d) is proved by
+    check_inclusion; kernel_basis spans ker(d), so this is as strong as a
+    rank test on the combined basis.
 
     Representatives are chosen only when asked for: the kernel pivot columns
     of [image | kernel], in order.  That one elimination also serves every
@@ -474,8 +482,8 @@ class Quotient:
     def __init__(self, d: Matrix, image: Subspace | None = None):
         if image is None:
             image = Subspace._independent(d.cols, [])
-        if image.dim and not d.mul(Matrix.from_columns(image.basis, d.cols)).is_zero:
-            raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+        if image.dim:
+            check_inclusion(d, Matrix.from_columns(image.basis, d.cols))
         self.d = d
         self.kernel = kernel_basis(d)
         self.image = image

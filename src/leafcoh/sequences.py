@@ -3,15 +3,18 @@
 The snake engine works on bare matrix data: a CochainComplex is a graded
 family of exact matrices with d.d = 0, a ChainMap commutes with the
 differentials, and a ShortExactSequence is verified grade by grade
-(injectivity, surjectivity, kernel = image).  The connecting homomorphism is
-computed by the usual zig-zag, every step an exact linear solve against a
-matrix eliminated once per grade.  The class does not depend on the lift
-(proved in _connect_class from the checks above), so each class is lifted
-once and nothing is drawn at random.  The report states exactness at every
-node.  Once the sequence is known to be exact, a failed solve is a fault of
-the engine and raises LinearAlgebraError, never an input error; so does a
-complex with d.d != 0 or a chain map that does not commute, as the engine
-builds both from the scene.
+(injectivity, surjectivity, kernel = image).  Each fact is proved once:
+d.d = 0 by the Quotients of complex_cohomology, which every report takes of
+all three complexes, and commutation by the ChainMap constructor, or by
+block algebra for the inject and project maps of the two builders
+(ChainMap._commuting).  The connecting homomorphism is computed by the
+usual zig-zag, every step an exact linear solve against a matrix eliminated
+once per grade.  The class does not depend on the lift (proved in
+_connect_class), so each class is lifted once and nothing is drawn at
+random.  Exactness at every node is the snake lemma.  Once the sequence is
+validated, a failed solve, a broken complex or a node that is not exact is
+a fault of the engine and raises LinearAlgebraError, never an input error
+or a finding, as the engine builds every complex and map from the scene.
 
 On top of the abstract engine sit the two paper-shaped constructions: the
 relative (mapping-cone) complex of a morphism of twisted models, and the
@@ -50,7 +53,10 @@ class CoverValidationError(SESValidationError):
 
 
 class CochainComplex:
-    """Grades 0..T with differentials d_q: grade q -> grade q+1, d.d = 0."""
+    """Grades 0..T with differentials d_q: grade q -> grade q+1, d.d = 0.
+
+    The constructor checks shapes; complex_cohomology proves d.d = 0.
+    """
 
     __slots__ = ("dims", "diffs")
 
@@ -65,9 +71,6 @@ class CochainComplex:
                     f"differential {q} has shape {d.rows}x{d.cols}, expected "
                     f"{dims[q + 1]}x{dims[q]}"
                 )
-        for q in range(len(diffs) - 1):
-            if not diffs[q + 1].mul(diffs[q]).is_zero:
-                raise LinearAlgebraError(f"d.d != 0 between grades {q} and {q + 2}")
         self.dims = dims
         self.diffs = diffs
 
@@ -112,6 +115,15 @@ class ChainMap:
         self.source = source
         self.target = target
         self.components = components
+
+    @classmethod
+    def _commuting(cls, source: CochainComplex, target: CochainComplex, components) -> "ChainMap":
+        """A chain map whose components commute with d by construction (not re-multiplied)."""
+        cm = cls.__new__(cls)
+        cm.source = source
+        cm.target = target
+        cm.components = tuple(components)
+        return cm
 
 
 class ShortExactSequence:
@@ -196,7 +208,8 @@ def complex_cohomology(cx: CochainComplex) -> list:
     """H^q = ker d_q / im d_{q-1} at every grade (d_top is the zero map).
 
     im d_{q-1} comes from the elimination that found ker d_{q-1}, so each
-    differential is eliminated once.
+    differential is eliminated once.  Its basis is d_{q-1}'s pivot columns,
+    so Quotient's proof that d_q kills it is d_q d_{q-1} = 0.
     """
     groups = []
     for q in range(len(cx.dims)):
@@ -257,12 +270,19 @@ def _connect_class(ses, q, rep: dict, hl_next: Quotient) -> dict:
 
     The class of y does not depend on the lift (Weibel, Lemma 1.3.2), and
     every hypothesis is proved exactly.  Another lift is x + i(s), s in grade
-    q of the left complex.  ChainMap proved d_M i = i d_L, so d_M(x + i(s)) =
-    w + i(d_L s).  inject is injective (validate proves it for snake_les and
-    make_mv_ses; a relative complex's component is [0; I] by construction),
-    so the exact replay of Factorization.solve returns the unique preimage
-    y + d_L s.  d_L s lies in hl_next.image, and class_coords solves over
-    [image | reps], of full column rank, keeping only the rep coordinates.
+    q of the left complex.  d_M i = i d_L: the public ChainMap constructor
+    proves it, and the two builders' inject maps satisfy it by block algebra.
+    In the relative complex i = [0; I] and the cone is
+    [[dbar_{f'}, 0], [mu*, d_L]] with d_L = -dbar_{mu* f'}, so
+    d_M [0; I] = [0; d_L] = [0; I] d_L.  In make_mv_ses i = [r_U; r_V] maps
+    into the direct sum U + V, and d_U r_U = r_U d_L, d_V r_V = r_V d_L hold
+    because the cover's restrictions are ChainMaps, each checked by the
+    constructor.  So d_M(x + i(s)) = w + i(d_L s).  inject is injective
+    (validate proves it for snake_les and make_mv_ses; a relative complex's
+    component is [0; I] by construction), so the exact replay of
+    Factorization.solve returns the unique preimage y + d_L s.  d_L s lies
+    in hl_next.image, and class_coords solves over [image | reps], of full
+    column rank, keeping only the rep coordinates.
     """
     x = ses.factor("project", q).solve(rep)
     if x is None:
@@ -282,9 +302,10 @@ def snake_les(
     """Long exact sequence report for a validated short exact sequence.
 
     The engine refuses to emit a report for an invalid input; for a valid one
-    it computes all cohomologies, the induced maps, the connecting
-    homomorphisms, and verifies exactness at every node (image of the
-    incoming map equals kernel of the outgoing one).
+    it computes all cohomologies, the induced maps and the connecting
+    homomorphisms.  Exactness at every node (image of the incoming map equals
+    kernel of the outgoing one) is the snake lemma, so a node that is not
+    exact is a fault of the engine: LinearAlgebraError names the first one.
     """
     findings = ses.validate()
     if findings:
@@ -300,24 +321,21 @@ def snake_les(
         nodes.append((f"H^{q}({labels[2]})", data.right[q].dim))
         maps.append((map_labels[2], data.connecting[q]))
     report_nodes = []
-    exact_all = True
     prev_map: Matrix | None = None
     in_rank = 0
     for k, (label, dim) in enumerate(nodes):
         out_label, out_matrix = maps[k]
         out_rank = rank(out_matrix)
-        composes = True
-        if prev_map is not None and not out_matrix.mul(prev_map).is_zero:
-            composes = False
-        exact = composes and (in_rank == dim - out_rank)
-        exact_all = exact_all and exact
+        composes = prev_map is None or out_matrix.mul(prev_map).is_zero
+        if not (composes and in_rank == dim - out_rank):
+            raise LinearAlgebraError(f"long exact sequence is not exact at {label}")
         report_nodes.append(
             {
                 "group": label,
                 "dim": dim,
                 "out_map": out_label,
                 "out_map_rank": out_rank,
-                "exact": exact,
+                "exact": True,
             }
         )
         prev_map, in_rank = out_matrix, out_rank
@@ -326,7 +344,7 @@ def snake_les(
         alternating += node["dim"] if k % 2 == 0 else -node["dim"]
     return {
         "nodes": report_nodes,
-        "exact_everywhere": exact_all,
+        "exact_everywhere": True,
         "alternating_sum_zero": alternating == 0,
     }
 
@@ -402,7 +420,9 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
     left = CochainComplex(s_dim, left_diffs)
     middle = CochainComplex([t + s for t, s in zip(t_dim, s_dim)], middle_diffs)
 
-    inject = ChainMap(
+    # the cone is [[right, 0], [mu*, left]] grade by grade, so d_M [0; I] =
+    # [0; I] d_L and [I 0] d_M = d_R [I 0] hold by block algebra
+    inject = ChainMap._commuting(
         left,
         middle,
         [
@@ -410,7 +430,7 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
             for q in range(grades)
         ],
     )
-    project = ChainMap(
+    project = ChainMap._commuting(
         middle,
         right,
         [
@@ -545,8 +565,10 @@ class MayerVietorisCover:
     """Algebraic two-set cover: four complexes and four restriction maps.
 
     The differential must commute with the restrictions (enforced by the
-    ChainMap constructor); surjectivity of the difference map encodes the
-    partition of unity and must be supplied by the cover model itself.
+    ChainMap constructor), and each restriction must map between the
+    complexes it is given for, which make_mv_ses relies on; surjectivity of
+    the difference map encodes the partition of unity and must be supplied
+    by the cover model itself.
     """
 
     def __init__(
@@ -560,6 +582,14 @@ class MayerVietorisCover:
         r_u_uv: ChainMap,
         r_v_uv: ChainMap,
     ):
+        ends = (
+            (r_u, complex_m, complex_u),
+            (r_v, complex_m, complex_v),
+            (r_u_uv, complex_u, complex_uv),
+            (r_v_uv, complex_v, complex_uv),
+        )
+        if any(r.source is not s or r.target is not t for r, s, t in ends):
+            raise LinearAlgebraError("a restriction does not map between the cover's complexes")
         self.complex_m = complex_m
         self.complex_u = complex_u
         self.complex_v = complex_v
@@ -578,12 +608,14 @@ def make_mv_ses(cover: MayerVietorisCover) -> ShortExactSequence:
     """
     middle = direct_sum(cover.complex_u, cover.complex_v)
     grades = len(middle.dims)
-    inject = ChainMap(
+    # the four restrictions are checked chain maps between the cover's
+    # complexes, so their stacks commute with the direct sum's block diagonal d
+    inject = ChainMap._commuting(
         cover.complex_m,
         middle,
         [vstack(cover.r_u.components[q], cover.r_v.components[q]) for q in range(grades)],
     )
-    project = ChainMap(
+    project = ChainMap._commuting(
         middle,
         cover.complex_uv,
         [

@@ -7,6 +7,8 @@ wholly to the sub, wholly to the quotient, or split (w in the sub, u in the
 quotient) -- a split arrow is exactly what makes the connecting homomorphism
 nonzero, one rank unit per split.  Everything is then conjugated by random
 invertible matrices so the structure is hidden from the engine.
+
+cone_sweep_scene draws the random morphisms of the relative-complex sweeps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 import random
 
 from leafcoh.algebra import GaussianRational
+from leafcoh.forms import FoliationModel
 from leafcoh.linalg import Matrix, solve
+from leafcoh.operators import FoliatedMorphism
+from leafcoh.sampling import random_morphism, random_series
 from leafcoh.sequences import ChainMap, CochainComplex, ShortExactSequence
 
 
@@ -155,3 +160,24 @@ def random_ses(rng: random.Random, grades: int = 3):
         if assign == "split":
             split_counts[level] += 1
     return ses, split_counts
+
+
+def cone_sweep_scene(seed):
+    """A random morphism with a random target twist f', and a p, for the
+    relative-complex sweeps; the rng is returned for further draws.
+
+    Affine components when the source has two leafwise variables, so the
+    budgets stay at desk scale.
+    """
+    rng = random.Random(52000 + seed)
+    m_s = rng.choice([1, 1, 2])
+    m_t = rng.choice([1, 2]) if m_s == 1 else 1
+    n = rng.choice([0, 1]) if m_s == 1 else 0
+    deg = 2 if (m_s, m_t) == (1, 1) and n == 0 else 1
+    src = FoliationModel.untwisted(m_s, n, 1)
+    tgt = FoliationModel.untwisted(m_t, n, 1)
+    mu = random_morphism(rng, src, tgt, deg)
+    fp = random_series(rng, m_t, n, 1, max_terms=2)
+    p = rng.randint(0, m_t)
+    mu = FoliatedMorphism(src, tgt.with_twist(fp), mu.z_components, mu.x_components)
+    return mu, p, rng

@@ -494,7 +494,54 @@ def test_broken_sequence_complex_exits_internal(capsys, monkeypatch, kind):
     assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", kind]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: d.d != 0 between grades 0 and 2\n"
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+
+
+@pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
+def test_pullback_that_is_no_chain_map_exits_internal(capsys, monkeypatch, kind):
+    # bumping the last entry of each pullback matrix keeps the diagonal blocks
+    # of the cone but breaks mu* as a chain map: only the cone's d.d sees it
+    real = cohomology.pullback_matrix
+
+    def corrupted(*args):
+        M = real(*args)
+        if not M.entries:
+            return M
+        entries = dict(M.entries)
+        key = max(entries)
+        entries[key] = entries[key] + 1
+        return Matrix(M.rows, M.cols, entries)
+
+    monkeypatch.setattr(cohomology, "pullback_matrix", corrupted)
+    assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", kind]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+
+
+@pytest.mark.parametrize(
+    "kind, scene, which, grade, node",
+    [
+        ("relative", "relative_square.json", "induced_inject", 1, "H^1(F)"),
+        ("mv", "mv_laurent.json", "induced_project", 0, "H^0(U+V)"),
+    ],
+)
+def test_long_exact_sequence_that_is_not_exact_exits_internal(capsys, monkeypatch, kind, scene, which, grade, node):
+    # exactness at every node is the snake lemma: a broken induced map is a
+    # fault of the engine, not a finding about the scene
+    real = sequences._snake
+
+    def broken(ses):
+        data = real(ses)
+        maps = getattr(data, which)
+        maps[grade] = Matrix.zero(maps[grade].rows, maps[grade].cols)
+        return data
+
+    monkeypatch.setattr(sequences, "_snake", broken)
+    assert run(["sequence", "--scene", str(SCENES / scene), "--kind", kind]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: long exact sequence is not exact at {node}\n"
 
 
 @pytest.mark.parametrize(
@@ -728,6 +775,22 @@ def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, messa
 
 SOLVE_FORM = {"p": 0, "q": 1, "budget": 1, "terms": [{"A": [], "B": [1], "coeff": "z1"}]}
 SOLVE_TERM = SOLVE_FORM["terms"][0]
+# a value of the right type for each scene knob that cohomology or solve does not read
+UNREAD_KNOBS = {
+    "trials": 5,
+    "h": "z1",
+    "g": "1+z1",
+    "morphism": {"z_components": ["z1"]},
+    "f_prime": "1+z1",
+    "pair": {"alpha": "1"},
+    "cover": {"kind": "laurent", "D": 1},
+    "target": {"op": "dbar", "form": SOLVE_FORM},
+    "expect_failure": False,
+    "grid": {"p": 1, "q": 1, "D": 9},
+}
+COHOMOLOGY_UNREAD = ("trials", "h", "g", "morphism", "f_prime", "pair", "cover", "target", "expect_failure")
+SOLVE_UNREAD = ("trials", "h", "g", "pair", "cover", "expect_failure", "grid")
+TILDE_TARGET = {"op": "tilde", "phi": dict(SOLVE_FORM, terms=[]), "psi": dict(SOLVE_FORM, q=0, terms=[])}
 
 
 @pytest.mark.parametrize(
@@ -775,6 +838,36 @@ SOLVE_TERM = SOLVE_FORM["terms"][0]
             ("mv", "mv_laurent.json"),
         )
         for key, knobs in (("slack", {"slack": 3}), ("k", {"k": 1}))
+    ]
+    + [
+        # the two scenes that used to run at exit 0 with the report of the scene without the knobs
+        (
+            ["cohomology"],
+            "twist_vanishing.json",
+            {"trials": 5, "morphism": {"z_components": ["z1"]}},
+            "'trials' is not read by cohomology",
+        ),
+        (
+            ["solve"],
+            "solve_untwisted.json",
+            {"grid": {"p": 1, "q": 1, "D": 9}, "trials": 5},
+            "'trials' is not read by solve",
+        ),
+    ]
+    + [
+        (["cohomology"], "twist_vanishing.json", {key: UNREAD_KNOBS[key]}, f"{key!r} is not read by cohomology")
+        for key in COHOMOLOGY_UNREAD
+    ]
+    + [
+        (["solve"], "solve_untwisted.json", {key: UNREAD_KNOBS[key]}, f"{key!r} is not read by solve")
+        for key in SOLVE_UNREAD
+    ]
+    + [
+        (["solve"], "solve_untwisted.json", {key: UNREAD_KNOBS[key]}, f"{key!r} is not read by solve target op dbar")
+        for key in ("morphism", "f_prime")
+    ]
+    + [
+        (["solve"], "relative_square.json", {"target": TILDE_TARGET}, "'grid' is not read by solve"),
     ],
     ids=[
         "sequence_q_relative", "sequence_q_delta", "sequence_q_boundary", "cohomology_k",
@@ -782,16 +875,42 @@ SOLVE_TERM = SOLVE_FORM["terms"][0]
         "cohomology_aeppli_slack_zero", "cohomology_canonical_slack", "solve_dbar_k", "solve_tilde_k",
         "check_slack_zero", "check_k", "check_grid", "check_every_knob",
     ]
-    + [f"sequence_{kind}_{key}" for kind in ("relative", "delta", "boundary", "mv") for key in ("slack", "k")],
+    + [f"sequence_{kind}_{key}" for kind in ("relative", "delta", "boundary", "mv") for key in ("slack", "k")]
+    + ["cohomology_trials_and_morphism", "solve_grid_and_trials"]
+    + [f"cohomology_{key}" for key in COHOMOLOGY_UNREAD]
+    + [f"solve_{key}" for key in SOLVE_UNREAD]
+    + ["solve_dbar_morphism", "solve_dbar_f_prime", "solve_tilde_grid"],
 )
 def test_knob_the_command_does_not_read_exits_two(tmp_path, capsys, command, scene, knobs, message):
     # each of these used to run at exit 0 with the knob silently ignored;
-    # check and sequence name the first unread knob in the order slack, k, grid
+    # each command names the first unread knob in the order its check lists them
     data = dict(json.loads((SCENES / scene).read_text()), **knobs)
     assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, scene, knobs",
+    [
+        (["check", "--suite", "leibniz", "--trials", "2"], "basic.json", {}),
+        (["cohomology"], "twist_vanishing.json", {}),
+        (["sequence", "--kind", "relative"], "relative_square.json", {}),
+        (["sequence", "--kind", "mv"], "mv_laurent.json", {}),
+        (["solve"], "solve_untwisted.json", {}),
+        (["solve"], "relative_square.json", {"target": TILDE_TARGET, "grid": None}),
+    ],
+    ids=["check", "cohomology", "sequence_relative", "sequence_mv", "solve", "solve_tilde"],
+)
+def test_seed_and_basic_twist_only_are_read_by_every_command(tmp_path, capsys, command, scene, knobs):
+    # the benchmark writes a seed into every scene; neither knob is rejected as unread
+    data = dict(json.loads((SCENES / scene).read_text()), seed=3, basic_twist_only=False, **knobs)
+    data = {key: value for key, value in data.items() if value is not None}
+    assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out
 
 
 def test_k_knobs_are_read_where_they_apply(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every name a leafcoh module imports is used in that module, every
 top-level function or class is used or exported, only the seeded generators
-import ``random``, and the exact engine imports neither ``sampling`` nor
-``checks``.
+import ``random``, the exact engine imports neither ``sampling`` nor
+``checks``, and the trusted ``ChainMap._commuting`` is used only by the two
+sequence builders.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -147,3 +148,34 @@ def test_package_import_finder_sees_nested_and_bare_imports():
 @pytest.mark.parametrize("name", ENGINE_MODULES)
 def test_engine_does_not_import_the_suites(name):
     assert not package_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) & {"sampling", "checks"}
+
+
+# ChainMap._commuting skips the commutation product: only the two builders
+# whose inject and project maps commute by block algebra may use it
+TRUSTED_CHAIN_MAP_USERS = {("sequences", "make_relative_complex"), ("sequences", "make_mv_ses")}
+
+
+def attribute_users(sources: dict, attr: str) -> set:
+    """(module, top-level definition) of every ``.attr`` in ``sources`` (module
+    name -> source); a use outside any definition has the definition None."""
+    users = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if any(isinstance(sub, ast.Attribute) and sub.attr == attr for sub in ast.walk(node)):
+                users.add((module, name))
+    return users
+
+
+def test_attribute_finder_sees_uses_by_definition():
+    sources = {
+        "a": "class C:\n    @classmethod\n    def _t(cls): pass\n    def m(self): return C._t()\n"
+        "def f():\n    g = C._t\n    return g()\nh = C._t\n",
+        "b": "from .a import C\ndef f(): return C()\ndef g(): return [C._t() for _ in ()]\n",
+    }
+    assert attribute_users(sources, "_t") == {("a", "C"), ("a", "f"), ("a", None), ("b", "g")}
+
+
+def test_trusted_chain_map_is_used_only_by_the_sequence_builders():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert attribute_users(sources, "_commuting") == TRUSTED_CHAIN_MAP_USERS

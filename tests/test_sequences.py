@@ -9,7 +9,7 @@ from leafcoh import cli
 from leafcoh.algebra import GaussianRational, Series, parse_series
 from leafcoh.forms import FoliationModel
 from leafcoh.operators import FoliatedMorphism
-from leafcoh.linalg import Matrix, rank
+from leafcoh.linalg import LinearAlgebraError, Matrix, rank
 from leafcoh.sequences import (
     ChainMap,
     CochainComplex,
@@ -35,7 +35,7 @@ from leafcoh.sequences import (
 )
 
 from dense_reference import DenseFactorization, DenseQuotient, to_dense, to_sparse
-from factories import random_ses
+from factories import cone_sweep_scene, random_ses
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "relative_m2_snake.json"
 
@@ -50,10 +50,10 @@ def G(x):
 
 
 def test_cochain_complex_rejects_nonsquaring_differential():
-    d0 = Matrix.identity(2)
-    d1 = Matrix.identity(2)
-    with pytest.raises(ValueError, match="d.d != 0"):
-        CochainComplex((2, 2, 2), (d0, d1))
+    # the constructor checks shapes only; taking the cohomology proves d.d = 0
+    cx = CochainComplex((2, 2, 2), (Matrix.identity(2), Matrix.identity(2)))
+    with pytest.raises(LinearAlgebraError, match="^image is not contained in the kernel: broken complex$"):
+        complex_cohomology(cx)
 
 
 def test_cochain_complex_rejects_bad_shapes():
@@ -328,46 +328,12 @@ def test_relative_cone_vanishes_beyond_modeled_range():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_relative_random_scene_sweep(seed):
-    # random morphisms and twists; affine components when the source has two
-    # leafwise variables so the budgets stay at desk scale
-    rng = random.Random(52000 + seed)
-    m_s = rng.choice([1, 1, 2])
-    m_t = rng.choice([1, 2]) if m_s == 1 else 1
-    n = rng.choice([0, 1]) if m_s == 1 else 0
-    deg = 2 if (m_s, m_t) == (1, 1) and n == 0 else 1
-    src = FoliationModel.untwisted(m_s, n, 1)
-    tgt = FoliationModel.untwisted(m_t, n, 1)
-    from leafcoh.sampling import random_morphism, random_series
-
-    mu = random_morphism(rng, src, tgt, deg)
-    fp = random_series(rng, m_t, n, 1, max_terms=2)
-    p = rng.randint(0, m_t)
-    mu = FoliatedMorphism(src, tgt.with_twist(fp), mu.z_components, mu.x_components)
+    mu, p, _ = cone_sweep_scene(seed)
     rc = make_relative_complex(mu, p, 1)
     les = relative_les(rc)
     assert les["exact_everywhere"]
     assert les["alternating_sum_zero"]
     assert delta_equals_pullback_check(rc)["all_equal"]
-
-
-def _cone_sweep_scene(seed):
-    """The random morphism and p of test_relative_random_scene_sweep, drawn in
-    the same order, with f' moved into the morphism's target; the rng is
-    returned for further draws."""
-    from leafcoh.sampling import random_morphism, random_series
-
-    rng = random.Random(52000 + seed)
-    m_s = rng.choice([1, 1, 2])
-    m_t = rng.choice([1, 2]) if m_s == 1 else 1
-    n = rng.choice([0, 1]) if m_s == 1 else 0
-    deg = 2 if (m_s, m_t) == (1, 1) and n == 0 else 1
-    src = FoliationModel.untwisted(m_s, n, 1)
-    tgt = FoliationModel.untwisted(m_t, n, 1)
-    mu = random_morphism(rng, src, tgt, deg)
-    fp = random_series(rng, m_t, n, 1, max_terms=2)
-    p = rng.randint(0, m_t)
-    mu = FoliatedMorphism(src, tgt.with_twist(fp), mu.z_components, mu.x_components)
-    return mu, p, rng
 
 
 def _form_level_cone(mu, p, q, budgets) -> Matrix:
@@ -400,7 +366,7 @@ def _form_level_cone(mu, p, q, budgets) -> Matrix:
 
 @pytest.mark.parametrize("seed", range(12))
 def test_relative_cone_matrix_matches_tilde_dbar(seed):
-    mu, p, _ = _cone_sweep_scene(seed)
+    mu, p, _ = cone_sweep_scene(seed)
     rc = make_relative_complex(mu, p, 1)
     tb, sb = rc.target_budgets, rc.source_budgets
     for q, d in enumerate(rc.ses.middle.diffs):
@@ -414,7 +380,7 @@ def test_solve_primitive_tilde_matrix_matches_tilde_dbar(seed, monkeypatch):
     from leafcoh.operators import tilde_dbar, twist_gap
     from leafcoh.sampling import random_form
 
-    mu, p, rng = _cone_sweep_scene(seed)
+    mu, p, rng = cone_sweep_scene(seed)
     fp = mu.target.f
     q = rng.randint(1, mu.target.m)
     phi1 = random_form(rng, mu.target, p, q - 1, 1)
@@ -464,7 +430,7 @@ def _lift_case(case: str):
         rng = random.Random(int(seed))
         return random_ses(rng, grades=rng.choice([2, 3, 4]))[0], rng
     if kind == "relative":
-        mu, p, rng = _cone_sweep_scene(int(seed))
+        mu, p, rng = cone_sweep_scene(int(seed))
         return make_relative_complex(mu, p, 1).ses, rng
     return make_mv_ses(laurent_cover(2)), random.Random(2)
 
@@ -610,3 +576,19 @@ def test_mv_restrictions_must_commute():
     bad = Matrix(cu.dims[1], cu.dims[0], {(0, 0): G(1), (1, 0): G(1)})
     with pytest.raises(ValueError, match="commute"):
         ChainMap(cu, cu, [Matrix.identity(cu.dims[0]), bad])
+
+
+def test_mv_restrictions_must_map_the_cover_complexes():
+    # make_mv_ses stacks the restrictions without re-multiplying, so each must
+    # be a chain map between the very complexes it is given for
+    c = laurent_cover(2)
+    args = [c.complex_m, c.complex_u, c.complex_v, c.complex_uv, c.r_u, c.r_v, c.r_u_uv, c.r_v_uv]
+    assert isinstance(MayerVietorisCover(*args), MayerVietorisCover)
+    # same dimensions, zero differential: the stacks would not commute with it
+    flat_u = CochainComplex(c.complex_u.dims, [Matrix.zero(d.rows, d.cols) for d in c.complex_u.diffs])
+    for broken in (
+        args[:4] + [c.r_v, c.r_u] + args[6:],
+        args[:1] + [flat_u] + args[2:],
+    ):
+        with pytest.raises(LinearAlgebraError, match="^a restriction does not map between the cover's complexes$"):
+            MayerVietorisCover(*broken)

@@ -2,9 +2,11 @@
 
 Each result of an operation is rebuilt here through the validating public
 constructor, which must accept it unchanged: same terms, same budget, and
-every coefficient of a form carrying the form's budget.  The counterexample
-texts of the check suites, built only for violations, are compared with
-goldens recorded from the suites before either change.
+every coefficient of a form carrying the form's budget.  So are the inject
+and project maps of the sequence builders, which commute by construction,
+and the complexes they join square to zero by explicit products.  The
+counterexample texts of the check suites, built only for violations, are
+compared with goldens recorded from the suites before either change.
 """
 
 import json
@@ -16,6 +18,7 @@ import pytest
 from leafcoh import checks, operators
 from leafcoh.algebra import GaussianRational, Series, SeriesError
 from leafcoh.forms import FoliatedForm, FoliationModel, insert_index, rescale_power
+from leafcoh.linalg import Matrix
 from leafcoh.operators import (
     FoliatedMorphism,
     MorphismPair,
@@ -29,6 +32,9 @@ from leafcoh.operators import (
     tilde_dbar,
 )
 from leafcoh.sampling import random_bidegree, random_form, random_morphism, random_series
+from leafcoh.sequences import ChainMap, CochainComplex, laurent_cover, make_mv_ses, make_relative_complex
+
+from factories import cone_sweep_scene
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "broken_dbar_counterexamples.json"
 
@@ -174,6 +180,51 @@ def test_negative_budgets_are_rejected_as_before():
     for call in (lambda: s.mul(s, out_budget=-1), lambda: s.truncated(-1), lambda: s.with_budget(-1)):
         with pytest.raises(SeriesError, match="^m, n and budget must be nonnegative$"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# Chain maps that commute by construction
+# ---------------------------------------------------------------------------
+
+
+def assert_rebuilds_ses(ses):
+    """inject and project rebuild through the checking ChainMap constructor,
+    and d.d = 0 holds on all three complexes by explicit products."""
+    for cm in (ses.inject, ses.project):
+        assert ChainMap(cm.source, cm.target, cm.components).components == cm.components
+    for cx in (ses.left, ses.middle, ses.right):
+        for q in range(len(cx.diffs) - 1):
+            assert cx.diffs[q + 1].mul(cx.diffs[q]).is_zero
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_relative_sequence_maps_rebuild_through_the_constructor(seed):
+    mu, p, _ = cone_sweep_scene(seed)
+    assert_rebuilds_ses(make_relative_complex(mu, p, 1).ses)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_mv_sequence_maps_rebuild_through_the_constructor(D):
+    assert_rebuilds_ses(make_mv_ses(laurent_cover(D)))
+
+
+def test_sequence_builders_run_no_commutation_product(monkeypatch):
+    # a build multiplies only in validate (project . inject, once per grade);
+    # a complex's constructor checks shapes and multiplies nothing
+    calls = []
+    real = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or real(self, other))
+    mu, p, _ = cone_sweep_scene(0)
+    rc = make_relative_complex(mu, p, 2)
+    assert calls == []
+    cover = laurent_cover(2)
+    calls.clear()
+    ses = make_mv_ses(cover)
+    assert len(calls) == len(ses.middle.dims) == 2
+    calls.clear()
+    CochainComplex(rc.ses.middle.dims, rc.ses.middle.diffs)
+    CochainComplex((2, 2, 2), (Matrix.identity(2), Matrix.identity(2)))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
