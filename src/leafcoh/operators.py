@@ -76,12 +76,19 @@ def _accumulate(acc: dict, key, series: Series):
         acc[key] = series
 
 
+# raw -> (f, raw(f)) for the last twist raw was applied to: the suites and the
+# composition re-check apply one twist to many forms.  The strong reference
+# (Series has no weakref slot) keeps f's id from being reused while cached.
+_last_raw_f: dict = {}
+
+
 def _twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
     """f * raw(phi) - weight * raw(f) ^ phi, in one pass; raw is dbar or partial.
 
     Both products are formed exactly into one integer accumulator per (A, B)
     (``algebra._mul_into``), with the wedge sign (-1)^p sgn(a, B) for dbar
-    and sgn(a, A) for partial, and the result is wrapped once.  f is checked
+    and sgn(a, A) for partial, and the result is wrapped once; raw(f) is
+    kept from the previous call on the same f object.  f is checked
     against phi's model at every weight.  Every output term must fit the
     budget phi.budget + twist_gap(f); a term above it means the gap is
     wrong, and raises SeriesError.
@@ -96,7 +103,12 @@ def _twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
     for key, c in dphi.coeffs.items():
         top = max(top, _mul_into(acc.setdefault(key, {}), c, f, c.budget + f.budget))
     if weight:
-        df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
+        last = _last_raw_f.get(raw)
+        if last is not None and last[0] is f:
+            df = last[1]
+        else:
+            df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
+            _last_raw_f[raw] = (f, df)
         front = -weight if phi.p * df.q % 2 else weight
         for (A1, B1), g in df.coeffs.items():
             for (A, B), c in phi.coeffs.items():

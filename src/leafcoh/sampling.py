@@ -9,20 +9,21 @@ desk scale.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
-from .algebra import GaussianRational, Series
+from .algebra import GaussianRational, Series, _normal
 from .forms import FoliatedForm, FoliationModel
 from .operators import FoliatedMorphism
 
 
 def random_scalar(rng: random.Random, with_imag: bool = True) -> GaussianRational:
-    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    im = Fraction(0)
+    """(a/d) + (b/e)i with a in [-3, 3], d in [1, 3] and, with probability
+    0.4 when with_imag, b in [-2, 2], e in [1, 2]; built as (ae + bdi)/(de)."""
+    a, d = rng.randint(-3, 3), rng.randint(1, 3)
     if with_imag and rng.random() < 0.4:
-        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-    return GaussianRational(re, im)
+        b, e = rng.randint(-2, 2), rng.randint(1, 2)
+        return _normal(a * e, b * d, d * e)
+    return _normal(a, 0, d)
 
 
 def random_exponent(rng: random.Random, m: int, n: int, budget: int, kinds=("z", "zb", "x")):

@@ -129,7 +129,7 @@ class ChainMap:
 class ShortExactSequence:
     """left -> middle -> right with inject and project chain maps."""
 
-    __slots__ = ("left", "middle", "right", "inject", "project", "_factors")
+    __slots__ = ("left", "middle", "right", "inject", "project", "_factors", "_findings")
 
     def __init__(self, left, middle, right, inject: ChainMap, project: ChainMap):
         if inject.source is not left or inject.target is not middle:
@@ -142,6 +142,7 @@ class ShortExactSequence:
         self.inject = inject
         self.project = project
         self._factors = {}
+        self._findings = None
 
     def factor(self, which: str, q: int) -> Factorization:
         """The "inject" or "project" component at grade q, eliminated once.
@@ -154,7 +155,16 @@ class ShortExactSequence:
         return self._factors[key]
 
     def validate(self) -> list:
-        """Per-grade findings; empty means the sequence is exact."""
+        """Per-grade findings; empty means the sequence is exact.
+
+        They are found once: make_mv_ses validates the sequence it builds and
+        snake_les validates the sequence it is given, often the same one.
+        """
+        if self._findings is None:
+            self._findings = self._find()
+        return self._findings
+
+    def _find(self) -> list:
         findings = []
         for q in range(len(self.middle.dims)):
             inj = self.inject.components[q]

@@ -14,7 +14,7 @@ from leafcoh.algebra import (
     format_series,
     parse_series,
 )
-from leafcoh.sampling import random_series, random_unit_series
+from leafcoh.sampling import random_scalar, random_series, random_unit_series
 
 
 fractions = st.builds(
@@ -32,6 +32,28 @@ def test_scalar_field_axioms(a, b, c):
     if a:
         assert a * a.inverse() == GaussianRational(1)
         assert a.inverse() * a == GaussianRational(1)
+
+
+def random_scalar_from_fractions(rng, with_imag=True):
+    """random_scalar as it was built from two Fractions."""
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    im = Fraction(0)
+    if with_imag and rng.random() < 0.4:
+        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+    return GaussianRational(re, im)
+
+
+@pytest.mark.parametrize("with_imag", [True, False])
+def test_random_scalar_matches_the_fraction_construction(with_imag):
+    # same draws, same values, same canonical triples, and the generators
+    # end in the same state
+    for seed in range(40):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            x, y = random_scalar(new, with_imag), random_scalar_from_fractions(old, with_imag)
+            assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
+            _assert_canonical(x)
+        assert new.getstate() == old.getstate()
 
 
 @given(scalars)

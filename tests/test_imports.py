@@ -1,8 +1,8 @@
 """Every name a leafcoh module imports is used in that module, every
 top-level function or class is used or exported, only the seeded generators
 import ``random``, the exact engine imports neither ``sampling`` nor
-``checks``, and the trusted ``ChainMap._commuting`` is used only by the two
-sequence builders.
+``checks``, the trusted ``ChainMap._commuting`` is used only by the two
+sequence builders, and only ``checks`` forks.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -179,3 +179,42 @@ def test_attribute_finder_sees_uses_by_definition():
 def test_trusted_chain_map_is_used_only_by_the_sequence_builders():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert attribute_users(sources, "_commuting") == TRUSTED_CHAIN_MAP_USERS
+
+
+# the check suites' case runner is the one place that forks workers; checks
+# is imported only by the commands that run it
+FORKING_MODULES = {"checks"}
+
+
+def fork_callers(sources: dict) -> set:
+    """Modules of ``sources`` (module name -> source) that name ``os.fork``,
+    as an attribute of ``os`` or imported from ``os``."""
+    callers = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "fork"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name == "fork" for alias in node.names)
+            ):
+                callers.add(module)
+    return callers
+
+
+def test_fork_finder_sees_attributes_and_imports():
+    sources = {
+        "a": "import os\ndef f():\n    return os.fork()\n",
+        "b": "from os import fork as spawn\n",
+        "c": "import os\npid = os.getpid()\nfork = 1\n",
+    }
+    assert fork_callers(sources) == {"a", "b"}
+
+
+def test_only_the_case_runner_forks():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert fork_callers(sources) == FORKING_MODULES

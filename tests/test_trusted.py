@@ -32,7 +32,14 @@ from leafcoh.operators import (
     tilde_dbar,
 )
 from leafcoh.sampling import random_bidegree, random_form, random_morphism, random_series
-from leafcoh.sequences import ChainMap, CochainComplex, laurent_cover, make_mv_ses, make_relative_complex
+from leafcoh.sequences import (
+    ChainMap,
+    CochainComplex,
+    laurent_cover,
+    make_mv_ses,
+    make_relative_complex,
+    snake_les,
+)
 
 from factories import cone_sweep_scene
 
@@ -213,7 +220,7 @@ def test_sequence_builders_run_no_commutation_product(monkeypatch):
     # a complex's constructor checks shapes and multiplies nothing
     calls = []
     real = Matrix.mul
-    monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append(1) or real(self, other))
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append((self, other)) or real(self, other))
     mu, p, _ = cone_sweep_scene(0)
     rc = make_relative_complex(mu, p, 2)
     assert calls == []
@@ -221,6 +228,10 @@ def test_sequence_builders_run_no_commutation_product(monkeypatch):
     calls.clear()
     ses = make_mv_ses(cover)
     assert len(calls) == len(ses.middle.dims) == 2
+    # snake_les validates the same sequence again: the findings are kept
+    snake_les(ses)
+    pairs = list(zip(ses.project.components, ses.inject.components))
+    assert sum(any(a is prj and b is inj for prj, inj in pairs) for a, b in calls) == 2
     calls.clear()
     CochainComplex(rc.ses.middle.dims, rc.ses.middle.diffs)
     CochainComplex((2, 2, 2), (Matrix.identity(2), Matrix.identity(2)))
