@@ -47,11 +47,33 @@ class SceneError(ValueError):
     pass
 
 
-# The keys each scene object may hold; any other key is most likely a typo.
-SCENE_KEYS = frozenset(
-    ("model", "seed", "trials", "slack", "k", "expect_failure", "h", "g", "grid")
-    + ("morphism", "f_prime", "pair", "cover", "target", "basic_twist_only")
-)
+# Each command, and what selects the part of it that runs.
+SELECTORS = {"check": "--suite", "cohomology": "--variant", "sequence": "--kind", "solve": "target op"}
+ALL = None  # the command reads the key whatever its selector
+_EVERY_COMMAND = dict.fromkeys(SELECTORS, ALL)
+_RELATIVE_KINDS = ("relative", "delta", "boundary")
+# The top-level keys a scene may hold (any other is most likely a typo): the
+# JSON kinds of each value, checked in order when the scene loads ('grid' is
+# checked by grid_axis), and the commands that read it, for ALL selector
+# values or for those listed.  A command rejects a key it does not read;
+# _check_reads names the first, in this order.
+SCENE_KEYS = {
+    "model": (("an object",), _EVERY_COMMAND),
+    "seed": (("an integer",), _EVERY_COMMAND),
+    "basic_twist_only": (("a boolean",), _EVERY_COMMAND),
+    "trials": (("an integer", "a positive integer"), {"check": ALL}),
+    "h": (("a string",), {"check": ALL}),
+    "g": (("a string",), {"check": ALL}),
+    "k": (("an integer",), {"cohomology": ("k",), "solve": ("dbar_f_k",)}),
+    "slack": (("an integer", "a nonnegative integer"), {"cohomology": ("dolbeault", "k"), "solve": ALL}),
+    "grid": ((), {"cohomology": ALL, "sequence": _RELATIVE_KINDS}),
+    "morphism": (("an object",), {"check": ALL, "sequence": _RELATIVE_KINDS, "solve": ("tilde",)}),
+    "f_prime": (("a string",), {"check": ALL, "sequence": _RELATIVE_KINDS, "solve": ("tilde",)}),
+    "pair": (("an object",), {"check": ALL}),
+    "cover": (("an object",), {"sequence": ("mv",)}),
+    "target": (("an object",), {"solve": ALL}),
+    "expect_failure": (("a boolean",), {"sequence": ("mv",)}),
+}
 MODEL_KEYS = ("m", "n", "budget", "f")
 GRID_KEYS = ("p", "q", "D")
 MORPHISM_KEYS = ("z_components", "x_components")
@@ -111,27 +133,17 @@ class Scene:
         _known_keys(data, SCENE_KEYS, "scene")
         if "model" not in data:
             raise SceneError("scene is missing the 'model' key")
-        md = _known_keys(_typed(data["model"], "an object", "model"), MODEL_KEYS, "model")
+        for key, (kinds, _) in SCENE_KEYS.items():
+            if key in data:
+                for kind in kinds:
+                    _typed(data[key], kind, key)
+        md = _known_keys(data["model"], MODEL_KEYS, "model")
         try:
             m, n, budget = (
                 _typed(md[key], "an integer", f"model.{key}") for key in ("m", "n", "budget")
             )
         except KeyError as exc:
             raise SceneError(f"model is missing {exc}") from None
-        for key in ("slack", "k", "seed", "trials"):
-            if key in data:
-                _typed(data[key], "an integer", key)
-        _typed(data.get("slack", 0), "a nonnegative integer", "slack")
-        if "trials" in data:
-            _typed(data["trials"], "a positive integer", "trials")
-        for key in ("h", "g", "f_prime"):
-            if key in data:
-                _typed(data[key], "a string", key)
-        if "cover" in data:
-            _typed(data["cover"], "an object", "cover")
-        for key in ("expect_failure", "basic_twist_only"):
-            if key in data:
-                _typed(data[key], "a boolean", key)
         f = self._twist(_typed(md.get("f", "1"), "a string", "model.f"), m, n)
         if data.get("basic_twist_only") and any(
             sum(alpha) + sum(beta) for (alpha, beta, _) in f.terms
@@ -191,8 +203,7 @@ class Scene:
     def morphism(self) -> FoliatedMorphism:
         if "morphism" not in self.data:
             raise SceneError("scene needs a 'morphism' for this command")
-        entry = _typed(self.data["morphism"], "an object", "morphism")
-        _known_keys(entry, MORPHISM_KEYS, "morphism")
+        entry = _known_keys(self.data["morphism"], MORPHISM_KEYS, "morphism")
         zc_texts = _typed(entry.get("z_components", []), "a list of strings", "morphism.z_components")
         xc_texts = _typed(entry.get("x_components", []), "a list of strings", "morphism.x_components")
         m2, n2 = len(zc_texts), len(xc_texts)
@@ -208,7 +219,7 @@ class Scene:
     def pair(self, mu: FoliatedMorphism):
         if "pair" not in self.data:
             return None
-        entry = _known_keys(_typed(self.data["pair"], "an object", "pair"), PAIR_KEYS, "pair")
+        entry = _known_keys(self.data["pair"], PAIR_KEYS, "pair")
         alpha = self._twist(_field(entry, "alpha", "a string", "pair"), self.model.m, self.model.n)
         return MorphismPair(mu, alpha)
 
@@ -218,7 +229,7 @@ class Scene:
         if "cover" not in self.data:
             raise SceneError("scene needs a 'cover' for the mv command")
         entry = _known_keys(self.data["cover"], COVER_KEYS, "cover")
-        kind = entry.get("kind")
+        kind = _field(entry, "kind", "a string", "cover")
         D = _typed(entry.get("D", self.model.budget), "an integer", "cover.D")
         _typed(D, "a nonnegative integer", "cover.D")
         if kind == "laurent":
@@ -230,7 +241,7 @@ class Scene:
     def target(self):
         if "target" not in self.data:
             raise SceneError("scene needs a 'target' for the solve command")
-        return _typed(self.data["target"], "an object", "target")
+        return self.data["target"]
 
 
 def load_scene(path: str) -> Scene:
@@ -258,30 +269,38 @@ def _need_seed(scene: Scene, args) -> int:
     return seed
 
 
-def _unread_knobs(scene: Scene, keys, command: str):
-    """A SceneError naming the first of keys the scene sets, none of which the command reads."""
-    for key in keys:
-        if key in scene.data:
+def _check_reads(scene: Scene, command: str, selected: str):
+    """A SceneError naming the first key of the scene, in SCENE_KEYS order,
+    that command does not read when its selector has the value selected."""
+    for key, (_, readers) in SCENE_KEYS.items():
+        values = readers.get(command, ())
+        if key not in scene.data or values is ALL or selected in values:
+            continue
+        if not values:
             raise SceneError(f"{key!r} is not read by {command}")
+        *rest, last = values
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        raise SceneError(f"{key!r} is read only by {SELECTORS[command]} {names}")
 
 
 def cmd_check(args) -> int:
     from .checks import run_suite
 
     scene = load_scene(args.scene)
-    if args.suite not in SUITES:
-        raise SceneError(f"unknown suite {args.suite!r} (choose from {SUITES})")
     seed = _need_seed(scene, args)
     if args.trials is not None:
         trials = _typed(args.trials, "a positive integer", "--trials")
     else:
         trials = scene.trials if scene.trials is not None else 100
-    morphism = None
-    pair = None
-    if args.suite == "intertwine" and "morphism" in scene.data:
+    morphism = pair = None
+    if "morphism" not in scene.data:
+        for key in ("f_prime", "pair"):
+            if key in scene.data:
+                raise SceneError(f"{key!r} needs a 'morphism'")
+    elif args.suite == "intertwine":
         morphism = scene.morphism()
         pair = scene.pair(morphism)
-    _unread_knobs(scene, ("slack", "k", "grid"), "check")
+    _check_reads(scene, "check", args.suite)
     report = run_suite(
         args.suite,
         scene.model,
@@ -313,17 +332,10 @@ def cmd_cohomology(args) -> int:
         for v in axis:
             if not 0 <= v <= model.m:
                 raise SceneError(f"grid axis {name} value {v} outside [0, {model.m}]")
-    k = args.k if args.k is not None else scene.k
-    if k is not None and args.variant != "k":
-        name = "--k" if args.k is not None else "'k'"
-        raise SceneError(f"{name} is read only by --variant k")
-    if "slack" in scene.data and args.variant not in ("dolbeault", "k"):
-        raise SceneError("'slack' is read only by --variant dolbeault and k")
-    _unread_knobs(
-        scene,
-        ("trials", "h", "g", "morphism", "f_prime", "pair", "cover", "target", "expect_failure"),
-        "cohomology",
-    )
+    if args.k is not None and args.variant != "k":
+        raise SceneError("--k is read only by --variant k")
+    _check_reads(scene, "cohomology", args.variant)
+    k = scene.k if args.k is None else args.k
     rows = cohomology_grid(model, args.variant, ps, qs, ds, slack=scene.slack, k=k)
     if args.format == "csv":
         cols = (
@@ -349,7 +361,6 @@ def cmd_sequence(args) -> int:
     )
 
     scene = load_scene(args.scene)
-    _unread_knobs(scene, ("slack", "k"), f"sequence --kind {args.kind}")
     if args.kind == "mv":
         kind, cover = scene.cover()
         model = scene.model
@@ -358,51 +369,38 @@ def cmd_sequence(args) -> int:
                 "'model' must be m=1, n=0, f=\"1\" for sequence --kind mv: "
                 "the covers compute the untwisted d on one leafwise variable"
             )
+    else:
+        mu = scene.morphism()
+        p = scene.grid_value("p", 0)
+        D = scene.grid_value("D", scene.model.budget)
+        if "q" in scene.data.get("grid", {}):
+            raise SceneError(f"'grid.q' is not read by sequence --kind {args.kind}, which takes p and D")
+        top = max(mu.source.m, mu.target.m)
+        if not 0 <= p <= top:
+            raise SceneError(f"grid axis p value {p} outside [0, {top}]")
+    _check_reads(scene, "sequence", args.kind)
+    if args.kind == "mv":
         try:
             ses = make_mv_ses(cover)
         except CoverValidationError as exc:
-            report = {
-                "kind": "mv",
-                "cover": kind,
-                "ses_valid": False,
-                "findings": exc.findings,
-                "expect_failure": scene.expect_failure,
-            }
-            emit(report, args.out)
-            return EXIT_OK if scene.expect_failure else EXIT_VIOLATION
-        les = snake_les(ses, labels=("M", "U+V", "UV"), map_labels=("A*", "B*", "delta"))
-        report = {
-            "kind": "mv",
-            "cover": kind,
-            "ses_valid": True,
-            "les": les,
-            "expect_failure": scene.expect_failure,
-        }
-        emit(report, args.out)
-        return EXIT_VIOLATION if scene.expect_failure else EXIT_OK
+            outcome = {"ses_valid": False, "findings": exc.findings}
+        else:
+            les = snake_les(ses, labels=("M", "U+V", "UV"), map_labels=("A*", "B*", "delta"))
+            outcome = {"ses_valid": True, "les": les}
+        emit({"kind": "mv", "cover": kind, "expect_failure": scene.expect_failure, **outcome}, args.out)
+        # an expected failure passes only when the cover fails
+        return EXIT_VIOLATION if scene.expect_failure == outcome["ses_valid"] else EXIT_OK
 
-    mu = scene.morphism()
-    p = scene.grid_value("p", 0)
-    D = scene.grid_value("D", scene.model.budget)
-    if "q" in scene.data.get("grid", {}):
-        raise SceneError(f"'grid.q' is not read by sequence --kind {args.kind}, which takes p and D")
-    top = max(mu.source.m, mu.target.m)
-    if not 0 <= p <= top:
-        raise SceneError(f"grid axis p value {p} outside [0, {top}]")
     rc = make_relative_complex(mu, p, D)
     if args.kind == "relative":
-        les = relative_les(rc)
-        emit({"kind": "relative", "p": p, "D": D, "les": les}, args.out)
+        emit({"kind": "relative", "p": p, "D": D, "les": relative_les(rc)}, args.out)
         return EXIT_OK
     if args.kind == "delta":
-        report = delta_equals_pullback_check(rc)
-        emit({"kind": "delta", "p": p, "D": D, "report": report}, args.out)
-        return EXIT_OK if report["all_equal"] else EXIT_VIOLATION
-    if args.kind == "boundary":
-        report = corollary_boundary_report(rc)
-        emit({"kind": "boundary", "p": p, "D": D, "report": report}, args.out)
-        return EXIT_OK if report["all_pass"] else EXIT_VIOLATION
-    raise SceneError(f"unknown sequence kind {args.kind!r}")
+        report, passed = delta_equals_pullback_check(rc), "all_equal"
+    else:
+        report, passed = corollary_boundary_report(rc), "all_pass"
+    emit({"kind": args.kind, "p": p, "D": D, "report": report}, args.out)
+    return EXIT_OK if report[passed] else EXIT_VIOLATION
 
 
 def _form(model: FoliationModel, entry: dict, key: str) -> FoliatedForm:
@@ -428,8 +426,6 @@ def cmd_solve(args) -> int:
     slack = scene.slack if args.slack is None else _typed(args.slack, "a nonnegative integer", "--slack")
     op = _typed(entry.get("op", "dbar_f"), "a string", "target.op")
     _known_keys(entry, TARGET_KEYS.get(op, ("op", "form")), "target")
-    if scene.k is not None and op != "dbar_f_k":
-        raise SceneError("'k' is read only by target op dbar_f_k")
     if op == "tilde":
         mu = scene.morphism()
         phi = _form(mu.target, entry, "phi")
@@ -437,50 +433,24 @@ def cmd_solve(args) -> int:
     else:
         target = _form(scene.model, entry, "form")
         k = _typed(entry["k"], "an integer", "target.k") if "k" in entry else scene.k
-        _unread_knobs(scene, ("morphism", "f_prime"), f"solve target op {op}")
-    _unread_knobs(scene, ("trials", "h", "g", "pair", "cover", "expect_failure", "grid"), "solve")
+    _check_reads(scene, "solve", op)
     try:
         if op == "tilde":
             result = solve_primitive_tilde(mu, phi, psi, slack=slack)
-            if result is None:
-                emit({"op": op, "found": False, "slack": slack}, args.out)
-                return EXIT_VIOLATION
-            phi1, psi1 = result
-            emit(
-                {
-                    "op": op,
-                    "found": True,
-                    "certified": True,
-                    "slack": slack,
-                    "phi1": phi1.to_dict(),
-                    "psi1": psi1.to_dict(),
-                },
-                args.out,
-            )
-            return EXIT_OK
-        primitive = solve_primitive(op, scene.model, target, slack=slack, k=k)
-        if primitive is None:
-            emit({"op": op, "found": False, "slack": slack}, args.out)
-            return EXIT_VIOLATION
-        emit(
-            {
-                "op": op,
-                "found": True,
-                "certified": True,
-                "slack": slack,
-                "primitive": primitive.to_dict(),
-            },
-            args.out,
-        )
-        return EXIT_OK
+            found = None if result is None else {"phi1": result[0].to_dict(), "psi1": result[1].to_dict()}
+        else:
+            primitive = solve_primitive(op, scene.model, target, slack=slack, k=k)
+            found = None if primitive is None else {"primitive": primitive.to_dict()}
     except NotClosedError as exc:
         residual = exc.residual
-        if isinstance(residual, tuple):
-            detail = [str(r) for r in residual]
-        else:
-            detail = str(residual)
+        detail = [str(r) for r in residual] if isinstance(residual, tuple) else str(residual)
         emit({"op": op, "error": "target not closed", "residual": detail}, args.out)
         return EXIT_PRECONDITION
+    if found is None:
+        emit({"op": op, "found": False, "slack": slack}, args.out)
+        return EXIT_VIOLATION
+    emit({"op": op, "found": True, "certified": True, "slack": slack, **found}, args.out)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

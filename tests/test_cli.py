@@ -1,8 +1,10 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -62,6 +64,12 @@ def test_unknown_suite_exits_two(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["check", "--scene", scene, "--suite", "nonsense"])
     assert err.value.code == 2
+
+
+def test_operator_suite_reads_scene_g(tmp_path, capsys):
+    data = {"model": {"m": 1, "n": 0, "budget": 2, "f": "1"}, "g": "1+z1", "seed": 9, "trials": 5}
+    assert run(["check", "--scene", write_scene(tmp_path, "s.json", data), "--suite", "operators"]) == 0
+    assert json.loads(capsys.readouterr().out)["violations_total"] == 0
 
 
 def test_rescale_suite_skips_non_unit_h(tmp_path, capsys):
@@ -642,10 +650,15 @@ def test_sequence_grid_axis_single_value_forms_agree(tmp_path, capsys):
             {"pair": {"alpha": 2}, "morphism": {"z_components": ["z1^2"]}, "seed": 1},
             "'pair.alpha' must be a string, got 2",
         ),
+        (
+            ["check", "--suite", "intertwine"],
+            {"pair": "z1", "morphism": {"z_components": ["z1^2"]}, "seed": 1},
+            "'pair' must be an object, got \"z1\"",
+        ),
     ],
     ids=[
         "morphism_list", "z_components_int", "x_components_string", "target_no_form",
-        "target_int", "target_form_list", "tilde_no_psi", "pair_no_alpha", "pair_alpha_int",
+        "target_int", "target_form_list", "tilde_no_psi", "pair_no_alpha", "pair_alpha_int", "pair_string",
     ],
 )
 def test_mistyped_nested_fixture_exits_two(tmp_path, capsys, command, entry, message):
@@ -712,6 +725,40 @@ def test_shipped_and_benchmark_scenes_load(monkeypatch):
     assert len(scenes) == 11
     for data in scenes:
         cli.Scene(data)
+    # every benchmark job reads each key of its scene: the check suites all
+    # read the suites scene's morphism and f_prime
+    jobs = [(scene, args) for entries in bench.WORKLOADS.values() for _, scene, args in entries]
+    assert len(jobs) == 9
+    for scene, (command, _, selected) in jobs:
+        cli._check_reads(cli.Scene(dict(bench.SCENES[scene], seed=1)), command, selected)
+
+
+def _readme_key_rows() -> dict:
+    """README's scene-key table: each key's "read by" cell."""
+    lines = (SCENES.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | read by | value |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        key, read_by, _ = re.split(r"(?<!\\)\|", line)[1:-1]
+        rows[key.strip().strip("`")] = read_by.strip()
+    return rows
+
+
+def _read_by(readers: dict) -> str:
+    """A key's readers as README's table writes them."""
+    if readers == dict.fromkeys(cli.SELECTORS, cli.ALL):
+        return "every command"
+    cells = []
+    for command, values in readers.items():
+        selected = "" if values is cli.ALL else f" {cli.SELECTORS[command]} " + "\\|".join(values)
+        cells.append(f"`{command}{selected}`")
+    return ", ".join(cells)
+
+
+def test_readme_scene_key_table_matches_the_code():
+    rows = _readme_key_rows()
+    assert sorted(rows) == sorted(cli.SCENE_KEYS)
+    assert rows == {key: _read_by(readers) for key, (_, readers) in cli.SCENE_KEYS.items()}
 
 
 BASE_MODEL = {"m": 1, "n": 0, "budget": 2, "f": "1"}
@@ -757,13 +804,15 @@ def test_mistyped_scene_knob_exits_two(tmp_path, capsys, model, knobs, message):
     "command, entry, message",
     [
         (["sequence", "--kind", "mv"], {"cover": {"kind": "laurent", "D": 1.5}}, "'cover.D' must be an integer, got 1.5"),
+        (["sequence", "--kind", "mv"], {"cover": {"D": 2}}, "cover is missing 'kind'"),
+        (["sequence", "--kind", "mv"], {"cover": {"kind": ["laurent"]}}, "'cover.kind' must be a string, got [\"laurent\"]"),
         (
             ["solve"],
             {"target": {"op": "dbar_f_k", "k": True, "form": {"p": 0, "q": 1, "budget": 1, "terms": []}}},
             "'target.k' must be an integer, got true",
         ),
     ],
-    ids=["cover_D", "target_k"],
+    ids=["cover_D", "cover_no_kind", "cover_kind_list", "target_k"],
 )
 def test_mistyped_fixture_knob_exits_two(tmp_path, capsys, command, entry, message):
     scene = write_scene(tmp_path, "s.json", dict(entry, model=BASE_MODEL))
@@ -816,7 +865,7 @@ TILDE_TARGET = {"op": "tilde", "phi": dict(SOLVE_FORM, terms=[]), "psi": dict(SO
         (
             ["solve"],
             "relative_square.json",
-            {"k": 5, "target": {"op": "tilde", "phi": SOLVE_FORM, "psi": dict(SOLVE_FORM, q=0)}},
+            {"k": 5, "target": TILDE_TARGET},
             "'k' is read only by target op dbar_f_k",
         ),
     ]
@@ -826,11 +875,11 @@ TILDE_TARGET = {"op": "tilde", "phi": dict(SOLVE_FORM, terms=[]), "psi": dict(SO
             ("slack", {"slack": 0}),
             ("k", {"k": 3}),
             ("grid", {"grid": {"p": 1, "q": 1, "D": 9}}),
-            ("slack", {"slack": 4, "k": 3, "grid": {"p": 1}}),
+            ("k", {"slack": 4, "k": 3, "grid": {"p": 1}}),
         )
     ]
     + [
-        (["sequence", "--kind", kind], scene, knobs, f"{key!r} is not read by sequence --kind {kind}")
+        (["sequence", "--kind", kind], scene, knobs, f"{key!r} is not read by sequence")
         for kind, scene in (
             ("relative", "relative_square.json"),
             ("delta", "relative_square.json"),
@@ -863,7 +912,7 @@ TILDE_TARGET = {"op": "tilde", "phi": dict(SOLVE_FORM, terms=[]), "psi": dict(SO
         for key in SOLVE_UNREAD
     ]
     + [
-        (["solve"], "solve_untwisted.json", {key: UNREAD_KNOBS[key]}, f"{key!r} is not read by solve target op dbar")
+        (["solve"], "solve_untwisted.json", {key: UNREAD_KNOBS[key]}, f"{key!r} is read only by target op tilde")
         for key in ("morphism", "f_prime")
     ]
     + [
@@ -883,12 +932,69 @@ TILDE_TARGET = {"op": "tilde", "phi": dict(SOLVE_FORM, terms=[]), "psi": dict(SO
 )
 def test_knob_the_command_does_not_read_exits_two(tmp_path, capsys, command, scene, knobs, message):
     # each of these used to run at exit 0 with the knob silently ignored;
-    # each command names the first unread knob in the order its check lists them
+    # each command names the first unread knob in cli.SCENE_KEYS order
     data = dict(json.loads((SCENES / scene).read_text()), **knobs)
     assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+RELATIVE_UNREAD = ("trials", "h", "g", "pair", "cover", "target", "expect_failure")
+MV_UNREAD = ("grid", "morphism", "f_prime", "trials", "h", "g", "pair", "target")
+
+
+@pytest.mark.parametrize(
+    "command, scene, key, message",
+    [
+        (
+            ["sequence", "--kind", kind],
+            "relative_square.json",
+            key,
+            f"{key!r} is read only by --kind mv" if key in ("cover", "expect_failure") else f"{key!r} is not read by sequence",
+        )
+        for kind in ("relative", "delta", "boundary")
+        for key in RELATIVE_UNREAD
+    ]
+    + [
+        (
+            ["sequence", "--kind", "mv"],
+            "mv_laurent.json",
+            key,
+            f"{key!r} is read only by --kind relative, delta and boundary"
+            if key in ("grid", "morphism", "f_prime")
+            else f"{key!r} is not read by sequence",
+        )
+        for key in MV_UNREAD
+    ]
+    + [
+        (["check", "--suite", "leibniz", "--trials", "2"], "basic.json", key, f"{key!r} is not read by check")
+        for key in ("cover", "target", "expect_failure")
+    ],
+    ids=[f"sequence_{kind}_{key}" for kind in ("relative", "delta", "boundary") for key in RELATIVE_UNREAD]
+    + [f"sequence_mv_{key}" for key in MV_UNREAD]
+    + [f"check_{key}" for key in ("cover", "target", "expect_failure")],
+)
+def test_key_the_sequence_or_check_command_does_not_read_exits_two(tmp_path, capsys, command, scene, key, message):
+    # each of these used to run at exit 0 with the report of the scene without the key
+    value = dict(UNREAD_KNOBS, grid={"p": 0, "D": 2}, morphism={"z_components": ["z1^2"]})[key]
+    data = dict(json.loads((SCENES / scene).read_text()), **{key: value})
+    assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["pair", "f_prime"])
+@pytest.mark.parametrize("suite", ["intertwine", "leibniz"])
+def test_check_rejects_a_morphism_key_without_a_morphism(tmp_path, capsys, suite, key):
+    # the intertwine suite used to draw its own morphisms and ignore the key
+    data = dict(json.loads((SCENES / "basic.json").read_text()), **{key: UNREAD_KNOBS[key]})
+    command = ["check", "--suite", suite, "--trials", "2"]
+    assert run(command + ["--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key!r} needs a 'morphism'\n"
 
 
 @pytest.mark.parametrize(
