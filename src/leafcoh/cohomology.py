@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import add
 
-from .algebra import ONE, Series, expo_degree
+from .algebra import Series, expo_degree
 from .forms import (
     FoliatedForm,
     FoliationModel,
@@ -31,6 +31,8 @@ from .forms import (
     _basis_index,
     basis_dimension,
     basis_form,
+    count_monomials,
+    inclusion_positions,
     insert_index,
 )
 from .operators import (
@@ -44,10 +46,10 @@ from .operators import (
     tilde_dbar,
     twist_gap,
 )
+from . import linalg
 from .linalg import (
     LinearAlgebraError,
     Matrix,
-    _echelon,
     _raw_matrix,
     check_inclusion,
     hstack,
@@ -97,12 +99,6 @@ def form_from_vector(model: FoliationModel, p: int, q: int, budget: int, vec: di
         terms.setdefault((A, B), {})[expo] = coeff
     coeffs = {key: Series(model.m, model.n, budget, t) for key, t in terms.items()}
     return FoliatedForm(model, p, q, coeffs, budget)
-
-
-def inclusion_positions(model: FoliationModel, p: int, q: int, small: int, big: int):
-    """Positions of the budget-``small`` basis inside the budget-``big`` one."""
-    idx = _basis_index(model.m, model.n, p, q, big)
-    return [idx[e] for e in _basis_cached(model.m, model.n, p, q, small)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,41 +171,52 @@ def operator_matrix(
             f"budget contract violated: out {out_budget} < in {in_budget} + gap {gap}"
         )
     m, n = model.m, model.n
-    if twisted:
-        f_terms = list(model.f.terms.items())
-        weight = p + q - (k if tag == "dbar_f_k" else 0)
-    else:
-        f_terms = [(((0,) * m, (0,) * m, (0,) * n), ONE)]
-        weight = 0
-    slot = 1 if dq else 0  # the exponent block the derivative lowers
-    front = -1 if dq and p % 2 else 1
+    # exponent triples flattened to z + zb + x; the derivative lowers z_a or zb_a
+    f = model.f if twisted else Series.one(m, n)
+    f_terms = [(x + y + z, ft) for (x, y, z), ft in f.terms.items()]
+    weight = p + q - (k if tag == "dbar_f_k" else 0)  # f = 1 has t = 0 only
+    n_in, n_out = count_monomials(m, n, in_budget), count_monomials(m, n, out_budget)
     in_basis = _basis_cached(m, n, p, q, in_budget)
-    out_idx = _basis_index(m, n, p + dp, q + dq, out_budget)
-    entries = {}
-    pair, merges = None, []
-    for j, (A, B, e) in enumerate(in_basis):
-        if (A, B) != pair:  # the basis runs through each (A, B) in one stretch
-            pair, merges = (A, B), []
-            for i in range(m):
-                s, merged = insert_index(i + 1, B if dq else A)
-                if s:
-                    merges.append((i, s, merged))
-        if not merges:
-            continue
-        shifted = [([tuple(map(add, u, v)) for u, v in zip(e, t)], t[slot], ft) for t, ft in f_terms]
-        for i, s, merged in merges:
-            ei = e[slot][i]
-            for expo, t_slot, ft in shifted:
-                c = ei - weight * t_slot[i]
-                if not c:
-                    continue
-                lowered = list(expo[slot])
-                lowered[i] -= 1
-                key_expo = list(expo)
-                key_expo[slot] = tuple(lowered)
-                key = (A, merged, tuple(key_expo)) if dq else (merged, B, tuple(key_expo))
-                entries[(out_idx[key], j)] = ft * (front * s * c)
-    return _raw_matrix(len(out_idx), len(in_basis), entries)
+    out_basis = _basis_cached(m, n, p + dp, q + dq, out_budget)
+    # Positions are arithmetic (forms.inclusion_positions): (A, B, e) sits at
+    # pair rank * N + monomial rank.  The monomial map z^e -> z^(e + t - eps_a)
+    # and its factor do not depend on (A, B), so shifts tabulates them once per
+    # variable and sign: per input monomial, the (target monomial rank, entry)
+    # of each term with an entry.  Each (A, B) block places a copy; equal
+    # entries f_t * c are one shared scalar, and a row is one shared int.
+    mono_rank = {x + y + z: r for r, (_, _, (x, y, z)) in enumerate(out_basis[:n_out])}
+    pair_at = {(A, B): r * n_out for r, (A, B, _) in enumerate(out_basis[::n_out or 1])}
+    entries, tables, shared = {}, {}, {}
+    row_ints = list(range(len(out_basis)))
+
+    def shifts(i, sign):
+        table = []
+        for _, _, (x, y, z) in in_basis[:n_in]:
+            e, row = x + y + z, []
+            for t, ft in f_terms:
+                c = sign * (e[i] - weight * t[i])
+                if c:
+                    expo = list(map(add, e, t))
+                    expo[i] -= 1
+                    row.append((mono_rank[tuple(expo)], shared.get((t, c)) or shared.setdefault((t, c), ft * c)))
+            table.append(row)
+        return table
+
+    for j, (A, B, _) in enumerate(in_basis[::n_in or 1]):
+        placed = []
+        for a in range(1, m + 1):
+            s, merged = insert_index(a, B if dq else A)
+            if s:
+                key = (a - 1 + m * dq, -s if dq and p % 2 else s)  # flat index lowered, sign
+                if key not in tables:
+                    tables[key] = shifts(*key)
+                placed.append((tables[key], pair_at[(A, merged) if dq else (merged, B)]))
+        for u in range(n_in):
+            col = j * n_in + u
+            for table, row0 in placed:
+                for r, v in table[u]:
+                    entries[(row_ints[row0 + r], col)] = v
+    return _raw_matrix(len(out_basis), len(in_basis), entries)
 
 
 def _applied_matrix(apply, model: FoliationModel, p, q, in_budget, out_idx: dict) -> Matrix:
@@ -356,10 +363,13 @@ class _Grid:
                 for _, _, e in _basis_cached(self.model.m, self.model.n, bp, bq, family.budget)
             ]
             order = sorted(range(len(degrees)), key=degrees.__getitem__)
-            at = {c: j for j, c in enumerate(order)}
+            at = sorted(range(len(order)), key=order.__getitem__)  # column -> its place in order
             M = family.matrix
-            by_degree = _raw_matrix(M.rows, M.cols, {(r, at[c]): v for (r, c), v in M.entries.items()})
-            family.pivot_degrees = [degrees[order[j]] for j in _echelon(by_degree, forward=True)[1]]
+            rows = [{} for _ in range(M.rows)]
+            for (r, c), v in M.entries.items():
+                rows[r][at[c]] = v
+            pivots = linalg._gauss_jordan(rows, M.cols, forward=True) if M.entries else []
+            family.pivot_degrees = [degrees[order[j]] for j in pivots]
         return bisect_right(family.pivot_degrees, key[3])
 
     def nullity(self, key) -> int:

@@ -410,6 +410,15 @@ def basis_dimension(model: FoliationModel, p: int, q: int, budget: int) -> int:
     )
 
 
+def inclusion_positions(model: FoliationModel, p: int, q: int, small: int, big: int) -> list:
+    """Positions of the budget-``small`` (p,q) basis inside the budget-``big`` one."""
+    # A basis runs through its (A, B) pairs, each with all N(budget) monomials,
+    # and a lower budget's monomials are a prefix of a higher one's: (A, B, e)
+    # sits at pair rank * N(budget) + monomial rank.
+    n_small, n_big = count_monomials(model.m, model.n, small), count_monomials(model.m, model.n, big)
+    return [r * n_big + u for r in range(basis_dimension(model, p, q, 0)) for u in range(n_small)]
+
+
 @lru_cache(maxsize=None)
 def _basis_cached(m: int, n: int, p: int, q: int, budget: int):
     if p < 0 or q < 0 or p > m or q > m or budget < 0:

@@ -143,7 +143,10 @@ class Matrix:
         return Matrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
+        negated = {}  # entries that are one shared scalar share one negation
+        return _raw_matrix(
+            self.rows, self.cols, {k: negated.get(id(v)) or negated.setdefault(id(v), -v) for k, v in self.entries.items()}
+        )
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -1,0 +1,73 @@
+"""Reference operator assembly: the former dict-indexed ``operator_matrix``.
+
+Every output entry is placed by looking its (A, B, exponent) triple up in the
+``forms._basis_index`` dict of the target basis, one basis element and one
+twist term at a time.  ``inclusion_positions`` likewise looks each
+budget-``small`` element up in the budget-``big`` index.  The differential
+tests compare ``leafcoh.cohomology``'s position arithmetic against these.
+"""
+
+from __future__ import annotations
+
+from operator import add
+
+from leafcoh.algebra import ONE
+from leafcoh.cohomology import _OPS, BudgetContractError, operator_gap
+from leafcoh.forms import _basis_cached, _basis_index, insert_index
+from leafcoh.linalg import _raw_matrix
+
+
+def operator_matrix(tag, model, p, q, in_budget, out_budget, k=None):
+    """The matrix of ``tag`` from (p,q) at in_budget over the target basis at out_budget."""
+    if tag not in _OPS:
+        raise ValueError(f"unknown operator tag {tag!r}")
+    if tag == "dbar_f_k" and k is None:
+        raise ValueError("dbar_f_k needs the integer k")
+    dp, dq, twisted = _OPS[tag]
+    gap = operator_gap(tag, model)
+    if out_budget < in_budget + gap:
+        raise BudgetContractError(
+            f"budget contract violated: out {out_budget} < in {in_budget} + gap {gap}"
+        )
+    m, n = model.m, model.n
+    if twisted:
+        f_terms = list(model.f.terms.items())
+        weight = p + q - (k if tag == "dbar_f_k" else 0)
+    else:
+        f_terms = [(((0,) * m, (0,) * m, (0,) * n), ONE)]
+        weight = 0
+    slot = 1 if dq else 0
+    front = -1 if dq and p % 2 else 1
+    in_basis = _basis_cached(m, n, p, q, in_budget)
+    out_idx = _basis_index(m, n, p + dp, q + dq, out_budget)
+    entries = {}
+    pair, merges = None, []
+    for j, (A, B, e) in enumerate(in_basis):
+        if (A, B) != pair:
+            pair, merges = (A, B), []
+            for i in range(m):
+                s, merged = insert_index(i + 1, B if dq else A)
+                if s:
+                    merges.append((i, s, merged))
+        if not merges:
+            continue
+        shifted = [([tuple(map(add, u, v)) for u, v in zip(e, t)], t[slot], ft) for t, ft in f_terms]
+        for i, s, merged in merges:
+            ei = e[slot][i]
+            for expo, t_slot, ft in shifted:
+                c = ei - weight * t_slot[i]
+                if not c:
+                    continue
+                lowered = list(expo[slot])
+                lowered[i] -= 1
+                key_expo = list(expo)
+                key_expo[slot] = tuple(lowered)
+                key = (A, merged, tuple(key_expo)) if dq else (merged, B, tuple(key_expo))
+                entries[(out_idx[key], j)] = ft * (front * s * c)
+    return _raw_matrix(len(out_idx), len(in_basis), entries)
+
+
+def inclusion_positions(model, p, q, small, big):
+    """Positions of the budget-``small`` basis inside the budget-``big`` one, by lookup."""
+    idx = _basis_index(model.m, model.n, p, q, big)
+    return [idx[e] for e in _basis_cached(model.m, model.n, p, q, small)]

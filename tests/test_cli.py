@@ -1114,6 +1114,32 @@ def test_unknown_nested_scene_key_exits_two(tmp_path, capsys, command, entry, me
     assert captured.err == f"error: {message}\n"
 
 
+MALFORMED_FIXTURES = {
+    "morphism": (
+        {"morphism": {"z_component": ["z1"]}, "pair": {"beta": 1}},
+        "unknown morphism key(s) 'z_component'; allowed: x_components, z_components",
+    ),
+    "pair": (
+        {"morphism": {"z_components": ["z1^2"]}, "pair": {"beta": 1}},
+        "unknown pair key(s) 'beta'; allowed: alpha",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MALFORMED_FIXTURES))
+@pytest.mark.parametrize("suite", [s for s in cli.SUITES if s != "intertwine"])
+def test_check_parses_morphism_and_pair_on_every_suite(tmp_path, capsys, suite, fixture):
+    # only the intertwine suite used to parse them: the others ran at exit 0
+    # with a report, and the same scene exited 2 under intertwine
+    entry, message = MALFORMED_FIXTURES[fixture]
+    scene = write_scene(tmp_path, "s.json", dict(entry, model=BASE_MODEL, seed=1, trials=2))
+    for name in (suite, "intertwine"):
+        assert run(["check", "--suite", name, "--scene", scene]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_solve_target_k_is_read_by_dbar_f_k(tmp_path, capsys):
     zero = {"p": 0, "q": 1, "budget": 1, "terms": []}
     scene = write_scene(

@@ -668,13 +668,15 @@ def test_grid_with_unsorted_and_repeated_axes_matches_fresh_rows(seed):
 
 # Call counts of the three jobs of the benchmark's sparse_twist workload
 # (perfbench/run.py scenes sparse_m2 and sparse_m3): operator_matrix
-# assemblies, reference re-applications of the composition and eliminations.
-# Each family is assembled, re-checked and eliminated once at its top
-# budget; a lower budget assembled or eliminated again raises a count.
+# assemblies, reference re-applications of the composition, eliminations and
+# basis-index lookups.  Each family is assembled, re-checked and eliminated
+# once at its top budget; a lower budget assembled or eliminated again raises
+# a count.  Assembly and restriction compute basis positions, so only the
+# composition re-check (its target index) calls _basis_index.
 WORK_COUNTS = [
-    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 16)),
-    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 12)),
-    ("dolbeault", 3, "1+z1*zb2+z3^2", [1], [1], [3], (2, 0, 2)),
+    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 16, 6)),
+    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 12, 9)),
+    ("dolbeault", 3, "1+z1*zb2+z3^2", [1], [1], [3], (2, 0, 2, 0)),
 ]
 
 
@@ -694,9 +696,11 @@ def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, c
     counted(cohomology, "operator_matrix")
     counted(cohomology, "_applied_matrix")
     counted(linalg, "_gauss_jordan")
+    counted(cohomology, "_basis_index")
     model = FoliationModel(m, 0, 3, parse_series(f_text, m, 0, 3))
     cohomology_grid(model, variant, ps, qs, ds)
-    assert (calls["operator_matrix"], calls["_applied_matrix"], calls["_gauss_jordan"]) == counts
+    names = ("operator_matrix", "_applied_matrix", "_gauss_jordan", "_basis_index")
+    assert tuple(calls[name] for name in names) == counts
 
 
 def test_span_restricted_to():
