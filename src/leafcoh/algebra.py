@@ -770,6 +770,8 @@ class _Parser:
             d = self.take()
             if d.kind != "int":
                 raise SeriesParseError("expected denominator", d.pos)
+            if int(d.text) == 0:
+                raise SeriesParseError("zero denominator", d.pos)
             return Fraction(num, int(d.text))
         return Fraction(num)
 
@@ -786,16 +788,21 @@ class _Parser:
                 break
         else:
             raise SeriesParseError(f"unknown variable {name!r}", t.pos)
-        if self.peek().kind == "^":
-            self.take()
-            e = self.take()
-            if e.kind != "int":
-                raise SeriesParseError("expected integer exponent", e.pos)
-            return base.power(int(e.text))
-        return base
+        if self.peek().kind != "^":
+            return base
+        self.take()
+        e = self.take()
+        if e.kind != "int":
+            raise SeriesParseError("expected integer exponent", e.pos)
+        # one monomial, so parse() rejects a huge exponent with no multiplication
+        power = int(e.text)
+        (key,) = base.terms
+        return _raw_series(self.m, self.n, power, {tuple(tuple(x * power for x in part) for part in key): ONE})
 
 
 def parse_series(text: str, m: int, n: int, budget: int) -> Series:
     """Parse the series text grammar; raises SeriesParseError with a position."""
     s = _Parser(text, m, n, budget).parse()
-    return Series(m, n, budget, s.terms)
+    if budget < 0:  # parse() checked every term against it; a zero series has none
+        raise SeriesError("m, n and budget must be nonnegative")
+    return _raw_series(m, n, budget, s.terms)

@@ -4,8 +4,8 @@ Forms at a fixed budget are vectorised into sparse vectors over the
 deterministic basis of ``forms.enumerate_basis``; operator matrices are
 written down column by column from the closed-form monomial rule in
 ``operator_matrix``, and every dimension is counted from exact ranks of
-sparse matrices, building no basis (ker = cols - rk d, im = rk of the image
-matrix; image <= kernel by an exact product).
+sparse matrices, building no basis: each kernel K modulo image M is one
+``_Grid.group`` (dims cols - rk K and rk M, with im M <= ker K proved).
 
 Budget semantics ("truncation cohomology"): the group at budget D uses the
 kernel on budget-D forms and the image of sources at budget D - gap (gap =
@@ -175,8 +175,10 @@ def operator_matrix(
     f = model.f if twisted else Series.one(m, n)
     f_terms = [(x + y + z, ft) for (x, y, z), ft in f.terms.items()]
     weight = p + q - (k if tag == "dbar_f_k" else 0)  # f = 1 has t = 0 only
-    n_in, n_out = count_monomials(m, n, in_budget), count_monomials(m, n, out_budget)
     in_basis = _basis_cached(m, n, p, q, in_budget)
+    if not in_basis:
+        return _raw_matrix(basis_dimension(model, p + dp, q + dq, out_budget), 0, {})
+    n_in, n_out = count_monomials(m, n, in_budget), count_monomials(m, n, out_budget)
     out_basis = _basis_cached(m, n, p + dp, q + dq, out_budget)
     # Positions are arithmetic (forms.inclusion_positions): (A, B, e) sits at
     # pair rank * N + monomial rank.  The monomial map z^e -> z^(e + t - eps_a)
@@ -185,7 +187,7 @@ def operator_matrix(
     # of each term with an entry.  Each (A, B) block places a copy; equal
     # entries f_t * c are one shared scalar, and a row is one shared int.
     mono_rank = {x + y + z: r for r, (_, _, (x, y, z)) in enumerate(out_basis[:n_out])}
-    pair_at = {(A, B): r * n_out for r, (A, B, _) in enumerate(out_basis[::n_out or 1])}
+    pair_at = {(A, B): r * n_out for r, (A, B, _) in enumerate(out_basis[::n_out])}
     entries, tables, shared = {}, {}, {}
     row_ints = list(range(len(out_basis)))
 
@@ -202,7 +204,7 @@ def operator_matrix(
             table.append(row)
         return table
 
-    for j, (A, B, _) in enumerate(in_basis[::n_in or 1]):
+    for j, (A, B, _) in enumerate(in_basis[::n_in]):
         placed = []
         for a in range(1, m + 1):
             s, merged = insert_index(a, B if dq else A)
@@ -292,15 +294,15 @@ class _Grid:
     operator_matrix, plus the derived tags "composed" (partial_f after
     dbar_f), "stacked" (partial_f over dbar_f) and "image" ([partial_f from
     (p-1,q) | dbar_f from (p,q-1)] into (p,q)).  Keys that differ only in
-    in_budget, at one out_budget - in_budget, form a family.  A family is
-    assembled (a composition re-checked) at the largest in_budget asked for
-    and rebuilt if a larger one is asked for later.  A column does not
-    depend on the budget, so a lower budget's matrix is the restriction to
-    the lower bases, on columns and rows.  Ranks come from one forward
-    elimination of the family's matrix, columns in stable ascending
-    monomial degree: the budget-b columns are a prefix, and a left-to-right
-    elimination's pivot count in a column prefix is that prefix's rank.
-    cohomology_grid shares one instance between its rows.
+    in_budget, at one out_budget - in_budget, form a family, assembled (a
+    composition re-checked) at the largest in_budget asked for and rebuilt
+    if a larger one is asked for later.  A column does not depend on the
+    budget, so a lower budget's matrix is the restriction to the lower bases.
+    Ranks come from one forward elimination of the family's matrix, columns
+    in stable ascending monomial degree: the budget-b columns are a prefix,
+    whose rank is the elimination's pivot count in it.  Each kernel modulo
+    image is one group(kernel key, image key).  cohomology_grid shares one
+    instance between its rows.
     """
 
     def __init__(self, model: FoliationModel):
@@ -372,42 +374,40 @@ class _Grid:
             family.pivot_degrees = [degrees[order[j]] for j in pivots]
         return bisect_right(family.pivot_degrees, key[3])
 
-    def nullity(self, key) -> int:
-        return self.matrix(*key).cols - self.rank(key)
-
-
-def _outside_rank(d: Matrix, M: Matrix, keep: list) -> int:
-    """rk M[outside], the rows of M not in ``keep`` (d's columns), with the part
-    of im(M) on the rows ``keep`` checked to lie in ker(d).
-
-    That part is M[keep] applied to K = ker M[outside]: its dimension is
-    rk M - rk M[outside].  It lies in ker(d) iff d * M[keep] vanishes on K,
-    that is iff the rows of d * M[keep] lie in the row space of M[outside]:
-    rk [M[outside]; d * M[keep]] == rk M[outside], with no basis built.
-    """
-    pos = {r: i for i, r in enumerate(keep)}
-    out = {r: i for i, r in enumerate(r for r in range(M.rows) if r not in pos)}
-    block = _raw_matrix(len(pos), M.cols, {(pos[r], c): v for (r, c), v in M.entries.items() if r in pos})
-    rest = _raw_matrix(len(out), M.cols, {(out[r], c): v for (r, c), v in M.entries.items() if r in out})
-    outside = rank(rest)
-    if rank(vstack(rest, d.mul(block))) != outside:
-        raise LinearAlgebraError("image is not contained in the kernel: broken complex")
-    return outside
+    def group(self, kernel_key, image_key) -> tuple:
+        """(dim ker K, dim im M), K and M under the keys (no image_key: M = 0),
+        with im M <= ker K proved.  When M's out budget is K's in budget, by the
+        product K * M = 0.  Else (slack) M's rows split into pos, K's basis, and
+        out: the part of im M in K's basis is M[pos] on ker M[out], of dimension
+        rk M - rk M[out], and lies in ker K iff rk [M[out]; K * M[pos]] == rk M[out]."""
+        K = self.matrix(*kernel_key)
+        kernel = K.cols - self.rank(kernel_key)
+        if image_key is None:
+            return kernel, 0
+        M = self.matrix(*image_key)
+        image = self.rank(image_key)
+        D, top = kernel_key[3], image_key[4]
+        if top == D:
+            check_inclusion(K, M)
+        else:
+            pos = {r: i for i, r in enumerate(self._positions(_blocks(*image_key[:3])[1], D, top))}
+            out = {r: i for i, r in enumerate(r for r in range(M.rows) if r not in pos)}
+            block = _raw_matrix(len(pos), M.cols, {(pos[r], c): v for (r, c), v in M.entries.items() if r in pos})
+            rest = _raw_matrix(len(out), M.cols, {(out[r], c): v for (r, c), v in M.entries.items() if r in out})
+            outside = rank(rest)
+            if rank(vstack(rest, K.mul(block))) != outside:
+                raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+            image -= outside
+        return kernel, image
 
 
 def _bott_chern(grid: _Grid, p: int, q: int, D: int) -> tuple:
     """(dim ker, dim im) of ker partial_f & ker dbar_f modulo im partial_f dbar_f at (p,q,D)."""
     gap = grid.gap
-    d_key = ("dbar_f", p, q, D, D + gap, None)
-    stacked = ("stacked",) + d_key[1:]
-    # with no partial_f entries the stack eliminates as dbar_f alone
-    kernel = grid.nullity(stacked if grid.matrix("partial_f", *d_key[1:]).entries else d_key)
-    image = 0
-    if p and q and D >= 2 * gap:
-        key = ("composed", p - 1, q - 1, D - 2 * gap, D, None)
-        check_inclusion(grid.matrix(*stacked), grid.matrix(*key))
-        image = grid.rank(key)
-    return kernel, image
+    # with no partial_f entries the stack eliminates, and annihilates, as dbar_f alone
+    kernel = ("stacked" if grid.matrix("partial_f", p, q, D, D + gap).entries else "dbar_f", p, q, D, D + gap, None)
+    image = ("composed", p - 1, q - 1, D - 2 * gap, D, None) if p and q and D >= 2 * gap else None
+    return grid.group(kernel, image)
 
 
 def _row(p, q, D, kernel: int, image: int, image_source: int) -> dict:
@@ -429,19 +429,9 @@ def dolbeault_row(
     """
     grid = grid or _Grid(model)
     tag = "dbar_f" if k is None else "dbar_f_k"
-    d_key = (tag, p, q, D, D + grid.gap, k)
-    image = 0
     src = D - grid.gap + slack
-    if q >= 1 and src >= 0:
-        out = max(D, src + grid.gap)
-        M_key = (tag, p, q - 1, src, out, k)
-        if out == D:
-            check_inclusion(grid.matrix(*d_key), grid.matrix(*M_key))
-            image = grid.rank(M_key)
-        else:
-            keep = inclusion_positions(model, p, q, D, out)
-            image = grid.rank(M_key) - _outside_rank(grid.matrix(*d_key), grid.matrix(*M_key), keep)
-    row = _row(p, q, D, grid.nullity(d_key), image, max(src, -1))
+    M_key = (tag, p, q - 1, src, max(D, src + grid.gap), k) if q >= 1 and src >= 0 else None
+    row = _row(p, q, D, *grid.group((tag, p, q, D, D + grid.gap, k), M_key), max(src, -1))
     if k is not None:
         row["k"] = k
     return row
@@ -460,19 +450,11 @@ def aeppli_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> d
     """
     grid = grid or _Grid(model)
     gap = grid.gap
-    key = ("composed", p, q, D, D + 2 * gap, None)
-    parts = []
-    if p >= 1 and D >= gap:
-        parts.append(("partial_f", p - 1, q, D - gap, D, None))
-    if q >= 1 and D >= gap:
-        parts.append(("dbar_f", p, q - 1, D - gap, D, None))
-    for part in parts:
-        check_inclusion(grid.matrix(*key), grid.matrix(*part))
-    if len(parts) == 2:
-        image = grid.rank(("image", p, q, D - gap, D, None))
-    else:
-        image = grid.rank(parts[0]) if parts else 0
-    return _row(p, q, D, grid.nullity(key), image, D - gap)
+    image = None
+    if D >= gap and (p >= 1 or q >= 1):
+        source = ("partial_f", p - 1, q) if p >= 1 else ("dbar_f", p, q - 1)
+        image = (("image", p, q) if p >= 1 and q >= 1 else source) + (D - gap, D, None)
+    return _row(p, q, D, *grid.group(("composed", p, q, D, D + 2 * gap, None), image), D - gap)
 
 
 def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> dict:
@@ -490,25 +472,21 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
     grid = grid or _Grid(model)
     gap = grid.gap
     bc_kernel, bc_image = _bott_chern(grid, p, q, D)
-    d_key = ("dbar_f", p, q, D, D + gap, None)
-    image_rank, dolb_image = bc_kernel, 0
-    if q >= 1 and D >= gap:
-        M_key = ("dbar_f", p, q - 1, D - gap, D, None)
-        M = grid.matrix(*M_key)
-        check_inclusion(grid.matrix(*d_key), M)
-        dolb_image = grid.rank(M_key)
-        if bc_image:
-            P = grid.matrix("partial_f", p - 1, q - 1, D - 2 * gap, D - gap)
-            if not (M.mul(P) + grid.matrix("composed", p - 1, q - 1, D - 2 * gap, D)).is_zero:
-                raise AssertionError(
-                    "canonical map ill-defined: Bott-Chern image escapes the Dolbeault image"
-                )
-        if bc_kernel:
-            # partial_f M is the composition from (p, q-1)
-            composed = ("composed", p, q - 1, D - gap, D + gap, None)
-            image_rank -= dolb_image - grid.rank(composed)
+    M_key = ("dbar_f", p, q - 1, D - gap, D, None) if q >= 1 and D >= gap else None
+    dolb_kernel, dolb_image = grid.group(("dbar_f", p, q, D, D + gap, None), M_key)
+    image_rank = bc_kernel
+    if bc_image:  # then q >= 1 and D >= 2 gap, so M_key is set
+        P = grid.matrix("partial_f", p - 1, q - 1, D - 2 * gap, D - gap)
+        if not (grid.matrix(*M_key).mul(P) + grid.matrix("composed", p - 1, q - 1, D - 2 * gap, D)).is_zero:
+            raise AssertionError(
+                "canonical map ill-defined: Bott-Chern image escapes the Dolbeault image"
+            )
+    if bc_kernel and M_key:
+        # partial_f M is the composition from (p, q-1)
+        composed = ("composed", p, q - 1, D - gap, D + gap, None)
+        image_rank -= dolb_image - grid.rank(composed)
     row = {"p": p, "q": q, "D": D, "rank": image_rank, "domain": bc_kernel - bc_image}
-    row["codomain"] = grid.nullity(d_key) - dolb_image
+    row["codomain"] = dolb_kernel - dolb_image
     return row
 
 

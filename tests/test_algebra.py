@@ -192,6 +192,28 @@ def test_parse_errors_carry_position():
         parse_series("z1^3", 1, 0, 2)
 
 
+def test_parse_rejects_a_zero_denominator():
+    with pytest.raises(SeriesParseError, match=r"^zero denominator \(at position 2\)$") as err:
+        parse_series("1/0 + z1", 1, 0, 2)
+    assert err.value.pos == 2
+
+
+def test_parse_over_budget_power_message():
+    with pytest.raises(SeriesError, match=r"^term z1\^1000000000 of degree 1000000000 exceeds budget 64$"):
+        parse_series("1+z1^1000000000", 1, 0, 64)
+
+
+def test_parse_power_is_one_monomial(monkeypatch):
+    # var^e is one monomial: a huge exponent costs no multiplication before the budget check
+    assert parse_series("z1^0", 1, 0, 0) == Series.one(1, 0)
+    assert parse_series("2*zb2^3*x1", 2, 1, 4).terms == {((0, 0), (0, 3), (1,)): GaussianRational(2)}
+    calls = []
+    real = Series.mul
+    monkeypatch.setattr(Series, "mul", lambda self, *args, **kw: calls.append(1) or real(self, *args, **kw))
+    assert parse_series("z1^1000", 1, 0, 1000).terms == {((1000,), (0,), ()): GaussianRational(1)}
+    assert calls == []
+
+
 def test_parse_gaussian_coefficient():
     s = parse_series("(1+2i)*z1", 1, 0, 1)
     assert s.terms[((1,), (0,), ())] == GaussianRational(1, 2)

@@ -57,6 +57,24 @@ def test_malformed_series_exit_two(tmp_path, capsys):
     assert "position" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("1/0", "zero denominator (at position 2)"),
+        ("1+z1^1000000000", "term z1^1000000000 of degree 1000000000 exceeds budget 64"),
+    ],
+    ids=["zero_denominator", "huge_exponent"],
+)
+def test_bad_twist_number_exits_two(tmp_path, capsys, f, message):
+    scene = write_scene(
+        tmp_path, "s.json", {"model": {"m": 1, "n": 0, "budget": 2, "f": f}, "grid": {"p": 0, "q": 0, "D": 1}}
+    )
+    assert run(["cohomology", "--scene", scene]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_unknown_suite_exits_two(tmp_path):
     scene = write_scene(
         tmp_path, "s.json", {"model": {"m": 1, "n": 0, "budget": 2, "f": "1"}, "seed": 1}
@@ -436,6 +454,32 @@ def test_corrupted_low_degree_entry_exits_internal_on_every_variant(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("variant", ["bc", "aeppli", "canonical"])
+def test_escaping_composed_entry_exits_internal(tmp_path, capsys, monkeypatch, variant):
+    # position 0 is the constant dz1 ^ dzb1 at every budget.  It is not
+    # dbar_f-closed, so a bump at (0, 0) of partial_f dbar_f from (0,0) leaves
+    # the Bott-Chern kernel (canonical proves its Bott-Chern group first); and
+    # dbar_f(zb1 dz1) has a dz1 ^ dzb1 term, so the bumped Aeppli kernel
+    # matrix out of (1,1) no longer kills the image
+    real = cohomology._composed_matrix
+
+    def escaping(*args):
+        C = real(*args)
+        if not C.rows or not C.cols:
+            return C
+        entries = dict(C.entries)
+        entries[(0, 0)] = entries.get((0, 0), 0) + 1
+        return Matrix(C.rows, C.cols, entries)
+
+    monkeypatch.setattr(cohomology, "_composed_matrix", escaping)
+    data = {"model": {"m": 2, "n": 0, "budget": 2, "f": "1+z1*zb2"}, "grid": {"p": 1, "q": 1, "D": 2}}
+    scene = write_scene(tmp_path, "s.json", data)
+    assert run(["cohomology", "--scene", scene, "--variant", variant]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
 
 
 def test_failed_primitive_certification_exits_internal(capsys, monkeypatch):

@@ -105,6 +105,18 @@ def test_operator_matrix_top_degree_target_is_empty():
     assert M.rows == 0 and M.cols == basis_dimension(model, 0, 1, 2)
 
 
+def test_operator_matrix_empty_source_reads_no_target_basis(monkeypatch):
+    # cone_blocks asks for dbar_f out of (0, -1) at grade 0: a matrix with no
+    # columns, whose row count is arithmetic
+    requests = []
+    real = cohomology._basis_cached
+    monkeypatch.setattr(cohomology, "_basis_cached", lambda *args: requests.append(args) or real(*args))
+    model = FoliationModel(2, 0, 2, parse_series("1+z1", 2, 0, 1))
+    M = operator_matrix("dbar_f", model, 0, -1, 0, 14)
+    assert (M.rows, M.cols, M.entries) == (basis_dimension(model, 0, 0, 14), 0, {})
+    assert (2, 0, 0, 0, 14) not in requests
+
+
 def test_operator_matrix_zero_twist():
     model = FoliationModel(1, 0, 2, Series.zero(1, 0))
     for tag in ("dbar_f", "partial_f"):

@@ -2,7 +2,8 @@
 top-level function or class is used or exported, only the seeded generators
 import ``random``, the exact engine imports neither ``sampling`` nor
 ``checks``, the trusted ``ChainMap._commuting`` is used only by the two
-sequence builders, and only ``checks`` forks.
+sequence builders, only ``checks`` forks, and only ``_Grid.group`` and the
+``Quotient`` of ``linalg`` prove an inclusion with ``check_inclusion``.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -218,3 +219,40 @@ def test_fork_finder_sees_attributes_and_imports():
 def test_only_the_case_runner_forks():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert fork_callers(sources) == FORKING_MODULES
+
+
+# a grid row proves im <= ker in _Grid.group alone; the sequences' Quotient
+# proves its own, and linalg defines the product check
+INCLUSION_PROVERS = {("cohomology", "_Grid"), ("linalg", "check_inclusion"), ("linalg", "Quotient")}
+
+
+def name_users(sources: dict, name: str) -> set:
+    """(module, top-level definition) of every identifier, attribute or
+    definition called ``name`` in ``sources`` (module name -> source); an
+    import does not count, and a use outside any definition has None."""
+    users = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            for sub in ast.walk(node):
+                if (
+                    (isinstance(sub, ast.Name) and sub.id == name)
+                    or (isinstance(sub, ast.Attribute) and sub.attr == name)
+                    or (isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub.name == name)
+                ):
+                    users.add((module, owner))
+    return users
+
+
+def test_name_finder_sees_names_attributes_and_definitions():
+    sources = {
+        "a": "def prove(): pass\nclass G:\n    def group(self):\n        return prove()\n",
+        "b": "from .a import prove\nfrom . import a\ndef row():\n    a.prove()\ncheck = prove\n",
+        "c": "def row():\n    return 'prove'\n",
+    }
+    assert name_users(sources, "prove") == {("a", "prove"), ("a", "G"), ("b", "row"), ("b", None)}
+
+
+def test_only_the_grid_group_and_quotient_prove_inclusions():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert name_users(sources, "check_inclusion") == INCLUSION_PROVERS
