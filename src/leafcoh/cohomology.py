@@ -586,13 +586,16 @@ def cone_blocks(
     its image is target-(p,q+1) + source-(p,q) at out_budgets.  The cone
     matrix is [[dbar_{f'}, 0], [mu*, -dbar_{mu* f'}]] with f' the twist of
     mu's target; returned as (dbar_{f'}, -dbar_{mu* f'}, cone).  At q = 0
-    the source block has no columns.
+    the source block has no columns and is the empty matrix at any budgets.
     """
     (in_t, in_s), (out_t, out_s) = in_budgets, out_budgets
     source_model = mu.source.with_twist(mu.pulled_twist)
     m11 = operator_matrix("dbar_f", mu.target, p, q, in_t, out_t)
     m21 = pullback_matrix(mu, p, q, in_t, out_s)
-    m22 = -operator_matrix("dbar_f", source_model, p, q - 1, in_s, out_s)
+    if q == 0:
+        m22 = _raw_matrix(m21.rows, 0, {})
+    else:
+        m22 = -operator_matrix("dbar_f", source_model, p, q - 1, in_s, out_s)
     cone = vstack(hstack(m11, Matrix.zero(m11.rows, m22.cols)), hstack(m21, m22))
     return m11, m22, cone
 

@@ -469,9 +469,10 @@ def solve(M: Matrix, b: dict) -> dict | None:
 class Quotient:
     """ker(d) / image: a cohomology group with class representatives.
 
-    It serves the long exact sequences (leafcoh.sequences), which need
-    representatives and class coordinates; the cohomology grids count
-    dimensions from ranks instead.  ``image`` is a Subspace of the source of
+    It serves the comparison of the connecting map with the pullback
+    (sequences.delta_equals_pullback_check), which needs representatives and
+    class coordinates; the cohomology grids and the long exact sequences
+    count dimensions and map ranks from ranks instead.  ``image`` is a Subspace of the source of
     d, or None for zero.  The inclusion image <= ker(d) is proved by
     check_inclusion; kernel_basis spans ker(d), so this is as strong as a
     rank test on the combined basis.

@@ -1,20 +1,29 @@
 """Short exact sequences of cochain complexes and their long exact sequences.
 
-The snake engine works on bare matrix data: a CochainComplex is a graded
-family of exact matrices with d.d = 0, a ChainMap commutes with the
-differentials, and a ShortExactSequence is verified grade by grade
-(injectivity, surjectivity, kernel = image).  Each fact is proved once:
-d.d = 0 by the Quotients of complex_cohomology, which every report takes of
-all three complexes, and commutation by the ChainMap constructor, or by
-block algebra for the inject and project maps of the two builders
-(ChainMap._commuting).  The connecting homomorphism is computed by the
+The engine works on bare matrix data: a CochainComplex is a graded family of
+exact matrices with d.d = 0, a ChainMap commutes with the differentials, and
+a ShortExactSequence is verified grade by grade (injectivity, surjectivity,
+kernel = image), or is exact by construction (ShortExactSequence._exact,
+for the relative builder's [0; I] and [I 0]).  Each fact is proved once:
+d.d = 0 by one product per grade on the middle complex, which the exact
+sequence carries to the outer two (_prove_squares), and commutation by the
+ChainMap constructor, or by block algebra for the inject and project maps of
+the two builders (ChainMap._commuting).
+
+The long exact sequence is read off forward ranks (_les_nodes): the
+dimensions from the ranks of the differentials, the ranks of i* and p* from
+the ranks of their mapping cones, and rk delta from exactness at H(R).  It
+builds no Quotient and no induced matrix, so no product of consecutive maps
+checks a node: rank identities at every node prove exactness.  Only
+delta_equals_pullback_check, which compares delta with the
+pullback class by class, still computes the connecting homomorphism by the
 usual zig-zag, every step an exact linear solve against a matrix eliminated
 once per grade.  The class does not depend on the lift (proved in
 _connect_class), so each class is lifted once and nothing is drawn at
-random.  Exactness at every node is the snake lemma.  Once the sequence is
-validated, a failed solve, a broken complex or a node that is not exact is
-a fault of the engine and raises LinearAlgebraError, never an input error
-or a finding, as the engine builds every complex and map from the scene.
+random.  Once the sequence is validated, a failed solve, a broken complex or
+a node that is not exact is a fault of the engine and raises
+LinearAlgebraError, never an input error or a finding, as the engine builds
+every complex and map from the scene.
 
 On top of the abstract engine sit the two paper-shaped constructions: the
 relative (mapping-cone) complex of a morphism of twisted models, and the
@@ -31,6 +40,7 @@ from .linalg import (
     LinearAlgebraError,
     Matrix,
     Quotient,
+    check_inclusion,
     hstack,
     rank,
     vstack,
@@ -55,7 +65,7 @@ class CoverValidationError(SESValidationError):
 class CochainComplex:
     """Grades 0..T with differentials d_q: grade q -> grade q+1, d.d = 0.
 
-    The constructor checks shapes; complex_cohomology proves d.d = 0.
+    The constructor checks shapes; _prove_squares proves d.d = 0.
     """
 
     __slots__ = ("dims", "diffs")
@@ -144,6 +154,13 @@ class ShortExactSequence:
         self._factors = {}
         self._findings = None
 
+    @classmethod
+    def _exact(cls, left, middle, right, inject: ChainMap, project: ChainMap) -> "ShortExactSequence":
+        """A sequence exact by construction: validate finds nothing and eliminates nothing."""
+        ses = cls(left, middle, right, inject, project)
+        ses._findings = []
+        return ses
+
     def factor(self, which: str, q: int) -> Factorization:
         """The "inject" or "project" component at grade q, eliminated once.
 
@@ -210,8 +227,103 @@ class ShortExactSequence:
 
 
 # ---------------------------------------------------------------------------
-# Cohomology of a complex and the snake lemma
+# The long exact sequence from ranks, and the snake lemma
 # ---------------------------------------------------------------------------
+
+
+def _prove_squares(ses: ShortExactSequence):
+    """d_M d_M = 0 on the middle complex, one exact product per grade.
+
+    With the sequence exact this proves the outer complexes too: i d_L d_L =
+    d_M d_M i = 0 with i injective, and d_R d_R p = p d_M d_M = 0 with p
+    surjective.  For the relative cone [[d_R, 0], [mu*, d_L]] it is also the
+    proof that mu* commutes with the differentials, up to the cone's sign.
+    """
+    d = ses.middle.diffs
+    for q in range(1, len(d)):
+        check_inclusion(d[q], d[q - 1])
+
+
+def _cohomology_dims(cx: CochainComplex, ranks: list) -> list:
+    """dim H^q = dim C^q - rk d_q - rk d_{q-1}, from ranks[q] = rk d_q."""
+    return [n - ranks[q] - (ranks[q - 1] if q else 0) for q, n in enumerate(cx.dims)]
+
+
+def _induced_rank(f: ChainMap, q: int, source_ranks: list, target_ranks: list) -> int:
+    """rk H^q(f) = rk C_q - rk d_A^q - rk d_B^{q-1} for a chain map f: A -> B.
+
+    C_q = [[f_q, d_B^{q-1}], [d_A^q, 0]] is the mapping-cone differential up
+    to signs and the order of its rows, which do not change a rank (Weibel,
+    An Introduction to Homological Algebra, 1.5); with f_q on top the
+    elimination pivots on f first, which is the faster order.  ker C_q
+    projects onto W = {z in Z^q(A) : f z in B^q(B)} with kernel Z^{q-1}(B),
+    and ker H^q(f) = W / B^q(A).
+    """
+    d = f.source.differential(q)
+    below = f.target.diffs[q - 1] if q else Matrix.zero(f.target.dims[0], 0)
+    cone = vstack(hstack(f.components[q], below), hstack(d, Matrix.zero(d.rows, below.cols)))
+    return rank(cone) - source_ranks[q] - (target_ranks[q - 1] if q else 0)
+
+
+def _les_nodes(ses: ShortExactSequence, labels) -> list:
+    """(group, dim, rank of the outgoing map) at every node of the long exact sequence.
+
+    The nodes are H^q(L), H^q(M), H^q(R) for q = 0..T, left by i*, p* and
+    the connecting map delta.  Dimensions come from the ranks of the
+    differentials, rk i* and rk p* from the ranks of their cones, and rk
+    delta_q = dim H^q(R) - rk p*_q below the top grade, where delta is zero.
+    With p.i = 0 at chain level (validate, or the builder), exactness at
+    every node is the snake lemma; the ranks prove it again node by node:
+    rk i*_q + rk p*_q = dim H^q(M), dim H^{q+1}(L) - rk i*_{q+1} = rk
+    delta_q, i*_0 is injective and p*_T is onto.  A node that fails is a
+    fault of the engine: LinearAlgebraError names the first one.
+    """
+    _prove_squares(ses)
+    cxs = (ses.left, ses.middle, ses.right)
+    ranks = [[rank(d) for d in cx.diffs] + [0] for cx in cxs]
+    h_l, h_m, h_r = (_cohomology_dims(cx, r) for cx, r in zip(cxs, ranks))
+    nodes = []
+    top = len(h_m) - 1
+    for q in range(top + 1):
+        i_rank = _induced_rank(ses.inject, q, ranks[0], ranks[1])
+        p_rank = _induced_rank(ses.project, q, ranks[1], ranks[2])
+        nodes.append((f"H^{q}({labels[0]})", h_l[q], i_rank))
+        nodes.append((f"H^{q}({labels[1]})", h_m[q], p_rank))
+        nodes.append((f"H^{q}({labels[2]})", h_r[q], h_r[q] - p_rank if q < top else 0))
+    in_rank = 0
+    for label, dim, out_rank in nodes:
+        if not (out_rank >= 0 and in_rank == dim - out_rank):
+            raise LinearAlgebraError(f"long exact sequence is not exact at {label}")
+        in_rank = out_rank
+    return nodes
+
+
+def snake_les(
+    ses: ShortExactSequence,
+    labels=("L", "M", "R"),
+    map_labels=("i*", "p*", "delta"),
+) -> dict:
+    """Long exact sequence report for a validated short exact sequence.
+
+    The engine refuses to emit a report for an invalid input; for a valid one
+    it reads every dimension and map rank off the ranks of _les_nodes, which
+    proves exactness at every node.
+    """
+    findings = ses.validate()
+    if findings:
+        raise SESValidationError(findings)
+    report_nodes = [
+        {"group": label, "dim": dim, "out_map": map_labels[k % 3], "out_map_rank": out_rank, "exact": True}
+        for k, (label, dim, out_rank) in enumerate(_les_nodes(ses, labels))
+    ]
+    alternating = 0
+    for k, node in enumerate(report_nodes):
+        alternating += node["dim"] if k % 2 == 0 else -node["dim"]
+    return {
+        "nodes": report_nodes,
+        "exact_everywhere": True,
+        "alternating_sum_zero": alternating == 0,
+    }
 
 
 def complex_cohomology(cx: CochainComplex) -> list:
@@ -229,15 +341,12 @@ def complex_cohomology(cx: CochainComplex) -> list:
 
 
 class SnakeResult:
-    """Cohomology of all three complexes plus the induced and connecting maps."""
+    """Cohomology of the outer complexes, with representatives, and the connecting maps."""
 
-    def __init__(self, grades, left, middle, right, induced_inject, induced_project, connecting):
+    def __init__(self, grades, left, right, connecting):
         self.grades = grades
         self.left = left
-        self.middle = middle
         self.right = right
-        self.induced_inject = induced_inject  # H_q(L) -> H_q(M)
-        self.induced_project = induced_project  # H_q(M) -> H_q(R)
         self.connecting = connecting  # H_q(R) -> H_{q+1}(L); zero map at the top grade
 
 
@@ -249,20 +358,12 @@ def _class_of(H: Quotient, vec: dict) -> dict:
         raise LinearAlgebraError(f"snake engine: {exc}") from None
 
 
-def _induced_matrix(comp: Matrix, src: Quotient, dst: Quotient) -> Matrix:
-    cols = []
-    for rep in src.reps:
-        cols.append(_class_of(dst, comp.matvec(rep)))
-    return Matrix.from_columns(cols, dst.dim)
-
-
 def _snake(ses: ShortExactSequence) -> SnakeResult:
+    """The connecting homomorphism, class by class, for delta_equals_pullback_check."""
     grades = len(ses.middle.dims)
+    _prove_squares(ses)
     hl = complex_cohomology(ses.left)
-    hm = complex_cohomology(ses.middle)
     hr = complex_cohomology(ses.right)
-    ind_i = [_induced_matrix(ses.inject.components[q], hl[q], hm[q]) for q in range(grades)]
-    ind_p = [_induced_matrix(ses.project.components[q], hm[q], hr[q]) for q in range(grades)]
     connecting = []
     for q in range(grades):
         if q + 1 >= grades:
@@ -272,7 +373,7 @@ def _snake(ses: ShortExactSequence) -> SnakeResult:
         for rep in hr[q].reps:
             cols.append(_connect_class(ses, q, rep, hl[q + 1]))
         connecting.append(Matrix.from_columns(cols, hl[q + 1].dim))
-    return SnakeResult(grades, hl, hm, hr, ind_i, ind_p, connecting)
+    return SnakeResult(grades, hl, hr, connecting)
 
 
 def _connect_class(ses, q, rep: dict, hl_next: Quotient) -> dict:
@@ -302,61 +403,6 @@ def _connect_class(ses, q, rep: dict, hl_next: Quotient) -> dict:
     if y is None:
         raise LinearAlgebraError("zig-zag pull-back failed: d(lift) escapes the image of inject")
     return _class_of(hl_next, y)
-
-
-def snake_les(
-    ses: ShortExactSequence,
-    labels=("L", "M", "R"),
-    map_labels=("i*", "p*", "delta"),
-) -> dict:
-    """Long exact sequence report for a validated short exact sequence.
-
-    The engine refuses to emit a report for an invalid input; for a valid one
-    it computes all cohomologies, the induced maps and the connecting
-    homomorphisms.  Exactness at every node (image of the incoming map equals
-    kernel of the outgoing one) is the snake lemma, so a node that is not
-    exact is a fault of the engine: LinearAlgebraError names the first one.
-    """
-    findings = ses.validate()
-    if findings:
-        raise SESValidationError(findings)
-    data = _snake(ses)
-    nodes = []
-    maps = []
-    for q in range(data.grades):
-        nodes.append((f"H^{q}({labels[0]})", data.left[q].dim))
-        maps.append((map_labels[0], data.induced_inject[q]))
-        nodes.append((f"H^{q}({labels[1]})", data.middle[q].dim))
-        maps.append((map_labels[1], data.induced_project[q]))
-        nodes.append((f"H^{q}({labels[2]})", data.right[q].dim))
-        maps.append((map_labels[2], data.connecting[q]))
-    report_nodes = []
-    prev_map: Matrix | None = None
-    in_rank = 0
-    for k, (label, dim) in enumerate(nodes):
-        out_label, out_matrix = maps[k]
-        out_rank = rank(out_matrix)
-        composes = prev_map is None or out_matrix.mul(prev_map).is_zero
-        if not (composes and in_rank == dim - out_rank):
-            raise LinearAlgebraError(f"long exact sequence is not exact at {label}")
-        report_nodes.append(
-            {
-                "group": label,
-                "dim": dim,
-                "out_map": out_label,
-                "out_map_rank": out_rank,
-                "exact": True,
-            }
-        )
-        prev_map, in_rank = out_matrix, out_rank
-    alternating = 0
-    for k, node in enumerate(report_nodes):
-        alternating += node["dim"] if k % 2 == 0 else -node["dim"]
-    return {
-        "nodes": report_nodes,
-        "exact_everywhere": True,
-        "alternating_sum_zero": alternating == 0,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +494,12 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
             for q in range(grades)
         ],
     )
-    ses = ShortExactSequence(left, middle, right, inject, project)
+    # [0; I] is injective, [I 0] onto, and its kernel is the image of [0; I]
+    ses = ShortExactSequence._exact(left, middle, right, inject, project)
     return RelativeComplex(mu, p, tb, sb, ses)
+
+
+_RELATIVE_LABELS = ("F", "mu", "F'")
 
 
 def relative_les(rc: RelativeComplex) -> dict:
@@ -459,7 +509,7 @@ def relative_les(rc: RelativeComplex) -> dict:
     with maps alpha*, beta* and the connecting homomorphism (which agrees
     with the pullback).
     """
-    return snake_les(rc.ses, labels=("F", "mu", "F'"), map_labels=("alpha*", "beta*", "delta*"))
+    return snake_les(rc.ses, labels=_RELATIVE_LABELS, map_labels=("alpha*", "beta*", "delta*"))
 
 
 def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
@@ -498,23 +548,24 @@ def corollary_boundary_report(rc: RelativeComplex) -> dict:
     grades above m' + 1; (v) the cone cohomology vanishes above
     max(m + 1, m').
     """
-    data = _snake(rc.ses)
+    nodes = _les_nodes(rc.ses, _RELATIVE_LABELS)
     m_t = rc.m_target
     m_s = rc.m_source
-    grades = data.grades
+    # per grade: dims of H^q(source side), H^q(cone), H^q(target); ranks of alpha*_q, beta*_q
+    dims = [tuple(dim for _, dim, _ in nodes[k : k + 3]) for k in range(0, len(nodes), 3)]
+    alpha = [out_rank for _, _, out_rank in nodes[0::3]]
+    beta = [out_rank for _, _, out_rank in nodes[1::3]]
+    grades = len(dims)
     items = {}
-
-    def dims(q):
-        return data.left[q].dim, data.middle[q].dim, data.right[q].dim
 
     # (i) beta*: H^{m_s+1}(cone) -> H^{m_s+1}(target) is an epimorphism
     q = m_s + 1
     ok = True
     witness = {}
     if q < grades:
-        r = rank(data.induced_project[q])
-        ok = r == data.right[q].dim
-        witness = {"grade": q, "rank": r, "codomain": data.right[q].dim}
+        r = beta[q]
+        ok = r == dims[q][2]
+        witness = {"grade": q, "rank": r, "codomain": dims[q][2]}
     items["i"] = {"pass": bool(ok), "witness": witness}
 
     # (ii) alpha*: H^{m_t}(source side) -> H^{m_t+1}(cone) is an epimorphism
@@ -522,38 +573,38 @@ def corollary_boundary_report(rc: RelativeComplex) -> dict:
     ok = True
     witness = {}
     if q < grades:
-        r = rank(data.induced_inject[q])
-        ok = r == data.middle[q].dim
-        witness = {"grade": q, "rank": r, "codomain": data.middle[q].dim}
+        r = alpha[q]
+        ok = r == dims[q][1]
+        witness = {"grade": q, "rank": r, "codomain": dims[q][1]}
     items["ii"] = {"pass": bool(ok), "witness": witness}
 
     # (iii) beta* iso for grades q > m_s + 1
     checked = []
     ok = True
     for q in range(m_s + 2, grades):
-        r = rank(data.induced_project[q])
-        good = r == data.middle[q].dim == data.right[q].dim
+        r = beta[q]
+        good = r == dims[q][1] == dims[q][2]
         ok = ok and good
-        checked.append({"grade": q, "rank": r, "domain": data.middle[q].dim, "codomain": data.right[q].dim})
+        checked.append({"grade": q, "rank": r, "domain": dims[q][1], "codomain": dims[q][2]})
     items["iii"] = {"pass": bool(ok), "witness": checked}
 
     # (iv) alpha* iso into grade q+1 for q > m_t
     checked = []
     ok = True
     for q in range(m_t + 1, grades - 1):
-        r = rank(data.induced_inject[q + 1])
-        good = r == data.left[q + 1].dim == data.middle[q + 1].dim
+        r = alpha[q + 1]
+        good = r == dims[q + 1][0] == dims[q + 1][1]
         ok = ok and good
-        checked.append({"grade": q + 1, "rank": r, "domain": data.left[q + 1].dim, "codomain": data.middle[q + 1].dim})
+        checked.append({"grade": q + 1, "rank": r, "domain": dims[q + 1][0], "codomain": dims[q + 1][1]})
     items["iv"] = {"pass": bool(ok), "witness": checked}
 
     # (v) cone cohomology vanishes beyond max(m_s + 1, m_t)
     checked = []
     ok = True
     for q in range(max(m_s + 1, m_t) + 1, grades):
-        good = data.middle[q].dim == 0
+        good = dims[q][1] == 0
         ok = ok and good
-        checked.append({"grade": q, "dim": data.middle[q].dim})
+        checked.append({"grade": q, "dim": dims[q][1]})
     items["v"] = {"pass": bool(ok), "witness": checked}
 
     return {
@@ -562,7 +613,7 @@ def corollary_boundary_report(rc: RelativeComplex) -> dict:
         "m_target": m_t,
         "items": items,
         "all_pass": all(v["pass"] for v in items.values()),
-        "dims": [dims(q) for q in range(grades)],
+        "dims": dims,
     }
 
 

@@ -521,7 +521,8 @@ def test_broken_complex_with_slack_exits_internal(tmp_path, capsys, monkeypatch,
 
 def test_snake_fault_exits_internal(capsys, monkeypatch):
     # a zero project component, with validation skipped, makes the zig-zag
-    # lift fail after the sequence was accepted: an engine fault, not an input
+    # lift fail after the sequence was accepted: an engine fault, not an
+    # input; --kind delta is the report that still lifts classes
     real = sequences.make_relative_complex
 
     def corrupted(*args):
@@ -532,10 +533,31 @@ def test_snake_fault_exits_internal(capsys, monkeypatch):
 
     monkeypatch.setattr(sequences, "make_relative_complex", corrupted)
     monkeypatch.setattr(sequences.ShortExactSequence, "validate", lambda self: [])
-    assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", "relative"]) == EXIT_INTERNAL
+    assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", "delta"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: zig-zag lift failed: project is not surjective on a cycle\n"
+
+
+@pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
+def test_relative_sequence_at_budget_zero_runs(tmp_path, capsys, kind):
+    # at D=0 the grade-0 source block of the cone has no columns; it was
+    # assembled at budgets 0 -> 0 below the pulled twist's gap, and the
+    # engine's budget contract failed as an input error (exit 2)
+    scene = write_scene(
+        tmp_path,
+        "s.json",
+        {
+            "model": {"m": 2, "n": 0, "budget": 2, "f": "1"},
+            "morphism": {"z_components": ["z1*z2", "z2"], "x_components": []},
+            "f_prime": "1+z1",
+            "grid": {"p": 0, "D": 0},
+        },
+    )
+    assert run(["sequence", "--scene", scene, "--kind", kind]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["D"] == 0
 
 
 @pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
@@ -575,21 +597,26 @@ def test_pullback_that_is_no_chain_map_exits_internal(capsys, monkeypatch, kind)
     "kind, scene, which, grade, node",
     [
         ("relative", "relative_square.json", "induced_inject", 1, "H^1(F)"),
+        ("relative", "relative_square.json", "induced_project", 0, "H^0(mu)"),
         ("mv", "mv_laurent.json", "induced_project", 0, "H^0(U+V)"),
     ],
 )
 def test_long_exact_sequence_that_is_not_exact_exits_internal(capsys, monkeypatch, kind, scene, which, grade, node):
-    # exactness at every node is the snake lemma: a broken induced map is a
-    # fault of the engine, not a finding about the scene
-    real = sequences._snake
+    # exactness at every node is the snake lemma: an induced rank read one
+    # too high is a fault of the engine, not a finding about the scene, and
+    # the first node it breaks is named
+    real_nodes, real_rank = sequences._les_nodes, sequences._induced_rank
+    seen = {}
 
-    def broken(ses):
-        data = real(ses)
-        maps = getattr(data, which)
-        maps[grade] = Matrix.zero(maps[grade].rows, maps[grade].cols)
-        return data
+    def nodes(ses, labels):
+        seen["map"] = getattr(ses, which.removeprefix("induced_"))
+        return real_nodes(ses, labels)
 
-    monkeypatch.setattr(sequences, "_snake", broken)
+    def corrupted(f, q, *ranks):
+        return real_rank(f, q, *ranks) + (f is seen["map"] and q == grade)
+
+    monkeypatch.setattr(sequences, "_les_nodes", nodes)
+    monkeypatch.setattr(sequences, "_induced_rank", corrupted)
     assert run(["sequence", "--scene", str(SCENES / scene), "--kind", kind]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,8 +2,10 @@
 top-level function or class is used or exported, only the seeded generators
 import ``random``, the exact engine imports neither ``sampling`` nor
 ``checks``, the trusted ``ChainMap._commuting`` is used only by the two
-sequence builders, only ``checks`` forks, and only ``_Grid.group`` and the
-``Quotient`` of ``linalg`` prove an inclusion with ``check_inclusion``.
+sequence builders and ``ShortExactSequence._exact`` only by the relative one,
+only ``checks`` forks, and only ``_Grid.group``, the ``Quotient`` of
+``linalg`` and the sequences' d.d proof prove an inclusion with
+``check_inclusion``.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -182,6 +184,16 @@ def test_trusted_chain_map_is_used_only_by_the_sequence_builders():
     assert attribute_users(sources, "_commuting") == TRUSTED_CHAIN_MAP_USERS
 
 
+# ShortExactSequence._exact skips validate's eliminations and product: only
+# the relative builder, whose [0; I] and [I 0] are exact by construction
+TRUSTED_SEQUENCE_USERS = {("sequences", "make_relative_complex")}
+
+
+def test_trusted_sequence_is_built_only_by_the_relative_builder():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert attribute_users(sources, "_exact") == TRUSTED_SEQUENCE_USERS
+
+
 # the check suites' case runner is the one place that forks workers; checks
 # is imported only by the commands that run it
 FORKING_MODULES = {"checks"}
@@ -221,9 +233,15 @@ def test_only_the_case_runner_forks():
     assert fork_callers(sources) == FORKING_MODULES
 
 
-# a grid row proves im <= ker in _Grid.group alone; the sequences' Quotient
-# proves its own, and linalg defines the product check
-INCLUSION_PROVERS = {("cohomology", "_Grid"), ("linalg", "check_inclusion"), ("linalg", "Quotient")}
+# a grid row proves im <= ker in _Grid.group alone; the sequences prove d.d = 0
+# on the middle complex in _prove_squares, and the Quotients of --kind delta
+# their own; linalg defines the product check
+INCLUSION_PROVERS = {
+    ("cohomology", "_Grid"),
+    ("linalg", "check_inclusion"),
+    ("linalg", "Quotient"),
+    ("sequences", "_prove_squares"),
+}
 
 
 def name_users(sources: dict, name: str) -> set:

@@ -19,6 +19,7 @@ from leafcoh.sequences import (
     SESValidationError,
     ShortExactSequence,
     SnakeResult,
+    _les_nodes,
     _snake,
     _window_complex,
     _window_inclusion,
@@ -36,6 +37,7 @@ from leafcoh.sequences import (
 
 from dense_reference import DenseFactorization, DenseQuotient, to_dense, to_sparse
 from factories import cone_sweep_scene, random_ses
+from snake_reference import reference_nodes, reference_snake
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "relative_m2_snake.json"
 
@@ -136,35 +138,46 @@ def _golden_dump_vector(vec: dict, n: int) -> list:
     return [[i, [v.a, v.b, v.d]] for i, v in enumerate(to_dense(vec, n)) if v]
 
 
+def _golden_load_matrix(dump: dict) -> Matrix:
+    entries = {
+        (i, j): GaussianRational(Fraction(a, d), Fraction(b, d))
+        for j, col in enumerate(dump["columns"])
+        for i, (a, b, d) in col
+    }
+    return Matrix(dump["rows"], dump["cols"], entries)
+
+
+def _golden_dump_matrix(M: Matrix) -> dict:
+    return {"rows": M.rows, "cols": M.cols, "columns": [_golden_dump_vector(col, M.rows) for col in M.columns()]}
+
+
 @pytest.mark.parametrize("D", [2, 3])
 def test_relative_snake_matches_golden(D):
     # every group's reps and the induced and connecting matrices of the
-    # benchmark's relative scene, recorded from the dense engine
+    # benchmark's relative scene, recorded from the dense engine: the outer
+    # reps and delta from the engine's zig-zag, the rest from the reference,
+    # and the rank-only alpha* and beta* against the golden matrices' ranks
     golden = json.loads(GOLDEN.read_text())
     scene = cli.Scene(dict(golden["scene"], model=dict(golden["scene"]["model"], budget=D)))
-    mu = scene.morphism()
-    data = _snake(make_relative_complex(mu, 0, D).ses)
+    ses = make_relative_complex(scene.morphism(), 0, D).ses
+    data, ref = _snake(ses), reference_snake(ses)
     want = golden["snake"][str(D)]
-    for side in ("left", "middle", "right"):
+    for side, source in (("left", data), ("middle", ref), ("right", data)):
         got = [
             {
                 "ambient": H.kernel.ambient_dim,
                 "dim": H.dim,
                 "reps": [_golden_dump_vector(rep, H.kernel.ambient_dim) for rep in H.reps],
             }
-            for H in getattr(data, side)
+            for H in getattr(source, side)
         ]
         assert got == want[side], side
-    for name in ("induced_inject", "induced_project", "connecting"):
-        got = [
-            {
-                "rows": M.rows,
-                "cols": M.cols,
-                "columns": [_golden_dump_vector(col, M.rows) for col in M.columns()],
-            }
-            for M in getattr(data, name)
-        ]
-        assert got == want[name], name
+    for name, source in (("induced_inject", ref), ("induced_project", ref), ("connecting", data)):
+        assert [_golden_dump_matrix(M) for M in getattr(source, name)] == want[name], name
+    nodes = _les_nodes(ses, ("F", "mu", "F'"))
+    for k, name in enumerate(("induced_inject", "induced_project")):
+        golden_ranks = [rank(_golden_load_matrix(M)) for M in want[name]]
+        assert [out_rank for _, _, out_rank in nodes[k::3]] == golden_ranks, name
 
 
 @pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
@@ -200,6 +213,38 @@ def test_snake_on_random_ses(seed):
             assert rank(data.connecting[q]) == expected
 
 
+@pytest.mark.parametrize("seed", RANDOM_SES_SWEEPS)
+def test_rank_only_nodes_match_reference_on_random_ses(seed):
+    rng = random.Random(seed)
+    ses, _ = random_ses(rng, grades=rng.choice([2, 3, 4]))
+    assert _les_nodes(ses, ("L", "M", "R")) == reference_nodes(ses)
+
+
+# the sweep's own twist, then twists with i and with fractions
+CONE_TWISTS = (None, "1+i*z1", "1/3+z1*zb{m}", "i*zb1+1/2*z1")
+
+
+@pytest.mark.parametrize("twist", CONE_TWISTS)
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_only_nodes_match_reference_on_cone_sweep(seed, twist):
+    mu, p, _ = cone_sweep_scene(seed)
+    if twist is not None:
+        m, n = mu.target.m, mu.target.n
+        fp = parse_series(twist.format(m=m), m, n, 2)
+        mu = FoliatedMorphism(mu.source, mu.target.with_twist(fp), mu.z_components, mu.x_components)
+    # D=0 has a grade-0 cone whose source block has no columns
+    for D in (0, 1, 2):
+        ses = make_relative_complex(mu, p, D).ses
+        assert ses.left.dims[0] == 0
+        assert _les_nodes(ses, ("F", "mu", "F'")) == reference_nodes(ses, ("F", "mu", "F'"))
+
+
+@pytest.mark.parametrize("D", range(1, 7))
+def test_rank_only_nodes_match_reference_on_mv(D):
+    ses = make_mv_ses(laurent_cover(D))
+    assert _les_nodes(ses, ("M", "U+V", "UV")) == reference_nodes(ses, ("M", "U+V", "UV"))
+
+
 def test_snake_les_zero_left_gives_isomorphisms():
     # left = 0: the projection induces isomorphisms and delta = 0
     rng = random.Random(4)
@@ -213,10 +258,13 @@ def test_snake_les_zero_left_gives_isomorphisms():
     ses = ShortExactSequence(left, middle, right, inject, project)
     rep = snake_les(ses)
     assert rep["exact_everywhere"]
-    data = _snake(ses)
+    nodes = rep["nodes"]
     for q in range(2):
-        assert rank(data.induced_project[q]) == data.right[q].dim == data.middle[q].dim
-        assert rank(data.connecting[q]) == 0
+        h_m, h_r = nodes[3 * q + 1], nodes[3 * q + 2]
+        assert h_m["out_map_rank"] == h_r["dim"] == h_m["dim"] == 2
+        assert h_r["out_map_rank"] == 0
+    data = _snake(ses)
+    assert [rank(M) for M in data.connecting] == [0, 0]
 
 
 def test_snake_les_acyclic_middle_makes_delta_iso():
@@ -230,8 +278,10 @@ def test_snake_les_acyclic_middle_makes_delta_iso():
     ses = ShortExactSequence(left, middle, right, inject, project)
     rep = snake_les(ses)
     assert rep["exact_everywhere"]
+    assert all(node["dim"] == 0 for node in rep["nodes"][1::3])
+    h_r0, h_l1 = rep["nodes"][2], rep["nodes"][3]
+    assert h_r0["out_map_rank"] == h_r0["dim"] == h_l1["dim"] == 1
     data = _snake(ses)
-    assert all(g.dim == 0 for g in data.middle)
     assert rank(data.connecting[0]) == data.right[0].dim == data.left[1].dim == 1
 
 
@@ -260,9 +310,9 @@ def test_relative_zero_interaction_splits():
     rc = make_relative_complex(mu, 1, 2)
     les = relative_les(rc)
     assert les["exact_everywhere"]
-    data = _snake(rc.ses)
-    for q in range(data.grades):
-        assert data.middle[q].dim == data.right[q].dim + data.left[q].dim
+    dims = [node["dim"] for node in les["nodes"]]
+    for q in range(len(dims) // 3):
+        assert dims[3 * q + 1] == dims[3 * q] + dims[3 * q + 2]
     assert delta_equals_pullback_check(rc)["all_equal"]
 
 
@@ -320,10 +370,10 @@ def test_relative_cone_vanishes_beyond_modeled_range():
     tgt = FoliationModel(1, 0, 2, parse_series("z1", 1, 0, 1))
     mu = FoliatedMorphism(src, tgt, [parse_series("z1^2", 1, 0, 2)], [])
     rc = make_relative_complex(mu, 0, 2)
-    data = _snake(rc.ses)
+    cone_dims = [node["dim"] for node in relative_les(rc)["nodes"][1::3]]
     top = max(rc.m_source + 1, rc.m_target) + 1
-    for q in range(top, data.grades):
-        assert data.middle[q].dim == 0
+    assert top < len(cone_dims)
+    assert cone_dims[top:] == [0] * (len(cone_dims) - top)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -537,13 +587,13 @@ def test_trivial_overlap_splits():
     ses = make_mv_ses(cover)
     rep = snake_les(ses)
     assert rep["exact_everywhere"]
-    data = _snake(ses)
+    nodes = rep["nodes"]
     for q in range(2):
-        assert data.left[q].dim == data.middle[q].dim
+        assert nodes[3 * q]["dim"] == nodes[3 * q + 1]["dim"]
 
 
 def test_result_classes_take_positional_and_keyword_arguments():
-    fields = ("grades", "left", "middle", "right", "induced_inject", "induced_project", "connecting")
+    fields = ("grades", "left", "right", "connecting")
     for result in (SnakeResult(*fields), SnakeResult(**{name: name for name in fields})):
         assert [getattr(result, name) for name in fields] == list(fields)
     cover = laurent_cover(1)

@@ -4,7 +4,9 @@ Each result of an operation is rebuilt here through the validating public
 constructor, which must accept it unchanged: same terms, same budget, and
 every coefficient of a form carrying the form's budget.  So are the inject
 and project maps of the sequence builders, which commute by construction,
-and the complexes they join square to zero by explicit products.  The
+and the complexes they join square to zero by explicit products; the
+relative builder's sequence, exact by construction, validates through the
+public constructor with no finding.  The
 counterexample texts of the check suites, built only for violations, are
 compared with goldens recorded from the suites before either change.
 """
@@ -35,6 +37,7 @@ from leafcoh.sampling import random_bidegree, random_form, random_morphism, rand
 from leafcoh.sequences import (
     ChainMap,
     CochainComplex,
+    ShortExactSequence,
     laurent_cover,
     make_mv_ses,
     make_relative_complex,
@@ -208,6 +211,18 @@ def assert_rebuilds_ses(ses):
 def test_relative_sequence_maps_rebuild_through_the_constructor(seed):
     mu, p, _ = cone_sweep_scene(seed)
     assert_rebuilds_ses(make_relative_complex(mu, p, 1).ses)
+
+
+@pytest.mark.parametrize("D", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(12))
+def test_relative_sequence_validates_through_the_constructor(seed, D):
+    # the builder marks its sequence exact without validate's eliminations
+    mu, p, _ = cone_sweep_scene(seed)
+    ses = make_relative_complex(mu, p, D).ses
+    assert ses.validate() == []
+    assert ses._factors == {}
+    again = ShortExactSequence(ses.left, ses.middle, ses.right, ses.inject, ses.project)
+    assert again.validate() == []
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
