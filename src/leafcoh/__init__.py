@@ -30,7 +30,7 @@ from .operators import (
     pullback,
     tilde_dbar,
 )
-from .linalg import Matrix, Quotient, Subspace, kernel_basis, rank, solve
+from .linalg import Matrix, Subspace, kernel_basis, rank, solve
 from .cohomology import (
     aeppli_row,
     bott_chern_row,

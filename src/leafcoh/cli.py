@@ -75,6 +75,8 @@ SCENE_KEYS = {
     "expect_failure": (("a boolean",), {"sequence": ("mv",)}),
 }
 MODEL_KEYS = ("m", "n", "budget", "f")
+# the range of each model dimension, checked after its integer type and before the twist is parsed
+MODEL_RANGES = {"m": "a positive integer", "n": "a nonnegative integer", "budget": "a nonnegative integer"}
 GRID_KEYS = ("p", "q", "D")
 MORPHISM_KEYS = ("z_components", "x_components")
 COVER_KEYS = ("kind", "D")
@@ -138,12 +140,9 @@ class Scene:
                 for kind in kinds:
                     _typed(data[key], kind, key)
         md = _known_keys(data["model"], MODEL_KEYS, "model")
-        try:
-            m, n, budget = (
-                _typed(md[key], "an integer", f"model.{key}") for key in ("m", "n", "budget")
-            )
-        except KeyError as exc:
-            raise SceneError(f"model is missing {exc}") from None
+        for key, kind in MODEL_RANGES.items():
+            _typed(_field(md, key, "an integer", "model"), kind, f"model.{key}")
+        m, n, budget = md["m"], md["n"], md["budget"]
         f = self._twist(_typed(md.get("f", "1"), "a string", "model.f"), m, n)
         if data.get("basic_twist_only") and any(
             sum(alpha) + sum(beta) for (alpha, beta, _) in f.terms

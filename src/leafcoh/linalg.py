@@ -22,7 +22,6 @@ straight into this format (cohomology.vectorize / form_from_vector).
 
 from __future__ import annotations
 
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .algebra import GaussianRational, ONE, ZERO
@@ -332,10 +331,6 @@ class Factorization:
         self.steps = steps
         self._step_of = {row: r for r, (row, _, _) in enumerate(steps)}
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def solve(self, b: dict) -> dict | None:
         """One exact solution of M x = b for a sparse b, or None when none exists.
 
@@ -464,76 +459,3 @@ def check_inclusion(d: Matrix, image: Matrix):
 def solve(M: Matrix, b: dict) -> dict | None:
     """One exact solution of M x = b, or None when none exists (Factorization.solve)."""
     return Factorization(M).solve(b)
-
-
-class Quotient:
-    """ker(d) / image: a cohomology group with class representatives.
-
-    It serves the comparison of the connecting map with the pullback
-    (sequences.delta_equals_pullback_check), which needs representatives and
-    class coordinates; the cohomology grids and the long exact sequences
-    count dimensions and map ranks from ranks instead.  ``image`` is a Subspace of the source of
-    d, or None for zero.  The inclusion image <= ker(d) is proved by
-    check_inclusion; kernel_basis spans ker(d), so this is as strong as a
-    rank test on the combined basis.
-
-    Representatives are chosen only when asked for: the kernel pivot columns
-    of [image | kernel], in order.  That one elimination also serves every
-    class_coords call.  Representatives, the image basis and class
-    coordinates are sparse vectors.
-    """
-
-    def __init__(self, d: Matrix, image: Subspace | None = None):
-        if image is None:
-            image = Subspace._independent(d.cols, [])
-        if image.dim:
-            check_inclusion(d, Matrix.from_columns(image.basis, d.cols))
-        self.d = d
-        self.kernel = kernel_basis(d)
-        self.image = image
-        self.dim = self.kernel.dim - image.dim
-
-    @cached_property
-    def d_image(self) -> Subspace:
-        """im(d), read off the elimination that found the kernel.
-
-        kernel_basis gives one vector per free column of d, with its largest
-        index there; the other columns are the pivots, and d's pivot columns
-        are a basis of its column space.
-        """
-        free = {max(vec) for vec in self.kernel.basis}
-        pivots = [j for j in range(self.d.cols) if j not in free]
-        return Subspace._independent(self.d.rows, self.d.columns(pivots))
-
-    @cached_property
-    def _span(self) -> Factorization:
-        """[image | kernel], eliminated once: its pivots pick the reps.
-
-        Columns that are not pivots never steer an elimination, so replaying
-        it solves over [image | reps], which has full column rank; the
-        solution is read off at the pivots.
-        """
-        return Factorization(
-            Matrix.from_columns(self.image.basis + self.kernel.basis, self.kernel.ambient_dim)
-        )
-
-    @cached_property
-    def _rep_of(self) -> dict:
-        """Pivot column of [image | kernel] -> index of the rep it picks."""
-        return {j: k for k, j in enumerate(self._span.pivots[self.image.dim :])}
-
-    @cached_property
-    def reps(self) -> list:
-        skip = self.image.dim
-        return [self.kernel.basis[j - skip] for j in self._rep_of]
-
-    def class_coords(self, vec: dict) -> dict:
-        """Coordinates of [vec] over the chosen representatives, as a sparse vector.
-
-        vec must be a cycle; a failed solve signals a non-cycle input.
-        """
-        x = self._span.solve(vec)
-        if x is None:
-            raise ValueError("vector is not a cycle of the complex")
-        rep_of = self._rep_of
-        return {rep_of[j]: v for j, v in x.items() if j in rep_of}

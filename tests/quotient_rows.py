@@ -1,11 +1,12 @@
 """Reference cohomology rows: the former quotient-basis engine.
 
-Every group was a linalg.Quotient: kernel vectors, an image basis and the
-inclusion checked by a product with that basis.  The rank-only rows
-in leafcoh.cohomology must agree with these on every count; the helpers that
-only these rows used (column spaces, spans, the restriction of an image to a
-smaller budget block) live here with them.  Ranks are taken from the full
-reduced echelon form, not from the forward elimination the engine uses.
+Every group was a Quotient (quotient_reference.py): kernel vectors, an
+image basis and the inclusion checked by a product with that basis.  The
+rank-only rows in leafcoh.cohomology must agree with these on every count;
+the helpers that only these rows used (column spaces, spans, the
+restriction of an image to a smaller budget block) live here with them.
+Ranks are taken from the full reduced echelon form, not from the forward
+elimination the engine uses.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 from leafcoh import linalg
 from leafcoh.cohomology import inclusion_positions, operator_matrix
 from leafcoh.forms import basis_dimension
-from leafcoh.linalg import Matrix, Quotient, Subspace, kernel_basis, vstack
+from leafcoh.linalg import Matrix, Subspace, kernel_basis, vstack
 from leafcoh.operators import twist_gap
+
+from quotient_reference import Quotient
 
 _OPS = {"dbar_f": (0, 1), "partial_f": (1, 0), "dbar_f_k": (0, 1)}
 

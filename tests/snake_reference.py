@@ -1,17 +1,22 @@
 """Reference long exact sequences: the former snake engine with induced matrices.
 
-Every group of all three complexes was a linalg.Quotient with
-representatives, the maps i* and p* were matrices of class coordinates, the
-connecting map came from the zig-zag, and exactness at each node was checked
-by a product of consecutive maps plus a rank count.  The rank-only nodes of
-leafcoh.sequences must agree with these on every dimension and rank; the
-golden test reads the representatives and matrices off this engine.
+Every group of all three complexes is a Quotient (quotient_reference.py)
+with representatives, the maps i* and p* are matrices of class coordinates,
+the connecting map comes from the zig-zag, and exactness at each node is
+checked by a product of consecutive maps plus a rank count.  The rank-only
+nodes of leafcoh.sequences must agree with these on every dimension and
+rank; the golden test reads the representatives and matrices off this
+engine.  reference_delta_check is the former --kind delta report, which
+compared the zig-zag with the pullback class by class.
 """
 
 from __future__ import annotations
 
-from leafcoh.linalg import LinearAlgebraError, Matrix, rank
-from leafcoh.sequences import complex_cohomology
+from leafcoh.cohomology import form_from_vector, vectorize
+from leafcoh.linalg import Factorization, LinearAlgebraError, Matrix, rank
+from leafcoh.operators import pullback
+
+from quotient_reference import complex_cohomology
 
 
 class ReferenceSnake:
@@ -31,11 +36,21 @@ def _induced_matrix(comp: Matrix, src, dst) -> Matrix:
     return Matrix.from_columns([dst.class_coords(comp.matvec(rep)) for rep in src.reps], dst.dim)
 
 
-def _connect_class(ses, q, rep: dict, hl_next) -> dict:
-    """Zig-zag: lift through project, apply d_M, pull back through inject."""
-    x = ses.factor("project", q).solve(rep)
-    w = ses.middle.differential(q).matvec(x)
-    return hl_next.class_coords(ses.factor("inject", q + 1).solve(w))
+def _connecting(ses, hl: list, hr: list) -> list:
+    """delta_q: H^q(R) -> H^{q+1}(L), one zig-zag per class, and the zero map at the top grade.
+
+    Each class lifts through project, goes through d_M and pulls back through
+    inject, each step a replay of one Factorization per component.
+    """
+    connecting = []
+    for q in range(len(hr) - 1):
+        lift = Factorization(ses.project.components[q])
+        pull = Factorization(ses.inject.components[q + 1])
+        d = ses.middle.differential(q)
+        cols = [hl[q + 1].class_coords(pull.solve(d.matvec(lift.solve(rep)))) for rep in hr[q].reps]
+        connecting.append(Matrix.from_columns(cols, hl[q + 1].dim))
+    connecting.append(Matrix.zero(0, hr[-1].dim))
+    return connecting
 
 
 def reference_snake(ses) -> ReferenceSnake:
@@ -45,14 +60,7 @@ def reference_snake(ses) -> ReferenceSnake:
     hr = complex_cohomology(ses.right)
     ind_i = [_induced_matrix(ses.inject.components[q], hl[q], hm[q]) for q in range(grades)]
     ind_p = [_induced_matrix(ses.project.components[q], hm[q], hr[q]) for q in range(grades)]
-    connecting = []
-    for q in range(grades):
-        if q + 1 >= grades:
-            connecting.append(Matrix.zero(0, hr[q].dim))
-            continue
-        cols = [_connect_class(ses, q, rep, hl[q + 1]) for rep in hr[q].reps]
-        connecting.append(Matrix.from_columns(cols, hl[q + 1].dim))
-    return ReferenceSnake(grades, hl, hm, hr, ind_i, ind_p, connecting)
+    return ReferenceSnake(grades, hl, hm, hr, ind_i, ind_p, _connecting(ses, hl, hr))
 
 
 def reference_nodes(ses, labels=("L", "M", "R")) -> list:
@@ -74,3 +82,27 @@ def reference_nodes(ses, labels=("L", "M", "R")) -> list:
         out.append((label, dim, out_rank))
         prev_map, in_rank = out_matrix, out_rank
     return out
+
+
+def reference_delta_check(rc) -> dict:
+    """The --kind delta report of a relative complex, class by class.
+
+    For every class of the target at grade q the zig-zag class in the source
+    cohomology at grade q+1 must equal the class of the pulled back
+    representative; equality is equality of cosets, certified by the shared
+    representative coordinates.
+    """
+    hl, hr = complex_cohomology(rc.ses.left), complex_cohomology(rc.ses.right)
+    connecting = _connecting(rc.ses, hl, hr)
+    per_grade = []
+    all_equal = True
+    for q in range(len(hr) - 1):
+        verdicts = []
+        for rep, delta_coords in zip(hr[q].reps, connecting[q].columns()):
+            form = form_from_vector(rc.mu.target, rc.p, q, rc.target_budgets[q], rep)
+            mu_coords = hl[q + 1].class_coords(vectorize(pullback(rc.mu, form), rc.source_budgets[q + 1]))
+            same = delta_coords == mu_coords
+            all_equal = all_equal and same
+            verdicts.append(bool(same))
+        per_grade.append({"grade": q, "classes": len(hr[q].reps), "equal": verdicts})
+    return {"check": "delta_equals_pullback", "grades": per_grade, "all_equal": all_equal}

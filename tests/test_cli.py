@@ -519,26 +519,6 @@ def test_broken_complex_with_slack_exits_internal(tmp_path, capsys, monkeypatch,
     assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
 
 
-def test_snake_fault_exits_internal(capsys, monkeypatch):
-    # a zero project component, with validation skipped, makes the zig-zag
-    # lift fail after the sequence was accepted: an engine fault, not an
-    # input; --kind delta is the report that still lifts classes
-    real = sequences.make_relative_complex
-
-    def corrupted(*args):
-        rc = real(*args)
-        prj = rc.ses.project
-        prj.components = tuple(Matrix.zero(c.rows, c.cols) for c in prj.components)
-        return rc
-
-    monkeypatch.setattr(sequences, "make_relative_complex", corrupted)
-    monkeypatch.setattr(sequences.ShortExactSequence, "validate", lambda self: [])
-    assert run(["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", "delta"]) == EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: zig-zag lift failed: project is not surjective on a cycle\n"
-
-
 @pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])
 def test_relative_sequence_at_budget_zero_runs(tmp_path, capsys, kind):
     # at D=0 the grade-0 source block of the cone has no columns; it was
@@ -844,6 +824,11 @@ BASE_MODEL = {"m": 1, "n": 0, "budget": 2, "f": "1"}
         ({"m": True}, {}, "'model.m' must be an integer, got true"),
         ({"n": "0"}, {}, "'model.n' must be an integer, got \"0\""),
         ({"budget": 2.0}, {}, "'model.budget' must be an integer, got 2.0"),
+        ({"m": 0}, {}, "'model.m' must be a positive integer, got 0"),
+        ({"m": -1}, {}, "'model.m' must be a positive integer, got -1"),
+        ({"n": -1}, {}, "'model.n' must be a nonnegative integer, got -1"),
+        ({"budget": -2}, {}, "'model.budget' must be a nonnegative integer, got -2"),
+        ({"m": -1, "f": "1+z1+"}, {}, "'model.m' must be a positive integer, got -1"),
         ({"f": 1}, {}, "'model.f' must be a string, got 1"),
         ({}, {"slack": None}, "'slack' must be an integer, got null"),
         ({}, {"slack": 1.5}, "'slack' must be an integer, got 1.5"),
@@ -857,7 +842,8 @@ BASE_MODEL = {"m": 1, "n": 0, "budget": 2, "f": "1"}
         ({}, {"cover": "laurent"}, "'cover' must be an object, got \"laurent\""),
     ],
     ids=[
-        "model_list", "m_null", "m_float", "m_bool", "n_string", "budget_float", "f_int",
+        "model_list", "m_null", "m_float", "m_bool", "n_string", "budget_float",
+        "m_zero", "m_negative", "n_negative", "budget_negative", "m_negative_before_twist", "f_int",
         "slack_null", "slack_float", "k_float", "seed_float", "trials_float", "trials_bool",
         "h_int", "g_list", "f_prime_null", "cover_string",
     ],

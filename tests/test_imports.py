@@ -3,9 +3,9 @@ top-level function or class is used or exported, only the seeded generators
 import ``random``, the exact engine imports neither ``sampling`` nor
 ``checks``, the trusted ``ChainMap._commuting`` is used only by the two
 sequence builders and ``ShortExactSequence._exact`` only by the relative one,
-only ``checks`` forks, and only ``_Grid.group``, the ``Quotient`` of
-``linalg`` and the sequences' d.d proof prove an inclusion with
-``check_inclusion``.
+only ``checks`` forks, only ``_Grid.group`` and the sequences' d.d proof
+prove an inclusion with ``check_inclusion``, and only ``linalg.solve``
+replays a recorded ``Factorization``.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -233,13 +233,12 @@ def test_only_the_case_runner_forks():
     assert fork_callers(sources) == FORKING_MODULES
 
 
-# a grid row proves im <= ker in _Grid.group alone; the sequences prove d.d = 0
-# on the middle complex in _prove_squares, and the Quotients of --kind delta
-# their own; linalg defines the product check
+# a grid row proves im <= ker in _Grid.group alone and the sequences prove
+# d.d = 0 on the middle complex in _prove_squares; linalg defines the product
+# check
 INCLUSION_PROVERS = {
     ("cohomology", "_Grid"),
     ("linalg", "check_inclusion"),
-    ("linalg", "Quotient"),
     ("sequences", "_prove_squares"),
 }
 
@@ -271,6 +270,18 @@ def test_name_finder_sees_names_attributes_and_definitions():
     assert name_users(sources, "prove") == {("a", "prove"), ("a", "G"), ("b", "row"), ("b", None)}
 
 
-def test_only_the_grid_group_and_quotient_prove_inclusions():
+def test_only_the_grid_group_and_the_sequences_prove_inclusions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert name_users(sources, "check_inclusion") == INCLUSION_PROVERS
+
+
+# kernels and ranks come from forward or reduced eliminations that record
+# nothing; the one solve engine is linalg.solve, which records the elimination
+# of M and replays it on b, so no second kernel-modulo-image engine with its
+# own solves (class coordinates, zig-zag lifts) comes back into the package
+SOLVE_ENGINE = {("linalg", "Factorization"), ("linalg", "solve")}
+
+
+def test_only_solve_replays_a_factorization():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert name_users(sources, "Factorization") == SOLVE_ENGINE

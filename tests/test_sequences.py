@@ -9,7 +9,7 @@ from leafcoh import cli
 from leafcoh.algebra import GaussianRational, Series, parse_series
 from leafcoh.forms import FoliationModel
 from leafcoh.operators import FoliatedMorphism
-from leafcoh.linalg import LinearAlgebraError, Matrix, rank
+from leafcoh.linalg import Factorization, LinearAlgebraError, Matrix, rank
 from leafcoh.sequences import (
     ChainMap,
     CochainComplex,
@@ -18,12 +18,9 @@ from leafcoh.sequences import (
     RelativeComplex,
     SESValidationError,
     ShortExactSequence,
-    SnakeResult,
     _les_nodes,
-    _snake,
     _window_complex,
     _window_inclusion,
-    complex_cohomology,
     corollary_boundary_report,
     degenerate_cover,
     delta_equals_pullback_check,
@@ -37,7 +34,8 @@ from leafcoh.sequences import (
 
 from dense_reference import DenseFactorization, DenseQuotient, to_dense, to_sparse
 from factories import cone_sweep_scene, random_ses
-from snake_reference import reference_nodes, reference_snake
+from quotient_reference import complex_cohomology
+from snake_reference import reference_delta_check, reference_nodes, reference_snake
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "relative_m2_snake.json"
 
@@ -52,10 +50,16 @@ def G(x):
 
 
 def test_cochain_complex_rejects_nonsquaring_differential():
-    # the constructor checks shapes only; taking the cohomology proves d.d = 0
+    # the constructor checks shapes only; a long exact sequence through the
+    # complex proves d.d = 0 on it (_prove_squares)
     cx = CochainComplex((2, 2, 2), (Matrix.identity(2), Matrix.identity(2)))
+    zero = CochainComplex((0, 0, 0), (Matrix.zero(0, 0), Matrix.zero(0, 0)))
+    inject = ChainMap(zero, cx, [Matrix.zero(2, 0)] * 3)
+    project = ChainMap(cx, cx, [Matrix.identity(2)] * 3)
+    ses = ShortExactSequence(zero, cx, cx, inject, project)
+    assert ses.validate() == []
     with pytest.raises(LinearAlgebraError, match="^image is not contained in the kernel: broken complex$"):
-        complex_cohomology(cx)
+        snake_les(ses)
 
 
 def test_cochain_complex_rejects_bad_shapes():
@@ -98,7 +102,7 @@ RANDOM_SES_SWEEPS = [31000 + seed for seed in range(40)] + [32000 + seed for see
 @pytest.mark.parametrize("seed", RANDOM_SES_SWEEPS)
 def test_sparse_snake_path_matches_dense_reference(seed):
     # the complexes of the two random_ses sweeps above, through the sparse
-    # Quotient and Factorization and through the former dense ones
+    # reference Quotient and Factorization and through the former dense ones
     rng = random.Random(seed)
     ses, _ = random_ses(rng, grades=rng.choice([2, 3, 4]))
     for cx in (ses.left, ses.middle, ses.right):
@@ -121,7 +125,7 @@ def test_sparse_snake_path_matches_dense_reference(seed):
     for q in range(len(ses.middle.dims)):
         for which in ("inject", "project"):
             comp = getattr(ses, which).components[q]
-            F, ref = ses.factor(which, q), DenseFactorization(comp)
+            F, ref = Factorization(comp), DenseFactorization(comp)
             draws = [tuple(G(rng.randint(-2, 2)) for _ in range(comp.cols)) for _ in range(2)]
             rhs = [to_dense(comp.matvec(to_sparse(x)), comp.rows) for x in draws]
             rhs += [tuple(G(rng.randint(-2, 2)) for _ in range(comp.rows)) for _ in range(2)]
@@ -154,26 +158,26 @@ def _golden_dump_matrix(M: Matrix) -> dict:
 @pytest.mark.parametrize("D", [2, 3])
 def test_relative_snake_matches_golden(D):
     # every group's reps and the induced and connecting matrices of the
-    # benchmark's relative scene, recorded from the dense engine: the outer
-    # reps and delta from the engine's zig-zag, the rest from the reference,
-    # and the rank-only alpha* and beta* against the golden matrices' ranks
+    # benchmark's relative scene, recorded from the dense engine, against the
+    # reference zig-zag, and the rank-only alpha* and beta* against the
+    # golden matrices' ranks
     golden = json.loads(GOLDEN.read_text())
     scene = cli.Scene(dict(golden["scene"], model=dict(golden["scene"]["model"], budget=D)))
     ses = make_relative_complex(scene.morphism(), 0, D).ses
-    data, ref = _snake(ses), reference_snake(ses)
+    ref = reference_snake(ses)
     want = golden["snake"][str(D)]
-    for side, source in (("left", data), ("middle", ref), ("right", data)):
+    for side in ("left", "middle", "right"):
         got = [
             {
                 "ambient": H.kernel.ambient_dim,
                 "dim": H.dim,
                 "reps": [_golden_dump_vector(rep, H.kernel.ambient_dim) for rep in H.reps],
             }
-            for H in getattr(source, side)
+            for H in getattr(ref, side)
         ]
         assert got == want[side], side
-    for name, source in (("induced_inject", ref), ("induced_project", ref), ("connecting", data)):
-        assert [_golden_dump_matrix(M) for M in getattr(source, name)] == want[name], name
+    for name in ("induced_inject", "induced_project", "connecting"):
+        assert [_golden_dump_matrix(M) for M in getattr(ref, name)] == want[name], name
     nodes = _les_nodes(ses, ("F", "mu", "F'"))
     for k, name in enumerate(("induced_inject", "induced_project")):
         golden_ranks = [rank(_golden_load_matrix(M)) for M in want[name]]
@@ -207,7 +211,7 @@ def test_snake_on_random_ses(seed):
     rep = snake_les(ses)
     assert rep["exact_everywhere"]
     assert rep["alternating_sum_zero"]
-    data = _snake(ses)
+    data = reference_snake(ses)
     for q, expected in enumerate(splits):
         if q + 1 < data.grades:
             assert rank(data.connecting[q]) == expected
@@ -224,19 +228,54 @@ def test_rank_only_nodes_match_reference_on_random_ses(seed):
 CONE_TWISTS = (None, "1+i*z1", "1/3+z1*zb{m}", "i*zb1+1/2*z1")
 
 
-@pytest.mark.parametrize("twist", CONE_TWISTS)
-@pytest.mark.parametrize("seed", range(12))
-def test_rank_only_nodes_match_reference_on_cone_sweep(seed, twist):
+def _twisted_cone_sweep(seed, twist):
     mu, p, _ = cone_sweep_scene(seed)
     if twist is not None:
         m, n = mu.target.m, mu.target.n
         fp = parse_series(twist.format(m=m), m, n, 2)
         mu = FoliatedMorphism(mu.source, mu.target.with_twist(fp), mu.z_components, mu.x_components)
+    return mu, p
+
+
+@pytest.mark.parametrize("twist", CONE_TWISTS)
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_only_nodes_match_reference_on_cone_sweep(seed, twist):
+    mu, p = _twisted_cone_sweep(seed, twist)
     # D=0 has a grade-0 cone whose source block has no columns
     for D in (0, 1, 2):
         ses = make_relative_complex(mu, p, D).ses
         assert ses.left.dims[0] == 0
         assert _les_nodes(ses, ("F", "mu", "F'")) == reference_nodes(ses, ("F", "mu", "F'"))
+
+
+@pytest.mark.parametrize("twist", CONE_TWISTS)
+@pytest.mark.parametrize("seed", range(12))
+def test_delta_check_matches_zig_zag_reference_on_cone_sweep(seed, twist):
+    mu, p = _twisted_cone_sweep(seed, twist)
+    for D in (0, 1, 2):
+        rc = make_relative_complex(mu, p, D)
+        assert delta_equals_pullback_check(rc) == reference_delta_check(rc)
+
+
+def _scene_complex(data: dict, D: int):
+    """The relative complex of a scene's morphism at its grid p and budget D."""
+    scene = cli.Scene(data)
+    return make_relative_complex(scene.morphism(), scene.grid_value("p", 0), D)
+
+
+@pytest.mark.parametrize("D", range(8))
+def test_delta_check_matches_zig_zag_reference_on_m2_scene(D):
+    # the benchmark's relative scene: m=2, morphism (z1*z2, z2), f'=1+z1
+    rc = _scene_complex(json.loads(GOLDEN.read_text())["scene"], D)
+    report = delta_equals_pullback_check(rc)
+    assert report == reference_delta_check(rc)
+    assert report["all_equal"] and any(grade["classes"] for grade in report["grades"])
+
+
+def test_delta_check_matches_zig_zag_reference_on_shipped_scene():
+    scene = pathlib.Path(__file__).resolve().parents[1] / "scenes" / "relative_square.json"
+    rc = _scene_complex(json.loads(scene.read_text()), 2)
+    assert delta_equals_pullback_check(rc) == reference_delta_check(rc)
 
 
 @pytest.mark.parametrize("D", range(1, 7))
@@ -263,7 +302,7 @@ def test_snake_les_zero_left_gives_isomorphisms():
         h_m, h_r = nodes[3 * q + 1], nodes[3 * q + 2]
         assert h_m["out_map_rank"] == h_r["dim"] == h_m["dim"] == 2
         assert h_r["out_map_rank"] == 0
-    data = _snake(ses)
+    data = reference_snake(ses)
     assert [rank(M) for M in data.connecting] == [0, 0]
 
 
@@ -281,7 +320,7 @@ def test_snake_les_acyclic_middle_makes_delta_iso():
     assert all(node["dim"] == 0 for node in rep["nodes"][1::3])
     h_r0, h_l1 = rep["nodes"][2], rep["nodes"][3]
     assert h_r0["out_map_rank"] == h_r0["dim"] == h_l1["dim"] == 1
-    data = _snake(ses)
+    data = reference_snake(ses)
     assert rank(data.connecting[0]) == data.right[0].dim == data.left[1].dim == 1
 
 
@@ -494,18 +533,19 @@ LIFT_CASES = (
 
 @pytest.mark.parametrize("case", LIFT_CASES)
 def test_connecting_class_does_not_depend_on_the_lift(case):
-    # the proof in _connect_class, step by step, on other lifts x + i(s): the
-    # chain map gives d_M(x + i(s)) = w + i(d_L s), injectivity makes the
-    # pull-back y + d_L s, and class_coords drops d_L s, which is a boundary
+    # the reference zig-zag lifts each class once; step by step, on other
+    # lifts x + i(s): the chain map gives d_M(x + i(s)) = w + i(d_L s),
+    # injectivity makes the pull-back y + d_L s, and class_coords drops d_L s,
+    # which is a boundary
     ses, rng = _lift_case(case)
-    data = _snake(ses)
+    data = reference_snake(ses)
     checked_dense = False
     for q in range(data.grades - 1):
         inj, inj_next = ses.inject.components[q], ses.inject.components[q + 1]
         d_m, d_l = ses.middle.differential(q), ses.left.differential(q)
-        pull = ses.factor("inject", q + 1)
+        lift, pull = Factorization(ses.project.components[q]), Factorization(inj_next)
         for rep, column in zip(data.right[q].reps, data.connecting[q].columns()):
-            x = ses.factor("project", q).solve(rep)
+            x = lift.solve(rep)
             w = d_m.matvec(x)
             y = pull.solve(w)
             assert data.left[q + 1].class_coords(y) == column
@@ -546,11 +586,10 @@ def test_laurent_cover_validates_and_is_exact():
 
 
 def test_laurent_cover_known_dims():
-    ses = make_mv_ses(laurent_cover(3))
-    data = _snake(ses)
+    nodes = snake_les(make_mv_ses(laurent_cover(3)))["nodes"]
     # window complexes keep one constant class and one residue-slot class
-    assert [g.dim for g in data.left] == [1, 1]
-    assert [g.dim for g in data.right] == [1, 1]
+    assert [node["dim"] for node in nodes[0::3]] == [1, 1]
+    assert [node["dim"] for node in nodes[2::3]] == [1, 1]
 
 
 def test_degenerate_cover_fails_with_documented_finding():
@@ -593,9 +632,6 @@ def test_trivial_overlap_splits():
 
 
 def test_result_classes_take_positional_and_keyword_arguments():
-    fields = ("grades", "left", "right", "connecting")
-    for result in (SnakeResult(*fields), SnakeResult(**{name: name for name in fields})):
-        assert [getattr(result, name) for name in fields] == list(fields)
     cover = laurent_cover(1)
     names = ("complex_m", "complex_u", "complex_v", "complex_uv", "r_u", "r_v", "r_u_uv", "r_v_uv")
     parts = [getattr(cover, name) for name in names]
