@@ -232,9 +232,9 @@ class Scene:
         D = _typed(entry.get("D", self.model.budget), "an integer", "cover.D")
         _typed(D, "a nonnegative integer", "cover.D")
         if kind == "laurent":
-            return kind, laurent_cover(D)
+            return kind, D, laurent_cover(D)
         if kind == "degenerate":
-            return kind, degenerate_cover(D)
+            return kind, D, degenerate_cover(D)
         raise SceneError(f"unknown cover kind {kind!r}")
 
     def target(self):
@@ -361,7 +361,7 @@ def cmd_sequence(args) -> int:
 
     scene = load_scene(args.scene)
     if args.kind == "mv":
-        kind, cover = scene.cover()
+        kind, cover_D, cover = scene.cover()
         model = scene.model
         if (model.m, model.n) != (1, 0) or model.f != Series.one(1, 0):
             raise SceneError(
@@ -386,7 +386,7 @@ def cmd_sequence(args) -> int:
         else:
             les = snake_les(ses, labels=("M", "U+V", "UV"), map_labels=("A*", "B*", "delta"))
             outcome = {"ses_valid": True, "les": les}
-        emit({"kind": "mv", "cover": kind, "expect_failure": scene.expect_failure, **outcome}, args.out)
+        emit({"kind": "mv", "cover": kind, "D": cover_D, "expect_failure": scene.expect_failure, **outcome}, args.out)
         # an expected failure passes only when the cover fails
         return EXIT_VIOLATION if scene.expect_failure == outcome["ses_valid"] else EXIT_OK
 

@@ -298,9 +298,9 @@ class _Grid:
     composition re-checked) at the largest in_budget asked for and rebuilt
     if a larger one is asked for later.  A column does not depend on the
     budget, so a lower budget's matrix is the restriction to the lower bases.
-    Ranks come from one forward elimination of the family's matrix, columns
-    in stable ascending monomial degree: the budget-b columns are a prefix,
-    whose rank is the elimination's pivot count in it.  Each kernel modulo
+    Ranks come from the pivot columns (linalg.pivot_columns) of the family's
+    matrix, columns in stable ascending monomial degree: the budget-b columns
+    are a prefix, whose rank is the pivot count in it.  Each kernel modulo
     image is one group(kernel key, image key).  cohomology_grid shares one
     instance between its rows.
     """
@@ -365,13 +365,7 @@ class _Grid:
                 for _, _, e in _basis_cached(self.model.m, self.model.n, bp, bq, family.budget)
             ]
             order = sorted(range(len(degrees)), key=degrees.__getitem__)
-            at = sorted(range(len(order)), key=order.__getitem__)  # column -> its place in order
-            M = family.matrix
-            rows = [{} for _ in range(M.rows)]
-            for (r, c), v in M.entries.items():
-                rows[r][at[c]] = v
-            pivots = linalg._gauss_jordan(rows, M.cols, forward=True) if M.entries else []
-            family.pivot_degrees = [degrees[order[j]] for j in pivots]
+            family.pivot_degrees = [degrees[order[j]] for j in linalg.pivot_columns(family.matrix, order)]
         return bisect_right(family.pivot_degrees, key[3])
 
     def group(self, kernel_key, image_key) -> tuple:

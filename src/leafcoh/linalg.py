@@ -4,8 +4,10 @@ Everything reduces to one deterministic Gauss-Jordan elimination: columns are
 scanned in ascending order and, among the not-yet-pivoted rows, the lowest
 row index supplies the pivot.  A column index keeps, for each column, the
 rows holding an entry in it, so a pivot step touches only those rows.  Its
-forward mode, which ``rank`` uses, stops at echelon form: it eliminates only
-the rows below each pivot and records nothing.
+forward mode stops at echelon form: it eliminates only the rows below each
+pivot, takes the sparsest row holding the pivot column and records nothing.
+Ranks come from ``pivot_columns``, which runs it on each connected block of
+a matrix on its own.
 Scalars are Gaussian rationals in canonical form (algebra.GaussianRational:
 integers over one gcd-reduced denominator), so results are exact and
 reproducible across platforms; there is no floating point anywhere.
@@ -225,8 +227,12 @@ def _gauss_jordan(
 
     With ``forward`` set the elimination stops at echelon form: a pivot row
     leaves the column index once its step is done, so each step eliminates
-    only the rows below it and the entries above the pivots stay.  The
-    pivots are the same, since clearing above a pivot moves no later pivot.
+    only the rows below it and the entries above the pivots stay.  The pivot
+    row is then the one with the fewest entries among those holding the
+    column, the lowest on a tie, which keeps the fill-in down.  The pivots
+    are the same: the pivot columns of a left-to-right elimination are the
+    columns that raise the rank of the columns before them, whatever the row
+    operations, and clearing above a pivot moves no later pivot.
 
     ``where`` maps each column to the positions of the rows holding an entry
     in it, kept up to date through swaps, fill-in and cancellation in the
@@ -241,15 +247,20 @@ def _gauss_jordan(
     pivots = []
     r = 0
     nrows = len(rows)
-    for c in range(ncols):
-        # a column nobody holds never gains an entry: fill-in copies the
-        # pivot row's columns, which are held already
-        at = where.get(c)
+    # a column nobody holds never gains an entry: fill-in copies the pivot
+    # row's columns, which are held already; so a block of a wider matrix
+    # costs only its own columns
+    for c in sorted(k for k in where if k < ncols):
+        at = where[c]
         if not at:
             continue
-        sel = min((i for i in at if i >= r), default=None)
-        if sel is None:
-            continue
+        if forward:
+            # the rows above r have left the index: at holds rows below it only
+            sel = min(at, key=lambda i: (len(rows[i]), i))
+        else:
+            sel = min((i for i in at if i >= r), default=None)
+            if sel is None:
+                continue
         if sel != r:
             # a column held by only one of the two rows moves with that row
             for k in rows[r].keys() ^ rows[sel].keys():
@@ -294,15 +305,71 @@ def _gauss_jordan(
     return pivots
 
 
-def _echelon(M: Matrix, steps: list | None = None, forward: bool = False) -> tuple:
-    """M's rows in (reduced, unless ``forward``) echelon form and its pivot columns.
+def _echelon(M: Matrix, steps: list | None = None) -> tuple:
+    """M's rows in reduced echelon form and its pivot columns.
 
     A matrix without entries is reduced already and is not scanned.
     """
     rows = M.row_dicts()
     if not M.entries:
         return rows, []
-    return rows, _gauss_jordan(rows, M.cols, steps, forward)
+    return rows, _gauss_jordan(rows, M.cols, steps)
+
+
+def pivot_columns(M: Matrix, order=None) -> list:
+    """The pivot columns of M's forward elimination, ascending.
+
+    Columns go left to right in ``order`` (a list of M's columns, default
+    ascending), and a pivot is given as its place in that order.  Pivots are
+    the columns that raise the rank of those before them, whatever the row
+    operations, so each connected block (columns joined by a row, found by
+    union-find) is eliminated on its own rows, its fill-in freed before the
+    next.  A block of one row or one column needs no elimination: its first
+    column is its one pivot.
+    """
+    place = range(M.cols)
+    if order is not None:
+        place = [0] * M.cols
+        for j, c in enumerate(order):
+            place[c] = j
+    rows = [None] * M.rows
+    for (r, c), v in M.entries.items():
+        row = rows[r]
+        if row is None:
+            rows[r] = {place[c]: v}
+        else:
+            row[place[c]] = v
+    parent = list(range(M.cols))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for row in rows:
+        if row is None:
+            continue
+        it = iter(row)
+        a = find(next(it))
+        for j in it:
+            b = find(j)
+            if a != b:
+                parent[b] = a
+    blocks = {}
+    for row in rows:
+        if row is not None:
+            blocks.setdefault(find(next(iter(row))), []).append(row)
+    del rows
+    pivots = []
+    while blocks:
+        block = blocks.popitem()[1]
+        # a joined block of rows that hold one entry each is one column
+        if len(block) == 1 or max(map(len, block)) == 1:
+            pivots.append(min(block[0]))
+        else:
+            pivots += _gauss_jordan(block, M.cols, forward=True)
+    return sorted(pivots)
 
 
 class Factorization:
@@ -376,7 +443,7 @@ class Factorization:
 
 def rank(M: Matrix) -> int:
     """The pivot count of M's forward elimination to echelon form."""
-    return len(_echelon(M, forward=True)[1])
+    return len(pivot_columns(M))
 
 
 class Subspace:

@@ -194,6 +194,20 @@ def test_sequence_mv_laurent(capsys):
     assert report["ses_valid"] and report["les"]["exact_everywhere"]
 
 
+def test_sequence_mv_reports_name_their_cover_window(tmp_path, capsys):
+    # the Laurent cover at D=1..6: each report echoes its D, and no two agree
+    scene = json.loads((SCENES / "mv_laurent.json").read_text(encoding="utf-8"))
+    reports = []
+    for D in range(1, 7):
+        path = write_scene(tmp_path, f"mv{D}.json", dict(scene, cover={"kind": "laurent", "D": D}))
+        assert run(["sequence", "--scene", path, "--kind", "mv"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert (report["kind"], report["cover"], report["D"]) == ("mv", "laurent", D)
+        reports.append(out)
+    assert len(set(reports)) == 6
+
+
 def test_sequence_mv_degenerate_expected_failure(capsys):
     assert (
         run(["sequence", "--scene", str(SCENES / "mv_degenerate.json"), "--kind", "mv"])

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 import sympy
 
-from leafcoh.algebra import Series, parse_series
+from leafcoh.algebra import Series, expo_degree, parse_series
 from leafcoh.forms import FoliatedForm, FoliationModel, FormError, basis_dimension, basis_form, enumerate_basis
 from leafcoh.operators import dbar, dbar_f, tilde_dbar, FoliatedMorphism
 from leafcoh.cohomology import (
@@ -654,6 +654,41 @@ def test_grid_restrictions_and_profile_ranks_match_assembly(seed):
             assert grid.rank(key) == linalg.rank(want), key
 
 
+# the sweep's own twist, then twists with i and with fractions
+SWEEP_TWISTS = (None, "1+i*z1", "1/3+z1*zb{m}")
+
+
+@pytest.mark.parametrize("twist", SWEEP_TWISTS)
+@pytest.mark.parametrize("seed", range(33))
+def test_grid_pivot_degrees_match_one_global_elimination(seed, twist):
+    # the pivot degrees each family reads off its block-by-block elimination
+    # are those of one reduced, lowest-row elimination of the whole matrix,
+    # columns in the same stable degree order
+    model, variant, slack, k, top = _differential_case(seed)
+    if twist is not None:
+        f = parse_series(twist.format(m=model.m), model.m, model.n, 2)
+        model = FoliationModel(model.m, model.n, top, f.with_budget(f.degree))
+    grid = cohomology._Grid(model)
+    for p in range(model.m + 1):
+        for q in range(model.m + 1):
+            for D in range(top + 1, -1, -1):
+                variant_row(model, variant, p, q, D, slack, k, grid=grid)
+    for (tag, p, q, k_, diff), family in list(grid._families.items()):
+        grid.rank((tag, p, q, family.budget, family.budget + diff, k_))
+        degrees = [
+            expo_degree(e)
+            for bp, bq in cohomology._blocks(tag, p, q)[0]
+            for _, _, e in enumerate_basis(model, bp, bq, family.budget)
+        ]
+        order = sorted(range(len(degrees)), key=degrees.__getitem__)
+        place = {c: j for j, c in enumerate(order)}
+        rows = [{} for _ in range(family.matrix.rows)]
+        for (r, c), v in family.matrix.entries.items():
+            rows[r][place[c]] = v
+        pivots = linalg._gauss_jordan(rows, family.matrix.cols)
+        assert family.pivot_degrees == [degrees[order[j]] for j in pivots], (tag, p, q)
+
+
 @pytest.mark.parametrize("seed", range(33))
 def test_grid_with_unsorted_and_repeated_axes_matches_fresh_rows(seed):
     # families are first asked for below their top and then rebuilt higher;
@@ -680,14 +715,15 @@ def test_grid_with_unsorted_and_repeated_axes_matches_fresh_rows(seed):
 
 # Call counts of the three jobs of the benchmark's sparse_twist workload
 # (perfbench/run.py scenes sparse_m2 and sparse_m3): operator_matrix
-# assemblies, reference re-applications of the composition, eliminations and
+# assemblies, reference re-applications of the composition, pivot_columns
+# calls (one per family or matrix ranked, an entry-less one too) and
 # basis-index lookups.  Each family is assembled, re-checked and eliminated
 # once at its top budget; a lower budget assembled or eliminated again raises
 # a count.  Assembly and restriction compute basis positions, so only the
 # composition re-check (its target index) calls _basis_index.
 WORK_COUNTS = [
-    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 16, 6)),
-    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 12, 9)),
+    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 21, 6)),
+    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 17, 9)),
     ("dolbeault", 3, "1+z1*zb2+z3^2", [1], [1], [3], (2, 0, 2, 0)),
 ]
 
@@ -707,11 +743,11 @@ def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, c
 
     counted(cohomology, "operator_matrix")
     counted(cohomology, "_applied_matrix")
-    counted(linalg, "_gauss_jordan")
+    counted(linalg, "pivot_columns")
     counted(cohomology, "_basis_index")
     model = FoliationModel(m, 0, 3, parse_series(f_text, m, 0, 3))
     cohomology_grid(model, variant, ps, qs, ds)
-    names = ("operator_matrix", "_applied_matrix", "_gauss_jordan", "_basis_index")
+    names = ("operator_matrix", "_applied_matrix", "pivot_columns", "_basis_index")
     assert tuple(calls[name] for name in names) == counts
 
 
@@ -731,11 +767,13 @@ def test_grid_eliminates_no_matrix_twice(monkeypatch):
     # the sparse_twist benchmark's canonical grid: the row at D and its D+1
     # probe, and neighbouring rows, share matrices and ranks through one memo
     seen = Counter()
-    real = linalg._gauss_jordan
+    real = linalg.pivot_columns
 
-    def counting(rows, ncols, *args, **kwargs):
-        seen[(ncols, tuple(tuple(sorted(row.items())) for row in rows))] += 1
-        return real(rows, ncols, *args, **kwargs)
+    def counting(M, order=None):
+        # entry-less matrices of one shape are alike and eliminate nothing
+        if M.entries:
+            seen[(M.rows, M.cols, tuple(sorted(M.entries.items())), order and tuple(order))] += 1
+        return real(M, order)
 
     assembled = Counter()
     real_matrix = cohomology.operator_matrix
@@ -744,7 +782,7 @@ def test_grid_eliminates_no_matrix_twice(monkeypatch):
         assembled[args[:1] + args[2:]] += 1
         return real_matrix(*args)
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    monkeypatch.setattr(linalg, "pivot_columns", counting)
     monkeypatch.setattr(cohomology, "operator_matrix", counting_matrix)
     model = FoliationModel(2, 0, 3, parse_series("1+z1*zb2", 2, 0, 2))
     for variant in ("canonical", "dolbeault"):

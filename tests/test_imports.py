@@ -285,3 +285,15 @@ SOLVE_ENGINE = {("linalg", "Factorization"), ("linalg", "solve")}
 def test_only_solve_replays_a_factorization():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert name_users(sources, "Factorization") == SOLVE_ENGINE
+
+
+# every forward rank is linalg.pivot_columns, one elimination per connected
+# block; the reduced eliminations of Factorization and kernel_basis go
+# through _echelon.  No module outside linalg builds rows and eliminates on
+# its own, so there is one forward-rank path
+ELIMINATORS = {("linalg", "_gauss_jordan"), ("linalg", "_echelon"), ("linalg", "pivot_columns")}
+
+
+def test_only_linalg_eliminates():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert name_users(sources, "_gauss_jordan") == ELIMINATORS

@@ -332,17 +332,75 @@ def test_forward_rank_matches_row_scanning_reference(seed, monkeypatch):
     M = Matrix(
         len(rows), ncols, {(i, c): v for i, row in enumerate(rows) for c, v in row.items() if c < ncols}
     )
-    calls = []
-    real = linalg._gauss_jordan
+    entered, eliminations = [], []
+    real_pivots, real_elimination = linalg.pivot_columns, linalg._gauss_jordan
 
-    def counting(rows, ncols, steps=None, forward=False):
-        calls.append((steps, forward))
-        return real(rows, ncols, steps, forward)
+    def entering(M, order=None):
+        entered.append(order)
+        return real_pivots(M, order)
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    def eliminating(rows, ncols, steps=None, forward=False):
+        eliminations.append((steps, forward))
+        return real_elimination(rows, ncols, steps, forward)
+
+    monkeypatch.setattr(linalg, "pivot_columns", entering)
+    monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
     assert rank(M) == len(want)
-    # one forward elimination that records no steps; an entry-less matrix needs none
-    assert calls == ([(None, True)] if M.entries else [])
+    # one pivot_columns call in M's own column order; each block it eliminates
+    # is a forward elimination that records no steps, and an entry-less
+    # matrix needs none
+    assert entered == [None]
+    assert all(call == (None, True) for call in eliminations)
+    assert M.entries or not eliminations
+
+
+def test_forward_elimination_takes_the_sparsest_row():
+    # column 0 is held by every row: forward mode swaps in the sparsest,
+    # row 2, where reduced mode keeps the lowest, row 0
+    data = [[1, 1, 1], [2, 2, 0], [3, 0, 0]]
+    rows = Matrix.from_rows_list(data).row_dicts()
+    assert linalg._gauss_jordan(rows, 3, forward=True) == [0, 1, 2]
+    assert rows[0] == {0: G(1)}
+    reduced, steps = Matrix.from_rows_list(data).row_dicts(), []
+    assert linalg._gauss_jordan(reduced, 3, steps) == [0, 1, 2]
+    assert steps[0][0] == 0
+    # on a tie in entry count the lowest row stays
+    tie = Matrix.from_rows_list([[1, 1, 0], [2, 0, 1]]).row_dicts()
+    assert linalg._gauss_jordan(tie, 3, forward=True) == [0, 1]
+    assert tie[0] == {0: G(1), 1: G(1)}
+
+
+def _block_sum(rng):
+    """A row- and column-permuted block-diagonal sum of random blocks with i
+    and fractional entries, some rank-deficient, plus empty rows and columns."""
+    blocks = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.25:
+            blocks.append(_shaped_matrix(rng, "rank_deficient"))
+        else:
+            blocks.append(_rational_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), rng.choice((0.3, 0.6, 1.0))))
+    nrows = sum(b.rows for b in blocks) + rng.randint(0, 3)
+    ncols = sum(b.cols for b in blocks) + rng.randint(0, 3)
+    row_at, col_at = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    entries, r0, c0 = {}, 0, 0
+    for b in blocks:
+        for (i, j), v in b.entries.items():
+            entries[(row_at[r0 + i], col_at[c0 + j])] = v
+        r0, c0 = r0 + b.rows, c0 + b.cols
+    return Matrix(nrows, ncols, entries)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_blockwise_pivots_match_global_row_scanning_reference(seed):
+    # the pivots of the block-by-block, sparsest-row elimination are those of
+    # one global lowest-row elimination, in M's column order and in another
+    rng = random.Random(7300 + seed)
+    M = _block_sum(rng)
+    assert linalg.pivot_columns(M) == _scanning_gauss_jordan(M.row_dicts(), M.cols)
+    order = rng.sample(range(M.cols), M.cols)
+    place = {c: j for j, c in enumerate(order)}
+    renamed = [{place[c]: v for c, v in row.items()} for row in M.row_dicts()]
+    assert linalg.pivot_columns(M, order) == _scanning_gauss_jordan(renamed, M.cols)
 
 
 def test_class_coords_eliminate_once(monkeypatch):
