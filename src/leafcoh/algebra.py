@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterator
 
 
 class GaussianRational:
@@ -230,30 +229,6 @@ def expo_degree(key: Expo) -> int:
 def grlex_key(key: Expo):
     """Graded-lexicographic sort key on an exponent triple."""
     return (expo_degree(key), key[0] + key[1] + key[2])
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def monomials_upto(m: int, n: int, budget: int) -> list:
-    """All exponent triples of total degree <= budget, in graded-lex order."""
-    out = []
-    nvars = 2 * m + n
-    for deg in range(budget + 1):
-        block = sorted(_compositions(deg, nvars))
-        for flat in block:
-            out.append((flat[:m], flat[m : 2 * m], flat[2 * m :]))
-    return out
 
 
 class SeriesError(ValueError):

@@ -22,18 +22,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import add
 
-from .algebra import Series, expo_degree
+from .algebra import Series
 from .forms import (
     FoliatedForm,
     FoliationModel,
     FormError,
-    _basis_cached,
-    _basis_index,
     basis_dimension,
     basis_form,
     count_monomials,
+    enumerate_basis,
     inclusion_positions,
     insert_index,
+    monomial_table,
+    pair_table,
 )
 from .operators import (
     FoliatedMorphism,
@@ -76,27 +77,29 @@ class NotClosedError(ValueError):
 
 def vectorize(phi: FoliatedForm, budget: int) -> dict:
     """Coordinates of phi over the (p,q) basis at the given budget: {position: nonzero}."""
-    model = phi.model
-    idx = _basis_index(model.m, model.n, phi.p, phi.q, budget)
+    m, n = phi.model.m, phi.model.n
+    N, ranks = count_monomials(m, n, budget), monomial_table(m, n, budget)[1]
+    row0 = {pair: r * N for r, pair in enumerate(pair_table(m, phi.p, phi.q))}
     out = {}
     for (A, B), series in phi.coeffs.items():
-        for expo, coeff in series.terms.items():
-            pos = idx.get((A, B, expo))
-            if pos is None:
+        for (x, y, z), coeff in series.terms.items():
+            u = ranks.get(x + y + z, N)
+            if u >= N:
                 raise BudgetContractError(
-                    f"form term {(A, B, expo)} does not fit the budget-{budget} basis"
+                    f"form term {(A, B, (x, y, z))} does not fit the budget-{budget} basis"
                 )
-            out[pos] = coeff
+            out[row0[(A, B)] + u] = coeff
     return out
 
 
 def form_from_vector(model: FoliationModel, p: int, q: int, budget: int, vec: dict) -> FoliatedForm:
     """The form with the sparse coordinates vec over the (p,q) basis at the given budget."""
-    basis = _basis_cached(model.m, model.n, p, q, budget)
+    N, pairs = count_monomials(model.m, model.n, budget), pair_table(model.m, p, q)
+    monos = monomial_table(model.m, model.n, budget)[0][:N]
     terms: dict = {}
     for pos, coeff in vec.items():
-        A, B, expo = basis[pos]
-        terms.setdefault((A, B), {})[expo] = coeff
+        r, u = divmod(pos, N)
+        terms.setdefault(pairs[r], {})[monos[u]] = coeff
     coeffs = {key: Series(model.m, model.n, budget, t) for key, t in terms.items()}
     return FoliatedForm(model, p, q, coeffs, budget)
 
@@ -175,25 +178,25 @@ def operator_matrix(
     f = model.f if twisted else Series.one(m, n)
     f_terms = [(x + y + z, ft) for (x, y, z), ft in f.terms.items()]
     weight = p + q - (k if tag == "dbar_f_k" else 0)  # f = 1 has t = 0 only
-    in_basis = _basis_cached(m, n, p, q, in_budget)
-    if not in_basis:
+    in_pairs, n_in = pair_table(m, p, q), count_monomials(m, n, in_budget)
+    if not in_pairs or not n_in:
         return _raw_matrix(basis_dimension(model, p + dp, q + dq, out_budget), 0, {})
-    n_in, n_out = count_monomials(m, n, in_budget), count_monomials(m, n, out_budget)
-    out_basis = _basis_cached(m, n, p + dp, q + dq, out_budget)
+    n_out, out_pairs = count_monomials(m, n, out_budget), pair_table(m, p + dp, q + dq)
+    monos, mono_rank = monomial_table(m, n, out_budget)
     # Positions are arithmetic (forms.inclusion_positions): (A, B, e) sits at
-    # pair rank * N + monomial rank.  The monomial map z^e -> z^(e + t - eps_a)
-    # and its factor do not depend on (A, B), so shifts tabulates them once per
-    # variable and sign: per input monomial, the (target monomial rank, entry)
-    # of each term with an entry.  Each (A, B) block places a copy; equal
-    # entries f_t * c are one shared scalar, and a row is one shared int.
-    mono_rank = {x + y + z: r for r, (_, _, (x, y, z)) in enumerate(out_basis[:n_out])}
-    pair_at = {(A, B): r * n_out for r, (A, B, _) in enumerate(out_basis[::n_out])}
+    # pair rank * N + monomial rank, the ranks read off forms' shared tables.
+    # The monomial map z^e -> z^(e + t - eps_a) and its factor do not depend on
+    # (A, B), so shifts tabulates them once per variable and sign: per input
+    # monomial, the (target monomial rank, entry) of each term with an entry.
+    # Each (A, B) block places a copy; equal entries f_t * c are one shared
+    # scalar, and a row is one shared int.
+    pair_at = {pair: r * n_out for r, pair in enumerate(out_pairs)}
     entries, tables, shared = {}, {}, {}
-    row_ints = list(range(len(out_basis)))
+    row_ints = list(range(len(out_pairs) * n_out))
 
     def shifts(i, sign):
         table = []
-        for _, _, (x, y, z) in in_basis[:n_in]:
+        for x, y, z in monos[:n_in]:
             e, row = x + y + z, []
             for t, ft in f_terms:
                 c = sign * (e[i] - weight * t[i])
@@ -204,7 +207,7 @@ def operator_matrix(
             table.append(row)
         return table
 
-    for j, (A, B, _) in enumerate(in_basis[::n_in]):
+    for j, (A, B) in enumerate(in_pairs):
         placed = []
         for a in range(1, m + 1):
             s, merged = insert_index(a, B if dq else A)
@@ -218,15 +221,21 @@ def operator_matrix(
             for table, row0 in placed:
                 for r, v in table[u]:
                     entries[(row_ints[row0 + r], col)] = v
-    return _raw_matrix(len(out_basis), len(in_basis), entries)
+    return _raw_matrix(len(row_ints), len(in_pairs) * n_in, entries)
 
 
-def _applied_matrix(apply, model: FoliationModel, p, q, in_budget, out_idx: dict) -> Matrix:
-    """Column j: apply(basis element j of (p,q,in_budget)) over the basis index out_idx."""
-    in_basis = _basis_cached(model.m, model.n, p, q, in_budget)
+def _applied_matrix(apply, source: tuple, target: tuple) -> Matrix:
+    """Column j: apply(element j of enumerate_basis(*source)) over enumerate_basis(*target).
+
+    Each entry is placed through an element -> position dict of the target
+    basis, built for this call from its enumeration: no position arithmetic
+    of operator_matrix is shared, and nothing outlives the call.
+    """
+    in_basis, budget = enumerate_basis(*source), source[3]
+    out_idx = {elem: i for i, elem in enumerate(enumerate_basis(*target))}
     entries = {}
     for j, elem in enumerate(in_basis):
-        for (A, B), series in apply(basis_form(model, elem, in_budget)).coeffs.items():
+        for (A, B), series in apply(basis_form(source[0], elem, budget)).coeffs.items():
             for expo, coeff in series.terms.items():
                 entries[(out_idx[(A, B, expo)], j)] = coeff
     return _raw_matrix(len(out_idx), len(in_basis), entries)
@@ -240,8 +249,8 @@ def pullback_matrix(
         raise BudgetContractError(
             "pullback out budget too small for exact substitution"
         )
-    out_idx = _basis_index(mu.source.m, mu.source.n, p, q, out_budget)
-    return _applied_matrix(lambda phi: pullback(mu, phi), mu.target, p, q, in_budget, out_idx)
+    source, target = (mu.target, p, q, in_budget), (mu.source, p, q, out_budget)
+    return _applied_matrix(lambda phi: pullback(mu, phi), source, target)
 
 
 def _composed_matrix(grid: "_Grid", p, q, in_budget):
@@ -252,8 +261,8 @@ def _composed_matrix(grid: "_Grid", p, q, in_budget):
     B = grid.matrix("dbar_f", p, q, in_budget, in_budget + gap)
     A = grid.matrix("partial_f", p, q + 1, in_budget + gap, in_budget + 2 * gap)
     C = A.mul(B)
-    out_idx = _basis_index(model.m, model.n, p + 1, q + 1, in_budget + 2 * gap)
-    if out_idx and _applied_matrix(lambda phi: partial_f(dbar_f(phi)), model, p, q, in_budget, out_idx) != C:
+    target = (model, p + 1, q + 1, in_budget + 2 * gap)
+    if C.rows and _applied_matrix(lambda phi: partial_f(dbar_f(phi)), (model, p, q, in_budget), target) != C:
         raise AssertionError("composed operator disagrees with matrix product")
     return C
 
@@ -358,14 +367,14 @@ class _Grid:
         """Rank of the matrix under ``key``: the pivots of degree <= in_budget of its family."""
         family = self._family(key)
         if family.pivot_degrees is None:
-            tag, p, q = key[:3]
-            degrees = [
-                expo_degree(e)
-                for bp, bq in _blocks(tag, p, q)[0]
-                for _, _, e in _basis_cached(self.model.m, self.model.n, bp, bq, family.budget)
-            ]
-            order = sorted(range(len(degrees)), key=degrees.__getitem__)
-            family.pivot_degrees = [degrees[order[j]] for j in linalg.pivot_columns(family.matrix, order)]
+            # every column block is at the family budget, so the columns run
+            # through (A, B) pairs of N(budget) monomials each, and in every
+            # pair the monomials of degree d are the range [N(d - 1), N(d))
+            sizes = [count_monomials(self.model.m, self.model.n, d) for d in range(family.budget + 1)]
+            starts = range(0, family.matrix.cols, sizes[-1]) if sizes else ()
+            order = [s + u for lo, hi in zip([0] + sizes, sizes) for s in starts for u in range(lo, hi)]
+            ends = [len(starts) * hi for hi in sizes]  # the places in order of degree <= d
+            family.pivot_degrees = [bisect_right(ends, j) for j in linalg.pivot_columns(family.matrix, order)]
         return bisect_right(family.pivot_degrees, key[3])
 
     def group(self, kernel_key, image_key) -> tuple:

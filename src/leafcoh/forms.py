@@ -18,8 +18,7 @@ coefficient; results of form arithmetic and of the operators are built by
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import (
     ONE,
@@ -28,7 +27,7 @@ from .algebra import (
     _accumulated_terms,
     _mul_into,
     _raw_series,
-    monomials_upto,
+    expo_degree,
 )
 
 MultiIndex = tuple  # strictly increasing tuple of 1-based variable indices
@@ -419,32 +418,51 @@ def inclusion_positions(model: FoliationModel, p: int, q: int, small: int, big: 
     return [r * n_big + u for r in range(basis_dimension(model, p, q, 0)) for u in range(n_small)]
 
 
-@lru_cache(maxsize=None)
-def _basis_cached(m: int, n: int, p: int, q: int, budget: int):
-    if p < 0 or q < 0 or p > m or q > m or budget < 0:
-        return ()
-    monos = monomials_upto(m, n, budget)
-    out = []
-    for A in combinations(range(1, m + 1), p):
-        for B in combinations(range(1, m + 1), q):
-            for e in monos:
-                out.append((A, B, e))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _basis_index(m: int, n: int, p: int, q: int, budget: int):
-    return {elem: i for i, elem in enumerate(_basis_cached(m, n, p, q, budget))}
-
-
-def enumerate_basis(model: FoliationModel, p: int, q: int, budget: int | None = None):
-    """Ordered basis of the (p,q) space at the given budget.
+def enumerate_basis(model: FoliationModel, p: int, q: int, budget: int | None = None) -> tuple:
+    """Ordered basis of the (p,q) space at the given budget, built afresh from the tables.
 
     Elements are (A, B, expo) triples ordered lexicographically by (A, B) and
     graded-lexicographically on the monomial; the ordering is the contract all
-    matrix assembly relies on.
+    matrix assembly relies on: (A, B, e) sits at pair rank * N + monomial rank.
     """
-    return _basis_cached(model.m, model.n, p, q, model.budget if budget is None else budget)
+    m, n, b = model.m, model.n, model.budget if budget is None else budget
+    monos = monomial_table(m, n, b)[0][: count_monomials(m, n, b)]
+    return tuple((A, B, e) for A, B in pair_table(m, p, q) for e in monos)
+
+
+_MONOMIALS: dict = {}  # (m, n) -> (monomials, ranks), see monomial_table
+_PAIRS: dict = {}  # (m, p, q) -> pair_table(m, p, q)
+
+
+def monomial_table(m: int, n: int, budget: int) -> tuple:
+    """(monomials, ranks) shared by every basis over (m, n).
+
+    ``monomials`` lists the exponent triples in graded-lex order through at
+    least degree ``budget``, so the budget-b monomials are its prefix of
+    length count_monomials(m, n, b); ``ranks`` maps each flattened triple
+    alpha + beta + gamma to its place in the list.  The table grows, one
+    degree at a time, to the largest budget asked for.
+    """
+    monos, ranks = table = _MONOMIALS.setdefault((m, n), ([], {}))
+    v = 2 * m + n
+    while len(monos) < count_monomials(m, n, budget):
+        top = expo_degree(monos[-1]) + 1 if monos else 0
+        # a composition of top into v parts is v - 1 bars among top + v - 1
+        # places, and ascending bar tuples give the compositions in lex order
+        for bars in combinations(range(top + v - 1), v - 1):
+            flat = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (top + v - 1,)))
+            ranks[flat] = len(monos)
+            monos.append((flat[:m], flat[m : 2 * m], flat[2 * m :]))
+    return table
+
+
+def pair_table(m: int, p: int, q: int) -> tuple:
+    """The (A, B) pairs of the (p,q) bases over m leaf variables, lexicographic (empty out of range)."""
+    pairs = _PAIRS.get((m, p, q))
+    if pairs is None:
+        pairs = () if min(p, q) < 0 else tuple(product(combinations(range(1, m + 1), p), combinations(range(1, m + 1), q)))
+        _PAIRS[(m, p, q)] = pairs
+    return pairs
 
 
 def basis_form(model: FoliationModel, element, budget: int) -> FoliatedForm:

@@ -9,10 +9,9 @@ desk scale.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
-from .algebra import GaussianRational, Series, _normal
-from .forms import FoliatedForm, FoliationModel
+from .algebra import GaussianRational, Series, _normal, _raw_series
+from .forms import FoliatedForm, FoliationModel, _raw_form, pair_table
 from .operators import FoliatedMorphism
 
 
@@ -60,14 +59,15 @@ def random_series(
     unit: bool = False,
     kinds=("z", "zb", "x"),
 ) -> Series:
-    """A sparse random series; with unit=True the constant term is nonzero."""
+    """A sparse random series at a budget >= 0; with unit=True the constant term is nonzero."""
     terms: dict = {}
     for _ in range(rng.randint(0 if not unit else 1, max_terms)):
         key = random_exponent(rng, m, n, budget, kinds)
         coeff = random_scalar(rng)
         if coeff:
             terms[key] = terms.get(key, GaussianRational(0)) + coeff
-    s = Series(m, n, budget, terms)
+    # the keys fit (m, n) and the budget by construction; zero sums drop as in Series(...)
+    s = _raw_series(m, n, budget, {key: c for key, c in terms.items() if c})
     if unit and not s.is_unit:
         one = Series.constant(m, n, GaussianRational(rng.randint(1, 3)), budget)
         s = s + one
@@ -91,11 +91,7 @@ def random_form(
         budget = model.budget
     if p < 0 or q < 0 or p > model.m or q > model.m:
         return FoliatedForm.zero(model, max(p, 0), max(q, 0), max(budget, 0))
-    pairs = [
-        (A, B)
-        for A in combinations(range(1, model.m + 1), p)
-        for B in combinations(range(1, model.m + 1), q)
-    ]
+    pairs = pair_table(model.m, p, q)
     coeffs = {}
     for _ in range(rng.randint(1, max_components)):
         key = rng.choice(pairs)
@@ -108,7 +104,7 @@ def random_form(
             coeffs.pop(key, None)
         else:
             coeffs[key] = acc
-    return FoliatedForm(model, p, q, coeffs, budget)
+    return _raw_form(model, p, q, coeffs, budget)
 
 
 def random_bidegree(rng: random.Random, m: int):

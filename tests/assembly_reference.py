@@ -1,20 +1,48 @@
 """Reference operator assembly: the former dict-indexed ``operator_matrix``.
 
-Every output entry is placed by looking its (A, B, exponent) triple up in the
-``forms._basis_index`` dict of the target basis, one basis element and one
-twist term at a time.  ``inclusion_positions`` likewise looks each
-budget-``small`` element up in the budget-``big`` index.  The differential
-tests compare ``leafcoh.cohomology``'s position arithmetic against these.
+``basis`` enumerates a (p,q) basis here, with ``itertools`` and a sort, and
+shares no code with the package's monomial and pair tables.  Every output
+entry is placed by looking its (A, B, exponent) triple up in a dict of the
+target basis, one basis element and one twist term at a time.
+``inclusion_positions`` likewise looks each budget-``small`` element up in
+the budget-``big`` index.  The differential tests compare
+``leafcoh.cohomology``'s position arithmetic against these.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
 from leafcoh.algebra import ONE
 from leafcoh.cohomology import _OPS, BudgetContractError, operator_gap
-from leafcoh.forms import _basis_cached, _basis_index, insert_index
+from leafcoh.forms import insert_index
 from leafcoh.linalg import _raw_matrix
+
+
+@lru_cache(maxsize=None)
+def basis(m, n, p, q, budget) -> tuple:
+    """The (p,q) basis at budget as (A, B, exponent triple) elements: pairs in
+    lexicographic order, each with every monomial sorted by (degree, flattened
+    exponents); empty for a negative or too large bidegree or budget."""
+    if min(p, q, budget) < 0:
+        return ()
+    v = 2 * m + n
+    flats = sorted(
+        (d, tuple(chosen.count(i) for i in range(v)))
+        for d in range(budget + 1)
+        for chosen in combinations_with_replacement(range(v), d)
+    )
+    monos = [(f[:m], f[m : 2 * m], f[2 * m :]) for _, f in flats]
+    pairs = [(A, B) for A in combinations(range(1, m + 1), p) for B in combinations(range(1, m + 1), q)]
+    return tuple((A, B, e) for A, B in pairs for e in monos)
+
+
+@lru_cache(maxsize=None)
+def index(m, n, p, q, budget) -> dict:
+    """Element -> position in ``basis(m, n, p, q, budget)``."""
+    return {elem: i for i, elem in enumerate(basis(m, n, p, q, budget))}
 
 
 def operator_matrix(tag, model, p, q, in_budget, out_budget, k=None):
@@ -38,8 +66,8 @@ def operator_matrix(tag, model, p, q, in_budget, out_budget, k=None):
         weight = 0
     slot = 1 if dq else 0
     front = -1 if dq and p % 2 else 1
-    in_basis = _basis_cached(m, n, p, q, in_budget)
-    out_idx = _basis_index(m, n, p + dp, q + dq, out_budget)
+    in_basis = basis(m, n, p, q, in_budget)
+    out_idx = index(m, n, p + dp, q + dq, out_budget)
     entries = {}
     pair, merges = None, []
     for j, (A, B, e) in enumerate(in_basis):
@@ -69,5 +97,5 @@ def operator_matrix(tag, model, p, q, in_budget, out_budget, k=None):
 
 def inclusion_positions(model, p, q, small, big):
     """Positions of the budget-``small`` basis inside the budget-``big`` one, by lookup."""
-    idx = _basis_index(model.m, model.n, p, q, big)
-    return [idx[e] for e in _basis_cached(model.m, model.n, p, q, small)]
+    idx = index(model.m, model.n, p, q, big)
+    return [idx[e] for e in basis(model.m, model.n, p, q, small)]

@@ -3,7 +3,10 @@ dict-indexed reference assembler (tests/assembly_reference.py).
 
 Every tag, every bidegree in [-1, m+1], budgets -1, at the gap and above it,
 and random models with n in {0, 1} and untwisted, constant and multi-term
-twists: equal shapes, equal entries and equal entry order.
+twists: equal shapes, equal entries and equal entry order.  The shared
+monomial and pair tables of ``leafcoh.forms`` are checked against the
+reference's own ``itertools`` enumeration: positions and elements, inclusion
+positions, ``_Grid.rank``'s degree order and the vector round trip.
 """
 
 import random
@@ -11,9 +14,17 @@ import random
 import pytest
 
 import assembly_reference as reference
-from leafcoh.cohomology import BudgetContractError, inclusion_positions, operator_gap, operator_matrix
-from leafcoh.forms import FoliationModel
-from leafcoh.algebra import parse_series
+from leafcoh import cohomology, forms, linalg
+from leafcoh.cohomology import (
+    BudgetContractError,
+    form_from_vector,
+    inclusion_positions,
+    operator_gap,
+    operator_matrix,
+    vectorize,
+)
+from leafcoh.forms import FoliationModel, basis_form, count_monomials, enumerate_basis, monomial_table, pair_table
+from leafcoh.algebra import GaussianRational, parse_series
 
 KINDS = ("untwisted", "constant", "multi")
 TAGS = [("dbar", None), ("partial", None), ("dbar_f", None), ("partial_f", None)]
@@ -102,3 +113,88 @@ def test_inclusion_positions_match_lookup(seed):
                 for small in range(-1, big + 1):
                     got = inclusion_positions(model, p, q, small, big)
                     assert got == reference.inclusion_positions(model, p, q, small, big), (p, q, small, big)
+
+
+def _table_case(seed):
+    """A seeded model with m <= 3, n <= 2 and a budget in 0..5, and bidegrees
+    in [-1, m + 1], so out-of-range ones come up too."""
+    rng = random.Random(7100 + seed)
+    m, n = rng.randint(1, 3), rng.randint(0, 2)
+    budget = rng.randint(0, 5 if 2 * m + n <= 6 else 4)
+    pqs = [(rng.randint(-1, m + 1), rng.randint(-1, m + 1)) for _ in range(3)]
+    return rng, FoliationModel.untwisted(m, n, budget), pqs
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_tables_match_independent_enumeration(seed, monkeypatch):
+    rng, model, pqs = _table_case(seed)
+    m, n, top = model.m, model.n, model.budget
+    if seed % 2:
+        # fresh tables, grown in a random budget order
+        monkeypatch.setattr(forms, "_MONOMIALS", {})
+        monkeypatch.setattr(forms, "_PAIRS", {})
+    budgets = list(range(-1, top + 1))
+    rng.shuffle(budgets)
+    for p, q in pqs:
+        pairs = pair_table(m, p, q)
+        for b in budgets:
+            want = reference.basis(m, n, p, q, b)
+            assert enumerate_basis(model, p, q, b) == want, (p, q, b)
+            N = count_monomials(m, n, b)
+            monos, ranks = monomial_table(m, n, b)
+            assert len(monos) >= N and len(pairs) * N == len(want)
+            for pos, (A, B, e) in enumerate(want):
+                assert (pairs[pos // N], monos[pos % N]) == ((A, B), e)
+                assert ranks[e[0] + e[1] + e[2]] == pos % N
+            for small in range(-1, b + 1):
+                got = inclusion_positions(model, p, q, small, b)
+                assert got == reference.inclusion_positions(model, p, q, small, b), (p, q, small, b)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_vector_round_trip_over_reference_positions(seed):
+    rng, model, pqs = _table_case(seed)
+    m, n, top = model.m, model.n, model.budget
+    for p, q in pqs:
+        for b in range(top + 1):
+            basis = reference.basis(m, n, p, q, b)
+            if not basis:
+                assert vectorize(forms.FoliatedForm.zero(model, max(p, 0), max(q, 0), b), b) == {}
+                continue
+            positions = rng.sample(range(len(basis)), min(4, len(basis)))
+            vec = {pos: GaussianRational(rng.randint(1, 5), rng.randint(-2, 2)) for pos in positions}
+            phi = forms.FoliatedForm.zero(model, p, q, b)
+            for pos, c in vec.items():
+                phi = phi + basis_form(model, basis[pos], b).scale(c)
+            assert form_from_vector(model, p, q, b, vec) == phi
+            assert vectorize(phi, b) == vec
+            # a term above the budget fits no position, with the same message as ever
+            A, B, e = reference.basis(m, n, p, q, b + 1)[-1]
+            with pytest.raises(BudgetContractError) as info:
+                vectorize(basis_form(model, (A, B, e), b + 1), b)
+            assert str(info.value) == f"form term {(A, B, e)} does not fit the budget-{b} basis"
+
+
+GRID_TAGS = ("dbar_f", "partial_f", "stacked", "image", "composed")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_grid_rank_degree_order_matches_a_stable_sort(seed, monkeypatch):
+    rng, model, pqs = _table_case(seed)
+    m, n, top = model.m, model.n, min(model.budget, 3)
+    f = parse_series(rng.choice(["1+z1", "2+z1*zb1", "1+zb1^2"]), m, n, 2)
+    model = FoliationModel(m, n, top, f)
+    gap = operator_gap("dbar_f", model)
+    orders = []
+    real = linalg.pivot_columns
+    monkeypatch.setattr(linalg, "pivot_columns", lambda M, order=None: orders.append(order) or real(M, order))
+    for p, q in pqs:
+        for tag in GRID_TAGS:
+            b = rng.randint(0, top)
+            cohomology._Grid(model).rank((tag, p, q, b, b + (2 if tag == "composed" else 1) * gap, None))
+            degrees = [
+                sum(map(sum, e))
+                for bp, bq in cohomology._blocks(tag, p, q)[0]
+                for _, _, e in reference.basis(m, n, bp, bq, b)
+            ]
+            assert orders.pop() == sorted(range(len(degrees)), key=degrees.__getitem__), (tag, p, q, b)

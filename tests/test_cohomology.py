@@ -107,14 +107,15 @@ def test_operator_matrix_top_degree_target_is_empty():
 
 def test_operator_matrix_empty_source_reads_no_target_basis(monkeypatch):
     # cone_blocks asks for dbar_f out of (0, -1) at grade 0: a matrix with no
-    # columns, whose row count is arithmetic
+    # columns, whose row count is arithmetic, so neither target table is read
     requests = []
-    real = cohomology._basis_cached
-    monkeypatch.setattr(cohomology, "_basis_cached", lambda *args: requests.append(args) or real(*args))
+    for name in ("monomial_table", "pair_table"):
+        real = getattr(cohomology, name)
+        monkeypatch.setattr(cohomology, name, lambda *args, real=real: requests.append(args) or real(*args))
     model = FoliationModel(2, 0, 2, parse_series("1+z1", 2, 0, 1))
     M = operator_matrix("dbar_f", model, 0, -1, 0, 14)
     assert (M.rows, M.cols, M.entries) == (basis_dimension(model, 0, 0, 14), 0, {})
-    assert (2, 0, 0, 0, 14) not in requests
+    assert requests == [(2, 0, -1)]  # the empty source's pairs: no budget-14 monomials, no target pairs
 
 
 def test_operator_matrix_zero_twist():
@@ -716,14 +717,15 @@ def test_grid_with_unsorted_and_repeated_axes_matches_fresh_rows(seed):
 # Call counts of the three jobs of the benchmark's sparse_twist workload
 # (perfbench/run.py scenes sparse_m2 and sparse_m3): operator_matrix
 # assemblies, reference re-applications of the composition, pivot_columns
-# calls (one per family or matrix ranked, an entry-less one too) and
-# basis-index lookups.  Each family is assembled, re-checked and eliminated
-# once at its top budget; a lower budget assembled or eliminated again raises
-# a count.  Assembly and restriction compute basis positions, so only the
-# composition re-check (its target index) calls _basis_index.
+# calls (one per family or matrix ranked, an entry-less one too) and basis
+# enumerations.  Each family is assembled, re-checked and eliminated once at
+# its top budget; a lower budget assembled or eliminated again raises a count.
+# Assembly, restriction, ranks and vectors compute basis positions, so only
+# the composition re-check enumerates: its source basis and the target basis
+# it builds its index from, two per re-check, none kept between calls.
 WORK_COUNTS = [
-    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 21, 6)),
-    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 17, 9)),
+    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 21, 8)),
+    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 17, 8)),
     ("dolbeault", 3, "1+z1*zb2+z3^2", [1], [1], [3], (2, 0, 2, 0)),
 ]
 
@@ -744,10 +746,10 @@ def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, c
     counted(cohomology, "operator_matrix")
     counted(cohomology, "_applied_matrix")
     counted(linalg, "pivot_columns")
-    counted(cohomology, "_basis_index")
+    counted(cohomology, "enumerate_basis")
     model = FoliationModel(m, 0, 3, parse_series(f_text, m, 0, 3))
     cohomology_grid(model, variant, ps, qs, ds)
-    names = ("operator_matrix", "_applied_matrix", "pivot_columns", "_basis_index")
+    names = ("operator_matrix", "_applied_matrix", "pivot_columns", "enumerate_basis")
     assert tuple(calls[name] for name in names) == counts
 
 

@@ -4,8 +4,9 @@ import ``random``, the exact engine imports neither ``sampling`` nor
 ``checks``, the trusted ``ChainMap._commuting`` is used only by the two
 sequence builders and ``ShortExactSequence._exact`` only by the relative one,
 only ``checks`` forks, only ``_Grid.group`` and the sequences' d.d proof
-prove an inclusion with ``check_inclusion``, and only ``linalg.solve``
-replays a recorded ``Factorization``.
+prove an inclusion with ``check_inclusion``, only ``linalg.solve``
+replays a recorded ``Factorization``, and only the composition re-check
+enumerates a basis, with no function cache in ``forms``.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -297,3 +298,55 @@ ELIMINATORS = {("linalg", "_gauss_jordan"), ("linalg", "_echelon"), ("linalg", "
 def test_only_linalg_eliminates():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert name_users(sources, "_gauss_jordan") == ELIMINATORS
+
+
+# bases are positions by arithmetic over forms' monomial and pair tables; a
+# materialised basis is built only by the reference application of
+# _applied_matrix (the composition re-check and pullback_matrix), for one call.
+# forms keeps its tables in plain dicts keyed by (m, n) and (m, p, q) and has
+# no function cache, so no basis keyed by budget lives for the process
+BASIS_ENUMERATORS = {("cohomology", "_applied_matrix")}
+
+
+def call_sites(sources: dict, name: str) -> set:
+    """(module, top-level definition) of every call of ``name``, as a bare name
+    or an attribute, in ``sources`` (module name -> source); a call outside
+    any definition has the definition None."""
+    sites = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
+                    sites.add((module, owner))
+    return sites
+
+
+def cached_functions(source: str) -> list:
+    """Names of the functions of a source decorated with functools' lru_cache
+    or cache, bare, called or as an attribute."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
+                    names.append(node.name)
+    return names
+
+
+def test_call_and_cache_finders():
+    sources = {
+        "a": "def f():\n    return g(1)\nclass C:\n    def m(self):\n        return mod.g()\nh = g\nx = g()\n",
+        "b": "def g(): pass\ndef k():\n    return [g]\n",
+    }
+    assert call_sites(sources, "g") == {("a", "f"), ("a", "C"), ("a", None)}
+    source = "import functools\n@functools.lru_cache(maxsize=None)\ndef a(): pass\n@cache\ndef b(): pass\n"
+    source += "@lru_cache\ndef c(): pass\n@property\ndef d(): pass\n"
+    assert cached_functions(source) == ["a", "b", "c"]
+
+
+def test_only_the_recheck_enumerates_a_basis_and_forms_caches_no_function():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert call_sites(sources, "enumerate_basis") == BASIS_ENUMERATORS
+    assert cached_functions(sources["forms"]) == []
