@@ -10,7 +10,10 @@ leafwise variables z_1..z_m, their formal conjugates zb_1..zb_m and the
 transverse variables x_1..x_n, together with a total-degree *budget*: the
 maximal degree a Series is allowed to store.  The budget is bookkeeping, not
 part of equality; two Series are equal iff their term maps agree.  Truncation
-only ever happens where an operation takes an explicit ``out_budget``.
+only ever happens where an operation takes an explicit ``out_budget``.  Each
+monomial is stored as one packed int (see ``pack``), so a product of
+monomials is one integer addition; exponent triples appear only at the
+boundary (the constructor, the parser, the formatter and the ``terms`` view).
 
 Validation happens at the boundary: the public ``Series`` constructor, the
 parser and the classmethod constructors check every term (exponent shape,
@@ -215,10 +218,19 @@ def format_scalar(c: GaussianRational) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Series
+# Packed monomials
 # ---------------------------------------------------------------------------
 
 Expo = tuple  # (alpha: tuple[int], beta: tuple[int], gamma: tuple[int])
+
+# A Series keeps each monomial z^alpha zb^beta x^gamma as one int of 2m + n + 1
+# fields of W bits, most significant first: the total degree, then alpha_1..
+# alpha_m, beta_1..beta_m and gamma_1..gamma_n.  A product of monomials is the
+# sum of their keys, the degree is key >> W * (2m + n), and integer order is
+# graded-lex order.  No field reaches 2**W while the degree stays at most
+# MAX_DEGREE, so every boundary that sets a budget or an out budget checks it.
+W = 16
+MAX_DEGREE = (1 << W) - 1
 
 
 def expo_degree(key: Expo) -> int:
@@ -226,9 +238,62 @@ def expo_degree(key: Expo) -> int:
     return sum(alpha) + sum(beta) + sum(gamma)
 
 
-def grlex_key(key: Expo):
-    """Graded-lexicographic sort key on an exponent triple."""
-    return (expo_degree(key), key[0] + key[1] + key[2])
+def check_budget(budget: int) -> int:
+    """budget, if a packed monomial holds its degree; else a SeriesError."""
+    if budget > MAX_DEGREE:
+        raise SeriesError(
+            f"budget {budget} exceeds {MAX_DEGREE}, the largest degree a packed monomial holds"
+        )
+    return budget
+
+
+def pack(key: Expo) -> int:
+    """The packed int of an exponent triple of tuples, nonnegative and of degree <= MAX_DEGREE."""
+    alpha, beta, gamma = key
+    return pack_flat(alpha + beta + gamma)
+
+
+def pack_flat(flat: tuple) -> int:
+    """The packed int of the exponents alpha + beta + gamma in one tuple."""
+    packed = sum(flat)
+    for e in flat:
+        packed = packed << W | e
+    return packed
+
+
+def unpack_flat(v: int, key: int) -> tuple:
+    """The v exponents of a packed key in the order alpha + beta + gamma (v = 2m + n)."""
+    return tuple(key >> W * i & MAX_DEGREE for i in range(v - 1, -1, -1))
+
+
+def unpack(m: int, n: int, key: int) -> Expo:
+    """The exponent triple (alpha, beta, gamma) of a packed key over (m, n)."""
+    flat = unpack_flat(2 * m + n, key)
+    return flat[:m], flat[m : 2 * m], flat[2 * m :]
+
+
+def degree_shift(m: int, n: int) -> int:
+    """The degree of a packed key over (m, n) is key >> degree_shift(m, n)."""
+    return W * (2 * m + n)
+
+
+def last_variable(m: int, n: int, key: int) -> int:
+    """Flat index, in alpha + beta + gamma, of the last variable of a nonconstant packed key.
+
+    The lowest set bit lies in that variable's field, below the degree field.
+    """
+    return 2 * m + n - 1 - ((key & -key).bit_length() - 1) // W
+
+
+def variable_field(m: int, n: int, flat_index: int) -> tuple:
+    """(bit offset, key unit) of the variable at ``flat_index`` in alpha + beta + gamma.
+
+    Its exponent in a key is key >> offset & MAX_DEGREE, and adding the unit
+    multiplies by the variable (the degree field counts it too).
+    """
+    v = 2 * m + n
+    offset = W * (v - 1 - flat_index)
+    return offset, 1 << W * v | 1 << offset
 
 
 class SeriesError(ValueError):
@@ -238,20 +303,28 @@ class SeriesError(ValueError):
 _SLOTS = {"z": 0, "zb": 1, "x": 2}  # the exponent block of each variable kind
 
 
+# ---------------------------------------------------------------------------
+# Series
+# ---------------------------------------------------------------------------
+
+
 class Series:
     """A sparse polynomial over the Gaussian rationals with a degree budget.
 
-    ``terms`` maps exponent triples (alpha, beta, gamma) to nonzero
-    coefficients; alpha/beta index z/zb powers, gamma indexes x powers.
-    The constructor validates every term; operation results skip that check
+    ``packed`` maps packed monomial keys (see ``pack``) to nonzero
+    coefficients.  ``terms`` is a read-only view for boundary code: a fresh
+    dict from exponent triples (alpha, beta, gamma) to the coefficients,
+    alpha/beta indexing z/zb powers and gamma x powers.  The constructor takes
+    such triples and validates every term; operation results skip that check
     (see ``_raw_series``).
     """
 
-    __slots__ = ("m", "n", "budget", "terms")
+    __slots__ = ("m", "n", "budget", "packed")
 
     def __init__(self, m: int, n: int, budget: int, terms=None):
         if m < 0 or n < 0 or budget < 0:
             raise SeriesError("m, n and budget must be nonnegative")
+        check_budget(budget)
         self.m = m
         self.n = n
         self.budget = budget
@@ -268,8 +341,11 @@ class Series:
                 raise SeriesError(
                     f"term of degree {expo_degree(key)} exceeds budget {budget}"
                 )
-            clean[(tuple(alpha), tuple(beta), tuple(gamma))] = coeff
-        self.terms = clean
+            expo = (tuple(alpha), tuple(beta), tuple(gamma))
+            if min(expo[0] + expo[1] + expo[2], default=0) < 0:
+                raise SeriesError(f"exponent triple {key} has a negative exponent")
+            clean[pack(expo)] = coeff
+        self.packed = clean
 
     # -- constructors --------------------------------------------------------
 
@@ -279,8 +355,12 @@ class Series:
 
     @classmethod
     def constant(cls, m, n, value, budget=0):
-        key = ((0,) * m, (0,) * m, (0,) * n)
-        return cls(m, n, budget, {key: value})
+        if m < 0 or n < 0 or budget < 0:
+            raise SeriesError("m, n and budget must be nonnegative")
+        if not isinstance(value, GaussianRational):
+            value = GaussianRational(value)
+        # the constant monomial is the key 0, of degree 0
+        return _raw_series(m, n, check_budget(budget), {0: value} if value else {})
 
     @classmethod
     def one(cls, m, n, budget=0):
@@ -308,20 +388,34 @@ class Series:
     # -- structure -----------------------------------------------------------
 
     @property
+    def terms(self) -> dict:
+        """A fresh dict: exponent triple -> coefficient (the boundary view of ``packed``)."""
+        m, n = self.m, self.n
+        return {unpack(m, n, key): c for key, c in self.packed.items()}
+
+    def depends_on(self, *kinds: str) -> bool:
+        """Some term has a positive exponent of a z or zb variable, as the kinds name them."""
+        block, low = (1 << W * self.m) - 1, W * self.n
+        fields = {"z": block << low + W * self.m, "zb": block << low}
+        mask = 0
+        for kind in kinds:
+            mask |= fields[kind]
+        return any(key & mask for key in self.packed)
+
+    @property
     def degree(self) -> int:
         """Largest total degree among stored terms (0 for the zero series)."""
-        if not self.terms:
+        if not self.packed:
             return 0
-        return max(expo_degree(k) for k in self.terms)
+        return max(self.packed) >> W * (2 * self.m + self.n)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     @property
     def constant_term(self) -> GaussianRational:
-        key = ((0,) * self.m, (0,) * self.m, (0,) * self.n)
-        return self.terms.get(key, ZERO)
+        return self.packed.get(0, ZERO)
 
     @property
     def is_unit(self) -> bool:
@@ -335,8 +429,14 @@ class Series:
         if budget == self.budget:
             return self
         if budget > self.budget:
-            return _raw_series(self.m, self.n, budget, self.terms)
-        return Series(self.m, self.n, budget, self.terms)
+            return _raw_series(self.m, self.n, budget, self.packed)
+        if budget < 0:
+            raise SeriesError("m, n and budget must be nonnegative")
+        shift = W * (2 * self.m + self.n)
+        for key in self.packed:
+            if key >> shift > budget:
+                raise SeriesError(f"term of degree {key >> shift} exceeds budget {budget}")
+        return _raw_series(self.m, self.n, budget, self.packed)
 
     def _same_space(self, other: "Series"):
         if self.m != other.m or self.n != other.n:
@@ -348,8 +448,8 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         self._same_space(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
+        terms = dict(self.packed)
+        for key, coeff in other.packed.items():
             acc = terms.get(key, ZERO) + coeff
             if acc:
                 terms[key] = acc
@@ -358,7 +458,7 @@ class Series:
         return _raw_series(self.m, self.n, max(self.budget, other.budget), terms)
 
     def __neg__(self):
-        return _raw_series(self.m, self.n, self.budget, {k: -c for k, c in self.terms.items()})
+        return _raw_series(self.m, self.n, self.budget, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -369,7 +469,7 @@ class Series:
             raise SeriesError("scale expects a scalar")
         if not c:
             return _raw_series(self.m, self.n, self.budget, {})
-        return _raw_series(self.m, self.n, self.budget, {k: v * c for k, v in self.terms.items()})
+        return _raw_series(self.m, self.n, self.budget, {k: v * c for k, v in self.packed.items()})
 
     def mul(self, other: "Series", out_budget: int | None = None) -> "Series":
         """Product, discarding terms of total degree > out_budget.
@@ -418,27 +518,29 @@ class Series:
         limit = self.n if slot == 2 else self.m
         if not 1 <= index <= limit:
             raise SeriesError(f"variable {kind}{index} out of range (max {limit})")
-        i = index - 1
+        offset, unit = variable_field(self.m, self.n, slot * self.m + index - 1)
         terms = {}
-        for key, coeff in self.terms.items():
-            e = key[slot][i]
-            if e == 0:
-                continue
-            vec = list(key[slot])
-            vec[i] = e - 1
-            new = list(key)
-            new[slot] = tuple(vec)
-            a, b, d = coeff.a * e, coeff.b * e, coeff.d
-            terms[tuple(new)] = _raw(a, b, 1) if d == 1 else _normal(a, b, d)
+        for key, coeff in self.packed.items():
+            e = key >> offset & MAX_DEGREE
+            if e:
+                a, b, d = coeff.a * e, coeff.b * e, coeff.d
+                terms[key - unit] = _raw(a, b, 1) if d == 1 else _normal(a, b, d)
         return _raw_series(self.m, self.n, self.budget, terms)
 
     def conj(self) -> "Series":
         """Formal conjugation: swap z/zb exponents, conjugate coefficients."""
+        low, block = W * self.n, W * self.m  # the x fields, and the z or zb fields
+        x_mask, mask = (1 << low) - 1, (1 << block) - 1
+        top = low + 2 * block
         return _raw_series(
             self.m,
             self.n,
             self.budget,
-            {(b, a, g): c.conjugate() for (a, b, g), c in self.terms.items()},
+            {
+                ((k >> top << block | k >> low & mask) << block | k >> low + block & mask) << low
+                | k & x_mask: c.conjugate()
+                for k, c in self.packed.items()
+            },
         )
 
     def invert(self, out_budget: int | None = None) -> "Series":
@@ -468,11 +570,9 @@ class Series:
         """Drop all terms of total degree > out_budget."""
         if out_budget < 0:
             raise SeriesError("m, n and budget must be nonnegative")
+        limit = out_budget + 1 << W * (2 * self.m + self.n)
         return _raw_series(
-            self.m,
-            self.n,
-            out_budget,
-            {k: c for k, c in self.terms.items() if expo_degree(k) <= out_budget},
+            self.m, self.n, out_budget, {k: c for k, c in self.packed.items() if k < limit}
         )
 
     # -- comparison / io -----------------------------------------------------
@@ -480,13 +580,15 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.m, self.n) == (other.m, other.n) and self.terms == other.terms
+        return (self.m, self.n) == (other.m, other.n) and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.m, self.n, frozenset(self.terms.items())))
+        return hash((self.m, self.n, frozenset(self.packed.items())))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        """(exponent triple, coefficient) pairs in graded-lex order, the integer order of the keys."""
+        m, n = self.m, self.n
+        return [(unpack(m, n, key), self.packed[key]) for key in sorted(self.packed)]
 
     def __str__(self):
         return format_series(self)
@@ -499,48 +601,45 @@ class Series:
         return parse_series(text, m, n, budget)
 
 
-def _raw_series(m: int, n: int, budget: int, terms: dict) -> Series:
-    """A Series over terms that are clean already, taken without a copy.
+def _raw_series(m: int, n: int, budget: int, packed: dict) -> Series:
+    """A Series over packed terms that are clean already, taken without a copy.
 
-    The caller guarantees what the constructor would check: keys are exponent
-    triples of tuples matching (m, n) of degree <= budget, values are nonzero
-    GaussianRationals, and budget >= 0.  Operation results qualify, since each
+    The caller guarantees what the constructor would check: keys are packed
+    monomials over (m, n) of degree <= budget, values are nonzero
+    GaussianRationals, and 0 <= budget.  Operation results qualify, since each
     builds its terms from validated operands.
     """
     s = _new(Series)
     s.m = m
     s.n = n
     s.budget = budget
-    s.terms = terms
+    s.packed = packed
     return s
 
 
-def _mul_into(acc: dict, s: Series, t: Series, out_budget: int, k: int = 1):
-    """Add k * s * t into ``acc``, skipping pairs of total degree > out_budget.
+def _terms(s: Series) -> list:
+    """s's terms as (key, degree, re, im, den) integer tuples."""
+    shift = W * (2 * s.m + s.n)
+    return [(key, key >> shift, c.a, c.b, c.d) for key, c in s.packed.items()]
 
-    ``acc`` maps exponent triples to lists [re, im, den] of plain integers
-    holding (re + im*i) / den with den > 0, not reduced; no scalar object is
-    made per pair.  Each coefficient's triple is read once, and k is folded
-    into t's coefficients once.  ``_accumulated_terms`` turns ``acc`` into
-    terms.  Returns a bound on the degree of every term added:
-    min(out_budget, deg s + deg t).
+
+def _mul_terms(acc: dict, left, right: list, out_budget: int, k: int = 1):
+    """Add k times every product of a ``left`` and a ``right`` term of degree
+    <= out_budget into ``acc``.
+
+    Terms are ``_terms`` tuples.  ``acc`` maps packed keys to lists [re, im,
+    den] of plain integers holding (re + im*i) / den with den > 0, not
+    reduced; no scalar object is made per pair, and ``_accumulated_terms``
+    turns ``acc`` into terms.
     """
-    right = [
-        (a2, b2, g2, sum(a2) + sum(b2) + sum(g2), c.a * k, c.b * k, c.d)
-        for (a2, b2, g2), c in t.terms.items()
-    ]
-    top = max([r[3] for r in right], default=0)
-    left = 0
-    for (a1, b1, g1), c in s.terms.items():
-        x, y, e = c.a, c.b, c.d
-        d1 = sum(a1) + sum(b1) + sum(g1)
-        if d1 > left:
-            left = d1
+    for key1, d1, x, y, e in left:
+        if k != 1:
+            x, y = x * k, y * k
         room = out_budget - d1
-        for a2, b2, g2, d2, u, v, w in right:
+        for key2, d2, u, v, w in right:
             if d2 > room:
                 continue
-            key = (tuple(map(add, a1, a2)), tuple(map(add, b1, b2)), tuple(map(add, g1, g2)))
+            key = key1 + key2
             re, im, den = x * u - y * v, x * v + y * u, e * w
             slot = acc.get(key)
             if slot is None:
@@ -553,11 +652,19 @@ def _mul_into(acc: dict, s: Series, t: Series, out_budget: int, k: int = 1):
                 slot[0] = slot[0] * den + re * d0
                 slot[1] = slot[1] * den + im * d0
                 slot[2] = d0 * den
-    return min(out_budget, left + top)
+
+
+def _mul_into(acc: dict, s: Series, t: Series, out_budget: int, k: int = 1):
+    """Add k * s * t into ``acc``, skipping pairs of total degree > out_budget (see ``_mul_terms``).
+
+    out_budget bounds every key formed, so it is checked against MAX_DEGREE.
+    """
+    check_budget(out_budget)
+    _mul_terms(acc, _terms(s), _terms(t), out_budget, k)
 
 
 def _accumulated_terms(acc: dict) -> dict:
-    """The nonzero terms of a ``_mul_into`` accumulator, one canonical scalar each."""
+    """The nonzero terms of a ``_mul_terms`` accumulator, one canonical scalar each."""
     terms = {}
     for key, (re, im, den) in acc.items():
         if re or im:
@@ -660,6 +767,11 @@ class _Parser:
               factor  := number ['i'] | 'i' | '(' series ')' | var ['^' int]
               number  := int ['/' int]
               var     := z<k> | zb<k> | x<k>
+
+    Polynomials under construction are dicts from flat exponent tuples
+    (alpha + beta + gamma) to nonzero coefficients: an exponent in the text
+    may exceed any packed field, and only the terms that survive to the end
+    are checked against the budget and packed.
     """
 
     def __init__(self, text, m, n, budget):
@@ -677,36 +789,51 @@ class _Parser:
         self.k += 1
         return t
 
-    def parse(self) -> Series:
+    def parse(self) -> dict:
         s = self.series()
         t = self.peek()
         if t.kind != "end":
             raise SeriesParseError(f"unexpected {t.text!r}", t.pos)
-        for key in s.terms:
-            if expo_degree(key) > self.budget:
+        m = self.m
+        for flat in s:
+            if sum(flat) > self.budget:
                 raise SeriesError(
-                    f"term {_format_monomial(key)} of degree {expo_degree(key)} "
-                    f"exceeds budget {self.budget}"
+                    f"term {_format_monomial((flat[:m], flat[m : 2 * m], flat[2 * m :]))} "
+                    f"of degree {sum(flat)} exceeds budget {self.budget}"
                 )
         return s
 
-    def series(self) -> Series:
+    def series(self) -> dict:
         sign = 1
         if self.peek().kind in "+-":
             sign = -1 if self.take().kind == "-" else 1
-        acc = self.term().scale(sign)
+        acc = self.term()
+        if sign < 0:
+            acc = {k: -c for k, c in acc.items()}
         while self.peek().kind in "+-":
             op = self.take().kind
             t = self.term()
-            acc = acc + (t.scale(-1) if op == "-" else t)
+            acc = dict(acc)
+            for key, coeff in t.items():
+                total = acc.get(key, ZERO) + (-coeff if op == "-" else coeff)
+                if total:
+                    acc[key] = total
+                else:
+                    acc.pop(key, None)
         return acc
 
-    def term(self) -> Series:
+    def term(self) -> dict:
         acc = self.factor()
         while True:
             if self.peek().kind == "*":
                 self.take()
-                acc = acc.mul(self.factor())
+                right = self.factor()
+                product: dict = {}
+                for k1, c1 in acc.items():
+                    for k2, c2 in right.items():
+                        key = tuple(map(add, k1, k2))
+                        product[key] = product.get(key, ZERO) + c1 * c2
+                acc = {k: c for k, c in product.items() if c}
             elif self.peek().kind in ("name", "int", "("):
                 # juxtaposition such as "2i" is handled inside factor; explicit
                 # adjacency without '*' is rejected for clarity
@@ -715,7 +842,12 @@ class _Parser:
             else:
                 return acc
 
-    def factor(self) -> Series:
+    def constant(self, value: GaussianRational) -> dict:
+        if self.m < 0 or self.n < 0:
+            raise SeriesError("m, n and budget must be nonnegative")
+        return {(0,) * (2 * self.m + self.n): value} if value else {}
+
+    def factor(self) -> dict:
         t = self.peek()
         if t.kind == "(":
             self.take()
@@ -728,12 +860,12 @@ class _Parser:
             num = self.number()
             if self.peek().kind == "name" and self.peek().text == "i":
                 self.take()
-                return Series.constant(self.m, self.n, GaussianRational(0, num))
-            return Series.constant(self.m, self.n, GaussianRational(num))
+                return self.constant(GaussianRational(0, num))
+            return self.constant(GaussianRational(num))
         if t.kind == "name":
             if t.text == "i":
                 self.take()
-                return Series.constant(self.m, self.n, I)
+                return self.constant(I)
             return self.variable()
         raise SeriesParseError(f"expected a coefficient or variable, got {t.text!r}", t.pos)
 
@@ -750,34 +882,35 @@ class _Parser:
             return Fraction(num, int(d.text))
         return Fraction(num)
 
-    def variable(self) -> Series:
+    def variable(self) -> dict:
         t = self.take()
         name = t.text
-        for kind in ("zb", "z", "x"):
+        m, n = self.m, self.n
+        for kind, first, limit in (("zb", m, m), ("z", 0, m), ("x", 2 * m, n)):
             if name.startswith(kind) and name[len(kind) :].isdigit():
                 index = int(name[len(kind) :])
-                try:
-                    base = Series.variable(self.m, self.n, kind, index, budget=1)
-                except SeriesError:
-                    raise SeriesParseError(f"unknown variable {name!r}", t.pos) from None
+                if m < 0 or n < 0 or not 1 <= index <= limit:
+                    raise SeriesParseError(f"unknown variable {name!r}", t.pos)
                 break
         else:
             raise SeriesParseError(f"unknown variable {name!r}", t.pos)
-        if self.peek().kind != "^":
-            return base
-        self.take()
-        e = self.take()
-        if e.kind != "int":
-            raise SeriesParseError("expected integer exponent", e.pos)
-        # one monomial, so parse() rejects a huge exponent with no multiplication
-        power = int(e.text)
-        (key,) = base.terms
-        return _raw_series(self.m, self.n, power, {tuple(tuple(x * power for x in part) for part in key): ONE})
+        power = 1
+        if self.peek().kind == "^":
+            self.take()
+            e = self.take()
+            if e.kind != "int":
+                raise SeriesParseError("expected integer exponent", e.pos)
+            # one monomial, so parse() rejects a huge exponent with no multiplication
+            power = int(e.text)
+        flat = [0] * (2 * m + n)
+        flat[first + index - 1] = power
+        return {tuple(flat): ONE}
 
 
 def parse_series(text: str, m: int, n: int, budget: int) -> Series:
     """Parse the series text grammar; raises SeriesParseError with a position."""
-    s = _Parser(text, m, n, budget).parse()
+    terms = _Parser(text, m, n, budget).parse()
     if budget < 0:  # parse() checked every term against it; a zero series has none
         raise SeriesError("m, n and budget must be nonnegative")
-    return _raw_series(m, n, budget, s.terms)
+    check_budget(budget)
+    return _raw_series(m, n, budget, {pack_flat(flat): c for flat, c in terms.items()})

@@ -144,9 +144,7 @@ class Scene:
             _typed(_field(md, key, "an integer", "model"), kind, f"model.{key}")
         m, n, budget = md["m"], md["n"], md["budget"]
         f = self._twist(_typed(md.get("f", "1"), "a string", "model.f"), m, n)
-        if data.get("basic_twist_only") and any(
-            sum(alpha) + sum(beta) for (alpha, beta, _) in f.terms
-        ):
+        if data.get("basic_twist_only") and f.depends_on("z", "zb"):
             raise SceneError(
                 "scene requires a basic twist (x-variables only) but f has leafwise terms"
             )
@@ -496,6 +494,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (AssertionError, LinearAlgebraError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
+    except (IndexError, KeyError, TypeError) as exc:
+        # input is validated before the engine runs, so these are engine faults
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
     except (SceneError, SeriesError, FormError, MorphismError, ValueError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")

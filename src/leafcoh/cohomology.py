@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import add
 
-from .algebra import Series
+from .algebra import Series, pack, unpack_flat
 from .forms import (
     FoliatedForm,
     FoliationModel,
@@ -80,13 +80,16 @@ def vectorize(phi: FoliatedForm, budget: int) -> dict:
     m, n = phi.model.m, phi.model.n
     N, ranks = count_monomials(m, n, budget), monomial_table(m, n, budget)[1]
     row0 = {pair: r * N for r, pair in enumerate(pair_table(m, phi.p, phi.q))}
+    v = 2 * m + n
     out = {}
     for (A, B), series in phi.coeffs.items():
-        for (x, y, z), coeff in series.terms.items():
-            u = ranks.get(x + y + z, N)
+        for key, coeff in series.packed.items():
+            flat = unpack_flat(v, key)
+            u = ranks.get(flat, N)
             if u >= N:
+                expo = (flat[:m], flat[m : 2 * m], flat[2 * m :])
                 raise BudgetContractError(
-                    f"form term {(A, B, (x, y, z))} does not fit the budget-{budget} basis"
+                    f"form term {(A, B, expo)} does not fit the budget-{budget} basis"
                 )
             out[row0[(A, B)] + u] = coeff
     return out
@@ -232,12 +235,12 @@ def _applied_matrix(apply, source: tuple, target: tuple) -> Matrix:
     of operator_matrix is shared, and nothing outlives the call.
     """
     in_basis, budget = enumerate_basis(*source), source[3]
-    out_idx = {elem: i for i, elem in enumerate(enumerate_basis(*target))}
+    out_idx = {(A, B, pack(expo)): i for i, (A, B, expo) in enumerate(enumerate_basis(*target))}
     entries = {}
     for j, elem in enumerate(in_basis):
         for (A, B), series in apply(basis_form(source[0], elem, budget)).coeffs.items():
-            for expo, coeff in series.terms.items():
-                entries[(out_idx[(A, B, expo)], j)] = coeff
+            for key, coeff in series.packed.items():
+                entries[(out_idx[(A, B, key)], j)] = coeff
     return _raw_matrix(len(out_idx), len(in_basis), entries)
 
 

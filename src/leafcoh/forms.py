@@ -27,7 +27,9 @@ from .algebra import (
     _accumulated_terms,
     _mul_into,
     _raw_series,
+    check_budget,
     expo_degree,
+    pack,
 )
 
 MultiIndex = tuple  # strictly increasing tuple of 1-based variable indices
@@ -345,19 +347,25 @@ def _raw_form(model: FoliationModel, p: int, q: int, coeffs: dict, budget: int) 
     phi.coeffs = {
         key: s if s.budget == budget else s.with_budget(budget)
         for key, s in coeffs.items()
-        if s.terms
+        if s.packed
     }
     return phi
 
 
 def _accumulated_form(model: FoliationModel, p: int, q: int, acc: dict, budget: int) -> FoliatedForm:
-    """The form at ``budget`` of a map (A, B) -> ``algebra._mul_into`` accumulator.
+    """The form at ``budget`` of a map (A, B) -> ``algebra._mul_terms`` accumulator.
 
-    The caller guarantees, or checks right after, that every term fits the budget.
+    The caller guarantees, or checks right after, that every term fits the
+    budget; blocks that sum to zero are dropped.
     """
     m, n = model.m, model.n
-    coeffs = {key: _raw_series(m, n, budget, _accumulated_terms(t)) for key, t in acc.items()}
-    return _raw_form(model, p, q, coeffs, budget)
+    phi = object.__new__(FoliatedForm)
+    phi.model, phi.p, phi.q, phi.budget, phi.coeffs = model, p, q, budget, {}
+    for key, t in acc.items():
+        terms = _accumulated_terms(t)
+        if terms:
+            phi.coeffs[key] = _raw_series(m, n, budget, terms)
+    return phi
 
 
 def _check_multi_index(t: MultiIndex, length: int, m: int):
@@ -468,5 +476,5 @@ def pair_table(m: int, p: int, q: int) -> tuple:
 def basis_form(model: FoliationModel, element, budget: int) -> FoliatedForm:
     """The FoliatedForm of one element of the budget-``budget`` basis."""
     A, B, expo = element
-    series = _raw_series(model.m, model.n, budget, {expo: ONE})
+    series = _raw_series(model.m, model.n, check_budget(budget), {pack(expo): ONE})
     return _raw_form(model, len(A), len(B), {(A, B): series}, budget)

@@ -449,40 +449,20 @@ def rank(M: Matrix) -> int:
 class Subspace:
     """A subspace of coordinate space given by a linearly independent basis.
 
-    The basis vectors are sparse; ``ambient_dim`` is their dimension.
+    The basis vectors are sparse; ``ambient_dim`` is their dimension.  The
+    basis is taken as given: the one builder in the package, kernel_basis,
+    makes it independent by construction.
     """
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis):
-        basis = [dict(v) for v in basis]
-        if basis:
-            # the Matrix constructor rejects an index beyond the ambient dimension
-            got = rank(Matrix.from_columns(basis, ambient_dim))
-            if got != len(basis):
-                raise LinearAlgebraError(
-                    f"basis is not independent (rank {got} of {len(basis)})"
-                )
+    def __init__(self, ambient_dim: int, basis: list):
         self.ambient_dim = ambient_dim
         self.basis = basis
-
-    @classmethod
-    def _independent(cls, ambient_dim: int, basis: list) -> "Subspace":
-        """A subspace on a basis that is independent by construction (not re-ranked)."""
-        sub = cls.__new__(cls)
-        sub.ambient_dim = ambient_dim
-        sub.basis = basis
-        return sub
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vec: dict) -> bool:
-        if not self.basis:
-            return not any(vec.values())
-        M = Matrix.from_columns(self.basis, self.ambient_dim)
-        return solve(M, vec) is not None
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -510,7 +490,7 @@ def kernel_basis(M: Matrix) -> Subspace:
         vec = {pc: -v for pc, v in held.get(j, ())}
         vec[j] = ONE
         basis.append(vec)
-    return Subspace._independent(M.cols, basis)
+    return Subspace(M.cols, basis)
 
 
 def check_inclusion(d: Matrix, image: Matrix):

@@ -16,7 +16,22 @@ transverse components for x, and map generators through the leafwise Jacobian
 
 from __future__ import annotations
 
-from .algebra import ONE, Series, SeriesError, _accumulated_terms, _mul_into, _raw_series
+from .algebra import (
+    MAX_DEGREE,
+    Series,
+    SeriesError,
+    _accumulated_terms,
+    _mul_into,
+    _mul_terms,
+    _normal,
+    _raw,
+    _raw_series,
+    _terms,
+    check_budget,
+    degree_shift,
+    last_variable,
+    variable_field,
+)
 from .forms import (
     FoliatedForm,
     FoliationModel,
@@ -34,95 +49,123 @@ def dbar(phi: FoliatedForm) -> FoliatedForm:
     """Antiholomorphic leafwise exterior derivative: (p,q) -> (p,q+1).
 
     The fresh dzb^a is written in front and merged into place, so moving it
-    past the p dz-generators contributes (-1)^p.
+    past the p dz-generators contributes (-1)^p.  It is the twisted kernel
+    with f = 1 and weight 0.
     """
-    model = phi.model
-    acc: dict = {}
-    for (A, B), c in phi.coeffs.items():
-        front = -1 if phi.p % 2 else 1
-        for a in range(1, model.m + 1):
-            s, B2 = insert_index(a, B)
-            if s == 0:
-                continue
-            dc = c.deriv("zb", a)
-            if dc.is_zero:
-                continue
-            _accumulate(acc, (A, B2), dc if front * s > 0 else -dc)
-    return _raw_form(model, phi.p, phi.q + 1, acc, phi.budget)
+    return _twisted(phi, None, 0, True)
 
 
 def partial(phi: FoliatedForm) -> FoliatedForm:
-    """Holomorphic leafwise exterior derivative: (p,q) -> (p+1,q)."""
-    model = phi.model
-    acc: dict = {}
-    for (A, B), c in phi.coeffs.items():
-        for a in range(1, model.m + 1):
-            s, A2 = insert_index(a, A)
-            if s == 0:
-                continue
-            dc = c.deriv("z", a)
-            if dc.is_zero:
-                continue
-            _accumulate(acc, (A2, B), dc if s > 0 else -dc)
-    return _raw_form(model, phi.p + 1, phi.q, acc, phi.budget)
+    """Holomorphic leafwise exterior derivative: (p,q) -> (p+1,q), the kernel with f = 1."""
+    return _twisted(phi, None, 0, False)
 
 
-def _accumulate(acc: dict, key, series: Series):
-    prev = acc.get(key)
-    series = series if prev is None else prev + series
-    if series.is_zero:
-        acc.pop(key, None)
-    else:
-        acc[key] = series
+_UNIT_TERMS = ((0, 0, 1, 0, 1),)  # algebra._terms of the constant 1, the image of the monomial 1
 
+# (m, n, anti) -> (bit offset, key unit) of zb_a (anti) or z_a, a = 1..m
+_FIELDS: dict = {}
 
-# raw -> (f, raw(f)) for the last twist raw was applied to: the suites and the
+# anti -> [f, terms of f, deg f, terms of dbar(f) (anti) or partial(f), or
+# None until a nonzero weight asks] for the last twist: the suites and the
 # composition re-check apply one twist to many forms.  The strong reference
 # (Series has no weakref slot) keeps f's id from being reused while cached.
-_last_raw_f: dict = {}
+_last_twist: dict = {}
 
 
-def _twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
-    """f * raw(phi) - weight * raw(f) ^ phi, in one pass; raw is dbar or partial.
+def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> FoliatedForm:
+    """f * raw(phi) - weight * raw(f) ^ phi, in one pass; raw is dbar (anti) or partial.
 
-    Both products are formed exactly into one integer accumulator per (A, B)
-    (``algebra._mul_into``), with the wedge sign (-1)^p sgn(a, B) for dbar
-    and sgn(a, A) for partial, and the result is wrapped once; raw(f) is
-    kept from the previous call on the same f object.  f is checked
-    against phi's model at every weight.  Every output term must fit the
-    budget phi.budget + twist_gap(f); a term above it means the gap is
-    wrong, and raises SeriesError.
+    f None is the constant 1, and with weight 0 that is dbar or partial
+    itself: each derivative term is an output term.  Otherwise the
+    derivative of each coefficient of phi goes term by term, as integer
+    tuples, straight into the product with f, so raw(phi) is never built;
+    both products accumulate into one integer map per (A, B)
+    (``algebra._mul_terms``), and the result is wrapped once.  The wedge
+    sign is (-1)^p sgn(a, B) for dbar and sgn(a, A) for partial.  The terms
+    of f and of raw(f) are kept from the previous call on the same f
+    object.  f is checked against phi's model at every weight.  Every
+    output term must fit the budget phi.budget + twist_gap(f); a term above
+    it means the gap is wrong, and raises SeriesError.
     """
     model = phi.model
-    if f.m != model.m or f.n != model.n:
-        raise FormError("coefficient series does not match the model")
-    budget = phi.budget + twist_gap(f)
-    dphi = raw(phi)
+    m, n = model.m, model.n
+    fields = _FIELDS.get((m, n, anti))
+    if fields is None:
+        fields = _FIELDS[(m, n, anti)] = [variable_field(m, n, a + m * anti) for a in range(m)]
+    front = -1 if anti and phi.p % 2 else 1
+    p, q = (phi.p, phi.q + 1) if anti else (phi.p + 1, phi.q)
     acc: dict = {}
-    top = 0  # a bound on the degree of every term formed
-    for key, c in dphi.coeffs.items():
-        top = max(top, _mul_into(acc.setdefault(key, {}), c, f, c.budget + f.budget))
+    if f is None:
+        # a derivative lowers every degree, so no key can grow past the budget
+        for (A, B), c in phi.coeffs.items():
+            for a, (offset, unit) in enumerate(fields, 1):
+                s, merged = insert_index(a, B if anti else A)
+                if s == 0:
+                    continue
+                out = None
+                for key, coeff in c.packed.items():
+                    e = key >> offset & MAX_DEGREE
+                    if e:
+                        e *= front * s
+                        re, im, den = coeff.a * e, coeff.b * e, coeff.d
+                        term = _raw(re, im, 1) if den == 1 else _normal(re, im, den)
+                        if out is None:
+                            block = (A, merged) if anti else (merged, B)
+                            if block not in acc:
+                                acc[block] = _raw_series(m, n, phi.budget, {})
+                            out = acc[block].packed  # filled before the series escapes
+                        key -= unit
+                        prev = out.get(key)
+                        if prev is not None:
+                            term = prev + term
+                            if not term:
+                                del out[key]
+                                continue
+                        out[key] = term
+        return _raw_form(model, p, q, acc, phi.budget)
+    if f.m != m or f.n != n:
+        raise FormError("coefficient series does not match the model")
+    budget = check_budget(phi.budget + twist_gap(f))
+    last = _last_twist.get(anti)
+    if last is None or last[0] is not f:
+        last = _last_twist[anti] = [f, _terms(f), f.degree, None]
+    right, room, shift = last[1], phi.budget + f.budget, degree_shift(m, n)
+    top = 0  # the largest key of phi: its degree field is phi's degree
+    for (A, B), c in phi.coeffs.items():
+        items = c.packed
+        top = max(top, max(items))
+        for a, (offset, unit) in enumerate(fields, 1):
+            s, merged = insert_index(a, B if anti else A)
+            if s == 0:
+                continue
+            sign = front * s
+            left = []
+            for key, coeff in items.items():
+                e = key >> offset & MAX_DEGREE
+                if e:
+                    e *= sign
+                    key -= unit
+                    left.append((key, key >> shift, coeff.a * e, coeff.b * e, coeff.d))
+            if left:
+                _mul_terms(acc.setdefault((A, merged) if anti else (merged, B), {}), left, right, room)
     if weight:
-        last = _last_raw_f.get(raw)
-        if last is not None and last[0] is f:
-            df = last[1]
-        else:
-            df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
-            _last_raw_f[raw] = (f, df)
-        front = -weight if phi.p * df.q % 2 else weight
-        for (A1, B1), g in df.coeffs.items():
-            for (A, B), c in phi.coeffs.items():
+        if last[3] is None:
+            df = _twisted(_raw_form(model, 0, 0, {((), ()): f}, f.budget), None, 0, anti)
+            last[3] = [(key, _terms(g)) for key, g in df.coeffs.items()]
+        front = -weight if anti and phi.p % 2 else weight
+        coeffs = [(A, B, _terms(c)) for (A, B), c in phi.coeffs.items()]
+        for (A1, B1), g in last[3]:
+            for A, B, terms in coeffs:
                 sa, A2 = merge_indices(A1, A)
                 if sa == 0:
                     continue
                 sb, B2 = merge_indices(B1, B)
                 if sb == 0:
                     continue
-                k = -front * sa * sb
-                bound = _mul_into(acc.setdefault((A2, B2), {}), g, c, g.budget + c.budget, k)
-                top = max(top, bound)
-    out = _accumulated_form(model, dphi.p, dphi.q, acc, budget)
-    if top > budget:
+                _mul_terms(acc.setdefault((A2, B2), {}), g, terms, room, -front * sa * sb)
+    out = _accumulated_form(model, p, q, acc, budget)
+    # both products have degree at most deg phi - 1 + deg f
+    if (top >> shift) - 1 + last[2] > budget:
         for s in out.coeffs.values():
             if s.degree > budget:
                 raise SeriesError(f"term of degree {s.degree} exceeds budget {budget}")
@@ -132,19 +175,19 @@ def _twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
 def dbar_f(phi: FoliatedForm, f: Series | None = None) -> FoliatedForm:
     """Twisted antiholomorphic operator; f defaults to the model twist."""
     f = phi.model.f if f is None else f
-    return _twisted(phi, f, phi.deg, dbar)
+    return _twisted(phi, f, phi.deg, True)
 
 
 def partial_f(phi: FoliatedForm, f: Series | None = None) -> FoliatedForm:
     """Twisted holomorphic operator; f defaults to the model twist."""
     f = phi.model.f if f is None else f
-    return _twisted(phi, f, phi.deg, partial)
+    return _twisted(phi, f, phi.deg, False)
 
 
 def dbar_f_k(phi: FoliatedForm, k: int, f: Series | None = None) -> FoliatedForm:
     """Generalised twisted operator with weight p + q - k."""
     f = phi.model.f if f is None else f
-    return _twisted(phi, f, phi.deg - k, dbar)
+    return _twisted(phi, f, phi.deg - k, True)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +206,24 @@ class FoliatedMorphism:
     depend on x); x-components depend on x only.  ``pulled_twist`` is
     mu*(f'), the target twist pulled back exactly, computed once here for
     the cone differential, the pair constraint and the suites.
+
+    The map caches what it substitutes: mu*(monomial) per out budget, built
+    from the image of a monomial of one degree less times one component,
+    and the wedge of the generator images of each (A, B) per out budget.
+    None of it depends on the source twist, so ``with_source_twist`` shares
+    the caches.
     """
 
-    __slots__ = ("source", "target", "z_components", "x_components", "degree", "pulled_twist")
+    __slots__ = (
+        "source",
+        "target",
+        "z_components",
+        "x_components",
+        "degree",
+        "pulled_twist",
+        "_monomials",
+        "_blocks",
+    )
 
     def __init__(self, source: FoliationModel, target: FoliationModel, z_components, x_components):
         if len(z_components) != target.m:
@@ -175,12 +233,12 @@ class FoliatedMorphism:
         for comp in z_components:
             if comp.m != source.m or comp.n != source.n:
                 raise MorphismError("z-component does not live on the source model")
-            if any(sum(beta) for (_, beta, _) in comp.terms):
+            if comp.depends_on("zb"):
                 raise MorphismError("z-component must be holomorphic in z (no zb)")
         for comp in x_components:
             if comp.m != source.m or comp.n != source.n:
                 raise MorphismError("x-component does not live on the source model")
-            if any(sum(alpha) + sum(beta) for (alpha, beta, _) in comp.terms):
+            if comp.depends_on("z", "zb"):
                 raise MorphismError("x-component may depend on x only")
         self.source = source
         self.target = target
@@ -188,13 +246,16 @@ class FoliatedMorphism:
         self.x_components = tuple(x_components)
         # the largest component degree (0 without components)
         self.degree = max((c.degree for c in self.z_components + self.x_components), default=0)
+        self._monomials = {}  # out budget -> (packed target monomial -> image terms, component terms)
+        self._blocks = {}  # (A, B, out budget) -> coefficients of the wedge of the generator images
         self.pulled_twist = self.pull_series(target.f)
 
     def with_source_twist(self, f: Series) -> "FoliatedMorphism":
         """The same map from the source model twisted by f.
 
-        The components, their degree and mu*(f') do not depend on the source
-        twist, so they carry over without being checked or pulled back again.
+        The components, their degree, mu*(f') and the substitution caches do
+        not depend on the source twist, so they carry over without being
+        checked or pulled back again.
         """
         mu = object.__new__(FoliatedMorphism)
         mu.source = self.source.with_twist(f)
@@ -203,6 +264,8 @@ class FoliatedMorphism:
         mu.x_components = self.x_components
         mu.degree = self.degree
         mu.pulled_twist = self.pulled_twist
+        mu._monomials = self._monomials
+        mu._blocks = self._blocks
         return mu
 
     @classmethod
@@ -216,43 +279,52 @@ class FoliatedMorphism:
         d = self.degree
         return coeff_budget * d + (p + q) * max(d - 1, 0)
 
+    def _monomial_image(self, key: int, out_budget: int) -> list:
+        """``algebra._terms`` of mu*(target monomial ``key``), truncated at out_budget.
+
+        An image missing from the cache is the image of the monomial with one
+        power of its last variable (in alpha + beta + gamma order) fewer,
+        times that variable's component; the zb-components are the
+        conjugated z-components.  All degrees are >= 0, so truncating the
+        factors equals truncating the product.
+        """
+        level = self._monomials.get(out_budget)
+        if level is None:
+            comps = [c.truncated(out_budget) for c in self.z_components]
+            comps += [c.conj() for c in comps] + [c.truncated(out_budget) for c in self.x_components]
+            level = self._monomials[out_budget] = ({0: _UNIT_TERMS}, [_terms(c) for c in comps])
+        images, comps = level
+        image = images.get(key)
+        if image is None:
+            m2, n2 = self.target.m, self.target.n
+            chain = []  # (key, variable) from key down to a cached monomial
+            while image is None:
+                j = last_variable(m2, n2, key)
+                chain.append((key, j))
+                key -= variable_field(m2, n2, j)[1]
+                image = images.get(key)
+            m, n = self.source.m, self.source.n
+            for key, j in reversed(chain):
+                acc: dict = {}
+                _mul_terms(acc, image, comps[j], out_budget)
+                image = images[key] = _terms(_raw_series(m, n, out_budget, _accumulated_terms(acc)))
+        return image
+
     def pull_series(self, s: Series, out_budget: int | None = None) -> Series:
         """Compose a target-side function with the morphism (exact by default).
 
-        Each power of a component (zb-components are the conjugated
-        z-components) is computed at most once per call, truncated at
-        out_budget; all degrees are >= 0, so truncating the factors equals
-        truncating the product.  The substituted terms go into one integer
-        accumulator.
+        Each term of s adds its coefficient times the cached image of its
+        monomial (``_monomial_image``) into one integer accumulator.
         """
         if s.m != self.target.m or s.n != self.target.n:
             raise MorphismError("series does not live on the target model")
         m, n = self.source.m, self.source.n
         if out_budget is None:
             out_budget = s.budget * max(self.degree, 1) if self.degree else 0
-        powers: dict = {}  # (slot, index) -> [1, c, c^2, ...] truncated at out_budget
-
-        def power(slot: int, i: int, e: int) -> Series:
-            pw = powers.get((slot, i))
-            if pw is None:
-                comp = self.x_components[i] if slot == 2 else self.z_components[i]
-                comp = comp.conj() if slot == 1 else comp
-                pw = powers[(slot, i)] = [None, comp.truncated(out_budget)]
-            while len(pw) <= e:
-                pw.append(pw[-1].mul(pw[1], out_budget=out_budget))
-            return pw[e]
-
-        origin = ((0,) * m, (0,) * m, (0,) * n)
-        one = _raw_series(m, n, 0, {origin: ONE})
+        check_budget(out_budget)
         acc: dict = {}
-        for key, coeff in s.terms.items():
-            term = one
-            for slot, exps in enumerate(key):
-                for i, e in enumerate(exps):
-                    if e:
-                        pw = power(slot, i, e)
-                        term = pw if term is one else term.mul(pw, out_budget=out_budget)
-            _mul_into(acc, term, _raw_series(m, n, 0, {origin: coeff}), out_budget)
+        for key, c in s.packed.items():
+            _mul_terms(acc, self._monomial_image(key, out_budget), ((0, 0, c.a, c.b, c.d),), out_budget)
         return _raw_series(m, n, out_budget, _accumulated_terms(acc))
 
     def generator_image(self, a: int, anti: bool) -> FoliatedForm:
@@ -266,7 +338,7 @@ class FoliatedMorphism:
             dz = comp.deriv("z", b)
             if dz.is_zero:
                 continue
-            dz = _raw_series(m, self.source.n, budget, dz.terms)
+            dz = _raw_series(m, self.source.n, budget, dz.packed)
             if anti:
                 coeffs[((), (b,))] = dz.conj()
             else:
@@ -274,6 +346,24 @@ class FoliatedMorphism:
         if anti:
             return _raw_form(self.source, 0, 1, coeffs, budget)
         return _raw_form(self.source, 1, 0, coeffs, budget)
+
+    def block_image(self, A, B, out_budget: int) -> dict:
+        """Coefficients of the wedge of the images of dz'^A and dzb'^B, truncated at out_budget.
+
+        Cached per (A, B, out_budget); the empty wedge is the function 1.
+        """
+        block = self._blocks.get((A, B, out_budget))
+        if block is None:
+            gens = [(a, False) for a in A] + [(b, True) for b in B]
+            if gens:
+                image = self.generator_image(*gens[0])
+                for a, anti in gens[1:]:
+                    image = image.wedge(self.generator_image(a, anti), out_budget=out_budget)
+                block = image.coeffs
+            else:
+                block = {((), ()): Series.one(self.source.m, self.source.n)}
+            self._blocks[(A, B, out_budget)] = block
+        return block
 
     def __repr__(self):
         zs = ", ".join(str(c) for c in self.z_components)
@@ -289,10 +379,10 @@ def pullback(mu: FoliatedMorphism, phi: FoliatedForm, out_budget: int | None = N
     Substitution beyond out_budget is truncated silently (identities are
     stated up to budget).
 
-    Each generator image is built once per call.  A coefficient c on dz'^A ^
-    dzb'^B contributes mu*(c) times the wedge of the images of A and B, added
-    into one integer accumulator per (A, B) of the result; all degrees are
-    >= 0, so truncating the factors equals truncating the product.
+    A coefficient c on dz'^A ^ dzb'^B contributes mu*(c) times the wedge of
+    the images of A and B (cached on mu, ``block_image``), added into one
+    integer accumulator per (A, B) of the result; all degrees are >= 0, so
+    truncating the factors equals truncating the product.
     """
     if phi.model.m != mu.target.m or phi.model.n != mu.target.n:
         raise MorphismError("form does not live on the target model")
@@ -301,19 +391,10 @@ def pullback(mu: FoliatedMorphism, phi: FoliatedForm, out_budget: int | None = N
     source = mu.source
     if phi.p > source.m or phi.q > source.m:
         return FoliatedForm.zero(source, phi.p, phi.q, budget)
-    unit = _raw_form(source, 0, 0, {((), ()): Series.one(source.m, source.n)}, 0)
-    images: dict = {}  # (index, anti) -> generator_image
     acc: dict = {}
     for (A, B), c in phi.coeffs.items():
         pulled = mu.pull_series(c, out_budget=budget)
-        image = unit
-        for gens, anti in ((A, False), (B, True)):
-            for a in gens:
-                g = images.get((a, anti))
-                if g is None:
-                    g = images[(a, anti)] = mu.generator_image(a, anti)
-                image = g if image is unit else image.wedge(g, out_budget=budget)
-        for key, s in image.coeffs.items():
+        for key, s in mu.block_image(A, B, budget).items():
             _mul_into(acc.setdefault(key, {}), pulled, s, budget)
     return _accumulated_form(source, phi.p, phi.q, acc, budget)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import GaussianRational, Series, _normal, _raw_series
+from .algebra import GaussianRational, Series, _normal, _raw_series, check_budget, variable_field
 from .forms import FoliatedForm, FoliationModel, _raw_form, pair_table
 from .operators import FoliatedMorphism
 
@@ -25,29 +25,26 @@ def random_scalar(rng: random.Random, with_imag: bool = True) -> GaussianRationa
     return _normal(a, 0, d)
 
 
-def random_exponent(rng: random.Random, m: int, n: int, budget: int, kinds=("z", "zb", "x")):
-    alpha = [0] * m
-    beta = [0] * m
-    gamma = [0] * n
-    degree = rng.randint(0, budget)
-    slots = []
-    if "z" in kinds:
-        slots += [("z", i) for i in range(m)]
-    if "zb" in kinds:
-        slots += [("zb", i) for i in range(m)]
-    if "x" in kinds:
-        slots += [("x", i) for i in range(n)]
-    for _ in range(degree):
-        if not slots:
+_UNITS: dict = {}  # (m, n, kinds) -> the packed units of the variables of those kinds
+
+
+def random_monomial(rng: random.Random, m: int, n: int, budget: int, kinds=("z", "zb", "x")) -> int:
+    """A packed monomial of degree drawn from 0..budget, one uniform variable of the kinds at a time."""
+    units = _UNITS.get((m, n, kinds))
+    if units is None:
+        first = {"z": 0, "zb": m, "x": 2 * m}
+        units = _UNITS[(m, n, kinds)] = [
+            variable_field(m, n, first[kind] + i)[1]
+            for kind in ("z", "zb", "x")
+            if kind in kinds
+            for i in range(n if kind == "x" else m)
+        ]
+    key = 0
+    for _ in range(rng.randint(0, budget)):
+        if not units:
             break
-        kind, i = rng.choice(slots)
-        if kind == "z":
-            alpha[i] += 1
-        elif kind == "zb":
-            beta[i] += 1
-        else:
-            gamma[i] += 1
-    return (tuple(alpha), tuple(beta), tuple(gamma))
+        key += rng.choice(units)
+    return key
 
 
 def random_series(
@@ -60,9 +57,10 @@ def random_series(
     kinds=("z", "zb", "x"),
 ) -> Series:
     """A sparse random series at a budget >= 0; with unit=True the constant term is nonzero."""
+    check_budget(budget)
     terms: dict = {}
     for _ in range(rng.randint(0 if not unit else 1, max_terms)):
-        key = random_exponent(rng, m, n, budget, kinds)
+        key = random_monomial(rng, m, n, budget, kinds)
         coeff = random_scalar(rng)
         if coeff:
             terms[key] = terms.get(key, GaussianRational(0)) + coeff

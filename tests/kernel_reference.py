@@ -1,20 +1,21 @@
 """Reference kernels for the twisted operators, the series product and the pullback.
 
-These are the form-level composition of the twisted operators, the product
-of GaussianRational pairs and the term-by-term substitution and generator
-wedging of the pullback that ``operators._twisted``, ``Series.mul``,
-``FoliatedMorphism.pull_series`` and ``operators.pullback`` replaced.  The
-differential tests compare the kernels with them on seeded sweeps: same
-values, same budgets.
+These are the form-level composition of the twisted operators over
+``dbar``/``partial`` built from ``Series.deriv`` and form sums, the product
+of GaussianRational pairs on exponent triples and the term-by-term
+substitution and generator wedging of the pullback that
+``operators._twisted`` (with its fused derivative), ``Series.mul``,
+``FoliatedMorphism.pull_series`` (with its cached monomial images) and
+``operators.pullback`` replaced.  The differential tests compare the
+kernels with them on seeded sweeps: same values, same budgets.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from leafcoh import operators
-from leafcoh.algebra import ZERO, Series, SeriesError, _raw_series, expo_degree
-from leafcoh.forms import FoliatedForm, FormError, _raw_form, twist_gap
+from leafcoh.algebra import ZERO, Series, SeriesError, expo_degree
+from leafcoh.forms import FoliatedForm, FormError, _raw_form, insert_index, twist_gap
 from leafcoh.operators import FoliatedMorphism
 
 
@@ -38,7 +39,34 @@ def series_mul(s: Series, t: Series, out_budget: int | None = None) -> Series:
                 acc[key] = v
             else:
                 acc.pop(key, None)
-    return _raw_series(s.m, s.n, out_budget, acc)
+    return Series(s.m, s.n, out_budget, acc)
+
+
+def _derivative(phi: FoliatedForm, kind: str) -> FoliatedForm:
+    """dbar (kind "zb") or partial (kind "z"): each coefficient differentiated by
+    Series.deriv, the fresh generator merged into place with its sign, and the
+    pieces of each (A, B) summed."""
+    anti = kind == "zb"
+    front = -1 if anti and phi.p % 2 else 1
+    coeffs = {}
+    for (A, B), c in phi.coeffs.items():
+        for a in range(1, phi.model.m + 1):
+            s, merged = insert_index(a, B if anti else A)
+            if s == 0:
+                continue
+            key = (A, merged) if anti else (merged, B)
+            piece = c.deriv(kind, a).scale(front * s)
+            coeffs[key] = coeffs[key] + piece if key in coeffs else piece
+    p, q = (phi.p, phi.q + 1) if anti else (phi.p + 1, phi.q)
+    return FoliatedForm(phi.model, p, q, coeffs, phi.budget)
+
+
+def dbar(phi: FoliatedForm) -> FoliatedForm:
+    return _derivative(phi, "zb")
+
+
+def partial(phi: FoliatedForm) -> FoliatedForm:
+    return _derivative(phi, "z")
 
 
 def twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
@@ -62,17 +90,17 @@ def twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
 
 def dbar_f(phi, f=None):
     f = phi.model.f if f is None else f
-    return twisted(phi, f, phi.deg, operators.dbar)
+    return twisted(phi, f, phi.deg, dbar)
 
 
 def partial_f(phi, f=None):
     f = phi.model.f if f is None else f
-    return twisted(phi, f, phi.deg, operators.partial)
+    return twisted(phi, f, phi.deg, partial)
 
 
 def dbar_f_k(phi, k, f=None):
     f = phi.model.f if f is None else f
-    return twisted(phi, f, phi.deg - k, operators.dbar)
+    return twisted(phi, f, phi.deg - k, dbar)
 
 
 def pull_series(mu: FoliatedMorphism, s: Series, out_budget: int | None = None) -> Series:

@@ -15,7 +15,35 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from leafcoh.linalg import Factorization, Matrix, Subspace, check_inclusion, kernel_basis
+from leafcoh.linalg import (
+    Factorization,
+    LinearAlgebraError,
+    Matrix,
+    Subspace,
+    check_inclusion,
+    kernel_basis,
+    rank,
+    solve,
+)
+
+
+def subspace(ambient_dim: int, basis) -> Subspace:
+    """A Subspace on a basis that is re-ranked first: a dependent basis, or an
+    index beyond ambient_dim, raises LinearAlgebraError."""
+    basis = [dict(v) for v in basis]
+    if basis:
+        # the Matrix constructor rejects an index beyond the ambient dimension
+        got = rank(Matrix.from_columns(basis, ambient_dim))
+        if got != len(basis):
+            raise LinearAlgebraError(f"basis is not independent (rank {got} of {len(basis)})")
+    return Subspace(ambient_dim, basis)
+
+
+def contains(sub: Subspace, vec: dict) -> bool:
+    """vec lies in the subspace: it solves against the basis (a fresh Factorization)."""
+    if not sub.basis:
+        return not any(vec.values())
+    return solve(Matrix.from_columns(sub.basis, sub.ambient_dim), vec) is not None
 
 
 class Quotient:
@@ -33,7 +61,7 @@ class Quotient:
 
     def __init__(self, d: Matrix, image: Subspace | None = None):
         if image is None:
-            image = Subspace._independent(d.cols, [])
+            image = Subspace(d.cols, [])
         if image.dim:
             check_inclusion(d, Matrix.from_columns(image.basis, d.cols))
         self.d = d
@@ -51,7 +79,7 @@ class Quotient:
         """
         free = {max(vec) for vec in self.kernel.basis}
         pivots = [j for j in range(self.d.cols) if j not in free]
-        return Subspace._independent(self.d.rows, self.d.columns(pivots))
+        return Subspace(self.d.rows, self.d.columns(pivots))
 
     @cached_property
     def _span(self) -> Factorization:

@@ -29,16 +29,16 @@ def rref_rank(M: Matrix) -> int:
 def column_space(M: Matrix) -> Subspace:
     """Basis of the column space: the original pivot columns."""
     keep = linalg._echelon(M)[1]
-    return Subspace._independent(M.rows, M.columns(keep))
+    return Subspace(M.rows, M.columns(keep))
 
 
 def from_span(vectors, ambient_dim: int) -> Subspace:
     """Deterministic independent basis of a span (pivot columns kept)."""
     vectors = [dict(v) for v in vectors]
     if not vectors:
-        return Subspace._independent(ambient_dim, [])
+        return Subspace(ambient_dim, [])
     keep = linalg._echelon(Matrix.from_columns(vectors, ambient_dim))[1]
-    return Subspace._independent(ambient_dim, [vectors[j] for j in keep])
+    return Subspace(ambient_dim, [vectors[j] for j in keep])
 
 
 def span_restricted_to(vectors, keep: list, ambient_dim: int) -> Subspace:

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from leafcoh import cli, cohomology, sequences
+from leafcoh import cli, cohomology, linalg, operators, sequences
+from leafcoh.algebra import pack
 from leafcoh.cli import EXIT_INTERNAL, main
 from leafcoh.linalg import Matrix
 
@@ -531,6 +532,65 @@ def test_broken_complex_with_slack_exits_internal(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (
+            ["solve"],
+            {
+                "model": {"m": 1, "n": 0, "budget": 1, "f": "1"},
+                "target": {"op": "dbar", "form": {"p": 0, "q": 1, "budget": 65536, "terms": [{"A": [], "B": [1], "coeff": "zb1"}]}},
+            },
+        ),
+        (["check", "--suite", "operators"], {"model": {"m": 1, "n": 0, "budget": 65536, "f": "1+z1"}, "seed": 1, "trials": 3}),
+    ],
+    ids=["solve-form-budget", "check-model-budget"],
+)
+def test_budget_past_the_packed_limit_exits_two(tmp_path, capsys, command, data):
+    # a packed monomial holds degrees up to 65535; a larger budget is an input
+    # error before any key is made, where it used to run without end
+    scene = write_scene(tmp_path, "s.json", data)
+    assert run([command[0], "--scene", scene] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget 65536 exceeds 65535, the largest degree a packed monomial holds\n"
+
+
+def _shifted_order(monkeypatch):
+    # a column order one past the matrix: the union-find indexes out of range
+    real = linalg.pivot_columns
+    monkeypatch.setattr(
+        linalg, "pivot_columns", lambda M, order=None: real(M, None if order is None else [c + 1 for c in order])
+    )
+
+
+def _misplaced_monomials(monkeypatch):
+    # the re-check's target positions keyed by shifted monomials: no output term is found
+    monkeypatch.setattr(cohomology, "pack", lambda expo: pack(expo) + 1)
+
+
+def _untyped_gap(monkeypatch):
+    monkeypatch.setattr(operators, "twist_gap", lambda f: None)
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [(_shifted_order, "IndexError: "), (_misplaced_monomials, "KeyError: "), (_untyped_gap, "TypeError: ")],
+    ids=["IndexError", "KeyError", "TypeError"],
+)
+def test_engine_fault_exits_internal(tmp_path, capsys, monkeypatch, fault, error):
+    # an engine fault that is not a failed check is a bug, not an input error
+    # or a finding: one line on stderr and exit 4, never a traceback
+    fault(monkeypatch)
+    data = {"model": {"m": 2, "n": 0, "budget": 2, "f": "1+z1*zb2"}, "grid": {"p": 1, "q": 1, "D": 2}}
+    scene = write_scene(tmp_path, "s.json", data)
+    assert run(["cohomology", "--scene", scene, "--variant", "aeppli"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: " + error)
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["relative", "delta", "boundary"])

@@ -5,8 +5,9 @@ import ``random``, the exact engine imports neither ``sampling`` nor
 sequence builders and ``ShortExactSequence._exact`` only by the relative one,
 only ``checks`` forks, only ``_Grid.group`` and the sequences' d.d proof
 prove an inclusion with ``check_inclusion``, only ``linalg.solve``
-replays a recorded ``Factorization``, and only the composition re-check
-enumerates a basis, with no function cache in ``forms``.
+replays a recorded ``Factorization``, only the composition re-check
+enumerates a basis, with no function cache in ``forms``, and exponent
+tuples are read off packed monomials only at named boundary sites.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -350,3 +351,36 @@ def test_only_the_recheck_enumerates_a_basis_and_forms_caches_no_function():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert call_sites(sources, "enumerate_basis") == BASIS_ENUMERATORS
     assert cached_functions(sources["forms"]) == []
+
+
+# A Series keeps each monomial as one packed int.  Exponent tuples, from the
+# unpacking helpers or the ``terms`` view, are read only at these boundary
+# sites: the view and the formatter's sorted terms, the flattened monomial
+# rank of a vector, and the closed-form assembler's twist terms.  A hot path
+# that reads tuples again shows up here.
+EXPONENT_TUPLE_READERS = {
+    ("algebra", "unpack"),
+    ("algebra", "Series"),
+    ("cohomology", "vectorize"),
+    ("cohomology", "operator_matrix"),
+}
+
+
+def exponent_tuple_readers(sources: dict) -> set:
+    """(module, top-level definition) of every ``.terms`` and every call of
+    ``unpack`` or ``unpack_flat`` in ``sources`` (module name -> source)."""
+    return attribute_users(sources, "terms") | call_sites(sources, "unpack") | call_sites(sources, "unpack_flat")
+
+
+def test_exponent_tuple_finder_sees_views_and_unpacking():
+    sources = {
+        "a": "def f(s):\n    return s.terms\ndef g(k):\n    return unpack(1, 0, k)\nclass C:\n"
+        "    def h(self, k):\n        return algebra.unpack_flat(2, k)\n",
+        "b": "def f(data):\n    return data['terms'], data.packed\nterms = 1\n",
+    }
+    assert exponent_tuple_readers(sources) == {("a", "f"), ("a", "g"), ("a", "C")}
+
+
+def test_exponent_tuples_are_read_only_at_boundary_sites():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert exponent_tuple_readers(sources) == EXPONENT_TUPLE_READERS

@@ -44,6 +44,7 @@ from leafcoh.sequences import (
     snake_les,
 )
 
+import kernel_reference as ref
 from factories import cone_sweep_scene
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "broken_dbar_counterexamples.json"
@@ -294,10 +295,22 @@ BROKEN_SUITES = ("operators", "leibniz", "rescale", "intertwine")
 BROKEN_SEED, BROKEN_TRIALS = 3, 20
 
 
+def broken_twisted(phi, f, weight, anti):
+    """The twisted kernel over broken_dbar: f * raw(phi) - weight * raw(f) ^ phi
+    through the reference form arithmetic, raw being broken_dbar (anti) or the
+    reference partial; f None is dbar or partial itself."""
+    raw = broken_dbar if anti else ref.partial
+    return raw(phi) if f is None else ref.twisted(phi, f, weight, raw)
+
+
 def broken_dbar_reports(monkeypatch) -> dict:
-    """Every suite's report on each scene, with dbar replaced by broken_dbar."""
+    """Every suite's report on each scene, with dbar replaced by broken_dbar.
+
+    The twisted operators differentiate inside their own kernel, so the
+    kernel is replaced too, by one that applies broken_dbar."""
     monkeypatch.setattr(operators, "dbar", broken_dbar)
     monkeypatch.setattr(checks, "dbar", broken_dbar)
+    monkeypatch.setattr(operators, "_twisted", broken_twisted)
     out = {}
     for name, scene in BROKEN_SCENES.items():
         m, n, budget, f = scene["model"]

@@ -1,8 +1,9 @@
 """Differential tests of the twisted-operator and series-product kernels.
 
-``operators._twisted``, ``Series.mul``, ``FoliatedMorphism.pull_series`` and
-``operators.pullback`` are compared with the reference kernels in
-``kernel_reference`` on seeded sweeps: equal values and equal budgets, for
+``operators._twisted`` (and ``dbar``/``partial``, the kernel with f = 1),
+``Series.mul``, ``FoliatedMorphism.pull_series`` and ``operators.pullback``
+are compared with the reference kernels in ``kernel_reference`` on seeded
+sweeps: equal values and equal budgets, for
 the form and for every coefficient.  The reference twisted operators and
 the reference pullback run on the reference series product.  Also here: the twist is
 checked against the form's model at every weight, and every output term of
@@ -81,6 +82,23 @@ def test_twisted_operators_match_reference(monkeypatch, m, n, seed):
                     assert_same_form(dbar_f_k(phi, k, f), want)
                 cases += 1
     assert cases == (m + 1) ** 2 * (len(twists) + 1)
+
+
+@pytest.mark.parametrize("m, n", SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_derivatives_match_reference(m, n, seed):
+    # dbar and partial are the kernel with f = 1: each derivative term is an output term
+    rng = random.Random(2000 * seed + 10 * m + n)
+    model = FoliationModel.untwisted(m, n, 2)
+    for p in range(m + 1):
+        for q in range(m + 1):
+            phi = random_form(rng, model, p, q, budget=rng.randint(0, 3), max_components=3)
+            assert_same_form(operators.dbar(phi), ref.dbar(phi))
+            assert_same_form(operators.partial(phi), ref.partial(phi))
+    if m >= 2:
+        # d(zb2 dzb1 + zb1 dzb2) = dzb2 ^ dzb1 + dzb1 ^ dzb2 cancels term by term
+        closed = FoliatedForm(model, 0, 1, {((), (1,)): parse_series("zb2", m, n, 1), ((), (2,)): parse_series("zb1", m, n, 1)})
+        assert operators.dbar(closed).is_zero and operators.dbar(closed).coeffs == {}
 
 
 @pytest.mark.parametrize("m, n", SHAPES)
