@@ -1,11 +1,12 @@
 """Cohomology dimensions by exact rank computations.
 
-Forms at a fixed budget are vectorised into sparse vectors over the
-deterministic basis of ``forms.enumerate_basis``; operator matrices are
-written down column by column from the closed-form monomial rule in
-``operator_matrix``, and every dimension is counted from exact ranks of
-sparse matrices, building no basis: each kernel K modulo image M is one
-``_Grid.group`` (dims cols - rk K and rk M, with im M <= ker K proved).
+Forms at a fixed budget are vectorised into sparse vectors at positions
+read off the monomial and pair tables of ``forms`` (pair rank * N(budget) +
+monomial rank); operator matrices are written down column by column from
+the closed-form monomial rule in ``operator_matrix``, and every dimension
+is counted from exact ranks of sparse matrices, building no basis: each
+kernel K modulo image M is one ``_Grid.group`` (dims cols - rk K and rk M,
+with im M <= ker K proved).
 
 Budget semantics ("truncation cohomology"): the group at budget D uses the
 kernel on budget-D forms and the image of sources at budget D - gap (gap =

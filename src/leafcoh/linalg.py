@@ -1,20 +1,16 @@
 """Exact sparse linear algebra over the Gaussian rationals.
 
-Everything reduces to one deterministic Gauss-Jordan elimination: columns are
-scanned in ascending order and, among the not-yet-pivoted rows, the lowest
-row index supplies the pivot.  A column index keeps, for each column, the
-rows holding an entry in it, so a pivot step touches only those rows.  Its
-forward mode stops at echelon form: it eliminates only the rows below each
-pivot, takes the sparsest row holding the pivot column and records nothing.
-Ranks come from ``pivot_columns``, which runs it on each connected block of
-a matrix on its own.
+Everything reduces to one deterministic elimination, ``_gauss_jordan``:
+columns are taken in ascending order, the sparsest row holding a column
+supplies its pivot, and the elimination stops at echelon form.  A column
+index keeps, for each column, the rows holding an entry in it, so a pivot
+step touches only those rows.  Ranks come from ``pivot_columns``, which runs
+it on each connected block of a matrix on its own; ``kernel_basis`` and
+``solve`` read their answers off the reduced echelon form of ``_reduced``,
+which clears each pivot column above its pivot after the forward pass.
 Scalars are Gaussian rationals in canonical form (algebra.GaussianRational:
 integers over one gcd-reduced denominator), so results are exact and
 reproducible across platforms; there is no floating point anywhere.
-
-Linear systems go through a Factorization: the elimination of M is recorded
-once and replayed on each right-hand side.  The pivot choice depends only on
-M, so a replay gives exactly the values an elimination of [M | b] would.
 
 Matrices are sparse maps (row, col) -> scalar.  Vectors are sparse maps
 index -> nonzero scalar, a plain dict with no length of its own: the matrix
@@ -23,8 +19,6 @@ straight into this format (cohomology.vectorize / form_from_vector).
 """
 
 from __future__ import annotations
-
-from heapq import heapify, heappop, heappush
 
 from .algebra import GaussianRational, ONE, ZERO
 
@@ -214,31 +208,22 @@ def _raw_matrix(rows: int, cols: int, entries: dict) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jordan(
-    rows: list, ncols: int, steps: list | None = None, forward: bool = False
-) -> list:
-    """In-place reduced echelon form on sparse row dicts.
+def _gauss_jordan(rows: list, ncols: int) -> list:
+    """In-place forward elimination to echelon form on sparse row dicts.
 
-    Returns the pivot columns in order; after the call row i holds pivot i
-    with a leading 1 and zeros above and below it.  Pivot choice: ascending
-    column, then the lowest remaining row.  With ``steps`` given, one
-    (swapped-in row, pivot inverse, [(row, multiplier), ...]) entry per pivot
-    is appended to it, enough to replay the elimination on a vector.
+    Returns the pivot columns in order; row i then holds pivot i with a
+    leading 1 and nothing left of it, and the rows past the last pivot hold
+    no column below ``ncols``.  Columns go in ascending order, and the pivot
+    row of a column is the one with the fewest entries among those holding
+    it, the lowest on a tie, which keeps the fill-in down.  The pivot rule
+    moves no pivot: the pivot columns of a left-to-right elimination are
+    the columns that raise the rank of those before them.
 
-    With ``forward`` set the elimination stops at echelon form: a pivot row
-    leaves the column index once its step is done, so each step eliminates
-    only the rows below it and the entries above the pivots stay.  The pivot
-    row is then the one with the fewest entries among those holding the
-    column, the lowest on a tie, which keeps the fill-in down.  The pivots
-    are the same: the pivot columns of a left-to-right elimination are the
-    columns that raise the rank of the columns before them, whatever the row
-    operations, and clearing above a pivot moves no later pivot.
-
-    ``where`` maps each column to the positions of the rows holding an entry
-    in it, kept up to date through swaps, fill-in and cancellation in the
-    columns still ahead, so a pivot step visits only those rows, in ascending
-    order, as a scan of every row would.  Rows may hold keys at or beyond
-    ``ncols``; they are carried along but never pivoted on.
+    ``where`` maps each column to the rows holding an entry in it, kept up
+    to date through swaps, fill-in and cancellation; a pivot row leaves it
+    once its step is done, so a step visits only the rows below it that
+    hold the column.  Keys at or beyond ``ncols`` are carried along but
+    never pivoted on.
     """
     where: dict = {}
     for i, row in enumerate(rows):
@@ -254,13 +239,8 @@ def _gauss_jordan(
         at = where[c]
         if not at:
             continue
-        if forward:
-            # the rows above r have left the index: at holds rows below it only
-            sel = min(at, key=lambda i: (len(rows[i]), i))
-        else:
-            sel = min((i for i in at if i >= r), default=None)
-            if sel is None:
-                continue
+        # the rows above r have left the index: at holds rows below it only
+        sel = min(at, key=lambda i: (len(rows[i]), i))
         if sel != r:
             # a column held by only one of the two rows moves with that row
             for k in rows[r].keys() ^ rows[sel].keys():
@@ -272,15 +252,11 @@ def _gauss_jordan(
             for k in list(piv):
                 piv[k] = piv[k] * inv
         pairs = [(k, v) for k, v in piv.items() if k != c]
-        eliminated = [] if steps is not None else None
         for i in sorted(at):
             if i == r:
                 continue
             row = rows[i]
-            a = row.pop(c)
-            if eliminated is not None:
-                eliminated.append((i, a))
-            minus_a = -a
+            minus_a = -row.pop(c)
             for k, v in pairs:
                 s = row.get(k)
                 if s is None:
@@ -293,11 +269,8 @@ def _gauss_jordan(
                     else:
                         del row[k]
                         where[k].discard(i)
-        if steps is not None:
-            steps.append((sel, inv, eliminated))
-        if forward:
-            for k in piv:
-                where[k].discard(r)
+        for k in piv:
+            where[k].discard(r)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -305,15 +278,40 @@ def _gauss_jordan(
     return pivots
 
 
-def _echelon(M: Matrix, steps: list | None = None) -> tuple:
-    """M's rows in reduced echelon form and its pivot columns.
+def _reduced(rows: list, ncols: int) -> list:
+    """In-place reduced echelon form on sparse row dicts; the pivot columns.
 
-    A matrix without entries is reduced already and is not scanned.
+    After the forward pass each pivot column is cleared above its pivot,
+    last pivot first.  The rows holding a pivot column are found once:
+    clearing adds only columns of a pivot row, which holds nothing left of
+    its pivot and, once cleared, no later pivot column.  The reduced echelon
+    form is unique, so the pivot rule changes none of these rows.
     """
-    rows = M.row_dicts()
-    if not M.entries:
-        return rows, []
-    return rows, _gauss_jordan(rows, M.cols, steps)
+    pivots = _gauss_jordan(rows, ncols)
+    step_of = {c: k for k, c in enumerate(pivots)}
+    above = {}
+    for i, row in enumerate(rows[: len(pivots)]):
+        for c in row:
+            k = step_of.get(c, i)
+            if k != i:
+                above.setdefault(k, []).append(i)
+    for k in sorted(above, reverse=True):
+        c = pivots[k]
+        pairs = [(j, v) for j, v in rows[k].items() if j != c]
+        for i in above[k]:
+            row = rows[i]
+            minus_a = -row.pop(c)
+            for j, v in pairs:
+                s = row.get(j)
+                if s is None:
+                    row[j] = minus_a * v
+                else:
+                    s = s + minus_a * v
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+    return pivots
 
 
 def pivot_columns(M: Matrix, order=None) -> list:
@@ -368,77 +366,8 @@ def pivot_columns(M: Matrix, order=None) -> list:
         if len(block) == 1 or max(map(len, block)) == 1:
             pivots.append(min(block[0]))
         else:
-            pivots += _gauss_jordan(block, M.cols, forward=True)
+            pivots += _gauss_jordan(block, M.cols)
     return sorted(pivots)
-
-
-class Factorization:
-    """The elimination of M, recorded once and replayed on right-hand sides.
-
-    The steps are recorded on row identities (the rows of M), with the row
-    swaps folded in once here: one (pivot row, pivot inverse or None for 1,
-    [(row, negated multiplier), ...]) entry per pivot, in step order.
-    solve(b) replays them on a sparse b, which is what eliminating [M | b]
-    does to its last column.
-    """
-
-    __slots__ = ("rows", "cols", "pivots", "steps", "_step_of")
-
-    def __init__(self, M: Matrix):
-        self.rows = M.rows
-        self.cols = M.cols
-        positional = []
-        self.pivots = _echelon(M, positional)[1]
-        # at[k]: the row of M that the swaps so far have moved to position k
-        at = list(range(M.rows))
-        steps = []
-        for r, (sel, inv, eliminated) in enumerate(positional):
-            at[r], at[sel] = at[sel], at[r]
-            steps.append((at[r], None if inv == ONE else inv, [(at[i], -a) for i, a in eliminated]))
-        self.steps = steps
-        self._step_of = {row: r for r, (row, _, _) in enumerate(steps)}
-
-    def solve(self, b: dict) -> dict | None:
-        """One exact solution of M x = b for a sparse b, or None when none exists.
-
-        Deterministic: free variables are set to zero.  Only the steps whose
-        pivot row holds a nonzero when their turn comes are replayed, in step
-        order; the others change nothing.  None means a row of M that is no
-        pivot row ends up holding a nonzero.
-        """
-        step_of = self._step_of
-        for i in b:
-            if not 0 <= i < self.rows:
-                raise LinearAlgebraError(f"right-hand side index {i} out of range for {self.rows} rows")
-        y = dict(b)
-        due = [step_of[i] for i in y if i in step_of]
-        heapify(due)
-        queued = set(due)
-        steps = self.steps
-        while due:
-            r = heappop(due)
-            row, inv, eliminated = steps[r]
-            v = y[row]
-            if not v:
-                continue
-            if inv is not None:
-                v = y[row] = v * inv
-            for i, minus_a in eliminated:
-                s = y.get(i)
-                y[i] = minus_a * v if s is None else s + minus_a * v
-                k = step_of.get(i)
-                if k is not None and k > r and k not in queued:
-                    queued.add(k)
-                    heappush(due, k)
-        x = {}
-        pivots = self.pivots
-        for i, v in y.items():
-            if v:
-                k = step_of.get(i)
-                if k is None:
-                    return None
-                x[pivots[k]] = v
-        return x
 
 
 def rank(M: Matrix) -> int:
@@ -475,7 +404,8 @@ def kernel_basis(M: Matrix) -> Subspace:
     with a 1 at j and the negated reduced-row entries at the pivot columns
     before j.
     """
-    rows, pivots = _echelon(M)
+    rows = M.row_dicts()
+    pivots = _reduced(rows, M.cols)
     # a reduced pivot row holds its pivot and entries in free columns only
     held = {}
     for pc, row in zip(pivots, rows):
@@ -504,5 +434,20 @@ def check_inclusion(d: Matrix, image: Matrix):
 
 
 def solve(M: Matrix, b: dict) -> dict | None:
-    """One exact solution of M x = b, or None when none exists (Factorization.solve)."""
-    return Factorization(M).solve(b)
+    """One exact solution of M x = b for a sparse b, or None when none exists.
+
+    b rides along as column ``M.cols`` of the reduced elimination of
+    [M | b]; M alone steers the pivots, so x is read at them and free
+    variables are zero.  None means a row that is no pivot row holds b.
+    """
+    rows = M.row_dicts()
+    n = M.cols
+    for i, v in b.items():
+        if not 0 <= i < M.rows:
+            raise LinearAlgebraError(f"right-hand side index {i} out of range for {M.rows} rows")
+        if v:
+            rows[i][n] = v
+    pivots = _reduced(rows, n)
+    if any(n in row for row in rows[len(pivots) :]):
+        return None
+    return {c: row[n] for c, row in zip(pivots, rows) if n in row}

@@ -1,17 +1,17 @@
-"""Dense reference for the sparse solving path: the former dense-tuple
-Factorization.solve, kernel_basis and Quotient.
+"""Dense reference for the sparse solving path: a textbook Gauss-Jordan on
+dense tuples, with solve, kernel_basis and Quotient built on it.
 
 Vectors here are dense tuples; ``to_sparse`` and ``to_dense`` convert them to
 and from the sparse vectors {index: nonzero} of leafcoh.linalg.  The
-elimination is linalg's own; its positional steps are replayed as they were
-before the solving path moved to sparse vectors and steps recorded on row
-identities.  The differential tests compare leafcoh.linalg against these on
-the same matrices and right-hand sides.
+elimination is this module's own and imports none from leafcoh.linalg:
+columns go left to right, the lowest remaining row holding a column
+supplies its pivot, and the column is cleared in every other row.  The
+reduced echelon form of a matrix is unique, so kernel vectors and solutions
+(free variables zero) must equal linalg's exactly, whatever its pivot rule.
 """
 
 from __future__ import annotations
 
-from leafcoh import linalg
 from leafcoh.algebra import ONE, ZERO
 from leafcoh.linalg import LinearAlgebraError, Matrix
 
@@ -38,55 +38,60 @@ def from_dense_columns(columns, rows: int) -> Matrix:
     return Matrix(rows, len(columns), entries)
 
 
-class DenseFactorization:
-    """Replays every recorded step on a dense right-hand side, swaps included."""
+def dense_rref(M: Matrix, extra=()) -> tuple:
+    """The reduced echelon rows of [M | extra columns] and M's pivot columns.
 
-    def __init__(self, M: Matrix):
-        self.rows = M.rows
-        self.cols = M.cols
-        self.steps = []
-        self.pivots = linalg._echelon(M, self.steps)[1]
+    Only M's columns are pivoted on; the extra columns (dense tuples of
+    length M.rows) ride along.
+    """
+    rows = [[ZERO] * (M.cols + len(extra)) for _ in range(M.rows)]
+    for (r, c), v in M.entries.items():
+        rows[r][c] = v
+    for j, col in enumerate(extra):
+        for r, v in enumerate(col):
+            rows[r][M.cols + j] = v
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, M.rows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][c].inverse()
+        piv = rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if i != r and a:
+                rows[i] = [x - a * y for x, y in zip(row, piv)]
+        pivots.append(c)
+    return rows, pivots
 
-    def solve(self, b) -> tuple | None:
-        if len(b) != self.rows:
-            raise LinearAlgebraError("right-hand side length does not match rows")
-        y = [v if v else ZERO for v in b]
-        for r, (sel, inv, eliminated) in enumerate(self.steps):
-            y[r], y[sel] = y[sel], y[r]
-            v = y[r]
-            if not v:
-                continue
-            if inv != ONE:
-                v = y[r] = v * inv
-            for i, a in eliminated:
-                y[i] = y[i] - a * v
-        nz = len(self.pivots)
-        if any(y[nz:]):
-            return None
-        x = [ZERO] * self.cols
-        for i, pc in enumerate(self.pivots):
-            if y[i]:
-                x[pc] = y[i]
-        return tuple(x)
+
+def dense_solve(M: Matrix, b) -> tuple | None:
+    """The solution of M x = b with free variables zero, or None when none exists."""
+    if len(b) != M.rows:
+        raise LinearAlgebraError("right-hand side length does not match rows")
+    rows, pivots = dense_rref(M, [b])
+    if any(row[M.cols] for row in rows[len(pivots) :]):
+        return None
+    x = [ZERO] * M.cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[M.cols]
+    return tuple(x)
 
 
 def dense_kernel_basis(M: Matrix) -> list:
-    """One dense kernel vector per free column, in ascending order."""
-    rows, pivots = linalg._echelon(M)
-    held = {}
-    for pc, row in zip(pivots, rows):
-        for j, v in row.items():
-            if j != pc:
-                held.setdefault(j, []).append((pc, v))
-    pivot_set = set(pivots)
+    """One dense kernel vector per free column j, in ascending order: a 1 at
+    j and the negated reduced-row entries at the pivot columns."""
+    rows, pivots = dense_rref(M)
     basis = []
     for j in range(M.cols):
-        if j in pivot_set:
+        if j in pivots:
             continue
         vec = [ZERO] * M.cols
         vec[j] = ONE
-        for pc, v in held.get(j, ()):
-            vec[pc] = -v
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[j]
         basis.append(tuple(vec))
     return basis
 
@@ -102,9 +107,10 @@ class DenseQuotient:
         self.kernel = dense_kernel_basis(d)
         self.image = image_basis
         self.dim = len(self.kernel) - len(image_basis)
-        self._span = DenseFactorization(from_dense_columns(self.image + self.kernel, d.cols))
+        self._span = from_dense_columns(self.image + self.kernel, d.cols)
         skip = len(image_basis)
-        self.reps = [self.kernel[j - skip] for j in self._span.pivots[skip:]]
+        self._pivots = dense_rref(self._span)[1]
+        self.reps = [self.kernel[j - skip] for j in self._pivots[skip:]]
 
     def d_image(self) -> list:
         """d's pivot columns, dense: the columns that are no kernel vector's last nonzero."""
@@ -120,7 +126,7 @@ class DenseQuotient:
         return [tuple(by_col[j]) for j in range(self.d.cols) if j not in free]
 
     def class_coords(self, vec) -> tuple:
-        x = self._span.solve(vec)
+        x = dense_solve(self._span, vec)
         if x is None:
             raise ValueError("vector is not a cycle of the complex")
-        return tuple(x[j] for j in self._span.pivots[len(self.image) :])
+        return tuple(x[j] for j in self._pivots[len(self.image) :])

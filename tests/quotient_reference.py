@@ -5,18 +5,21 @@ kernel-modulo-image engine, beside the rank-only ``_Grid.group`` of the
 cohomology grids and the rank-only long exact sequences.  They served
 ``sequence --kind delta``, which compared the connecting map with the
 pullback class by class; that report now rests on the mapping cone's
-chain-level identity delta[r] = [mu* r].  They live on here, unchanged, as
-the test references that the rank-only paths are compared with: the
-former quotient-basis cohomology rows (quotient_rows.py) and the former
-snake engine with induced and connecting matrices (snake_reference.py).
+chain-level identity delta[r] = [mu* r].  They live on here as the test
+references that the rank-only paths are compared with: the former
+quotient-basis cohomology rows (quotient_rows.py) and the former snake
+engine with induced and connecting matrices (snake_reference.py).  Their
+many solves against one matrix go through ``FactorOnce``, which eliminates
+the matrix once; linalg.solve eliminates afresh on every call.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
+from leafcoh import linalg
+from leafcoh.algebra import ONE
 from leafcoh.linalg import (
-    Factorization,
     LinearAlgebraError,
     Matrix,
     Subspace,
@@ -25,6 +28,49 @@ from leafcoh.linalg import (
     rank,
     solve,
 )
+
+
+class FactorOnce:
+    """M eliminated once, then solved against any number of right-hand sides.
+
+    The reduced elimination of [M | I], the identity carried as keys from
+    M.cols on, gives the invertible E with E M = R, M's reduced echelon
+    form.  M x = b then has a solution exactly when E b vanishes past the
+    rank, and x is E b read at the pivots with free variables zero, which
+    is what linalg.solve(M, b) returns.
+    """
+
+    def __init__(self, M: Matrix):
+        rows = M.row_dicts()
+        n = M.cols
+        for i, row in enumerate(rows):
+            row[n + i] = ONE
+        self.rows = M.rows
+        self.pivots = linalg._reduced(rows, n)
+        # column i of E as (row, value) pairs
+        self._e_cols = [[] for _ in range(M.rows)]
+        for k, row in enumerate(rows):
+            for j, v in row.items():
+                if j >= n:
+                    self._e_cols[j - n].append((k, v))
+
+    def solve(self, b: dict) -> dict | None:
+        """One exact solution of M x = b for a sparse b, or None when none exists."""
+        y = {}
+        for i, v in b.items():
+            if not 0 <= i < self.rows:
+                raise LinearAlgebraError(f"right-hand side index {i} out of range for {self.rows} rows")
+            for k, e in self._e_cols[i]:
+                s = y.get(k)
+                y[k] = e * v if s is None else s + e * v
+        rank = len(self.pivots)
+        x = {}
+        for k, v in y.items():
+            if v:
+                if k >= rank:
+                    return None
+                x[self.pivots[k]] = v
+        return x
 
 
 def subspace(ambient_dim: int, basis) -> Subspace:
@@ -40,7 +86,7 @@ def subspace(ambient_dim: int, basis) -> Subspace:
 
 
 def contains(sub: Subspace, vec: dict) -> bool:
-    """vec lies in the subspace: it solves against the basis (a fresh Factorization)."""
+    """vec lies in the subspace: it solves against the basis."""
     if not sub.basis:
         return not any(vec.values())
     return solve(Matrix.from_columns(sub.basis, sub.ambient_dim), vec) is not None
@@ -82,14 +128,13 @@ class Quotient:
         return Subspace(self.d.rows, self.d.columns(pivots))
 
     @cached_property
-    def _span(self) -> Factorization:
+    def _span(self) -> FactorOnce:
         """[image | kernel], eliminated once: its pivots pick the reps.
 
-        Columns that are not pivots never steer an elimination, so replaying
-        it solves over [image | reps], which has full column rank; the
-        solution is read off at the pivots.
+        A solution with free variables zero lives on the pivots, so it is
+        the solution over [image | reps], which has full column rank.
         """
-        return Factorization(
+        return FactorOnce(
             Matrix.from_columns(self.image.basis + self.kernel.basis, self.kernel.ambient_dim)
         )
 

@@ -5,8 +5,8 @@ image basis and the inclusion checked by a product with that basis.  The
 rank-only rows in leafcoh.cohomology must agree with these on every count;
 the helpers that only these rows used (column spaces, spans, the
 restriction of an image to a smaller budget block) live here with them.
-Ranks are taken from the full reduced echelon form, not from the forward
-elimination the engine uses.
+Ranks are the pivot counts of the whole matrix's reduced echelon form
+(linalg._reduced), not of the block-by-block pivot_columns the engine uses.
 """
 
 from __future__ import annotations
@@ -22,13 +22,17 @@ from quotient_reference import Quotient
 _OPS = {"dbar_f": (0, 1), "partial_f": (1, 0), "dbar_f_k": (0, 1)}
 
 
+def _pivots(M: Matrix) -> list:
+    return linalg._reduced(M.row_dicts(), M.cols)
+
+
 def rref_rank(M: Matrix) -> int:
-    return len(linalg._echelon(M)[1])
+    return len(_pivots(M))
 
 
 def column_space(M: Matrix) -> Subspace:
     """Basis of the column space: the original pivot columns."""
-    keep = linalg._echelon(M)[1]
+    keep = _pivots(M)
     return Subspace(M.rows, M.columns(keep))
 
 
@@ -37,7 +41,7 @@ def from_span(vectors, ambient_dim: int) -> Subspace:
     vectors = [dict(v) for v in vectors]
     if not vectors:
         return Subspace(ambient_dim, [])
-    keep = linalg._echelon(Matrix.from_columns(vectors, ambient_dim))[1]
+    keep = _pivots(Matrix.from_columns(vectors, ambient_dim))
     return Subspace(ambient_dim, [vectors[j] for j in keep])
 
 

@@ -13,10 +13,10 @@ compared the zig-zag with the pullback class by class.
 from __future__ import annotations
 
 from leafcoh.cohomology import form_from_vector, vectorize
-from leafcoh.linalg import Factorization, LinearAlgebraError, Matrix, rank
+from leafcoh.linalg import LinearAlgebraError, Matrix, rank
 from leafcoh.operators import pullback
 
-from quotient_reference import complex_cohomology
+from quotient_reference import FactorOnce, complex_cohomology
 
 
 class ReferenceSnake:
@@ -40,12 +40,12 @@ def _connecting(ses, hl: list, hr: list) -> list:
     """delta_q: H^q(R) -> H^{q+1}(L), one zig-zag per class, and the zero map at the top grade.
 
     Each class lifts through project, goes through d_M and pulls back through
-    inject, each step a replay of one Factorization per component.
+    inject, each step a solve against one FactorOnce per component.
     """
     connecting = []
     for q in range(len(hr) - 1):
-        lift = Factorization(ses.project.components[q])
-        pull = Factorization(ses.inject.components[q + 1])
+        lift = FactorOnce(ses.project.components[q])
+        pull = FactorOnce(ses.inject.components[q + 1])
         d = ses.middle.differential(q)
         cols = [hl[q + 1].class_coords(pull.solve(d.matvec(lift.solve(rep)))) for rep in hr[q].reps]
         connecting.append(Matrix.from_columns(cols, hl[q + 1].dim))

@@ -34,6 +34,7 @@ from leafcoh.operators import twist_gap
 from leafcoh.sampling import random_bidegree, random_form, random_series
 
 import quotient_rows
+from dense_reference import dense_solve, to_dense, to_sparse
 from oracle import (
     oracle_aeppli,
     oracle_basis,
@@ -990,3 +991,69 @@ def test_solve_primitive_tilde_pair_bidegrees():
     constant = FoliatedForm.from_series(src, one)
     with pytest.raises(FormError, match="cone pair bidegrees"):
         solve_primitive_tilde(mu, FoliatedForm.zero(src, 1, 1), constant)
+
+
+def _dense_sparse_solve(M, b):
+    """linalg.solve's contract through the dense Gauss-Jordan reference."""
+    x = dense_solve(M, to_dense(b, M.rows))
+    return None if x is None else to_sparse(x)
+
+
+# twists with i, with fractions, and the dense twist, whose dbar_f matrix is one block
+SOLVE_SWEEP_TWISTS = [(1, "1+i*z1"), (1, "1/3+z1*zb1"), (2, "1/2+i*z1*zb2"), (2, "1+z1+zb1+z2+zb2")]
+
+
+def _kernel_vector(rng, M):
+    """A random combination of M's first kernel vectors, with i in the coefficients."""
+    vec = {}
+    for v in kernel_basis(M).basis[:4]:
+        c = GaussianRational(rng.randint(-2, 2) or 1, rng.randint(-1, 1))
+        for i, x in v.items():
+            vec[i] = vec[i] + c * x if i in vec else c * x
+    return {i: x for i, x in vec.items() if x}
+
+
+def _closed_form(rng, tag, model, p, q, D, k):
+    """A closed form of the operator at (p,q), at a small budget often with no primitive."""
+    M = operator_matrix(tag, model, p, q, D, D + cohomology.operator_gap(tag, model), k)
+    return form_from_vector(model, p, q, D, _kernel_vector(rng, M))
+
+
+def _tilde_closed_pair(rng, mu, q, D):
+    """A tilde-closed cone pair at (0,q), (0,q-1) on budget D: a kernel vector of the cone."""
+    outs = (D + twist_gap(mu.target.f), max(mu.substitution_budget(D, 0, q), D + twist_gap(mu.pulled_twist)))
+    m11, _, cone = cohomology.cone_blocks(mu, 0, q, (D, D), outs)
+    vec = _kernel_vector(rng, cone)
+    phi = form_from_vector(mu.target, 0, q, D, {j: v for j, v in vec.items() if j < m11.cols})
+    psi = form_from_vector(mu.source, 0, q - 1, D, {j - m11.cols: v for j, v in vec.items() if j >= m11.cols})
+    return phi, psi
+
+
+@pytest.mark.parametrize("m, f", SOLVE_SWEEP_TWISTS)
+def test_primitive_solves_match_dense_reference(m, f, monkeypatch):
+    # every solve op and the tilde solve, on exact targets and on closed ones
+    # with no primitive, at slack 0-2 (tilde on m=2: 0-1): each primitive, or None, is the one
+    # read off the dense reference's solution (free variables zero, so unique)
+    rng = random.Random(9100 + len(f))
+    model = FoliationModel(m, 0, 4, parse_series(f, m, 0, 4))
+    D = 2 if m == 1 else 1
+    runs = []
+    for tag, (dp, dq), k in (("dbar", (0, 1), None), ("dbar_f", (0, 1), None),
+                             ("partial_f", (1, 0), None), ("dbar_f_k", (0, 1), 1)):
+        sp, sq = rng.randint(0, m - dp), rng.randint(0, m - dq)
+        exact = apply_operator(tag, random_form(rng, model, sp, sq, D), k)
+        closed = _closed_form(rng, tag, model, sp + dp, sq + dq, D, k)
+        runs += [(solve_primitive, (tag, model, t, s, k)) for t in (exact, closed) for s in range(3)]
+    source = FoliationModel.untwisted(m, 0, 4)
+    mu = FoliatedMorphism(source, model, [parse_series(f"z{a}+1/2*z1*z{a}", m, 0, 2) for a in range(1, m + 1)], [])
+    for q in (1, 2):
+        phi1 = random_form(rng, model, 0, q - 1, 1)
+        psi1 = random_form(rng, source, 0, q - 2, 1) if q == 2 else FoliatedForm.zero(source, 0, 0, 1)
+        # the m=2 cone at slack 2 is a 695 x 140 system, seconds for the dense reference
+        for pair in (tilde_dbar(phi1, psi1, mu), _tilde_closed_pair(rng, mu, q, 1)):
+            runs += [(solve_primitive_tilde, (mu, *pair, s)) for s in range(3 if m == 1 else 2)]
+    got = [run(*args) for run, args in runs]
+    monkeypatch.setattr(cohomology, "solve", _dense_sparse_solve)
+    assert got == [run(*args) for run, args in runs]
+    for kind in (solve_primitive, solve_primitive_tilde):
+        assert {x is None for (run, _), x in zip(runs, got) if run is kind} == {True, False}

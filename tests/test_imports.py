@@ -4,8 +4,9 @@ import ``random``, the exact engine imports neither ``sampling`` nor
 ``checks``, the trusted ``ChainMap._commuting`` is used only by the two
 sequence builders and ``ShortExactSequence._exact`` only by the relative one,
 only ``checks`` forks, only ``_Grid.group`` and the sequences' d.d proof
-prove an inclusion with ``check_inclusion``, only ``linalg.solve``
-replays a recorded ``Factorization``, only the composition re-check
+prove an inclusion with ``check_inclusion``, ``linalg`` runs one
+elimination, ``_gauss_jordan(rows, ncols)``, called only by
+``pivot_columns`` and ``_reduced``, only the composition re-check
 enumerates a basis, with no function cache in ``forms``, and exponent
 tuples are read off packed monomials only at named boundary sites.
 
@@ -277,36 +278,12 @@ def test_only_the_grid_group_and_the_sequences_prove_inclusions():
     assert name_users(sources, "check_inclusion") == INCLUSION_PROVERS
 
 
-# kernels and ranks come from forward or reduced eliminations that record
-# nothing; the one solve engine is linalg.solve, which records the elimination
-# of M and replays it on b, so no second kernel-modulo-image engine with its
-# own solves (class coordinates, zig-zag lifts) comes back into the package
-SOLVE_ENGINE = {("linalg", "Factorization"), ("linalg", "solve")}
-
-
-def test_only_solve_replays_a_factorization():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert name_users(sources, "Factorization") == SOLVE_ENGINE
-
-
-# every forward rank is linalg.pivot_columns, one elimination per connected
-# block; the reduced eliminations of Factorization and kernel_basis go
-# through _echelon.  No module outside linalg builds rows and eliminates on
-# its own, so there is one forward-rank path
-ELIMINATORS = {("linalg", "_gauss_jordan"), ("linalg", "_echelon"), ("linalg", "pivot_columns")}
-
-
-def test_only_linalg_eliminates():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert name_users(sources, "_gauss_jordan") == ELIMINATORS
-
-
 # bases are positions by arithmetic over forms' monomial and pair tables; a
 # materialised basis is built only by the reference application of
 # _applied_matrix (the composition re-check and pullback_matrix), for one call.
 # forms keeps its tables in plain dicts keyed by (m, n) and (m, p, q) and has
 # no function cache, so no basis keyed by budget lives for the process
-BASIS_ENUMERATORS = {("cohomology", "_applied_matrix")}
+BASIS_ENUMERATORS ={("cohomology", "_applied_matrix")}
 
 
 def call_sites(sources: dict, name: str) -> set:
@@ -351,6 +328,36 @@ def test_only_the_recheck_enumerates_a_basis_and_forms_caches_no_function():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert call_sites(sources, "enumerate_basis") == BASIS_ENUMERATORS
     assert cached_functions(sources["forms"]) == []
+
+
+# every rank is linalg.pivot_columns, one forward elimination per connected
+# block; kernel_basis and solve read the reduced form of _reduced, which
+# clears above the pivots of one forward elimination.  No module outside
+# linalg builds rows and eliminates on its own, so there is one elimination
+ELIMINATORS = {("linalg", "pivot_columns"), ("linalg", "_reduced")}
+
+
+def test_only_linalg_eliminates():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert call_sites(sources, "_gauss_jordan") == ELIMINATORS
+
+
+def test_one_elimination_with_one_pivot_rule():
+    # _gauss_jordan has no mode to switch and records nothing, and no step
+    # replay (a Factorization, an _echelon with steps, a heap of due steps)
+    # comes back as a second elimination path
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    (elimination,) = [
+        node
+        for node in ast.parse(sources["linalg"]).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_gauss_jordan"
+    ]
+    args = elimination.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["rows", "ncols"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+    for name in ("Factorization", "_echelon"):
+        assert name_users(sources, name) == set()
+    assert "heapq" not in absolute_imports(sources["linalg"])
 
 
 # A Series keeps each monomial as one packed int.  Exponent tuples, from the

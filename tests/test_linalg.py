@@ -6,7 +6,6 @@ import pytest
 from leafcoh import linalg
 from leafcoh.algebra import ZERO, GaussianRational
 from leafcoh.linalg import (
-    Factorization,
     LinearAlgebraError,
     Matrix,
     hstack,
@@ -16,8 +15,8 @@ from leafcoh.linalg import (
     vstack,
 )
 
-from dense_reference import DenseFactorization, DenseQuotient, dense_kernel_basis, to_dense, to_sparse as sp
-from quotient_reference import Quotient, contains, subspace
+from dense_reference import DenseQuotient, dense_kernel_basis, dense_rref, dense_solve, to_dense, to_sparse as sp
+from quotient_reference import FactorOnce, Quotient, contains, subspace
 from quotient_rows import column_space, from_span
 
 
@@ -107,12 +106,12 @@ def test_solve_verifies_or_certifies(seed):
 
 
 def _augmented_solve(M, b):
-    """Reference solve: eliminate the augmented matrix [M | b] from scratch."""
+    """Reference solve: the row-scanning elimination of [M | b]."""
     rows = M.row_dicts()
     for i, v in enumerate(b):
         if v:
             rows[i][M.cols] = v
-    pivots = linalg._gauss_jordan(rows, M.cols)
+    pivots = _scanning_gauss_jordan(rows, M.cols)
     if any(rows[len(pivots) :]):
         return None
     x = [ZERO] * M.cols
@@ -155,15 +154,17 @@ def _shaped_matrix(rng, shape):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_factorization_matches_augmented_solve(seed):
+    # the factor-once reference of the test engines, [M | I] eliminated once,
+    # serves every right-hand side as solve(M, b) and the row-scanning
+    # elimination of [M | b] do
     rng = random.Random(900 + seed)
     M = _shaped_matrix(rng, SHAPES[seed % len(SHAPES)])
-    F = Factorization(M)
+    F = FactorOnce(M)
     assert len(F.pivots) == rank(M)
     consistent = dense(M.matvec(sp(tuple(_gaussian_rational(rng) for _ in range(M.cols)))), M.rows)
     arbitrary = tuple(_gaussian_rational(rng) for _ in range(M.rows))
     for b in (consistent, arbitrary, tuple(G(0) for _ in range(M.rows))):
         want = _augmented_solve(M, b)
-        # one factorization serves every right-hand side, and solve agrees
         assert dense(F.solve(sp(b)), M.cols) == want
         assert dense(solve(M, sp(b)), M.cols) == want
     assert F.solve(sp(consistent)) is not None
@@ -178,21 +179,21 @@ def test_factorization_matches_augmented_solve(seed):
 @pytest.mark.parametrize("seed", range(50))
 def test_sparse_path_matches_dense_reference(seed):
     # the inputs of test_factorization_matches_augmented_solve, drawn alike,
-    # through the sparse path and the former dense one
+    # through the sparse path and the dense Gauss-Jordan on tuples
     rng = random.Random(900 + seed)
     M = _shaped_matrix(rng, SHAPES[seed % len(SHAPES)])
     consistent = dense(M.matvec(sp(tuple(_gaussian_rational(rng) for _ in range(M.cols)))), M.rows)
     arbitrary = tuple(_gaussian_rational(rng) for _ in range(M.rows))
     units = [tuple(G(int(i == j)) for i in range(M.rows)) for j in range(M.rows)]
-    F, ref = Factorization(M), DenseFactorization(M)
-    assert F.pivots == ref.pivots
+    pivots = dense_rref(M)[1]
+    assert linalg._reduced(M.row_dicts(), M.cols) == pivots
     outcomes = []
     for b in [consistent, arbitrary, tuple(G(0) for _ in range(M.rows))] + units:
-        want = ref.solve(b)
-        assert dense(F.solve(sp(b)), M.cols) == want
+        want = dense_solve(M, b)
+        assert dense(solve(M, sp(b)), M.cols) == want
         outcomes.append(want is None)
     # inconsistent right-hand sides are among the inputs whenever M is rank-deficient in rows
-    assert any(outcomes) == (M.rows > len(F.pivots))
+    assert any(outcomes) == (M.rows > len(pivots))
     K = kernel_basis(M)
     assert [dense(v, M.cols) for v in K.basis] == dense_kernel_basis(M)
     # ker M modulo the span of its first kernel vectors: reps and coordinates
@@ -209,11 +210,12 @@ def test_sparse_path_matches_dense_reference(seed):
         assert dense(H.class_coords(sp(cycle)), H.dim) == want.class_coords(cycle)
 
 
-def _scanning_gauss_jordan(rows, ncols, steps=None):
-    """Reference elimination: the former row-scanning Gauss-Jordan.
+def _scanning_gauss_jordan(rows, ncols):
+    """Reference elimination: the former row-scanning, lowest-row Gauss-Jordan.
 
     For each column it scans every row for the pivot and for the rows to
-    eliminate; _gauss_jordan must agree with it on pivots, rows and steps.
+    eliminate, and leaves the reduced echelon form; _reduced must agree
+    with it on pivots and rows.
     """
     pivots = []
     r = 0
@@ -232,7 +234,6 @@ def _scanning_gauss_jordan(rows, ncols, steps=None):
         if inv != G(1):
             for k in list(piv):
                 piv[k] = piv[k] * inv
-        eliminated = [] if steps is not None else None
         for i in range(nrows):
             if i == r:
                 continue
@@ -240,16 +241,12 @@ def _scanning_gauss_jordan(rows, ncols, steps=None):
             a = row.get(c)
             if a is None:
                 continue
-            if eliminated is not None:
-                eliminated.append((i, a))
             for k, v in piv.items():
                 s = row.get(k, ZERO) - a * v
                 if s:
                     row[k] = s
                 else:
                     row.pop(k, None)
-        if steps is not None:
-            steps.append((sel, inv, eliminated))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -288,41 +285,45 @@ def _elimination_input(rng, shape):
     return M.row_dicts(), M.cols
 
 
+def _in_columns(rows, ncols):
+    """The rows cut down to the columns below ncols."""
+    return [{k: v for k, v in row.items() if k < ncols} for row in rows]
+
+
 @pytest.mark.parametrize("seed", range(64))
 def test_gauss_jordan_matches_row_scanning_reference(seed):
+    # the reduced form is unique, so the sparsest-row forward pass and
+    # _reduced's clearing above the pivots give the reference's rows; keys
+    # carried beyond ncols follow the row operations, which differ, so only
+    # the columns below ncols are compared
     rng = random.Random(4200 + seed)
     rows, ncols = _elimination_input(rng, ELIMINATION_SHAPES[seed % len(ELIMINATION_SHAPES)])
     want_rows = [dict(row) for row in rows]
-    unstepped = [dict(row) for row in rows]
-    want_steps, got_steps = [], []
-    want = _scanning_gauss_jordan(want_rows, ncols, want_steps)
-    assert linalg._gauss_jordan(rows, ncols, got_steps) == want
-    assert rows == want_rows
-    assert got_steps == want_steps
-    # without steps the elimination is the same
-    assert linalg._gauss_jordan(unstepped, ncols) == want
-    assert unstepped == want_rows
+    want = _scanning_gauss_jordan(want_rows, ncols)
+    assert linalg._reduced(rows, ncols) == want
+    assert _in_columns(rows, ncols) == _in_columns(want_rows, ncols)
+    assert all(v for row in rows for v in row.values())
 
 
 def test_forward_elimination_stops_at_echelon_form():
     # [[1, 1], [1, 2]]: the second pivot is found, but nothing is cleared above it
     rows = Matrix.from_rows_list([[1, 1], [1, 2]]).row_dicts()
-    assert linalg._gauss_jordan(rows, 2, forward=True) == [0, 1]
+    assert linalg._gauss_jordan(rows, 2) == [0, 1]
     assert rows == [{0: G(1), 1: G(1)}, {1: G(1)}]
     reduced = Matrix.from_rows_list([[1, 1], [1, 2]]).row_dicts()
-    assert linalg._gauss_jordan(reduced, 2) == [0, 1]
+    assert linalg._reduced(reduced, 2) == [0, 1]
     assert reduced == [{0: G(1)}, {1: G(1)}]
 
 
 @pytest.mark.parametrize("seed", range(64))
 def test_forward_rank_matches_row_scanning_reference(seed, monkeypatch):
-    # the same inputs: forward mode finds the reference's pivots and leaves
-    # an echelon form, and rank is the pivot count, through _gauss_jordan
+    # the same inputs: the forward pass finds the reference's pivots and
+    # leaves an echelon form, and rank is the pivot count, through _gauss_jordan
     rng = random.Random(4200 + seed)
     rows, ncols = _elimination_input(rng, ELIMINATION_SHAPES[seed % len(ELIMINATION_SHAPES)])
     want = _scanning_gauss_jordan([dict(row) for row in rows], ncols)
     echelon = [dict(row) for row in rows]
-    assert linalg._gauss_jordan(echelon, ncols, forward=True) == want
+    assert linalg._gauss_jordan(echelon, ncols) == want
     for i, row in enumerate(echelon):
         lead = min((c for c in row if c < ncols), default=None)
         assert lead == (want[i] if i < len(want) else None)
@@ -338,34 +339,34 @@ def test_forward_rank_matches_row_scanning_reference(seed, monkeypatch):
         entered.append(order)
         return real_pivots(M, order)
 
-    def eliminating(rows, ncols, steps=None, forward=False):
-        eliminations.append((steps, forward))
-        return real_elimination(rows, ncols, steps, forward)
+    def eliminating(rows, ncols):
+        eliminations.append(ncols)
+        return real_elimination(rows, ncols)
 
     monkeypatch.setattr(linalg, "pivot_columns", entering)
     monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
     assert rank(M) == len(want)
     # one pivot_columns call in M's own column order; each block it eliminates
-    # is a forward elimination that records no steps, and an entry-less
-    # matrix needs none
+    # is an elimination over M's columns, and an entry-less matrix needs none
     assert entered == [None]
-    assert all(call == (None, True) for call in eliminations)
+    assert all(n == M.cols for n in eliminations)
     assert M.entries or not eliminations
 
 
 def test_forward_elimination_takes_the_sparsest_row():
-    # column 0 is held by every row: forward mode swaps in the sparsest,
-    # row 2, where reduced mode keeps the lowest, row 0
+    # column 0 is held by every row: the forward pass swaps in the sparsest,
+    # row 2, where the row-scanning reference keeps the lowest, row 0; the
+    # reduced forms agree all the same
     data = [[1, 1, 1], [2, 2, 0], [3, 0, 0]]
     rows = Matrix.from_rows_list(data).row_dicts()
-    assert linalg._gauss_jordan(rows, 3, forward=True) == [0, 1, 2]
+    assert linalg._gauss_jordan(rows, 3) == [0, 1, 2]
     assert rows[0] == {0: G(1)}
-    reduced, steps = Matrix.from_rows_list(data).row_dicts(), []
-    assert linalg._gauss_jordan(reduced, 3, steps) == [0, 1, 2]
-    assert steps[0][0] == 0
+    reduced, want = Matrix.from_rows_list(data).row_dicts(), Matrix.from_rows_list(data).row_dicts()
+    assert linalg._reduced(reduced, 3) == _scanning_gauss_jordan(want, 3) == [0, 1, 2]
+    assert reduced == want == [{0: G(1)}, {1: G(1)}, {2: G(1)}]
     # on a tie in entry count the lowest row stays
     tie = Matrix.from_rows_list([[1, 1, 0], [2, 0, 1]]).row_dicts()
-    assert linalg._gauss_jordan(tie, 3, forward=True) == [0, 1]
+    assert linalg._gauss_jordan(tie, 3) == [0, 1]
     assert tie[0] == {0: G(1), 1: G(1)}
 
 

@@ -9,7 +9,7 @@ from leafcoh import cli
 from leafcoh.algebra import GaussianRational, Series, parse_series
 from leafcoh.forms import FoliationModel
 from leafcoh.operators import FoliatedMorphism
-from leafcoh.linalg import Factorization, LinearAlgebraError, Matrix, rank
+from leafcoh.linalg import LinearAlgebraError, Matrix, rank, solve
 from leafcoh.sequences import (
     ChainMap,
     CochainComplex,
@@ -32,9 +32,9 @@ from leafcoh.sequences import (
     snake_les,
 )
 
-from dense_reference import DenseFactorization, DenseQuotient, to_dense, to_sparse
+from dense_reference import DenseQuotient, dense_solve, to_dense, to_sparse
 from factories import cone_sweep_scene, random_ses
-from quotient_reference import complex_cohomology
+from quotient_reference import FactorOnce, complex_cohomology
 from snake_reference import reference_delta_check, reference_nodes, reference_snake
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "relative_m2_snake.json"
@@ -102,7 +102,7 @@ RANDOM_SES_SWEEPS = [31000 + seed for seed in range(40)] + [32000 + seed for see
 @pytest.mark.parametrize("seed", RANDOM_SES_SWEEPS)
 def test_sparse_snake_path_matches_dense_reference(seed):
     # the complexes of the two random_ses sweeps above, through the sparse
-    # reference Quotient and Factorization and through the former dense ones
+    # reference Quotient and FactorOnce and through the dense Gauss-Jordan ones
     rng = random.Random(seed)
     ses, _ = random_ses(rng, grades=rng.choice([2, 3, 4]))
     for cx in (ses.left, ses.middle, ses.right):
@@ -125,13 +125,14 @@ def test_sparse_snake_path_matches_dense_reference(seed):
     for q in range(len(ses.middle.dims)):
         for which in ("inject", "project"):
             comp = getattr(ses, which).components[q]
-            F, ref = Factorization(comp), DenseFactorization(comp)
+            F = FactorOnce(comp)
             draws = [tuple(G(rng.randint(-2, 2)) for _ in range(comp.cols)) for _ in range(2)]
             rhs = [to_dense(comp.matvec(to_sparse(x)), comp.rows) for x in draws]
             rhs += [tuple(G(rng.randint(-2, 2)) for _ in range(comp.rows)) for _ in range(2)]
             for b in rhs:
                 got = F.solve(to_sparse(b))
-                want = ref.solve(b)
+                want = dense_solve(comp, b)
+                assert solve(comp, to_sparse(b)) == got
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert to_dense(got, comp.cols) == want
@@ -543,7 +544,7 @@ def test_connecting_class_does_not_depend_on_the_lift(case):
     for q in range(data.grades - 1):
         inj, inj_next = ses.inject.components[q], ses.inject.components[q + 1]
         d_m, d_l = ses.middle.differential(q), ses.left.differential(q)
-        lift, pull = Factorization(ses.project.components[q]), Factorization(inj_next)
+        lift, pull = FactorOnce(ses.project.components[q]), FactorOnce(inj_next)
         for rep, column in zip(data.right[q].reps, data.connecting[q].columns()):
             x = lift.solve(rep)
             w = d_m.matvec(x)
@@ -557,7 +558,7 @@ def test_connecting_class_does_not_depend_on_the_lift(case):
                 assert data.left[q + 1].class_coords(y2) == column
                 if not checked_dense:
                     # one pull-back per case through the dense reference solve
-                    want = DenseFactorization(inj_next).solve(to_dense(w2, inj_next.rows))
+                    want = dense_solve(inj_next, to_dense(w2, inj_next.rows))
                     assert to_dense(y2, inj_next.cols) == want
                     assert data.left[q + 1].class_coords(to_sparse(want)) == column
                     checked_dense = True
