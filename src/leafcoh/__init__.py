@@ -30,23 +30,26 @@ from .operators import (
     pullback,
     tilde_dbar,
 )
-from .linalg import Matrix, Subspace, kernel_basis, rank, solve
-from .cohomology import (
-    aeppli_row,
-    bott_chern_row,
-    canonical_map_row,
-    cohomology_grid,
-    dolbeault_row,
-    operator_matrix,
-    solve_primitive,
-    solve_primitive_tilde,
-)
 
-# The suites and the sequence engine are imported on first use of one of
-# their names (PEP 562), so a command that runs neither never compiles or
-# loads them.  The modules above load first, as every command needs them:
-# compiling cli.py before them raises a process's peak RSS (BENCH_14.json).
+# The linear algebra, the cohomology engine, the suites and the sequence
+# engine are imported on first use of one of their names (PEP 562), so a
+# process that runs none of them never compiles or loads them: a check job
+# other than pairing runs on the modules above alone.  Those load first, as
+# every command needs them.  Compiling cli.py before a module raises a
+# process's peak RSS (BENCH_14.json); grid jobs pay that for cohomology and
+# linalg, 0.4-0.5 MB (BENCH_27.json).
 _LAZY = {
+    "linalg": ("Matrix", "Subspace", "kernel_basis", "rank", "solve"),
+    "cohomology": (
+        "aeppli_row",
+        "bott_chern_row",
+        "canonical_map_row",
+        "cohomology_grid",
+        "dolbeault_row",
+        "operator_matrix",
+        "solve_primitive",
+        "solve_primitive_tilde",
+    ),
     "checks": ("pairing_check",),
     "sequences": (
         "ChainMap",

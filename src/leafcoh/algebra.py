@@ -28,6 +28,7 @@ it.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
 
@@ -300,6 +301,12 @@ class SeriesError(ValueError):
     pass
 
 
+class LinearAlgebraError(ValueError):
+    """An internal invariant of the exact engine failed (a bug, never a
+    finding about the input): raised by ``linalg`` and the engines on it,
+    and defined here so that ``cli.main`` catches it without loading them."""
+
+
 _SLOTS = {"z": 0, "zb": 1, "x": 2}  # the exponent block of each variable kind
 
 
@@ -502,14 +509,6 @@ class Series:
             return NotImplemented
         return self.scale(c)
 
-    def power(self, k: int, out_budget: int | None = None) -> "Series":
-        if k < 0:
-            raise SeriesError("negative power; invert first")
-        result = Series.one(self.m, self.n)
-        for _ in range(k):
-            result = result.mul(self, out_budget=out_budget)
-        return result
-
     def deriv(self, kind: str, index: int) -> "Series":
         """Formal partial derivative; keeps the input budget."""
         slot = _SLOTS.get(kind)
@@ -544,27 +543,60 @@ class Series:
         )
 
     def invert(self, out_budget: int | None = None) -> "Series":
-        """Multiplicative inverse up to out_budget, by Neumann expansion.
+        """Multiplicative inverse up to out_budget (default: self.budget), 1 / self by ``divide``.
 
         Requires a nonzero constant term; otherwise the function vanishes at
         the origin and no rescaling is available.
         """
-        c0 = self.constant_term
+        if out_budget is None:
+            out_budget = self.budget
+        return Series.one(self.m, self.n).divide(self, out_budget)
+
+    def divide(self, h: "Series", out_budget: int | None = None) -> "Series":
+        """The quotient self / h up to out_budget (default: self.budget), by back-substitution.
+
+        h must be a unit.  Write h = c0 + u, c0 its constant term; the
+        quotient g satisfies g_k = (self_k - sum_j u_j g_(k-j)) / c0 at
+        each key k.  Every term of u raises a key, so g is found one term at
+        a time in increasing key order (graded-lex): each g_k, normalised
+        once, adds -u_j g_k into the integer accumulator of k + j
+        (``_mul_terms``), which is complete when its key comes up, since all
+        its contributions come from smaller keys.  No inverse and no power
+        of h is built (von zur Gathen & Gerhard, Modern Computer Algebra,
+        9.1).
+        """
+        self._same_space(h)
+        c0 = h.constant_term
         if not c0:
             raise SeriesError("series is not a unit: function vanishes, cannot invert")
         if out_budget is None:
             out_budget = self.budget
-        inv0 = c0.inverse()
-        # h = c0 (1 - u), u with zero constant term; 1/h = (1/c0) sum u^k.
-        u = Series.one(self.m, self.n) - self.scale(inv0)
-        acc = Series.one(self.m, self.n, out_budget)
-        pw = Series.one(self.m, self.n)
-        for _ in range(out_budget):
-            pw = pw.mul(u, out_budget=out_budget)
-            if pw.is_zero:
-                break
-            acc = acc + pw
-        return acc.scale(inv0).with_budget(out_budget)
+        elif out_budget < 0:
+            raise SeriesError("m, n and budget must be nonnegative")
+        shift = W * (2 * self.m + self.n)
+        limit = check_budget(out_budget) + 1 << shift
+        a0, b0, d0 = c0.a, c0.b, c0.d
+        norm = a0 * a0 + b0 * b0
+        # the ``_terms`` of -u, ascending, so a key past the limit ends a scan
+        rest = sorted((key, key >> shift, -c.a, -c.b, c.d) for key, c in h.packed.items() if key)
+        acc = {key: [c.a, c.b, c.d] for key, c in self.packed.items() if key < limit}
+        due = list(acc)
+        heapify(due)
+        terms = {}
+        while due:
+            key = heappop(due)
+            re, im, den = acc.pop(key)
+            if not (re or im):
+                continue
+            # (re + im*i) / den divided by (a0 + b0*i) / d0
+            g = terms[key] = _normal(d0 * (re * a0 + im * b0), d0 * (im * a0 - re * b0), den * norm)
+            for key2, *_ in rest:
+                if key + key2 >= limit:
+                    break
+                if key + key2 not in acc:
+                    heappush(due, key + key2)
+            _mul_terms(acc, ((key, key >> shift, g.a, g.b, g.d),), rest, out_budget)
+        return _raw_series(self.m, self.n, out_budget, terms)
 
     def truncated(self, out_budget: int) -> "Series":
         """Drop all terms of total degree > out_budget."""

@@ -23,9 +23,7 @@ import threading
 from fractions import Fraction
 
 from .algebra import GaussianRational, Series
-from .cohomology import _Grid, form_from_vector
 from .forms import FoliatedForm, FoliationModel, rescale_power
-from .linalg import Matrix, Subspace, kernel_basis
 from .operators import (
     FoliatedMorphism,
     MorphismPair,
@@ -419,7 +417,11 @@ def suite_intertwine(
     return _run_cases(names, trials, draw, check).report("intertwine", seed, trials)
 
 
-def _sample_kernel_form(rng, model, p, q, D, kernel: Subspace):
+def _sample_kernel_form(rng, model, p, q, D, kernel):
+    """A random integer combination of a ``linalg.Subspace`` basis, as a form."""
+    from .cohomology import form_from_vector
+    from .linalg import Matrix
+
     if kernel.dim == 0:
         return FoliatedForm.zero(model, p, q, D)
     coeffs = [GaussianRational(rng.randint(-3, 3)) for _ in kernel.basis]
@@ -431,7 +433,7 @@ def _sample_kernel_form(rng, model, p, q, D, kernel: Subspace):
 _PAIRING = ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")
 
 
-def _pairing_cases(grid: _Grid, combos, per, seed, label=None) -> _Tally:
+def _pairing_cases(grid, combos, per, seed, label=None) -> _Tally:
     """Check ``per`` cases of the three wedge-closure statements behind the
     Bott-Chern x Aeppli pairing at each bidegree combination (p,q,r,s) of
     ``combos``, phi of bidegree (p,q), psi of (r,s), the i-th combination
@@ -446,9 +448,14 @@ def _pairing_cases(grid: _Grid, combos, per, seed, label=None) -> _Tally:
         half-difference primitive; the displayed primitive is mixed-bidegree
         and is applied componentwise.
 
-    The kernels come from grid's matrices, so the composed matrix is checked
-    against the operators before a combination's first case is drawn.
+    The kernels come from the matrices of grid, a ``cohomology._Grid``, so
+    the composed matrix is checked against the operators before a
+    combination's first case is drawn.  Only the pairing suites import the
+    linear algebra and the cohomology engine, so the other suites never load
+    them.
     """
+    from .linalg import kernel_basis
+
     model = grid.model
     D = model.budget
     rng = closed_kernel = dd_kernel = None
@@ -503,6 +510,8 @@ def pairing_check(
     """Randomised verification of the pairing statements (see _pairing_cases)
     at one bidegree combination.  Failures are findings in the report, not
     exceptions."""
+    from .cohomology import _Grid
+
     report = _pairing_cases(_Grid(model), [(p, q, r, s)], trials, seed).report("pairing", seed, trials)
     report["bidegrees"] = {"p": p, "q": q, "r": r, "s": s}
     return report
@@ -511,6 +520,8 @@ def pairing_check(
 def suite_pairing(model: FoliationModel, seed: int, trials: int) -> dict:
     """The pairing statements spread over all bidegree combinations, one
     seed per combination; a counterexample names its combination."""
+    from .cohomology import _Grid
+
     m = model.m
     combos = [
         (p, q, r, s)

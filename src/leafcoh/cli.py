@@ -17,20 +17,15 @@ import argparse
 import json
 import sys
 
-from .algebra import Series, SeriesError
+from .algebra import LinearAlgebraError, Series, SeriesError
 from .forms import FoliatedForm, FoliationModel, FormError
-from .linalg import LinearAlgebraError
 from .operators import FoliatedMorphism, MorphismError, MorphismPair
-from .cohomology import (
-    NotClosedError,
-    VARIANTS,
-    cohomology_grid,
-    solve_primitive,
-    solve_primitive_tilde,
-)
 
-# checks (with sampling) and sequences are imported only by the commands
-# that run them, so no process compiles or loads a module it never calls.
+# cohomology (with linalg), checks (with sampling) and sequences are imported
+# only by the commands that run them, so no process compiles or loads a
+# module it never calls: a check job loads linalg and cohomology only for
+# --suite pairing.  A grid job compiles them after this module, which costs
+# it a little peak RSS (see leafcoh/__init__.py).
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -39,6 +34,8 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 SUITES = ("operators", "leibniz", "rescale", "intertwine", "pairing")
+# the rows cohomology.variant_row computes
+VARIANTS = ("dolbeault", "k", "bc", "aeppli", "canonical")
 
 _TWIST_PARSE_BUDGET = 64  # generous cap for parsing twist polynomials
 
@@ -320,6 +317,8 @@ def _csv_table(rows, columns) -> str:
 
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import cohomology_grid
+
     scene = load_scene(args.scene)
     model = scene.model
     ps = scene.grid_axis("p", [0, model.m])
@@ -418,6 +417,8 @@ def _form(model: FoliationModel, entry: dict, key: str) -> FoliatedForm:
 
 
 def cmd_solve(args) -> int:
+    from .cohomology import NotClosedError, solve_primitive, solve_primitive_tilde
+
     scene = load_scene(args.scene)
     entry = scene.target()
     slack = scene.slack if args.slack is None else _typed(args.slack, "a nonnegative integer", "--slack")

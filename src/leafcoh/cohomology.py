@@ -497,9 +497,6 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
     return row
 
 
-VARIANTS = ("dolbeault", "k", "bc", "aeppli", "canonical")
-
-
 def variant_row(model, variant, p, q, D, slack=0, k=None, *, grid=None) -> dict:
     if variant == "dolbeault":
         return dolbeault_row(model, p, q, D, slack, grid=grid)

@@ -387,7 +387,9 @@ def rescale_power(phi: FoliatedForm, h: Series, out_budget: int | None = None) -
     """Divide phi by h^(p+q), truncating at out_budget (default: phi.budget).
 
     Realises the comparison map between the twists f*h and f; h must be a
-    unit.  Degree-(0,0) forms are returned unchanged.
+    unit.  Each coefficient is divided by h p+q times (``Series.divide``),
+    so neither 1/h nor a power of h is built.  Degree-(0,0) forms are
+    returned unchanged.
     """
     if not h.is_unit:
         raise SeriesError("rescaling requires a non-vanishing (unit) function")
@@ -395,8 +397,15 @@ def rescale_power(phi: FoliatedForm, h: Series, out_budget: int | None = None) -
     if w == 0:
         return phi
     b = phi.budget if out_budget is None else out_budget
-    g = h.invert(out_budget=b).power(w, out_budget=b)
-    return phi.mul_series(g, out_budget=b)
+    if b < 0:
+        raise SeriesError("m, n and budget must be nonnegative")
+    check_budget(b)
+    coeffs = {}
+    for key, c in phi.coeffs.items():
+        for _ in range(w):
+            c = c.divide(h, b)
+        coeffs[key] = c
+    return _raw_form(phi.model, phi.p, phi.q, coeffs, b)
 
 
 def count_monomials(m: int, n: int, budget: int) -> int:

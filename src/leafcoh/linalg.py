@@ -20,11 +20,9 @@ straight into this format (cohomology.vectorize / form_from_vector).
 
 from __future__ import annotations
 
-from .algebra import GaussianRational, ONE, ZERO
-
-
-class LinearAlgebraError(ValueError):
-    pass
+# LinearAlgebraError lives in algebra, so that cli.main catches it without
+# loading this module; it is the same class under both names.
+from .algebra import GaussianRational, LinearAlgebraError, ONE, ZERO
 
 
 class Matrix:

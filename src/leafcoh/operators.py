@@ -65,11 +65,13 @@ _UNIT_TERMS = ((0, 0, 1, 0, 1),)  # algebra._terms of the constant 1, the image 
 # (m, n, anti) -> (bit offset, key unit) of zb_a (anti) or z_a, a = 1..m
 _FIELDS: dict = {}
 
-# anti -> [f, terms of f, deg f, terms of dbar(f) (anti) or partial(f), or
-# None until a nonzero weight asks] for the last twist: the suites and the
-# composition re-check apply one twist to many forms.  The strong reference
+# anti -> {id(f): [f, terms of f, deg f, terms of dbar(f) (anti) or partial(f),
+# or None until a nonzero weight asks]} for the last _TWISTS twists, the
+# oldest dropped first: the suites and the composition re-check apply a few
+# twists (f, g, f + g, 0, ...) to many forms in turn.  The strong reference
 # (Series has no weakref slot) keeps f's id from being reused while cached.
-_last_twist: dict = {}
+_TWISTS = 8
+_twists: dict = {True: {}, False: {}}
 
 
 def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> FoliatedForm:
@@ -82,10 +84,11 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
     both products accumulate into one integer map per (A, B)
     (``algebra._mul_terms``), and the result is wrapped once.  The wedge
     sign is (-1)^p sgn(a, B) for dbar and sgn(a, A) for partial.  The terms
-    of f and of raw(f) are kept from the previous call on the same f
-    object.  f is checked against phi's model at every weight.  Every
-    output term must fit the budget phi.budget + twist_gap(f); a term above
-    it means the gap is wrong, and raises SeriesError.
+    of f and of raw(f) are kept from an earlier call on the same f object,
+    for the last ``_TWISTS`` twists per direction.  f is checked against
+    phi's model at every weight.  Every output term must fit the budget
+    phi.budget + twist_gap(f); a term above it means the gap is wrong, and
+    raises SeriesError.
     """
     model = phi.model
     m, n = model.m, model.n
@@ -126,10 +129,13 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
     if f.m != m or f.n != n:
         raise FormError("coefficient series does not match the model")
     budget = check_budget(phi.budget + twist_gap(f))
-    last = _last_twist.get(anti)
-    if last is None or last[0] is not f:
-        last = _last_twist[anti] = [f, _terms(f), f.degree, None]
-    right, room, shift = last[1], phi.budget + f.budget, degree_shift(m, n)
+    cache = _twists[anti]
+    twist = cache.get(id(f))
+    if twist is None:
+        if len(cache) == _TWISTS:
+            del cache[next(iter(cache))]
+        twist = cache[id(f)] = [f, _terms(f), f.degree, None]
+    right, room, shift = twist[1], phi.budget + f.budget, degree_shift(m, n)
     top = 0  # the largest key of phi: its degree field is phi's degree
     for (A, B), c in phi.coeffs.items():
         items = c.packed
@@ -149,12 +155,12 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
             if left:
                 _mul_terms(acc.setdefault((A, merged) if anti else (merged, B), {}), left, right, room)
     if weight:
-        if last[3] is None:
+        if twist[3] is None:
             df = _twisted(_raw_form(model, 0, 0, {((), ()): f}, f.budget), None, 0, anti)
-            last[3] = [(key, _terms(g)) for key, g in df.coeffs.items()]
+            twist[3] = [(key, _terms(g)) for key, g in df.coeffs.items()]
         front = -weight if anti and phi.p % 2 else weight
         coeffs = [(A, B, _terms(c)) for (A, B), c in phi.coeffs.items()]
-        for (A1, B1), g in last[3]:
+        for (A1, B1), g in twist[3]:
             for A, B, terms in coeffs:
                 sa, A2 = merge_indices(A1, A)
                 if sa == 0:
@@ -165,7 +171,7 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
                 _mul_terms(acc.setdefault((A2, B2), {}), g, terms, room, -front * sa * sb)
     out = _accumulated_form(model, p, q, acc, budget)
     # both products have degree at most deg phi - 1 + deg f
-    if (top >> shift) - 1 + last[2] > budget:
+    if (top >> shift) - 1 + twist[2] > budget:
         for s in out.coeffs.values():
             if s.degree > budget:
                 raise SeriesError(f"term of degree {s.degree} exceeds budget {budget}")

@@ -5,14 +5,16 @@ the term maps it kept before: plain dicts from exponent triples (alpha,
 beta, gamma) of tuples to nonzero GaussianRationals, with exponents added,
 lowered and swapped tuple by tuple.  The differential tests in
 test_packed.py compare every packed operation with them, read back through
-``Series.terms``.
+``Series.terms``.  Division keeps the construction the package used before
+``Series.divide``: a Neumann inverse times the dividend, and a power of it
+by repeated truncated products.
 """
 
 from __future__ import annotations
 
 from operator import add as plus
 
-from leafcoh.algebra import ZERO, expo_degree
+from leafcoh.algebra import ONE, ZERO, SeriesError, expo_degree
 
 SLOTS = {"z": 0, "zb": 1, "x": 2}
 
@@ -75,3 +77,32 @@ def truncated(s: dict, out_budget: int) -> dict:
 
 def sorted_terms(s: dict) -> list:
     return sorted(s.items(), key=lambda kv: grlex_key(kv[0]))
+
+
+def one(m: int, n: int) -> dict:
+    return {((0,) * m, (0,) * m, (0,) * n): ONE}
+
+
+def invert(s: dict, m: int, n: int, out_budget: int) -> dict:
+    """1/s up to out_budget by Neumann expansion: s = c0 (1 - u), 1/s = (1/c0) sum u^k."""
+    c0 = s.get(((0,) * m, (0,) * m, (0,) * n), ZERO)
+    if not c0:
+        raise SeriesError("series is not a unit: function vanishes, cannot invert")
+    inv0 = c0.inverse()
+    u = add(one(m, n), scale(s, -inv0))
+    acc, pw = one(m, n), one(m, n)
+    for _ in range(out_budget):
+        pw = mul(pw, u, out_budget)
+        acc = add(acc, pw)
+    return scale(acc, inv0)
+
+
+def power(s: dict, k: int, m: int, n: int, out_budget: int) -> dict:
+    out = one(m, n)
+    for _ in range(k):
+        out = mul(out, s, out_budget)
+    return out
+
+
+def divide(s: dict, h: dict, m: int, n: int, out_budget: int) -> dict:
+    return mul(truncated(s, out_budget), invert(h, m, n, out_budget), out_budget)

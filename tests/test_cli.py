@@ -829,6 +829,67 @@ def test_package_names_resolve_on_first_use():
         leafcoh.nope
 
 
+ENGINE = "{'leafcoh.linalg', 'leafcoh.cohomology'}"
+
+
+def test_cli_import_loads_no_linear_algebra_or_cohomology():
+    # only the grid and solve commands and the pairing suite use them
+    assert _fresh_interpreter(f"import sys, leafcoh.cli; print(sorted({ENGINE} & set(sys.modules)))") == "[]\n"
+
+
+def test_check_suites_other_than_pairing_load_no_linear_algebra_or_cohomology(tmp_path):
+    scene = write_scene(tmp_path, "s.json", {"model": {"m": 2, "n": 1, "budget": 2, "f": "1 + z1*zb2 - i*x1"}})
+    runs = [
+        ["check", "--scene", scene, "--suite", suite, "--seed", "3", "--trials", "60", "--out", str(tmp_path / suite)]
+        for suite in ("operators", "leibniz", "rescale", "intertwine")
+    ]
+    code = f"import sys; from leafcoh import cli; print([cli.main(a) for a in {runs!r}], sorted({ENGINE} & set(sys.modules)))"
+    assert _fresh_interpreter(code) == "[0, 0, 0, 0] []\n"
+    report = json.loads((tmp_path / "operators").read_text())
+    assert (report["suite"], report["violations_total"]) == ("operators", 0)
+
+
+def test_check_pairing_loads_the_engine_and_runs(tmp_path):
+    scene = write_scene(tmp_path, "s.json", {"model": {"m": 2, "n": 0, "budget": 2, "f": "1 + z1*zb2"}})
+    argv = ["check", "--scene", scene, "--suite", "pairing", "--seed", "1", "--trials", "12", "--out", str(tmp_path / "r")]
+    code = f"import sys; from leafcoh import cli; print(cli.main({argv!r}), sorted({ENGINE} & set(sys.modules)))"
+    assert _fresh_interpreter(code) == "0 ['leafcoh.cohomology', 'leafcoh.linalg']\n"
+    report = json.loads((tmp_path / "r").read_text())
+    assert (report["suite"], report["violations_total"]) == ("pairing", 0)
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "r").read_text()) == report
+
+
+def test_engine_names_resolve_on_first_use():
+    code = (
+        "import sys, leafcoh; engine = " + ENGINE + "; print(sorted(engine & set(sys.modules))); "
+        "leafcoh.Matrix; print(sorted(engine & set(sys.modules))); "
+        "grid = leafcoh.cohomology_grid; print(sorted(engine & set(sys.modules))); "
+        "import leafcoh.cohomology as c; print(grid is c.cohomology_grid, 'Matrix' in vars(leafcoh))"
+    )
+    assert _fresh_interpreter(code) == (
+        "[]\n['leafcoh.linalg']\n['leafcoh.cohomology', 'leafcoh.linalg']\nTrue True\n"
+    )
+    import leafcoh
+
+    assert leafcoh.cohomology_grid is cohomology.cohomology_grid and leafcoh.kernel_basis is linalg.kernel_basis
+
+
+def test_linear_algebra_error_is_one_class_and_a_grid_fault_exits_internal(tmp_path, capsys, monkeypatch):
+    from leafcoh import algebra
+
+    assert linalg.LinearAlgebraError is algebra.LinearAlgebraError is cli.LinearAlgebraError
+
+    def broken(*args, **kwargs):
+        raise linalg.LinearAlgebraError("broken complex in the grid")
+
+    monkeypatch.setattr(cohomology, "cohomology_grid", broken)
+    scene = write_scene(tmp_path, "s.json", {"model": {"m": 1, "n": 0, "budget": 2, "f": "1"}})
+    assert run(["cohomology", "--scene", scene]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: broken complex in the grid\n")
+
+
 def test_unknown_scene_key_exits_two(tmp_path, capsys):
     scene = write_scene(
         tmp_path,

@@ -4,7 +4,8 @@ A Series keeps each monomial as one int (``algebra.pack``): degree, alpha,
 beta and gamma fields of W bits, most significant first.  Here every packed
 operation is compared with the tuple-keyed reference arithmetic of
 ``series_reference`` on seeded series with i and fractional coefficients,
-m <= 3 and n <= 2; the cached substitution of ``FoliatedMorphism`` is
+m <= 3 and n <= 2; division, inversion and rescaling are compared with the
+reference's Neumann inverse and repeated products; the cached substitution of ``FoliatedMorphism`` is
 compared with the uncached reference of ``kernel_reference``, through
 ``with_source_twist`` and at lower out budgets; and every budget that could
 push a field past MAX_DEGREE is rejected with a pinned message.
@@ -29,7 +30,7 @@ from leafcoh.algebra import (
     parse_series,
     unpack,
 )
-from leafcoh.forms import FoliatedForm, FoliationModel, basis_form, monomial_table
+from leafcoh.forms import FoliatedForm, FoliationModel, basis_form, monomial_table, rescale_power
 from leafcoh.operators import FoliatedMorphism, pullback
 from leafcoh.sampling import random_form, random_morphism, random_series, random_unit_series
 
@@ -119,6 +120,101 @@ def test_binary_operations_match_reference(m, n, seed):
                 got = s.mul(t, out_budget=out_budget)
                 assert (got.terms, got.budget) == (ref.mul(s.terms, t.terms, out_budget), out_budget)
                 assert all(type(c) is GaussianRational and c for c in got.packed.values())
+
+
+def _units(rng, m, n):
+    """Seeded units of budget 0..4: drawn ones, a constant with i, and one
+    with fractional i coefficients on every kind of variable."""
+    out = [random_unit_series(rng, m, n, b, max_terms=4) for b in (0, 1, 2, 3, 4)]
+    out.append(Series.constant(m, n, GaussianRational(Fraction(2, 3), -1), 3))
+    keys = [k for k in random_series(rng, m, n, 2, max_terms=4).terms if sum(map(sum, k))]
+    zero = ((0,) * m, (0,) * m, (0,) * n)
+    terms = {zero: GaussianRational(Fraction(-3, 2), Fraction(1, 2))}
+    terms.update({k: GaussianRational(Fraction(j + 1, 4), Fraction(1, j + 2)) for j, k in enumerate(keys)})
+    out.append(Series(m, n, 2, terms))
+    return out
+
+
+@pytest.mark.parametrize("m, n", SHAPES)
+@pytest.mark.parametrize("seed", range(2))
+def test_division_matches_the_neumann_reference(m, n, seed):
+    rng = random.Random(1100 * seed + 10 * m + n)
+    dividends = _series(rng, m, n)
+    for h in _units(rng, m, n):
+        for out_budget in range(7):
+            inverse = h.invert(out_budget)
+            want = ref.invert(h.terms, m, n, out_budget)
+            assert (inverse.terms, inverse.budget) == (want, out_budget)
+            assert all(type(c) is GaussianRational and c for c in inverse.packed.values())
+            for s in dividends[::3]:
+                # out budgets below, at and above the dividend's budget
+                got = s.divide(h, out_budget)
+                assert (got.terms, got.budget) == (ref.divide(s.terms, h.terms, m, n, out_budget), out_budget)
+        assert h.invert().budget == h.budget
+        assert h.invert().terms == ref.invert(h.terms, m, n, h.budget)
+        for s in dividends:
+            assert s.divide(h) == Series(m, n, s.budget, ref.divide(s.terms, h.terms, m, n, s.budget))
+            assert s.divide(h).budget == s.budget
+
+
+def test_a_constant_divisor_scales():
+    s = parse_series("1 + (1/2-i)*z1*zb2^2 + x1^3 - zb1", 2, 1, 3)
+    c = GaussianRational(Fraction(2, 3), -1)
+    h = Series.constant(2, 1, c)
+    assert s.divide(h) == s.scale(c.inverse())
+    assert s.divide(h, 2) == s.scale(c.inverse()).truncated(2)
+    assert h.invert(5) == Series.constant(2, 1, c.inverse(), 5)
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (1, 2), (2, 1), (3, 0)])
+@pytest.mark.parametrize("seed", range(2))
+def test_rescaling_matches_repeated_reference_products(m, n, seed):
+    rng = random.Random(1300 * seed + 10 * m + n)
+    model = FoliationModel.untwisted(m, n, 3)
+    for h in _units(rng, m, n):
+        for p in range(m + 1):
+            q = rng.randint(0, m)
+            phi = random_form(rng, model, p, q, budget=3, max_components=3)
+            for out_budget in (None, 0, 2, 3, 5):
+                b = phi.budget if out_budget is None else out_budget
+                got = rescale_power(phi, h, out_budget)
+                assert (got.p, got.q, got.budget) == (p, q, phi.budget if p + q == 0 else b)
+                if p + q == 0:
+                    assert got is phi
+                    continue
+                factor = ref.power(ref.invert(h.terms, m, n, b), p + q, m, n, b)
+                want = {k: ref.mul(c.terms, factor, b) for k, c in phi.coeffs.items()}
+                assert {k: c.terms for k, c in got.coeffs.items()} == {k: t for k, t in want.items() if t}
+                assert all(c.budget == b for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, h: s.divide(h),
+        lambda s, h: s.divide(h, 4),
+        lambda s, h: h.invert(),
+        lambda s, h: ref.divide(s.terms, h.terms, 2, 1, 3),
+        lambda s, h: ref.invert(h.terms, 2, 1, 3),
+    ],
+    ids=["divide", "divide-out-budget", "invert", "reference-divide", "reference-invert"],
+)
+@pytest.mark.parametrize("h_text", ["0", "z1 + i*zb2", "x1^2 - 1/2*z2"])
+def test_a_non_unit_divisor_is_rejected(call, h_text):
+    s = parse_series("1 + (1/2-i)*z1*zb2^2 + x1^3 - zb1", 2, 1, 3)
+    h = parse_series(h_text, 2, 1, 3)
+    with pytest.raises(SeriesError, match="^series is not a unit: function vanishes, cannot invert$"):
+        call(s, h)
+
+
+def test_division_checks_its_out_budget():
+    s, h = parse_series("1 + z1", 1, 0, 1), parse_series("2 - zb1", 1, 0, 1)
+    with pytest.raises(SeriesError, match="^m, n and budget must be nonnegative$"):
+        s.divide(h, -1)
+    with pytest.raises(SeriesError, match="^m, n and budget must be nonnegative$"):
+        h.invert(-1)
+    with pytest.raises(SeriesError, match=r"^variable mismatch: \(1,0\) vs \(1,1\)$"):
+        s.divide(Series.one(1, 1))
 
 
 def test_basis_forms_pack_their_monomial():
@@ -233,8 +329,10 @@ def test_the_largest_degree_fits():
         lambda: parse_series("z1", 1, 0, MAX_DEGREE).mul(parse_series("1", 1, 0, 1)),
         lambda: parse_series("z1", 1, 0, 1).mul(parse_series("z1", 1, 0, 1), out_budget=MAX_DEGREE + 1),
         lambda: random_series(random.Random(1), 1, 0, MAX_DEGREE + 1),
+        lambda: parse_series("1 + z1", 1, 0, 1).divide(parse_series("1 - z1", 1, 0, 1), MAX_DEGREE + 1),
+        lambda: parse_series("1 + z1", 1, 0, 1).invert(MAX_DEGREE + 1),
     ],
-    ids=["parse", "constructor", "constant", "variable", "mul-default", "mul-out-budget", "sampling"],
+    ids=["parse", "constructor", "constant", "variable", "mul-default", "mul-out-budget", "sampling", "divide", "invert"],
 )
 def test_a_budget_past_the_limit_is_rejected(make):
     with pytest.raises(SeriesError, match=LIMIT_MESSAGE):

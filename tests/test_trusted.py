@@ -91,7 +91,7 @@ def test_series_results_rebuild_through_the_constructor(m, n, seed):
         cut = rng.randint(0, 4)
         for s in (a + b, a - b, -a, a + (-a), a.scale(c), a.scale(0), a.mul(b), a.mul(b, out_budget=cut)):
             assert_rebuilds_series(s)
-        for s in (a * b, 2 * a, a.conj(), a.truncated(cut), a.with_budget(a.budget + 2), a.power(2)):
+        for s in (a * b, 2 * a, a.conj(), a.truncated(cut), a.with_budget(a.budget + 2), a * a):
             assert_rebuilds_series(s)
         # the cross terms cancel: a product that must drop the zeros it makes
         for s in ((a + b).mul(a - b), (a + b).mul(a - b, out_budget=cut)):
@@ -101,6 +101,9 @@ def test_series_results_rebuild_through_the_constructor(m, n, seed):
                 assert_rebuilds_series(a.deriv(kind, index))
         if a.is_unit:
             assert_rebuilds_series(a.invert(out_budget=cut))
+            assert_rebuilds_series(b.divide(a, out_budget=cut))
+            # a quotient whose terms cancel: (a * b) / a is b, up to the cut
+            assert_rebuilds_series(a.mul(b).divide(a, out_budget=cut))
 
 
 @pytest.mark.parametrize("m, n", SHAPES)

@@ -6,8 +6,9 @@ are compared with the reference kernels in ``kernel_reference`` on seeded
 sweeps: equal values and equal budgets, for
 the form and for every coefficient.  The reference twisted operators and
 the reference pullback run on the reference series product.  Also here: the twist is
-checked against the form's model at every weight, and every output term of
-a twisted operator is checked against the budget phi.budget + twist_gap(f).
+checked against the form's model at every weight, every output term of
+a twisted operator is checked against the budget phi.budget + twist_gap(f),
+and the kernel's twist cache is bounded, first in first out.
 """
 
 import random
@@ -110,6 +111,30 @@ def test_twisted_operators_match_reference_on_compositions(monkeypatch, m, n):
         got = partial_f(dbar_f(phi))
         want = _with_reference_mul(monkeypatch, lambda: ref.partial_f(ref.dbar_f(phi)))
         assert_same_form(got, want)
+
+
+def test_the_twist_cache_keeps_the_last_eight_twists_per_direction(monkeypatch):
+    rng = random.Random(17)
+    model = FoliationModel(2, 1, 2, parse_series("1 + z1*zb2", 2, 1, 2))
+    phi = random_form(rng, model, 1, 0, budget=2, max_components=3)
+    twists = [random_unit_series(rng, 2, 1, 2) for _ in range(operators._TWISTS + 2)]
+    monkeypatch.setattr(operators, "_twists", {True: {}, False: {}})
+    for f in twists:
+        dbar_f(phi, f)
+    cache = operators._twists[True]
+    # the oldest twists are dropped first, and each entry holds its twist
+    assert list(cache) == [id(f) for f in twists[2:]]
+    assert [entry[0] for entry in cache.values()] == twists[2:]
+    assert operators._twists[False] == {}
+    entry = cache[id(twists[4])]
+    dbar_f(phi, twists[4])
+    assert cache[id(twists[4])] is entry and list(cache) == [id(f) for f in twists[2:]]
+    # every value is the reference's while the twists cycle through a full cache
+    for f in twists + twists[::-1] + [model.f] + twists[:3]:
+        for op, want_op in ((dbar_f, ref.dbar_f), (partial_f, ref.partial_f)):
+            assert_same_form(op(phi, f), _with_reference_mul(monkeypatch, lambda: want_op(phi, f)))
+        assert_same_form(dbar_f_k(phi, 1, f), _with_reference_mul(monkeypatch, lambda: ref.dbar_f_k(phi, 1, f)))
+    assert all(len(c) == operators._TWISTS for c in operators._twists.values())
 
 
 def _mul_cases(rng, m, n):
