@@ -240,7 +240,9 @@ def expo_degree(key: Expo) -> int:
 
 
 def check_budget(budget: int) -> int:
-    """budget, if a packed monomial holds its degree; else a SeriesError."""
+    """budget, if it is nonnegative and a packed monomial holds its degree; else a SeriesError."""
+    if budget < 0:
+        raise SeriesError("m, n and budget must be nonnegative")
     if budget > MAX_DEGREE:
         raise SeriesError(
             f"budget {budget} exceeds {MAX_DEGREE}, the largest degree a packed monomial holds"
@@ -262,14 +264,9 @@ def pack_flat(flat: tuple) -> int:
     return packed
 
 
-def unpack_flat(v: int, key: int) -> tuple:
-    """The v exponents of a packed key in the order alpha + beta + gamma (v = 2m + n)."""
-    return tuple(key >> W * i & MAX_DEGREE for i in range(v - 1, -1, -1))
-
-
 def unpack(m: int, n: int, key: int) -> Expo:
     """The exponent triple (alpha, beta, gamma) of a packed key over (m, n)."""
-    flat = unpack_flat(2 * m + n, key)
+    flat = tuple(key >> W * i & MAX_DEGREE for i in range(2 * m + n - 1, -1, -1))
     return flat[:m], flat[m : 2 * m], flat[2 * m :]
 
 
@@ -329,7 +326,7 @@ class Series:
     __slots__ = ("m", "n", "budget", "packed")
 
     def __init__(self, m: int, n: int, budget: int, terms=None):
-        if m < 0 or n < 0 or budget < 0:
+        if m < 0 or n < 0:
             raise SeriesError("m, n and budget must be nonnegative")
         check_budget(budget)
         self.m = m
@@ -437,8 +434,7 @@ class Series:
             return self
         if budget > self.budget:
             return _raw_series(self.m, self.n, budget, self.packed)
-        if budget < 0:
-            raise SeriesError("m, n and budget must be nonnegative")
+        check_budget(budget)
         shift = W * (2 * self.m + self.n)
         for key in self.packed:
             if key >> shift > budget:
@@ -489,8 +485,6 @@ class Series:
         self._same_space(other)
         if out_budget is None:
             out_budget = self.budget + other.budget
-        elif out_budget < 0:
-            raise SeriesError("m, n and budget must be nonnegative")
         acc: dict = {}
         _mul_into(acc, self, other, out_budget)
         return _raw_series(self.m, self.n, out_budget, _accumulated_terms(acc))
@@ -571,8 +565,6 @@ class Series:
             raise SeriesError("series is not a unit: function vanishes, cannot invert")
         if out_budget is None:
             out_budget = self.budget
-        elif out_budget < 0:
-            raise SeriesError("m, n and budget must be nonnegative")
         shift = W * (2 * self.m + self.n)
         limit = check_budget(out_budget) + 1 << shift
         a0, b0, d0 = c0.a, c0.b, c0.d
@@ -600,9 +592,7 @@ class Series:
 
     def truncated(self, out_budget: int) -> "Series":
         """Drop all terms of total degree > out_budget."""
-        if out_budget < 0:
-            raise SeriesError("m, n and budget must be nonnegative")
-        limit = out_budget + 1 << W * (2 * self.m + self.n)
+        limit = check_budget(out_budget) + 1 << W * (2 * self.m + self.n)
         return _raw_series(
             self.m, self.n, out_budget, {k: c for k, c in self.packed.items() if k < limit}
         )
@@ -942,7 +932,5 @@ class _Parser:
 def parse_series(text: str, m: int, n: int, budget: int) -> Series:
     """Parse the series text grammar; raises SeriesParseError with a position."""
     terms = _Parser(text, m, n, budget).parse()
-    if budget < 0:  # parse() checked every term against it; a zero series has none
-        raise SeriesError("m, n and budget must be nonnegative")
-    check_budget(budget)
+    check_budget(budget)  # parse() checked every term against it; a zero series has none
     return _raw_series(m, n, budget, {pack_flat(flat): c for flat, c in terms.items()})

@@ -21,9 +21,8 @@ approximates the smooth theory: stabilisation is reported, never assumed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add
 
-from .algebra import Series, pack, unpack_flat
+from .algebra import MAX_DEGREE, Series, _raw_series, pack, unpack, variable_field
 from .forms import (
     FoliatedForm,
     FoliationModel,
@@ -81,30 +80,29 @@ def vectorize(phi: FoliatedForm, budget: int) -> dict:
     m, n = phi.model.m, phi.model.n
     N, ranks = count_monomials(m, n, budget), monomial_table(m, n, budget)[1]
     row0 = {pair: r * N for r, pair in enumerate(pair_table(m, phi.p, phi.q))}
-    v = 2 * m + n
     out = {}
     for (A, B), series in phi.coeffs.items():
+        r0 = row0[(A, B)]
         for key, coeff in series.packed.items():
-            flat = unpack_flat(v, key)
-            u = ranks.get(flat, N)
+            u = ranks.get(key, N)
             if u >= N:
-                expo = (flat[:m], flat[m : 2 * m], flat[2 * m :])
                 raise BudgetContractError(
-                    f"form term {(A, B, expo)} does not fit the budget-{budget} basis"
+                    f"form term {(A, B, unpack(m, n, key))} does not fit the budget-{budget} basis"
                 )
-            out[row0[(A, B)] + u] = coeff
+            out[r0 + u] = coeff
     return out
 
 
 def form_from_vector(model: FoliationModel, p: int, q: int, budget: int, vec: dict) -> FoliatedForm:
-    """The form with the sparse coordinates vec over the (p,q) basis at the given budget."""
-    N, pairs = count_monomials(model.m, model.n, budget), pair_table(model.m, p, q)
-    monos = monomial_table(model.m, model.n, budget)[0][:N]
+    """The form with the sparse coordinates vec (nonzero values) over the (p,q) basis at the given budget."""
+    m, n = model.m, model.n
+    N, pairs = count_monomials(m, n, budget), pair_table(m, p, q)
+    keys = monomial_table(m, n, budget)[0]
     terms: dict = {}
     for pos, coeff in vec.items():
         r, u = divmod(pos, N)
-        terms.setdefault(pairs[r], {})[monos[u]] = coeff
-    coeffs = {key: Series(model.m, model.n, budget, t) for key, t in terms.items()}
+        terms.setdefault(pairs[r], {})[keys[u]] = coeff
+    coeffs = {pair: _raw_series(m, n, budget, t) for pair, t in terms.items()}
     return FoliatedForm(model, p, q, coeffs, budget)
 
 
@@ -178,9 +176,7 @@ def operator_matrix(
             f"budget contract violated: out {out_budget} < in {in_budget} + gap {gap}"
         )
     m, n = model.m, model.n
-    # exponent triples flattened to z + zb + x; the derivative lowers z_a or zb_a
     f = model.f if twisted else Series.one(m, n)
-    f_terms = [(x + y + z, ft) for (x, y, z), ft in f.terms.items()]
     weight = p + q - (k if tag == "dbar_f_k" else 0)  # f = 1 has t = 0 only
     in_pairs, n_in = pair_table(m, p, q), count_monomials(m, n, in_budget)
     if not in_pairs or not n_in:
@@ -188,26 +184,28 @@ def operator_matrix(
     n_out, out_pairs = count_monomials(m, n, out_budget), pair_table(m, p + dp, q + dq)
     monos, mono_rank = monomial_table(m, n, out_budget)
     # Positions are arithmetic (forms.inclusion_positions): (A, B, e) sits at
-    # pair rank * N + monomial rank, the ranks read off forms' shared tables.
-    # The monomial map z^e -> z^(e + t - eps_a) and its factor do not depend on
-    # (A, B), so shifts tabulates them once per variable and sign: per input
-    # monomial, the (target monomial rank, entry) of each term with an entry.
-    # Each (A, B) block places a copy; equal entries f_t * c are one shared
-    # scalar, and a row is one shared int.
+    # pair rank * N + monomial rank, the ranks read off forms' shared table of
+    # packed keys.  In a packed key z^e -> z^(e + t - eps_a) is e + t - unit,
+    # and e_a, t_a are read off the variable's field (algebra.variable_field).
+    # The map and its factor do not depend on (A, B), so shifts tabulates them
+    # once per variable and sign: per input monomial, the (target monomial
+    # rank, entry) of each term with an entry.  Each (A, B) block places a
+    # copy; equal entries f_t * c are one shared scalar, and a row is one
+    # shared int.
     pair_at = {pair: r * n_out for r, pair in enumerate(out_pairs)}
     entries, tables, shared = {}, {}, {}
     row_ints = list(range(len(out_pairs) * n_out))
 
     def shifts(i, sign):
+        offset, unit = variable_field(m, n, i)
+        f_terms = [(t, t >> offset & MAX_DEGREE, ft) for t, ft in f.packed.items()]
         table = []
-        for x, y, z in monos[:n_in]:
-            e, row = x + y + z, []
-            for t, ft in f_terms:
-                c = sign * (e[i] - weight * t[i])
+        for e in monos[:n_in]:
+            e_i, row = e >> offset & MAX_DEGREE, []
+            for t, t_i, ft in f_terms:
+                c = sign * (e_i - weight * t_i)
                 if c:
-                    expo = list(map(add, e, t))
-                    expo[i] -= 1
-                    row.append((mono_rank[tuple(expo)], shared.get((t, c)) or shared.setdefault((t, c), ft * c)))
+                    row.append((mono_rank[e + t - unit], shared.get((t, c)) or shared.setdefault((t, c), ft * c)))
             table.append(row)
         return table
 

@@ -7,8 +7,10 @@ bidegree (p,q) stores, for each pair of strictly increasing index tuples
 
     sum_{A,B}  c_{A,B}(z, zb, x) dz^A ^ dzb^B.
 
-Only increasing tuples are stored; any other arrangement of generators is
-normalised at the boundary with the sign of the sorting permutation.
+Only increasing tuples are stored: the constructor rejects any other
+arrangement of generators (``FormError``), and the wedge product and the
+operators merge index tuples with the sign of the sorting permutation
+(``merge_indices``, ``insert_index``).
 
 The public FoliatedForm constructor validates every (A, B) key and every
 coefficient; results of form arithmetic and of the operators are built by
@@ -28,8 +30,10 @@ from .algebra import (
     _mul_into,
     _raw_series,
     check_budget,
-    expo_degree,
+    degree_shift,
     pack,
+    pack_flat,
+    unpack,
 )
 
 MultiIndex = tuple  # strictly increasing tuple of 1-based variable indices
@@ -396,10 +400,7 @@ def rescale_power(phi: FoliatedForm, h: Series, out_budget: int | None = None) -
     w = phi.deg
     if w == 0:
         return phi
-    b = phi.budget if out_budget is None else out_budget
-    if b < 0:
-        raise SeriesError("m, n and budget must be nonnegative")
-    check_budget(b)
+    b = check_budget(phi.budget if out_budget is None else out_budget)
     coeffs = {}
     for key, c in phi.coeffs.items():
         for _ in range(w):
@@ -441,35 +442,37 @@ def enumerate_basis(model: FoliationModel, p: int, q: int, budget: int | None = 
     Elements are (A, B, expo) triples ordered lexicographically by (A, B) and
     graded-lexicographically on the monomial; the ordering is the contract all
     matrix assembly relies on: (A, B, e) sits at pair rank * N + monomial rank.
+    The exponent triples are unpacked from the monomial table for this call.
     """
     m, n, b = model.m, model.n, model.budget if budget is None else budget
-    monos = monomial_table(m, n, b)[0][: count_monomials(m, n, b)]
+    monos = [unpack(m, n, key) for key in monomial_table(m, n, b)[0][: count_monomials(m, n, b)]]
     return tuple((A, B, e) for A, B in pair_table(m, p, q) for e in monos)
 
 
-_MONOMIALS: dict = {}  # (m, n) -> (monomials, ranks), see monomial_table
+_MONOMIALS: dict = {}  # (m, n) -> (keys, ranks), see monomial_table
 _PAIRS: dict = {}  # (m, p, q) -> pair_table(m, p, q)
 
 
 def monomial_table(m: int, n: int, budget: int) -> tuple:
-    """(monomials, ranks) shared by every basis over (m, n).
+    """(keys, ranks) shared by every basis over (m, n).
 
-    ``monomials`` lists the exponent triples in graded-lex order through at
-    least degree ``budget``, so the budget-b monomials are its prefix of
-    length count_monomials(m, n, b); ``ranks`` maps each flattened triple
-    alpha + beta + gamma to its place in the list.  The table grows, one
-    degree at a time, to the largest budget asked for.
+    ``keys`` lists the packed monomials (``algebra.pack``) in graded-lex
+    order, which is ascending int order, through at least degree
+    ``budget``, so the budget-b monomials are its prefix of length
+    count_monomials(m, n, b); ``ranks`` maps each key to its place in the
+    list.  The table grows, one degree at a time, to the largest budget
+    asked for.
     """
-    monos, ranks = table = _MONOMIALS.setdefault((m, n), ([], {}))
+    keys, ranks = table = _MONOMIALS.setdefault((m, n), ([], {}))
     v = 2 * m + n
-    while len(monos) < count_monomials(m, n, budget):
-        top = expo_degree(monos[-1]) + 1 if monos else 0
+    while len(keys) < count_monomials(m, n, budget):
+        top = (keys[-1] >> degree_shift(m, n)) + 1 if keys else 0
         # a composition of top into v parts is v - 1 bars among top + v - 1
         # places, and ascending bar tuples give the compositions in lex order
         for bars in combinations(range(top + v - 1), v - 1):
-            flat = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (top + v - 1,)))
-            ranks[flat] = len(monos)
-            monos.append((flat[:m], flat[m : 2 * m], flat[2 * m :]))
+            key = pack_flat(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (top + v - 1,))))
+            ranks[key] = len(keys)
+            keys.append(key)
     return table
 
 

@@ -447,61 +447,36 @@ def corollary_boundary_report(rc: RelativeComplex) -> dict:
     nodes = _les_nodes(rc.ses, _RELATIVE_LABELS)
     m_t = rc.m_target
     m_s = rc.m_source
-    # per grade: dims of H^q(source side), H^q(cone), H^q(target); ranks of alpha*_q, beta*_q
+    # per grade: dims of H^q(source side), H^q(cone), H^q(target); ranks of
+    # alpha*_q (side 0 -> side 1) and beta*_q (side 1 -> side 2)
     dims = [tuple(dim for _, dim, _ in nodes[k : k + 3]) for k in range(0, len(nodes), 3)]
     alpha = [out_rank for _, _, out_rank in nodes[0::3]]
     beta = [out_rank for _, _, out_rank in nodes[1::3]]
     grades = len(dims)
-    items = {}
 
-    # (i) beta*: H^{m_s+1}(cone) -> H^{m_s+1}(target) is an epimorphism
-    q = m_s + 1
-    ok = True
-    witness = {}
-    if q < grades:
-        r = beta[q]
-        ok = r == dims[q][2]
-        witness = {"grade": q, "rank": r, "codomain": dims[q][2]}
-    items["i"] = {"pass": bool(ok), "witness": witness}
+    def epi(q, ranks, side):
+        """The map with ``ranks`` out of ``side`` is onto at grade q (vacuous past the last grade)."""
+        if q >= grades:
+            return {"pass": True, "witness": {}}
+        codomain = dims[q][side + 1]
+        return {"pass": ranks[q] == codomain, "witness": {"grade": q, "rank": ranks[q], "codomain": codomain}}
 
-    # (ii) alpha*: H^{m_t}(source side) -> H^{m_t+1}(cone) is an epimorphism
-    q = m_t + 1
-    ok = True
-    witness = {}
-    if q < grades:
-        r = alpha[q]
-        ok = r == dims[q][1]
-        witness = {"grade": q, "rank": r, "codomain": dims[q][1]}
-    items["ii"] = {"pass": bool(ok), "witness": witness}
+    def iso(first, ranks, side):
+        """The map with ``ranks`` out of ``side`` is an isomorphism at every grade from ``first`` on."""
+        checked = [
+            {"grade": q, "rank": ranks[q], "domain": dims[q][side], "codomain": dims[q][side + 1]}
+            for q in range(first, grades)
+        ]
+        return {"pass": all(w["rank"] == w["domain"] == w["codomain"] for w in checked), "witness": checked}
 
-    # (iii) beta* iso for grades q > m_s + 1
-    checked = []
-    ok = True
-    for q in range(m_s + 2, grades):
-        r = beta[q]
-        good = r == dims[q][1] == dims[q][2]
-        ok = ok and good
-        checked.append({"grade": q, "rank": r, "domain": dims[q][1], "codomain": dims[q][2]})
-    items["iii"] = {"pass": bool(ok), "witness": checked}
-
-    # (iv) alpha* iso into grade q+1 for q > m_t
-    checked = []
-    ok = True
-    for q in range(m_t + 1, grades - 1):
-        r = alpha[q + 1]
-        good = r == dims[q + 1][0] == dims[q + 1][1]
-        ok = ok and good
-        checked.append({"grade": q + 1, "rank": r, "domain": dims[q + 1][0], "codomain": dims[q + 1][1]})
-    items["iv"] = {"pass": bool(ok), "witness": checked}
-
-    # (v) cone cohomology vanishes beyond max(m_s + 1, m_t)
-    checked = []
-    ok = True
-    for q in range(max(m_s + 1, m_t) + 1, grades):
-        good = dims[q][1] == 0
-        ok = ok and good
-        checked.append({"grade": q, "dim": dims[q][1]})
-    items["v"] = {"pass": bool(ok), "witness": checked}
+    vanishing = [{"grade": q, "dim": dims[q][1]} for q in range(max(m_s + 1, m_t) + 1, grades)]
+    items = {
+        "i": epi(m_s + 1, beta, 1),  # beta*: H^{m_s+1}(cone) -> H^{m_s+1}(target)
+        "ii": epi(m_t + 1, alpha, 0),  # alpha*: H^{m_t}(source side) -> H^{m_t+1}(cone)
+        "iii": iso(m_s + 2, beta, 1),  # beta* at grades q > m_s + 1
+        "iv": iso(m_t + 2, alpha, 0),  # alpha* into grades q + 1 for q > m_t
+        "v": {"pass": all(w["dim"] == 0 for w in vanishing), "witness": vanishing},
+    }
 
     return {
         "check": "relative_les_boundary",

@@ -5,7 +5,7 @@ Every tag, every bidegree in [-1, m+1], budgets -1, at the gap and above it,
 and random models with n in {0, 1} and untwisted, constant and multi-term
 twists: equal shapes, equal entries and equal entry order.  The shared
 monomial and pair tables of ``leafcoh.forms`` are checked against the
-reference's own ``itertools`` enumeration: positions and elements, inclusion
+reference's own ``itertools`` enumeration, packed: positions and elements, inclusion
 positions, ``_Grid.rank``'s degree order and the vector round trip.
 """
 
@@ -24,7 +24,7 @@ from leafcoh.cohomology import (
     vectorize,
 )
 from leafcoh.forms import FoliationModel, basis_form, count_monomials, enumerate_basis, monomial_table, pair_table
-from leafcoh.algebra import GaussianRational, parse_series
+from leafcoh.algebra import GaussianRational, pack, parse_series
 
 KINDS = ("untwisted", "constant", "multi")
 TAGS = [("dbar", None), ("partial", None), ("dbar_f", None), ("partial_f", None)]
@@ -141,11 +141,17 @@ def test_tables_match_independent_enumeration(seed, monkeypatch):
             want = reference.basis(m, n, p, q, b)
             assert enumerate_basis(model, p, q, b) == want, (p, q, b)
             N = count_monomials(m, n, b)
-            monos, ranks = monomial_table(m, n, b)
-            assert len(monos) >= N and len(pairs) * N == len(want)
+            keys, ranks = monomial_table(m, n, b)
+            # the table holds packed ints, strictly increasing, with the
+            # reference's monomials (the (0,0) basis) packed as its prefix
+            # and each key's place in it as its rank
+            assert all(type(key) is int for key in keys)
+            assert all(a < c for a, c in zip(keys, keys[1:]))
+            assert keys[:N] == [pack(e) for _, _, e in reference.basis(m, n, 0, 0, b)]
+            assert ranks == {key: u for u, key in enumerate(keys)}
+            assert len(pairs) * N == len(want)
             for pos, (A, B, e) in enumerate(want):
-                assert (pairs[pos // N], monos[pos % N]) == ((A, B), e)
-                assert ranks[e[0] + e[1] + e[2]] == pos % N
+                assert (pairs[pos // N], keys[pos % N]) == ((A, B), pack(e))
             for small in range(-1, b + 1):
                 got = inclusion_positions(model, p, q, small, b)
                 assert got == reference.inclusion_positions(model, p, q, small, b), (p, q, small, b)

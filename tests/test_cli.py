@@ -558,6 +558,17 @@ def test_budget_past_the_packed_limit_exits_two(tmp_path, capsys, command, data)
     assert captured.err == "error: budget 65536 exceeds 65535, the largest degree a packed monomial holds\n"
 
 
+def test_generators_out_of_order_exit_two(tmp_path, capsys):
+    # forms store strictly increasing index tuples only: a target term on
+    # dz2 ^ dz1 is refused, not reordered with a sign
+    term = {"A": [2, 1], "B": [], "coeff": "z1"}
+    data = {"model": {"m": 2, "n": 0, "budget": 1, "f": "1"}, "target": {"op": "dbar", "form": {"p": 2, "q": 0, "terms": [term]}}}
+    assert run(["solve", "--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: multi-index (2, 1) is not strictly increasing\n"
+
+
 def _shifted_order(monkeypatch):
     # a column order one past the matrix: the union-find indexes out of range
     real = linalg.pivot_columns

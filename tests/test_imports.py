@@ -360,29 +360,31 @@ def test_one_elimination_with_one_pivot_rule():
     assert "heapq" not in absolute_imports(sources["linalg"])
 
 
-# A Series keeps each monomial as one packed int.  Exponent tuples, from the
-# unpacking helpers or the ``terms`` view, are read only at these boundary
-# sites: the view and the formatter's sorted terms, the flattened monomial
-# rank of a vector, and the closed-form assembler's twist terms.  A hot path
-# that reads tuples again shows up here.
+# A Series keeps each monomial as one packed int, and so do forms' monomial
+# table and the closed-form assembler.  Exponent tuples, from ``unpack`` or
+# the ``terms`` view, are read only at these boundary sites: the view and the
+# formatter's sorted terms; the public (A, B, expo) elements of
+# ``enumerate_basis``, built for the reference application only; and
+# ``vectorize``, which unpacks a key only to word the BudgetContractError of
+# a term that fits no basis position.  A hot path that reads tuples again
+# shows up here.
 EXPONENT_TUPLE_READERS = {
-    ("algebra", "unpack"),
     ("algebra", "Series"),
+    ("forms", "enumerate_basis"),
     ("cohomology", "vectorize"),
-    ("cohomology", "operator_matrix"),
 }
 
 
 def exponent_tuple_readers(sources: dict) -> set:
     """(module, top-level definition) of every ``.terms`` and every call of
-    ``unpack`` or ``unpack_flat`` in ``sources`` (module name -> source)."""
-    return attribute_users(sources, "terms") | call_sites(sources, "unpack") | call_sites(sources, "unpack_flat")
+    ``unpack`` in ``sources`` (module name -> source)."""
+    return attribute_users(sources, "terms") | call_sites(sources, "unpack")
 
 
 def test_exponent_tuple_finder_sees_views_and_unpacking():
     sources = {
         "a": "def f(s):\n    return s.terms\ndef g(k):\n    return unpack(1, 0, k)\nclass C:\n"
-        "    def h(self, k):\n        return algebra.unpack_flat(2, k)\n",
+        "    def h(self, k):\n        return algebra.unpack(2, 0, k)\n",
         "b": "def f(data):\n    return data['terms'], data.packed\nterms = 1\n",
     }
     assert exponent_tuple_readers(sources) == {("a", "f"), ("a", "g"), ("a", "C")}
@@ -391,3 +393,16 @@ def test_exponent_tuple_finder_sees_views_and_unpacking():
 def test_exponent_tuples_are_read_only_at_boundary_sites():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert exponent_tuple_readers(sources) == EXPONENT_TUPLE_READERS
+
+
+def test_vectorize_unpacks_only_to_word_its_error():
+    # the lookup of each coefficient key is direct; the one unpack sits in
+    # the raise of a term that fits no position
+    source = (SRC / "cohomology.py").read_text(encoding="utf-8")
+    (vectorize,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == "vectorize"]
+    raised = {id(sub) for node in ast.walk(vectorize) if isinstance(node, ast.Raise) for sub in ast.walk(node)}
+    unpacks = [
+        sub for sub in ast.walk(vectorize) if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "unpack"
+    ]
+    assert unpacks and all(id(call) in raised for call in unpacks)
+    assert not any(isinstance(sub, ast.Attribute) and sub.attr == "terms" for sub in ast.walk(vectorize))
