@@ -27,8 +27,9 @@ from .algebra import (
     Series,
     SeriesError,
     _accumulated_terms,
-    _mul_into,
+    _mul_terms,
     _raw_series,
+    _terms,
     check_budget,
     degree_shift,
     pack,
@@ -153,7 +154,7 @@ class FoliatedForm:
         self.model = model
         self.p = p
         self.q = q
-        self.budget = model.budget if budget is None else budget
+        self.budget = check_budget(model.budget if budget is None else budget)
         clean = {}
         out_of_range = p > model.m or q > model.m
         for (A, B), series in (coeffs or {}).items():
@@ -262,26 +263,20 @@ class FoliatedForm:
     # -- wedge product ---------------------------------------------------------
 
     def wedge(self, other: "FoliatedForm", out_budget: int | None = None) -> "FoliatedForm":
+        """self ^ other, exact unless out_budget is given (``_wedge_terms``).
+
+        The out budget bounds every key formed, so it is checked once here.
+        """
         if self.model.m != other.model.m or self.model.n != other.model.n:
             raise FormError("model mismatch")
         p, q = self.p + other.p, self.q + other.q
-        budget = self.budget + other.budget if out_budget is None else out_budget
+        budget = check_budget(self.budget + other.budget if out_budget is None else out_budget)
         if p > self.model.m or q > self.model.m:
             return FoliatedForm.zero(self.model, p, q, budget)
-        # sign: move other's dz block (p2 generators) left past our dzb block
-        # (q1 generators), then merge the A and B tuples; the products go into
-        # one integer accumulator per (A, B).
-        block = -1 if (other.p * self.q) % 2 else 1
+        # sign: move other's dz block (p2 generators) left past our dzb block (q1 generators)
+        sign = -1 if (other.p * self.q) % 2 else 1
         acc: dict = {}
-        for (A1, B1), c1 in self.coeffs.items():
-            for (A2, B2), c2 in other.coeffs.items():
-                sa, A = merge_indices(A1, A2)
-                if sa == 0:
-                    continue
-                sb, B = merge_indices(B1, B2)
-                if sb == 0:
-                    continue
-                _mul_into(acc.setdefault((A, B), {}), c1, c2, budget, block * sa * sb)
+        _wedge_terms(acc, _coefficient_terms(self), _coefficient_terms(other), budget, sign)
         return _accumulated_form(self.model, p, q, acc, budget)
 
     # -- comparison / io -------------------------------------------------------
@@ -370,6 +365,30 @@ def _accumulated_form(model: FoliationModel, p: int, q: int, acc: dict, budget: 
         if terms:
             phi.coeffs[key] = _raw_series(m, n, budget, terms)
     return phi
+
+
+def _coefficient_terms(phi: FoliatedForm) -> list:
+    """(A, B, ``algebra._terms`` of the coefficient) for each coefficient of phi."""
+    return [(A, B, _terms(c)) for (A, B), c in phi.coeffs.items()]
+
+
+def _wedge_terms(acc: dict, left: list, right: list, out_budget: int, k: int):
+    """Add k times the wedge of two ``_coefficient_terms`` lists into ``acc``,
+    a map (A, B) -> ``algebra._mul_terms`` accumulator.
+
+    Each pair merges its A tuples and its B tuples (``merge_indices``), and
+    a shared index drops it; products of degree > out_budget are skipped.
+    k carries the sign of moving the right dz block past the left dzb block.
+    """
+    for A1, B1, s in left:
+        for A2, B2, t in right:
+            sa, A = merge_indices(A1, A2)
+            if sa == 0:
+                continue
+            sb, B = merge_indices(B1, B2)
+            if sb == 0:
+                continue
+            _mul_terms(acc.setdefault((A, B), {}), s, t, out_budget, k * sa * sb)
 
 
 def _check_multi_index(t: MultiIndex, length: int, m: int):

@@ -5,7 +5,8 @@ The twisted antiholomorphic operator on a (p,q)-form phi is
     dbar_f(phi) = f * dbar(phi) - (p+q) * dbar(f) ^ phi
 
 and mirrors to partial_f; the generalised variant replaces the weight p+q by
-p+q-k.  All of these square to zero exactly on polynomial coefficients; each
+p+q-k, and dbar and partial are the operators at f = 1, run by the same
+kernel.  All of these square to zero exactly on polynomial coefficients; each
 application enlarges the coefficient budget by max(deg f - 1, 0), which the
 returned form records explicitly.
 
@@ -23,8 +24,6 @@ from .algebra import (
     _accumulated_terms,
     _mul_into,
     _mul_terms,
-    _normal,
-    _raw,
     _raw_series,
     _terms,
     check_budget,
@@ -37,9 +36,10 @@ from .forms import (
     FoliationModel,
     FormError,
     _accumulated_form,
+    _coefficient_terms,
     _raw_form,
+    _wedge_terms,
     insert_index,
-    merge_indices,
     rescale_power,
     twist_gap,
 )
@@ -50,7 +50,7 @@ def dbar(phi: FoliatedForm) -> FoliatedForm:
 
     The fresh dzb^a is written in front and merged into place, so moving it
     past the p dz-generators contributes (-1)^p.  It is the twisted kernel
-    with f = 1 and weight 0.
+    with f = 1 and weight 0, and keeps phi's budget.
     """
     return _twisted(phi, None, 0, True)
 
@@ -65,11 +65,12 @@ _UNIT_TERMS = ((0, 0, 1, 0, 1),)  # algebra._terms of the constant 1, the image 
 # (m, n, anti) -> (bit offset, key unit) of zb_a (anti) or z_a, a = 1..m
 _FIELDS: dict = {}
 
-# anti -> {id(f): [f, terms of f, deg f, terms of dbar(f) (anti) or partial(f),
-# or None until a nonzero weight asks]} for the last _TWISTS twists, the
-# oldest dropped first: the suites and the composition re-check apply a few
-# twists (f, g, f + g, 0, ...) to many forms in turn.  The strong reference
-# (Series has no weakref slot) keeps f's id from being reused while cached.
+# anti -> {id(f): [f, terms of f, deg f, forms._coefficient_terms of dbar(f)
+# (anti) or partial(f), or None until a nonzero weight asks]} for the last
+# _TWISTS twists, the oldest dropped first: the suites and the composition
+# re-check apply a few twists (f, g, f + g, 0, ...) to many forms in turn.
+# The strong reference (Series has no weakref slot) keeps f's id from being
+# reused while cached.
 _TWISTS = 8
 _twists: dict = {True: {}, False: {}}
 
@@ -77,69 +78,45 @@ _twists: dict = {True: {}, False: {}}
 def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> FoliatedForm:
     """f * raw(phi) - weight * raw(f) ^ phi, in one pass; raw is dbar (anti) or partial.
 
-    f None is the constant 1, and with weight 0 that is dbar or partial
-    itself: each derivative term is an output term.  Otherwise the
-    derivative of each coefficient of phi goes term by term, as integer
-    tuples, straight into the product with f, so raw(phi) is never built;
-    both products accumulate into one integer map per (A, B)
-    (``algebra._mul_terms``), and the result is wrapped once.  The wedge
-    sign is (-1)^p sgn(a, B) for dbar and sgn(a, A) for partial.  The terms
-    of f and of raw(f) are kept from an earlier call on the same f object,
-    for the last ``_TWISTS`` twists per direction.  f is checked against
-    phi's model at every weight.  Every output term must fit the budget
-    phi.budget + twist_gap(f); a term above it means the gap is wrong, and
-    raises SeriesError.
+    f None is the constant 1 (``_UNIT_TERMS``, degree 0, output budget
+    phi.budget), which with weight 0 is dbar or partial itself; it never
+    enters the twist cache.  The derivative of each coefficient of phi goes
+    term by term, as integer tuples, straight into the product with f, so
+    raw(phi) is never built; the weight term is the wedge of raw(f) with
+    phi (``forms._wedge_terms``), and both products accumulate into one
+    integer map per (A, B) (``algebra._mul_terms``), wrapped once.  The
+    wedge sign is (-1)^p sgn(a, B) for dbar and sgn(a, A) for partial.  The
+    terms of f and of raw(f) are kept from an earlier call on the same f
+    object, for the last ``_TWISTS`` twists per direction; raw(f) is this
+    kernel with f = 1.  f is checked against phi's model at every weight.
+    Every output term must fit the budget phi.budget + twist_gap(f); a term
+    above it means the gap is wrong, and raises SeriesError.
     """
     model = phi.model
     m, n = model.m, model.n
     fields = _FIELDS.get((m, n, anti))
     if fields is None:
         fields = _FIELDS[(m, n, anti)] = [variable_field(m, n, a + m * anti) for a in range(m)]
+    if f is None:
+        right, deg, budget = _UNIT_TERMS, 0, phi.budget
+    else:
+        if f.m != m or f.n != n:
+            raise FormError("coefficient series does not match the model")
+        budget = check_budget(phi.budget + twist_gap(f))
+        cache = _twists[anti]
+        twist = cache.get(id(f))
+        if twist is None:
+            if len(cache) == _TWISTS:
+                del cache[next(iter(cache))]
+            twist = cache[id(f)] = [f, _terms(f), f.degree, None]
+        right, deg = twist[1], twist[2]
+    # both products have degree at most deg phi - 1 + deg f < room
+    room, shift = phi.budget + deg, degree_shift(m, n)
     front = -1 if anti and phi.p % 2 else 1
     p, q = (phi.p, phi.q + 1) if anti else (phi.p + 1, phi.q)
     acc: dict = {}
-    if f is None:
-        # a derivative lowers every degree, so no key can grow past the budget
-        for (A, B), c in phi.coeffs.items():
-            for a, (offset, unit) in enumerate(fields, 1):
-                s, merged = insert_index(a, B if anti else A)
-                if s == 0:
-                    continue
-                out = None
-                for key, coeff in c.packed.items():
-                    e = key >> offset & MAX_DEGREE
-                    if e:
-                        e *= front * s
-                        re, im, den = coeff.a * e, coeff.b * e, coeff.d
-                        term = _raw(re, im, 1) if den == 1 else _normal(re, im, den)
-                        if out is None:
-                            block = (A, merged) if anti else (merged, B)
-                            if block not in acc:
-                                acc[block] = _raw_series(m, n, phi.budget, {})
-                            out = acc[block].packed  # filled before the series escapes
-                        key -= unit
-                        prev = out.get(key)
-                        if prev is not None:
-                            term = prev + term
-                            if not term:
-                                del out[key]
-                                continue
-                        out[key] = term
-        return _raw_form(model, p, q, acc, phi.budget)
-    if f.m != m or f.n != n:
-        raise FormError("coefficient series does not match the model")
-    budget = check_budget(phi.budget + twist_gap(f))
-    cache = _twists[anti]
-    twist = cache.get(id(f))
-    if twist is None:
-        if len(cache) == _TWISTS:
-            del cache[next(iter(cache))]
-        twist = cache[id(f)] = [f, _terms(f), f.degree, None]
-    right, room, shift = twist[1], phi.budget + f.budget, degree_shift(m, n)
-    top = 0  # the largest key of phi: its degree field is phi's degree
     for (A, B), c in phi.coeffs.items():
         items = c.packed
-        top = max(top, max(items))
         for a, (offset, unit) in enumerate(fields, 1):
             s, merged = insert_index(a, B if anti else A)
             if s == 0:
@@ -156,22 +133,12 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
                 _mul_terms(acc.setdefault((A, merged) if anti else (merged, B), {}), left, right, room)
     if weight:
         if twist[3] is None:
-            df = _twisted(_raw_form(model, 0, 0, {((), ()): f}, f.budget), None, 0, anti)
-            twist[3] = [(key, _terms(g)) for key, g in df.coeffs.items()]
-        front = -weight if anti and phi.p % 2 else weight
-        coeffs = [(A, B, _terms(c)) for (A, B), c in phi.coeffs.items()]
-        for (A1, B1), g in twist[3]:
-            for A, B, terms in coeffs:
-                sa, A2 = merge_indices(A1, A)
-                if sa == 0:
-                    continue
-                sb, B2 = merge_indices(B1, B)
-                if sb == 0:
-                    continue
-                _mul_terms(acc.setdefault((A2, B2), {}), g, terms, room, -front * sa * sb)
+            twist[3] = _coefficient_terms(_twisted(_raw_form(model, 0, 0, {((), ()): f}, f.budget), None, 0, anti))
+        # raw(f) is a (0,1)-form (dbar) or a (1,0)-form: phi's p dz-generators
+        # move past its dzb with the sign front
+        _wedge_terms(acc, twist[3], _coefficient_terms(phi), room, -weight * front)
     out = _accumulated_form(model, p, q, acc, budget)
-    # both products have degree at most deg phi - 1 + deg f
-    if (top >> shift) - 1 + twist[2] > budget:
+    if room - 1 > budget:  # only a twist gap that is too short gets here
         for s in out.coeffs.values():
             if s.degree > budget:
                 raise SeriesError(f"term of degree {s.degree} exceeds budget {budget}")
@@ -334,24 +301,18 @@ class FoliatedMorphism:
         return _raw_series(m, n, out_budget, _accumulated_terms(acc))
 
     def generator_image(self, a: int, anti: bool) -> FoliatedForm:
-        """Leafwise image of dz'^a (anti=False) or dzb'^a (anti=True)."""
-        m = self.source.m
+        """Leafwise image of dz'^a (anti=False) or dzb'^a (anti=True).
+
+        It is partial of the component z'_a as a (0,0)-form, moved onto dzb^b
+        with conjugated coefficients for anti.  Every component has degree
+        <= self.degree, so the image is re-budgeted to max(degree - 1, 0).
+        """
         comp = self.z_components[a - 1]
-        coeffs = {}
-        # every component has degree <= self.degree, so each derivative fits the budget
+        image = partial(_raw_form(self.source, 0, 0, {((), ()): comp}, comp.budget))
         budget = max(self.degree - 1, 0)
-        for b in range(1, m + 1):
-            dz = comp.deriv("z", b)
-            if dz.is_zero:
-                continue
-            dz = _raw_series(m, self.source.n, budget, dz.packed)
-            if anti:
-                coeffs[((), (b,))] = dz.conj()
-            else:
-                coeffs[((b,), ())] = dz
         if anti:
-            return _raw_form(self.source, 0, 1, coeffs, budget)
-        return _raw_form(self.source, 1, 0, coeffs, budget)
+            return _raw_form(self.source, 0, 1, {((), A): s.conj() for (A, _), s in image.coeffs.items()}, budget)
+        return image.with_budget(budget)
 
     def block_image(self, A, B, out_budget: int) -> dict:
         """Coefficients of the wedge of the images of dz'^A and dzb'^B, truncated at out_budget.

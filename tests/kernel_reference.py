@@ -1,13 +1,17 @@
-"""Reference kernels for the twisted operators, the series product and the pullback.
+"""Reference kernels for the twisted operators, the series product, the wedge and the pullback.
 
 These are the form-level composition of the twisted operators over
 ``dbar``/``partial`` built from ``Series.deriv`` and form sums, the product
-of GaussianRational pairs on exponent triples and the term-by-term
-substitution and generator wedging of the pullback that
-``operators._twisted`` (with its fused derivative), ``Series.mul``,
+of GaussianRational pairs on exponent triples, a wedge that sorts each
+generator word by counting inversions, the generator images through
+``Series.deriv`` and the term-by-term substitution and generator wedging of
+the pullback.  They stand beside ``operators._twisted`` (one kernel for
+dbar, partial and the twisted operators, with its fused derivative),
+``Series.mul``, ``FoliatedForm.wedge``, ``FoliatedMorphism.generator_image``
+(partial of a component through that kernel) and ``block_image``,
 ``FoliatedMorphism.pull_series`` (with its cached monomial images) and
-``operators.pullback`` replaced.  The differential tests compare the
-kernels with them on seeded sweeps: same values, same budgets.
+``operators.pullback``.  The differential tests compare the kernels with
+them on seeded sweeps: same values, same budgets.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def twisted(phi: FoliatedForm, f: Series, weight: int, raw) -> FoliatedForm:
     if f.m != model.m or f.n != model.n:
         raise FormError("coefficient series does not match the model")
     df = raw(_raw_form(model, 0, 0, {((), ()): f}, f.budget))
-    second = df.wedge(phi).scale(weight)
+    second = wedge(df, phi).scale(weight)
     return (first - second).with_budget(out_budget)
 
 
@@ -120,7 +124,28 @@ def pull_series(mu: FoliatedMorphism, s: Series, out_budget: int | None = None) 
     return acc.with_budget(out_budget)
 
 
+def wedge(phi: FoliatedForm, psi: FoliatedForm, out_budget: int | None = None) -> FoliatedForm:
+    """phi ^ psi on series_mul: each pair of coefficients writes its generators
+    as one word of (kind, index) letters, dz before dzb, and sorts it with the
+    parity of its inversions; a repeated letter drops the pair."""
+    budget = phi.budget + psi.budget if out_budget is None else out_budget
+    coeffs = {}
+    for (A1, B1), c1 in phi.coeffs.items():
+        for (A2, B2), c2 in psi.coeffs.items():
+            word = [(0, a) for a in A1] + [(1, b) for b in B1] + [(0, a) for a in A2] + [(1, b) for b in B2]
+            if len(set(word)) < len(word):
+                continue
+            inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
+            ordered = sorted(word)
+            key = (tuple(i for k, i in ordered if k == 0), tuple(i for k, i in ordered if k == 1))
+            piece = series_mul(c1, c2, budget).scale(-1 if inversions % 2 else 1)
+            coeffs[key] = coeffs[key] + piece if key in coeffs else piece
+    return FoliatedForm(phi.model, phi.p + psi.p, phi.q + psi.q, coeffs, budget)
+
+
 def generator_image(mu: FoliatedMorphism, a: int, anti: bool) -> FoliatedForm:
+    """dz'^a (or dzb'^a) pulled back: Series.deriv of the component by each z^b,
+    conjugated for anti."""
     m = mu.source.m
     coeffs = {}
     for b in range(1, m + 1):
@@ -135,6 +160,18 @@ def generator_image(mu: FoliatedMorphism, a: int, anti: bool) -> FoliatedForm:
     return FoliatedForm(mu.source, 0 if anti else 1, 1 if anti else 0, coeffs, budget)
 
 
+def block_image(mu: FoliatedMorphism, A, B, out_budget: int) -> dict:
+    """Coefficients of the images of dz'^A and then dzb'^B wedged one at a
+    time, each wedge truncated at out_budget; the empty wedge is the function 1."""
+    gens = [(a, False) for a in A] + [(b, True) for b in B]
+    if not gens:
+        return {((), ()): Series.one(mu.source.m, mu.source.n)}
+    image = generator_image(mu, *gens[0])
+    for a, anti in gens[1:]:
+        image = wedge(image, generator_image(mu, a, anti), out_budget)
+    return image.coeffs
+
+
 def pullback(mu: FoliatedMorphism, phi: FoliatedForm, out_budget: int | None = None) -> FoliatedForm:
     """Each coefficient pulled back, then wedged with one generator image at a time."""
     exact = mu.substitution_budget(phi.budget, phi.p, phi.q)
@@ -145,12 +182,12 @@ def pullback(mu: FoliatedMorphism, phi: FoliatedForm, out_budget: int | None = N
     for (A, B), c in phi.coeffs.items():
         piece = FoliatedForm.from_series(mu.source, pull_series(mu, c, out_budget=budget))
         for a in A:
-            piece = piece.wedge(generator_image(mu, a, anti=False), out_budget=budget)
+            piece = wedge(piece, generator_image(mu, a, anti=False), budget)
             if piece.is_zero:
                 break
         else:
             for b in B:
-                piece = piece.wedge(generator_image(mu, b, anti=True), out_budget=budget)
+                piece = wedge(piece, generator_image(mu, b, anti=True), budget)
                 if piece.is_zero:
                     break
         if not piece.is_zero:

@@ -558,6 +558,17 @@ def test_budget_past_the_packed_limit_exits_two(tmp_path, capsys, command, data)
     assert captured.err == "error: budget 65536 exceeds 65535, the largest degree a packed monomial holds\n"
 
 
+@pytest.mark.parametrize("op", ["dbar", "partial"])
+def test_termless_target_past_the_packed_limit_exits_two(tmp_path, capsys, op):
+    # with no term the parser never sees the budget; the form's constructor
+    # refuses it, where the assembler used to table monomials up to degree 70000
+    data = {"model": {"m": 1, "n": 0, "budget": 1, "f": "1"}, "target": {"op": op, "form": {"p": 0, "q": 1, "budget": 70000, "terms": []}}}
+    assert run(["solve", "--scene", write_scene(tmp_path, "s.json", data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget 70000 exceeds 65535, the largest degree a packed monomial holds\n"
+
+
 def test_generators_out_of_order_exit_two(tmp_path, capsys):
     # forms store strictly increasing index tuples only: a target term on
     # dz2 ^ dz1 is refused, not reordered with a sign

@@ -147,6 +147,30 @@ def test_form_invariants():
     assert zero.is_zero
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (-1, "m, n and budget must be nonnegative"),
+        (70000, "budget 70000 exceeds 65535, the largest degree a packed monomial holds"),
+    ],
+    ids=["negative", "past-the-packed-limit"],
+)
+def test_form_budget_is_checked_at_construction(budget, message):
+    # a bad budget fails where the form is built, before any operator or
+    # table sees it, whether or not the form has a term
+    m = FoliationModel.untwisted(1, 0, 2)
+    match = "^" + message + "$"
+    with pytest.raises(SeriesError, match=match):
+        FoliatedForm.zero(m, 0, 0, budget)
+    with pytest.raises(SeriesError, match=match):
+        FoliatedForm(m, 0, 1, {((), (1,)): parse_series("zb1", 1, 0, 1)}, budget)
+    with pytest.raises(SeriesError, match=match):
+        FoliatedForm.from_dict(m, {"p": 0, "q": 1, "budget": budget, "terms": []})
+    # the wedge checks its out budget once per call, with no product to make
+    with pytest.raises(SeriesError, match=match):
+        FoliatedForm.zero(m, 0, 0).wedge(FoliatedForm.zero(m, 0, 1), out_budget=budget)
+
+
 def test_json_roundtrip(model2):
     phi = FoliatedForm(
         model2,

@@ -7,8 +7,11 @@ only ``checks`` forks, only ``_Grid.group`` and the sequences' d.d proof
 prove an inclusion with ``check_inclusion``, ``linalg`` runs one
 elimination, ``_gauss_jordan(rows, ncols)``, called only by
 ``pivot_columns`` and ``_reduced``, only the composition re-check
-enumerates a basis, with no function cache in ``forms``, and exponent
-tuples are read off packed monomials only at named boundary sites.
+enumerates a basis, with no function cache in ``forms``, exponent
+tuples are read off packed monomials only at named boundary sites, and
+``operators._twisted`` is the one differentiating kernel, with one exit,
+no raw scalar construction in ``operators`` and one index-merging product
+loop, ``forms._wedge_terms``.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -406,3 +409,55 @@ def test_vectorize_unpacks_only_to_word_its_error():
     ]
     assert unpacks and all(id(call) in raised for call in unpacks)
     assert not any(isinstance(sub, ast.Attribute) and sub.attr == "terms" for sub in ast.walk(vectorize))
+
+
+# the twisted kernel is the one place that differentiates a form: dbar,
+# partial and the generator images run it with f = 1, so ``_twisted`` has a
+# single exit and operators builds no scalar from a raw triple
+# (``algebra._raw``, ``_normal``); the index-merging product of two forms is
+# ``forms._wedge_terms`` alone, shared by the wedge and the kernel's weight term
+INDEX_MERGERS = {("forms", "_wedge_terms")}
+
+
+def module_names(source: str) -> set:
+    """Every identifier, attribute and imported name or alias of a source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names} | {alias.asname for alias in node.names if alias.asname}
+    return names
+
+
+def return_count(source: str, name: str) -> int:
+    """The return statements of the top-level function ``name``; nested
+    functions and classes are left out."""
+    (function,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == name]
+    count, stack = 0, list(function.body)
+    while stack:
+        node = stack.pop()
+        count += isinstance(node, ast.Return)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return count
+
+
+def test_name_and_return_finders():
+    source = (
+        "from .algebra import _raw as r\nimport os\ndef f(x):\n    if x:\n        return os.sep\n"
+        "    def g():\n        return 1\n    return algebra._normal\n"
+    )
+    assert module_names(source) == {"_raw", "r", "os", "x", "sep", "algebra", "_normal"}
+    # the nested g's return is g's, not f's
+    assert return_count(source, "f") == 2
+    assert return_count("def h():\n    for i in ():\n        return i\n", "h") == 1
+
+
+def test_one_twisted_kernel_and_one_wedge_loop():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert call_sites(sources, "merge_indices") == INDEX_MERGERS
+    assert not module_names(sources["operators"]) & {"_raw", "_normal"}
+    assert return_count(sources["operators"], "_twisted") == 1

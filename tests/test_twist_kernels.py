@@ -1,18 +1,22 @@
 """Differential tests of the twisted-operator and series-product kernels.
 
-``operators._twisted`` (and ``dbar``/``partial``, the kernel with f = 1),
-``Series.mul``, ``FoliatedMorphism.pull_series`` and ``operators.pullback``
-are compared with the reference kernels in ``kernel_reference`` on seeded
-sweeps: equal values and equal budgets, for
-the form and for every coefficient.  The reference twisted operators and
-the reference pullback run on the reference series product.  Also here: the twist is
-checked against the form's model at every weight, every output term of
-a twisted operator is checked against the budget phi.budget + twist_gap(f),
-and the kernel's twist cache is bounded, first in first out.
+``operators._twisted`` (and ``dbar``/``partial``, the same kernel with
+f = 1), ``Series.mul``, ``FoliatedMorphism.pull_series``, the generator
+and block images of a morphism (partial of a component through that kernel,
+and the wedge of ``forms._wedge_terms``) and ``operators.pullback`` are
+compared with the reference kernels in ``kernel_reference`` on seeded
+sweeps: equal values and equal budgets, for the form and for every
+coefficient.  The reference twisted operators, wedge and pullback run on
+the reference series product.  Also here: the twist is checked against the
+form's model at every weight, every output term of a twisted operator is
+checked against the budget phi.budget + twist_gap(f), and the kernel's twist
+cache is bounded, first in first out, and never holds the f = 1 of dbar and
+partial.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -20,7 +24,7 @@ import kernel_reference as ref
 from leafcoh import operators
 from leafcoh.algebra import GaussianRational, Series, SeriesError, parse_series
 from leafcoh.forms import FoliatedForm, FoliationModel, FormError
-from leafcoh.operators import dbar_f, dbar_f_k, partial_f, pullback
+from leafcoh.operators import FoliatedMorphism, dbar_f, dbar_f_k, partial_f, pullback
 from leafcoh.sampling import random_form, random_morphism, random_series, random_unit_series
 
 SHAPES = [(m, n) for m in (1, 2, 3) for n in (0, 1)]
@@ -118,9 +122,13 @@ def test_the_twist_cache_keeps_the_last_eight_twists_per_direction(monkeypatch):
     model = FoliationModel(2, 1, 2, parse_series("1 + z1*zb2", 2, 1, 2))
     phi = random_form(rng, model, 1, 0, budget=2, max_components=3)
     twists = [random_unit_series(rng, 2, 1, 2) for _ in range(operators._TWISTS + 2)]
+    scalar = random_form(rng, model, 0, 0, budget=2, max_components=3)
     monkeypatch.setattr(operators, "_twists", {True: {}, False: {}})
     for f in twists:
         dbar_f(phi, f)
+        # dbar and partial are the kernel with f = 1, which no cache keeps
+        operators.dbar(phi)
+        operators.partial(scalar)
     cache = operators._twists[True]
     # the oldest twists are dropped first, and each entry holds its twist
     assert list(cache) == [id(f) for f in twists[2:]]
@@ -129,6 +137,23 @@ def test_the_twist_cache_keeps_the_last_eight_twists_per_direction(monkeypatch):
     entry = cache[id(twists[4])]
     dbar_f(phi, twists[4])
     assert cache[id(twists[4])] is entry and list(cache) == [id(f) for f in twists[2:]]
+    # at weight 0 raw(f) stays unbuilt; building it at weight 1 runs the
+    # kernel with f = 1, and neither that nor dbar or partial enters or
+    # evicts anything from either direction's cache
+    anti = operators._twists[False]
+    for f in twists[2:]:
+        partial_f(scalar, f)
+    assert [entry[3] for entry in anti.values()] == [None] * operators._TWISTS
+    kept = {d: list(c.items()) for d, c in operators._twists.items()}
+    for f in twists[2:]:
+        operators.dbar(phi)
+        partial_f(phi, f)
+        operators.partial(scalar)
+    for d, c in operators._twists.items():
+        assert list(c) == [key for key, _ in kept[d]]
+        assert all(c[key] is entry for key, entry in kept[d])
+    assert [entry[0] for entry in anti.values()] == twists[2:]
+    assert all(entry[3] is not None for entry in anti.values())
     # every value is the reference's while the twists cycle through a full cache
     for f in twists + twists[::-1] + [model.f] + twists[:3]:
         for op, want_op in ((dbar_f, ref.dbar_f), (partial_f, ref.partial_f)):
@@ -201,6 +226,29 @@ def test_pullback_matches_reference(monkeypatch, m, n, seed):
                 for out_budget in (None, 0, 2, 4):
                     want = _with_reference_mul(monkeypatch, lambda: ref.pullback(mu, phi, out_budget))
                     assert_same_form(pullback(mu, phi, out_budget), want)
+        assert_images_match_reference(mu)
+    # components with x, i and fractions for certain, not only by the draw
+    target = FoliationModel.untwisted(m, n, 2)
+    x = "+ (1/2-i)*x1*z1" if n else ""
+    zc = [parse_series(f"{a}/3*z{a} + i*z1*z{m} - 2/5*z{m}^2 {x}", m, n, 3) for a in range(1, m + 1)]
+    xc = [parse_series("x1 - 1/2*x1^2", m, n, 2)] if n else []
+    assert_images_match_reference(FoliatedMorphism(source, target, zc, xc))
+
+
+def assert_images_match_reference(mu):
+    """generator_image for both anti values and block_image of every (A, B)
+    over the target, against the reference images and wedges."""
+    m2 = mu.target.m
+    for a in range(1, m2 + 1):
+        for anti in (False, True):
+            assert_same_form(mu.generator_image(a, anti), ref.generator_image(mu, a, anti))
+    for p in range(m2 + 1):
+        for q in range(m2 + 1):
+            for A, B in product(combinations(range(1, m2 + 1), p), combinations(range(1, m2 + 1), q)):
+                for out_budget in (0, 1, 3):
+                    got, want = mu.block_image(A, B, out_budget), ref.block_image(mu, A, B, out_budget)
+                    assert got == want
+                    assert {k: s.budget for k, s in got.items()} == {k: s.budget for k, s in want.items()}
 
 
 # ---------------------------------------------------------------------------
