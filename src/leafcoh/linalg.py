@@ -1,16 +1,17 @@
-"""Exact sparse linear algebra over the Gaussian rationals.
+"""Exact sparse linear algebra over the Gaussian rationals, eliminated on ints.
 
 Everything reduces to one deterministic elimination, ``_gauss_jordan``:
 columns are taken in ascending order, the sparsest row holding a column
-supplies its pivot, and the elimination stops at echelon form.  A column
-index keeps, for each column, the rows holding an entry in it, so a pivot
-step touches only those rows.  Ranks come from ``pivot_columns``, which runs
-it on each connected block of a matrix on its own; ``kernel_basis`` and
-``solve`` read their answers off the reduced echelon form of ``_reduced``,
-which clears each pivot column above its pivot after the forward pass.
-Scalars are Gaussian rationals in canonical form (algebra.GaussianRational:
-integers over one gcd-reduced denominator), so results are exact and
-reproducible across platforms; there is no floating point anywhere.
+supplies its pivot, and the elimination stops at echelon form.  It runs
+fraction-free on int rows (``_integer_rows``), and a column index keeps,
+for each column, the rows holding an entry in it, so a pivot step touches
+only those rows.  Ranks come from ``pivot_columns``, which runs it on each
+connected block of a matrix on its own; ``kernel_basis`` and ``solve`` read
+their answers off the reduced echelon form of ``_reduced``, which clears
+each pivot column above its pivot and divides by the pivots only as it
+hands GaussianRationals (algebra, canonical) back.  ``check_inclusion``
+proves K * M = 0 on ints too.  Results are exact and reproducible across
+platforms; there is no floating point anywhere.
 
 Matrices are sparse maps (row, col) -> scalar.  Vectors are sparse maps
 index -> nonzero scalar, a plain dict with no length of its own: the matrix
@@ -20,9 +21,13 @@ straight into this format (cohomology.vectorize / form_from_vector).
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
+from math import gcd, lcm
+from operator import itemgetter
+
 # LinearAlgebraError lives in algebra, so that cli.main catches it without
 # loading this module; it is the same class under both names.
-from .algebra import GaussianRational, LinearAlgebraError, ONE, ZERO
+from .algebra import GaussianRational, LinearAlgebraError, ONE, ZERO, _normal
 
 
 class Matrix:
@@ -73,6 +78,8 @@ class Matrix:
         cols = len(data[0]) if data else 0
         entries = {}
         for i, row in enumerate(data):
+            if len(row) != cols:
+                raise LinearAlgebraError(f"row {i} has {len(row)} entries, row 0 has {cols}")
             for j, v in enumerate(row):
                 entries[(i, j)] = v if isinstance(v, GaussianRational) else GaussianRational(v)
         return cls(rows, cols, entries)
@@ -206,27 +213,78 @@ def _raw_matrix(rows: int, cols: int, entries: dict) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jordan(rows: list, ncols: int) -> list:
-    """In-place forward elimination to echelon form on sparse row dicts.
+def _integer_rows(entries, step: int, den: int) -> list:
+    """The int rows of ((row, col), GaussianRational) pairs times den, a common
+    denominator, in the order of their first entries.  With step 2 a row w
+    becomes the rows (Re w, -Im w) and (Im w, Re w), the parts of column c at
+    2c and 2c + 1, which span w and i*w: a column raises the complex rank
+    exactly when its two real columns raise the real rank, and a real row
+    (a, -b) at 2c, 2c + 1 reads back as the entry a + b*i."""
+    rows = {}
+    for (r, c), v in entries:
+        s = den // v.d
+        if step == 1:
+            rows.setdefault(r, {})[c] = v.a * s
+        else:
+            re, im = rows.setdefault(2 * r, {}), rows.setdefault(2 * r + 1, {})
+            a, b, c = v.a * s, v.b * s, 2 * c
+            if a:
+                re[c] = im[c + 1] = a
+            if b:
+                re[c + 1], im[c] = -b, b
+    return list(rows.values())
 
-    Returns the pivot columns in order; row i then holds pivot i with a
-    leading 1 and nothing left of it, and the rows past the last pivot hold
-    no column below ``ncols``.  Columns go in ascending order, and the pivot
-    row of a column is the one with the fewest entries among those holding
-    it, the lowest on a tie, which keeps the fill-in down.  The pivot rule
-    moves no pivot: the pivot columns of a left-to-right elimination are
-    the columns that raise the rank of those before them.
 
-    ``where`` maps each column to the rows holding an entry in it, kept up
-    to date through swaps, fill-in and cancellation; a pivot row leaves it
-    once its step is done, so a step visits only the rows below it that
-    hold the column.  Keys at or beyond ``ncols`` are carried along but
-    never pivoted on.
-    """
+def _index(rows: list) -> dict:
+    """column -> the set of rows holding an entry in it."""
     where: dict = {}
     for i, row in enumerate(rows):
         for k in row:
             where.setdefault(k, set()).add(i)
+    return where
+
+
+def _combine(row: dict, c, p: int, pairs: list, where: dict, i: int):
+    """row i := (p*row - a*pivot row) / gcd(p, a) over its content, a = row[c]: the pivot
+    p and its row's other entries ``pairs`` clear c; ``where`` follows the fill-in."""
+    a = row.pop(c)
+    g = gcd(p, a) if p > 0 else -gcd(p, a)
+    scale, a = p // g, a // g
+    if scale != 1:
+        for k in row:
+            row[k] *= scale
+    for k, v in pairs:
+        s = row.get(k)
+        if s is None:
+            row[k] = -a * v
+            where[k].add(i)
+        else:
+            s -= a * v
+            if s:
+                row[k] = s
+            else:
+                del row[k]
+                where[k].discard(i)
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _gauss_jordan(rows: list, ncols: int) -> list:
+    """In-place fraction-free forward elimination to echelon form on sparse int rows.
+
+    Returns the pivot columns in order; row i then holds pivot i with
+    nothing left of it, and the rows past the last pivot hold no column
+    below ``ncols``; keys from ``ncols`` on are carried, never pivoted on.
+    Columns go in ascending order, the pivot row of a column is the one with
+    the fewest entries among those holding it, the lowest on a tie, which
+    keeps the fill-in down, and ``_combine`` clears the column below it.
+    Neither moves a pivot: the pivot columns of a left-to-right elimination
+    are the columns that raise the rank of those before them.  ``where``
+    also follows swaps, and a pivot row leaves it once its step is done.
+    """
+    where = _index(rows)
     pivots = []
     r = 0
     nrows = len(rows)
@@ -245,28 +303,9 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
                 where[k].symmetric_difference_update((r, sel))
             rows[r], rows[sel] = rows[sel], rows[r]
         piv = rows[r]
-        inv = piv[c].inverse()
-        if inv != ONE:
-            for k in list(piv):
-                piv[k] = piv[k] * inv
         pairs = [(k, v) for k, v in piv.items() if k != c]
-        for i in sorted(at):
-            if i == r:
-                continue
-            row = rows[i]
-            minus_a = -row.pop(c)
-            for k, v in pairs:
-                s = row.get(k)
-                if s is None:
-                    row[k] = minus_a * v
-                    where[k].add(i)
-                else:
-                    s = s + minus_a * v
-                    if s:
-                        row[k] = s
-                    else:
-                        del row[k]
-                        where[k].discard(i)
+        for i in sorted(at - {r}):
+            _combine(rows[i], c, piv[c], pairs, where, i)
         for k in piv:
             where[k].discard(r)
         pivots.append(c)
@@ -277,39 +316,35 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
 
 
 def _reduced(rows: list, ncols: int) -> list:
-    """In-place reduced echelon form on sparse row dicts; the pivot columns.
+    """In-place reduced echelon form on sparse rows of GaussianRationals; the pivot columns.
 
-    After the forward pass each pivot column is cleared above its pivot,
-    last pivot first.  The rows holding a pivot column are found once:
-    clearing adds only columns of a pivot row, which holds nothing left of
-    its pivot and, once cleared, no later pivot column.  The reduced echelon
-    form is unique, so the pivot rule changes none of these rows.
+    The int rows (``_integer_rows``) are eliminated in every column, keys
+    from ``ncols`` on too, and cleared above each pivot below ``ncols``.
+    Only then are the rows whose pivot is a real(-part) column divided by
+    it and read back: the pivot rows, those of the carried keys, then empty
+    rows.  The reduced echelon form is unique, so neither the pivot rule nor
+    the integer arithmetic changes the pivot rows below ``ncols``.
     """
-    pivots = _gauss_jordan(rows, ncols)
-    step_of = {c: k for k, c in enumerate(pivots)}
-    above = {}
-    for i, row in enumerate(rows[: len(pivots)]):
-        for c in row:
-            k = step_of.get(c, i)
-            if k != i:
-                above.setdefault(k, []).append(i)
-    for k in sorted(above, reverse=True):
+    values = [v for row in rows for v in row.values()]
+    step, den = (2 if any(v.b for v in values) else 1), lcm(*{v.d for v in values})
+    ints = _integer_rows((((i, c), v) for i, row in enumerate(rows) for c, v in row.items()), step, den)
+    pivots = _gauss_jordan(ints, 1 + max((k for row in ints for k in row), default=0))
+    rank = sum(c < step * ncols for c in pivots)
+    where = _index(ints[:rank])
+    for k in range(rank - 1, -1, -1):
         c = pivots[k]
-        pairs = [(j, v) for j, v in rows[k].items() if j != c]
-        for i in above[k]:
-            row = rows[i]
-            minus_a = -row.pop(c)
-            for j, v in pairs:
-                s = row.get(j)
-                if s is None:
-                    row[j] = minus_a * v
-                else:
-                    s = s + minus_a * v
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
-    return pivots
+        pairs = [(j, v) for j, v in ints[k].items() if j != c]
+        for i in where[c] - {k}:
+            _combine(ints[i], c, ints[k][c], pairs, where, i)
+    out = []
+    for c, row in zip(pivots, ints):
+        if c % step == 0:
+            parts, p = {}, row[c]
+            for k, v in row.items():
+                parts.setdefault(k // step, [0, 0])[k % step] = v if p > 0 else -v
+            out.append({j: _normal(a, -b, abs(p)) for j, (a, b) in parts.items()})
+    rows[:] = out + [{} for _ in range(len(rows) - len(out))]
+    return [c // step for c in pivots[:rank] if c % step == 0]
 
 
 def pivot_columns(M: Matrix, order=None) -> list:
@@ -319,22 +354,16 @@ def pivot_columns(M: Matrix, order=None) -> list:
     ascending), and a pivot is given as its place in that order.  Pivots are
     the columns that raise the rank of those before them, whatever the row
     operations, so each connected block (columns joined by a row, found by
-    union-find) is eliminated on its own rows, its fill-in freed before the
-    next.  A block of one row or one column needs no elimination: its first
-    column is its one pivot.
+    union-find over M's entries) is eliminated on its own int rows, built
+    only then.  A block of one row or one column has its first column as
+    its pivot.
     """
     place = range(M.cols)
     if order is not None:
         place = [0] * M.cols
         for j, c in enumerate(order):
             place[c] = j
-    rows = [None] * M.rows
-    for (r, c), v in M.entries.items():
-        row = rows[r]
-        if row is None:
-            rows[r] = {place[c]: v}
-        else:
-            row[place[c]] = v
+    entries = M.entries
     parent = list(range(M.cols))
 
     def find(j):
@@ -343,28 +372,25 @@ def pivot_columns(M: Matrix, order=None) -> list:
             j = parent[j]
         return j
 
-    for row in rows:
-        if row is None:
-            continue
-        it = iter(row)
-        a = find(next(it))
-        for j in it:
-            b = find(j)
-            if a != b:
-                parent[b] = a
-    blocks = {}
-    for row in rows:
-        if row is not None:
-            blocks.setdefault(find(next(iter(row))), []).append(row)
-    del rows
-    pivots = []
-    while blocks:
-        block = blocks.popitem()[1]
-        # a joined block of rows that hold one entry each is one column
-        if len(block) == 1 or max(map(len, block)) == 1:
-            pivots.append(min(block[0]))
+    first = [None] * M.rows  # the place of a column each row holds
+    for r, c in entries:
+        if first[r] is None:
+            first[r] = place[c]
         else:
-            pivots += _gauss_jordan(block, M.cols)
+            parent[find(place[c])] = find(first[r])
+    blocks = {}
+    for key in entries:
+        blocks.setdefault(find(place[key[1]]), []).append(key)
+    pivots = []
+    step, den = (2 if any(v.b for v in entries.values()) else 1), lcm(*{v.d for v in entries.values()})
+    while blocks:
+        keys = blocks.popitem()[1]
+        # a block of one row, or of rows of one entry each, has one column
+        if len(keys) == 1 or len({r for r, _ in keys}) in (1, len(keys)):
+            pivots.append(min(place[c] for _, c in keys))
+        else:
+            rows = _integer_rows((((key[0], place[key[1]]), entries[key]) for key in keys), step, den)
+            pivots += [c // step for c in _gauss_jordan(rows, step * M.cols) if c % step == 0]
     return sorted(pivots)
 
 
@@ -422,13 +448,39 @@ def kernel_basis(M: Matrix) -> Subspace:
 
 
 def check_inclusion(d: Matrix, image: Matrix):
-    """im(image) <= ker(d), proved by the exact product d * image == 0.
-
-    A failure means the complex is broken (d*d != 0 or budgets
-    misconfigured) and raises LinearAlgebraError.
-    """
-    if not d.mul(image).is_zero:
-        raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+    """im(image) <= ker(d), proved by d * image == 0 on ints, each factor times
+    a common denominator, one row of the product at a time: image's row k is
+    the run ``starts[k]:starts[k + 1]`` of (key, value), the real part of
+    column c at key 2c and the imaginary at 2c + 1.  A failure means the
+    complex is broken (d*d != 0 or budgets misconfigured) and raises
+    LinearAlgebraError."""
+    if d.cols != image.rows:
+        raise LinearAlgebraError("shape mismatch in matrix product")
+    den = lcm(*{v.d for v in image.entries.values()})
+    counts, keys, values = [0] * image.rows, [], []
+    for k, c in sorted(image.entries):
+        v = image.entries[(k, c)]
+        for part, x in enumerate((v.a, v.b)):
+            if x:
+                counts[k] += 1
+                keys.append(2 * c + part)
+                values.append(x * (den // v.d))
+    starts = list(accumulate(counts, initial=0))
+    den = lcm(*{v.d for v in d.entries.values()})
+    # an entry of d at a column whose row of image is empty adds nothing
+    for _, run in groupby(sorted(key for key in d.entries if counts[key[1]]), itemgetter(0)):
+        acc = {}
+        for key in run:
+            v = d.entries[key]
+            x, y, k = v.a * (den // v.d), v.b * (den // v.d), key[1]
+            for j in range(starts[k], starts[k + 1]):
+                c, u = keys[j], values[j]
+                acc[c] = acc.get(c, 0) + x * u
+                if y:  # i times a real part at 2c is imaginary, at 2c + 1; i*i = -1
+                    c ^= 1
+                    acc[c] = acc.get(c, 0) + (y * u if c & 1 else -y * u)
+        if any(acc.values()):
+            raise LinearAlgebraError("image is not contained in the kernel: broken complex")
 
 
 def solve(M: Matrix, b: dict) -> dict | None:
@@ -437,12 +489,16 @@ def solve(M: Matrix, b: dict) -> dict | None:
     b rides along as column ``M.cols`` of the reduced elimination of
     [M | b]; M alone steers the pivots, so x is read at them and free
     variables are zero.  None means a row that is no pivot row holds b.
+    b's values are taken as Matrix takes entries: an int or a Fraction
+    becomes a GaussianRational, a float raises TypeError.
     """
     rows = M.row_dicts()
     n = M.cols
     for i, v in b.items():
         if not 0 <= i < M.rows:
             raise LinearAlgebraError(f"right-hand side index {i} out of range for {M.rows} rows")
+        if not isinstance(v, GaussianRational):
+            v = GaussianRational(v)
         if v:
             rows[i][n] = v
     pivots = _reduced(rows, n)

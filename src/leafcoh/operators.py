@@ -65,7 +65,7 @@ _UNIT_TERMS = ((0, 0, 1, 0, 1),)  # algebra._terms of the constant 1, the image 
 # (m, n, anti) -> (bit offset, key unit) of zb_a (anti) or z_a, a = 1..m
 _FIELDS: dict = {}
 
-# anti -> {id(f): [f, terms of f, deg f, forms._coefficient_terms of dbar(f)
+# anti -> {id(f): [f, terms of f, deg f, (A, B, terms) blocks of dbar(f)
 # (anti) or partial(f), or None until a nonzero weight asks]} for the last
 # _TWISTS twists, the oldest dropped first: the suites and the composition
 # re-check apply a few twists (f, g, f + g, 0, ...) to many forms in turn.
@@ -87,8 +87,9 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
     integer map per (A, B) (``algebra._mul_terms``), wrapped once.  The
     wedge sign is (-1)^p sgn(a, B) for dbar and sgn(a, A) for partial.  The
     terms of f and of raw(f) are kept from an earlier call on the same f
-    object, for the last ``_TWISTS`` twists per direction; raw(f) is this
-    kernel with f = 1.  f is checked against phi's model at every weight.
+    object, for the last ``_TWISTS`` twists per direction; raw(f) runs phi's
+    derivative loop (``_derivative_terms``).  f is checked against phi's
+    model at every weight.
     Every output term must fit the budget phi.budget + twist_gap(f); a term
     above it means the gap is wrong, and raises SeriesError.
     """
@@ -115,25 +116,11 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
     front = -1 if anti and phi.p % 2 else 1
     p, q = (phi.p, phi.q + 1) if anti else (phi.p + 1, phi.q)
     acc: dict = {}
-    for (A, B), c in phi.coeffs.items():
-        items = c.packed
-        for a, (offset, unit) in enumerate(fields, 1):
-            s, merged = insert_index(a, B if anti else A)
-            if s == 0:
-                continue
-            sign = front * s
-            left = []
-            for key, coeff in items.items():
-                e = key >> offset & MAX_DEGREE
-                if e:
-                    e *= sign
-                    key -= unit
-                    left.append((key, key >> shift, coeff.a * e, coeff.b * e, coeff.d))
-            if left:
-                _mul_terms(acc.setdefault((A, merged) if anti else (merged, B), {}), left, right, room)
+    for key, left in _derivative_terms(phi.coeffs, fields, shift, front, anti):
+        _mul_terms(acc.setdefault(key, {}), left, right, room)
     if weight:
         if twist[3] is None:
-            twist[3] = _coefficient_terms(_twisted(_raw_form(model, 0, 0, {((), ()): f}, f.budget), None, 0, anti))
+            twist[3] = [(A, B, t) for (A, B), t in _derivative_terms({((), ()): f}, fields, shift, 1, anti)]
         # raw(f) is a (0,1)-form (dbar) or a (1,0)-form: phi's p dz-generators
         # move past its dzb with the sign front
         _wedge_terms(acc, twist[3], _coefficient_terms(phi), room, -weight * front)
@@ -143,6 +130,28 @@ def _twisted(phi: FoliatedForm, f: Series | None, weight: int, anti: bool) -> Fo
             if s.degree > budget:
                 raise SeriesError(f"term of degree {s.degree} exceeds budget {budget}")
     return out
+
+
+def _derivative_terms(coeffs: dict, fields: list, shift: int, front: int, anti: bool):
+    """Yield ((A, B), terms) per nonzero block of raw(form) on ``coeffs``: the z_a (zb_a
+    when anti) derivative of a coefficient, times front * sgn(a, B or A), as unreduced
+    ``algebra._terms`` at its pair with a merged in; ``fields``: (bit offset, key unit)."""
+    for (A, B), c in coeffs.items():
+        items = c.packed
+        for a, (offset, unit) in enumerate(fields, 1):
+            s, merged = insert_index(a, B if anti else A)
+            if s == 0:
+                continue
+            sign = front * s
+            terms = []
+            for key, coeff in items.items():
+                e = key >> offset & MAX_DEGREE
+                if e:
+                    e *= sign
+                    key -= unit
+                    terms.append((key, key >> shift, coeff.a * e, coeff.b * e, coeff.d))
+            if terms:
+                yield ((A, merged) if anti else (merged, B)), terms
 
 
 def dbar_f(phi: FoliatedForm, f: Series | None = None) -> FoliatedForm:

@@ -664,8 +664,8 @@ SWEEP_TWISTS = (None, "1+i*z1", "1/3+z1*zb{m}")
 @pytest.mark.parametrize("seed", range(33))
 def test_grid_pivot_degrees_match_one_global_elimination(seed, twist):
     # the pivot degrees each family reads off its block-by-block elimination
-    # are those of one reduced, lowest-row elimination of the whole matrix,
-    # columns in the same stable degree order
+    # are those of one reduced elimination of the whole matrix, columns in
+    # the same stable degree order
     model, variant, slack, k, top = _differential_case(seed)
     if twist is not None:
         f = parse_series(twist.format(m=model.m), model.m, model.n, 2)
@@ -687,7 +687,7 @@ def test_grid_pivot_degrees_match_one_global_elimination(seed, twist):
         rows = [{} for _ in range(family.matrix.rows)]
         for (r, c), v in family.matrix.entries.items():
             rows[r][place[c]] = v
-        pivots = linalg._gauss_jordan(rows, family.matrix.cols)
+        pivots = linalg._reduced(rows, family.matrix.cols)
         assert family.pivot_degrees == [degrees[order[j]] for j in pivots], (tag, p, q)
 
 

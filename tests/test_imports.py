@@ -6,7 +6,8 @@ sequence builders and ``ShortExactSequence._exact`` only by the relative one,
 only ``checks`` forks, only ``_Grid.group`` and the sequences' d.d proof
 prove an inclusion with ``check_inclusion``, ``linalg`` runs one
 elimination, ``_gauss_jordan(rows, ncols)``, called only by
-``pivot_columns`` and ``_reduced``, only the composition re-check
+``pivot_columns`` and ``_reduced``, which with its row step and the
+inclusion proof runs on ints, only the composition re-check
 enumerates a basis, with no function cache in ``forms``, exponent
 tuples are read off packed monomials only at named boundary sites, and
 ``operators._twisted`` is the one differentiating kernel, with one exit,
@@ -363,6 +364,23 @@ def test_one_elimination_with_one_pivot_rule():
     assert "heapq" not in absolute_imports(sources["linalg"])
 
 
+# the forward pass, its row step ``_combine`` and the K * M = 0 proof run on
+# ints: they invert no scalar and name no GaussianRational; kernel_basis and
+# solve get GaussianRationals from _reduced, which divides by the pivots as
+# it reads its rows back
+INTEGER_FUNCTIONS = ("_gauss_jordan", "_combine", "check_inclusion")
+
+
+def test_elimination_and_inclusion_proof_run_on_ints():
+    source = (SRC / "linalg.py").read_text(encoding="utf-8")
+    functions = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name in INTEGER_FUNCTIONS]
+    assert sorted(f.name for f in functions) == sorted(INTEGER_FUNCTIONS)
+    for function in functions:
+        names = {n.id for n in ast.walk(function) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+        assert not names & {"inverse", "GaussianRational"}, function.name
+
+
 # A Series keeps each monomial as one packed int, and so do forms' monomial
 # table and the closed-form assembler.  Exponent tuples, from ``unpack`` or
 # the ``terms`` view, are read only at these boundary sites: the view and the
@@ -413,7 +431,8 @@ def test_vectorize_unpacks_only_to_word_its_error():
 
 # the twisted kernel is the one place that differentiates a form: dbar,
 # partial and the generator images run it with f = 1, so ``_twisted`` has a
-# single exit and operators builds no scalar from a raw triple
+# single exit; its one derivative loop, ``_derivative_terms``, serves phi
+# and the cached raw(f), with no nested kernel call; operators builds no scalar from a raw triple
 # (``algebra._raw``, ``_normal``); the index-merging product of two forms is
 # ``forms._wedge_terms`` alone, shared by the wedge and the kernel's weight term
 INDEX_MERGERS = {("forms", "_wedge_terms")}
@@ -461,3 +480,5 @@ def test_one_twisted_kernel_and_one_wedge_loop():
     assert call_sites(sources, "merge_indices") == INDEX_MERGERS
     assert not module_names(sources["operators"]) & {"_raw", "_normal"}
     assert return_count(sources["operators"], "_twisted") == 1
+    assert call_sites(sources, "_derivative_terms") == {("operators", "_twisted")}
+    assert ("operators", "_twisted") not in call_sites(sources, "_twisted")

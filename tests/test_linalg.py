@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from leafcoh import linalg
-from leafcoh.algebra import ZERO, GaussianRational
+from leafcoh.algebra import ZERO, GaussianRational, parse_series
+from leafcoh.cohomology import operator_matrix
+from leafcoh.forms import FoliationModel
 from leafcoh.linalg import (
     LinearAlgebraError,
     Matrix,
@@ -307,9 +310,9 @@ def test_gauss_jordan_matches_row_scanning_reference(seed):
 
 def test_forward_elimination_stops_at_echelon_form():
     # [[1, 1], [1, 2]]: the second pivot is found, but nothing is cleared above it
-    rows = Matrix.from_rows_list([[1, 1], [1, 2]]).row_dicts()
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 2}]
     assert linalg._gauss_jordan(rows, 2) == [0, 1]
-    assert rows == [{0: G(1), 1: G(1)}, {1: G(1)}]
+    assert rows == [{0: 1, 1: 1}, {1: 1}]
     reduced = Matrix.from_rows_list([[1, 1], [1, 2]]).row_dicts()
     assert linalg._reduced(reduced, 2) == [0, 1]
     assert reduced == [{0: G(1)}, {1: G(1)}]
@@ -322,13 +325,24 @@ def test_forward_rank_matches_row_scanning_reference(seed, monkeypatch):
     rng = random.Random(4200 + seed)
     rows, ncols = _elimination_input(rng, ELIMINATION_SHAPES[seed % len(ELIMINATION_SHAPES)])
     want = _scanning_gauss_jordan([dict(row) for row in rows], ncols)
-    echelon = [dict(row) for row in rows]
-    assert linalg._gauss_jordan(echelon, ncols) == want
+    # the int rows of the input, realified when it holds an i: a column c
+    # is then the pair 2c, 2c + 1, and pivots come in such pairs
+    values = [v for row in rows for v in row.values()]
+    step, den = (2 if any(v.b for v in values) else 1), lcm(*{v.d for v in values})
+    start = linalg._integer_rows((((i, c), v) for i, row in enumerate(rows) for c, v in row.items()), step, den)
+    echelon = [dict(row) for row in start]
+    pivots = linalg._gauss_jordan(echelon, step * ncols)
+    assert pivots == [step * c + j for c in want for j in range(step)]
     for i, row in enumerate(echelon):
-        lead = min((c for c in row if c < ncols), default=None)
-        assert lead == (want[i] if i < len(want) else None)
-        if lead is not None:
-            assert row[lead] == G(1)
+        lead = min((c for c in row if c < step * ncols), default=None)
+        assert lead == (pivots[i] if i < len(pivots) else None)
+        assert all(type(v) is int and v for v in row.values())
+    # fraction-free row operations keep the row space, carried keys included:
+    # the echelon rows and the input rows have one reduced echelon form
+    width = step * (ncols + 2)
+    start, echelon = ([{c: G(v) for c, v in row.items()} for row in rs] for rs in (start, echelon))
+    assert _scanning_gauss_jordan(start, width) == _scanning_gauss_jordan(echelon, width)
+    assert start == echelon
     M = Matrix(
         len(rows), ncols, {(i, c): v for i, row in enumerate(rows) for c, v in row.items() if c < ncols}
     )
@@ -347,9 +361,11 @@ def test_forward_rank_matches_row_scanning_reference(seed, monkeypatch):
     monkeypatch.setattr(linalg, "_gauss_jordan", eliminating)
     assert rank(M) == len(want)
     # one pivot_columns call in M's own column order; each block it eliminates
-    # is an elimination over M's columns, and an entry-less matrix needs none
+    # is an elimination over M's columns, or over their realification, twice
+    # as many, when the block holds an i; an entry-less matrix needs none
     assert entered == [None]
-    assert all(n == M.cols for n in eliminations)
+    complex_entries = any(v.b for v in M.entries.values())
+    assert all(n == M.cols or n == 2 * M.cols and complex_entries for n in eliminations)
     assert M.entries or not eliminations
 
 
@@ -358,16 +374,18 @@ def test_forward_elimination_takes_the_sparsest_row():
     # row 2, where the row-scanning reference keeps the lowest, row 0; the
     # reduced forms agree all the same
     data = [[1, 1, 1], [2, 2, 0], [3, 0, 0]]
-    rows = Matrix.from_rows_list(data).row_dicts()
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2}, {0: 3}]
     assert linalg._gauss_jordan(rows, 3) == [0, 1, 2]
-    assert rows[0] == {0: G(1)}
+    # 3*(2, 2, 0) - 2*(3, 0, 0) and 3*(1, 1, 1) - (3, 0, 0), each over its
+    # content, then (0, 1, 1) less (0, 1, 0)
+    assert rows == [{0: 3}, {1: 1}, {2: 1}]
     reduced, want = Matrix.from_rows_list(data).row_dicts(), Matrix.from_rows_list(data).row_dicts()
     assert linalg._reduced(reduced, 3) == _scanning_gauss_jordan(want, 3) == [0, 1, 2]
     assert reduced == want == [{0: G(1)}, {1: G(1)}, {2: G(1)}]
     # on a tie in entry count the lowest row stays
-    tie = Matrix.from_rows_list([[1, 1, 0], [2, 0, 1]]).row_dicts()
+    tie = [{0: 1, 1: 1}, {0: 2, 2: 1}]
     assert linalg._gauss_jordan(tie, 3) == [0, 1]
-    assert tie[0] == {0: G(1), 1: G(1)}
+    assert tie[0] == {0: 1, 1: 1}
 
 
 def _block_sum(rng):
@@ -401,6 +419,80 @@ def test_blockwise_pivots_match_global_row_scanning_reference(seed):
     place = {c: j for j, c in enumerate(order)}
     renamed = [{place[c]: v for c, v in row.items()} for row in M.row_dicts()]
     assert linalg.pivot_columns(M, order) == _scanning_gauss_jordan(renamed, M.cols)
+
+
+BROKEN = "^image is not contained in the kernel: broken complex$"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_ranks_and_inclusion_proof_match_gaussian_references(seed):
+    # the fraction-free ranks and the int proof of K*M = 0 against the dense
+    # Gauss-Jordan on GaussianRationals and Matrix.mul, on block sums with i
+    # and fractional entries: the left kernel of M annihilates it, a unit row
+    # at one of M's rows does not, and a random extra row does exactly when
+    # the GaussianRational product is nonzero
+    rng = random.Random(8100 + seed)
+    M = _block_sum(rng)
+    pivots = dense_rref(M)[1]
+    assert linalg.pivot_columns(M) == linalg._reduced(M.row_dicts(), M.cols) == pivots
+    assert rank(M) == len(pivots)
+    K = Matrix.from_columns(kernel_basis(M.transpose()).basis, M.rows).transpose()
+    assert K.mul(M).is_zero
+    linalg.check_inclusion(K, M)
+    for r in sorted({r for r, _ in M.entries})[:2]:
+        with pytest.raises(LinearAlgebraError, match=BROKEN):
+            linalg.check_inclusion(vstack(K, Matrix(1, M.rows, {(0, r): G(1, -1)})), M)
+    for _ in range(3):
+        extra = vstack(K, _rational_matrix(rng, 1, M.rows, 0.4))
+        if extra.mul(M).is_zero:
+            linalg.check_inclusion(extra, M)
+        else:
+            with pytest.raises(LinearAlgebraError, match=BROKEN):
+                linalg.check_inclusion(extra, M)
+
+
+@pytest.mark.parametrize("twist", ["1+i*z1", "1/3+z1*zb2"])
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_integer_paths_on_twisted_operator_matrices(twist, p, q):
+    # dbar_f twice is zero, so the int proof passes; dbar_f after partial_f
+    # is not, and raises the broken-complex error; every rank and pivot list
+    # is the dense GaussianRational reference's, in two column orders
+    f = parse_series(twist, 2, 0, 2)
+    model = FoliationModel(2, 0, 4, f)
+    D, gap = 3, max(f.degree - 1, 0)
+    first = operator_matrix("dbar_f", model, p, q, D - gap, D)
+    second = operator_matrix("dbar_f", model, p, q + 1, D, D + gap)
+    linalg.check_inclusion(second, first)
+    assert second.mul(first).is_zero
+    mixed = operator_matrix("partial_f", model, p, q, D - gap, D)
+    after = operator_matrix("dbar_f", model, p + 1, q, D, D + gap)
+    assert not after.mul(mixed).is_zero
+    with pytest.raises(LinearAlgebraError, match=BROKEN):
+        linalg.check_inclusion(after, mixed)
+    for M in (first, second, mixed):
+        pivots = dense_rref(M)[1]
+        assert linalg.pivot_columns(M) == pivots and rank(M) == len(pivots)
+        order = random.Random(M.cols).sample(range(M.cols), M.cols)
+        renamed = Matrix(M.rows, M.cols, {(r, order.index(c)): v for (r, c), v in M.entries.items()})
+        assert linalg.pivot_columns(M, order) == dense_rref(renamed)[1]
+
+
+def test_ragged_rows_are_rejected():
+    # a short row was taken as padded with zeros
+    with pytest.raises(LinearAlgebraError, match="^row 1 has 1 entries, row 0 has 2$"):
+        Matrix.from_rows_list([[1, 2], [3]])
+    with pytest.raises(LinearAlgebraError, match="^row 2 has 3 entries, row 0 has 2$"):
+        Matrix.from_rows_list([[1, 2], [3, 4], [5, 6, 7]])
+
+
+def test_solve_takes_its_right_hand_side_as_matrix_entries():
+    # int and Fraction values become GaussianRationals, so every solution
+    # value is one; a float raises TypeError
+    x = solve(Matrix.identity(2), {0: 1, 1: Fraction(1, 2)})
+    assert x == {0: G(1), 1: G(Fraction(1, 2))}
+    assert all(type(v) is GaussianRational for v in x.values())
+    with pytest.raises(TypeError, match="not float"):
+        solve(Matrix.identity(2), {0: 0.5})
 
 
 def test_class_coords_eliminate_once(monkeypatch):
