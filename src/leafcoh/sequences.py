@@ -10,13 +10,14 @@ sequence carries to the outer two (_prove_squares), and commutation by the
 ChainMap constructor, or by block algebra for the inject and project maps of
 the two builders (ChainMap._commuting).
 
-The long exact sequence is read off forward ranks (_les_nodes): the
-dimensions from the ranks of the differentials, the ranks of i* and p* from
-the ranks of their mapping cones, and rk delta from exactness at H(R).  It
-builds no quotient, no representative and no induced matrix, so no product
-of consecutive maps checks a node: rank identities at every node prove
-exactness.  delta_equals_pullback_check solves nothing either: in the
-mapping cone the connecting map is the pullback at chain level, so once
+The long exact sequence is read off the ranks of the three differentials
+(_les_nodes): the dimensions, rk delta from rk d_M = rk d_L + rk d_R + rk
+delta grade by grade, and the ranks of i* and p* from exactness at H(L)
+and H(R).  It builds no quotient, no representative, no induced matrix and
+no mapping cone, so no product of consecutive maps checks a node: every
+node is exact by arithmetic, and a negative rank is the one contradiction
+the ranks can show.  delta_equals_pullback_check solves nothing either: in
+the mapping cone the connecting map is the pullback at chain level, so once
 d.d = 0 is proved it counts the target's classes off the same ranks.  A
 broken complex or a node that is not exact is a fault of the engine and
 raises LinearAlgebraError, never an input error or a finding, as the engine
@@ -226,52 +227,35 @@ def _cohomology_dims(cx: CochainComplex, ranks: list) -> list:
     return [n - ranks[q] - (ranks[q - 1] if q else 0) for q, n in enumerate(cx.dims)]
 
 
-def _induced_rank(f: ChainMap, q: int, source_ranks: list, target_ranks: list) -> int:
-    """rk H^q(f) = rk C_q - rk d_A^q - rk d_B^{q-1} for a chain map f: A -> B.
-
-    C_q = [[f_q, d_B^{q-1}], [d_A^q, 0]] is the mapping-cone differential up
-    to signs and the order of its rows, which do not change a rank (Weibel,
-    An Introduction to Homological Algebra, 1.5); with f_q on top the
-    elimination pivots on f first, which is the faster order.  ker C_q
-    projects onto W = {z in Z^q(A) : f z in B^q(B)} with kernel Z^{q-1}(B),
-    and ker H^q(f) = W / B^q(A).
-    """
-    d = f.source.differential(q)
-    below = f.target.diffs[q - 1] if q else Matrix.zero(f.target.dims[0], 0)
-    cone = vstack(hstack(f.components[q], below), hstack(d, Matrix.zero(d.rows, below.cols)))
-    return rank(cone) - source_ranks[q] - (target_ranks[q - 1] if q else 0)
-
-
 def _les_nodes(ses: ShortExactSequence, labels) -> list:
     """(group, dim, rank of the outgoing map) at every node of the long exact sequence.
 
     The nodes are H^q(L), H^q(M), H^q(R) for q = 0..T, left by i*, p* and
-    the connecting map delta.  Dimensions come from the ranks of the
-    differentials, rk i* and rk p* from the ranks of their cones, and rk
-    delta_q = dim H^q(R) - rk p*_q below the top grade, where delta is zero.
-    With p.i = 0 at chain level (validate, or the builder), exactness at
-    every node is the snake lemma; the ranks prove it again node by node:
-    rk i*_q + rk p*_q = dim H^q(M), dim H^{q+1}(L) - rk i*_{q+1} = rk
-    delta_q, i*_0 is injective and p*_T is onto.  A node that fails is a
-    fault of the engine: LinearAlgebraError names the first one.
+    the connecting map delta, zero at the top grade.  Over a field the
+    sequence splits grade by grade: in a basis i(L^q) + S^q, d_M^q is
+    block-triangular with d_L^q and d_R^q on the diagonal, and its corner,
+    read from ker d_R^q to coker d_L^q, is delta_q.  So rk d_M^q = rk d_L^q
+    + rk d_R^q + rk delta_q (Marsaglia & Styan, 1974; Weibel, An
+    Introduction to Homological Algebra, 1.3).  Exactness at H^q(R) and
+    H^q(L) gives rk p*_q = dim H^q(R) - rk delta_q and rk i*_q = dim H^q(L)
+    - rk delta_{q-1}; with dim M^q = dim L^q + dim R^q every node is then
+    exact by arithmetic.  A negative rank is what is left to contradict the
+    sequence, a fault of the engine: LinearAlgebraError names the first
+    node it leaves.
     """
     _prove_squares(ses)
     cxs = (ses.left, ses.middle, ses.right)
     ranks = [[rank(d) for d in cx.diffs] + [0] for cx in cxs]
     h_l, h_m, h_r = (_cohomology_dims(cx, r) for cx, r in zip(cxs, ranks))
+    delta = [m - l - r for l, m, r in zip(*ranks)]
     nodes = []
-    top = len(h_m) - 1
-    for q in range(top + 1):
-        i_rank = _induced_rank(ses.inject, q, ranks[0], ranks[1])
-        p_rank = _induced_rank(ses.project, q, ranks[1], ranks[2])
-        nodes.append((f"H^{q}({labels[0]})", h_l[q], i_rank))
-        nodes.append((f"H^{q}({labels[1]})", h_m[q], p_rank))
-        nodes.append((f"H^{q}({labels[2]})", h_r[q], h_r[q] - p_rank if q < top else 0))
-    in_rank = 0
-    for label, dim, out_rank in nodes:
-        if not (out_rank >= 0 and in_rank == dim - out_rank):
+    for q in range(len(h_m)):
+        nodes.append((f"H^{q}({labels[0]})", h_l[q], h_l[q] - (delta[q - 1] if q else 0)))
+        nodes.append((f"H^{q}({labels[1]})", h_m[q], h_r[q] - delta[q]))
+        nodes.append((f"H^{q}({labels[2]})", h_r[q], delta[q]))
+    for label, _, out_rank in nodes:
+        if out_rank < 0:
             raise LinearAlgebraError(f"long exact sequence is not exact at {label}")
-        in_rank = out_rank
     return nodes
 
 
@@ -283,8 +267,8 @@ def snake_les(
     """Long exact sequence report for a validated short exact sequence.
 
     The engine refuses to emit a report for an invalid input; for a valid one
-    it reads every dimension and map rank off the ranks of _les_nodes, which
-    proves exactness at every node.
+    it reads every dimension and map rank off _les_nodes, which derives them
+    from the ranks of d_L, d_M and d_R and so makes every node exact.
     """
     findings = ses.validate()
     if findings:

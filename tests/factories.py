@@ -6,7 +6,9 @@ contributes basis vectors u (grade q) and w (grade q+1) with d u = w; a
 wholly to the sub, wholly to the quotient, or split (w in the sub, u in the
 quotient) -- a split arrow is exactly what makes the connecting homomorphism
 nonzero, one rank unit per split.  Everything is then conjugated by random
-invertible matrices so the structure is hidden from the engine.
+invertible matrices so the structure is hidden from the engine;
+rebased_middle rewrites a sequence's middle complex once more, through a
+unipotent change of basis.
 
 cone_sweep_scene draws the random morphisms of the relative-complex sweeps.
 """
@@ -14,6 +16,7 @@ cone_sweep_scene draws the random morphisms of the relative-complex sweeps.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from leafcoh.algebra import GaussianRational
 from leafcoh.forms import FoliationModel
@@ -160,6 +163,32 @@ def random_ses(rng: random.Random, grades: int = 3):
         if assign == "split":
             split_counts[level] += 1
     return ses, split_counts
+
+
+def _unipotent(rng: random.Random, n: int) -> Matrix:
+    """I + N with N strictly upper-triangular in a seeded order of the basis,
+    its entries drawn from integers, halves and i."""
+    order = list(range(n))
+    rng.shuffle(order)
+    entries = {(i, i): 1 for i in range(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            entries[(order[a], order[b])] = rng.choice([0, 0, 1, -2, Fraction(1, 2), GaussianRational(0, 1)])
+    return Matrix(n, n, entries)
+
+
+def rebased_middle(rng: random.Random, ses: ShortExactSequence) -> ShortExactSequence:
+    """The same sequence with its middle complex rewritten through a seeded
+    unipotent change of basis g per grade: d_M' = g d_M g^-1, i' = g i and
+    p' = p g^-1, so d_M is not block-triangular in the basis it is given in."""
+    g = [_unipotent(rng, n) for n in ses.middle.dims]
+    g_inv = [_inverse(x) for x in g]
+    middle = CochainComplex(
+        ses.middle.dims, [g[q + 1].mul(d).mul(g_inv[q]) for q, d in enumerate(ses.middle.diffs)]
+    )
+    inject = ChainMap(ses.left, middle, [x.mul(i) for x, i in zip(g, ses.inject.components)])
+    project = ChainMap(middle, ses.right, [p.mul(x) for p, x in zip(ses.project.components, g_inv)])
+    return ShortExactSequence(ses.left, middle, ses.right, inject, project)
 
 
 def cone_sweep_scene(seed):

@@ -678,21 +678,26 @@ def test_pullback_that_is_no_chain_map_exits_internal(capsys, monkeypatch, kind)
     ],
 )
 def test_long_exact_sequence_that_is_not_exact_exits_internal(capsys, monkeypatch, kind, scene, which, grade, node):
-    # exactness at every node is the snake lemma: an induced rank read one
-    # too high is a fault of the engine, not a finding about the scene, and
-    # the first node it breaks is named
-    real_nodes, real_rank = sequences._les_nodes, sequences._induced_rank
-    seen = {}
+    # the nodes are ranks of the three differentials: rk i*_q = dim H^q(L) -
+    # rk delta_{q-1} and rk p*_q = dim H^q(R) - rk delta_q, with rk delta_q =
+    # rk d_M^q - rk d_L^q - rk d_R^q.  Reading rk d_L^q (for i*) or rk d_M^q
+    # (for p*) too high by one more than the map's true rank makes that rank
+    # -1, which no exact sequence has: a fault of the engine, not a finding
+    # about the scene, and the first node it breaks is named
+    real_nodes, real_rank = sequences._les_nodes, sequences.rank
+    wrong = {}
 
     def nodes(ses, labels):
-        seen["map"] = getattr(ses, which.removeprefix("induced_"))
+        _, _, true_rank = real_nodes(ses, labels)[3 * grade + (which == "induced_project")]
+        side = ses.left if which == "induced_inject" else ses.middle
+        wrong.update(d=side.diffs[grade], by=true_rank + 1)
         return real_nodes(ses, labels)
 
-    def corrupted(f, q, *ranks):
-        return real_rank(f, q, *ranks) + (f is seen["map"] and q == grade)
+    def corrupted(d):
+        return real_rank(d) + (wrong["by"] if d is wrong.get("d") else 0)
 
     monkeypatch.setattr(sequences, "_les_nodes", nodes)
-    monkeypatch.setattr(sequences, "_induced_rank", corrupted)
+    monkeypatch.setattr(sequences, "rank", corrupted)
     assert run(["sequence", "--scene", str(SCENES / scene), "--kind", kind]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""

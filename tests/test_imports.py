@@ -12,7 +12,8 @@ enumerates a basis, with no function cache in ``forms``, exponent
 tuples are read off packed monomials only at named boundary sites, and
 ``operators._twisted`` is the one differentiating kernel, with one exit,
 no raw scalar construction in ``operators`` and one index-merging product
-loop, ``forms._wedge_terms``.
+loop, ``forms._wedge_terms``, and ``sequences`` ranks no mapping cone: it
+defines no ``_induced_rank``, and only ``make_mv_ses`` stacks matrices.
 
 No linter ships with the test dependencies, so the checks walk the syntax
 tree with the standard library.  A name counts as used when it appears as
@@ -362,6 +363,16 @@ def test_one_elimination_with_one_pivot_rule():
     for name in ("Factorization", "_echelon"):
         assert name_users(sources, name) == set()
     assert "heapq" not in absolute_imports(sources["linalg"])
+
+
+# the long exact sequence is arithmetic on the ranks of its three
+# differentials: sequences ranks no mapping cone, so it defines no
+# _induced_rank and stacks matrices only to build the Mayer-Vietoris maps
+def test_sequences_build_no_cone_to_read_a_rank():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert name_users(sources, "_induced_rank") == set()
+    sequences = {"sequences": sources["sequences"]}
+    assert call_sites(sequences, "vstack") | call_sites(sequences, "hstack") == {("sequences", "make_mv_ses")}
 
 
 # the forward pass, its row step ``_combine`` and the K * M = 0 proof run on

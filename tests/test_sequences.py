@@ -33,7 +33,7 @@ from leafcoh.sequences import (
 )
 
 from dense_reference import DenseQuotient, dense_solve, to_dense, to_sparse
-from factories import cone_sweep_scene, random_ses
+from factories import cone_sweep_scene, random_ses, rebased_middle
 from quotient_reference import FactorOnce, complex_cohomology
 from snake_reference import reference_delta_check, reference_nodes, reference_snake
 
@@ -223,6 +223,11 @@ def test_rank_only_nodes_match_reference_on_random_ses(seed):
     rng = random.Random(seed)
     ses, _ = random_ses(rng, grades=rng.choice([2, 3, 4]))
     assert _les_nodes(ses, ("L", "M", "R")) == reference_nodes(ses)
+    # the same sequence with d_M written in a basis where it is not
+    # block-triangular: the three-rank identity does not depend on the basis
+    rebased = rebased_middle(rng, ses)
+    assert rebased.validate() == []
+    assert _les_nodes(rebased, ("L", "M", "R")) == reference_nodes(rebased)
 
 
 # the sweep's own twist, then twists with i and with fractions
