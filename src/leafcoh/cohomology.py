@@ -6,7 +6,7 @@ monomial rank); operator matrices are written down column by column from
 the closed-form monomial rule in ``operator_matrix``, and every dimension
 is counted from exact ranks of sparse matrices, building no basis: each
 kernel K modulo image M is one ``_Grid.group`` (dims cols - rk K and rk M,
-with im M <= ker K proved).
+with im M <= ker K proved once per pair of families, at their top budgets).
 
 Budget semantics ("truncation cohomology"): the group at budget D uses the
 kernel on budget-D forms and the image of sources at budget D - gap (gap =
@@ -287,19 +287,16 @@ def _blocks(tag, p, q) -> tuple:
 
 
 class _Family:
-    """One operator at every budget: its matrix at the largest one and the
-    monomial degrees of the pivot columns of that matrix's elimination."""
+    """One operator at every budget: its key, its matrix at the top budget and its pivot columns' degrees."""
 
-    __slots__ = ("budget", "matrix", "pivot_degrees")
+    __slots__ = ("key", "budget", "matrix", "pivot_degrees")
 
-    def __init__(self, budget: int, matrix: Matrix):
-        self.budget = budget
-        self.matrix = matrix
-        self.pivot_degrees = None
+    def __init__(self, key: tuple, budget: int, matrix: Matrix):
+        self.key, self.budget, self.matrix, self.pivot_degrees = key, budget, matrix, None
 
 
 class _Grid:
-    """Operator matrices of one model and their ranks, each family computed once.
+    """Operator families of one model, with their ranks and proofs, each made once.
 
     Matrices are keyed (tag, p, q, in_budget, out_budget, k) as in
     operator_matrix, plus the derived tags "composed" (partial_f after
@@ -308,26 +305,28 @@ class _Grid:
     in_budget, at one out_budget - in_budget, form a family, assembled (a
     composition re-checked) at the largest in_budget asked for and rebuilt
     if a larger one is asked for later.  A column does not depend on the
-    budget, so a lower budget's matrix is the restriction to the lower bases.
-    Ranks come from the pivot columns (linalg.pivot_columns) of the family's
-    matrix, columns in stable ascending monomial degree: the budget-b columns
-    are a prefix, whose rank is the pivot count in it.  Each kernel modulo
-    image is one group(kernel key, image key).  cohomology_grid shares one
-    instance between its rows.
+    budget, so a lower budget's matrix is the restriction to the lower bases
+    (built per call), and a product checked at the family tops holds at every
+    lower budget: prove runs each check once per set of families.  Ranks come
+    from the pivot columns (linalg.pivot_columns) of the family's matrix,
+    columns in stable ascending monomial degree: the budget-b columns are a
+    prefix, whose rank is the pivot count in it.  Each kernel modulo image is
+    one group(kernel key, image key).  cohomology_grid shares one instance
+    between its rows.
     """
 
     def __init__(self, model: FoliationModel):
         self.model = model
         self.gap = twist_gap(model.f)
         self._families: dict = {}
-        self._matrices: dict = {}
+        self._proved: set = set()
 
     def _family(self, key) -> _Family:
         tag, p, q, b, out, k = key
         fkey = (tag, p, q, k, out - b)
         family = self._families.get(fkey)
         if family is None or family.budget < b:
-            family = self._families[fkey] = _Family(b, self._build(key))
+            family = self._families[fkey] = _Family(fkey, b, self._build(key))
         return family
 
     def _build(self, key) -> Matrix:
@@ -349,21 +348,15 @@ class _Grid:
         return out
 
     def matrix(self, tag, p, q, in_budget, out_budget, k=None) -> Matrix:
-        key = (tag, p, q, in_budget, out_budget, k)
-        M = self._matrices.get(key)
-        if M is None:
-            family = self._family(key)
-            top = family.budget
-            M = family.matrix
-            if top != in_budget:
-                col_blocks, row_blocks = _blocks(tag, p, q)
-                top_out = top + out_budget - in_budget
-                cols = {c: j for j, c in enumerate(self._positions(col_blocks, in_budget, top))}
-                rows = {r: i for i, r in enumerate(self._positions(row_blocks, out_budget, top_out))}
-                entries = {(rows[r], cols[c]): v for (r, c), v in M.entries.items() if c in cols}
-                M = _raw_matrix(len(rows), len(cols), entries)
-            self._matrices[key] = M
-        return M
+        """The matrix under the key: the family's own at its top, else a restriction of it."""
+        family = self._family((tag, p, q, in_budget, out_budget, k))
+        top, M = family.budget, family.matrix
+        if top == in_budget:
+            return M
+        col_blocks, row_blocks = _blocks(tag, p, q)
+        cols = {c: j for j, c in enumerate(self._positions(col_blocks, in_budget, top))}
+        rows = {r: i for i, r in enumerate(self._positions(row_blocks, out_budget, top + out_budget - in_budget))}
+        return _raw_matrix(len(rows), len(cols), {(rows[r], cols[c]): v for (r, c), v in M.entries.items() if c in cols})
 
     def rank(self, key) -> int:
         """Rank of the matrix under ``key``: the pivots of degree <= in_budget of its family."""
@@ -379,22 +372,32 @@ class _Grid:
             family.pivot_degrees = [bisect_right(ends, j) for j in linalg.pivot_columns(family.matrix, order)]
         return bisect_right(family.pivot_degrees, key[3])
 
+    def prove(self, check, *keys) -> None:
+        """Run check(*matrices under keys) once per check and set of (family key, family
+        budget), each key's budgets raised by the most all the families allow: the families
+        fix the keys' offsets, so each lower budget's product is a block of the one checked."""
+        families = [self._family(key) for key in keys]
+        proof = (check, *((family.key, family.budget) for family in families))
+        if proof not in self._proved:
+            up = min(family.budget - key[3] for family, key in zip(families, keys))
+            check(*(self.matrix(tag, p, q, b + up, out + up, k) for tag, p, q, b, out, k in keys))
+            self._proved.add(proof)
+
     def group(self, kernel_key, image_key) -> tuple:
-        """(dim ker K, dim im M), K and M under the keys (no image_key: M = 0),
-        with im M <= ker K proved.  When M's out budget is K's in budget, by the
-        product K * M = 0.  Else (slack) M's rows split into pos, K's basis, and
-        out: the part of im M in K's basis is M[pos] on ker M[out], of dimension
-        rk M - rk M[out], and lies in ker K iff rk [M[out]; K * M[pos]] == rk M[out]."""
-        K = self.matrix(*kernel_key)
-        kernel = K.cols - self.rank(kernel_key)
+        """(dim ker K, dim im M), K and M under the keys (no image_key: M = 0), with
+        im M <= ker K proved: by K * M = 0 in prove when M's out budget is K's in budget.
+        Else (slack, on every call) M's rows split into pos, K's basis, and out: the part
+        of im M in K's basis is M[pos] on ker M[out], of dimension rk M - rk M[out], and
+        lies in ker K iff rk [M[out]; K * M[pos]] == rk M[out]."""
+        tag, p, q, D = kernel_key[:4]
+        kernel = sum(basis_dimension(self.model, *pq, D) for pq in _blocks(tag, p, q)[0]) - self.rank(kernel_key)
         if image_key is None:
             return kernel, 0
-        M = self.matrix(*image_key)
-        image = self.rank(image_key)
-        D, top = kernel_key[3], image_key[4]
+        image, top = self.rank(image_key), image_key[4]
         if top == D:
-            check_inclusion(K, M)
+            self.prove(check_inclusion, kernel_key, image_key)
         else:
+            K, M = self.matrix(*kernel_key), self.matrix(*image_key)
             pos = {r: i for i, r in enumerate(self._positions(_blocks(*image_key[:3])[1], D, top))}
             out = {r: i for i, r in enumerate(r for r in range(M.rows) if r not in pos)}
             block = _raw_matrix(len(pos), M.cols, {(pos[r], c): v for (r, c), v in M.entries.items() if r in pos})
@@ -409,8 +412,8 @@ class _Grid:
 def _bott_chern(grid: _Grid, p: int, q: int, D: int) -> tuple:
     """(dim ker, dim im) of ker partial_f & ker dbar_f modulo im partial_f dbar_f at (p,q,D)."""
     gap = grid.gap
-    # with no partial_f entries the stack eliminates, and annihilates, as dbar_f alone
-    kernel = ("stacked" if grid.matrix("partial_f", p, q, D, D + gap).entries else "dbar_f", p, q, D, D + gap, None)
+    # with no partial_f entries the stack ranks as dbar_f alone (read at the family top: equal ranks at D)
+    kernel = ("stacked" if grid._family(("partial_f", p, q, D, D + gap, None)).matrix.entries else "dbar_f", p, q, D, D + gap, None)
     image = ("composed", p - 1, q - 1, D - 2 * gap, D, None) if p and q and D >= 2 * gap else None
     return grid.group(kernel, image)
 
@@ -462,6 +465,11 @@ def aeppli_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> d
     return _row(p, q, D, *grid.group(("composed", p, q, D, D + 2 * gap, None), image), D - gap)
 
 
+def _dolbeault_image_holds(M: Matrix, P: Matrix, C: Matrix) -> None:
+    if not (M.mul(P) + C).is_zero:
+        raise AssertionError("canonical map ill-defined: Bott-Chern image escapes the Dolbeault image")
+
+
 def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> dict:
     """Rank of the canonical homomorphism Bott-Chern -> Dolbeault at (p,q,D).
 
@@ -471,8 +479,8 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
     nullity(partial_f; dbar_f) - (rk M - rk partial_f M).  Well-definedness
     (the Bott-Chern image lies in the Dolbeault image) is asserted by the
     exact product M P + partial_f dbar_f = 0, with P the partial_f matrix
-    from (p-1,q-1): it exhibits partial_f dbar_f = M (-P), so its image lies
-    in im M.
+    from (p-1,q-1), once per set of the three families (_Grid.prove): it
+    exhibits partial_f dbar_f = M (-P), so its image lies in im M.
     """
     grid = grid or _Grid(model)
     gap = grid.gap
@@ -481,11 +489,8 @@ def canonical_map_row(model: FoliationModel, p: int, q: int, D: int, *, grid=Non
     dolb_kernel, dolb_image = grid.group(("dbar_f", p, q, D, D + gap, None), M_key)
     image_rank = bc_kernel
     if bc_image:  # then q >= 1 and D >= 2 gap, so M_key is set
-        P = grid.matrix("partial_f", p - 1, q - 1, D - 2 * gap, D - gap)
-        if not (grid.matrix(*M_key).mul(P) + grid.matrix("composed", p - 1, q - 1, D - 2 * gap, D)).is_zero:
-            raise AssertionError(
-                "canonical map ill-defined: Bott-Chern image escapes the Dolbeault image"
-            )
+        P_key = ("partial_f", p - 1, q - 1, D - 2 * gap, D - gap, None)
+        grid.prove(_dolbeault_image_holds, M_key, P_key, ("composed", p - 1, q - 1, D - 2 * gap, D, None))
     if bc_kernel and M_key:
         # partial_f M is the composition from (p, q-1)
         composed = ("composed", p, q - 1, D - gap, D + gap, None)

@@ -522,6 +522,75 @@ def test_broken_complex_exits_internal(tmp_path, capsys, monkeypatch):
     assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
 
 
+def _add_constant_entry(monkeypatch, wanted, built_at=None):
+    """Make cohomology add 1 at (0, 0) of the operator matrix out of bidegree
+    wanted = (tag, p, q), or only of the one assembled from budget built_at.
+    Row and column 0 are the constant forms, in a degree-0 column, so the
+    entry stays in the matrix's restriction to every lower budget."""
+    real = cohomology.operator_matrix
+
+    def corrupt(tag, model, p, q, in_budget, out_budget, k=None):
+        M = real(tag, model, p, q, in_budget, out_budget, k)
+        if (tag, p, q) != wanted or built_at not in (None, in_budget) or not (M.rows and M.cols):
+            return M
+        entries = dict(M.entries)
+        entries[(0, 0)] = entries.get((0, 0), 0) + 1
+        return Matrix(M.rows, M.cols, entries)
+
+    monkeypatch.setattr(cohomology, "operator_matrix", corrupt)
+
+
+# row (0,1) of f = 1 + z1*zb2: the kernel is dbar_f out of (0,1) and the image dbar_f out of (0,0)
+BROKEN_FACTOR_MODEL = {"m": 2, "n": 0, "budget": 3, "f": "1+z1*zb2"}
+
+
+@pytest.mark.parametrize("factor", [(0, 1), (0, 0)], ids=["kernel", "image"])
+def test_broken_factor_in_a_constant_column_exits_internal(tmp_path, capsys, monkeypatch, factor):
+    # each pair of families is proved once, at the top budget 4 of the D = 3
+    # probe; the entry lies in every lower budget's matrices, which that proof covers
+    _add_constant_entry(monkeypatch, ("dbar_f",) + factor)
+    data = {"model": BROKEN_FACTOR_MODEL, "grid": {"p": 0, "q": 1, "D": [1, 3]}}
+    scene = write_scene(tmp_path, "s.json", data)
+    assert run(["cohomology", "--scene", scene, "--variant", "dolbeault"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+
+
+def test_broken_rebuilt_family_is_proved_again(tmp_path, capsys, monkeypatch):
+    # cohomology_grid runs the budgets of each (p, q) from the top down, so a
+    # family is rebuilt higher only when a later (p, q) asks for more: row
+    # (0,1) builds and proves dbar_f out of (0,0) at budget 3, clean; row
+    # (0,0) rebuilds it at budget 4 with the wrong entry; and the repeated row
+    # (0,1) must prove the pair again to see it
+    _add_constant_entry(monkeypatch, ("dbar_f", 0, 0), built_at=4)
+    data = {"model": BROKEN_FACTOR_MODEL, "grid": {"p": 0, "q": [1, 0, 1], "D": [1, 3]}}
+    scene = write_scene(tmp_path, "s.json", data)
+    assert run(["cohomology", "--scene", scene, "--variant", "dolbeault"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+    # the first two rows alone pass: the clean family is proved, the rebuilt one is not yet used
+    data["grid"]["q"] = [1, 0, 0]
+    assert run(["cohomology", "--scene", write_scene(tmp_path, "t.json", data), "--variant", "dolbeault"]) == 0
+    capsys.readouterr()
+
+
+def test_broken_canonical_factor_exits_internal(tmp_path, capsys, monkeypatch):
+    # partial_f out of (0,0) is the P of row (1,1)'s M.P + C = 0 and enters
+    # no group of the row: only the canonical check sees the wrong entry
+    _add_constant_entry(monkeypatch, ("partial_f", 0, 0))
+    data = {"model": BROKEN_FACTOR_MODEL, "grid": {"p": 1, "q": 1, "D": [1, 3]}}
+    scene = write_scene(tmp_path, "s.json", data)
+    assert run(["cohomology", "--scene", scene, "--variant", "canonical"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: canonical map ill-defined: Bott-Chern image escapes the Dolbeault image\n"
+    for variant in ("dolbeault", "bc"):
+        assert run(["cohomology", "--scene", scene, "--variant", variant]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("variant, knobs", [("dolbeault", {"slack": 1}), ("k", {"slack": 2, "k": 1})])
 def test_broken_complex_with_slack_exits_internal(tmp_path, capsys, monkeypatch, variant, knobs):
     # with slack the image is cut down to the budget-D block before the check

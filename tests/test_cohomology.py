@@ -715,19 +715,117 @@ def test_grid_with_unsorted_and_repeated_axes_matches_fresh_rows(seed):
     assert cohomology_grid(model, variant, ps, qs, ds, slack, k) == want
 
 
+def _raised(key, up):
+    tag, p, q, b, out, k = key
+    return (tag, p, q, b + up, out + up, k)
+
+
+def _watch_proofs(monkeypatch):
+    """Record the keys and families of every check _Grid.prove runs, and
+    assert that every group with an image (without slack; the slack path
+    proves by rank on every call) and every canonical row with a Bott-Chern
+    image returns only after a check on the same families, at their present
+    budgets, of its own keys raised by one amount >= 0."""
+    proofs, requested = [], []
+    real_matrix, real_prove = cohomology._Grid.matrix, cohomology._Grid.prove
+    real_group, real_canonical = cohomology._Grid.group, cohomology.canonical_map_row
+
+    def families(grid, keys):
+        fkeys = [(tag, p, q, k, out - b) for tag, p, q, b, out, k in keys]
+        return [(fkey, grid._families[fkey].budget) for fkey in fkeys]
+
+    def covered(grid, keys):
+        now = families(grid, keys)
+        return any(
+            proved == now and checked[0][3] >= keys[0][3]
+            and checked == [_raised(key, checked[0][3] - keys[0][3]) for key in keys]
+            for proved, checked in proofs
+        )
+
+    def matrix(grid, tag, p, q, in_budget, out_budget, k=None):
+        M = real_matrix(grid, tag, p, q, in_budget, out_budget, k)
+        requested.append((tag, p, q, in_budget, out_budget, k))
+        return M
+
+    def prove(grid, check, *keys):
+        def logged(*matrices):
+            # the check's matrices are the last ones asked for
+            proofs.append((families(grid, keys), requested[-len(keys):]))
+            return check(*matrices)
+
+        return real_prove(grid, logged, *keys)
+
+    def group(grid, kernel_key, image_key):
+        out = real_group(grid, kernel_key, image_key)
+        if image_key is not None and image_key[4] == kernel_key[3]:
+            assert covered(grid, (kernel_key, image_key)), (kernel_key, image_key)
+        return out
+
+    def canonical(model, p, q, D, *, grid):
+        row = real_canonical(model, p, q, D, grid=grid)
+        gap = grid.gap
+        C = ("composed", p - 1, q - 1, D - 2 * gap, D, None)
+        if p and q and D >= 2 * gap and grid.rank(C):
+            keys = (("dbar_f", p, q - 1, D - gap, D, None), ("partial_f", p - 1, q - 1, D - 2 * gap, D - gap, None), C)
+            assert covered(grid, keys), keys
+        return row
+
+    monkeypatch.setattr(cohomology._Grid, "matrix", matrix)
+    monkeypatch.setattr(cohomology._Grid, "prove", prove)
+    monkeypatch.setattr(cohomology._Grid, "group", group)
+    monkeypatch.setattr(cohomology, "canonical_map_row", canonical)
+    return proofs
+
+
+@pytest.mark.parametrize("seed", range(33))
+def test_every_group_returns_after_a_proof_that_covers_it(monkeypatch, seed):
+    model, variant, slack, k, top = _differential_case(seed)
+    proofs = _watch_proofs(monkeypatch)
+    ps = qs = list(range(model.m + 1))
+    cohomology_grid(model, variant, ps, qs, list(range(top + 1)), slack, k)
+    # families first asked for below their top and then rebuilt higher
+    m = model.m
+    cohomology_grid(model, variant, [m, 0, m // 2, m], [m // 2, m, 0, m], [top - 1, top, 0, top], slack, k)
+    # with slack every group proves by rank, and no check goes through prove
+    assert bool(proofs) == (slack == 0)
+
+
+def test_proof_watch_sees_a_rebuilt_family_left_unproved(monkeypatch):
+    # a memo that forgets the family budgets proves dbar_f from (0,0) only as
+    # first built, at budget 2 for the image of row (0,1); row (0,0) rebuilds
+    # it at budget 3, and the repeated row (0,1) then has no proof covering it
+    real_prove = cohomology._Grid.prove
+
+    def forgetful(grid, check, *keys):
+        fkeys = tuple((tag, p, q, k, out - b) for tag, p, q, b, out, k in keys)
+        if fkeys not in grid._proved:
+            grid._proved.add(fkeys)
+            real_prove(grid, check, *keys)
+
+    monkeypatch.setattr(cohomology._Grid, "prove", forgetful)
+    _watch_proofs(monkeypatch)
+    model = FoliationModel(2, 0, 3, parse_series("1+z1*zb2", 2, 0, 3))
+    cohomology_grid(model, "dolbeault", [0], [1, 1, 1], [2])
+    with pytest.raises(AssertionError):
+        cohomology_grid(model, "dolbeault", [0], [1, 0, 1], [2])
+
+
 # Call counts of the three jobs of the benchmark's sparse_twist workload
 # (perfbench/run.py scenes sparse_m2 and sparse_m3): operator_matrix
 # assemblies, reference re-applications of the composition, pivot_columns
-# calls (one per family or matrix ranked, an entry-less one too) and basis
-# enumerations.  Each family is assembled, re-checked and eliminated once at
-# its top budget; a lower budget assembled or eliminated again raises a count.
-# Assembly, restriction, ranks and vectors compute basis positions, so only
-# the composition re-check enumerates: its source basis and the target basis
-# it builds its index from, two per re-check, none kept between calls.
+# calls (one per family or matrix ranked, an entry-less one too), basis
+# enumerations, K * M = 0 proofs and the restricted copies _Grid.matrix
+# builds below a family's top.  Each family is assembled, re-checked and
+# eliminated once at its top budget, and each set of families is proved once,
+# at the tops; a lower budget assembled, eliminated or proved again raises a
+# count.  Assembly, restriction, ranks and vectors compute basis positions,
+# so only the composition re-check enumerates: its source basis and the
+# target basis it builds its index from, two per re-check, none kept between
+# calls.
 WORK_COUNTS = [
-    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 21, 8)),
-    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 17, 8)),
-    ("dolbeault", 3, "1+z1*zb2+z3^2", [1], [1], [3], (2, 0, 2, 0)),
+    ("canonical", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (18, 4, 21, 8, 10, 20)),
+    ("aeppli", 2, "1+z1*zb2", [0, 1, 2], [0, 1, 2], [2, 3], (20, 4, 17, 8, 8, 10)),
+    ("dolbeault", 3, "1+z1*zb2+z3^2", [1], [1], [3], (2, 0, 2, 0, 1, 0)),
 ]
 
 
@@ -748,9 +846,18 @@ def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, c
     counted(cohomology, "_applied_matrix")
     counted(linalg, "pivot_columns")
     counted(cohomology, "enumerate_basis")
+    counted(cohomology, "check_inclusion")
+    real_matrix = cohomology._Grid.matrix
+
+    def matrix(grid, tag, p, q, in_budget, out_budget, k=None):
+        M = real_matrix(grid, tag, p, q, in_budget, out_budget, k)
+        calls["restricted"] += M is not grid._family((tag, p, q, in_budget, out_budget, k)).matrix
+        return M
+
+    monkeypatch.setattr(cohomology._Grid, "matrix", matrix)
     model = FoliationModel(m, 0, 3, parse_series(f_text, m, 0, 3))
     cohomology_grid(model, variant, ps, qs, ds)
-    names = ("operator_matrix", "_applied_matrix", "pivot_columns", "enumerate_basis")
+    names = ("operator_matrix", "_applied_matrix", "pivot_columns", "enumerate_basis", "check_inclusion", "restricted")
     assert tuple(calls[name] for name in names) == counts
 
 

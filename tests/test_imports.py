@@ -3,8 +3,10 @@ top-level function or class is used or exported, only the seeded generators
 import ``random``, the exact engine imports neither ``sampling`` nor
 ``checks``, the trusted ``ChainMap._commuting`` is used only by the two
 sequence builders and ``ShortExactSequence._exact`` only by the relative one,
-only ``checks`` forks, only ``_Grid.group`` and the sequences' d.d proof
-prove an inclusion with ``check_inclusion``, ``linalg`` runs one
+only ``checks`` forks, only ``_Grid`` and the sequences' d.d proof
+prove an inclusion with ``check_inclusion``, ``_Grid`` keeps no matrix
+memo beside its families and only ``_Grid.prove`` runs the checks it is
+handed, ``linalg`` runs one
 elimination, ``_gauss_jordan(rows, ncols)``, called only by
 ``pivot_columns`` and ``_reduced``, which with its row step and the
 inclusion proof runs on ints, only the composition re-check
@@ -241,9 +243,10 @@ def test_only_the_case_runner_forks():
     assert fork_callers(sources) == FORKING_MODULES
 
 
-# a grid row proves im <= ker in _Grid.group alone and the sequences prove
-# d.d = 0 on the middle complex in _prove_squares; linalg defines the product
-# check
+# a grid row proves im <= ker through _Grid alone: group hands check_inclusion
+# to _Grid.prove, which runs it once per set of families (group's slack path
+# proves by rank instead), and the sequences prove d.d = 0 on the middle
+# complex in _prove_squares; linalg defines the product check
 INCLUSION_PROVERS = {
     ("cohomology", "_Grid"),
     ("linalg", "check_inclusion"),
@@ -281,6 +284,48 @@ def test_name_finder_sees_names_attributes_and_definitions():
 def test_only_the_grid_group_and_the_sequences_prove_inclusions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert name_users(sources, "check_inclusion") == INCLUSION_PROVERS
+
+
+def _grid_class() -> ast.ClassDef:
+    tree = ast.parse((SRC / "cohomology.py").read_text(encoding="utf-8"))
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Grid")
+
+
+def _grid_method(name: str) -> ast.FunctionDef:
+    return next(node for node in _grid_class().body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_grid_keeps_one_family_memo_and_one_proof_memo():
+    # no matrix cache: a restriction below a family's top lives for one call
+    targets = [
+        target
+        for node in ast.walk(_grid_method("__init__"))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    assert all(isinstance(target, ast.Attribute) for target in targets)
+    assert sorted(target.attr for target in targets) == ["_families", "_proved", "gap", "model"]
+
+
+def test_only_grid_prove_runs_the_checks_it_is_handed():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    handed = {
+        node.args[0].id
+        for node in ast.walk(ast.parse(sources["cohomology"]))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "prove"
+    }
+    assert handed == {"check_inclusion", "_dolbeault_image_holds"}
+    assert call_sites(sources, "_dolbeault_image_holds") == set()
+    assert call_sites(sources, "check_inclusion") == {("sequences", "_prove_squares")}
+    # prove calls its check parameter, and nothing else in _Grid or cohomology calls that name
+    prove = _grid_method("prove")
+    checker = prove.args.args[1].arg
+
+    def calls(tree):
+        return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == checker for node in ast.walk(tree))
+
+    assert calls(prove) == calls(_grid_class()) > 0
+    assert call_sites({"cohomology": sources["cohomology"]}, checker) == {("cohomology", "_Grid")}
 
 
 # bases are positions by arithmetic over forms' monomial and pair tables; a
