@@ -1682,6 +1682,18 @@ def test_pairing_suite_reports_match_golden(tmp_path, capsys, name):
     assert captured.err == ""
 
 
+def test_gaussian_twist_grid_reports_match_golden(tmp_path, capsys):
+    # every variant on a twist with an i and a fraction, whose matrices are
+    # held realified over a common denominator; recorded from the dict engine
+    golden = json.loads((SCENES.parent / "tests" / "golden" / "gaussian_twist_m2_grids.json").read_text())
+    scene = write_scene(tmp_path, "s.json", golden["scene"])
+    for want in golden["runs"]:
+        assert run(want["argv"] + ["--scene", scene]) == want["exit"], want["argv"]
+        captured = capsys.readouterr()
+        assert captured.out == json.dumps(want["report"], sort_keys=True, indent=2) + "\n", want["argv"]
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("name", ["dolbeault_m3_D5", "dolbeault_dense_m2_D5"])
 def test_large_grid_reports_match_golden(tmp_path, capsys, name):
     # rows at the m=3 and dense-twist scale, recorded from the quotient-basis engine
