@@ -20,7 +20,9 @@ approximates the smooth theory: stabilisation is reported, never assumed.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from math import lcm
 
 from .algebra import MAX_DEGREE, Series, _raw_series, pack, unpack, variable_field
 from .forms import (
@@ -51,7 +53,9 @@ from . import linalg
 from .linalg import (
     LinearAlgebraError,
     Matrix,
-    _raw_matrix,
+    _from_gaussian,
+    _store,
+    _realified_column,
     check_inclusion,
     hstack,
     rank,
@@ -180,36 +184,40 @@ def operator_matrix(
     weight = p + q - (k if tag == "dbar_f_k" else 0)  # f = 1 has t = 0 only
     in_pairs, n_in = pair_table(m, p, q), count_monomials(m, n, in_budget)
     if not in_pairs or not n_in:
-        return _raw_matrix(basis_dimension(model, p + dp, q + dq, out_budget), 0, {})
+        return Matrix(basis_dimension(model, p + dp, q + dq, out_budget), 0)
     n_out, out_pairs = count_monomials(m, n, out_budget), pair_table(m, p + dp, q + dq)
     monos, mono_rank = monomial_table(m, n, out_budget)
+    coeffs = f.packed.values()
+    step, den = (2 if any(v.b for v in coeffs) else 1), lcm(*{v.d for v in coeffs})
     # Positions are arithmetic (forms.inclusion_positions): (A, B, e) sits at
     # pair rank * N + monomial rank, the ranks read off forms' shared table of
     # packed keys.  In a packed key z^e -> z^(e + t - eps_a) is e + t - unit,
     # and e_a, t_a are read off the variable's field (algebra.variable_field).
     # The map and its factor do not depend on (A, B), so shifts tabulates them
-    # once per variable and sign: per input monomial, the (target monomial
-    # rank, entry) of each term with an entry.  Each (A, B) block places a
-    # copy; equal entries f_t * c are one shared scalar, and a row is one
-    # shared int.
-    pair_at = {pair: r * n_out for r, pair in enumerate(out_pairs)}
-    entries, tables, shared = {}, {}, {}
-    row_ints = list(range(len(out_pairs) * n_out))
+    # once per variable and sign: per stored column of each input monomial,
+    # its (target monomial rank, int entry over den) pairs, rows ascending.
+    # Each (A, B) block places a copy, the blocks in row order, straight
+    # into the store (linalg.Matrix).
+    pair_at = {pair: step * r * n_out for r, pair in enumerate(out_pairs)}
+    tables, ptr, idx, val = {}, array("q", [0]), array("q"), []
+    add_row, add_val = idx.append, val.append
 
     def shifts(i, sign):
         offset, unit = variable_field(m, n, i)
-        f_terms = [(t, t >> offset & MAX_DEGREE, ft) for t, ft in f.packed.items()]
+        # ranks ascend with packed keys, so with t ascending a column's rows do
+        f_terms = [(t, t >> offset & MAX_DEGREE, v.a * (den // v.d), v.b * (den // v.d)) for t, v in sorted(f.packed.items())]
         table = []
         for e in monos[:n_in]:
-            e_i, row = e >> offset & MAX_DEGREE, []
-            for t, t_i, ft in f_terms:
+            e_i, col = e >> offset & MAX_DEGREE, []
+            for t, t_i, a, b in f_terms:
                 c = sign * (e_i - weight * t_i)
                 if c:
-                    row.append((mono_rank[e + t - unit], shared.get((t, c)) or shared.setdefault((t, c), ft * c)))
-            table.append(row)
+                    r = mono_rank[e + t - unit]
+                    col.append((r, a * c) if step == 1 else (r, a * c, b * c))
+            table += [col] if step == 1 else _realified_column(col)
         return table
 
-    for j, (A, B) in enumerate(in_pairs):
+    for A, B in in_pairs:
         placed = []
         for a in range(1, m + 1):
             s, merged = insert_index(a, B if dq else A)
@@ -217,13 +225,15 @@ def operator_matrix(
                 key = (a - 1 + m * dq, -s if dq and p % 2 else s)  # flat index lowered, sign
                 if key not in tables:
                     tables[key] = shifts(*key)
-                placed.append((tables[key], pair_at[(A, merged) if dq else (merged, B)]))
-        for u in range(n_in):
-            col = j * n_in + u
-            for table, row0 in placed:
-                for r, v in table[u]:
-                    entries[(row_ints[row0 + r], col)] = v
-    return _raw_matrix(len(row_ints), len(in_pairs) * n_in, entries)
+                placed.append((pair_at[(A, merged) if dq else (merged, B)], tables[key]))
+        placed.sort(key=lambda block: block[0])
+        for k in range(step * n_in):
+            for row0, table in placed:
+                for r, v in table[k]:
+                    add_row(row0 + r)
+                    add_val(v)
+            ptr.append(len(idx))
+    return _store(len(out_pairs) * n_out, len(in_pairs) * n_in, step, den, ptr, idx, val)
 
 
 def _applied_matrix(apply, source: tuple, target: tuple) -> Matrix:
@@ -235,12 +245,15 @@ def _applied_matrix(apply, source: tuple, target: tuple) -> Matrix:
     """
     in_basis, budget = enumerate_basis(*source), source[3]
     out_idx = {(A, B, pack(expo)): i for i, (A, B, expo) in enumerate(enumerate_basis(*target))}
-    entries = {}
-    for j, elem in enumerate(in_basis):
+    columns = []
+    for elem in in_basis:
+        col = []
         for (A, B), series in apply(basis_form(source[0], elem, budget)).coeffs.items():
             for key, coeff in series.packed.items():
-                entries[(out_idx[(A, B, key)], j)] = coeff
-    return _raw_matrix(len(out_idx), len(in_basis), entries)
+                col.append((out_idx[(A, B, key)], coeff))
+        col.sort()
+        columns.append(col)
+    return _from_gaussian(len(out_idx), columns)
 
 
 def pullback_matrix(
@@ -354,9 +367,8 @@ class _Grid:
         if top == in_budget:
             return M
         col_blocks, row_blocks = _blocks(tag, p, q)
-        cols = {c: j for j, c in enumerate(self._positions(col_blocks, in_budget, top))}
-        rows = {r: i for i, r in enumerate(self._positions(row_blocks, out_budget, top + out_budget - in_budget))}
-        return _raw_matrix(len(rows), len(cols), {(rows[r], cols[c]): v for (r, c), v in M.entries.items() if c in cols})
+        rows = self._positions(row_blocks, out_budget, top + out_budget - in_budget)
+        return M.restricted(rows, self._positions(col_blocks, in_budget, top))
 
     def rank(self, key) -> int:
         """Rank of the matrix under ``key``: the pivots of degree <= in_budget of its family."""
@@ -398,12 +410,11 @@ class _Grid:
             self.prove(check_inclusion, kernel_key, image_key)
         else:
             K, M = self.matrix(*kernel_key), self.matrix(*image_key)
-            pos = {r: i for i, r in enumerate(self._positions(_blocks(*image_key[:3])[1], D, top))}
-            out = {r: i for i, r in enumerate(r for r in range(M.rows) if r not in pos)}
-            block = _raw_matrix(len(pos), M.cols, {(pos[r], c): v for (r, c), v in M.entries.items() if r in pos})
-            rest = _raw_matrix(len(out), M.cols, {(out[r], c): v for (r, c), v in M.entries.items() if r in out})
+            pos = self._positions(_blocks(*image_key[:3])[1], D, top)
+            held = set(pos)
+            rest = M.restricted([r for r in range(M.rows) if r not in held])
             outside = rank(rest)
-            if rank(vstack(rest, K.mul(block))) != outside:
+            if rank(vstack(rest, K.mul(M.restricted(pos)))) != outside:
                 raise LinearAlgebraError("image is not contained in the kernel: broken complex")
             image -= outside
         return kernel, image
@@ -413,7 +424,7 @@ def _bott_chern(grid: _Grid, p: int, q: int, D: int) -> tuple:
     """(dim ker, dim im) of ker partial_f & ker dbar_f modulo im partial_f dbar_f at (p,q,D)."""
     gap = grid.gap
     # with no partial_f entries the stack ranks as dbar_f alone (read at the family top: equal ranks at D)
-    kernel = ("stacked" if grid._family(("partial_f", p, q, D, D + gap, None)).matrix.entries else "dbar_f", p, q, D, D + gap, None)
+    kernel = ("dbar_f" if grid._family(("partial_f", p, q, D, D + gap, None)).matrix.is_zero else "stacked", p, q, D, D + gap, None)
     image = ("composed", p - 1, q - 1, D - 2 * gap, D, None) if p and q and D >= 2 * gap else None
     return grid.group(kernel, image)
 
@@ -600,7 +611,7 @@ def cone_blocks(
     m11 = operator_matrix("dbar_f", mu.target, p, q, in_t, out_t)
     m21 = pullback_matrix(mu, p, q, in_t, out_s)
     if q == 0:
-        m22 = _raw_matrix(m21.rows, 0, {})
+        m22 = Matrix.zero(m21.rows, 0)
     else:
         m22 = -operator_matrix("dbar_f", source_model, p, q - 1, in_s, out_s)
     cone = vstack(hstack(m11, Matrix.zero(m11.rows, m22.cols)), hstack(m21, m22))

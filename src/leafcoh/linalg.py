@@ -1,59 +1,69 @@
-"""Exact sparse linear algebra over the Gaussian rationals, eliminated on ints.
+"""Exact sparse linear algebra over the Gaussian rationals, held and eliminated on ints.
+
+A Matrix is one column-compressed store (Davis, Direct Methods for Sparse
+Linear Systems, 2006, ch. 2) of den * M, den the least common denominator;
+with an i among the entries it stores the realification (an entry a + b*i
+becomes the block [[a, -b], [b, a]]), a ring map, so products, stacks,
+restrictions and the K * M = 0 proof of ``check_inclusion`` run on ints
+alike.  GaussianRationals appear only where vectors leave (``kernel_basis``,
+``solve``, ``Matrix.columns``, ``Matrix.matvec``) and in the read-only
+``entries`` view.
 
 Everything reduces to one deterministic elimination, ``_gauss_jordan``:
 columns are taken in ascending order, the sparsest row holding a column
 supplies its pivot, and the elimination stops at echelon form.  It runs
-fraction-free on int rows (``_integer_rows``), and a column index keeps,
-for each column, the rows holding an entry in it, so a pivot step touches
-only those rows.  Ranks come from ``pivot_columns``, which runs it on each
-connected block of a matrix on its own; ``kernel_basis`` and ``solve`` read
-their answers off the reduced echelon form of ``_reduced``, which clears
-each pivot column above its pivot and divides by the pivots only as it
-hands GaussianRationals (algebra, canonical) back.  ``check_inclusion``
-proves K * M = 0 on ints too.  Results are exact and reproducible across
-platforms; there is no floating point anywhere.
+fraction-free (Bareiss, 1968) on int rows read off the store, and a column
+index keeps, for each column, the rows holding an entry in it, so a pivot
+step touches only those rows.  Ranks come from ``pivot_columns``, which
+runs it on each connected block of a matrix on its own; ``kernel_basis``
+and ``solve`` read their answers off the reduced echelon form of
+``_reduced``, which clears each pivot column above its pivot and divides
+by the pivots only as it hands GaussianRationals back.  There is no
+floating point anywhere.
 
-Matrices are sparse maps (row, col) -> scalar.  Vectors are sparse maps
-index -> nonzero scalar, a plain dict with no length of its own: the matrix
-or subspace a vector goes with fixes its dimension.  Forms are vectorised
-straight into this format (cohomology.vectorize / form_from_vector).
+Vectors are sparse maps index -> nonzero scalar, a plain dict with no
+length of its own: the matrix or subspace a vector goes with fixes its
+dimension.  Forms are vectorised straight into this format
+(cohomology.vectorize / form_from_vector).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
+from array import array
+from itertools import accumulate
 from math import gcd, lcm
-from operator import itemgetter
 
 # LinearAlgebraError lives in algebra, so that cli.main catches it without
 # loading this module; it is the same class under both names.
-from .algebra import GaussianRational, LinearAlgebraError, ONE, ZERO, _normal
+from .algebra import GaussianRational, LinearAlgebraError, ONE, _normal
 
 
 class Matrix:
-    """A rows x cols matrix with a sparse entry map; no zero entries stored.
+    """A rows x cols matrix over the Gaussian rationals, column-compressed on ints.
 
-    The constructor checks bounds and drops zeros; products, stacks and the
-    operator assembly build their clean results with ``_raw_matrix``.
+    Stored column c holds the rows ``idx[ptr[c]:ptr[c + 1]]`` (an
+    array('q')), ascending, with the nonzero int values
+    ``val[ptr[c]:ptr[c + 1]]`` over ``den``; with ``step`` 2 the store is the
+    realification, column c of M its columns 2c and 2c + 1 = i * (2c).  The
+    constructor takes a map (row, col) -> scalar, checks bounds and drops
+    zeros; assembly, products, stacks and restrictions write the store
+    (``_store``).  A Matrix is not mutated once made.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_by_col")
+    __slots__ = ("rows", "cols", "step", "den", "ptr", "idx", "val")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise LinearAlgebraError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        self._by_col = None
-        clean = {}
+        by_col = {}
         for (r, c), v in (entries or {}).items():
             if not 0 <= r < rows or not 0 <= c < cols:
                 raise LinearAlgebraError(f"entry ({r},{c}) out of bounds {rows}x{cols}")
             if not isinstance(v, GaussianRational):
                 v = GaussianRational(v)
             if v:
-                clean[(r, c)] = v
-        self.entries = clean
+                by_col.setdefault(c, []).append((r, v))
+        _from_gaussian(rows, [sorted(by_col.get(c, ())) for c in range(cols)], self)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -61,65 +71,44 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return _store(n, n, 1, 1, array("q", range(n + 1)), array("q", range(n)), [1] * n) if n >= 0 else cls(n, n)
 
     @classmethod
     def from_columns(cls, columns, rows: int):
         """The matrix whose column j is the sparse vector columns[j]."""
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                entries[(i, j)] = v
-        return cls(rows, len(columns), entries)
+        return cls(rows, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in col.items()})
 
     @classmethod
     def from_rows_list(cls, data):
-        rows = len(data)
         cols = len(data[0]) if data else 0
-        entries = {}
         for i, row in enumerate(data):
             if len(row) != cols:
                 raise LinearAlgebraError(f"row {i} has {len(row)} entries, row 0 has {cols}")
-            for j, v in enumerate(row):
-                entries[(i, j)] = v if isinstance(v, GaussianRational) else GaussianRational(v)
-        return cls(rows, cols, entries)
+        return cls(len(data), cols, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)})
 
-    def row_dicts(self) -> list:
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+    def _column(self, c) -> list:
+        """Column c as (row, GaussianRational) pairs, rows ascending."""
+        s, parts = self.step, {}
+        for r, v in zip(self.idx[self.ptr[s * c] : self.ptr[s * c + 1]], self.val[self.ptr[s * c] : self.ptr[s * c + 1]]):
+            parts.setdefault(r // s, [0, 0])[r % s] = v
+        return [(r, _normal(a, b, self.den)) for r, (a, b) in parts.items()]
 
-    def _column_index(self) -> dict:
-        """col -> {row: value}, built on first use; a Matrix is not mutated once made."""
-        by_col = self._by_col
-        if by_col is None:
-            by_col = self._by_col = {}
-            for (r, c), v in self.entries.items():
-                col = by_col.get(c)
-                if col is None:
-                    by_col[c] = {r: v}
-                else:
-                    col[r] = v
-        return by_col
+    @property
+    def entries(self) -> dict:
+        """A read-only view: a fresh dict (row, col) -> nonzero GaussianRational, column by column."""
+        return {(r, c): v for c in range(self.cols) for r, v in self._column(c)}
 
     def columns(self, js=None) -> list:
         """The columns js (default: all) as sparse vectors."""
-        by_col = self._column_index()
-        js = range(self.cols) if js is None else js
-        return [dict(by_col.get(j, ())) for j in js]
+        return [dict(self._column(j)) for j in (range(self.cols) if js is None else js)]
 
     def matvec(self, vec: dict) -> dict:
         """M vec for a sparse vec; visits only the columns vec holds."""
-        by_col = self._column_index()
         out: dict = {}
         for c, x in vec.items():
-            col = by_col.get(c)
-            if col is None:
-                if not 0 <= c < self.cols:
-                    raise LinearAlgebraError(f"vector index {c} out of range for {self.cols} columns")
-                continue
-            for r, v in col.items():
+            if not 0 <= c < self.cols:
+                raise LinearAlgebraError(f"vector index {c} out of range for {self.cols} columns")
+            for r, v in self._column(c):
                 s = out.get(r)
                 out[r] = v * x if s is None else s + v * x
         return {r: v for r, v in out.items() if v}
@@ -127,112 +116,157 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinearAlgebraError("shape mismatch in matrix product")
-        other_rows = other.row_dicts()
-        acc: dict = {}
-        for (r, k), v in self.entries.items():
-            for c, w in other_rows[k].items():
-                key = (r, c)
-                s = acc.get(key, ZERO) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return _raw_matrix(self.rows, other.cols, acc)
+        A, B = _common_step(self, other)
+        ptr, idx, val = array("q", [0]), array("q"), []
+        for acc in _product_columns(A, B):
+            for r in sorted(acc):
+                if acc[r]:
+                    idx.append(r)
+                    val.append(acc[r])
+            ptr.append(len(idx))
+        return _store(self.rows, other.cols, A.step, A.den * B.den, ptr, idx, val)
+
+    def restricted(self, rows=None, cols=None) -> "Matrix":
+        """The submatrix on the rows and the columns listed, each ascending (None keeps all)."""
+        s, ptr, idx, val = self.step, self.ptr, self.idx, self.val
+        stored = lambda keep, n: range(s * n) if keep is None else keep if s == 1 else [s * k + h for k in keep for h in range(s)]
+        at = array("q", [-1]) * (s * self.rows)
+        for i, r in enumerate(stored(rows, self.rows)):
+            at[r] = i
+        new_ptr, new_idx, new_val = array("q", [0]), array("q"), []
+        for k in stored(cols, self.cols):
+            for r, v in zip(idx[ptr[k] : ptr[k + 1]], val[ptr[k] : ptr[k + 1]]):
+                if at[r] >= 0:
+                    new_idx.append(at[r])
+                    new_val.append(v)
+            new_ptr.append(len(new_idx))
+        shape = (self.rows if rows is None else len(rows), self.cols if cols is None else len(cols))
+        return _store(*shape, s, self.den, new_ptr, new_idx, new_val)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def __neg__(self):
-        negated = {}  # entries that are one shared scalar share one negation
-        return _raw_matrix(
-            self.rows, self.cols, {k: negated.get(id(v)) or negated.setdefault(id(v), -v) for k, v in self.entries.items()}
-        )
+        return _store(self.rows, self.cols, self.step, self.den, self.ptr, self.idx, [-v for v in self.val])
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        """[A | B] * [I; I], one int product."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinearAlgebraError("shape mismatch in matrix sum")
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            s = acc.get(k, ZERO) + v
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-        return Matrix(self.rows, self.cols, acc)
+        return hstack(self, other).mul(vstack(Matrix.identity(self.cols), Matrix.identity(self.cols)))
 
     def __sub__(self, other):
         return self + (-other)
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.val
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        # the least denominator makes the store of a matrix at a step unique
+        A, B = _common_step(self, other)
+        return (A.rows, A.cols, A.den, A.ptr, A.idx, A.val) == (B.rows, B.cols, B.den, B.ptr, B.idx, B.val)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
+def _store(rows: int, cols: int, step: int, den: int, ptr, idx, val: list, M=None) -> Matrix:
+    """M (default: a new Matrix) over a store as Matrix describes it, taken without a
+    copy or a check, its values over the least denominator."""
+    g = gcd(den, *val) if den > 1 else 1
+    if g > 1:
+        den, val = den // g, [v // g for v in val]
+    M = object.__new__(Matrix) if M is None else M
+    M.rows, M.cols, M.step, M.den, M.ptr, M.idx, M.val = rows, cols, step, den, ptr, idx, val
+    return M
+
+
+def _realified_column(col: list) -> list:
+    """The stored columns 2c and 2c + 1 = i * (2c), as (row, int) pairs, of a
+    column c given as (row, a, b) triples for its entries (a + b*i) / den, rows ascending."""
+    return [
+        [(2 * r + h, x) for r, a, b in col for h, x in ((0, a), (1, b)) if x],
+        [(2 * r + h, x) for r, a, b in col for h, x in ((0, -b), (1, a)) if x],
+    ]
+
+
+def _from_gaussian(rows: int, columns: list, M=None) -> Matrix:
+    """M (default: a new Matrix) with the columns given as lists of (row, nonzero
+    GaussianRational) pairs, rows ascending."""
+    values = [v for col in columns for _, v in col]
+    step, den = (2 if any(v.b for v in values) else 1), lcm(*{v.d for v in values})
+    if step == 2:
+        columns = [part for col in columns for part in _realified_column([(r, v.a * (den // v.d), v.b * (den // v.d)) for r, v in col])]
+    ptr = array("q", accumulate(map(len, columns), initial=0))
+    idx = array("q", [r for col in columns for r, _ in col])
+    val = [v for col in columns for _, v in col] if step == 2 else [v.a * (den // v.d) for v in values]
+    return _store(rows, len(columns) // step, step, den, ptr, idx, val, M)
+
+
+def _common_step(A: Matrix, B: Matrix) -> tuple:
+    """A and B at one step: a real store is realified (a at (r, c) to a at (2r, 2c) and
+    (2r + 1, 2c + 1)) when the other holds an i."""
+    if A.step == B.step:
+        return A, B
+    M = A if A.step == 1 else B
+    cols = [[(2 * r + h, v) for r, v in zip(M.idx[lo:hi], M.val[lo:hi])] for lo, hi in zip(M.ptr, M.ptr[1:]) for h in (0, 1)]
+    ptr, idx = array("q", accumulate(map(len, cols), initial=0)), array("q", [r for col in cols for r, _ in col])
+    M = _store(M.rows, M.cols, 2, M.den, ptr, idx, [v for col in cols for _, v in col])
+    return (M, B) if A.step == 1 else (A, M)
+
+
+def _product_columns(A: Matrix, B: Matrix):
+    """The stored columns of A * B (A and B at one step) as maps row -> int, one at a time."""
+    a_ptr, a_idx, a_val = A.ptr, A.idx, A.val
+    for lo, hi in zip(B.ptr, B.ptr[1:]):
+        acc = {}
+        for k, w in zip(B.idx[lo:hi], B.val[lo:hi]):
+            for r, v in zip(a_idx[a_ptr[k] : a_ptr[k + 1]], a_val[a_ptr[k] : a_ptr[k + 1]]):
+                acc[r] = acc.get(r, 0) + v * w
+        yield acc
+
+
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.cols != bottom.cols:
         raise LinearAlgebraError("vstack needs equal column counts")
-    entries = dict(top.entries)
-    for (r, c), v in bottom.entries.items():
-        entries[(top.rows + r, c)] = v
-    return _raw_matrix(top.rows + bottom.rows, top.cols, entries)
+    A, B = _common_step(top, bottom)
+    den = lcm(A.den, B.den)
+    a_val, b_val = [v * (den // A.den) for v in A.val], [v * (den // B.den) for v in B.val]
+    b_idx = array("q", [r + A.step * A.rows for r in B.idx])
+    ptr, idx, val = array("q", [0]), array("q"), []
+    for a, b, a_end, b_end in zip(A.ptr, B.ptr, A.ptr[1:], B.ptr[1:]):
+        idx += A.idx[a:a_end]
+        idx += b_idx[b:b_end]
+        val += a_val[a:a_end] + b_val[b:b_end]
+        ptr.append(len(idx))
+    return _store(top.rows + bottom.rows, top.cols, A.step, den, ptr, idx, val)
 
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:
     if left.rows != right.rows:
         raise LinearAlgebraError("hstack needs equal row counts")
-    entries = dict(left.entries)
-    for (r, c), v in right.entries.items():
-        entries[(r, left.cols + c)] = v
-    return _raw_matrix(left.rows, left.cols + right.cols, entries)
+    A, B = _common_step(left, right)
+    den = lcm(A.den, B.den)
+    ptr = A.ptr + array("q", [p + len(A.idx) for p in B.ptr[1:]])
+    val = [v * (den // A.den) for v in A.val] + [v * (den // B.den) for v in B.val]
+    return _store(left.rows, left.cols + right.cols, A.step, den, ptr, A.idx + B.idx, val)
 
 
-def _raw_matrix(rows: int, cols: int, entries: dict) -> Matrix:
-    """A Matrix over entries that are in bounds and nonzero GaussianRationals, taken without a copy."""
-    M = object.__new__(Matrix)
-    M.rows = rows
-    M.cols = cols
-    M.entries = entries
-    M._by_col = None
-    return M
+def _int_rows(M: Matrix, cols, place) -> list:
+    """The int rows of M's stored columns ``cols``, column c keyed place[c], in order of first entries."""
+    rows = {}
+    for c in cols:
+        for r, v in zip(M.idx[M.ptr[c] : M.ptr[c + 1]], M.val[M.ptr[c] : M.ptr[c + 1]]):
+            rows.setdefault(r, {})[place[c]] = v
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
 # Elimination
 # ---------------------------------------------------------------------------
-
-
-def _integer_rows(entries, step: int, den: int) -> list:
-    """The int rows of ((row, col), GaussianRational) pairs times den, a common
-    denominator, in the order of their first entries.  With step 2 a row w
-    becomes the rows (Re w, -Im w) and (Im w, Re w), the parts of column c at
-    2c and 2c + 1, which span w and i*w: a column raises the complex rank
-    exactly when its two real columns raise the real rank, and a real row
-    (a, -b) at 2c, 2c + 1 reads back as the entry a + b*i."""
-    rows = {}
-    for (r, c), v in entries:
-        s = den // v.d
-        if step == 1:
-            rows.setdefault(r, {})[c] = v.a * s
-        else:
-            re, im = rows.setdefault(2 * r, {}), rows.setdefault(2 * r + 1, {})
-            a, b, c = v.a * s, v.b * s, 2 * c
-            if a:
-                re[c] = im[c + 1] = a
-            if b:
-                re[c + 1], im[c] = -b, b
-    return list(rows.values())
 
 
 def _index(rows: list) -> dict:
@@ -315,21 +349,21 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     return pivots
 
 
-def _reduced(rows: list, ncols: int) -> list:
-    """In-place reduced echelon form on sparse rows of GaussianRationals; the pivot columns.
+def _reduced(M: Matrix, ncols: int) -> tuple:
+    """(pivots, rows): M's pivot columns, ascending, and its reduced pivot rows as
+    sparse rows of GaussianRationals.
 
-    The int rows (``_integer_rows``) are eliminated in every column, keys
-    from ``ncols`` on too, and cleared above each pivot below ``ncols``.
-    Only then are the rows whose pivot is a real(-part) column divided by
-    it and read back: the pivot rows, those of the carried keys, then empty
-    rows.  The reduced echelon form is unique, so neither the pivot rule nor
-    the integer arithmetic changes the pivot rows below ``ncols``.
+    M's int rows are eliminated in every column, columns from ``ncols`` on
+    too, and cleared above each pivot below ``ncols``.  Only then are the
+    rows whose pivot is a real(-part) column divided by it and read back,
+    in pivot order.  The reduced echelon form is unique, so neither the
+    pivot rule nor the integer arithmetic changes the rows of the pivots
+    below ``ncols``.
     """
-    values = [v for row in rows for v in row.values()]
-    step, den = (2 if any(v.b for v in values) else 1), lcm(*{v.d for v in values})
-    ints = _integer_rows((((i, c), v) for i, row in enumerate(rows) for c, v in row.items()), step, den)
-    pivots = _gauss_jordan(ints, 1 + max((k for row in ints for k in row), default=0))
-    rank = sum(c < step * ncols for c in pivots)
+    s = M.step
+    ints = _int_rows(M, range(s * M.cols), range(s * M.cols))
+    pivots = _gauss_jordan(ints, s * M.cols)
+    rank = sum(c < s * ncols for c in pivots)
     where = _index(ints[:rank])
     for k in range(rank - 1, -1, -1):
         c = pivots[k]
@@ -338,13 +372,13 @@ def _reduced(rows: list, ncols: int) -> list:
             _combine(ints[i], c, ints[k][c], pairs, where, i)
     out = []
     for c, row in zip(pivots, ints):
-        if c % step == 0:
+        if c % s == 0:
+            # a realified row holds (a, -b) at 2j, 2j + 1 for the entry a + b*i
             parts, p = {}, row[c]
             for k, v in row.items():
-                parts.setdefault(k // step, [0, 0])[k % step] = v if p > 0 else -v
+                parts.setdefault(k // s, [0, 0])[k % s] = v if p > 0 else -v
             out.append({j: _normal(a, -b, abs(p)) for j, (a, b) in parts.items()})
-    rows[:] = out + [{} for _ in range(len(rows) - len(out))]
-    return [c // step for c in pivots[:rank] if c % step == 0]
+    return [c // s for c in pivots if c % s == 0], out
 
 
 def pivot_columns(M: Matrix, order=None) -> list:
@@ -353,18 +387,20 @@ def pivot_columns(M: Matrix, order=None) -> list:
     Columns go left to right in ``order`` (a list of M's columns, default
     ascending), and a pivot is given as its place in that order.  Pivots are
     the columns that raise the rank of those before them, whatever the row
-    operations, so each connected block (columns joined by a row, found by
-    union-find over M's entries) is eliminated on its own int rows, built
-    only then.  A block of one row or one column has its first column as
-    its pivot.
+    operations, so each connected block of the stored columns (joined by a
+    row, found by union-find over the store) is eliminated on its own int
+    rows, built only then.  A block of one row or one column has its first
+    column as its pivot.
     """
-    place = range(M.cols)
+    s, ptr, idx = M.step, M.ptr, M.idx
+    n = s * M.cols
+    place = range(n)
     if order is not None:
-        place = [0] * M.cols
-        for j, c in enumerate(order):
-            place[c] = j
-    entries = M.entries
-    parent = list(range(M.cols))
+        place = array("q", bytes(8 * n))
+        for j, c in enumerate(order):  # at step 2, 2c and 2c + 1 go to 2j and 2j + 1
+            place[s * c] = s * j
+            place[s * c + s - 1] = s * j + s - 1
+    parent = array("q", range(n))
 
     def find(j):
         while parent[j] != j:
@@ -372,26 +408,22 @@ def pivot_columns(M: Matrix, order=None) -> list:
             j = parent[j]
         return j
 
-    first = [None] * M.rows  # the place of a column each row holds
-    for r, c in entries:
-        if first[r] is None:
-            first[r] = place[c]
-        else:
-            parent[find(place[c])] = find(first[r])
+    first = array("q", [-1]) * (s * M.rows)  # the place of a column each row holds
+    for c in range(n):
+        for r in idx[ptr[c] : ptr[c + 1]]:
+            if first[r] < 0:
+                first[r] = place[c]
+            else:
+                parent[find(place[c])] = find(first[r])
     blocks = {}
-    for key in entries:
-        blocks.setdefault(find(place[key[1]]), []).append(key)
+    for c in range(n):
+        if ptr[c] < ptr[c + 1]:
+            blocks.setdefault(find(place[c]), []).append(c)
     pivots = []
-    step, den = (2 if any(v.b for v in entries.values()) else 1), lcm(*{v.d for v in entries.values()})
-    while blocks:
-        keys = blocks.popitem()[1]
-        # a block of one row, or of rows of one entry each, has one column
-        if len(keys) == 1 or len({r for r, _ in keys}) in (1, len(keys)):
-            pivots.append(min(place[c] for _, c in keys))
-        else:
-            rows = _integer_rows((((key[0], place[key[1]]), entries[key]) for key in keys), step, den)
-            pivots += [c // step for c in _gauss_jordan(rows, step * M.cols) if c % step == 0]
-    return sorted(pivots)
+    for cols in blocks.values():
+        rows = _int_rows(M, cols, place) if len(cols) > 1 else ()
+        pivots += _gauss_jordan(rows, n) if len(rows) > 1 else [min(place[c] for c in cols)]
+    return sorted(p // s for p in pivots if p % s == 0)
 
 
 def rank(M: Matrix) -> int:
@@ -428,8 +460,7 @@ def kernel_basis(M: Matrix) -> Subspace:
     with a 1 at j and the negated reduced-row entries at the pivot columns
     before j.
     """
-    rows = M.row_dicts()
-    pivots = _reduced(rows, M.cols)
+    pivots, rows = _reduced(M, M.cols)
     # a reduced pivot row holds its pivot and entries in free columns only
     held = {}
     for pc, row in zip(pivots, rows):
@@ -448,39 +479,13 @@ def kernel_basis(M: Matrix) -> Subspace:
 
 
 def check_inclusion(d: Matrix, image: Matrix):
-    """im(image) <= ker(d), proved by d * image == 0 on ints, each factor times
-    a common denominator, one row of the product at a time: image's row k is
-    the run ``starts[k]:starts[k + 1]`` of (key, value), the real part of
-    column c at key 2c and the imaginary at 2c + 1.  A failure means the
-    complex is broken (d*d != 0 or budgets misconfigured) and raises
-    LinearAlgebraError."""
+    """im(image) <= ker(d), proved by d * image == 0 on the stored ints, one
+    column of the product at a time.  A failure means the complex is broken
+    (d*d != 0 or budgets misconfigured) and raises LinearAlgebraError."""
     if d.cols != image.rows:
         raise LinearAlgebraError("shape mismatch in matrix product")
-    den = lcm(*{v.d for v in image.entries.values()})
-    counts, keys, values = [0] * image.rows, [], []
-    for k, c in sorted(image.entries):
-        v = image.entries[(k, c)]
-        for part, x in enumerate((v.a, v.b)):
-            if x:
-                counts[k] += 1
-                keys.append(2 * c + part)
-                values.append(x * (den // v.d))
-    starts = list(accumulate(counts, initial=0))
-    den = lcm(*{v.d for v in d.entries.values()})
-    # an entry of d at a column whose row of image is empty adds nothing
-    for _, run in groupby(sorted(key for key in d.entries if counts[key[1]]), itemgetter(0)):
-        acc = {}
-        for key in run:
-            v = d.entries[key]
-            x, y, k = v.a * (den // v.d), v.b * (den // v.d), key[1]
-            for j in range(starts[k], starts[k + 1]):
-                c, u = keys[j], values[j]
-                acc[c] = acc.get(c, 0) + x * u
-                if y:  # i times a real part at 2c is imaginary, at 2c + 1; i*i = -1
-                    c ^= 1
-                    acc[c] = acc.get(c, 0) + (y * u if c & 1 else -y * u)
-        if any(acc.values()):
-            raise LinearAlgebraError("image is not contained in the kernel: broken complex")
+    if any(any(acc.values()) for acc in _product_columns(*_common_step(d, image))):
+        raise LinearAlgebraError("image is not contained in the kernel: broken complex")
 
 
 def solve(M: Matrix, b: dict) -> dict | None:
@@ -488,20 +493,15 @@ def solve(M: Matrix, b: dict) -> dict | None:
 
     b rides along as column ``M.cols`` of the reduced elimination of
     [M | b]; M alone steers the pivots, so x is read at them and free
-    variables are zero.  None means a row that is no pivot row holds b.
-    b's values are taken as Matrix takes entries: an int or a Fraction
-    becomes a GaussianRational, a float raises TypeError.
+    variables are zero.  None means b's column holds a pivot.  b's values
+    are taken as Matrix takes entries: an int or a Fraction becomes a
+    GaussianRational, a float raises TypeError.
     """
-    rows = M.row_dicts()
     n = M.cols
-    for i, v in b.items():
+    for i in b:
         if not 0 <= i < M.rows:
             raise LinearAlgebraError(f"right-hand side index {i} out of range for {M.rows} rows")
-        if not isinstance(v, GaussianRational):
-            v = GaussianRational(v)
-        if v:
-            rows[i][n] = v
-    pivots = _reduced(rows, n)
-    if any(n in row for row in rows[len(pivots) :]):
+    pivots, rows = _reduced(hstack(M, Matrix(M.rows, 1, {(i, 0): v for i, v in b.items()})), n)
+    if pivots and pivots[-1] >= n:
         return None
     return {c: row[n] for c, row in zip(pivots, rows) if n in row}

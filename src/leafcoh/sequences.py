@@ -87,10 +87,8 @@ def direct_sum(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     diffs = []
     for q in range(len(a.dims) - 1):
         da, db = a.diffs[q], b.diffs[q]
-        entries = dict(da.entries)
-        for (r, c), v in db.entries.items():
-            entries[(da.rows + r, da.cols + c)] = v
-        diffs.append(Matrix(dims[q + 1], dims[q], entries))
+        lower = [{da.rows + r: v for r, v in col.items()} for col in db.columns()]
+        diffs.append(Matrix.from_columns(da.columns() + lower, dims[q + 1]))
     return CochainComplex(dims, diffs)
 
 
@@ -360,22 +358,11 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
 
     # the cone is [[right, 0], [mu*, left]] grade by grade, so d_M [0; I] =
     # [0; I] d_L and [I 0] d_M = d_R [I 0] hold by block algebra
+    identities = [Matrix.identity(t + s) for t, s in zip(t_dim, s_dim)]
     inject = ChainMap._commuting(
-        left,
-        middle,
-        [
-            Matrix(t_dim[q] + s_dim[q], s_dim[q], {(t_dim[q] + i, i): 1 for i in range(s_dim[q])})
-            for q in range(grades)
-        ],
+        left, middle, [I.restricted(None, range(t, I.cols)) for I, t in zip(identities, t_dim)]
     )
-    project = ChainMap._commuting(
-        middle,
-        right,
-        [
-            Matrix(t_dim[q], t_dim[q] + s_dim[q], {(i, i): 1 for i in range(t_dim[q])})
-            for q in range(grades)
-        ],
-    )
+    project = ChainMap._commuting(middle, right, [I.restricted(range(t)) for I, t in zip(identities, t_dim)])
     # [0; I] is injective, [I 0] onto, and its kernel is the image of [0; I]
     ses = ShortExactSequence._exact(left, middle, right, inject, project)
     return RelativeComplex(mu, p, tb, sb, ses)

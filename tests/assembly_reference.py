@@ -18,7 +18,7 @@ from operator import add
 from leafcoh.algebra import ONE
 from leafcoh.cohomology import _OPS, BudgetContractError, operator_gap
 from leafcoh.forms import insert_index
-from leafcoh.linalg import _raw_matrix
+from leafcoh.linalg import Matrix
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +92,7 @@ def operator_matrix(tag, model, p, q, in_budget, out_budget, k=None):
                 key_expo[slot] = tuple(lowered)
                 key = (A, merged, tuple(key_expo)) if dq else (merged, B, tuple(key_expo))
                 entries[(out_idx[key], j)] = ft * (front * s * c)
-    return _raw_matrix(len(out_idx), len(in_basis), entries)
+    return Matrix(len(out_idx), len(in_basis), entries)
 
 
 def inclusion_positions(model, p, q, small, big):

@@ -18,12 +18,12 @@ from __future__ import annotations
 from functools import cached_property
 
 from leafcoh import linalg
-from leafcoh.algebra import ONE
 from leafcoh.linalg import (
     LinearAlgebraError,
     Matrix,
     Subspace,
     check_inclusion,
+    hstack,
     kernel_basis,
     rank,
     solve,
@@ -41,12 +41,10 @@ class FactorOnce:
     """
 
     def __init__(self, M: Matrix):
-        rows = M.row_dicts()
         n = M.cols
-        for i, row in enumerate(rows):
-            row[n + i] = ONE
         self.rows = M.rows
-        self.pivots = linalg._reduced(rows, n)
+        pivots, rows = linalg._reduced(hstack(M, Matrix.identity(M.rows)), n)
+        self.pivots = [c for c in pivots if c < n]
         # column i of E as (row, value) pairs
         self._e_cols = [[] for _ in range(M.rows)]
         for k, row in enumerate(rows):

@@ -23,7 +23,7 @@ _OPS = {"dbar_f": (0, 1), "partial_f": (1, 0), "dbar_f_k": (0, 1)}
 
 
 def _pivots(M: Matrix) -> list:
-    return linalg._reduced(M.row_dicts(), M.cols)
+    return linalg._reduced(M, M.cols)[0]
 
 
 def rref_rank(M: Matrix) -> int:
@@ -57,14 +57,15 @@ def span_restricted_to(vectors, keep: list, ambient_dim: int) -> Subspace:
     keep_set = set(keep)
     outside = [i for i in range(ambient_dim) if i not in keep_set]
     M = Matrix.from_columns(vectors, ambient_dim)
+    entries = M.entries
     restricted_rows = Matrix(
         len(outside),
         len(vectors),
         {
-            (ri, j): M.entries[(i, j)]
+            (ri, j): entries[(i, j)]
             for ri, i in enumerate(outside)
             for j in range(len(vectors))
-            if (i, j) in M.entries
+            if (i, j) in entries
         },
     )
     combos = kernel_basis(restricted_rows)

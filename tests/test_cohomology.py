@@ -684,10 +684,8 @@ def test_grid_pivot_degrees_match_one_global_elimination(seed, twist):
         ]
         order = sorted(range(len(degrees)), key=degrees.__getitem__)
         place = {c: j for j, c in enumerate(order)}
-        rows = [{} for _ in range(family.matrix.rows)]
-        for (r, c), v in family.matrix.entries.items():
-            rows[r][place[c]] = v
-        pivots = linalg._reduced(rows, family.matrix.cols)
+        M = family.matrix
+        pivots = linalg._reduced(Matrix(M.rows, M.cols, {(r, place[c]): v for (r, c), v in M.entries.items()}), M.cols)[0]
         assert family.pivot_degrees == [degrees[order[j]] for j in pivots], (tag, p, q)
 
 

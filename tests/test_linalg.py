@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -30,6 +29,23 @@ def G(x, y=0):
 def dense(x, n):
     """A sparse result as the dense tuple the assertions compare; None stays None."""
     return None if x is None else to_dense(x, n)
+
+
+def _row_dicts(M):
+    """M's rows as sparse dicts of GaussianRationals."""
+    rows = [{} for _ in range(M.rows)]
+    for (r, c), v in M.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def _stored_rows(M):
+    """The int rows of M's store (realified when M holds an i), in order of their first entries."""
+    rows = {}
+    for c in range(M.step * M.cols):
+        for k in range(M.ptr[c], M.ptr[c + 1]):
+            rows.setdefault(M.idx[k], {})[c] = M.val[k]
+    return list(rows.values())
 
 
 def _random_matrix(rng, rows, cols, density=0.5):
@@ -110,7 +126,7 @@ def test_solve_verifies_or_certifies(seed):
 
 def _augmented_solve(M, b):
     """Reference solve: the row-scanning elimination of [M | b]."""
-    rows = M.row_dicts()
+    rows = _row_dicts(M)
     for i, v in enumerate(b):
         if v:
             rows[i][M.cols] = v
@@ -189,7 +205,7 @@ def test_sparse_path_matches_dense_reference(seed):
     arbitrary = tuple(_gaussian_rational(rng) for _ in range(M.rows))
     units = [tuple(G(int(i == j)) for i in range(M.rows)) for j in range(M.rows)]
     pivots = dense_rref(M)[1]
-    assert linalg._reduced(M.row_dicts(), M.cols) == pivots
+    assert linalg._reduced(M, M.cols)[0] == pivots
     outcomes = []
     for b in [consistent, arbitrary, tuple(G(0) for _ in range(M.rows))] + units:
         want = dense_solve(M, b)
@@ -279,13 +295,18 @@ def _elimination_input(rng, shape):
     else:
         # an augmented system: keys at ncols and beyond ride along unpivoted
         M = _rational_matrix(rng, rng.randint(3, 8), rng.randint(2, 7), 0.5)
-        rows = M.row_dicts()
+        rows = _row_dicts(M)
         for row in rows:
             for extra in (M.cols, M.cols + 1):
                 if rng.random() < 0.6:
                     row[extra] = _gaussian_rational(rng) or G(1)
         return rows, M.cols
-    return M.row_dicts(), M.cols
+    return _row_dicts(M), M.cols
+
+
+def _as_matrix(rows, ncols):
+    """The matrix of sparse rows whose keys from ncols on ride along as two more columns."""
+    return Matrix(len(rows), ncols + 2, {(i, c): v for i, row in enumerate(rows) for c, v in row.items()})
 
 
 def _in_columns(rows, ncols):
@@ -298,14 +319,17 @@ def test_gauss_jordan_matches_row_scanning_reference(seed):
     # the reduced form is unique, so the sparsest-row forward pass and
     # _reduced's clearing above the pivots give the reference's rows; keys
     # carried beyond ncols follow the row operations, which differ, so only
-    # the columns below ncols are compared
+    # the columns below ncols are compared, and the rows of pivots carried
+    # beyond ncols hold none of them
     rng = random.Random(4200 + seed)
     rows, ncols = _elimination_input(rng, ELIMINATION_SHAPES[seed % len(ELIMINATION_SHAPES)])
     want_rows = [dict(row) for row in rows]
     want = _scanning_gauss_jordan(want_rows, ncols)
-    assert linalg._reduced(rows, ncols) == want
-    assert _in_columns(rows, ncols) == _in_columns(want_rows, ncols)
-    assert all(v for row in rows for v in row.values())
+    pivots, reduced = linalg._reduced(_as_matrix(rows, ncols), ncols)
+    assert pivots[: len(want)] == want and all(c >= ncols for c in pivots[len(want) :])
+    assert _in_columns(reduced, ncols) == _in_columns(want_rows[: len(reduced)], ncols)
+    assert not any(_in_columns(want_rows[len(reduced) :], ncols))
+    assert all(v for row in reduced for v in row.values())
 
 
 def test_forward_elimination_stops_at_echelon_form():
@@ -313,9 +337,7 @@ def test_forward_elimination_stops_at_echelon_form():
     rows = [{0: 1, 1: 1}, {0: 1, 1: 2}]
     assert linalg._gauss_jordan(rows, 2) == [0, 1]
     assert rows == [{0: 1, 1: 1}, {1: 1}]
-    reduced = Matrix.from_rows_list([[1, 1], [1, 2]]).row_dicts()
-    assert linalg._reduced(reduced, 2) == [0, 1]
-    assert reduced == [{0: G(1)}, {1: G(1)}]
+    assert linalg._reduced(Matrix.from_rows_list([[1, 1], [1, 2]]), 2) == ([0, 1], [{0: G(1)}, {1: G(1)}])
 
 
 @pytest.mark.parametrize("seed", range(64))
@@ -327,9 +349,8 @@ def test_forward_rank_matches_row_scanning_reference(seed, monkeypatch):
     want = _scanning_gauss_jordan([dict(row) for row in rows], ncols)
     # the int rows of the input, realified when it holds an i: a column c
     # is then the pair 2c, 2c + 1, and pivots come in such pairs
-    values = [v for row in rows for v in row.values()]
-    step, den = (2 if any(v.b for v in values) else 1), lcm(*{v.d for v in values})
-    start = linalg._integer_rows((((i, c), v) for i, row in enumerate(rows) for c, v in row.items()), step, den)
+    stored = _as_matrix(rows, ncols)
+    step, start = stored.step, _stored_rows(stored)
     echelon = [dict(row) for row in start]
     pivots = linalg._gauss_jordan(echelon, step * ncols)
     assert pivots == [step * c + j for c in want for j in range(step)]
@@ -379,8 +400,9 @@ def test_forward_elimination_takes_the_sparsest_row():
     # 3*(2, 2, 0) - 2*(3, 0, 0) and 3*(1, 1, 1) - (3, 0, 0), each over its
     # content, then (0, 1, 1) less (0, 1, 0)
     assert rows == [{0: 3}, {1: 1}, {2: 1}]
-    reduced, want = Matrix.from_rows_list(data).row_dicts(), Matrix.from_rows_list(data).row_dicts()
-    assert linalg._reduced(reduced, 3) == _scanning_gauss_jordan(want, 3) == [0, 1, 2]
+    pivots, reduced = linalg._reduced(Matrix.from_rows_list(data), 3)
+    want = _row_dicts(Matrix.from_rows_list(data))
+    assert pivots == _scanning_gauss_jordan(want, 3) == [0, 1, 2]
     assert reduced == want == [{0: G(1)}, {1: G(1)}, {2: G(1)}]
     # on a tie in entry count the lowest row stays
     tie = [{0: 1, 1: 1}, {0: 2, 2: 1}]
@@ -414,10 +436,10 @@ def test_blockwise_pivots_match_global_row_scanning_reference(seed):
     # one global lowest-row elimination, in M's column order and in another
     rng = random.Random(7300 + seed)
     M = _block_sum(rng)
-    assert linalg.pivot_columns(M) == _scanning_gauss_jordan(M.row_dicts(), M.cols)
+    assert linalg.pivot_columns(M) == _scanning_gauss_jordan(_row_dicts(M), M.cols)
     order = rng.sample(range(M.cols), M.cols)
     place = {c: j for j, c in enumerate(order)}
-    renamed = [{place[c]: v for c, v in row.items()} for row in M.row_dicts()]
+    renamed = [{place[c]: v for c, v in row.items()} for row in _row_dicts(M)]
     assert linalg.pivot_columns(M, order) == _scanning_gauss_jordan(renamed, M.cols)
 
 
@@ -434,7 +456,7 @@ def test_integer_ranks_and_inclusion_proof_match_gaussian_references(seed):
     rng = random.Random(8100 + seed)
     M = _block_sum(rng)
     pivots = dense_rref(M)[1]
-    assert linalg.pivot_columns(M) == linalg._reduced(M.row_dicts(), M.cols) == pivots
+    assert linalg.pivot_columns(M) == linalg._reduced(M, M.cols)[0] == pivots
     assert rank(M) == len(pivots)
     K = Matrix.from_columns(kernel_basis(M.transpose()).basis, M.rows).transpose()
     assert K.mul(M).is_zero
