@@ -38,6 +38,20 @@ def from_dense_columns(columns, rows: int) -> Matrix:
     return Matrix(rows, len(columns), entries)
 
 
+def dense_rows(M: Matrix) -> list:
+    """M as a list of dense rows."""
+    rows = [[ZERO] * M.cols for _ in range(M.rows)]
+    for (r, c), v in M.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def dense_product(A: Matrix, B: Matrix) -> list:
+    """The dense rows of A * B, summed entry by entry."""
+    a, b = dense_rows(A), dense_rows(B)
+    return [[sum((a[i][k] * b[k][j] for k in range(A.cols)), ZERO) for j in range(B.cols)] for i in range(A.rows)]
+
+
 def dense_rref(M: Matrix, extra=()) -> tuple:
     """The reduced echelon rows of [M | extra columns] and M's pivot columns.
 

@@ -8,8 +8,9 @@ prove an inclusion with ``check_inclusion``, ``_Grid`` keeps no matrix
 memo beside its families and only ``_Grid.prove`` runs the checks it is
 handed, ``linalg`` runs one
 elimination, ``_gauss_jordan(rows, ncols)``, called only by
-``pivot_columns`` and ``_reduced``, which with its row step and the
-inclusion proof runs on ints, only the composition re-check
+``pivot_columns`` and ``_reduced``, which with its row step, the
+inclusion proof, the products and the matrix store runs on ints, only
+``linalg`` reads the ``entries`` view of a matrix, only the composition re-check
 enumerates a basis, with no function cache in ``forms``, exponent
 tuples are read off packed monomials only at named boundary sites, and
 ``operators._twisted`` is the one differentiating kernel, with one exit,
@@ -420,21 +421,53 @@ def test_sequences_build_no_cone_to_read_a_rank():
     assert call_sites(sequences, "vstack") | call_sites(sequences, "hstack") == {("sequences", "make_mv_ses")}
 
 
-# the forward pass, its row step ``_combine`` and the K * M = 0 proof run on
-# ints: they invert no scalar and name no GaussianRational; kernel_basis and
+# matrices are one column-compressed store of ints: the forward pass, its row
+# step ``_combine``, the blocks of pivot_columns, the K * M = 0 proof, the
+# products, stacks and restrictions, the store's writers and the closed-form
+# assembler invert no scalar and name no GaussianRational; kernel_basis and
 # solve get GaussianRationals from _reduced, which divides by the pivots as
-# it reads its rows back
-INTEGER_FUNCTIONS = ("_gauss_jordan", "_combine", "check_inclusion")
+# it reads its rows back.  The int rows of the former dict matrices
+# (_integer_rows, row_dicts) are gone
+INTEGER_FUNCTIONS = {
+    "linalg": (
+        "_gauss_jordan", "_combine", "check_inclusion", "pivot_columns", "_int_rows", "_product_columns",
+        "_store", "_common_step", "_realified_column", "vstack", "hstack",
+        "Matrix.mul", "Matrix.restricted", "Matrix.__add__", "Matrix.__neg__", "Matrix.__eq__",
+    ),
+    "cohomology": ("operator_matrix",),
+}
 
 
 def test_elimination_and_inclusion_proof_run_on_ints():
-    source = (SRC / "linalg.py").read_text(encoding="utf-8")
-    functions = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name in INTEGER_FUNCTIONS]
-    assert sorted(f.name for f in functions) == sorted(INTEGER_FUNCTIONS)
-    for function in functions:
-        names = {n.id for n in ast.walk(function) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
-        assert not names & {"inverse", "GaussianRational"}, function.name
+    for module, wanted in INTEGER_FUNCTIONS.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        functions = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                functions.update((f"{node.name}.{n.name}", n) for n in node.body if isinstance(n, ast.FunctionDef))
+        assert set(wanted) <= set(functions), module
+        for name in wanted:
+            names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(functions[name]) if isinstance(n, ast.Attribute)}
+            assert not names & {"inverse", "GaussianRational"}, name
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    for name in ("_integer_rows", "row_dicts"):
+        assert name_users(sources, name) == set()
+
+
+# GaussianRational entries leave a matrix through kernel_basis, solve,
+# columns and matvec; the read-only ``entries`` view, a fresh dict per read,
+# is for tests and for nothing in the package but linalg itself.  The other
+# ``.entries`` readers are the check suites' own case tally (checks._Tally
+# and the forked slice that ships it), which holds no matrix
+ENTRIES_READERS = {("linalg", "Matrix"), ("checks", "_Tally"), ("checks", "_fork_slice")}
+
+
+def test_only_linalg_reads_matrix_entries():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert attribute_users(sources, "entries") == ENTRIES_READERS
 
 
 # A Series keeps each monomial as one packed int, and so do forms' monomial

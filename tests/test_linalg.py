@@ -17,7 +17,19 @@ from leafcoh.linalg import (
     vstack,
 )
 
-from dense_reference import DenseQuotient, dense_kernel_basis, dense_rref, dense_solve, to_dense, to_sparse as sp
+from leafcoh.sequences import make_relative_complex
+
+from dense_reference import (
+    DenseQuotient,
+    dense_kernel_basis,
+    dense_product,
+    dense_rows,
+    dense_rref,
+    dense_solve,
+    to_dense,
+    to_sparse as sp,
+)
+from factories import cone_sweep_scene
 from quotient_reference import FactorOnce, Quotient, contains, subspace
 from quotient_rows import column_space, from_span
 
@@ -641,3 +653,120 @@ def test_gaussian_entries():
     M = Matrix(2, 2, {(0, 0): i, (0, 1): G(1), (1, 0): G(1), (1, 1): -i})
     # second row = -i * first row, so rank 1
     assert rank(M) == 1
+
+
+# ---------------------------------------------------------------------------
+# The column-compressed store against the dense reference
+# ---------------------------------------------------------------------------
+
+
+STORE_KINDS = ("real", "gaussian", "mixed_denominators", "no_rows", "no_cols", "empty_lines", "one_row_blocks", "one_col_blocks")
+
+
+def _scalar(rng, kind):
+    if kind == "real":
+        return rng.randint(-5, 5)
+    if kind == "mixed_denominators":
+        return G(Fraction(rng.randint(-6, 6), rng.randint(1, 6)), Fraction(rng.choice([0, 0, rng.randint(-3, 3)]), rng.randint(1, 4)))
+    return G(rng.randint(-4, 4), rng.randint(-3, 3))
+
+
+def _store_input(rng, kind):
+    """(rows, cols, entries) of a seeded matrix of the given kind; zeros among the values are dropped by Matrix."""
+    if kind == "no_rows":
+        return 0, rng.randint(0, 5), {}
+    if kind == "no_cols":
+        return rng.randint(0, 5), 0, {}
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    if kind in ("one_row_blocks", "one_col_blocks"):
+        # permuted blocks of one row (or of one column) each, beside empty lines
+        row_at, col_at = rng.sample(range(12), 12), rng.sample(range(12), 12)
+        entries, r, c = {}, 0, 0
+        while r < 10 and c < 10:
+            width = rng.randint(1, 3)
+            for k in range(width):
+                key = (row_at[r], col_at[c + k]) if kind == "one_row_blocks" else (row_at[r + k], col_at[c])
+                entries[key] = _scalar(rng, "gaussian")
+            r, c = (r + 1, c + width) if kind == "one_row_blocks" else (r + width, c + 1)
+        return 12, 12, entries
+    entries = {(i, j): _scalar(rng, kind) for i in range(rows) for j in range(cols) if rng.random() < 0.5}
+    if kind == "empty_lines":
+        dead_rows, dead_cols = set(rng.sample(range(rows), rows // 2)), set(rng.sample(range(cols), cols // 2))
+        entries = {k: v for k, v in entries.items() if k[0] not in dead_rows and k[1] not in dead_cols}
+    return rows, cols, entries
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_store_matches_dense_reference(seed):
+    rng = random.Random(9900 + seed)
+    kind = STORE_KINDS[seed % len(STORE_KINDS)]
+    rows, cols, entries = _store_input(rng, kind)
+    M = Matrix(rows, cols, entries)
+    # the view holds every nonzero input value, none else, and round-trips
+    want = {k: v if isinstance(v, GaussianRational) else G(v) for k, v in entries.items() if v}
+    view = M.entries
+    assert view == want and all(v for v in view.values())
+    assert all(0 <= r < M.rows and 0 <= c < M.cols for r, c in view)
+    assert Matrix(M.rows, M.cols, view) == M and M.step == (2 if any(v.b for v in want.values()) else 1)
+    # ranks and pivots, in M's column order and in another
+    pivots = dense_rref(M)[1]
+    assert linalg.pivot_columns(M) == pivots and rank(M) == len(pivots)
+    order = rng.sample(range(M.cols), M.cols)
+    renamed = Matrix(M.rows, M.cols, {(r, order.index(c)): v for (r, c), v in view.items()})
+    assert linalg.pivot_columns(M, order) == dense_rref(renamed)[1]
+    # kernel, solve and matvec
+    assert [dense(v, M.cols) for v in kernel_basis(M).basis] == dense_kernel_basis(M)
+    x = tuple(_scalar(rng, "mixed_denominators") for _ in range(M.cols))
+    b = dense(M.matvec(sp(x)), M.rows)
+    assert list(b) == [sum((v * w for v, w in zip(row, x)), G(0)) for row in dense_rows(M)]
+    for rhs in (b, tuple(_scalar(rng, "gaussian") for _ in range(M.rows))):
+        assert dense(solve(M, sp(rhs)), M.cols) == dense_solve(M, rhs)
+    # products with a second store of any kind, sums, stacks and restrictions
+    _, inner, other = _store_input(rng, STORE_KINDS[rng.randrange(3)])
+    B = Matrix(M.cols, inner, {(r % M.cols, c): v for (r, c), v in other.items()} if M.cols else {})
+    assert dense_rows(M.mul(B)) == dense_product(M, B)
+    N = Matrix(M.rows, M.cols, {k: _scalar(rng, "mixed_denominators") for k in view if rng.random() < 0.5})
+    assert dense_rows(M + N) == [[a + b for a, b in zip(x, y)] for x, y in zip(dense_rows(M), dense_rows(N))]
+    assert (M - M).is_zero and -(-M) == M
+    assert dense_rows(vstack(M, N)) == dense_rows(M) + dense_rows(N)
+    assert dense_rows(hstack(M, N)) == [x + y for x, y in zip(dense_rows(M), dense_rows(N))]
+    keep_rows = sorted(rng.sample(range(M.rows), rng.randint(0, M.rows)))
+    keep_cols = sorted(rng.sample(range(M.cols), rng.randint(0, M.cols)))
+    full = dense_rows(M)
+    assert dense_rows(M.restricted(keep_rows, keep_cols)) == [[full[r][c] for c in keep_cols] for r in keep_rows]
+    assert dense_rows(M.restricted(keep_rows)) == [full[r] for r in keep_rows]
+    assert dense_rows(M.restricted(None, keep_cols)) == [[row[c] for c in keep_cols] for row in full]
+    # the proof: the left kernel annihilates M, and one corrupted entry of it
+    # at a nonzero row of M does not
+    K = Matrix.from_columns(kernel_basis(M.transpose()).basis, M.rows).transpose()
+    linalg.check_inclusion(K, M)
+    held = sorted({r for r, _ in view})
+    if K.rows and held:
+        bad = K + Matrix(K.rows, K.cols, {(rng.randrange(K.rows), rng.choice(held)): G(1, rng.randint(-1, 1))})
+        assert any(v for row in dense_product(bad, M) for v in row)
+        with pytest.raises(LinearAlgebraError, match=BROKEN):
+            linalg.check_inclusion(bad, M)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_store_matches_dense_reference_on_twisted_cone_families(seed):
+    # the relative complexes of the seeded morphisms and twists of the
+    # cone sweeps: twisted dbar blocks, pullbacks and their stacks
+    mu, p, rng = cone_sweep_scene(seed)
+    diffs = make_relative_complex(mu, p, 1).ses.middle.diffs
+    for q, d in enumerate(diffs):
+        pivots = dense_rref(d)[1]
+        assert linalg.pivot_columns(d) == pivots and rank(d) == len(pivots)
+        order = rng.sample(range(d.cols), d.cols)
+        renamed = Matrix(d.rows, d.cols, {(r, order.index(c)): v for (r, c), v in d.entries.items()})
+        assert linalg.pivot_columns(d, order) == dense_rref(renamed)[1]
+        assert [dense(v, d.cols) for v in kernel_basis(d).basis] == dense_kernel_basis(d)
+        assert Matrix(d.rows, d.cols, d.entries) == d
+        if q:
+            assert dense_rows(d.mul(diffs[q - 1])) == dense_product(d, diffs[q - 1])
+            linalg.check_inclusion(d, diffs[q - 1])
+            held = sorted({r for r, _ in diffs[q - 1].entries})
+            if d.rows and held:
+                bad = d + Matrix(d.rows, d.cols, {(rng.randrange(d.rows), rng.choice(held)): G(1)})
+                with pytest.raises(LinearAlgebraError, match=BROKEN):
+                    linalg.check_inclusion(bad, diffs[q - 1])
