@@ -477,7 +477,7 @@ def aeppli_row(model: FoliationModel, p: int, q: int, D: int, *, grid=None) -> d
 
 
 def _dolbeault_image_holds(M: Matrix, P: Matrix, C: Matrix) -> None:
-    if not (M.mul(P) + C).is_zero:
+    if M.mul(P) != -C:
         raise AssertionError("canonical map ill-defined: Bott-Chern image escapes the Dolbeault image")
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate
 from math import gcd, lcm
+from operator import attrgetter
 
 # LinearAlgebraError lives in algebra, so that cli.main catches it without
 # loading this module; it is the same class under both names.
@@ -197,7 +198,7 @@ def _from_gaussian(rows: int, columns: list, M=None) -> Matrix:
     """M (default: a new Matrix) with the columns given as lists of (row, nonzero
     GaussianRational) pairs, rows ascending."""
     values = [v for col in columns for _, v in col]
-    step, den = (2 if any(v.b for v in values) else 1), lcm(*{v.d for v in values})
+    step, den = (2 if any(map(attrgetter("b"), values)) else 1), lcm(*set(map(attrgetter("d"), values)))
     if step == 2:
         columns = [part for col in columns for part in _realified_column([(r, v.a * (den // v.d), v.b * (den // v.d)) for r, v in col])]
     ptr = array("q", accumulate(map(len, columns), initial=0))
@@ -350,15 +351,13 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
 
 
 def _reduced(M: Matrix, ncols: int) -> tuple:
-    """(pivots, rows): M's pivot columns, ascending, and its reduced pivot rows as
-    sparse rows of GaussianRationals.
+    """(pivots, rows): M's pivot columns, ascending, and its reduced pivot rows of GaussianRationals.
 
     M's int rows are eliminated in every column, columns from ``ncols`` on
     too, and cleared above each pivot below ``ncols``.  Only then are the
-    rows whose pivot is a real(-part) column divided by it and read back,
-    in pivot order.  The reduced echelon form is unique, so neither the
-    pivot rule nor the integer arithmetic changes the rows of the pivots
-    below ``ncols``.
+    rows whose pivot is a real(-part) column divided by it and read back.
+    The reduced echelon form is unique, so neither the pivot rule nor the
+    integer arithmetic changes the rows of the pivots below ``ncols``.
     """
     s = M.step
     ints = _int_rows(M, range(s * M.cols), range(s * M.cols))
@@ -397,9 +396,8 @@ def pivot_columns(M: Matrix, order=None) -> list:
     place = range(n)
     if order is not None:
         place = array("q", bytes(8 * n))
-        for j, c in enumerate(order):  # at step 2, 2c and 2c + 1 go to 2j and 2j + 1
-            place[s * c] = s * j
-            place[s * c + s - 1] = s * j + s - 1
+        for j, c in enumerate(order if s == 1 else [2 * c + h for c in order for h in (0, 1)]):
+            place[c] = j
     parent = array("q", range(n))
 
     def find(j):
