@@ -379,7 +379,7 @@ class _Grid:
             # pair the monomials of degree d are the range [N(d - 1), N(d))
             sizes = [count_monomials(self.model.m, self.model.n, d) for d in range(family.budget + 1)]
             starts = range(0, family.matrix.cols, sizes[-1]) if sizes else ()
-            order = [s + u for lo, hi in zip([0] + sizes, sizes) for s in starts for u in range(lo, hi)]
+            order = array("q", (s + u for lo, hi in zip([0] + sizes, sizes) for s in starts for u in range(lo, hi)))
             ends = [len(starts) * hi for hi in sizes]  # the places in order of degree <= d
             family.pivot_degrees = [bisect_right(ends, j) for j in linalg.pivot_columns(family.matrix, order)]
         return bisect_right(family.pivot_degrees, key[3])

@@ -175,8 +175,7 @@ class Matrix:
 
 
 def _store(rows: int, cols: int, step: int, den: int, ptr, idx, val: list, M=None) -> Matrix:
-    """M (default: a new Matrix) over a store as Matrix describes it, taken without a
-    copy or a check, its values over the least denominator."""
+    """M (default: a new Matrix) over a store, taken unchecked, its values over the least denominator."""
     g = gcd(den, *val) if den > 1 else 1
     if g > 1:
         den, val = den // g, [v // g for v in val]
@@ -186,8 +185,7 @@ def _store(rows: int, cols: int, step: int, den: int, ptr, idx, val: list, M=Non
 
 
 def _realified_column(col: list) -> list:
-    """The stored columns 2c and 2c + 1 = i * (2c), as (row, int) pairs, of a
-    column c given as (row, a, b) triples for its entries (a + b*i) / den, rows ascending."""
+    """Stored columns 2c, 2c + 1 = i * (2c) as (row, int) pairs of a column of (row, a, b) for (a + b*i) / den."""
     return [
         [(2 * r + h, x) for r, a, b in col for h, x in ((0, a), (1, b)) if x],
         [(2 * r + h, x) for r, a, b in col for h, x in ((0, -b), (1, a)) if x],
@@ -195,8 +193,7 @@ def _realified_column(col: list) -> list:
 
 
 def _from_gaussian(rows: int, columns: list, M=None) -> Matrix:
-    """M (default: a new Matrix) with the columns given as lists of (row, nonzero
-    GaussianRational) pairs, rows ascending."""
+    """M (default: a new Matrix) with columns of (row, nonzero GaussianRational) pairs, rows ascending."""
     values = [v for col in columns for _, v in col]
     step, den = (2 if any(map(attrgetter("b"), values)) else 1), lcm(*set(map(attrgetter("d"), values)))
     if step == 2:
@@ -208,8 +205,7 @@ def _from_gaussian(rows: int, columns: list, M=None) -> Matrix:
 
 
 def _common_step(A: Matrix, B: Matrix) -> tuple:
-    """A and B at one step: a real store is realified (a at (r, c) to a at (2r, 2c) and
-    (2r + 1, 2c + 1)) when the other holds an i."""
+    """A and B at one step: a real store is realified (a at (r, c) to (2r, 2c), (2r + 1, 2c + 1)) to meet an i."""
     if A.step == B.step:
         return A, B
     M = A if A.step == 1 else B
@@ -413,12 +409,17 @@ def pivot_columns(M: Matrix, order=None) -> list:
                 first[r] = place[c]
             else:
                 parent[find(place[c])] = find(first[r])
-    blocks = {}
-    for c in range(n):
+    # each block's columns as a chain through ``after``, from ``head`` at its root
+    head, after = array("q", [-1]) * n, array("q", [-1]) * n
+    for c in range(n - 1, -1, -1):
         if ptr[c] < ptr[c + 1]:
-            blocks.setdefault(find(place[c]), []).append(c)
+            root = find(place[c])
+            after[c], head[root] = head[root], c
     pivots = []
-    for cols in blocks.values():
+    for c in filter((-1).__lt__, head):
+        cols = [c]
+        while (c := after[c]) >= 0:
+            cols.append(c)
         rows = _int_rows(M, cols, place) if len(cols) > 1 else ()
         pivots += _gauss_jordan(rows, n) if len(rows) > 1 else [min(place[c] for c in cols)]
     return sorted(p // s for p in pivots if p % s == 0)

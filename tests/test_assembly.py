@@ -203,4 +203,4 @@ def test_grid_rank_degree_order_matches_a_stable_sort(seed, monkeypatch):
                 for bp, bq in cohomology._blocks(tag, p, q)[0]
                 for _, _, e in reference.basis(m, n, bp, bq, b)
             ]
-            assert orders.pop() == sorted(range(len(degrees)), key=degrees.__getitem__), (tag, p, q, b)
+            assert list(orders.pop()) == sorted(range(len(degrees)), key=degrees.__getitem__), (tag, p, q, b)
