@@ -226,7 +226,7 @@ def operator_matrix(
                 if key not in tables:
                     tables[key] = shifts(*key)
                 placed.append((pair_at[(A, merged) if dq else (merged, B)], tables[key]))
-        placed.sort(key=lambda block: block[0])
+        placed.sort()  # row offsets differ, so no table is compared
         for k in range(step * n_in):
             for row0, table in placed:
                 for r, v in table[k]:
