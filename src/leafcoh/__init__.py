@@ -14,6 +14,7 @@ from .forms import (
     FoliationModel,
     FormError,
     basis_dimension,
+    basis_form,
     enumerate_basis,
     rescale_power,
 )

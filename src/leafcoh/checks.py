@@ -420,14 +420,15 @@ def suite_intertwine(
 def _sample_kernel_form(rng, model, p, q, D, kernel):
     """A random integer combination of a ``linalg.Subspace`` basis, as a form."""
     from .cohomology import form_from_vector
-    from .linalg import Matrix
 
     if kernel.dim == 0:
         return FoliatedForm.zero(model, p, q, D)
     coeffs = [GaussianRational(rng.randint(-3, 3)) for _ in kernel.basis]
-    combination = {j: c for j, c in enumerate(coeffs) if c}
-    vec = Matrix.from_columns(kernel.basis, kernel.ambient_dim).matvec(combination)
-    return form_from_vector(model, p, q, D, vec)
+    vec: dict = {}
+    for c, basis_vec in zip(coeffs, kernel.basis):
+        for i, v in basis_vec.items():
+            vec[i] = vec.get(i, 0) + v * c
+    return form_from_vector(model, p, q, D, {i: v for i, v in vec.items() if v})
 
 
 _PAIRING = ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")

@@ -24,15 +24,15 @@ from array import array
 from bisect import bisect_right
 from math import lcm
 
-from .algebra import MAX_DEGREE, Series, _raw_series, pack, unpack, variable_field
+from .algebra import MAX_DEGREE, ONE, Series, _raw_series, unpack, variable_field
 from .forms import (
     FoliatedForm,
     FoliationModel,
     FormError,
+    _basis_keys,
+    _raw_form,
     basis_dimension,
-    basis_form,
     count_monomials,
-    enumerate_basis,
     inclusion_positions,
     insert_index,
     monomial_table,
@@ -237,22 +237,19 @@ def operator_matrix(
 
 
 def _applied_matrix(apply, source: tuple, target: tuple) -> Matrix:
-    """Column j: apply(element j of enumerate_basis(*source)) over enumerate_basis(*target).
+    """Column j: apply(basis form j of source) over the target basis, each a (model, p, q, budget).
 
-    Each entry is placed through an element -> position dict of the target
-    basis, built for this call from its enumeration: no position arithmetic
-    of operator_matrix is shared, and nothing outlives the call.
+    Each entry is placed through an (A, B, key) -> position dict of the
+    target basis, built for this call by enumerating it: no position
+    arithmetic of operator_matrix is shared, and nothing outlives the call.
     """
-    in_basis, budget = enumerate_basis(*source), source[3]
-    out_idx = {(A, B, pack(expo)): i for i, (A, B, expo) in enumerate(enumerate_basis(*target))}
+    model, budget = source[0], source[3]
+    out_idx = {elem: i for i, elem in enumerate(_basis_keys(*target))}
     columns = []
-    for elem in in_basis:
-        col = []
-        for (A, B), series in apply(basis_form(source[0], elem, budget)).coeffs.items():
-            for key, coeff in series.packed.items():
-                col.append((out_idx[(A, B, key)], coeff))
-        col.sort()
-        columns.append(col)
+    for A, B, key in _basis_keys(*source):
+        phi = _raw_form(model, len(A), len(B), {(A, B): _raw_series(model.m, model.n, budget, {key: ONE})}, budget)
+        image = apply(phi).coeffs.items()
+        columns.append(sorted((out_idx[(*pair, k)], c) for pair, s in image for k, c in s.packed.items()))
     return _from_gaussian(len(out_idx), columns)
 
 

@@ -504,6 +504,12 @@ def pair_table(m: int, p: int, q: int) -> tuple:
     return pairs
 
 
+def _basis_keys(model: FoliationModel, p: int, q: int, budget: int) -> list:
+    """(A, B, packed monomial key) of each element of the (p,q) basis at budget, in basis order."""
+    keys = monomial_table(model.m, model.n, budget)[0][: count_monomials(model.m, model.n, budget)]
+    return [(A, B, key) for A, B in pair_table(model.m, p, q) for key in keys]
+
+
 def basis_form(model: FoliationModel, element, budget: int) -> FoliatedForm:
     """The FoliatedForm of one element of the budget-``budget`` basis."""
     A, B, expo = element

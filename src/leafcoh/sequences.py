@@ -3,12 +3,12 @@
 The engine works on bare matrix data: a CochainComplex is a graded family of
 exact matrices with d.d = 0, a ChainMap commutes with the differentials, and
 a ShortExactSequence is verified grade by grade (injectivity, surjectivity,
-kernel = image), or is exact by construction (ShortExactSequence._exact,
-for the relative builder's [0; I] and [I 0]).  Each fact is proved once:
-d.d = 0 by one product per grade on the middle complex, which the exact
-sequence carries to the outer two (_prove_squares), and commutation by the
-ChainMap constructor, or by block algebra for the inject and project maps of
-the two builders (ChainMap._commuting).
+kernel = image).  Each fact is proved once: d.d = 0 by one product per grade
+on the middle complex, which the exact sequence carries to the outer two
+(_prove_squares), and commutation by the ChainMap constructor, or by block
+algebra for the Mayer-Vietoris inject and project maps (ChainMap._commuting).
+The relative complex builds no sequence: its cone [[d_R, 0], [mu*, d_L]] is
+0 -> L -> cone -> R -> 0 by its blocks.
 
 The long exact sequence is read off the ranks of the three differentials
 (_les_nodes): the dimensions, rk delta from rk d_M = rk d_L + rk d_R + rk
@@ -140,13 +140,6 @@ class ShortExactSequence:
         self.project = project
         self._findings = None
 
-    @classmethod
-    def _exact(cls, left, middle, right, inject: ChainMap, project: ChainMap) -> "ShortExactSequence":
-        """A sequence exact by construction: validate finds nothing and eliminates nothing."""
-        ses = cls(left, middle, right, inject, project)
-        ses._findings = []
-        return ses
-
     def validate(self) -> list:
         """Per-grade findings; empty means the sequence is exact.
 
@@ -207,15 +200,16 @@ class ShortExactSequence:
 # ---------------------------------------------------------------------------
 
 
-def _prove_squares(ses: ShortExactSequence):
+def _prove_squares(middle: CochainComplex):
     """d_M d_M = 0 on the middle complex, one exact product per grade.
 
     With the sequence exact this proves the outer complexes too: i d_L d_L =
     d_M d_M i = 0 with i injective, and d_R d_R p = p d_M d_M = 0 with p
-    surjective.  For the relative cone [[d_R, 0], [mu*, d_L]] it is also the
-    proof that mu* commutes with the differentials, up to the cone's sign.
+    surjective.  On the relative cone [[d_R, 0], [mu*, d_L]] its diagonal
+    blocks are d_R d_R and d_L d_L, and its corner is the proof that mu*
+    commutes with the differentials, up to the cone's sign.
     """
-    d = ses.middle.diffs
+    d = middle.diffs
     for q in range(1, len(d)):
         check_inclusion(d[q], d[q - 1])
 
@@ -225,11 +219,12 @@ def _cohomology_dims(cx: CochainComplex, ranks: list) -> list:
     return [n - ranks[q] - (ranks[q - 1] if q else 0) for q, n in enumerate(cx.dims)]
 
 
-def _les_nodes(ses: ShortExactSequence, labels) -> list:
+def _les_nodes(left: CochainComplex, middle: CochainComplex, right: CochainComplex, labels) -> list:
     """(group, dim, rank of the outgoing map) at every node of the long exact sequence.
 
-    The nodes are H^q(L), H^q(M), H^q(R) for q = 0..T, left by i*, p* and
-    the connecting map delta, zero at the top grade.  Over a field the
+    The nodes of 0 -> L -> M -> R -> 0 (a validated sequence, or the
+    relative cone) are H^q(L), H^q(M), H^q(R) for q = 0..T, left by i*, p*
+    and the connecting map delta, zero at the top grade.  Over a field the
     sequence splits grade by grade: in a basis i(L^q) + S^q, d_M^q is
     block-triangular with d_L^q and d_R^q on the diagonal, and its corner,
     read from ker d_R^q to coker d_L^q, is delta_q.  So rk d_M^q = rk d_L^q
@@ -238,11 +233,11 @@ def _les_nodes(ses: ShortExactSequence, labels) -> list:
     H^q(L) gives rk p*_q = dim H^q(R) - rk delta_q and rk i*_q = dim H^q(L)
     - rk delta_{q-1}; with dim M^q = dim L^q + dim R^q every node is then
     exact by arithmetic.  A negative rank is what is left to contradict the
-    sequence, a fault of the engine: LinearAlgebraError names the first
-    node it leaves.
+    sequence, a fault of the engine: LinearAlgebraError names the first node
+    it leaves.
     """
-    _prove_squares(ses)
-    cxs = (ses.left, ses.middle, ses.right)
+    _prove_squares(middle)
+    cxs = (left, middle, right)
     ranks = [[rank(d) for d in cx.diffs] + [0] for cx in cxs]
     h_l, h_m, h_r = (_cohomology_dims(cx, r) for cx, r in zip(cxs, ranks))
     delta = [m - l - r for l, m, r in zip(*ranks)]
@@ -271,17 +266,18 @@ def snake_les(
     findings = ses.validate()
     if findings:
         raise SESValidationError(findings)
-    report_nodes = [
-        {"group": label, "dim": dim, "out_map": map_labels[k % 3], "out_map_rank": out_rank, "exact": True}
-        for k, (label, dim, out_rank) in enumerate(_les_nodes(ses, labels))
-    ]
-    alternating = 0
-    for k, node in enumerate(report_nodes):
-        alternating += node["dim"] if k % 2 == 0 else -node["dim"]
+    return _les_report(_les_nodes(ses.left, ses.middle, ses.right, labels), map_labels)
+
+
+def _les_report(nodes: list, map_labels) -> dict:
+    """The report of the nodes of _les_nodes, every one exact, and their alternating sum."""
     return {
-        "nodes": report_nodes,
+        "nodes": [
+            {"group": label, "dim": dim, "out_map": map_labels[k % 3], "out_map_rank": out_rank, "exact": True}
+            for k, (label, dim, out_rank) in enumerate(nodes)
+        ],
         "exact_everywhere": True,
-        "alternating_sum_zero": alternating == 0,
+        "alternating_sum_zero": sum(dim if k % 2 == 0 else -dim for k, (_, dim, _) in enumerate(nodes)) == 0,
     }
 
 
@@ -291,12 +287,14 @@ def snake_les(
 
 
 class RelativeComplex:
-    """Mapping cone of mu with the embedded short exact sequence.
+    """Mapping cone of mu with the two complexes it joins.
 
-    Grade q of the middle complex is target-(p,q) + source-(p,q-1); the left
-    complex is the regraded source (with differential negated so the
-    inclusion psi -> (0, psi) is a chain map; the sign does not change
-    cohomology), the right complex is the target.
+    Grade q of the middle complex is target-(p,q) + source-(p,q-1), and its
+    differential is [[d_R, 0], [mu*, d_L]]; the left complex is the regraded
+    source (with differential negated so the inclusion psi -> (0, psi) is a
+    chain map; the sign does not change cohomology), the right complex is
+    the target.  So 0 -> left -> middle -> right -> 0 is exact, by [0; I]
+    and [I 0], and no map of it is built.
     """
 
     def __init__(
@@ -305,13 +303,17 @@ class RelativeComplex:
         p: int,
         target_budgets: list,
         source_budgets: list,
-        ses: ShortExactSequence,
+        left: CochainComplex,
+        middle: CochainComplex,
+        right: CochainComplex,
     ):
         self.mu = mu
         self.p = p
         self.target_budgets = target_budgets
         self.source_budgets = source_budgets
-        self.ses = ses
+        self.left = left
+        self.middle = middle
+        self.right = right
 
     @property
     def m_source(self) -> int:
@@ -355,17 +357,7 @@ def make_relative_complex(mu: FoliatedMorphism, p: int, D: int) -> RelativeCompl
     right = CochainComplex(t_dim, right_diffs)
     left = CochainComplex(s_dim, left_diffs)
     middle = CochainComplex([t + s for t, s in zip(t_dim, s_dim)], middle_diffs)
-
-    # the cone is [[right, 0], [mu*, left]] grade by grade, so d_M [0; I] =
-    # [0; I] d_L and [I 0] d_M = d_R [I 0] hold by block algebra
-    identities = [Matrix.identity(t + s) for t, s in zip(t_dim, s_dim)]
-    inject = ChainMap._commuting(
-        left, middle, [I.restricted(None, range(t, I.cols)) for I, t in zip(identities, t_dim)]
-    )
-    project = ChainMap._commuting(middle, right, [I.restricted(range(t)) for I, t in zip(identities, t_dim)])
-    # [0; I] is injective, [I 0] onto, and its kernel is the image of [0; I]
-    ses = ShortExactSequence._exact(left, middle, right, inject, project)
-    return RelativeComplex(mu, p, tb, sb, ses)
+    return RelativeComplex(mu, p, tb, sb, left, middle, right)
 
 
 _RELATIVE_LABELS = ("F", "mu", "F'")
@@ -378,7 +370,7 @@ def relative_les(rc: RelativeComplex) -> dict:
     with maps alpha*, beta* and the connecting homomorphism (which agrees
     with the pullback).
     """
-    return snake_les(rc.ses, labels=_RELATIVE_LABELS, map_labels=("alpha*", "beta*", "delta*"))
+    return _les_report(_les_nodes(rc.left, rc.middle, rc.right, _RELATIVE_LABELS), ("alpha*", "beta*", "delta*"))
 
 
 def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
@@ -397,9 +389,8 @@ def delta_equals_pullback_check(rc: RelativeComplex) -> dict:
     mu* d_R + d_L mu*.  Each grade below the top reports its dim H^q(target)
     classes, every one equal, counted off the ranks of d_R.
     """
-    _prove_squares(rc.ses)
-    right = rc.ses.right
-    classes = _cohomology_dims(right, [rank(d) for d in right.diffs] + [0])
+    _prove_squares(rc.middle)
+    classes = _cohomology_dims(rc.right, [rank(d) for d in rc.right.diffs] + [0])
     per_grade = [{"grade": q, "classes": n, "equal": [True] * n} for q, n in enumerate(classes[:-1])]
     return {"check": "delta_equals_pullback", "grades": per_grade, "all_equal": True}
 
@@ -415,7 +406,7 @@ def corollary_boundary_report(rc: RelativeComplex) -> dict:
     grades above m' + 1; (v) the cone cohomology vanishes above
     max(m + 1, m').
     """
-    nodes = _les_nodes(rc.ses, _RELATIVE_LABELS)
+    nodes = _les_nodes(rc.left, rc.middle, rc.right, _RELATIVE_LABELS)
     m_t = rc.m_target
     m_s = rc.m_source
     # per grade: dims of H^q(source side), H^q(cone), H^q(target); ranks of

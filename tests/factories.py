@@ -10,7 +10,9 @@ invertible matrices so the structure is hidden from the engine;
 rebased_middle rewrites a sequence's middle complex once more, through a
 unipotent change of basis.
 
-cone_sweep_scene draws the random morphisms of the relative-complex sweeps.
+cone_sweep_scene draws the random morphisms of the relative-complex sweeps,
+and relative_ses builds the sequence a relative complex's three complexes
+form.
 """
 
 from __future__ import annotations
@@ -189,6 +191,16 @@ def rebased_middle(rng: random.Random, ses: ShortExactSequence) -> ShortExactSeq
     inject = ChainMap(ses.left, middle, [x.mul(i) for x, i in zip(g, ses.inject.components)])
     project = ChainMap(middle, ses.right, [p.mul(x) for p, x in zip(ses.project.components, g_inv)])
     return ShortExactSequence(ses.left, middle, ses.right, inject, project)
+
+
+def relative_ses(rc) -> ShortExactSequence:
+    """0 -> left -> cone -> right -> 0 of a relative complex, by [0; I] and
+    [I 0] grade by grade (the cone puts the target first), each map built
+    through the checking ChainMap constructor."""
+    dims = list(zip(rc.right.dims, rc.left.dims))
+    inject = ChainMap(rc.left, rc.middle, [Matrix(t + s, s, {(t + j, j): 1 for j in range(s)}) for t, s in dims])
+    project = ChainMap(rc.middle, rc.right, [Matrix(t, t + s, {(j, j): 1 for j in range(t)}) for t, s in dims])
+    return ShortExactSequence(rc.left, rc.middle, rc.right, inject, project)
 
 
 def cone_sweep_scene(seed):

@@ -16,6 +16,7 @@ from leafcoh.cohomology import form_from_vector, vectorize
 from leafcoh.linalg import LinearAlgebraError, Matrix, rank
 from leafcoh.operators import pullback
 
+from factories import relative_ses
 from quotient_reference import FactorOnce, complex_cohomology
 
 
@@ -92,8 +93,9 @@ def reference_delta_check(rc) -> dict:
     representative; equality is equality of cosets, certified by the shared
     representative coordinates.
     """
-    hl, hr = complex_cohomology(rc.ses.left), complex_cohomology(rc.ses.right)
-    connecting = _connecting(rc.ses, hl, hr)
+    ses = relative_ses(rc)
+    hl, hr = complex_cohomology(ses.left), complex_cohomology(ses.right)
+    connecting = _connecting(ses, hl, hr)
     per_grade = []
     all_equal = True
     for q in range(len(hr) - 1):

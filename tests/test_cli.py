@@ -11,7 +11,6 @@ import sys
 import pytest
 
 from leafcoh import cli, cohomology, linalg, operators, sequences
-from leafcoh.algebra import pack
 from leafcoh.cli import EXIT_INTERNAL, main
 from leafcoh.linalg import Matrix
 
@@ -658,8 +657,9 @@ def _shifted_order(monkeypatch):
 
 
 def _misplaced_monomials(monkeypatch):
-    # the re-check's target positions keyed by shifted monomials: no output term is found
-    monkeypatch.setattr(cohomology, "pack", lambda expo: pack(expo) + 1)
+    # the re-check's bases keyed by shifted monomials: an output term finds no target position
+    real = cohomology._basis_keys
+    monkeypatch.setattr(cohomology, "_basis_keys", lambda *basis: [(A, B, key + 1) for A, B, key in real(*basis)])
 
 
 def _untyped_gap(monkeypatch):
@@ -756,11 +756,11 @@ def test_long_exact_sequence_that_is_not_exact_exits_internal(capsys, monkeypatc
     real_nodes, real_rank = sequences._les_nodes, sequences.rank
     wrong = {}
 
-    def nodes(ses, labels):
-        _, _, true_rank = real_nodes(ses, labels)[3 * grade + (which == "induced_project")]
-        side = ses.left if which == "induced_inject" else ses.middle
+    def nodes(left, middle, right, labels):
+        _, _, true_rank = real_nodes(left, middle, right, labels)[3 * grade + (which == "induced_project")]
+        side = left if which == "induced_inject" else middle
         wrong.update(d=side.diffs[grade], by=true_rank + 1)
-        return real_nodes(ses, labels)
+        return real_nodes(left, middle, right, labels)
 
     def corrupted(d):
         return real_rank(d) + (wrong["by"] if d is wrong.get("d") else 0)

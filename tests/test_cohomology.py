@@ -812,8 +812,8 @@ def test_proof_watch_sees_a_rebuilt_family_left_unproved(monkeypatch):
 # (perfbench/run.py scenes sparse_m2 and sparse_m3): operator_matrix
 # assemblies, reference re-applications of the composition, pivot_columns
 # calls (one per family or matrix ranked, an entry-less one too), basis
-# enumerations, K * M = 0 proofs and the restricted copies _Grid.matrix
-# builds below a family's top.  Each family is assembled, re-checked and
+# enumerations (``forms._basis_keys``), K * M = 0 proofs and the restricted
+# copies _Grid.matrix builds below a family's top.  Each family is assembled, re-checked and
 # eliminated once at its top budget, and each set of families is proved once,
 # at the tops; a lower budget assembled, eliminated or proved again raises a
 # count.  Assembly, restriction, ranks and vectors compute basis positions,
@@ -843,7 +843,7 @@ def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, c
     counted(cohomology, "operator_matrix")
     counted(cohomology, "_applied_matrix")
     counted(linalg, "pivot_columns")
-    counted(cohomology, "enumerate_basis")
+    counted(cohomology, "_basis_keys")
     counted(cohomology, "check_inclusion")
     real_matrix = cohomology._Grid.matrix
 
@@ -855,7 +855,7 @@ def test_sparse_twist_work_counts(monkeypatch, variant, m, f_text, ps, qs, ds, c
     monkeypatch.setattr(cohomology._Grid, "matrix", matrix)
     model = FoliationModel(m, 0, 3, parse_series(f_text, m, 0, 3))
     cohomology_grid(model, variant, ps, qs, ds)
-    names = ("operator_matrix", "_applied_matrix", "pivot_columns", "enumerate_basis", "check_inclusion", "restricted")
+    names = ("operator_matrix", "_applied_matrix", "pivot_columns", "_basis_keys", "check_inclusion", "restricted")
     assert tuple(calls[name] for name in names) == counts
 
 

@@ -1,9 +1,10 @@
 """Every name a leafcoh module imports is used in that module, every
 top-level function or class is used or exported, only the seeded generators
 import ``random``, the exact engine imports neither ``sampling`` nor
-``checks``, the trusted ``ChainMap._commuting`` is used only by the two
-sequence builders and ``ShortExactSequence._exact`` only by the relative one,
-only ``checks`` forks, only ``_Grid`` and the sequences' d.d proof
+``checks``, the trusted ``ChainMap._commuting`` is used only by the
+Mayer-Vietoris builder, ``ShortExactSequence`` has no trusted ``_exact``
+and ``make_relative_complex`` builds no identity, restriction, chain map or
+sequence, only ``checks`` forks, only ``_Grid`` and the sequences' d.d proof
 prove an inclusion with ``check_inclusion``, ``_Grid`` keeps no matrix
 memo beside its families and only ``_Grid.prove`` runs the checks it is
 handed, ``linalg`` runs one
@@ -11,7 +12,8 @@ elimination, ``_gauss_jordan(rows, ncols)``, called only by
 ``pivot_columns`` and ``_reduced``, which with its row step, the
 inclusion proof, the products and the matrix store runs on ints, only
 ``linalg`` reads the ``entries`` view of a matrix, only the composition re-check
-enumerates a basis, with no function cache in ``forms``, exponent
+enumerates a basis, off the tables and never through ``enumerate_basis``, with
+no function cache in ``forms``, exponent
 tuples are read off packed monomials only at named boundary sites, and
 ``operators._twisted`` is the one differentiating kernel, with one exit,
 no raw scalar construction in ``operators`` and one index-merging product
@@ -164,9 +166,9 @@ def test_engine_does_not_import_the_suites(name):
     assert not package_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) & {"sampling", "checks"}
 
 
-# ChainMap._commuting skips the commutation product: only the two builders
-# whose inject and project maps commute by block algebra may use it
-TRUSTED_CHAIN_MAP_USERS = {("sequences", "make_relative_complex"), ("sequences", "make_mv_ses")}
+# ChainMap._commuting skips the commutation product: only the Mayer-Vietoris
+# builder, whose stacked restrictions commute by block algebra, may use it
+TRUSTED_CHAIN_MAP_USERS = {("sequences", "make_mv_ses")}
 
 
 def attribute_users(sources: dict, attr: str) -> set:
@@ -195,14 +197,22 @@ def test_trusted_chain_map_is_used_only_by_the_sequence_builders():
     assert attribute_users(sources, "_commuting") == TRUSTED_CHAIN_MAP_USERS
 
 
-# ShortExactSequence._exact skips validate's eliminations and product: only
-# the relative builder, whose [0; I] and [I 0] are exact by construction
-TRUSTED_SEQUENCE_USERS = {("sequences", "make_relative_complex")}
+# every ShortExactSequence is validated before its long exact sequence is
+# read: no trusted constructor marks one exact.  The relative complex is its
+# three complexes, the cone's blocks joining them, so its builder makes no
+# [0; I] or [I 0] to put in a sequence
+RELATIVE_BUILDER_NEVER_CALLS = {"identity", "restricted", "ChainMap", "ShortExactSequence"}
 
 
-def test_trusted_sequence_is_built_only_by_the_relative_builder():
+def test_no_sequence_is_trusted_and_the_relative_builder_builds_none():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert attribute_users(sources, "_exact") == TRUSTED_SEQUENCE_USERS
+    assert name_users(sources, "_exact") == set()
+    tree = ast.parse(sources["sequences"])
+    (builder,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "make_relative_complex"]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None)) for node in ast.walk(builder) if isinstance(node, ast.Call)
+    }
+    assert called and not called & RELATIVE_BUILDER_NEVER_CALLS
 
 
 # the check suites' case runner is the one place that forks workers; checks
@@ -329,12 +339,16 @@ def test_only_grid_prove_runs_the_checks_it_is_handed():
     assert call_sites({"cohomology": sources["cohomology"]}, checker) == {("cohomology", "_Grid")}
 
 
-# bases are positions by arithmetic over forms' monomial and pair tables; a
-# materialised basis is built only by the reference application of
-# _applied_matrix (the composition re-check and pullback_matrix), for one call.
+# bases are positions by arithmetic over forms' monomial and pair tables.  The
+# reference application of _applied_matrix (the composition re-check and
+# pullback_matrix) reads (A, B, packed key) off the same tables
+# (forms._basis_keys) and places them through a position dict built for one
+# call; no module calls the
+# public enumerate_basis, whose (A, B, expo) elements unpack every key and
+# basis_form packs them back.
 # forms keeps its tables in plain dicts keyed by (m, n) and (m, p, q) and has
 # no function cache, so no basis keyed by budget lives for the process
-BASIS_ENUMERATORS ={("cohomology", "_applied_matrix")}
+BASIS_ENUMERATORS = set()
 
 
 def call_sites(sources: dict, name: str) -> set:
@@ -378,6 +392,8 @@ def test_call_and_cache_finders():
 def test_only_the_recheck_enumerates_a_basis_and_forms_caches_no_function():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert call_sites(sources, "enumerate_basis") == BASIS_ENUMERATORS
+    assert call_sites(sources, "basis_form") == set()
+    assert call_sites(sources, "_basis_keys") == {("cohomology", "_applied_matrix")}
     assert cached_functions(sources["forms"]) == []
 
 
@@ -474,7 +490,7 @@ def test_only_linalg_reads_matrix_entries():
 # table and the closed-form assembler.  Exponent tuples, from ``unpack`` or
 # the ``terms`` view, are read only at these boundary sites: the view and the
 # formatter's sorted terms; the public (A, B, expo) elements of
-# ``enumerate_basis``, built for the reference application only; and
+# ``enumerate_basis``, which no module of the package calls; and
 # ``vectorize``, which unpacks a key only to word the BudgetContractError of
 # a term that fits no basis position.  A hot path that reads tuples again
 # shows up here.

@@ -753,7 +753,7 @@ def test_store_matches_dense_reference_on_twisted_cone_families(seed):
     # the relative complexes of the seeded morphisms and twists of the
     # cone sweeps: twisted dbar blocks, pullbacks and their stacks
     mu, p, rng = cone_sweep_scene(seed)
-    diffs = make_relative_complex(mu, p, 1).ses.middle.diffs
+    diffs = make_relative_complex(mu, p, 1).middle.diffs
     for q, d in enumerate(diffs):
         pivots = dense_rref(d)[1]
         assert linalg.pivot_columns(d) == pivots and rank(d) == len(pivots)

@@ -33,7 +33,7 @@ from leafcoh.sequences import (
 )
 
 from dense_reference import DenseQuotient, dense_solve, to_dense, to_sparse
-from factories import cone_sweep_scene, random_ses, rebased_middle
+from factories import cone_sweep_scene, random_ses, rebased_middle, relative_ses
 from quotient_reference import FactorOnce, complex_cohomology
 from snake_reference import reference_delta_check, reference_nodes, reference_snake
 
@@ -164,7 +164,7 @@ def test_relative_snake_matches_golden(D):
     # golden matrices' ranks
     golden = json.loads(GOLDEN.read_text())
     scene = cli.Scene(dict(golden["scene"], model=dict(golden["scene"]["model"], budget=D)))
-    ses = make_relative_complex(scene.morphism(), 0, D).ses
+    ses = relative_ses(make_relative_complex(scene.morphism(), 0, D))
     ref = reference_snake(ses)
     want = golden["snake"][str(D)]
     for side in ("left", "middle", "right"):
@@ -179,7 +179,7 @@ def test_relative_snake_matches_golden(D):
         assert got == want[side], side
     for name in ("induced_inject", "induced_project", "connecting"):
         assert [_golden_dump_matrix(M) for M in getattr(ref, name)] == want[name], name
-    nodes = _les_nodes(ses, ("F", "mu", "F'"))
+    nodes = _les_nodes(ses.left, ses.middle, ses.right, ("F", "mu", "F'"))
     for k, name in enumerate(("induced_inject", "induced_project")):
         golden_ranks = [rank(_golden_load_matrix(M)) for M in want[name]]
         assert [out_rank for _, _, out_rank in nodes[k::3]] == golden_ranks, name
@@ -222,12 +222,12 @@ def test_snake_on_random_ses(seed):
 def test_rank_only_nodes_match_reference_on_random_ses(seed):
     rng = random.Random(seed)
     ses, _ = random_ses(rng, grades=rng.choice([2, 3, 4]))
-    assert _les_nodes(ses, ("L", "M", "R")) == reference_nodes(ses)
+    assert _les_nodes(ses.left, ses.middle, ses.right, ("L", "M", "R")) == reference_nodes(ses)
     # the same sequence with d_M written in a basis where it is not
     # block-triangular: the three-rank identity does not depend on the basis
     rebased = rebased_middle(rng, ses)
     assert rebased.validate() == []
-    assert _les_nodes(rebased, ("L", "M", "R")) == reference_nodes(rebased)
+    assert _les_nodes(rebased.left, rebased.middle, rebased.right, ("L", "M", "R")) == reference_nodes(rebased)
 
 
 # the sweep's own twist, then twists with i and with fractions
@@ -249,9 +249,10 @@ def test_rank_only_nodes_match_reference_on_cone_sweep(seed, twist):
     mu, p = _twisted_cone_sweep(seed, twist)
     # D=0 has a grade-0 cone whose source block has no columns
     for D in (0, 1, 2):
-        ses = make_relative_complex(mu, p, D).ses
-        assert ses.left.dims[0] == 0
-        assert _les_nodes(ses, ("F", "mu", "F'")) == reference_nodes(ses, ("F", "mu", "F'"))
+        rc = make_relative_complex(mu, p, D)
+        assert rc.left.dims[0] == 0
+        nodes = _les_nodes(rc.left, rc.middle, rc.right, ("F", "mu", "F'"))
+        assert nodes == reference_nodes(relative_ses(rc), ("F", "mu", "F'"))
 
 
 @pytest.mark.parametrize("twist", CONE_TWISTS)
@@ -287,7 +288,8 @@ def test_delta_check_matches_zig_zag_reference_on_shipped_scene():
 @pytest.mark.parametrize("D", range(1, 7))
 def test_rank_only_nodes_match_reference_on_mv(D):
     ses = make_mv_ses(laurent_cover(D))
-    assert _les_nodes(ses, ("M", "U+V", "UV")) == reference_nodes(ses, ("M", "U+V", "UV"))
+    nodes = _les_nodes(ses.left, ses.middle, ses.right, ("M", "U+V", "UV"))
+    assert nodes == reference_nodes(ses, ("M", "U+V", "UV"))
 
 
 def test_snake_les_zero_left_gives_isomorphisms():
@@ -464,8 +466,25 @@ def test_relative_cone_matrix_matches_tilde_dbar(seed):
     mu, p, _ = cone_sweep_scene(seed)
     rc = make_relative_complex(mu, p, 1)
     tb, sb = rc.target_budgets, rc.source_budgets
-    for q, d in enumerate(rc.ses.middle.diffs):
+    for q, d in enumerate(rc.middle.diffs):
         assert d == _form_level_cone(mu, p, q, (tb[q], sb[q], tb[q + 1], sb[q + 1]))
+
+
+@pytest.mark.parametrize("D", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(12))
+def test_relative_cone_is_block_triangular_over_its_outer_complexes(seed, D):
+    # d_M = [[d_R, 0], [mu*, d_L]] grade by grade, with the target first: the
+    # block structure that makes 0 -> left -> middle -> right -> 0 exact
+    mu, p, _ = cone_sweep_scene(seed)
+    rc = make_relative_complex(mu, p, D)
+    t, s = rc.right.dims, rc.left.dims
+    assert list(rc.middle.dims) == [a + b for a, b in zip(t, s)]
+    for q, d in enumerate(rc.middle.diffs):
+        top, bottom = range(t[q + 1]), range(t[q + 1], d.rows)
+        first, second = range(t[q]), range(t[q], d.cols)
+        assert d.restricted(top, second).is_zero
+        assert d.restricted(top, first) == rc.right.diffs[q]
+        assert d.restricted(bottom, second) == rc.left.diffs[q]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -526,7 +545,7 @@ def _lift_case(case: str):
         return random_ses(rng, grades=rng.choice([2, 3, 4]))[0], rng
     if kind == "relative":
         mu, p, rng = cone_sweep_scene(int(seed))
-        return make_relative_complex(mu, p, 1).ses, rng
+        return relative_ses(make_relative_complex(mu, p, 1)), rng
     return make_mv_ses(laurent_cover(2)), random.Random(2)
 
 
@@ -574,8 +593,8 @@ def test_relative_tilde_matrix_squares_to_zero():
     tgt = FoliationModel(1, 0, 1, parse_series("z1", 1, 0, 1))
     mu = FoliatedMorphism(src, tgt, [parse_series("z1^2", 1, 0, 2)], [])
     rc = make_relative_complex(mu, 0, 1)
-    for q in range(len(rc.ses.middle.diffs) - 1):
-        assert rc.ses.middle.diffs[q + 1].mul(rc.ses.middle.diffs[q]).is_zero
+    for q in range(len(rc.middle.diffs) - 1):
+        assert rc.middle.diffs[q + 1].mul(rc.middle.diffs[q]).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +667,7 @@ def test_result_classes_take_positional_and_keyword_arguments():
     mu = FoliatedMorphism(src, tgt, [parse_series("z1*z2", 2, 0, 2)], [])
     rc = make_relative_complex(mu, 0, 1)
     names = (
-        "mu", "p", "target_budgets", "source_budgets", "ses",
+        "mu", "p", "target_budgets", "source_budgets", "left", "middle", "right",
     )
     parts = [getattr(rc, name) for name in names]
     for again in (RelativeComplex(*parts), RelativeComplex(**dict(zip(names, parts)))):

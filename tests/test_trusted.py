@@ -3,12 +3,13 @@
 Each result of an operation is rebuilt here through the validating public
 constructor, which must accept it unchanged: same terms, same budget, and
 every coefficient of a form carrying the form's budget.  So are the inject
-and project maps of the sequence builders, which commute by construction,
-and the complexes they join square to zero by explicit products; the
-relative builder's sequence, exact by construction, validates through the
-public constructor with no finding.  The
-counterexample texts of the check suites, built only for violations, are
-compared with goldens recorded from the suites before either change.
+and project maps of the Mayer-Vietoris builder, which commute by
+construction, and the complexes they join square to zero by explicit
+products; the relative complex builds no maps, and its [0; I] and [I 0],
+built through the checking constructors, join its three complexes in a
+sequence that validates with no finding.  The counterexample texts of the
+check suites, built only for violations, are compared with goldens
+recorded from the suites before either change.
 """
 
 import json
@@ -17,7 +18,7 @@ import random
 
 import pytest
 
-from leafcoh import checks, operators, sequences
+from leafcoh import checks, operators
 from leafcoh.algebra import GaussianRational, Series, SeriesError
 from leafcoh.forms import FoliatedForm, FoliationModel, insert_index, rescale_power
 from leafcoh.linalg import Matrix
@@ -37,7 +38,6 @@ from leafcoh.sampling import random_bidegree, random_form, random_morphism, rand
 from leafcoh.sequences import (
     ChainMap,
     CochainComplex,
-    ShortExactSequence,
     laurent_cover,
     make_mv_ses,
     make_relative_complex,
@@ -45,7 +45,7 @@ from leafcoh.sequences import (
 )
 
 import kernel_reference as ref
-from factories import cone_sweep_scene
+from factories import cone_sweep_scene, relative_ses
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "broken_dbar_counterexamples.json"
 
@@ -214,20 +214,20 @@ def assert_rebuilds_ses(ses):
 @pytest.mark.parametrize("seed", range(12))
 def test_relative_sequence_maps_rebuild_through_the_constructor(seed):
     mu, p, _ = cone_sweep_scene(seed)
-    assert_rebuilds_ses(make_relative_complex(mu, p, 1).ses)
+    assert_rebuilds_ses(relative_ses(make_relative_complex(mu, p, 1)))
 
 
 @pytest.mark.parametrize("D", [0, 1, 2])
 @pytest.mark.parametrize("seed", range(12))
-def test_relative_sequence_validates_through_the_constructor(seed, D, monkeypatch):
-    # the builder marks its sequence exact without validate's eliminations
+def test_relative_sequence_validates_through_the_constructor(seed, D):
+    # the builder's three complexes, joined by [0; I] and [I 0] through the
+    # checking ChainMap constructor and the public ShortExactSequence, make
+    # a sequence that validate proves exact by its ranks and its product
     mu, p, _ = cone_sweep_scene(seed)
-    ses = make_relative_complex(mu, p, D).ses
-    with monkeypatch.context() as patched:
-        patched.setattr(sequences, "rank", lambda M: pytest.fail("validate eliminated"))
-        assert ses.validate() == []
-    again = ShortExactSequence(ses.left, ses.middle, ses.right, ses.inject, ses.project)
-    assert again.validate() == []
+    rc = make_relative_complex(mu, p, D)
+    ses = relative_ses(rc)
+    assert ses.left is rc.left and ses.middle is rc.middle and ses.right is rc.right
+    assert ses.validate() == []
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
@@ -236,8 +236,9 @@ def test_mv_sequence_maps_rebuild_through_the_constructor(D):
 
 
 def test_sequence_builders_run_no_commutation_product(monkeypatch):
-    # a build multiplies only in validate (project . inject, once per grade);
-    # a complex's constructor checks shapes and multiplies nothing
+    # the relative builder multiplies nothing, and the Mayer-Vietoris one only
+    # in validate (project . inject, once per grade); a complex's
+    # constructor checks shapes and multiplies nothing
     calls = []
     real = Matrix.mul
     monkeypatch.setattr(Matrix, "mul", lambda self, other: calls.append((self, other)) or real(self, other))
@@ -253,7 +254,7 @@ def test_sequence_builders_run_no_commutation_product(monkeypatch):
     pairs = list(zip(ses.project.components, ses.inject.components))
     assert sum(any(a is prj and b is inj for prj, inj in pairs) for a, b in calls) == 2
     calls.clear()
-    CochainComplex(rc.ses.middle.dims, rc.ses.middle.diffs)
+    CochainComplex(rc.middle.dims, rc.middle.diffs)
     CochainComplex((2, 2, 2), (Matrix.identity(2), Matrix.identity(2)))
     assert calls == []
 
