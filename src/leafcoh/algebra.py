@@ -802,6 +802,7 @@ class _Parser:
         self.m = m
         self.n = n
         self.budget = budget
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.k]
@@ -873,7 +874,11 @@ class _Parser:
         t = self.peek()
         if t.kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > 100:  # three frames a level: far deeper exhausts Python's recursion limit
+                raise SeriesParseError("parentheses nested too deeply", t.pos)
             inner = self.series()
+            self.depth -= 1
             closing = self.take()
             if closing.kind != ")":
                 raise SeriesParseError("expected ')'", closing.pos)

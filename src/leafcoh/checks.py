@@ -1,6 +1,6 @@
 """Seeded property suites over random forms, twists and morphisms.
 
-Each suite replays a documented list of identities on ``trials`` random
+Each suite replays the identities its check yields on ``trials`` random
 cases drawn from ``random.Random(seed)`` and reports, per identity, the case
 count, the violation count and the first counterexample.  All equalities are
 exact; identities whose truth is only up to a budget are compared after
@@ -49,14 +49,16 @@ _HALF = GaussianRational(Fraction(1, 2))
 
 
 class _Tally:
-    def __init__(self, names, label=None):
-        self.entries = {
-            name: {"name": name, "cases": 0, "violations": 0, "first_counterexample": None}
-            for name in names
-        }
-        self.order = list(names)
+    def __init__(self, label=None):
+        self.entries = {}  # per identity, in the order a case first records it
         self.label = label
         self.next = 0  # the first case of a slice not checked yet
+
+    def _entry(self, name):
+        e = self.entries.get(name)
+        if e is None:
+            e = self.entries[name] = {"name": name, "cases": 0, "violations": 0, "first_counterexample": None}
+        return e
 
     def record(self, case, name, ok, detail=None, *args):
         """Count one case of identity ``name``; ``ok`` says whether it held.
@@ -67,7 +69,7 @@ class _Tally:
         every passing case would cost more than many identities do.  "{}"
         formats an argument exactly as str() and an f-string do.
         """
-        e = self.entries[name]
+        e = self._entry(name)
         e["cases"] += 1
         if not ok:
             e["violations"] += 1
@@ -80,17 +82,17 @@ class _Tally:
     def merge(self, entries):
         """Add the counts of a later slice; its counterexample counts only if this has none."""
         for name, e in entries.items():
-            mine = self.entries[name]
+            mine = self._entry(name)
             mine["cases"] += e["cases"]
             mine["violations"] += e["violations"]
             if mine["first_counterexample"] is None:
                 mine["first_counterexample"] = e["first_counterexample"]
 
     def skip(self, name, reason):
-        self.entries[name]["skipped"] = reason
+        self._entry(name)["skipped"] = reason
 
     def report(self, suite, seed, trials):
-        identities = [self.entries[n] for n in self.order]
+        identities = list(self.entries.values())
         return {
             "suite": suite,
             "seed": seed,
@@ -115,7 +117,7 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_cases(names, trials, draw, check, label=None, stream=None) -> _Tally:
+def _run_cases(trials, draw, check, label=None, stream=None) -> _Tally:
     """Check cases 0..trials-1 of one suite into a fresh _Tally.
 
     ``draw(case)`` makes every random call of the case, in order, and returns
@@ -131,8 +133,10 @@ def _run_cases(names, trials, draw, check, label=None, stream=None) -> _Tally:
     its counts and the first case it did not check.  The counts are merged
     in slice order, and this process checks every case a worker left, so a
     worker that raised at case j has case j replayed here, where it raises
-    as in the serial loop.  With one slice this is the serial loop.  Every
-    worker is reaped before this returns or raises.
+    as in the serial loop.  No counts are merged before the first slice is
+    checked, so the identities stand in the order the cases first yield
+    them.  With one slice this is the serial loop.  Every worker is reaped
+    before this returns or raises.
 
     While workers run, each process is pinned to its own CPU of the
     process's set (this one to the first, and its set is given back after):
@@ -142,7 +146,7 @@ def _run_cases(names, trials, draw, check, label=None, stream=None) -> _Tally:
     stream = stream or trials
     slices = max(1, min(_workers(), trials // _MIN_SLICE))
     bounds = [k * trials // slices for k in range(slices + 1)]
-    t = _Tally(names, label)
+    t = _Tally(label)
     workers = []
     cpus = os.sched_getaffinity(0) if slices > 1 else None
     try:
@@ -247,21 +251,6 @@ def _case_twists(rng, model, case, g_fixed=None):
 def suite_operators(model: FoliationModel, seed: int, trials: int, g: Series | None = None) -> dict:
     """Squares, anticommutation and the twist-dependence identities."""
     rng = random.Random(seed)
-    names = [
-        "dbar_square",
-        "partial_square",
-        "anticommute",
-        "dbar_f_square",
-        "partial_f_square",
-        "anticommute_twisted",
-        "dbar_f_k_square",
-        "twist_additive",
-        "twist_zero",
-        "twist_negate",
-        "twist_product",
-        "twist_unit_split",
-        "leibniz",
-    ]
     zero = Series.zero(model.m, model.n)
 
     def draw(case):
@@ -300,13 +289,12 @@ def suite_operators(model: FoliationModel, seed: int, trials: int, g: Series | N
         leibniz = dbar_f(phi.wedge(psi), f) == d_f.wedge(psi) + phi.wedge(dbar_f(psi, f)).scale(sign)
         yield "leibniz", leibniz, "f={}", f
 
-    return _run_cases(names, trials, draw, check).report("operators", seed, trials)
+    return _run_cases(trials, draw, check).report("operators", seed, trials)
 
 
 def suite_leibniz(model: FoliationModel, seed: int, trials: int) -> dict:
     """Wedge algebra laws plus the twisted Leibniz rule."""
     rng = random.Random(seed)
-    names = ["wedge_associative", "wedge_graded_commutative", "leibniz_twisted"]
 
     def draw(case):
         bidegrees = [random_bidegree(rng, model.m) for _ in range(3)]
@@ -324,16 +312,15 @@ def suite_leibniz(model: FoliationModel, seed: int, trials: int) -> dict:
         leibniz = dbar_f(ab, f) == dbar_f(a, f).wedge(b) + a.wedge(dbar_f(b, f)).scale(sgn)
         yield "leibniz_twisted", leibniz, "f={}", f
 
-    return _run_cases(names, trials, draw, check).report("leibniz", seed, trials)
+    return _run_cases(trials, draw, check).report("leibniz", seed, trials)
 
 
 def suite_rescale(model: FoliationModel, seed: int, trials: int, h: Series | None = None) -> dict:
     """The conjugation law between the twists f*h and f through division by
     h^(p+q), compared after truncation to the working budget."""
     rng = random.Random(seed)
-    names = ["rescale_conjugates"]
     if h is not None and not h.is_unit:
-        t = _Tally(names)
+        t = _Tally()
         t.skip("rescale_conjugates", "non-unit h in scene")
         return t.report("rescale", seed, trials)
 
@@ -351,7 +338,7 @@ def suite_rescale(model: FoliationModel, seed: int, trials: int, h: Series | Non
         rhs = dbar_f(rescale_power(phi, hh, out_budget=w + 1), f).truncated(w)
         yield "rescale_conjugates", lhs == rhs, "f={}, h={}", f, hh
 
-    return _run_cases(names, trials, draw, check).report("rescale", seed, trials)
+    return _run_cases(trials, draw, check).report("rescale", seed, trials)
 
 
 def _case_morphism(rng, model, morphism=None):
@@ -375,7 +362,6 @@ def suite_intertwine(
     """Pullback intertwining, the cone differential squaring to zero, and the
     pair pullback being a cochain map; f' is the twist of each morphism's target."""
     rng = random.Random(seed)
-    names = ["intertwine", "tilde_square", "pair_cochain_map"]
 
     def draw(case):
         mu = _case_morphism(rng, model, morphism)
@@ -414,7 +400,7 @@ def suite_intertwine(
         rhs = dbar_f(pair_pullback(case_pair, pphi, out_budget=w + 1), pm.source.f).truncated(w)
         yield "pair_cochain_map", lhs == rhs, "alpha={}", case_pair.alpha
 
-    return _run_cases(names, trials, draw, check).report("intertwine", seed, trials)
+    return _run_cases(trials, draw, check).report("intertwine", seed, trials)
 
 
 def _sample_kernel_form(rng, model, p, q, D, kernel):
@@ -429,9 +415,6 @@ def _sample_kernel_form(rng, model, p, q, D, kernel):
         for i, v in basis_vec.items():
             vec[i] = vec.get(i, 0) + v * c
     return form_from_vector(model, p, q, D, {i: v for i, v in vec.items() if v})
-
-
-_PAIRING = ("closed_wedge_ddclosed", "closed_wedge_exact", "ddexact_wedge_ddclosed")
 
 
 def _pairing_cases(grid, combos, per, seed, label=None) -> _Tally:
@@ -496,7 +479,7 @@ def _pairing_cases(grid, combos, per, seed, label=None) -> _Tally:
         recon = partial_f(b1.scale(_HALF)) + dbar_f(b2.scale(_HALF))
         yield "ddexact_wedge_ddclosed", recon == target
 
-    return _run_cases(_PAIRING, per * len(combos), draw, check, label, per)
+    return _run_cases(per * len(combos), draw, check, label, per)
 
 
 def pairing_check(

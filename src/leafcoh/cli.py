@@ -17,9 +17,9 @@ import argparse
 import json
 import sys
 
-from .algebra import LinearAlgebraError, Series, SeriesError
-from .forms import FoliatedForm, FoliationModel, FormError
-from .operators import FoliatedMorphism, MorphismError, MorphismPair
+from .algebra import LinearAlgebraError, Series
+from .forms import FoliatedForm, FoliationModel
+from .operators import FoliatedMorphism, MorphismPair
 
 # cohomology (with linalg), checks (with sampling) and sequences are imported
 # only by the commands that run them, so no process compiles or loads a
@@ -239,8 +239,13 @@ class Scene:
 
 
 def load_scene(path: str) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise SceneError(str(exc)) from exc
+    except RecursionError:
+        raise SceneError("scene JSON is nested too deeply") from None
     return Scene(data)
 
 
@@ -250,8 +255,11 @@ def emit(report, out_path: str | None, fmt: str = "json"):
     else:
         text = report  # pre-rendered CSV
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SceneError(str(exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -500,7 +508,7 @@ def main(argv=None) -> int:
         # input is validated before the engine runs, so these are engine faults
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-    except (SceneError, SeriesError, FormError, MorphismError, ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:  # SceneError, SeriesError, FormError and MorphismError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -417,9 +417,8 @@ def corollary_boundary_report(rc: RelativeComplex) -> dict:
     grades = len(dims)
 
     def epi(q, ranks, side):
-        """The map with ``ranks`` out of ``side`` is onto at grade q (vacuous past the last grade)."""
-        if q >= grades:
-            return {"pass": True, "witness": {}}
+        """The map with ``ranks`` out of ``side`` is onto at grade q, at most
+        make_relative_complex's top grade max(m', m + 1) + 1."""
         codomain = dims[q][side + 1]
         return {"pass": ranks[q] == codomain, "witness": {"grade": q, "rank": ranks[q], "codomain": codomain}}
 

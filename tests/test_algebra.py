@@ -198,6 +198,18 @@ def test_parse_rejects_a_zero_denominator():
     assert err.value.pos == 2
 
 
+def test_parse_bounds_the_parenthesis_depth():
+    # 100 levels parse (sibling groups do not add up); the 101st "(" is refused
+    # where it stands, long before the recursion limit
+    assert parse_series("(" * 50 + "1+z1" + ")" * 50, 1, 0, 2) == parse_series("1+z1", 1, 0, 2)
+    group = "(" * 100 + "z1" + ")" * 100
+    assert parse_series(f"{group}*{group}", 1, 0, 2) == parse_series("z1^2", 1, 0, 2)
+    for depth in (101, 400, 5000):
+        with pytest.raises(SeriesParseError, match=r"^parentheses nested too deeply \(at position 100\)$") as err:
+            parse_series("(" * depth + "1" + ")" * depth, 1, 0, 2)
+        assert err.value.pos == 100
+
+
 def test_parse_over_budget_power_message():
     with pytest.raises(SeriesError, match=r"^term z1\^1000000000 of degree 1000000000 exceeds budget 64$"):
         parse_series("1+z1^1000000000", 1, 0, 64)

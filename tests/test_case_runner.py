@@ -4,7 +4,8 @@ A report must not depend on the number of slices: every suite, the
 counterexample goldens and the pairing goldens are compared across worker
 counts with the minimum slice lowered to one case.  A case that raises in
 any slice raises as in the serial loop, a worker that dies is stood in for,
-and no worker outlives its suite.
+and no worker outlives its suite.  The tally lists each identity where a
+case first records it.
 """
 
 import json
@@ -80,6 +81,43 @@ def test_goldens_hold_for_every_worker_count(monkeypatch, tmp_path, capsys, n):
     assert_no_child_left()
 
 
+def test_tally_lists_identities_in_first_record_order():
+    t = checks._Tally()
+    t.record(0, "b", True)
+    t.record(0, "a", False, "x={}", 1)
+    t.record(1, "b", False, "{}", "bad")
+    t.record(1, "a", False, "x={}", 2)
+    assert [e["name"] for e in t.entries.values()] == ["b", "a"]
+    assert t.entries["a"] == {"name": "a", "cases": 2, "violations": 2, "first_counterexample": {"case": 0, "detail": "x=1"}}
+    # a later slice adds its counts, keeps this one's counterexample and
+    # appends an identity this one has not seen
+    later = checks._Tally()
+    later.record(2, "a", False, "x={}", 3)
+    later.record(2, "c", False)
+    later.record(3, "b", True)
+    t.merge(later.entries)
+    assert t.report("s", 4, 4) == {
+        "suite": "s",
+        "seed": 4,
+        "trials": 4,
+        "identities": [
+            {"name": "b", "cases": 3, "violations": 1, "first_counterexample": {"case": 1, "detail": "bad"}},
+            {"name": "a", "cases": 3, "violations": 3, "first_counterexample": {"case": 0, "detail": "x=1"}},
+            {"name": "c", "cases": 1, "violations": 1, "first_counterexample": {"case": 2}},
+        ],
+        "violations_total": 5,
+    }
+
+
+def test_tally_skip_makes_an_entry_with_no_cases():
+    # as rescale reports a non-unit scene h
+    t = checks._Tally()
+    t.skip("rescale_conjugates", "non-unit h in scene")
+    assert t.report("rescale", 1, 9)["identities"] == [
+        {"name": "rescale_conjugates", "cases": 0, "violations": 0, "first_counterexample": None, "skipped": "non-unit h in scene"}
+    ]
+
+
 def spy_slices(monkeypatch) -> list:
     """(first drawn, first checked, end) of every slice this process checks."""
     seen = []
@@ -121,7 +159,7 @@ def inject(monkeypatch, fault):
     a case that raises has begun to record."""
     real = checks._run_cases
 
-    def run_cases(names, trials, draw, check, label=None, stream=None):
+    def run_cases(trials, draw, check, label=None, stream=None):
         def draw_case(case):
             return case, draw(case)
 
@@ -132,7 +170,7 @@ def inject(monkeypatch, fault):
             fault(case)
             yield from records
 
-        return real(names, trials, draw_case, check_case, label, stream)
+        return real(trials, draw_case, check_case, label, stream)
 
     monkeypatch.setattr(checks, "_run_cases", run_cases)
 

@@ -62,8 +62,9 @@ def test_malformed_series_exit_two(tmp_path, capsys):
     [
         ("1/0", "zero denominator (at position 2)"),
         ("1+z1^1000000000", "term z1^1000000000 of degree 1000000000 exceeds budget 64"),
+        ("(" * 400 + "1" + ")" * 400, "parentheses nested too deeply (at position 100)"),
     ],
-    ids=["zero_denominator", "huge_exponent"],
+    ids=["zero_denominator", "huge_exponent", "nested_too_deeply"],
 )
 def test_bad_twist_number_exits_two(tmp_path, capsys, f, message):
     scene = write_scene(
@@ -73,6 +74,37 @@ def test_bad_twist_number_exits_two(tmp_path, capsys, f, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "scene, out, message",
+    [
+        ("{tmp}", None, "[Errno 21] Is a directory: '{tmp}'"),
+        ("{scenes}/twist_vanishing.json", "{tmp}", "[Errno 21] Is a directory: '{tmp}'"),
+        ("{scenes}/twist_vanishing.json", "{tmp}/no/r.json", "[Errno 2] No such file or directory: '{tmp}/no/r.json'"),
+        ("{tmp}/no.json", None, "[Errno 2] No such file or directory: '{tmp}/no.json'"),
+    ],
+    ids=["scene_is_a_directory", "out_is_a_directory", "out_in_a_missing_directory", "missing_scene"],
+)
+def test_unusable_path_exits_two(tmp_path, capsys, scene, out, message):
+    # a path that cannot be opened is an input error, never a traceback
+    def place(text):
+        return text.format(tmp=tmp_path, scenes=SCENES)
+
+    argv = ["cohomology", "--scene", place(scene)] + (["--out", place(out)] if out else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {place(message)}\n"
+
+
+def test_scene_json_nested_too_deeply_exits_two(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["cohomology", "--scene", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scene JSON is nested too deeply\n"
 
 
 def test_unknown_suite_exits_two(tmp_path):
