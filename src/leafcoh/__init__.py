@@ -38,7 +38,8 @@ from .operators import (
 # other than pairing runs on the modules above alone.  Those load first, as
 # every command needs them.  Compiling cli.py before a module raises a
 # process's peak RSS (BENCH_14.json); grid jobs pay that for cohomology and
-# linalg, 0.4-0.5 MB (BENCH_27.json).
+# linalg, 0.4-0.5 MB (BENCH_27.json).  No module imports fractions as it
+# loads, so no job maps decimal's _decimal extension (BENCH_36.json).
 _LAZY = {
     "linalg": ("Matrix", "Subspace", "kernel_basis", "rank", "solve"),
     "cohomology": (

@@ -27,7 +27,7 @@ it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
@@ -40,8 +40,10 @@ class GaussianRational:
     have equal triples and zero is (0, 0, 1).  Both parts share the one
     denominator, so a product is four integer multiplications and one gcd;
     with d == 1 on both sides (integer matrices, the common case) there is no
-    gcd at all.  ``re`` and ``im`` read the parts as Fractions.  Only int and
-    Fraction inputs are accepted; a float raises TypeError.
+    gcd at all.  Parsing, printing and hashing read the triple alone, so a
+    process that passes no Fraction in never imports ``fractions``; ``re``
+    and ``im`` build their Fractions on demand.  Only int and Fraction inputs
+    are accepted; a float raises TypeError.
 
     Immutable by convention; all operations return new values.
     """
@@ -60,12 +62,12 @@ class GaussianRational:
         self.d = d
 
     @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
+    def re(self):
+        return _fraction(self.a) / self.d
 
     @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
+    def im(self):
+        return _fraction(self.b) / self.d
 
     # -- ring structure -----------------------------------------------------
 
@@ -142,7 +144,10 @@ class GaussianRational:
     def __hash__(self):
         if self.d == 1:
             return hash((self.a, self.b))  # an int hashes like its Fraction
-        return hash((self.re, self.im))
+        if self.d % _HASH_PRIME:  # as the Fractions hash: hash(Fraction(a, d)) == hash(a * pow(d, -1, P))
+            dinv = pow(self.d, -1, _HASH_PRIME)
+            return hash((self.a * dinv, self.b * dinv))
+        return hash((self.re, self.im))  # d has no inverse modulo P
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -152,6 +157,7 @@ class GaussianRational:
 
 
 _new = object.__new__
+_HASH_PRIME = sys.hash_info.modulus  # P of the numeric hash
 
 
 def _raw(a: int, b: int, d: int) -> GaussianRational:
@@ -171,7 +177,9 @@ def _normal(a: int, b: int, d: int) -> GaussianRational:
     return _raw(a, b, d)
 
 
-def _fraction(x) -> Fraction:
+def _fraction(x):
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -184,7 +192,8 @@ def _coerce(x):
         return _raw(x, 0, 1)
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    # no Fraction exists before its module loads
+    if isinstance(x, (int, getattr(sys.modules.get("fractions"), "Fraction", int))):
         return GaussianRational(x)
     return None
 
@@ -194,8 +203,9 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_scalar(c: GaussianRational) -> str:
@@ -204,18 +214,19 @@ def format_scalar(c: GaussianRational) -> str:
     Pure values print bare ("3/2", "-2i", "i"); mixed values are
     parenthesised ("(1+2i)") so they survive a round trip through the parser.
     """
-    if not c.im:
-        return _frac_str(c.re)
-    if c.im == 1:
+    a, b, d = c.a, c.b, c.d
+    if not b:
+        return _frac_str(a, d)
+    if b == d:
         im = "i"
-    elif c.im == -1:
+    elif b == -d:
         im = "-i"
     else:
-        im = _frac_str(c.im) + "i"
-    if not c.re:
+        im = _frac_str(b, d) + "i"
+    if not a:
         return im
-    sign = "+" if c.im > 0 else ""
-    return f"({_frac_str(c.re)}{sign}{im})"
+    sign = "+" if b > 0 else ""
+    return f"({_frac_str(a, d)}{sign}{im})"
 
 
 # ---------------------------------------------------------------------------
@@ -884,11 +895,11 @@ class _Parser:
                 raise SeriesParseError("expected ')'", closing.pos)
             return inner
         if t.kind == "int":
-            num = self.number()
+            num, den = self.number()
             if self.peek().kind == "name" and self.peek().text == "i":
                 self.take()
-                return self.constant(GaussianRational(0, num))
-            return self.constant(GaussianRational(num))
+                return self.constant(_normal(0, num, den))
+            return self.constant(_normal(num, 0, den))
         if t.kind == "name":
             if t.text == "i":
                 self.take()
@@ -896,7 +907,7 @@ class _Parser:
             return self.variable()
         raise SeriesParseError(f"expected a coefficient or variable, got {t.text!r}", t.pos)
 
-    def number(self) -> Fraction:
+    def number(self) -> tuple[int, int]:
         t = self.take()
         num = int(t.text)
         if self.peek().kind == "/":
@@ -906,8 +917,8 @@ class _Parser:
                 raise SeriesParseError("expected denominator", d.pos)
             if int(d.text) == 0:
                 raise SeriesParseError("zero denominator", d.pos)
-            return Fraction(num, int(d.text))
-        return Fraction(num)
+            return num, int(d.text)
+        return num, 1
 
     def variable(self) -> dict:
         t = self.take()

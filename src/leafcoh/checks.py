@@ -20,7 +20,6 @@ import os
 import random
 import signal
 import threading
-from fractions import Fraction
 
 from .algebra import GaussianRational, Series
 from .forms import FoliatedForm, FoliationModel, rescale_power
@@ -45,7 +44,7 @@ from .sampling import (
     random_unit_series,
 )
 
-_HALF = GaussianRational(Fraction(1, 2))
+_HALF = GaussianRational(1) / 2
 
 
 class _Tally:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import LinearAlgebraError, Series
@@ -254,14 +255,17 @@ def emit(report, out_path: str | None, fmt: str = "json"):
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = report  # pre-rendered CSV
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise SceneError(str(exc)) from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a short report would otherwise fail only at exit
+    except OSError as exc:
+        if not out_path:  # the unwritten buffer would fail again at exit: let it go to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SceneError(str(exc)) from exc
 
 
 def _need_seed(scene: Scene, args) -> int:

@@ -1,13 +1,13 @@
 import random
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leafcoh.algebra import (
     GaussianRational,
-    format_scalar,
     Series,
     SeriesError,
     SeriesParseError,
@@ -321,7 +321,23 @@ class _FractionPair:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        return format_scalar(self)
+        if not self.im:
+            return _ref_frac_str(self.re)
+        if self.im == 1:
+            im = "i"
+        elif self.im == -1:
+            im = "-i"
+        else:
+            im = _ref_frac_str(self.im) + "i"
+        if not self.re:
+            return im
+        sign = "+" if self.im > 0 else ""
+        return f"({_ref_frac_str(self.re)}{sign}{im})"
+
+
+def _ref_frac_str(f):
+    """The series grammar's printer for one Fraction, independent of leafcoh.algebra."""
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _ref_coerce(x):
@@ -414,3 +430,83 @@ def test_scalar_rejects_float():
     with pytest.raises(TypeError):
         Series.constant(1, 0, 0.25)
     assert GaussianRational(True) == GaussianRational(1)
+
+
+# Gaussian rationals with numerators and denominators up to 10**12: integer and
+# fractional parts of either sign, pure reals and imaginaries, and +-i alone or
+# beside a real part
+_BIG = 10**12
+_part = st.one_of(
+    st.integers(-_BIG, _BIG).map(Fraction),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+_gaussian_parts = st.one_of(
+    st.tuples(_part, _part),
+    st.tuples(_part, st.just(Fraction(0))),
+    st.tuples(st.just(Fraction(0)), _part),
+    st.tuples(st.just(Fraction(0)) | _part, st.sampled_from([Fraction(1), Fraction(-1)])),
+)
+_derandomized = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@_derandomized
+@given(_gaussian_parts)
+def test_integer_printer_matches_the_fraction_printer(parts):
+    assert str(GaussianRational(*parts)) == str(_FractionPair(*parts))
+
+
+@st.composite
+def _series(draw):
+    m, n = draw(st.sampled_from([(1, 0), (2, 1)]))
+    width, budget = 2 * m + n, 3
+    # a monomial of degree <= budget: the variables it multiplies, with repeats
+    flat = st.lists(st.integers(0, width - 1), max_size=budget).map(
+        lambda picks: tuple(picks.count(k) for k in range(width))
+    )
+    coeffs = _gaussian_parts.map(lambda parts: GaussianRational(*parts))
+    terms = draw(st.dictionaries(flat, coeffs, max_size=5))
+    return Series(m, n, budget, {(e[:m], e[m : 2 * m], e[2 * m :]): c for e, c in terms.items()})
+
+
+@_derandomized
+@given(_series())
+def test_parse_inverts_the_integer_printer(s):
+    text = str(s)
+    again = parse_series(text, s.m, s.n, s.budget)
+    assert again == s and str(again) == text
+
+
+@_derandomized
+@given(st.integers(0, _BIG), st.integers(1, _BIG), st.booleans())
+@example(6, 4, False)
+@example(0, 5, False)
+@example(3, 9, True)
+def test_parsed_literals_agree_with_fractions(num, den, imaginary):
+    value = Fraction(num, den)
+    want = GaussianRational(0, value) if imaginary else GaussianRational(value)
+    got = parse_series(f"{num}/{den}{'i' if imaginary else ''}", 1, 0, 0)
+    assert got == Series.constant(1, 0, want)
+    assert [(c.a, c.b, c.d) for c in got.packed.values()] == ([(want.a, want.b, want.d)] if want else [])
+
+
+@_derandomized
+@given(_gaussian_parts, st.integers(1, _BIG))
+def test_equal_scalars_hash_equal(parts, k):
+    re, im = parts
+    x = GaussianRational(re, im)
+    d = lcm(re.denominator, im.denominator)
+    from_ints = GaussianRational(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)) / d
+    from_parts = GaussianRational(re) + GaussianRational(0, 1) * im
+    by_arithmetic = (x * k + GaussianRational(k, -k)) / k - GaussianRational(1, -1)
+    for y in (from_ints, from_parts, by_arithmetic):
+        assert y == x and hash(y) == hash(x)
+    assert hash(x) == hash((re, im))  # as the pair of Fractions hashes
+
+
+def test_hash_with_a_denominator_that_is_a_multiple_of_the_hash_prime():
+    # no inverse modulo the prime: the hash is read off the Fraction parts
+    prime = sys.hash_info.modulus
+    x = GaussianRational(Fraction(1, prime), Fraction(3, 2 * prime))
+    assert x.d == 2 * prime and hash(x) == hash((Fraction(1, prime), Fraction(3, 2 * prime)))
+    for y in (GaussianRational(2, 3) / (2 * prime), GaussianRational(1) / prime + GaussianRational(0, 3) / (2 * prime)):
+        assert y == x and hash(y) == hash(x)

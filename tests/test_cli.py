@@ -98,6 +98,25 @@ def test_unusable_path_exits_two(tmp_path, capsys, scene, out, message):
     assert captured.err == f"error: {place(message)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+def test_failed_report_write_exits_two(unbuffered, to_out):
+    # a full device is an input error with one message line: no traceback and
+    # no second complaint when the interpreter flushes stdout at exit
+    src = str(SCENES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "leafcoh.cli", "cohomology", "--scene", str(SCENES / "twist_vanishing.json")]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            argv + (["--out", "/dev/full"] if to_out else []), env=env, stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
 def test_scene_json_nested_too_deeply_exits_two(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -933,6 +952,29 @@ def test_cli_import_does_not_load_inspect():
     # dataclasses would pull in inspect (and ast, dis, tokenize) at every start-up
     code = "import sys, leafcoh.cli; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
     assert _fresh_interpreter(code) == "[]\n"
+
+
+def test_jobs_load_no_fractions_decimal_or_numbers(tmp_path):
+    # parsing, printing and hashing run on integer triples; only a Fraction
+    # handed in (or read back through re and im) loads the fractions module
+    golden = json.loads((SCENES.parent / "tests" / "golden" / "gaussian_twist_m2_grids.json").read_text())
+    scene = write_scene(tmp_path, "s.json", golden["scene"])
+    runs = [argv + ["--scene", scene] for argv in (want["argv"] for want in golden["runs"])]
+    runs += [
+        ["sequence", "--scene", str(SCENES / "relative_square.json"), "--kind", "relative"],
+        ["solve", "--scene", str(SCENES / "solve_untwisted.json")],
+    ]
+    model = write_scene(tmp_path, "model.json", {"model": golden["scene"]["model"]})
+    suites = ("operators", "leibniz", "rescale", "intertwine")
+    runs += [["check", "--scene", model, "--suite", suite, "--seed", "5", "--trials", "20"] for suite in suites]
+    runs = [argv + ["--out", str(tmp_path / f"r{i}.json")] for i, argv in enumerate(runs)]
+    code = (
+        f"import sys; from leafcoh import cli; print([cli.main(a) for a in {runs!r}], "
+        "sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    )
+    assert _fresh_interpreter(code) == f"{[0] * 11} []\n"
+    assert json.loads((tmp_path / "r5.json").read_text())["kind"] == "relative"
+    assert "1/2*zb1^2" in (tmp_path / "r6.json").read_text()
 
 
 def test_cli_import_loads_no_suite_or_sequence_module():

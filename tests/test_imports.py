@@ -1,6 +1,7 @@
 """Every name a leafcoh module imports is used in that module, every
 top-level function or class is used or exported, only the seeded generators
-import ``random``, the exact engine imports neither ``sampling`` nor
+import ``random``, no module imports ``fractions``, ``decimal`` or
+``numbers`` when it loads, the exact engine imports neither ``sampling`` nor
 ``checks``, the trusted ``ChainMap._commuting`` is used only by the
 Mayer-Vietoris builder, ``ShortExactSequence`` has no trusted ``_exact``
 and ``make_relative_complex`` builds no identity, restriction, chain map or
@@ -145,6 +146,42 @@ def test_import_finder_sees_nested_and_from_imports():
 def test_only_seeded_generators_import_random(path):
     if path.stem not in RANDOM_MODULES:
         assert "random" not in absolute_imports(path.read_text(encoding="utf-8"))
+
+
+def load_time_imports(source: str) -> set:
+    """Top-level names of the absolute imports a source runs when it loads:
+    those outside every function body (class bodies run at load time)."""
+    names = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names.add(child.module.split(".")[0])
+            visit(child)
+
+    visit(ast.parse(source))
+    return names
+
+
+def test_load_time_import_finder_skips_function_bodies():
+    source = (
+        "import os.path\nif True:\n    from numbers import Number\nclass C:\n    import decimal\n"
+        "    def re(self):\n        from fractions import Fraction\ndef f():\n    import json\nfrom .algebra import I\n"
+    )
+    assert load_time_imports(source) == {"os", "numbers", "decimal"}
+
+
+# a job that passes no Fraction in never loads these (nor the _decimal extension)
+LAZY_NUMERIC_MODULES = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_fractions_when_it_loads(path):
+    assert not load_time_imports(path.read_text(encoding="utf-8")) & LAZY_NUMERIC_MODULES
 
 
 def package_imports(source: str) -> set:
