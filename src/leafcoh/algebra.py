@@ -141,13 +141,11 @@ class GaussianRational:
                 return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
-    def __hash__(self):
-        if self.d == 1:
-            return hash((self.a, self.b))  # an int hashes like its Fraction
-        if self.d % _HASH_PRIME:  # as the Fractions hash: hash(Fraction(a, d)) == hash(a * pow(d, -1, P))
-            dinv = pow(self.d, -1, _HASH_PRIME)
-            return hash((self.a * dinv, self.b * dinv))
-        return hash((self.re, self.im))  # d has no inverse modulo P
+    def __hash__(self):  # as its real part (an int or Fraction), else as the pair of Fractions
+        if not self.d % _HASH_PRIME:  # d has no inverse modulo P
+            return hash((self.re, self.im) if self.b else self.re)
+        dinv = 1 if self.d == 1 else pow(self.d, -1, _HASH_PRIME)  # hash(Fraction(a, d)) == hash(a * dinv)
+        return hash((self.a * dinv, self.b * dinv)) if self.b else hash(self.a * dinv)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -51,7 +51,6 @@ from .operators import (
 )
 from . import linalg
 from .linalg import (
-    LinearAlgebraError,
     Matrix,
     _from_gaussian,
     _store,
@@ -297,12 +296,14 @@ def _blocks(tag, p, q) -> tuple:
 
 
 class _Family:
-    """One operator at every budget: its key, its matrix at the top budget and its pivot columns' degrees."""
+    """One operator at every budget: its key, its matrix at the top budget, and its pivot
+    columns' degrees with the budget they cover (kept when the family is rebuilt higher)."""
 
-    __slots__ = ("key", "budget", "matrix", "pivot_degrees")
+    __slots__ = ("key", "budget", "matrix", "ranked", "pivot_degrees")
 
-    def __init__(self, key: tuple, budget: int, matrix: Matrix):
-        self.key, self.budget, self.matrix, self.pivot_degrees = key, budget, matrix, None
+    def __init__(self, key: tuple, budget: int, matrix: Matrix, ranked: int = -1, pivot_degrees=()):
+        self.key, self.budget, self.matrix = key, budget, matrix
+        self.ranked, self.pivot_degrees = ranked, pivot_degrees
 
 
 class _Grid:
@@ -320,9 +321,9 @@ class _Grid:
     lower budget: prove runs each check once per set of families.  Ranks come
     from the pivot columns (linalg.pivot_columns) of the family's matrix,
     columns in stable ascending monomial degree: the budget-b columns are a
-    prefix, whose rank is the pivot count in it.  Each kernel modulo image is
-    one group(kernel key, image key).  cohomology_grid shares one instance
-    between its rows.
+    prefix, whose rank is the pivot count in it, before and after a rebuild.
+    Each kernel modulo image is one group(kernel key, image key), and
+    cohomology_grid shares one instance between its rows.
     """
 
     def __init__(self, model: FoliationModel):
@@ -336,7 +337,8 @@ class _Grid:
         fkey = (tag, p, q, k, out - b)
         family = self._families.get(fkey)
         if family is None or family.budget < b:
-            family = self._families[fkey] = _Family(fkey, b, self._build(key))
+            kept = (family.ranked, family.pivot_degrees) if family else ()  # a column prefix keeps its pivots
+            family = self._families[fkey] = _Family(fkey, b, self._build(key), *kept)
         return family
 
     def _build(self, key) -> Matrix:
@@ -370,7 +372,7 @@ class _Grid:
     def rank(self, key) -> int:
         """Rank of the matrix under ``key``: the pivots of degree <= in_budget of its family."""
         family = self._family(key)
-        if family.pivot_degrees is None:
+        if key[3] > family.ranked:
             # every column block is at the family budget, so the columns run
             # through (A, B) pairs of N(budget) monomials each, and in every
             # pair the monomials of degree d are the range [N(d - 1), N(d))
@@ -379,6 +381,7 @@ class _Grid:
             order = array("q", (s + u for lo, hi in zip([0] + sizes, sizes) for s in starts for u in range(lo, hi)))
             ends = [len(starts) * hi for hi in sizes]  # the places in order of degree <= d
             family.pivot_degrees = [bisect_right(ends, j) for j in linalg.pivot_columns(family.matrix, order)]
+            family.ranked = family.budget
         return bisect_right(family.pivot_degrees, key[3])
 
     def prove(self, check, *keys) -> None:
@@ -394,26 +397,18 @@ class _Grid:
 
     def group(self, kernel_key, image_key) -> tuple:
         """(dim ker K, dim im M), K and M under the keys (no image_key: M = 0), with
-        im M <= ker K proved: by K * M = 0 in prove when M's out budget is K's in budget.
-        Else (slack, on every call) M's rows split into pos, K's basis, and out: the part
-        of im M in K's basis is M[pos] on ker M[out], of dimension rk M - rk M[out], and
-        lies in ker K iff rk [M[out]; K * M[pos]] == rk M[out]."""
+        im M <= ker K proved by prove: K at M's out budget times M is 0.  With slack
+        M's out budget is above D, and the part of im M in K's budget-D basis is M on
+        the kernel of its outside rows, of dimension rk M - rk M[outside]."""
         tag, p, q, D = kernel_key[:4]
         kernel = sum(basis_dimension(self.model, *pq, D) for pq in _blocks(tag, p, q)[0]) - self.rank(kernel_key)
         if image_key is None:
             return kernel, 0
         image, top = self.rank(image_key), image_key[4]
-        if top == D:
-            self.prove(check_inclusion, kernel_key, image_key)
-        else:
-            K, M = self.matrix(*kernel_key), self.matrix(*image_key)
-            pos = self._positions(_blocks(*image_key[:3])[1], D, top)
-            held = set(pos)
-            rest = M.restricted([r for r in range(M.rows) if r not in held])
-            outside = rank(rest)
-            if rank(vstack(rest, K.mul(M.restricted(pos)))) != outside:
-                raise LinearAlgebraError("image is not contained in the kernel: broken complex")
-            image -= outside
+        self.prove(check_inclusion, (tag, p, q, top, top + kernel_key[4] - D, kernel_key[5]), image_key)
+        if top > D:
+            M, held = self.matrix(*image_key), set(self._positions(_blocks(*image_key[:3])[1], D, top))
+            image -= rank(M.restricted([r for r in range(M.rows) if r not in held]))
         return kernel, image
 
 

@@ -314,8 +314,8 @@ class _FractionPair:
         other = _ref_coerce(other)
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes as the Fraction it equals
+        return hash((self.re, self.im) if self.im else self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -500,7 +500,12 @@ def test_equal_scalars_hash_equal(parts, k):
     by_arithmetic = (x * k + GaussianRational(k, -k)) / k - GaussianRational(1, -1)
     for y in (from_ints, from_parts, by_arithmetic):
         assert y == x and hash(y) == hash(x)
-    assert hash(x) == hash((re, im))  # as the pair of Fractions hashes
+    # a real value hashes as the Fraction (or int) it equals, any other as the pair of Fractions
+    assert hash(x) == hash((re, im) if im else re)
+    if not im:
+        assert x in {re} and {re: "x"}.get(x) == "x" and {x: "x"}.get(re) == "x"
+        if re.denominator == 1:
+            assert x in {int(re)} and {int(re): "x"}.get(x) == "x" and {x: "x"}.get(int(re)) == "x"
 
 
 def test_hash_with_a_denominator_that_is_a_multiple_of_the_hash_prime():
@@ -510,3 +515,6 @@ def test_hash_with_a_denominator_that_is_a_multiple_of_the_hash_prime():
     assert x.d == 2 * prime and hash(x) == hash((Fraction(1, prime), Fraction(3, 2 * prime)))
     for y in (GaussianRational(2, 3) / (2 * prime), GaussianRational(1) / prime + GaussianRational(0, 3) / (2 * prime)):
         assert y == x and hash(y) == hash(x)
+    # a real one hashes as its Fraction, whose hash is the one for no inverse
+    for part in (Fraction(1, prime), Fraction(-5, 3 * prime)):
+        assert hash(GaussianRational(part)) == hash(part) and GaussianRational(part) in {part}

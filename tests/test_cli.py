@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from leafcoh import cli, cohomology, linalg, operators, sequences
+from leafcoh import cli, cohomology, forms, linalg, operators, sequences
+from leafcoh.algebra import Series
 from leafcoh.cli import EXIT_INTERNAL, main
 from leafcoh.linalg import Matrix
 
@@ -457,6 +458,29 @@ def test_seed_flag_overrides_scene(tmp_path, capsys):
     assert report["seed"] == 42
 
 
+@pytest.mark.parametrize("variant, knobs", [("dolbeault", {"slack": 1}), ("bc", {}), ("aeppli", {})])
+def test_zero_twist_groups_are_whole_bases(tmp_path, capsys, variant, knobs):
+    # f = 0 is accepted: every twisted operator is zero, so gap is 0 and each
+    # group is its whole basis, with no image
+    data = {"model": {"m": 2, "n": 0, "budget": 2, "f": "0"}, "grid": {"p": [0, 2], "q": [0, 2], "D": [0, 2]}}
+    scene = write_scene(tmp_path, "s.json", dict(data, **knobs))
+    assert run(["cohomology", "--scene", scene, "--variant", variant]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    model = forms.FoliationModel(2, 0, 2, Series.zero(2, 0, 0))
+    assert len(rows) == 27
+    assert [(row["ker"], row["im"]) for row in rows] == [
+        (forms.basis_dimension(model, row["p"], row["q"], row["D"]), 0) for row in rows
+    ]
+
+
+def test_zero_twist_solve_finds_no_primitive(tmp_path, capsys):
+    # every closed target is dbar_f-closed under f = 0, and none is reached
+    target = {"op": "dbar_f", "form": {"p": 0, "q": 1, "budget": 1, "terms": [{"A": [], "B": [1], "coeff": "zb1"}]}}
+    scene = write_scene(tmp_path, "s.json", {"model": {"m": 1, "n": 0, "budget": 1, "f": "0"}, "target": target, "slack": 2})
+    assert run(["solve", "--scene", scene]) == 1
+    assert json.loads(capsys.readouterr().out) == {"found": False, "op": "dbar_f", "slack": 2}
+
+
 def _patch_operator_matrix(monkeypatch, corrupt):
     """Make cohomology build every operator matrix as corrupt(tag, matrix)."""
     real = cohomology.operator_matrix
@@ -651,6 +675,45 @@ def test_broken_complex_with_slack_exits_internal(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+
+
+@pytest.mark.parametrize("variant, knobs", [("dolbeault", {"slack": 1}), ("k", {"slack": 2, "k": 1})])
+def test_broken_slack_image_outside_the_block_exits_internal(tmp_path, capsys, monkeypatch, variant, knobs):
+    # the image of row (0,1) comes from (0,0) into budget D + slack: one entry
+    # in a row outside the budget-D block, of top degree, where d out of
+    # (0,1) does not vanish, breaks d.d = 0; the proof at the kernel's family
+    # top sees it, through check_inclusion
+    tag = "dbar_f" if variant == "dolbeault" else "dbar_f_k"
+    real, real_check = cohomology.operator_matrix, cohomology.check_inclusion
+    raised = []
+
+    def corrupt(tag_, model_, p, q, in_budget, out_budget, k=None):
+        M = real(tag_, model_, p, q, in_budget, out_budget, k)
+        if (tag_, p, q) != (tag, 0, 0):
+            return M
+        d = real(tag, model_, 0, 1, out_budget, out_budget + operators.twist_gap(model_.f), k)
+        inside = set(forms.inclusion_positions(model_, 0, 1, out_budget - 1, out_budget))
+        row = min(c for _, c in d.entries if c not in inside)
+        entries = dict(M.entries)
+        entries[(row, 0)] = entries.get((row, 0), 0) + 1
+        return Matrix(M.rows, M.cols, entries)
+
+    def check(*matrices):
+        try:
+            return real_check(*matrices)
+        except linalg.LinearAlgebraError:
+            raised.append(matrices)
+            raise
+
+    monkeypatch.setattr(cohomology, "operator_matrix", corrupt)
+    monkeypatch.setattr(cohomology, "check_inclusion", check)
+    data = {"model": {"m": 2, "n": 0, "budget": 3, "f": "1+z1*zb2"}, "grid": {"p": 0, "q": 1, "D": [1, 2]}}
+    scene = write_scene(tmp_path, "s.json", dict(data, **knobs))
+    assert run(["cohomology", "--scene", scene, "--variant", variant]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: image is not contained in the kernel: broken complex\n"
+    assert len(raised) == 1
 
 
 @pytest.mark.parametrize(

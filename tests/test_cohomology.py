@@ -720,10 +720,11 @@ def _raised(key, up):
 
 def _watch_proofs(monkeypatch):
     """Record the keys and families of every check _Grid.prove runs, and
-    assert that every group with an image (without slack; the slack path
-    proves by rank on every call) and every canonical row with a Bott-Chern
-    image returns only after a check on the same families, at their present
-    budgets, of its own keys raised by one amount >= 0."""
+    assert that every group with an image and every canonical row with a
+    Bott-Chern image returns only after a check on the same families, at
+    their present budgets, of its own keys raised by one amount >= 0.  A
+    group's keys are (K_top, M): the kernel's own family at M's out budget,
+    which is the kernel key itself without slack."""
     proofs, requested = [], []
     real_matrix, real_prove = cohomology._Grid.matrix, cohomology._Grid.prove
     real_group, real_canonical = cohomology._Grid.group, cohomology.canonical_map_row
@@ -755,8 +756,10 @@ def _watch_proofs(monkeypatch):
 
     def group(grid, kernel_key, image_key):
         out = real_group(grid, kernel_key, image_key)
-        if image_key is not None and image_key[4] == kernel_key[3]:
-            assert covered(grid, (kernel_key, image_key)), (kernel_key, image_key)
+        if image_key is not None:
+            tag, p, q, D, out_budget, k = kernel_key
+            top = image_key[4]
+            assert covered(grid, ((tag, p, q, top, top + out_budget - D, k), image_key)), (kernel_key, image_key)
         return out
 
     def canonical(model, p, q, D, *, grid):
@@ -784,8 +787,8 @@ def test_every_group_returns_after_a_proof_that_covers_it(monkeypatch, seed):
     # families first asked for below their top and then rebuilt higher
     m = model.m
     cohomology_grid(model, variant, [m, 0, m // 2, m], [m // 2, m, 0, m], [top - 1, top, 0, top], slack, k)
-    # with slack every group proves by rank, and no check goes through prove
-    assert bool(proofs) == (slack == 0)
+    # with or without slack, every case proves through prove
+    assert proofs
 
 
 def test_proof_watch_sees_a_rebuilt_family_left_unproved(monkeypatch):
@@ -806,6 +809,43 @@ def test_proof_watch_sees_a_rebuilt_family_left_unproved(monkeypatch):
     cohomology_grid(model, "dolbeault", [0], [1, 1, 1], [2])
     with pytest.raises(AssertionError):
         cohomology_grid(model, "dolbeault", [0], [1, 0, 1], [2])
+
+
+# (tag, p, q, k, out - in budget in units of the gap) of families of every derived
+# tag, and a k-weighted one
+REBUILT_FAMILIES = [
+    ("dbar_f", 0, 1, None, 1),
+    ("dbar_f_k", 1, 0, 1, 1),
+    ("stacked", 1, 0, None, 1),
+    ("composed", 0, 0, None, 2),
+    ("image", 1, 1, None, 1),
+]
+
+
+@pytest.mark.parametrize("twist", ["1+z1*zb2", "1+i*z1", "1/3+z1*zb2"])
+@pytest.mark.parametrize("tag, p, q, k, gaps", REBUILT_FAMILIES, ids=[f[0] for f in REBUILT_FAMILIES])
+def test_rebuilt_family_keeps_its_ranks(monkeypatch, twist, tag, p, q, k, gaps):
+    # the pivots of a column prefix do not depend on the columns after it, so
+    # a family ranked at budget 2 and rebuilt at 4 answers every budget up to
+    # 2 from its first elimination, with a fresh grid's ranks; budget 3 ranks
+    # the rebuilt matrix once
+    model = FoliationModel(2, 0, 4, parse_series(twist, 2, 0, 2))
+    gap = twist_gap(model.f)
+
+    def key(b):
+        return (tag, p, q, b, b + gaps * gap, k)
+
+    fresh = [cohomology._Grid(model).rank(key(b)) for b in range(5)]
+    calls = []
+    real = linalg.pivot_columns
+    monkeypatch.setattr(linalg, "pivot_columns", lambda *args: calls.append(args) or real(*args))
+    grid = cohomology._Grid(model)
+    grid.rank(key(2))
+    grid.matrix(*key(4))
+    assert grid._family(key(2)).budget == 4 and len(calls) == 1
+    assert [grid.rank(key(b)) for b in range(3)] == fresh[:3] and len(calls) == 1
+    assert [grid.rank(key(b)) for b in range(5)] == fresh and len(calls) == 2
+    assert fresh == [linalg.rank(_assembled(model, key(b))) for b in range(5)]
 
 
 # Call counts of the three jobs of the benchmark's sparse_twist workload

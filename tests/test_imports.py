@@ -6,7 +6,9 @@ import ``random``, no module imports ``fractions``, ``decimal`` or
 Mayer-Vietoris builder, ``ShortExactSequence`` has no trusted ``_exact``
 and ``make_relative_complex`` builds no identity, restriction, chain map or
 sequence, only ``checks`` forks, only ``_Grid`` and the sequences' d.d proof
-prove an inclusion with ``check_inclusion``, ``_Grid`` keeps no matrix
+prove an inclusion with ``check_inclusion``, which ``cohomology`` only
+hands to ``_Grid.prove``, from ``_Grid.group``, which forms no product and
+stacks nothing, ``_Grid`` keeps no matrix
 memo beside its families and only ``_Grid.prove`` runs the checks it is
 handed, ``linalg`` runs one
 elimination, ``_gauss_jordan(rows, ncols)``, called only by
@@ -292,9 +294,9 @@ def test_only_the_case_runner_forks():
 
 
 # a grid row proves im <= ker through _Grid alone: group hands check_inclusion
-# to _Grid.prove, which runs it once per set of families (group's slack path
-# proves by rank instead), and the sequences prove d.d = 0 on the middle
-# complex in _prove_squares; linalg defines the product check
+# to _Grid.prove, which runs it once per set of families, with or without
+# slack, and the sequences prove d.d = 0 on the middle complex in
+# _prove_squares; linalg defines the product check
 INCLUSION_PROVERS = {
     ("cohomology", "_Grid"),
     ("linalg", "check_inclusion"),
@@ -374,6 +376,42 @@ def test_only_grid_prove_runs_the_checks_it_is_handed():
 
     assert calls(prove) == calls(_grid_class()) > 0
     assert call_sites({"cohomology": sources["cohomology"]}, checker) == {("cohomology", "_Grid")}
+
+
+def handed_to_prove(source: str, name: str) -> tuple:
+    """(uses of the identifier ``name``, calls ``self.prove(name, ...)`` that hand it
+    over as the check) in ``source``, each as a list of nodes; an import is no use."""
+    tree = ast.parse(source)
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name]
+    handed = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "prove"
+        and getattr(getattr(node.func, "value", None), "id", None) == "self"
+        and node.args
+        and getattr(node.args[0], "id", None) == name
+    ]
+    return uses, handed
+
+
+def test_handed_to_prove_finder_counts_only_self_prove_handoffs():
+    source = "from .linalg import check\nclass G:\n    def group(self):\n        self.prove(check, 1)\n"
+    uses, handed = handed_to_prove(source, "check")
+    assert len(uses) == len(handed) == 1
+    uses, handed = handed_to_prove(source + "def f():\n    check(1)\n    grid.prove(check)\n", "check")
+    assert len(uses) == 3 and len(handed) == 1
+
+
+def test_grid_group_proves_every_image_through_prove():
+    # one proof rule: inside cohomology, check_inclusion is only ever handed
+    # to _Grid.prove, by group; and group forms no product and stacks nothing
+    uses, handed = handed_to_prove((SRC / "cohomology.py").read_text(encoding="utf-8"), "check_inclusion")
+    group = _grid_method("group")
+    assert len(uses) == len(handed) == 1
+    assert ast.dump(handed[0]) in {ast.dump(node) for node in ast.walk(group)}
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None)) for node in ast.walk(group) if isinstance(node, ast.Call)}
+    assert not called & {"vstack", "mul"}, called
 
 
 # bases are positions by arithmetic over forms' monomial and pair tables.  The
